@@ -361,8 +361,6 @@ class ProofSteps:
 
 Proof = ProofLeaf | ProofSteps
 
-ADMITTED = ProofLeaf(admitted=True)
-
 
 # ---------------------------------------------------------------------------
 # Declarations

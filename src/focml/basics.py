@@ -41,7 +41,3 @@ BUILTIN_TYPES = {"int": T_INT, "bool": T_BOOL, "string": T_STRING}
 
 # Logical-target names of the builtin base types.
 LOGICAL_TYPE_NAMES = {"int": "basics.int__t", "bool": "basics.bool__t", "string": "basics.string__t"}
-
-
-def is_builtin_function(name: str) -> bool:
-    return name in BUILTIN_FUNCTIONS

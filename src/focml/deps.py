@@ -96,8 +96,8 @@ def _own_exprs(mi: MethodInfo):
 
 @dataclass
 class MethodDeps:
-    decl: set[str] = field(default_factory=set)
-    defs: set[str] = field(default_factory=set)
+    decl: frozenset[str] = frozenset()
+    defs: frozenset[str] = frozenset()
     closure: set[str] = field(default_factory=set)
     universe: set[str] = field(default_factory=set)
     carrier_keep: str | None = None  # 'TypeOnly' | 'TypeAndBody' | None
@@ -183,7 +183,7 @@ def collect_defs(proof: Proof) -> set[str]:
     return out
 
 
-def def_closure(defs: dict[str, set[str]], x: str) -> set[str]:
+def def_closure(defs: dict[str, frozenset[str]], x: str) -> set[str]:
     seen: set[str] = set()
     frontier = deque(defs.get(x, ()))
     while frontier:
@@ -202,7 +202,7 @@ def type_level_refs(mi: MethodInfo, nf: NFSpecies) -> set[str]:
     return {n for n in scoped_vars(mi.statement) if n in nf.methods}
 
 
-def order_methods(nf: NFSpecies, decl: dict[str, set[str]]) -> tuple[list[str], list[list[str]]]:
+def order_methods(nf: NFSpecies, decl: dict[str, frozenset[str]]) -> tuple[list[str], list[list[str]]]:
     """Topological order with deterministic tie-breaking.
 
     Priority: (rank of the species where the method first got a definition,
@@ -368,15 +368,18 @@ def _shortest_cycle(deps: dict[str, set[str]]) -> list[str]:
 
 
 def scan_species(nf: NFSpecies) -> SpeciesDeps:
-    """Syntactic pass: decl/def sets, fact validation, global order."""
+    """Syntactic pass: decl/def sets, fact validation, global order.
+
+    Methods carried from an ancestor keep the sets scanned there.
+    """
     sd = SpeciesDeps()
-    decl: dict[str, set[str]] = {}
+    decl: dict[str, frozenset[str]] = {}
     for name, mi in nf.methods.items():
-        md = MethodDeps()
-        md.decl = decl_deps(mi, nf)
-        md.defs = def_deps(mi, nf)
-        decl[name] = md.decl
-        sd.methods[name] = md
+        if not mi.carried:
+            mi.decl = frozenset(decl_deps(mi, nf))
+            mi.defs = frozenset(def_deps(mi, nf))
+        decl[name] = mi.decl
+        sd.methods[name] = MethodDeps(decl=mi.decl, defs=mi.defs)
     sd.order, sd.rec_groups = order_methods(nf, decl)
     nf.order = sd.order
     mutual = {m for g in sd.rec_groups for m in g}

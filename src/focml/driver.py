@@ -266,7 +266,7 @@ def _check_param_args(
 
 
 def _type_species(nf: NFSpecies, sd: SpeciesDeps, env: SpeciesTypeEnv) -> None:
-    """Type every method in global order; record carrier use flags."""
+    """Type the methods not carried from an ancestor, in global order."""
     group_of: dict[str, list[str]] = {}
     for g in sd.rec_groups:
         for m in g:
@@ -275,37 +275,43 @@ def _type_species(nf: NFSpecies, sd: SpeciesDeps, env: SpeciesTypeEnv) -> None:
         mi = nf.methods[name]
         if name in group_of and env.methods.get(name) is None:
             _seed_rec_group(nf, group_of[name], env)
-        # The pin is the declared signature if any, else the scheme
-        # carried over from the species that first defined the method.
-        stored = _declared_scheme(mi, env) or mi.scheme
-        match mi.kind:
-            case "signature":
-                assert stored is not None
-                mi.scheme = stored
-                mi.carrier_decl = _mentions_self(stored.body)
-            case "let":
-                lt = type_let(mi, stored, env)
-                mi.scheme = lt.scheme
-                mi.param_types = lt.param_types
-                mi.ret_type = lt.ret_type
-                mi.carrier_decl = lt.touched_self or _mentions_self(lt.scheme.body)
-                mi.carrier_def = lt.used_rep
-            case "property" | "theorem":
-                assert mi.statement is not None
-                st = check_statement(mi.statement, env)
-                mi.carrier_decl = st.touched_self
-                if mi.proof is not None:
-                    pt = check_proof(mi.proof, env)
-                    mi.carrier_decl = mi.carrier_decl or pt.touched_self
-                    mi.carrier_def = pt.used_rep
-                # Quantifier and assume types are emitted later: pin them
-                # to their resolved forms.
-                tyfn = lambda t: env.ctx.resolve(t, mi.pos)
-                mi.statement = subst_expr(mi.statement, {}, {}, tyfn)
-                if mi.proof is not None:
-                    mi.proof = subst_proof(mi.proof, {}, {}, tyfn)
+        if not mi.carried:
+            _type_method(mi, env)
         if mi.scheme is not None:
             env.methods[name] = mi.scheme
+
+
+def _type_method(mi: MethodInfo, env: SpeciesTypeEnv) -> None:
+    """Type one method; record its scheme and carrier use flags."""
+    # The pin is the declared signature if any, else the scheme carried
+    # over from the species that first defined the method.
+    stored = _declared_scheme(mi, env) or mi.scheme
+    match mi.kind:
+        case "signature":
+            assert stored is not None
+            mi.scheme = stored
+            mi.carrier_decl = _mentions_self(stored.body)
+        case "let":
+            lt = type_let(mi, stored, env)
+            mi.scheme = lt.scheme
+            mi.param_types = lt.param_types
+            mi.ret_type = lt.ret_type
+            mi.carrier_decl = lt.touched_self or _mentions_self(lt.scheme.body)
+            mi.carrier_def = lt.used_rep
+        case "property" | "theorem":
+            assert mi.statement is not None
+            st = check_statement(mi.statement, env)
+            mi.carrier_decl = st.touched_self
+            if mi.proof is not None:
+                pt = check_proof(mi.proof, env)
+                mi.carrier_decl = mi.carrier_decl or pt.touched_self
+                mi.carrier_def = pt.used_rep
+            # Quantifier and assume types are emitted later: pin them
+            # to their resolved forms.
+            tyfn = lambda t: env.ctx.resolve(t, mi.pos)
+            mi.statement = subst_expr(mi.statement, {}, {}, tyfn)
+            if mi.proof is not None:
+                mi.proof = subst_proof(mi.proof, {}, {}, tyfn)
 
 
 def _declared_scheme(mi: MethodInfo, env: SpeciesTypeEnv) -> Scheme | None:

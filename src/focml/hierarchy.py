@@ -3,8 +3,9 @@
 A species normal form carries every method reachable through `inherit`, with
 parameter substitutions applied and redefinitions resolved by late binding:
 the last definition along the linearized inheritance chain wins, while the
-method's type stays pinned to its first declaration.  Proof invalidation and
-collection completeness both operate on this normal form.
+method's type stays pinned to its first declaration.  Inherited copies carry
+the typing and scan results of the species they come from.  Proof
+invalidation and collection completeness both operate on this normal form.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .ast import (
     type_map,
     type_walk,
 )
+from .basics import BUILTIN_FUNCTIONS, BUILTIN_PROPERTIES
 from .errors import (
     DUPLICATE,
     INCOMPLETE,
@@ -73,12 +75,20 @@ class MethodInfo:
     rec: bool = False
     superseded: set[str] = field(default_factory=set)
     pos: Pos = NOPOS
-    # Filled in by the typing and dependency phases.
+    # Filled in by the typing and dependency phases of the species that
+    # analyses the method, then carried, renamed, into its descendants.
     scheme: Scheme | None = None
     param_types: list[Type] | None = None
     ret_type: Type | None = None
     carrier_decl: bool = False
     carrier_def: bool = False
+    decl: frozenset[str] = frozenset()
+    defs: frozenset[str] = frozenset()
+    # Per-species facts, reset on inheritance.  `carried` says the results
+    # above came from an ancestor and still hold here, so the species skips
+    # typing and scanning the method; `valid_proof` is recomputed from
+    # origins by `invalidate_proofs`.
+    carried: bool = False
     valid_proof: bool = True
 
     @property
@@ -278,10 +288,20 @@ def subst_method(
     entity_map: dict[str, Expr],
     target_is: frozenset[str] = frozenset(),
 ) -> MethodInfo:
-    type_fn = lambda t: rename_caps(t, qual_map, target_is)
+    """Copy `mi` into an inheriting species, analysis results included.
+
+    `qual_map` and `entity_map` hold only the parameters that are not passed
+    as themselves; when both are empty the copy shares the parent's trees.
+    """
     out = copy.copy(mi)
-    out.extra_sigs = [type_fn(t) for t in mi.extra_sigs]
     out.superseded = set(mi.superseded)
+    out.carried = True
+    out.valid_proof = True
+    if not qual_map and not entity_map:
+        out.extra_sigs = list(mi.extra_sigs)
+        return out
+    type_fn = lambda t: rename_caps(t, qual_map, target_is)
+    out.extra_sigs = [type_fn(t) for t in mi.extra_sigs]
     if mi.ty is not None:
         out.ty = type_fn(mi.ty)
     out.params = [(n, None if t is None else type_fn(t)) for n, t in mi.params]
@@ -294,12 +314,14 @@ def subst_method(
         out.statement = subst_expr(mi.statement, qual_map, entity_map, type_fn)
     if mi.proof is not None:
         out.proof = subst_proof(mi.proof, qual_map, entity_map, type_fn)
-    # The scheme survives renaming: it pins the method's type for any
-    # redefinition further down.  Shown arg/ret splits are recomputed.
+    # The scheme also pins the method's type for any redefinition further
+    # down.
     if mi.scheme is not None:
         out.scheme = Scheme(mi.scheme.count, type_fn(mi.scheme.body))
-    out.param_types = None
-    out.ret_type = None
+    if mi.param_types is not None:
+        out.param_types = [type_fn(t) for t in mi.param_types]
+    if mi.ret_type is not None:
+        out.ret_type = type_fn(mi.ret_type)
     return out
 
 
@@ -330,6 +352,20 @@ def _adopt_definition(cur: MethodInfo, inc: MethodInfo) -> None:
     cur.pos = inc.pos
     if cur.first_def is None:
         cur.first_def = inc.first_def
+    # The definition brings its analysis along, which still holds only if
+    # it was made against the same declared type.
+    cur.param_types = inc.param_types
+    cur.ret_type = inc.ret_type
+    cur.carrier_decl = inc.carrier_decl
+    cur.carrier_def = inc.carrier_def
+    cur.decl = inc.decl
+    cur.defs = inc.defs
+    cur.carried = (
+        inc.carried
+        and inc.scheme == cur.scheme
+        and inc.ty == cur.ty
+        and inc.extra_sigs == cur.extra_sigs
+    )
 
 
 def _merge(nf: NFSpecies, inc: MethodInfo) -> None:
@@ -345,10 +381,13 @@ def _merge(nf: NFSpecies, inc: MethodInfo) -> None:
             inc.pos,
         )
     if inc.ty is not None:
+        # A new declared type must be checked against the definition.
         if cur.ty is None:
             cur.ty = inc.ty
+            cur.carried = False
         elif inc.decl_site != cur.decl_site and inc.ty != cur.ty:
             cur.extra_sigs.append(inc.ty)
+            cur.carried = False
     if inc.statement is not None:
         if cur.statement is None:
             cur.statement = inc.statement
@@ -472,7 +511,9 @@ def normalize(
                     p.pos,
                 )
     parent_lineages: list[list[str]] = []
+    carries = True
     child_is = frozenset(is_names)
+    own_carriers = {p.name: p.carrier for p in decl.params if p.kind == "in"}
     for se in decl.inherits:
         parent = species_env.get(se.name)
         if parent is None:
@@ -493,8 +534,19 @@ def normalize(
                     f"(from {nf.rep_origin} and {parent.rep_origin})",
                     se.pos,
                 )
+        renamed = {
+            f: a for f, a in qual_map.items() if a != f or a not in child_is
+        }
+        substituted = {f: e for f, e in entity_map.items() if e != Var(f)}
         for mi in parent.methods.values():
-            _merge(nf, subst_method(mi, qual_map, entity_map, child_is))
+            _merge(nf, subst_method(mi, renamed, substituted, child_is))
+        # Any entity argument but an own entity parameter over the renamed
+        # carrier is an expression to type and scan the methods with.
+        carries = carries and all(
+            isinstance(arg, Var)
+            and own_carriers.get(arg.name) == qual_map[formal.carrier]
+            for formal, arg in zip(parent.entity_params, entity_map.values())
+        )
         parent_lineages.append(parent.lineage)
         nf.ancestor_args[parent.name] = {**qual_map, **entity_map}
         for anc, amap in parent.ancestor_args.items():
@@ -541,10 +593,19 @@ def normalize(
             cur.proof_origin = decl.name
             cur.origin = decl.name
             cur.kind = "theorem"
+            cur.carried = False
             if cur.first_def is None:
                 cur.first_def = decl.name
             continue
         _merge(nf, _local_info(decl, m))
+    # A method named like a builtin or an entity parameter captures that
+    # name wherever an inherited method leaves it free.
+    free = BUILTIN_FUNCTIONS.keys() | BUILTIN_PROPERTIES | {
+        p.name for p in nf.entity_params
+    }
+    if not carries or not free.isdisjoint(nf.methods):
+        for mi in nf.methods.values():
+            mi.carried = False
     return nf
 
 
@@ -591,10 +652,6 @@ class CollectionModel:
     iface_schemes: dict[str, Scheme] = field(default_factory=dict)
     carrier: Type | None = None  # representation with parameters substituted
     pos: Pos = NOPOS
-
-    @property
-    def interface(self) -> list[str]:
-        return list(self.nf.order)
 
 
 def make_collection(

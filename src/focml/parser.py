@@ -600,9 +600,6 @@ class Parser:
         return ProofSteps(steps, pos=first.pos)
 
 
-_CONNECTIVE_WORDS = {"->": "->", "/\\": "/\\", "\\/": "\\/"}
-
-
 def check_stratification(unit: CompilationUnit) -> None:
     """Function bodies must stay in the computational stratum."""
     for decl in unit.decls:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .ast import Expr, Proof, ProofLeaf, ProofStep, ProofSteps
+from .ast import Proof, ProofLeaf, ProofStep, ProofSteps
 
 
 def iter_leaves(proof: Proof) -> Iterator[ProofLeaf]:
@@ -24,15 +24,6 @@ def iter_steps(proof: Proof) -> Iterator[ProofStep]:
             yield step
             if step.sub is not None:
                 yield from iter_steps(step.sub)
-
-
-def iter_step_exprs(proof: Proof) -> Iterator[Expr]:
-    """Every statement written inside the proof text itself."""
-    for step in iter_steps(proof):
-        for _, stmt in step.hyps:
-            yield stmt
-        if step.goal is not None:
-            yield step.goal
 
 
 @dataclass

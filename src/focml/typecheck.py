@@ -227,14 +227,6 @@ class SpeciesTypeEnv:
     constructors: dict[str, tuple[str, list[Type]]] = field(default_factory=dict)
 
 
-def subst_self(t: Type, carrier: Type) -> Type:
-    return type_map(t, lambda n: carrier if isinstance(n, TSelf) else n)
-
-
-def subst_self_scheme(s: Scheme, carrier: Type) -> Scheme:
-    return Scheme(s.count, subst_self(s.body, carrier))
-
-
 def infer_expr(
     e: Expr, locals_: dict[str, Type], env: SpeciesTypeEnv, uni: Unifier
 ) -> Type:
@@ -545,7 +537,3 @@ def check_proof(proof: Proof, env: SpeciesTypeEnv) -> ProofTyping:
 
     walk(proof, {}, set())
     return ProofTyping(used_rep=uni.used_rep, touched_self=uni.touched_self)
-
-
-def signature_scheme(ty: Type, env: SpeciesTypeEnv, pos: Pos) -> Scheme:
-    return Scheme(0, env.ctx.resolve(ty, pos))

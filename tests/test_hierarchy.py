@@ -11,6 +11,7 @@ from focml.errors import (
     TYPE_MISMATCH,
     CompileError,
 )
+from focml.evaluator import eval_call
 from focml.hierarchy import merge_lineages
 from focml.pretty import type_to_source
 
@@ -263,6 +264,36 @@ end ;;
     cu = compile_source(src)
     assert cu.species["B"].methods["p"].valid_proof
     assert cu.species["B"].reverted == []
+
+
+def test_proof_of_in_a_descendant_restores_a_reverted_theorem():
+    src = """
+species A =
+  representation = int ;
+  let f (x : int) : int = x ;
+  theorem t : all x : int, f (x) = f (x)
+  proof = by definition of f ;
+end ;;
+
+species B =
+  inherit A ;
+  let f (x : int) : int = x + 1 ;
+end ;;
+
+species C =
+  inherit B ;
+  proof of t = by definition of f ;
+end ;;
+
+collection CC = implement C ; end ;;
+"""
+    cu = compile_source(src)
+    (warning,) = cu.warnings
+    assert "proof of t (from A) is reverted" in warning.message
+    assert not cu.species["B"].methods["t"].valid_proof
+    assert cu.species["C"].methods["t"].valid_proof
+    assert cu.species["C"].reverted == []
+    assert eval_call(cu, "CC!f (2)") == "3"
 
 
 def test_unrelated_redefinition_keeps_proof(extended_cu):

@@ -8,14 +8,15 @@ generated cases.
 
 from __future__ import annotations
 
+import copy
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import pytest
 
-from focml import compile_source
-from focml.deps import type_level_refs
+from focml import compile_source, driver
+from focml.deps import scan_species, type_level_refs
 from focml.emit import emit_comp, emit_logical
 from focml.pretty import expr_to_source, type_to_source
 
@@ -482,6 +483,42 @@ def run_normalize_suite(units) -> int:
     return cases
 
 
+def analysis(mi):
+    """What typing and the dependency scan compute for one method."""
+    return (
+        mi.scheme,
+        mi.param_types,
+        mi.ret_type,
+        mi.carrier_decl,
+        mi.carrier_def,
+        mi.statement,
+        mi.proof,
+        mi.decl,
+        mi.defs,
+    )
+
+
+def run_carry_suite(units) -> int:
+    """Carried results against a full retype and rescan of every species,
+    made by the driver's own typing and scan steps with nothing carried."""
+    cases = 0
+    for u in units:
+        for sname, nf in u.cu.species.items():
+            full = copy.copy(nf)
+            full.methods = {
+                n: replace(mi, carried=False)
+                for n, mi in nf.methods.items()
+            }
+            sd = scan_species(full)
+            driver._type_species(full, sd, driver._species_env(u.cu, full))
+            for name, mi in nf.methods.items():
+                got, want = analysis(mi), analysis(full.methods[name])
+                assert got == want, (u.source, sname, name)
+                assert u.cu.deps[sname].methods[name].decl == mi.decl
+                cases += mi.carried
+    return cases
+
+
 # ---------------------------------------------------------------------------
 # The tests themselves
 
@@ -512,3 +549,7 @@ def test_erasure_keeps_exactly_the_computational_methods(complete_units):
 
 def test_flattening_is_idempotent(general_units, complete_units):
     assert run_normalize_suite(general_units + complete_units) >= 1000
+
+
+def test_carried_analysis_equals_a_full_retype(general_units, complete_units):
+    assert run_carry_suite(general_units + complete_units) >= 1000

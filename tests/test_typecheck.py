@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from focml import CompileError, compile_source
+from focml.ast import TArrow, TCollCarrier
 from focml.pretty import type_to_source
 
 from conftest import data
@@ -179,3 +180,112 @@ end ;;
         )
     assert e.value.kind == "ProofError"
     assert "unknown hypothesis" in e.value.message
+
+
+# ---------------------------------------------------------------------------
+# Typing results carried through inheritance
+
+CARRY_PRELUDE = """
+species Base = signature mk : int -> Self ; end ;;
+species BaseImpl =
+  inherit Base ;
+  representation = int ;
+  let mk (x) : Self = x ;
+end ;;
+collection BColl = implement BaseImpl ; end ;;
+species S (P is Base) =
+  let same (x : P) : P = x ;
+end ;;
+"""
+
+
+def test_non_identity_inheritance_carries_renamed_types():
+    cu = compile_source(CARRY_PRELUDE + "species T = inherit S (BColl) ; end ;;")
+    parent = cu.species["S"].methods["same"]
+    mi = cu.species["T"].methods["same"]
+    assert mi.carried and not parent.carried
+    assert type_to_source(parent.scheme.body) == "P -> P"
+    assert [type_to_source(t) for t in parent.param_types] == ["P"]
+    assert mi.scheme.body == TArrow(TCollCarrier("BColl"), TCollCarrier("BColl"))
+    assert mi.param_types == [TCollCarrier("BColl")]
+    assert mi.ret_type == TCollCarrier("BColl")
+
+
+def test_identity_inheritance_shares_the_parents_trees():
+    cu = compile_source(
+        CARRY_PRELUDE + "species T (Q is Base) = inherit S (Q) ; end ;;"
+        "species U (P is Base) = inherit S (P) ; end ;;"
+    )
+    parent = cu.species["S"].methods["same"]
+    renamed = cu.species["T"].methods["same"]
+    same = cu.species["U"].methods["same"]
+    assert same is not parent and same.carried
+    assert same.body is parent.body
+    assert same.scheme is parent.scheme
+    assert renamed.body is not parent.body
+    assert type_to_source(renamed.scheme.body) == "Q -> Q"
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        # a signature added below the definition
+        """
+species A = let f (x : int) : int = x ; end ;;
+species B = inherit A ; signature f : int -> bool ; end ;;
+""",
+        # sibling definitions of different types
+        """
+species A = let f (x : int) : int = x ; end ;;
+species B = let f (x : int) : bool = true ; end ;;
+species C = inherit A, B ; end ;;
+""",
+        # a sibling signature of another type
+        """
+species A = let f (x : int) : int = x ; end ;;
+species B = signature f : int -> bool ; end ;;
+species C = inherit A, B ; end ;;
+""",
+        # a method that captures a builtin the inherited body calls
+        """
+species A = let g (x : int) : int = fst ((x, x)) ; end ;;
+species B = inherit A ; let fst (p : int * int) : bool = true ; end ;;
+""",
+        # an entity argument of the wrong type
+        CARRY_PRELUDE
+        + """
+species E (P0 is Base, v0 in P0) = let g (x : int) : P0 = v0 ; end ;;
+species F = inherit E (BColl, 3) ; end ;;
+""",
+        # an entity parameter over another collection parameter
+        CARRY_PRELUDE
+        + """
+species E (P0 is Base, v0 in P0) = let g (x : int) : P0 = v0 ; end ;;
+species F (P0 is Base, P1 is Base, v0 in P1) = inherit E (P0, v0) ; end ;;
+""",
+    ],
+    ids=[
+        "local_signature",
+        "sibling_definitions",
+        "sibling_signature",
+        "captured_builtin",
+        "entity_expression",
+        "entity_carrier",
+    ],
+)
+def test_inherited_method_is_typed_again_when_the_heir_changes_its_inputs(src):
+    with pytest.raises(CompileError) as e:
+        compile_source(src)
+    assert e.value.kind == "TypeMismatch"
+
+
+def test_entity_argument_naming_a_method_is_scanned_again():
+    cu = compile_source(
+        CARRY_PRELUDE
+        + """
+species E (P0 is Base, v0 in P0) = let g (x : int) : P0 = v0 ; end ;;
+species F (P0 is Base, w in P0) = inherit E (P0, h) ; let h : P0 = w ; end ;;
+"""
+    )
+    assert cu.deps["E"].methods["g"].decl == set()
+    assert cu.deps["F"].methods["g"].decl == {"h"}
