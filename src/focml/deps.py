@@ -367,7 +367,7 @@ def _shortest_cycle(deps: dict[str, set[str]]) -> list[str]:
     return best[smallest:] + best[:smallest]
 
 
-def scan_species(nf: NFSpecies) -> SpeciesDeps:
+def scan_species(nf: NFSpecies, deps_env: dict[str, SpeciesDeps]) -> SpeciesDeps:
     """Syntactic pass: decl/def sets, fact validation, global order.
 
     Methods carried from an ancestor keep the sets scanned there.
@@ -375,11 +375,17 @@ def scan_species(nf: NFSpecies) -> SpeciesDeps:
     sd = SpeciesDeps()
     decl: dict[str, frozenset[str]] = {}
     for name, mi in nf.methods.items():
-        if not mi.carried:
-            mi.decl = frozenset(decl_deps(mi, nf))
-            mi.defs = frozenset(def_deps(mi, nf))
-        decl[name] = mi.decl
-        sd.methods[name] = MethodDeps(decl=mi.decl, defs=mi.defs)
+        if mi.carried:
+            assert mi.scanned_in is not None
+            scanned = deps_env[mi.scanned_in].methods[name]
+            md = MethodDeps(decl=scanned.decl, defs=scanned.defs)
+        else:
+            md = MethodDeps(
+                decl=frozenset(decl_deps(mi, nf)), defs=frozenset(def_deps(mi, nf))
+            )
+            mi.scanned_in = nf.name
+        decl[name] = md.decl
+        sd.methods[name] = md
     sd.order, sd.rec_groups = order_methods(nf, decl)
     nf.order = sd.order
     mutual = {m for g in sd.rec_groups for m in g}

@@ -42,15 +42,16 @@ from .generators import (
     _param_method_lift,
     build_extraction_plan,
     build_species_plan,
-    interface_view,
 )
 from .hierarchy import (
     CollectionModel,
     MethodInfo,
     NFSpecies,
+    interface_view,
     invalidate_proofs,
     make_collection,
     normalize,
+    param_schemes,
     subst_expr,
     subst_proof,
 )
@@ -170,7 +171,7 @@ def _register_species(cu: CompiledUnit, decl: SpeciesDecl) -> None:
             )
         )
     env = _species_env(cu, nf)
-    sd = scan_species(nf)
+    sd = scan_species(nf, cu.deps)
     _type_species(nf, sd, env)
     finish_deps(nf, sd, cu.species, cu.deps)
     cu.species[nf.name] = nf
@@ -195,12 +196,7 @@ def _species_env(cu: CompiledUnit, nf: NFSpecies) -> SpeciesTypeEnv:
     for p in nf.params:
         if p.kind == "is":
             _check_param_args(cu, nf, p, seen, env)
-            iface_nf, _, _, tyfn = interface_view(nf, p, cu.species)
-            env.param_ifaces[p.name] = {
-                m: Scheme(mi.scheme.count, tyfn(mi.scheme.body))
-                for m, mi in iface_nf.methods.items()
-                if mi.scheme is not None
-            }
+            env.param_ifaces[p.name] = param_schemes(nf, p, cu.species)
         else:
             assert p.carrier is not None
             env.entity_params[p.name] = TParam(p.carrier)

@@ -18,16 +18,17 @@ from .ast import (
     Proof,
     Qual,
     SpeciesParam,
-    TCap,
-    TCollCarrier,
     TParam,
-    TSelf,
     Type,
-    Var,
-    type_map,
 )
 from .deps import MethodDeps, SpeciesDeps, qual_refs, type_level_refs
-from .hierarchy import CollectionModel, MethodInfo, NFSpecies, subst_expr
+from .hierarchy import (
+    CollectionModel,
+    MethodInfo,
+    NFSpecies,
+    interface_view,
+    subst_expr,
+)
 from .proofs import proof_is_admitted
 
 Tag = tuple
@@ -119,41 +120,7 @@ class CollectionExtractionPlan:
 
 
 # ---------------------------------------------------------------------------
-# Interface views and tag resolution
-
-
-def interface_view(nf: NFSpecies, p: SpeciesParam, species_env: dict[str, NFSpecies]):
-    """The interface of parameter `p` with its own arguments spliced in, as
-    seen from inside `nf`: (interface NF, qual map, entity map, type fn)."""
-    assert p.interface is not None
-    iface_nf = species_env[p.interface.name]
-    qual_map: dict[str, str] = {}
-    entity_map: dict[str, Expr] = {}
-    ty_map: dict[str, Type] = {}
-    own_params = {q.name for q in nf.is_params}
-    for formal, arg in zip(iface_nf.params, p.interface.args):
-        if formal.kind == "is" and arg.name is not None:
-            qual_map[formal.name] = arg.name
-            ty_map[formal.name] = (
-                TParam(arg.name) if arg.name in own_params else TCollCarrier(arg.name)
-            )
-        elif formal.kind == "in":
-            entity_map[formal.name] = (
-                arg.expr if arg.expr is not None else Var(arg.name, pos=arg.pos)
-            )
-    self_ty = TParam(p.name)
-
-    def tyfn(t: Type) -> Type:
-        def step(n: Type) -> Type:
-            if isinstance(n, TSelf):
-                return self_ty
-            if isinstance(n, (TCap, TParam)) and n.name in ty_map:
-                return ty_map[n.name]
-            return n
-
-        return type_map(t, step)
-
-    return iface_nf, qual_map, entity_map, tyfn
+# Tag resolution
 
 
 def resolve_tags(tags: list[Tag], origin: str, nf: NFSpecies) -> list[Atom]:

@@ -82,13 +82,12 @@ class MethodInfo:
     ret_type: Type | None = None
     carrier_decl: bool = False
     carrier_def: bool = False
-    decl: frozenset[str] = frozenset()
-    defs: frozenset[str] = frozenset()
-    # Per-species facts, reset on inheritance.  `carried` says the results
-    # above came from an ancestor and still hold here, so the species skips
-    # typing and scanning the method; `valid_proof` is recomputed from
-    # origins by `invalidate_proofs`.
+    scanned_in: str | None = None  # species whose deps hold decl/def sets
+    # `carried` is set on inheritance and cleared where the species changes
+    # what the analysis reads: the results above came from an ancestor and
+    # still hold here, so the species skips typing and scanning the method.
     carried: bool = False
+    # A reverted proof stays reverted in descendants until a `proof of`.
     valid_proof: bool = True
 
     @property
@@ -157,6 +156,56 @@ class NFSpecies:
             elif m.kind == "theorem" and not m.valid_proof:
                 missing.append(f"the proof of {m.name} was reverted")
         return missing
+
+
+# ---------------------------------------------------------------------------
+# Interface views
+
+
+def interface_view(nf: NFSpecies, p: SpeciesParam, species_env: dict[str, NFSpecies]):
+    """The interface of parameter `p` with its own arguments spliced in, as
+    seen from inside `nf`: (interface NF, qual map, entity map, type fn)."""
+    assert p.interface is not None
+    iface_nf = species_env[p.interface.name]
+    qual_map: dict[str, str] = {}
+    entity_map: dict[str, Expr] = {}
+    ty_map: dict[str, Type] = {}
+    own_params = {q.name for q in nf.is_params}
+    for formal, arg in zip(iface_nf.params, p.interface.args):
+        if formal.kind == "is" and arg.name is not None:
+            qual_map[formal.name] = arg.name
+            ty_map[formal.name] = (
+                TParam(arg.name) if arg.name in own_params else TCollCarrier(arg.name)
+            )
+        elif formal.kind == "in":
+            entity_map[formal.name] = (
+                arg.expr if arg.expr is not None else Var(arg.name, pos=arg.pos)
+            )
+    self_ty = TParam(p.name)
+
+    def tyfn(t: Type) -> Type:
+        def step(n: Type) -> Type:
+            if isinstance(n, TSelf):
+                return self_ty
+            if isinstance(n, (TCap, TParam)) and n.name in ty_map:
+                return ty_map[n.name]
+            return n
+
+        return type_map(t, step)
+
+    return iface_nf, qual_map, entity_map, tyfn
+
+
+def param_schemes(
+    nf: NFSpecies, p: SpeciesParam, species_env: dict[str, NFSpecies]
+) -> dict[str, Scheme]:
+    """Types of `p!m` inside `nf`, for each method `m` of `p`'s interface."""
+    iface_nf, _, _, tyfn = interface_view(nf, p, species_env)
+    return {
+        m: Scheme(mi.scheme.count, tyfn(mi.scheme.body))
+        for m, mi in iface_nf.methods.items()
+        if mi.scheme is not None
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +345,6 @@ def subst_method(
     out = copy.copy(mi)
     out.superseded = set(mi.superseded)
     out.carried = True
-    out.valid_proof = True
     if not qual_map and not entity_map:
         out.extra_sigs = list(mi.extra_sigs)
         return out
@@ -358,8 +406,8 @@ def _adopt_definition(cur: MethodInfo, inc: MethodInfo) -> None:
     cur.ret_type = inc.ret_type
     cur.carrier_decl = inc.carrier_decl
     cur.carrier_def = inc.carrier_def
-    cur.decl = inc.decl
-    cur.defs = inc.defs
+    cur.scanned_in = inc.scanned_in
+    cur.valid_proof = inc.valid_proof
     cur.carried = (
         inc.carried
         and inc.scheme == cur.scheme
@@ -487,6 +535,30 @@ def _build_subst(
     return qual_map, entity_map
 
 
+def _offers_formal_types(
+    parent: NFSpecies,
+    nf: NFSpecies,
+    qual_map: dict[str, str],
+    species_env: dict[str, NFSpecies],
+    collections: dict[str, "CollectionModel"],
+) -> bool:
+    """Whether each is-argument offers the methods of its formal's interface
+    at the formal's types, renamed: the parent's methods were typed against
+    those.  Another interface or other interface arguments can differ."""
+    child_is = frozenset(p.name for p in nf.is_params)
+    for formal in parent.is_params:
+        actual = qual_map[formal.name]
+        own = next((p for p in nf.is_params if p.name == actual), None)
+        if own is not None:
+            have = param_schemes(nf, own, species_env)
+        else:
+            have = collections[actual].iface_schemes
+        for m, s in param_schemes(parent, formal, species_env).items():
+            if have.get(m) != Scheme(s.count, rename_caps(s.body, qual_map, child_is)):
+                return False
+    return True
+
+
 def normalize(
     decl: SpeciesDecl,
     species_env: dict[str, NFSpecies],
@@ -547,6 +619,9 @@ def normalize(
             and own_carriers.get(arg.name) == qual_map[formal.carrier]
             for formal, arg in zip(parent.entity_params, entity_map.values())
         )
+        carries = carries and _offers_formal_types(
+            parent, nf, qual_map, species_env, collections
+        )
         parent_lineages.append(parent.lineage)
         nf.ancestor_args[parent.name] = {**qual_map, **entity_map}
         for anc, amap in parent.ancestor_args.items():
@@ -593,17 +668,24 @@ def normalize(
             cur.proof_origin = decl.name
             cur.origin = decl.name
             cur.kind = "theorem"
+            cur.valid_proof = True
             cur.carried = False
             if cur.first_def is None:
                 cur.first_def = decl.name
             continue
         _merge(nf, _local_info(decl, m))
-    # A method named like a builtin or an entity parameter captures that
-    # name wherever an inherited method leaves it free.
-    free = BUILTIN_FUNCTIONS.keys() | BUILTIN_PROPERTIES | {
-        p.name for p in nf.entity_params
-    }
-    if not carries or not free.isdisjoint(nf.methods):
+    # A name the species brings in captures the same name wherever an
+    # inherited method leaves it free: a method or an entity parameter named
+    # like a builtin, an entity parameter named like a method, a collection
+    # parameter named like a collection.
+    builtins = BUILTIN_FUNCTIONS.keys() | BUILTIN_PROPERTIES
+    entities = {p.name for p in nf.entity_params}
+    if (
+        not carries
+        or not builtins.isdisjoint(nf.methods)
+        or not entities.isdisjoint(builtins | nf.methods.keys())
+        or not child_is.isdisjoint(collections)
+    ):
         for mi in nf.methods.values():
             mi.carried = False
     return nf

@@ -296,6 +296,58 @@ collection CC = implement C ; end ;;
     assert eval_call(cu, "CC!f (2)") == "3"
 
 
+def test_reverted_proof_stays_reverted_when_a_descendant_reorders_siblings():
+    # D's lineage puts S2 before S1, so ranks alone would call t valid.
+    src = """
+species S1 =
+  representation = int ;
+  let f (x : int) : int = x ;
+  theorem t : all x : int, f (x) = x
+  proof = by definition of f ;
+end ;;
+
+species S2 = let f (x : int) : int = x + 1 ; end ;;
+species P = inherit S1, S2 ; end ;;
+species D = inherit S2, P ; end ;;
+"""
+    cu = compile_source(src)
+    assert cu.species["D"].lineage == ["S2", "S1", "P", "D"]
+    assert not cu.species["P"].methods["t"].valid_proof
+    assert not cu.species["D"].methods["t"].valid_proof
+    with pytest.raises(CompileError) as e:
+        compile_source(src + "collection DC = implement D ; end ;;")
+    assert e.value.kind == "IncompleteSpecies"
+
+
+def test_a_reverted_proof_adopted_from_a_sibling_stays_reverted():
+    # D takes t from P, where it is reverted, over Q's admitted proof.
+    src = """
+species S1 =
+  representation = int ;
+  let f (x : int) : int = x ;
+  theorem t : all x : int, f (x) = x
+  proof = by definition of f ;
+end ;;
+
+species S2 = let f (x : int) : int = x + 1 ; end ;;
+species P = inherit S1, S2 ; end ;;
+
+species Q =
+  signature f : int -> int ;
+  theorem t : all x : int, f (x) = x
+  proof = admitted ;
+end ;;
+
+species D = inherit S2, Q, P ; end ;;
+"""
+    cu = compile_source(src)
+    assert cu.species["D"].methods["t"].proof_origin == "S1"
+    assert not cu.species["D"].methods["t"].valid_proof
+    with pytest.raises(CompileError) as e:
+        compile_source(src + "collection DC = implement D ; end ;;")
+    assert e.value.kind == "IncompleteSpecies"
+
+
 def test_unrelated_redefinition_keeps_proof(extended_cu):
     # the admitted IsInE proof in the fixture is valid by construction
     assert extended_cu.species["IsInE"].methods["lowMin"].valid_proof

@@ -226,6 +226,14 @@ def test_identity_inheritance_shares_the_parents_trees():
     assert type_to_source(renamed.scheme.body) == "Q -> Q"
 
 
+BOX_PRELUDE = CARRY_PRELUDE + """
+species Box (X is Base) = signature wrap : X -> Self ; end ;;
+species SB (C is Base, D is Base, P is Box (C)) =
+  let h (x : C) : P = P!wrap (x) ;
+end ;;
+"""
+
+
 @pytest.mark.parametrize(
     "src",
     [
@@ -263,6 +271,48 @@ species F = inherit E (BColl, 3) ; end ;;
 species E (P0 is Base, v0 in P0) = let g (x : int) : P0 = v0 ; end ;;
 species F (P0 is Base, P1 is Base, v0 in P1) = inherit E (P0, v0) ; end ;;
 """,
+        # an entity parameter that captures a builtin the inherited body calls
+        CARRY_PRELUDE
+        + """
+species A = let g (x : int) : int = fst ((x, x)) ; end ;;
+species B (P is Base, fst in P) = inherit A ; end ;;
+""",
+        # the heir's parameter of the same name has other interface arguments
+        BOX_PRELUDE
+        + """
+species T (C is Base, D is Base, P is Box (D)) = inherit SB (C, D, P) ; end ;;
+""",
+        # a renamed parameter with other interface arguments
+        BOX_PRELUDE
+        + """
+species T (C is Base, D is Base, Q is Box (D)) = inherit SB (C, D, Q) ; end ;;
+""",
+        # a collection argument whose interface arguments differ
+        BOX_PRELUDE
+        + """
+collection B2 = implement BaseImpl ; end ;;
+species BoxImpl (X is Base) =
+  inherit Box (X) ;
+  representation = int ;
+  let wrap (x : X) : Self = 0 ;
+end ;;
+collection BoxC = implement BoxImpl (B2) ; end ;;
+species T = inherit SB (BColl, BColl, BoxC) ; end ;;
+""",
+        # an interface below the formal's that narrows a method's type
+        """
+species Poly = let id (x) = x ; end ;;
+species Narrow = inherit Poly ; signature id : int -> int ; end ;;
+species S (P is Poly) = let h (x : int) : bool = P!id (true) ; end ;;
+species T (P is Narrow) = inherit S (P) ; end ;;
+""",
+        # a collection parameter that hides the collection a body calls
+        CARRY_PRELUDE
+        + """
+species Other = signature mk : bool -> Self ; end ;;
+species R (P is Base) = let h (x : int) : BColl = BColl!mk (x) ; end ;;
+species T (P is Base, BColl is Other) = inherit R (P) ; end ;;
+""",
     ],
     ids=[
         "local_signature",
@@ -271,6 +321,12 @@ species F (P0 is Base, P1 is Base, v0 in P1) = inherit E (P0, v0) ; end ;;
         "captured_builtin",
         "entity_expression",
         "entity_carrier",
+        "entity_captures_builtin",
+        "same_name_other_interface_args",
+        "renamed_other_interface_args",
+        "collection_other_interface_args",
+        "narrower_interface",
+        "parameter_hides_collection",
     ],
 )
 def test_inherited_method_is_typed_again_when_the_heir_changes_its_inputs(src):
