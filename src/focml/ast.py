@@ -397,6 +397,11 @@ class SpeciesArg:
     expr: Expr | None = None  # entity expression
     pos: Pos = field(default=NOPOS, compare=False)
 
+    @property
+    def entity(self) -> Expr:
+        """The argument read as an entity expression."""
+        return self.expr if self.expr is not None else Var(self.name, pos=self.pos)
+
 
 @dataclass
 class SpeciesExpr:

@@ -14,15 +14,16 @@ from pathlib import Path
 from .ast import (
     CollectionDecl,
     Expr,
+    Pos,
     Scheme,
     SpeciesDecl,
+    SpeciesExpr,
     SpeciesParam,
     TCollCarrier,
     TParam,
     TSelf,
     Type,
     UnionTypeDecl,
-    Var,
     type_walk,
 )
 from .deps import SpeciesDeps, finish_deps, scan_species
@@ -47,7 +48,7 @@ from .hierarchy import (
     CollectionModel,
     MethodInfo,
     NFSpecies,
-    interface_view,
+    interface_view,  # noqa: F401  perfbench/layers.py traces it by this name
     invalidate_proofs,
     make_collection,
     normalize,
@@ -82,7 +83,6 @@ class CompiledUnit:
     decl_order: list[tuple[str, str]] = field(default_factory=list)
     constructors: dict[str, tuple[str, list[Type]]] = field(default_factory=dict)
     warnings: list[Diagnostic] = field(default_factory=list)
-    current: str = ""  # species module the emitters are rendering
 
 
 def compile_files(paths: list[str]) -> CompiledUnit:
@@ -158,7 +158,17 @@ def _register_union(cu: CompiledUnit, decl: UnionTypeDecl) -> None:
 
 
 def _register_species(cu: CompiledUnit, decl: SpeciesDecl) -> None:
-    nf = normalize(decl, cu.species, cu.collections)
+    # The header first: the parameters, then the arguments of each inherit.
+    nf = NFSpecies(name=decl.name, params=list(decl.params), pos=decl.pos)
+    env = _species_env(cu, nf)
+    inherited = [
+        arg
+        for se in decl.inherits
+        for arg in _check_species_args(cu, se, nf.params, se.pos)
+    ]
+    normalize(nf, decl, cu.species, cu.collections)
+    if nf.rep is not None:
+        nf.rep_resolved = env.rep = env.ctx.resolve(nf.rep, nf.pos)
     reverted = invalidate_proofs(nf)
     for rp in reverted:
         cu.warnings.append(
@@ -170,9 +180,10 @@ def _register_species(cu: CompiledUnit, decl: SpeciesDecl) -> None:
                 severity="warning",
             )
         )
-    env = _species_env(cu, nf)
     sd = scan_species(nf, cu.deps)
     _type_species(nf, sd, env)
+    # Inherit arguments may name the species' own methods.
+    _type_entity_args(inherited, env)
     finish_deps(nf, sd, cu.species, cu.deps)
     cu.species[nf.name] = nf
     cu.deps[nf.name] = sd
@@ -182,83 +193,99 @@ def _register_species(cu: CompiledUnit, decl: SpeciesDecl) -> None:
 
 
 def _species_env(cu: CompiledUnit, nf: NFSpecies) -> SpeciesTypeEnv:
-    """Typing environment for one species: parameters first, then carrier."""
+    """Typing environment for one species, built parameter by parameter:
+    each parameter is checked against the ones before it."""
     ctx = TypeContext(
         unions=cu.unions,
         param_names={p.name for p in nf.is_params},
         collection_names=set(cu.collections),
     )
-    env = SpeciesTypeEnv(ctx=ctx, constructors=cu.constructors)
+    env = SpeciesTypeEnv(
+        ctx=ctx, rep=nf.rep_resolved, constructors=cu.constructors
+    )
     env.collections = {
         c: m.iface_schemes for c, m in cu.collections.items()
     }
     seen: list[SpeciesParam] = []
     for p in nf.params:
         if p.kind == "is":
-            _check_param_args(cu, nf, p, seen, env)
+            assert p.interface is not None
+            args = _check_species_args(cu, p.interface, seen, p.pos)
+            _type_entity_args(args, env)
             env.param_ifaces[p.name] = param_schemes(nf, p, cu.species)
+        elif p.carrier not in env.param_ifaces:
+            raise CompileError(
+                UNKNOWN,
+                f"entity parameter {p.name} needs a preceding collection "
+                f"parameter, got {p.carrier}",
+                p.pos,
+            )
         else:
-            assert p.carrier is not None
             env.entity_params[p.name] = TParam(p.carrier)
         seen.append(p)
-    if nf.rep is not None:
-        nf.rep_resolved = ctx.resolve(nf.rep, nf.pos)
-        env.rep = nf.rep_resolved
     return env
 
 
-def _check_param_args(
-    cu: CompiledUnit,
-    nf: NFSpecies,
-    p: SpeciesParam,
-    seen: list[SpeciesParam],
-    env: SpeciesTypeEnv,
-) -> None:
-    """Arity, kind and conformance of the arguments in `P is I(args)`."""
-    assert p.interface is not None
-    iface_nf = cu.species[p.interface.name]
-    args = p.interface.args
-    if len(args) != len(iface_nf.params):
+def _check_species_args(
+    cu: CompiledUnit, se: SpeciesExpr, own: list[SpeciesParam], pos: Pos
+) -> list[tuple[Expr, Type, Pos]]:
+    """Check `S (args)`, written as a parameter's interface or inherited,
+    against the parameters of S: the arity, and each is-argument is an own
+    collection parameter in `own` or a collection, either of which lists
+    the formal's interface in its lineage.  `pos` places an unknown S or a
+    wrong arity.  Returns each entity argument with the type it must have:
+    the formal's carrier, renamed to that is-argument."""
+    formal_nf = cu.species.get(se.name)
+    if formal_nf is None:
+        raise CompileError(UNKNOWN, f"unknown species {se.name}", pos)
+    if len(se.args) != len(formal_nf.params):
         raise CompileError(
             INTERFACE,
-            f"{p.interface.name} takes {len(iface_nf.params)} argument(s), "
-            f"got {len(args)}",
-            p.pos,
+            f"{se.name} takes {len(formal_nf.params)} argument(s), "
+            f"got {len(se.args)}",
+            pos,
         )
-    own_is = {q.name: q for q in seen if q.kind == "is"}
-    for formal, arg in zip(iface_nf.params, args):
-        if formal.kind == "is":
-            if arg.name is None:
-                raise CompileError(
-                    INTERFACE,
-                    f"parameter {formal.name} of {p.interface.name} needs a "
-                    "collection argument",
-                    arg.pos,
-                )
-            assert formal.interface is not None
-            want = formal.interface.name
-            if arg.name in own_is:
-                actual = own_is[arg.name].interface
-                assert actual is not None
-                lineage = cu.species[actual.name].lineage
-            elif arg.name in cu.collections:
-                lineage = cu.collections[arg.name].nf.lineage
-            else:
-                raise CompileError(
-                    UNKNOWN, f"unknown collection {arg.name}", arg.pos
-                )
-            if want not in lineage:
-                raise CompileError(
-                    INTERFACE, f"{arg.name} does not implement {want}", arg.pos
-                )
-        else:
-            expr = arg.expr if arg.expr is not None else Var(arg.name, pos=arg.pos)
-            _, _, _, tyfn = interface_view(nf, p, cu.species)
+    own_is = {q.name: q for q in own if q.kind == "is"}
+    carriers: dict[str, Type] = {}
+    entities: list[tuple[Expr, Type, Pos]] = []
+    for formal, arg in zip(formal_nf.params, se.args):
+        if formal.kind == "in":
             assert formal.carrier is not None
-            expected = tyfn(TParam(formal.carrier))
-            uni = Unifier()
-            got = infer_expr(expr, {}, env, uni)
-            uni.unify(got, expected, arg.pos)
+            entities.append((arg.entity, carriers[formal.carrier], arg.pos))
+            continue
+        if arg.name is None:
+            raise CompileError(
+                INTERFACE,
+                f"parameter {formal.name} of {se.name} needs a collection "
+                "argument",
+                arg.pos,
+            )
+        if arg.name in own_is:
+            actual = own_is[arg.name].interface
+            assert actual is not None
+            lineage = cu.species[actual.name].lineage
+            carriers[formal.name] = TParam(arg.name)
+        elif arg.name in cu.collections:
+            lineage = cu.collections[arg.name].nf.lineage
+            carriers[formal.name] = TCollCarrier(arg.name)
+        else:
+            raise CompileError(UNKNOWN, f"unknown collection {arg.name}", arg.pos)
+        assert formal.interface is not None
+        if formal.interface.name not in lineage:
+            raise CompileError(
+                INTERFACE,
+                f"{arg.name} does not implement {formal.interface.name}",
+                arg.pos,
+            )
+    return entities
+
+
+def _type_entity_args(
+    args: list[tuple[Expr, Type, Pos]], env: SpeciesTypeEnv
+) -> None:
+    for expr, want, pos in args:
+        uni = Unifier()
+        uni.unify(infer_expr(expr, {}, env, uni), want, pos)
 
 
 def _type_species(nf: NFSpecies, sd: SpeciesDeps, env: SpeciesTypeEnv) -> None:

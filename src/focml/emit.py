@@ -4,6 +4,8 @@ Two backends walk the same plans: a proof-oriented target where method
 generators become Definitions/Theorems abstracted over their dependencies,
 and an executable target that erases everything logical (statements, proofs,
 carriers, type annotations) while keeping the identical module structure.
+The plans decide what is erased: the executable target keeps the lifts that
+are not logical and the computational arguments each application records.
 Unproved obligations surface as content-addressed proof holes; theorems whose
 proof is admitted become axioms.
 """
@@ -45,6 +47,7 @@ from .ast import (
     UnionTypeDecl,
     UnOp,
     Var,
+    pattern_vars,
     type_walk,
 )
 from .basics import BUILTIN_FUNCTIONS, LOGICAL_TYPE_NAMES
@@ -54,10 +57,8 @@ from .generators import (
     Lift,
     MethodGeneratorPlan,
     SpeciesPlan,
-    atom_is_logical,
-    lift_is_logical,
 )
-from .hierarchy import NFSpecies
+from .hierarchy import MethodInfo, NFSpecies
 from .pretty import expr_to_source, proof_to_source
 
 
@@ -65,12 +66,14 @@ from .pretty import expr_to_source, proof_to_source
 class RenderEnv:
     target: str  # 'logical' | 'comp'
     module: str = ""
-    methods: dict[str, str] = field(default_factory=dict)
-    entities: dict[str, str] = field(default_factory=dict)
+    methods: dict[str, MethodInfo] = field(default_factory=dict)
+    prefix: str = ""  # a method m renders as prefix + m
+    rec_name: str | None = None  # rendered as itself: self-recursion
+    entities: frozenset[str] = frozenset()
     locals: frozenset[str] = frozenset()
     params: frozenset[str] = frozenset()  # is-parameter names, for P!m
     self_ty: str | None = None
-    params_ty: dict[str, str] = field(default_factory=dict)
+    param_ty: str = "_p_{}_T"  # how a parameter's carrier is named
 
     def with_locals(self, names) -> "RenderEnv":
         out = RenderEnv(**vars(self))
@@ -94,7 +97,8 @@ def render_type(t: Type, env: RenderEnv) -> str:
         case TCon(name):
             return LOGICAL_TYPE_NAMES.get(name, f"{name}__t")
         case TParam(name):
-            return env.params_ty[name]
+            assert name in env.params
+            return env.param_ty.format(name)
         case TCollCarrier(name):
             return f"{name}.me_as_carrier"
         case TGen(idx):
@@ -186,7 +190,7 @@ def render_expr(e: Expr, env: RenderEnv) -> tuple[str, bool]:
             sep = "=>" if env.target == "logical" else "->"
             parts = [f"match {s} with"]
             for pat, body in arms:
-                inner = env.with_locals(_pattern_names(pat))
+                inner = env.with_locals(pattern_vars(pat))
                 parts.append(
                     f"| {_pattern(pat, env)} {sep} {render_expr(body, inner)[0]}"
                 )
@@ -206,9 +210,9 @@ def _var_head(name: str, env: RenderEnv) -> tuple[str, bool]:
     if name in env.locals:
         return name, True
     if name in env.entities:
-        return env.entities[name], True
+        return f"_p_{name}_{name}", True
     if name in env.methods:
-        return env.methods[name], True
+        return (name if name == env.rec_name else env.prefix + name), True
     b = BUILTIN_FUNCTIONS.get(name)
     if b is not None:
         head = _builtin_head(b, env)
@@ -249,12 +253,6 @@ def _pattern(p: Pattern, env: RenderEnv) -> str:
             return "(" + ", ".join(_pattern(i, env) for i in items) + ")"
         case _:
             raise ValueError(f"cannot render pattern {p!r}")
-
-
-def _pattern_names(p: Pattern) -> list[str]:
-    from .ast import pattern_vars
-
-    return pattern_vars(p)
 
 
 def render_body(e: Expr, env: RenderEnv) -> str:
@@ -315,7 +313,30 @@ def proof_hole_name(species: str, method: str, statement: Expr, proof) -> str:
     return f"PROOF_HOLE_{species}_{method}_{digest}"
 
 
-def _atom_text(a, env: RenderEnv, self_carrier: str, self_method) -> str:
+def _render_env(
+    nf: NFSpecies,
+    target: str,
+    prefix: str,
+    self_ty: str | None,
+    param_ty: str = "_p_{}_T",
+    rec_name: str | None = None,
+) -> RenderEnv:
+    """Names inside one of `nf`'s definitions: its methods under `prefix`,
+    its carrier as `self_ty`, a parameter's carrier spelled by `param_ty`."""
+    return RenderEnv(
+        target,
+        module=nf.name,
+        methods=nf.methods,
+        prefix=prefix,
+        rec_name=rec_name,
+        entities=frozenset(p.name for p in nf.entity_params),
+        params=frozenset(p.name for p in nf.is_params),
+        self_ty=self_ty,
+        param_ty=param_ty,
+    )
+
+
+def _atom_text(a, env: RenderEnv) -> str:
     match a:
         case ("param_carrier", p):
             return f"_p_{p}_T"
@@ -330,28 +351,18 @@ def _atom_text(a, env: RenderEnv, self_carrier: str, self_method) -> str:
         case ("entity_expr", e):
             return _arg(e, env)
         case ("self_carrier",):
-            return self_carrier
+            assert env.self_ty is not None
+            return env.self_ty
         case ("self_method", m):
-            return self_method(m)
+            return env.prefix + m
         case _:
             raise ValueError(f"unknown argument atom {a!r}")
 
 
-def _is_logical_atom(a, cu) -> bool:
-    return atom_is_logical(a, cu.species[cu.current], cu.species, cu.collections)
-
-
-def _genapp_text(gen: GenApp, env: RenderEnv, self_carrier, self_method, cu=None) -> str:
+def _genapp_text(gen: GenApp, env: RenderEnv) -> str:
     head = gen.method if gen.species == env.module else f"{gen.species}.{gen.method}"
-    args = gen.args
-    if cu is not None and env.target == "comp":
-        args = [a for a in args if not _is_logical_atom(a, cu)]
-    parts = [head] + [_atom_text(a, env, self_carrier, self_method) for a in args]
-    return " ".join(parts)
-
-
-def _lift_is_logical(l: Lift, cu, nf: NFSpecies) -> bool:
-    return lift_is_logical(l, nf, cu.species)
+    args = gen.comp_args if env.target == "comp" else gen.args
+    return " ".join([head] + [_atom_text(a, env) for a in args])
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +375,6 @@ def emit_logical(cu) -> str:
         if kind == "union":
             blocks.append(_inductive(cu.unions[name]))
         elif kind == "species":
-            cu.current = name
             blocks.append(_species_logical(cu, name))
         else:
             blocks.append(_collection_logical(cu, name))
@@ -381,21 +391,6 @@ def _inductive(u: UnionTypeDecl) -> str:
     return "\n".join(lines) + "."
 
 
-def _generator_env(nf: NFSpecies, plan: MethodGeneratorPlan) -> RenderEnv:
-    env = RenderEnv("logical", module=nf.name)
-    env.params = frozenset(p.name for p in nf.is_params)
-    env.params_ty = {p.name: f"_p_{p.name}_T" for p in nf.is_params}
-    env.entities = {
-        p.name: f"_p_{p.name}_{p.name}" for p in nf.entity_params
-    }
-    env.methods = {nf_m: f"abst_{nf_m}" for nf_m in nf.methods}
-    env.methods[plan.method] = plan.method  # self-recursion
-    for l in plan.lifts:
-        if l.tag == ("self_carrier",):
-            env.self_ty = "abst_T"
-    return env
-
-
 def _lift_text(l: Lift, env: RenderEnv) -> str:
     if l.is_set:
         return f"({l.name} : Set)"
@@ -406,8 +401,7 @@ def _lift_text(l: Lift, env: RenderEnv) -> str:
     if l.bind_type is not None:
         return f"({l.name} := {render_type(l.bind_type, env)})"
     assert l.bind_gen is not None
-    app = _genapp_text(l.bind_gen, env, "abst_T", lambda m: f"abst_{m}")
-    return f"({l.name} := {app})"
+    return f"({l.name} := {_genapp_text(l.bind_gen, env)})"
 
 
 def _species_logical(cu, name: str) -> str:
@@ -417,15 +411,17 @@ def _species_logical(cu, name: str) -> str:
     for gp in plan.generators.values():
         lines.extend(_generator_logical(nf, gp))
     if plan.record is not None:
-        lines.extend(_record_logical(cu, nf, plan))
+        lines.extend(_record_logical(nf, plan))
     if plan.create is not None:
-        lines.extend(_create_logical(cu, nf, plan))
+        lines.extend(_create_logical(nf, plan))
     lines.append(f"End {name}.")
     return "\n".join(lines)
 
 
 def _generator_logical(nf: NFSpecies, plan: MethodGeneratorPlan) -> list[str]:
-    env = _generator_env(nf, plan)
+    lifts_carrier = any(l.tag == ("self_carrier",) for l in plan.lifts)
+    self_ty = "abst_T" if lifts_carrier else None
+    env = _render_env(nf, "logical", "abst_", self_ty, rec_name=plan.method)
     lifts = "".join(" " + _lift_text(l, env) for l in plan.lifts)
     if plan.kind == "let":
         assert plan.body is not None and plan.ret is not None
@@ -448,25 +444,11 @@ def _generator_logical(nf: NFSpecies, plan: MethodGeneratorPlan) -> list[str]:
     ]
 
 
-def _record_env(cu, nf: NFSpecies) -> RenderEnv:
-    env = RenderEnv("logical", module=nf.name)
-    env.params = frozenset(p.name for p in nf.is_params)
-    env.params_ty = {p.name: f"{p.name}_T" for p in nf.is_params}
-    env.entities = {p.name: f"_p_{p.name}_{p.name}" for p in nf.entity_params}
-    env.methods = {m: f"rf_{m}" for m in nf.methods}
-    env.self_ty = "rf_T"
-    return env
-
-
-def _record_logical(cu, nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
+def _record_logical(nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
     record = plan.record
     assert record is not None
-    env = _record_env(cu, nf)
-    abs_env = RenderEnv("logical", module=nf.name)
-    abs_env.params = env.params
-    abs_env.params_ty = env.params_ty
-    abs_env.entities = env.entities
-    params = "".join(" " + _lift_text(l, abs_env) for l in record.abstractions)
+    env = _render_env(nf, "logical", "rf_", "rf_T", param_ty="{}_T")
+    params = "".join(" " + _lift_text(l, env) for l in record.abstractions)
     head = f"  Record me_as_species{params}"
     head += " : Type :=" if record.abstractions else " :="
     lines = [head, "    mk_record {"]
@@ -485,20 +467,10 @@ def _record_logical(cu, nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
     return lines
 
 
-def _create_env(nf: NFSpecies) -> RenderEnv:
-    env = RenderEnv("logical", module=nf.name)
-    env.params = frozenset(p.name for p in nf.is_params)
-    env.params_ty = {p.name: f"_p_{p.name}_T" for p in nf.is_params}
-    env.entities = {p.name: f"_p_{p.name}_{p.name}" for p in nf.entity_params}
-    env.methods = {m: f"local_{m}" for m in nf.methods}
-    env.self_ty = "local_rep"
-    return env
-
-
-def _create_logical(cu, nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
+def _create_logical(nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
     create = plan.create
     assert create is not None
-    env = _create_env(nf)
+    env = _render_env(nf, "logical", "local_", "local_rep")
     outer_parts = []
     for l in create.outer:
         if l.is_set:
@@ -506,32 +478,27 @@ def _create_logical(cu, nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
         else:
             outer_parts.append(f" {l.name}")
     lines = [f"  Definition collection_create{''.join(outer_parts)} :="]
-    self_method = lambda m: f"local_{m}"
     for ld in create.locals:
         if ld.gen is None:
             assert nf.rep_resolved is not None
             rhs = render_type(nf.rep_resolved, env)
             lines.append(f"    let local_rep := {rhs} in")
         else:
-            app = _genapp_text(ld.gen, env, "local_rep", self_method)
-            lines.append(f"    let local_{ld.name} := {app} in")
-    args = " ".join(
-        _atom_text(t, env, "local_rep", self_method) for t in create.record_args
-    )
+            lines.append(f"    let local_{ld.name} := {_genapp_text(ld.gen, env)} in")
+    args = " ".join(_atom_text(t, env) for t in create.record_args)
     lines.append(f"    mk_record {args}.")
     return lines
+
+
+def _create_app(ext: CollectionExtractionPlan) -> GenApp:
+    return GenApp(ext.species, "collection_create", ext.create_args, ext.comp_args)
 
 
 def _collection_logical(cu, name: str) -> str:
     ext: CollectionExtractionPlan = cu.extractions[name]
     env = RenderEnv("logical", module=name)
     lines = [f"Module {name}."]
-    app = _genapp_text(
-        GenApp(ext.species, "collection_create", ext.create_args),
-        env,
-        "",
-        lambda m: m,
-    )
+    app = _genapp_text(_create_app(ext), env)
     lines.append(f"  Let effective_collection := {app}.")
     assert ext.carrier is not None
     lines.append(f"  Definition me_as_carrier := {render_type(ext.carrier, env)}.")
@@ -555,7 +522,6 @@ def emit_comp(cu) -> str:
         if kind == "union":
             blocks.append(_union_comp(cu.unions[name]))
         elif kind == "species":
-            cu.current = name
             blocks.append(_species_comp(cu, name))
         else:
             blocks.append(_collection_comp(cu, name))
@@ -563,7 +529,6 @@ def emit_comp(cu) -> str:
 
 
 def _union_comp(u: UnionTypeDecl) -> str:
-    env = RenderEnv("comp")
     arms = []
     for con, args in u.constructors:
         if args:
@@ -593,24 +558,18 @@ def _species_comp(cu, name: str) -> str:
     for gp in plan.generators.values():
         if gp.kind != "let":
             continue
-        lines.append(_generator_comp(cu, nf, gp))
+        lines.append(_generator_comp(nf, gp))
     if plan.record is not None:
-        lines.extend(_record_comp(cu, nf, plan))
+        lines.extend(_record_comp(nf, plan))
     if plan.create is not None:
-        lines.extend(_create_comp(cu, nf, plan))
+        lines.extend(_create_comp(nf, plan))
     lines.append("end")
     return "\n".join(lines)
 
 
-def _generator_comp(cu, nf: NFSpecies, plan: MethodGeneratorPlan) -> str:
-    env = _generator_env(nf, plan)
-    env.target = "comp"
-    env.self_ty = None
-    kept = [
-        l.name
-        for l in plan.lifts
-        if l.abstract and not _lift_is_logical(l, cu, nf)
-    ]
+def _generator_comp(nf: NFSpecies, plan: MethodGeneratorPlan) -> str:
+    env = _render_env(nf, "comp", "abst_", None, rec_name=plan.method)
+    kept = [l.name for l in plan.lifts if l.abstract and not l.logical]
     params = "".join(f" ({n})" for n in kept)
     params += "".join(f" ({n})" for n, _ in plan.value_params)
     inner = env.with_locals(n for n, _ in plan.value_params)
@@ -619,7 +578,7 @@ def _generator_comp(cu, nf: NFSpecies, plan: MethodGeneratorPlan) -> str:
     return f"  {keyword} {plan.method}{params} = {render_body(plan.body, inner)}"
 
 
-def _record_comp(cu, nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
+def _record_comp(nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
     record = plan.record
     assert record is not None
     fields = [f"rf_{m}" for m in record.fields if not nf.methods[m].is_logical]
@@ -627,24 +586,17 @@ def _record_comp(cu, nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
     return [f"  type me_as_species = {inner}"]
 
 
-def _create_comp(cu, nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
+def _create_comp(nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
     create = plan.create
     assert create is not None
-    env = _create_env(nf)
-    env.target = "comp"
-    env.self_ty = None
-    kept_outer = [
-        l.name for l in create.outer if not _lift_is_logical(l, cu, nf)
-    ]
-    params = "".join(f" ({n})" for n in kept_outer)
+    env = _render_env(nf, "comp", "local_", "local_rep")
+    params = "".join(f" ({l.name})" for l in create.outer if not l.logical)
     lines = [f"  let collection_create{params} ="]
-    self_method = lambda m: f"local_{m}"
     assigns = []
     for ld in create.locals:
         if ld.gen is None or nf.methods[ld.name].is_logical:
             continue
-        app = _genapp_text(ld.gen, env, "local_rep", self_method, cu)
-        lines.append(f"    let local_{ld.name} = {app} in")
+        lines.append(f"    let local_{ld.name} = {_genapp_text(ld.gen, env)} in")
         assigns.append(f"rf_{ld.name} = local_{ld.name}")
     record = f"{{ {' ; '.join(assigns)} }}" if assigns else "{ }"
     lines.append(f"    {record}")
@@ -653,13 +605,9 @@ def _create_comp(cu, nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
 
 def _collection_comp(cu, name: str) -> str:
     ext: CollectionExtractionPlan = cu.extractions[name]
-    cu.current = ext.species
     env = RenderEnv("comp", module=name)
-    kept = [a for a in ext.create_args if not _is_logical_atom(a, cu)]
     lines = [f"module {name} = struct"]
-    app = _genapp_text(
-        GenApp(ext.species, "collection_create", kept), env, "", lambda m: m
-    )
+    app = _genapp_text(_create_app(ext), env)
     lines.append(f"  let effective_collection = {app}")
     for m, logical in ext.methods:
         if logical:

@@ -1,9 +1,10 @@
 """Big-step call-by-value interpreter over the computational plans.
 
 Collections are built in declaration order by running their species'
-creation plan: each method generator is instantiated with the values of its
-surviving (computational) arguments, so redefinitions picked up by late
-binding flow into every collection automatically.  Evaluation is pure and
+creation plan: each method generator is instantiated with the values of the
+computational arguments its plan records, so redefinitions picked up by late
+binding flow into every collection automatically.  The plans decide which
+lifts and arguments are logical; nothing here decides it again.  Evaluation is pure and
 counts steps; runaway recursion stops at a configurable limit.
 """
 
@@ -35,7 +36,6 @@ from .ast import (
 )
 from .basics import BUILTIN_FUNCTIONS
 from .errors import EVAL, STEP_LIMIT, EvalFailure
-from .generators import atom_is_logical, lift_is_logical
 
 STEP_LIMIT_DEFAULT = 1_000_000
 
@@ -88,13 +88,7 @@ class Interpreter:
 
     def _build_collection(self, name: str) -> None:
         ext = self.cu.extractions[name]
-        nf = self.cu.species[ext.species]
-        scope = Scope()
-        args = [
-            self._atom(a, scope, {})
-            for a in ext.create_args
-            if not atom_is_logical(a, nf, self.cu.species, self.cu.collections)
-        ]
+        args = [self._atom(a, Scope(), {}) for a in ext.comp_args]
         record = self._create(ext.species, args)
         self.collections[name] = {
             m: record[m] for m, logical in ext.methods if not logical
@@ -105,9 +99,7 @@ class Interpreter:
         plan = self.cu.plans[species].create
         assert plan is not None
         scope = Scope()
-        kept = [
-            l for l in plan.outer if not lift_is_logical(l, nf, self.cu.species)
-        ]
+        kept = [l for l in plan.outer if not l.logical]
         if len(kept) != len(args):
             raise EvalFailure(
                 EVAL,
@@ -121,13 +113,7 @@ class Interpreter:
             if ld.gen is None or nf.methods[ld.name].is_logical:
                 continue
             gp = self.cu.plans[ld.gen.species].generators[ld.gen.method]
-            vals = [
-                self._atom(a, scope, locals_)
-                for a in ld.gen.args
-                if not atom_is_logical(
-                    a, nf, self.cu.species, self.cu.collections
-                )
-            ]
+            vals = [self._atom(a, scope, locals_) for a in ld.gen.comp_args]
             locals_[ld.name] = self._instantiate(gp, vals)
         return locals_
 
@@ -143,13 +129,8 @@ class Interpreter:
                 raise EvalFailure(EVAL, f"cannot bind argument {tag!r}")
 
     def _instantiate(self, gp, vals: list[Value]) -> Value:
-        nf = self.cu.species[gp.species]
         scope = Scope()
-        kept = [
-            l
-            for l in gp.lifts
-            if l.abstract and not lift_is_logical(l, nf, self.cu.species)
-        ]
+        kept = [l for l in gp.lifts if l.abstract and not l.logical]
         assert len(kept) == len(vals)
         for l, v in zip(kept, vals):
             self._bind_lift(l.tag, v, scope)

@@ -6,7 +6,9 @@ pass established.  Complete species additionally get a record type packing
 their interface and a creator that instantiates every generator in order.
 Collections become an application of the creator plus one projection per
 method.  The plans built here are target independent; both emitters walk
-them.
+them.  They also decide erasure once: a lift knows whether it is logical,
+and each generator application records its computational arguments, which
+the computational emitter and the evaluator read as they are.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ class GenApp:
     species: str
     method: str
     args: list[Atom] = field(default_factory=list)
+    comp_args: list[Atom] = field(default_factory=list)  # logical ones erased
 
 
 @dataclass
@@ -60,6 +63,12 @@ class Lift:
     def abstract(self) -> bool:
         return self.bind_type is None and self.bind_gen is None
 
+    @property
+    def logical(self) -> bool:
+        """No computational content: a carrier or a formula."""
+        carrier = self.is_set or self.bind_type is not None
+        return carrier or self.statement is not None
+
 
 @dataclass
 class MethodGeneratorPlan:
@@ -74,10 +83,6 @@ class MethodGeneratorPlan:
     body: Expr | None = None
     statement: Expr | None = None
     proof: Proof | None = None
-
-    @property
-    def arg_tags(self) -> list[Tag]:
-        return [l.tag for l in self.lifts if l.abstract]
 
 
 @dataclass
@@ -114,6 +119,7 @@ class CollectionExtractionPlan:
     name: str
     species: str  # module holding the record and creator
     create_args: list[Atom] = field(default_factory=list)
+    comp_args: list[Atom] = field(default_factory=list)  # logical ones erased
     carrier: Type | None = None
     record_params: int = 0
     methods: list[tuple[str, bool]] = field(default_factory=list)  # (name, logical)
@@ -152,6 +158,15 @@ def resolve_tags(tags: list[Tag], origin: str, nf: NFSpecies) -> list[Atom]:
             case _:
                 out.append(t)
     return out
+
+
+def _gen_app(callee: MethodGeneratorPlan, nf: NFSpecies) -> GenApp:
+    """Apply `callee` inside `nf`: one argument per abstract lift, kept in
+    the computational target unless the lift is logical."""
+    lifts = [l for l in callee.lifts if l.abstract]
+    args = resolve_tags([l.tag for l in lifts], callee.species, nf)
+    comp = [a for a, l in zip(args, lifts) if not l.logical]
+    return GenApp(callee.species, callee.method, args, comp)
 
 
 def _param_method_lift(
@@ -205,7 +220,9 @@ def build_species_plan(
             # A mutual group admits no instantiation order for the
             # creator's locals, and such a species cannot back a
             # collection anyway.
-            plan.create = _create_plan(nf, sd, plan.record, deps_env, lookup)
+            plan.create = _create_plan(
+                nf, sd, plan.record, species_env, deps_env, lookup
+            )
     return plan
 
 
@@ -228,14 +245,7 @@ def _method_plan(
                     _param_method_lift(nf, p, m, species_env, f"_p_{p.name}_{m}")
                 )
         elif p.name in md.entity_used:
-            assert p.carrier is not None
-            lifts.append(
-                Lift(
-                    ("param_entity", p.name),
-                    f"_p_{p.name}_{p.name}",
-                    ty=TParam(p.carrier),
-                )
-            )
+            lifts.append(_entity_lift(p))
     if md.carrier_keep == "TypeAndBody":
         assert nf.rep_resolved is not None
         lifts.append(Lift(("self_carrier",), "abst_T", bind_type=nf.rep_resolved))
@@ -245,16 +255,8 @@ def _method_plan(
         zi = nf.methods[z]
         tag = ("self_method", z)
         if keep == "TypeAndBody":
-            zplan = lookup(zi.origin, z)
-            lifts.append(
-                Lift(
-                    tag,
-                    f"abst_{z}",
-                    bind_gen=GenApp(
-                        zi.origin, z, resolve_tags(zplan.arg_tags, zi.origin, nf)
-                    ),
-                )
-            )
+            gen = _gen_app(lookup(zi.origin, z), nf)
+            lifts.append(Lift(tag, f"abst_{z}", bind_gen=gen))
         elif zi.is_logical:
             lifts.append(Lift(tag, f"abst_{z}", statement=zi.statement))
         else:
@@ -281,120 +283,86 @@ def _method_plan(
     return out
 
 
+def _entity_lift(p: SpeciesParam) -> Lift:
+    assert p.carrier is not None
+    name = f"_p_{p.name}_{p.name}"
+    return Lift(("param_entity", p.name), name, ty=TParam(p.carrier))
+
+
+def _param_lifts(
+    nf: NFSpecies,
+    carrier: str,
+    used: dict[str, set[str]],
+    species_env: dict[str, NFSpecies],
+    deps_env: dict[str, SpeciesDeps],
+) -> list[Lift]:
+    """Outer lifts of a record or a creator: the carrier of each
+    is-parameter, named by the `carrier` format, the entity parameters, then
+    the methods `used[p]` of each is-parameter in its interface's order."""
+    lifts = [
+        Lift(("param_carrier", p.name), carrier.format(p.name), is_set=True)
+        for p in nf.is_params
+    ]
+    lifts.extend(_entity_lift(p) for p in nf.entity_params)
+    for p in nf.is_params:
+        assert p.interface is not None
+        for m in deps_env[p.interface.name].order:
+            if m in used[p.name]:
+                lifts.append(
+                    _param_method_lift(nf, p, m, species_env, f"_p_{p.name}_{m}")
+                )
+    return lifts
+
+
 def _record_plan(
     nf: NFSpecies,
     sd: SpeciesDeps,
     species_env: dict[str, NFSpecies],
     deps_env: dict[str, SpeciesDeps],
 ) -> RecordTypePlan:
-    plan = RecordTypePlan(species=nf.name)
-    for p in nf.is_params:
-        plan.abstractions.append(
-            Lift(("param_carrier", p.name), f"{p.name}_T", is_set=True)
-        )
-    for p in nf.entity_params:
-        assert p.carrier is not None
-        plan.abstractions.append(
-            Lift(
-                ("param_entity", p.name),
-                f"_p_{p.name}_{p.name}",
-                ty=TParam(p.carrier),
-            )
-        )
+    used: dict[str, set[str]] = {}
     for p in nf.is_params:
         assert p.interface is not None
         iface_nf = species_env[p.interface.name]
-        union: set[str] = set()
+        used[p.name] = set()
         for mi in nf.methods.values():
             if mi.statement is None:
                 continue
-            used = {w for c, w in qual_refs(mi.statement) if c == p.name}
-            union |= used
-            for w in used:
-                union |= type_level_refs(iface_nf.methods[w], iface_nf)
-        for m in deps_env[p.interface.name].order:
-            if m in union:
-                plan.abstractions.append(
-                    _param_method_lift(nf, p, m, species_env, f"_p_{p.name}_{m}")
-                )
-    plan.fields = list(sd.order)
-    return plan
+            refs = {w for c, w in qual_refs(mi.statement) if c == p.name}
+            used[p.name] |= refs
+            for w in refs:
+                used[p.name] |= type_level_refs(iface_nf.methods[w], iface_nf)
+    return RecordTypePlan(
+        species=nf.name,
+        abstractions=_param_lifts(nf, "{}_T", used, species_env, deps_env),
+        fields=list(sd.order),
+    )
 
 
 def _create_plan(
     nf: NFSpecies,
     sd: SpeciesDeps,
     record: RecordTypePlan,
+    species_env: dict[str, NFSpecies],
     deps_env: dict[str, SpeciesDeps],
     lookup,
 ) -> CollectionGeneratorPlan:
-    plan = CollectionGeneratorPlan(species=nf.name)
-    for p in nf.is_params:
-        plan.outer.append(
-            Lift(("param_carrier", p.name), f"_p_{p.name}_T", is_set=True)
-        )
-    for p in nf.entity_params:
-        assert p.carrier is not None
-        plan.outer.append(
-            Lift(
-                ("param_entity", p.name),
-                f"_p_{p.name}_{p.name}",
-                ty=TParam(p.carrier),
-            )
-        )
-    for p in nf.is_params:
-        assert p.interface is not None
-        union: set[str] = set()
-        for md in sd.methods.values():
-            union |= set(md.param_deps.get(p.name, ()))
-        for m in deps_env[p.interface.name].order:
-            if m in union:
-                plan.outer.append(
-                    Lift(("param_method", p.name, m), f"_p_{p.name}_{m}")
-                )
+    used: dict[str, set[str]] = {p.name: set() for p in nf.is_params}
+    for md in sd.methods.values():
+        for p in used:
+            used[p].update(md.param_deps.get(p, ()))
+    plan = CollectionGeneratorPlan(
+        species=nf.name,
+        outer=_param_lifts(nf, "_p_{}_T", used, species_env, deps_env),
+    )
     plan.locals.append(LocalDef("rep"))
     for m in sd.order:
-        mi = nf.methods[m]
-        zplan = lookup(mi.origin, m)
-        plan.locals.append(
-            LocalDef(
-                m,
-                GenApp(mi.origin, m, resolve_tags(zplan.arg_tags, mi.origin, nf)),
-            )
-        )
+        callee = lookup(nf.methods[m].origin, m)
+        plan.locals.append(LocalDef(m, _gen_app(callee, nf)))
     plan.record_args = [l.tag for l in record.abstractions]
     plan.record_args.append(("self_carrier",))
     plan.record_args.extend(("self_method", m) for m in sd.order)
     return plan
-
-
-def atom_is_logical(
-    a: Atom,
-    nf: NFSpecies,
-    species_env: dict[str, NFSpecies],
-    coll_models: dict[str, CollectionModel],
-) -> bool:
-    """Whether an argument atom carries no computational content."""
-    match a:
-        case ("param_carrier", _) | ("coll_carrier", _) | ("self_carrier",):
-            return True
-        case ("param_method", p, m):
-            iface = next(q.interface.name for q in nf.is_params if q.name == p)
-            return species_env[iface].methods[m].is_logical
-        case ("coll_method", c, m):
-            return coll_models[c].nf.methods[m].is_logical
-        case ("self_method", m):
-            return nf.methods[m].is_logical
-        case _:
-            return False
-
-
-def lift_is_logical(
-    l: Lift, nf: NFSpecies, species_env: dict[str, NFSpecies]
-) -> bool:
-    if l.statement is not None:
-        return True
-    return atom_is_logical(l.tag, nf, species_env, {})
 
 
 def build_extraction_plan(
@@ -413,10 +381,13 @@ def build_extraction_plan(
     for lift in splan.create.outer:
         match lift.tag:
             case ("param_carrier", p):
-                out.create_args.append(("coll_carrier", model.param_map[p]))
+                arg = ("coll_carrier", model.param_map[p])
             case ("param_method", p, m):
-                out.create_args.append(("coll_method", model.param_map[p], m))
+                arg = ("coll_method", model.param_map[p], m)
             case ("param_entity", v):
-                out.create_args.append(("entity_expr", model.entity_args[v]))
+                arg = ("entity_expr", model.entity_args[v])
+        out.create_args.append(arg)
+        if not lift.logical:
+            out.comp_args.append(arg)
     out.methods = [(m, nf.methods[m].is_logical) for m in nf.order]
     return out

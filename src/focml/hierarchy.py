@@ -178,9 +178,7 @@ def interface_view(nf: NFSpecies, p: SpeciesParam, species_env: dict[str, NFSpec
                 TParam(arg.name) if arg.name in own_params else TCollCarrier(arg.name)
             )
         elif formal.kind == "in":
-            entity_map[formal.name] = (
-                arg.expr if arg.expr is not None else Var(arg.name, pos=arg.pos)
-            )
+            entity_map[formal.name] = arg.entity
     self_ty = TParam(p.name)
 
     def tyfn(t: Type) -> Type:
@@ -485,53 +483,17 @@ def _local_info(decl: SpeciesDecl, m: MethodDecl) -> MethodInfo:
 
 
 def _build_subst(
-    parent: NFSpecies,
-    se: SpeciesExpr,
-    child: SpeciesDecl,
-    species_env: dict[str, NFSpecies],
-    collections: dict[str, "CollectionModel"],
+    parent: NFSpecies, se: SpeciesExpr
 ) -> tuple[dict[str, str], dict[str, Expr]]:
-    if len(se.args) != len(parent.params):
-        raise CompileError(
-            INTERFACE,
-            f"{parent.name} takes {len(parent.params)} argument(s), "
-            f"got {len(se.args)}",
-            se.pos,
-        )
-    child_is = {p.name: p for p in child.params if p.kind == "is"}
+    """Formal parameters of `parent` to the checked arguments of `se`."""
     qual_map: dict[str, str] = {}
     entity_map: dict[str, Expr] = {}
     for formal, arg in zip(parent.params, se.args):
         if formal.kind == "is":
-            if arg.name is None:
-                raise CompileError(
-                    INTERFACE,
-                    f"parameter {formal.name} of {parent.name} needs a "
-                    "collection argument",
-                    arg.pos,
-                )
-            assert formal.interface is not None
-            iface = formal.interface.name
-            if arg.name in child_is:
-                actual_iface = child_is[arg.name].interface
-                assert actual_iface is not None
-                actual_lineage = species_env[actual_iface.name].lineage
-            elif arg.name in collections:
-                actual_lineage = collections[arg.name].nf.lineage
-            else:
-                raise CompileError(
-                    UNKNOWN, f"unknown collection {arg.name}", arg.pos
-                )
-            if iface not in actual_lineage:
-                raise CompileError(
-                    INTERFACE,
-                    f"{arg.name} does not implement {iface}",
-                    arg.pos,
-                )
+            assert arg.name is not None
             qual_map[formal.name] = arg.name
         else:
-            expr = arg.expr if arg.expr is not None else Var(arg.name, pos=arg.pos)
-            entity_map[formal.name] = expr
+            entity_map[formal.name] = arg.entity
     return qual_map, entity_map
 
 
@@ -560,39 +522,20 @@ def _offers_formal_types(
 
 
 def normalize(
+    nf: NFSpecies,
     decl: SpeciesDecl,
     species_env: dict[str, NFSpecies],
     collections: dict[str, "CollectionModel"],
-) -> NFSpecies:
-    nf = NFSpecies(name=decl.name, params=list(decl.params), pos=decl.pos)
-    is_names: list[str] = []
-    for p in decl.params:
-        if p.kind == "is":
-            assert p.interface is not None
-            if p.interface.name not in species_env:
-                raise CompileError(
-                    UNKNOWN, f"unknown species {p.interface.name}", p.pos
-                )
-            is_names.append(p.name)
-        else:
-            if p.carrier not in is_names:
-                raise CompileError(
-                    UNKNOWN,
-                    f"entity parameter {p.name} needs a preceding collection "
-                    f"parameter, got {p.carrier}",
-                    p.pos,
-                )
+) -> None:
+    """Flatten `decl` into `nf`, which holds its parameters.  The arguments
+    of the parameters' interfaces and of the inherits are already checked."""
     parent_lineages: list[list[str]] = []
     carries = True
-    child_is = frozenset(is_names)
+    child_is = frozenset(p.name for p in nf.is_params)
     own_carriers = {p.name: p.carrier for p in decl.params if p.kind == "in"}
     for se in decl.inherits:
-        parent = species_env.get(se.name)
-        if parent is None:
-            raise CompileError(UNKNOWN, f"unknown species {se.name}", se.pos)
-        qual_map, entity_map = _build_subst(
-            parent, se, decl, species_env, collections
-        )
+        parent = species_env[se.name]
+        qual_map, entity_map = _build_subst(parent, se)
         type_fn = lambda t: rename_caps(t, qual_map, child_is)
         if parent.rep is not None:
             rep = type_fn(parent.rep)
@@ -688,7 +631,6 @@ def normalize(
     ):
         for mi in nf.methods.values():
             mi.carried = False
-    return nf
 
 
 def invalidate_proofs(nf: NFSpecies) -> list[RevertedProof]:
@@ -778,7 +720,7 @@ def make_collection(
             model.param_map[formal.name] = arg.name
             model.arg_order.append(("is", formal.name))
         else:
-            expr = arg.expr if arg.expr is not None else Var(arg.name, pos=arg.pos)
+            expr = arg.entity
             assert formal.carrier is not None
             target = model.param_map.get(formal.carrier)
             if target is None:

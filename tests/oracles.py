@@ -129,3 +129,27 @@ def merge_lineages(parents: list[list[str]], self_name: str) -> list[str]:
     if self_name not in out:
         out.append(self_name)
     return out
+
+
+def atom_is_logical(
+    atom: tuple,
+    own: dict[str, bool],
+    params: dict[str, dict[str, bool]],
+    colls: dict[str, dict[str, bool]],
+) -> bool:
+    """Whether an argument has no computational content, judged where it is
+    used.  `own`, `params[p]` and `colls[c]` map the method names of the
+    species, of parameter p's interface and of collection c to whether the
+    method is a property or a theorem.  Carriers never have content, an
+    entity always has."""
+    match atom:
+        case ("param_carrier", _) | ("coll_carrier", _) | ("self_carrier",):
+            return True
+        case ("param_method", p, m):
+            return params[p][m]
+        case ("coll_method", c, m):
+            return colls[c][m]
+        case ("self_method", m):
+            return own[m]
+        case _:
+            return False

@@ -1,6 +1,5 @@
 """Emission plans: generator lifts, record types, creators, extractions."""
 
-from focml.generators import atom_is_logical, lift_is_logical
 from focml.pretty import type_to_source
 
 
@@ -203,16 +202,21 @@ def test_two_collections_of_one_species_share_the_plan(example_cu):
 
 
 def test_atoms_classify_by_content(example_cu):
-    nf = example_cu.species["TheInt"]
-    env = example_cu.species
-    assert atom_is_logical(("self_carrier",), nf, env, {})
-    assert atom_is_logical(("self_method", "ltNotGt"), nf, env, {})
-    assert not atom_is_logical(("self_method", "lt"), nf, env, {})
+    # TheInt's creator applies OrdData's gt to the carrier, eq and lt
+    gt = next(
+        d.gen for d in example_cu.plans["TheInt"].create.locals if d.name == "gt"
+    )
+    assert ("self_carrier",) in gt.args
+    assert ("self_carrier",) not in gt.comp_args
+    assert ("self_method", "lt") in gt.comp_args
+    # In_5_10 receives the methods of IntC, a collection of TheInt
+    ep = example_cu.extractions["In_5_10"]
+    assert ("coll_method", "IntC", "ltNotGt") in ep.create_args
+    assert ("coll_method", "IntC", "ltNotGt") not in ep.comp_args
+    assert ("coll_method", "IntC", "lt") in ep.comp_args
 
 
 def test_lifts_classify_by_content(example_cu):
-    nf = example_cu.species["IsIn"]
-    env = example_cu.species
     gen = example_cu.plans["IsIn"].generators["lowMin"]
-    logical = [l.name for l in gen.lifts if lift_is_logical(l, nf, env)]
+    logical = [l.name for l in gen.lifts if l.logical]
     assert logical == ["_p_V_T", "_p_V_ltNotGt", "abst_T"]

@@ -12,12 +12,14 @@ import copy
 import random
 import re
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import pytest
 
 from focml import compile_source, driver
 from focml.deps import scan_species, type_level_refs
 from focml.emit import emit_comp, emit_logical
+from focml.errors import CompileError
 from focml.pretty import expr_to_source, type_to_source
 
 import oracles
@@ -444,6 +446,67 @@ def run_erasure_suite(units) -> int:
     return cases
 
 
+def logical_kinds(nf) -> dict[str, bool]:
+    return {m: mi.kind in ("property", "theorem") for m, mi in nf.methods.items()}
+
+
+def run_recorded_erasure_suite(cus) -> int:
+    """Each lift's logical flag and each application's computational
+    arguments, as the plans record them, against the per-use content rule
+    of `oracles.atom_is_logical`; and each application passes as many
+    computational arguments as its callee has computational parameters."""
+    cases = 0
+    for cu in cus:
+        colls = {c: logical_kinds(m.nf) for c, m in cu.collections.items()}
+        for sname, plan in cu.plans.items():
+            nf = cu.species[sname]
+            own = logical_kinds(nf)
+            params = {
+                p.name: logical_kinds(cu.species[p.interface.name])
+                for p in nf.is_params
+            }
+            judge = lambda a: oracles.atom_is_logical(a, own, params, colls)
+            lifts = [l for g in plan.generators.values() for l in g.lifts]
+            apps = [l.bind_gen for l in lifts if l.bind_gen is not None]
+            if plan.record is not None:
+                lifts += plan.record.abstractions
+            if plan.create is not None:
+                lifts += plan.create.outer
+                apps += [d.gen for d in plan.create.locals if d.gen is not None]
+            for l in lifts:
+                assert l.logical == (l.statement is not None or judge(l.tag))
+            for app in apps:
+                assert app.comp_args == [a for a in app.args if not judge(a)]
+                callee = cu.plans[app.species].generators[app.method]
+                want = [l for l in callee.lifts if l.abstract and not l.logical]
+                assert len(app.comp_args) == len(want), (sname, app)
+            cases += len(lifts) + len(apps)
+        for ext in cu.extractions.values():
+            judge = lambda a: oracles.atom_is_logical(a, {}, {}, colls)
+            assert ext.comp_args == [a for a in ext.create_args if not judge(a)]
+            create = cu.plans[ext.species].create
+            want = [l for l in create.outer if not l.logical]
+            assert len(ext.comp_args) == len(want), ext.name
+            cases += 1
+    return cases
+
+
+def data_units() -> list:
+    """The example files that compile, alone or after the running example."""
+    data = Path(__file__).parent / "data"
+    example = (data / "example.fcl").read_text()
+    cus = []
+    for path in sorted(data.glob("*.fcl")):
+        for prefix in ("", example):
+            if prefix and path.name == "example.fcl":
+                continue
+            try:
+                cus.append(compile_source(prefix + path.read_text()))
+            except CompileError:
+                pass
+    return cus
+
+
 def method_signature(nf, name):
     mi = nf.methods[name]
     return (
@@ -549,6 +612,13 @@ def test_erasure_keeps_exactly_the_computational_methods(complete_units):
 
 def test_flattening_is_idempotent(general_units, complete_units):
     assert run_normalize_suite(general_units + complete_units) >= 1000
+
+
+def test_plans_record_erasure_by_content(general_units, complete_units):
+    data = data_units()
+    assert len(data) >= 3
+    units = [u.cu for u in general_units + complete_units]
+    assert run_recorded_erasure_suite(units + data) >= 1000
 
 
 def test_carried_analysis_equals_a_full_retype(general_units, complete_units):

@@ -345,3 +345,30 @@ species F (P0 is Base, w in P0) = inherit E (P0, h) ; let h : P0 = w ; end ;;
     )
     assert cu.deps["E"].methods["g"].decl == set()
     assert cu.deps["F"].methods["g"].decl == {"h"}
+
+
+# ---------------------------------------------------------------------------
+# Arguments of a species expression: one check for interfaces and inherits
+
+ARGS_PRELUDE = CARRY_PRELUDE + """
+species A (P0 is Base, v0 in P0) = let g (x : int) : int = x ; end ;;
+"""
+
+
+def test_inherit_types_its_entity_arguments_like_an_interface():
+    # No method of A uses v0, so only the argument check itself sees 3.
+    bad = "species B = inherit A (BColl, 3) ; end ;;"
+    source = ARGS_PRELUDE + bad
+    with pytest.raises(CompileError) as e:
+        compile_source(source)
+    assert e.value.kind == "TypeMismatch"
+    assert e.value.message == "cannot unify int with BColl"
+    line = source.count("\n") + 1
+    assert (e.value.pos.line, e.value.pos.col) == (line, bad.index("3") + 1)
+    with pytest.raises(CompileError) as same:
+        compile_source(ARGS_PRELUDE + "species U (R is A (BColl, 3)) = end ;;")
+    assert (same.value.kind, same.value.message) == (e.value.kind, e.value.message)
+    cu = compile_source(
+        ARGS_PRELUDE + "species B = inherit A (BColl, BColl!mk (3)) ; end ;;"
+    )
+    assert cu.species["B"].methods["g"].origin == "A"
