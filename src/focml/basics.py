@@ -6,9 +6,9 @@ compiler never looks anything else up implicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .ast import Scheme, TGen, TArrow, TTuple, T_INT, T_BOOL, T_STRING, arrow
+from .ast import Scheme, TGen, TArrow, TTuple, T_INT, T_BOOL, T_STRING, arrow, flatten_arrow
 
 
 @dataclass(frozen=True)
@@ -18,6 +18,10 @@ class Builtin:
     logical: str  # head emitted in the logical target
     type_args: int = 0  # number of inferred `_` type arguments in the logical target
     infix: bool = False  # rendered as an infix operator in both targets
+    arity: int = field(init=False)  # arguments taken before it computes
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "arity", len(flatten_arrow(self.scheme.body)[0]))
 
 
 _A, _B = TGen(0), TGen(1)

@@ -18,6 +18,7 @@ REP_REDEFINED = "RepresentationRedefined"
 INTERFACE = "InterfaceMismatch"
 PROOF = "ProofError"
 STEP_LIMIT = "StepLimit"
+DEPTH_LIMIT = "DepthLimit"
 EVAL = "EvalError"
 
 
@@ -60,7 +61,8 @@ class CompileError(Exception):
 
 
 class EvalFailure(Exception):
-    """Runtime evaluation failure (bad call, pattern fall-through, step limit)."""
+    """Runtime evaluation failure (bad call, pattern fall-through, step or
+    depth limit)."""
 
     def __init__(self, kind: str, message: str):
         super().__init__(message)

@@ -1,16 +1,38 @@
-"""Big-step call-by-value interpreter over the computational plans.
+"""Call-by-value evaluator over the computational plans, compiled to closures.
 
 Collections are built in declaration order by running their species'
 creation plan: each method generator is instantiated with the values of the
 computational arguments its plan records, so redefinitions picked up by late
 binding flow into every collection automatically.  The plans decide which
-lifts and arguments are logical; nothing here decides it again.  Evaluation is pure and
-counts steps; runaway recursion stops at a configurable limit.
+lifts and arguments are logical; nothing here decides it again.
+
+Expressions are compiled into Python closures (Feeley and Lapalme, "Using
+closures for code generation", 1987).  A compiled expression takes the
+frame of the call it runs in: a list holding the generator's lifted
+arguments, the generator itself when it is recursive, its parameters and
+then the variables its patterns bind, each at a slot fixed when it is
+compiled.  An interpreter compiles each generator body once, the first
+time it runs.  A call in tail position (the body itself, or a branch of
+an `if` or a `match` in it) returns a `_Tail` record instead of calling,
+and `Interpreter.apply` makes these calls in a loop, so tail recursion
+takes no Python stack.
+
+Evaluation is pure and has two limits.  Each expression node evaluated
+costs one step; past `step_limit` steps (1,000,000 by default) evaluation
+stops with `StepLimit`.  Calls that are not in tail position nest; past
+`MAX_DEPTH` (20,000) nested calls evaluation stops with `DepthLimit`.
+`eval_call` runs in a worker thread whose stack and recursion limit hold
+that depth.  It reports a Python `RecursionError`, which one deeply nested
+expression can still cause, as `DepthLimit` too.
 """
 
 from __future__ import annotations
 
+import operator
+import sys
+import threading
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .ast import (
     BinOp,
@@ -32,12 +54,27 @@ from .ast import (
     TupleExpr,
     UnOp,
     Var,
-    flatten_arrow,
 )
 from .basics import BUILTIN_FUNCTIONS
-from .errors import EVAL, STEP_LIMIT, EvalFailure
+from .errors import DEPTH_LIMIT, EVAL, STEP_LIMIT, EvalFailure
 
 STEP_LIMIT_DEFAULT = 1_000_000
+MAX_DEPTH = 20_000  # nested non-tail calls
+# A nested call takes three to five Python frames, plus one per operator
+# nested around it; deeper Python recursion fails as a RecursionError.
+# CPython 3.10 puts each frame on the thread's stack, up to about 0.9 KB
+# (structural `=`); 3.11 and later take far less.  The stack is virtual
+# memory: a shallow evaluation touches little of it.
+_RECURSION_LIMIT = 10 * MAX_DEPTH
+_STACK_BYTES = 512 * 1024 * 1024
+_EVAL_LOCK = threading.Lock()  # eval_call sets process-wide limits
+
+_INT_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "<0x": operator.lt,
+    "=0x": operator.eq,
+}
 
 
 @dataclass(frozen=True)
@@ -46,11 +83,49 @@ class VCon:
     args: tuple = ()
 
 
-@dataclass
+class Code:
+    """A generator body, compiled on its first run, so that a call compiles
+    only the bodies it reaches."""
+
+    __slots__ = ("run", "gp", "interp", "pad")
+
+    def __init__(self, interp: "Interpreter", gp):
+        self.run: Callable[[list], object] = self._first_run
+        self.gp = gp
+        self.interp = interp
+        self.pad: list = []  # one None per slot its patterns bind
+
+    def _first_run(self, frame: list) -> object:
+        gp = self.gp
+        slots = _layout(gp)
+        comp = _Compiler(self.interp, slots)
+        tail = bool(gp.value_params)
+        self.run = comp.expr(gp.body, dict(comp.vars), len(slots), tail)
+        self.pad = [None] * (comp.width - len(slots))
+        return self.run(frame + self.pad)
+
+
 class Closure:
-    params: list[str]
-    body: Expr
-    scope: "Scope"
+    __slots__ = ("code", "env", "arity")
+
+    def __init__(self, code: Code, env: list, arity: int):
+        self.code = code
+        self.env = env  # lifted arguments, itself if recursive, parameters given so far
+        self.arity = arity  # parameters still missing
+
+    def __eq__(self, other: object) -> bool:
+        # the remaining parameters, the body and the bound names, as `=`
+        # has always compared function values
+        return isinstance(other, Closure) and self._view() == other._view()
+
+    def _view(self) -> tuple:
+        gp = self.code.gp
+        names: dict = {}
+        quals: dict = {}
+        for (qual, key), v in zip(_layout(gp), self.env):
+            (quals if qual else names)[key] = v
+        params = [n for n, _ in gp.value_params]
+        return params[len(params) - self.arity:], gp.body, names, quals
 
 
 @dataclass(frozen=True)
@@ -66,10 +141,36 @@ class Scope:
     vars: dict[str, Value] = field(default_factory=dict)
     quals: dict[tuple[str, str], Value] = field(default_factory=dict)
 
-    def child(self, extra: dict[str, Value]) -> "Scope":
-        out = Scope(dict(self.vars), self.quals)
-        out.vars.update(extra)
-        return out
+
+class _Tail:
+    """A call in tail position, left for `Interpreter.apply` to make."""
+
+    __slots__ = ("f", "args")
+
+    def __init__(self, f: Value, args: list[Value]):
+        self.f = f
+        self.args = args
+
+
+def _slot(tag) -> tuple[bool, object]:
+    """Where a lifted argument is bound: a qualified name or a variable."""
+    match tag:
+        case ("param_method", p, m):
+            return True, (p, m)
+        case ("param_entity", v) | ("self_method", v):
+            return False, v
+        case _:
+            raise EvalFailure(EVAL, f"cannot bind argument {tag!r}")
+
+
+def _layout(gp) -> list[tuple[bool, object]]:
+    """The bound slots of a frame of gp's body, as (qualified?, name): its
+    lifted arguments, itself if it is a recursive function, its parameters."""
+    slots = [_slot(l.tag) for l in gp.lifts if l.abstract and not l.logical]
+    params = [(False, n) for n, _ in gp.value_params]
+    if params and gp.rec:
+        slots.append((False, gp.method))
+    return slots + params
 
 
 class Interpreter:
@@ -79,7 +180,9 @@ class Interpreter:
         self.cu = cu
         self.step_limit = step_limit
         self.steps = 0
+        self.depth = 0  # nested non-tail calls under way
         self.collections: dict[str, dict[str, Value]] = {}
+        self._codes: dict[tuple[str, str], Code] = {}  # by (species, method)
         for kind, name in cu.decl_order:
             if kind == "collection":
                 self._build_collection(name)
@@ -107,7 +210,8 @@ class Interpreter:
                 f"got {len(args)}",
             )
         for l, v in zip(kept, args):
-            self._bind_lift(l.tag, v, scope)
+            qual, key = _slot(l.tag)
+            (scope.quals if qual else scope.vars)[key] = v
         locals_: dict[str, Value] = {}
         for ld in plan.locals:
             if ld.gen is None or nf.methods[ld.name].is_logical:
@@ -117,28 +221,16 @@ class Interpreter:
             locals_[ld.name] = self._instantiate(gp, vals)
         return locals_
 
-    def _bind_lift(self, tag, value: Value, scope: Scope) -> None:
-        match tag:
-            case ("param_method", p, m):
-                scope.quals[(p, m)] = value
-            case ("param_entity", v):
-                scope.vars[v] = value
-            case ("self_method", m):
-                scope.vars[m] = value
-            case _:
-                raise EvalFailure(EVAL, f"cannot bind argument {tag!r}")
-
     def _instantiate(self, gp, vals: list[Value]) -> Value:
-        scope = Scope()
-        kept = [l for l in gp.lifts if l.abstract and not l.logical]
-        assert len(kept) == len(vals)
-        for l, v in zip(kept, vals):
-            self._bind_lift(l.tag, v, scope)
+        code = self._codes.get((gp.species, gp.method))
+        if code is None:
+            code = self._codes[gp.species, gp.method] = Code(self, gp)
         if not gp.value_params:
-            return self.eval(gp.body, scope)
-        closure = Closure([n for n, _ in gp.value_params], gp.body, scope)
+            return code.run(vals + code.pad)
+        env = list(vals)
+        closure = Closure(code, env, len(gp.value_params))
         if gp.rec:
-            scope.vars[gp.method] = closure
+            env.append(closure)
         return closure
 
     def _atom(self, a, scope: Scope, locals_: dict[str, Value]) -> Value:
@@ -157,151 +249,366 @@ class Interpreter:
     # -- evaluation --------------------------------------------------------
 
     def eval(self, e: Expr, scope: Scope) -> Value:
-        self.steps += 1
-        if self.steps > self.step_limit:
-            raise EvalFailure(
-                STEP_LIMIT, f"step limit of {self.step_limit} exceeded"
-            )
-        match e:
-            case IntLit(v):
-                return v
-            case BoolLit(v):
-                return v
-            case StrLit(v):
-                return v
-            case Var(name):
-                if name in scope.vars:
-                    return scope.vars[name]
-                if name in BUILTIN_FUNCTIONS:
-                    return BuiltinFn(name)
-                raise EvalFailure(EVAL, f"unbound name {name}")
-            case Qual(coll, name):
-                if (coll, name) in scope.quals:
-                    return scope.quals[(coll, name)]
-                methods = self.collections.get(coll)
-                if methods is None:
-                    raise EvalFailure(EVAL, f"unknown collection {coll}")
-                if name not in methods:
-                    raise EvalFailure(EVAL, f"{coll} has no method {name}")
-                return methods[name]
-            case ConRef(name, args):
-                return VCon(name, tuple(self.eval(a, scope) for a in args))
-            case Call(callee, args):
-                f = self.eval(callee, scope)
-                return self.apply(f, [self.eval(a, scope) for a in args])
-            case TupleExpr(items):
-                return tuple(self.eval(i, scope) for i in items)
-            case UnOp(op, operand):
-                return self._builtin(op, [self.eval(operand, scope)])
-            case BinOp(op, left, right):
-                return self._builtin(
-                    op, [self.eval(left, scope), self.eval(right, scope)]
-                )
-            case Eq(left, right):
-                return self._builtin(
-                    "=", [self.eval(left, scope), self.eval(right, scope)]
-                )
-            case If(cond, then, orelse):
-                c = self.eval(cond, scope)
-                if not isinstance(c, bool):
-                    raise EvalFailure(EVAL, "condition is not a boolean")
-                return self.eval(then if c else orelse, scope)
-            case Match(scrutinee, arms):
-                v = self.eval(scrutinee, scope)
-                for pat, body in arms:
-                    bound: dict[str, Value] = {}
-                    if _match(pat, v, bound):
-                        return self.eval(body, scope.child(bound))
-                raise EvalFailure(EVAL, "no pattern matched the value")
-            case _:
-                raise EvalFailure(EVAL, f"cannot evaluate {type(e).__name__}")
+        slots = [(False, n) for n in scope.vars]
+        slots += [(True, k) for k in scope.quals]
+        comp = _Compiler(self, slots)
+        run = comp.expr(e, dict(comp.vars), len(slots), tail=False)
+        frame = [*scope.vars.values(), *scope.quals.values()]
+        return run(frame + [None] * (comp.width - len(slots)))
 
     def apply(self, f: Value, args: list[Value]) -> Value:
-        while args:
-            if isinstance(f, Closure):
-                n = len(f.params)
-                if len(args) < n:
-                    partial = dict(zip(f.params, args))
-                    return Closure(
-                        f.params[len(args):], f.body, f.scope.child(partial)
-                    )
-                bound = dict(zip(f.params, args[:n]))
-                f, args = self.eval(f.body, f.scope.child(bound)), args[n:]
-            elif isinstance(f, BuiltinFn):
-                b = BUILTIN_FUNCTIONS[f.name]
-                arity = len(flatten_arrow(b.scheme.body)) - 1
-                if len(args) < arity:
-                    raise EvalFailure(
-                        EVAL, f"partial application of builtin {f.name}"
-                    )
-                f, args = self._builtin(f.name, args[:arity]), args[arity:]
-            else:
-                raise EvalFailure(EVAL, "value is not a function")
-        return f
+        """Apply f to args, making the tail calls of each body in a loop."""
+        self.depth += 1
+        try:
+            if self.depth > MAX_DEPTH:
+                raise EvalFailure(
+                    DEPTH_LIMIT, f"depth limit of {MAX_DEPTH} nested calls exceeded"
+                )
+            while args:
+                if type(f) is Closure:
+                    n = f.arity
+                    if len(args) < n:
+                        return Closure(f.code, f.env + args, n - len(args))
+                    code = f.code
+                    r = code.run([*f.env, *args[:n], *code.pad])
+                    args = args[n:]
+                    if type(r) is not _Tail:
+                        f = r
+                    elif args:
+                        f = self.apply(r.f, r.args)
+                    else:
+                        f, args = r.f, r.args
+                elif type(f) is BuiltinFn:
+                    arity = BUILTIN_FUNCTIONS[f.name].arity
+                    if len(args) < arity:
+                        raise EvalFailure(
+                            EVAL, f"partial application of builtin {f.name}"
+                        )
+                    f, args = _builtin(f.name, args[:arity]), args[arity:]
+                else:
+                    raise EvalFailure(EVAL, "value is not a function")
+            return f
+        finally:
+            self.depth -= 1
 
-    def _builtin(self, name: str, args: list[Value]) -> Value:
-        def ints() -> tuple[int, int]:
+    def out_of_steps(self) -> EvalFailure:
+        return EvalFailure(STEP_LIMIT, f"step limit of {self.step_limit} exceeded")
+
+
+def _builtin(name: str, args: list[Value]) -> Value:
+    op = _INT_OPS.get(name)
+    if op is not None:
+        a, b = args
+        if type(a) is not int or type(b) is not int:
+            raise EvalFailure(EVAL, f"{name} expects integers")
+        return op(a, b)
+    match name:
+        case "&&":
             a, b = args
-            if isinstance(a, bool) or isinstance(b, bool):
-                raise EvalFailure(EVAL, f"{name} expects integers")
-            if not isinstance(a, int) or not isinstance(b, int):
-                raise EvalFailure(EVAL, f"{name} expects integers")
-            return a, b
-
-        match name:
-            case "+":
-                a, b = ints()
-                return a + b
-            case "-":
-                a, b = ints()
-                return a - b
-            case "<0x":
-                a, b = ints()
-                return a < b
-            case "=0x":
-                a, b = ints()
-                return a == b
-            case "&&":
-                a, b = args
-                if not isinstance(a, bool) or not isinstance(b, bool):
-                    raise EvalFailure(EVAL, "&& expects booleans")
-                return a and b
-            case "~~":
-                (a,) = args
-                if not isinstance(a, bool):
-                    raise EvalFailure(EVAL, "~~ expects a boolean")
-                return not a
-            case "=":
-                a, b = args
-                return a == b
-            case "fst" | "snd":
-                (t,) = args
-                if not isinstance(t, tuple) or len(t) != 2:
-                    raise EvalFailure(EVAL, f"{name} expects a pair")
-                return t[0] if name == "fst" else t[1]
-            case _:
-                raise EvalFailure(EVAL, f"unknown builtin {name}")
-
-
-def _match(p: Pattern, v: Value, bound: dict[str, Value]) -> bool:
-    match p:
-        case PWild():
-            return True
-        case PVar(name):
-            bound[name] = v
-            return True
-        case PCon(name, args):
-            if not isinstance(v, VCon) or v.name != name:
-                return False
-            if len(args) != len(v.args):
-                return False
-            return all(_match(a, w, bound) for a, w in zip(args, v.args))
-        case PTuple(items):
-            if not isinstance(v, tuple) or len(v) != len(items):
-                return False
-            return all(_match(i, w, bound) for i, w in zip(items, v))
+            if not isinstance(a, bool) or not isinstance(b, bool):
+                raise EvalFailure(EVAL, "&& expects booleans")
+            return a and b
+        case "~~":
+            (a,) = args
+            if not isinstance(a, bool):
+                raise EvalFailure(EVAL, "~~ expects a boolean")
+            return not a
+        case "=":
+            a, b = args
+            return a == b
+        case "fst" | "snd":
+            (t,) = args
+            if not isinstance(t, tuple) or len(t) != 2:
+                raise EvalFailure(EVAL, f"{name} expects a pair")
+            return t[0] if name == "fst" else t[1]
         case _:
-            return False
+            raise EvalFailure(EVAL, f"unknown builtin {name}")
+
+
+class _Compiler:
+    """Compiles the expressions of one frame layout into closures.
+
+    Every closure first charges its step, then evaluates its children in
+    the order the language fixes: callee, then arguments left to right,
+    then left before right.  `names` maps each variable in scope to its
+    slot, and `top` is the first slot free for pattern variables.
+    """
+
+    def __init__(self, interp: Interpreter, slots: list[tuple[bool, object]]):
+        self.interp = interp
+        self.vars: dict[str, int] = {}
+        self.quals: dict[tuple[str, str], int] = {}
+        for i, (qual, key) in enumerate(slots):
+            if qual:
+                self.quals[key] = i
+            else:
+                self.vars[key] = i
+        self.width = len(slots)  # slots any frame of this layout needs
+
+    def expr(self, e: Expr, names: dict[str, int], top: int, tail: bool):
+        interp = self.interp
+        limit = interp.step_limit
+        sub = lambda x: self.expr(x, names, top, False)
+        match e:
+            case IntLit(v) | BoolLit(v) | StrLit(v):
+                return self._const(v)
+            case Var(name) if name in names:
+                return self._read(names[name])
+            case Var(name) if name in BUILTIN_FUNCTIONS:
+                return self._const(BuiltinFn(name))
+            case Var(name):
+                return self._fail(f"unbound name {name}")
+            case Qual(coll, name) if (coll, name) in self.quals:
+                return self._read(self.quals[coll, name])
+            case Qual(coll, name):
+                collections = interp.collections
+
+                def qual(frame):
+                    interp.steps += 1
+                    if interp.steps > limit:
+                        raise interp.out_of_steps()
+                    methods = collections.get(coll)
+                    if methods is None:
+                        raise EvalFailure(EVAL, f"unknown collection {coll}")
+                    if name not in methods:
+                        raise EvalFailure(EVAL, f"{coll} has no method {name}")
+                    return methods[name]
+
+                return qual
+            case ConRef(name, [arg]):
+                arg = sub(arg)
+
+                def con1(frame):
+                    interp.steps += 1
+                    if interp.steps > limit:
+                        raise interp.out_of_steps()
+                    return VCon(name, (arg(frame),))
+
+                return con1
+            case ConRef(name, args):
+                items = [sub(a) for a in args]
+
+                def con(frame):
+                    interp.steps += 1
+                    if interp.steps > limit:
+                        raise interp.out_of_steps()
+                    return VCon(name, tuple([a(frame) for a in items]))
+
+                return con
+            case Call(callee, args):
+                fn = sub(callee)
+                items = [sub(a) for a in args]
+                apply = interp.apply
+                if tail:
+
+                    def tail_call(frame):
+                        interp.steps += 1
+                        if interp.steps > limit:
+                            raise interp.out_of_steps()
+                        return _Tail(fn(frame), [a(frame) for a in items])
+
+                    return tail_call
+                if len(items) == 1:
+                    (arg,) = items
+
+                    def call1(frame):
+                        interp.steps += 1
+                        if interp.steps > limit:
+                            raise interp.out_of_steps()
+                        return apply(fn(frame), [arg(frame)])
+
+                    return call1
+
+                def call(frame):
+                    interp.steps += 1
+                    if interp.steps > limit:
+                        raise interp.out_of_steps()
+                    return apply(fn(frame), [a(frame) for a in items])
+
+                return call
+            case TupleExpr(items):
+                items = [sub(i) for i in items]
+
+                def tup(frame):
+                    interp.steps += 1
+                    if interp.steps > limit:
+                        raise interp.out_of_steps()
+                    return tuple([i(frame) for i in items])
+
+                return tup
+            case UnOp(op, operand):
+                x = sub(operand)
+
+                def unop(frame):
+                    interp.steps += 1
+                    if interp.steps > limit:
+                        raise interp.out_of_steps()
+                    return _builtin(op, [x(frame)])
+
+                return unop
+            case BinOp(op, left, right):
+                return self._binary(op, sub(left), sub(right))
+            case Eq(left, right):
+                return self._binary("=", sub(left), sub(right))
+            case If(cond, then, orelse):
+                test = sub(cond)
+                yes = self.expr(then, names, top, tail)
+                no = self.expr(orelse, names, top, tail)
+
+                def if_(frame):
+                    interp.steps += 1
+                    if interp.steps > limit:
+                        raise interp.out_of_steps()
+                    c = test(frame)
+                    if c is True:
+                        return yes(frame)
+                    if c is False:
+                        return no(frame)
+                    raise EvalFailure(EVAL, "condition is not a boolean")
+
+                return if_
+            case Match(scrutinee, arms):
+                scrut = sub(scrutinee)
+                compiled = []
+                for pat, body in arms:
+                    scope = dict(names)
+                    test, end = self._pattern(pat, scope, top)
+                    self.width = max(self.width, end)
+                    compiled.append((test, self.expr(body, scope, end, tail)))
+
+                def match_(frame):
+                    interp.steps += 1
+                    if interp.steps > limit:
+                        raise interp.out_of_steps()
+                    v = scrut(frame)
+                    for test, body in compiled:
+                        if test(v, frame):
+                            return body(frame)
+                    raise EvalFailure(EVAL, "no pattern matched the value")
+
+                return match_
+            case _:
+                return self._fail(f"cannot evaluate {type(e).__name__}")
+
+    def _const(self, v: Value):
+        interp = self.interp
+        limit = interp.step_limit
+
+        def const(frame):
+            interp.steps += 1
+            if interp.steps > limit:
+                raise interp.out_of_steps()
+            return v
+
+        return const
+
+    def _read(self, i: int):
+        interp = self.interp
+        limit = interp.step_limit
+
+        def read(frame):
+            interp.steps += 1
+            if interp.steps > limit:
+                raise interp.out_of_steps()
+            return frame[i]
+
+        return read
+
+    def _binary(self, op: str, lhs, rhs):
+        interp = self.interp
+        limit = interp.step_limit
+        fn = _INT_OPS.get(op)
+        if fn is None:
+
+            def binary(frame):
+                interp.steps += 1
+                if interp.steps > limit:
+                    raise interp.out_of_steps()
+                return _builtin(op, [lhs(frame), rhs(frame)])
+
+            return binary
+        message = f"{op} expects integers"
+
+        def arith(frame):
+            interp.steps += 1
+            if interp.steps > limit:
+                raise interp.out_of_steps()
+            a = lhs(frame)
+            b = rhs(frame)
+            if type(a) is not int or type(b) is not int:
+                raise EvalFailure(EVAL, message)
+            return fn(a, b)
+
+        return arith
+
+    def _fail(self, message: str):
+        interp = self.interp
+        limit = interp.step_limit
+
+        def fail(frame):
+            interp.steps += 1
+            if interp.steps > limit:
+                raise interp.out_of_steps()
+            raise EvalFailure(EVAL, message)
+
+        return fail
+
+    def _pattern(self, p: Pattern, names: dict[str, int], top: int):
+        """A test that binds p's variables into the frame, and the first
+        slot it leaves free; `names` gains p's variables."""
+        match p:
+            case PWild():
+                return _always, top
+            case PVar(name):
+                names[name] = i = top
+
+                def bind(v, frame):
+                    frame[i] = v
+                    return True
+
+                return bind, top + 1
+            case PCon(name, args):
+                tests = []
+                for a in args:
+                    test, top = self._pattern(a, names, top)
+                    tests.append(test)
+                n = len(tests)
+
+                def con(v, frame):
+                    if type(v) is not VCon or v.name != name or len(v.args) != n:
+                        return False
+                    for test, w in zip(tests, v.args):
+                        if not test(w, frame):
+                            return False
+                    return True
+
+                return con, top
+            case PTuple(items):
+                tests = []
+                for a in items:
+                    test, top = self._pattern(a, names, top)
+                    tests.append(test)
+                n = len(tests)
+
+                def tup(v, frame):
+                    if type(v) is not tuple or len(v) != n:
+                        return False
+                    for test, w in zip(tests, v):
+                        if not test(w, frame):
+                            return False
+                    return True
+
+                return tup, top
+            case _:
+                return _never, top
+
+
+def _always(v, frame) -> bool:
+    return True
+
+
+def _never(v, frame) -> bool:
+    return False
 
 
 def format_value(v: Value) -> str:
@@ -313,23 +620,48 @@ def format_value(v: Value) -> str:
         escaped = v.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
     if isinstance(v, tuple):
-        return "(" + ", ".join(format_value(i) for i in v) + ")"
+        return "(" + ", ".join([format_value(i) for i in v]) + ")"
     if isinstance(v, VCon):
         if not v.args:
             return v.name
-        return f"{v.name} (" + ", ".join(format_value(a) for a in v.args) + ")"
+        return f"{v.name} (" + ", ".join([format_value(a) for a in v.args]) + ")"
     return "<fun>"
 
 
 def eval_call(cu, source: str, step_limit: int = STEP_LIMIT_DEFAULT) -> str:
-    """Parse and evaluate a call expression against a compiled unit."""
+    """Parse and evaluate a call expression against a compiled unit.
+
+    The evaluation runs in a worker thread whose stack holds `MAX_DEPTH`
+    nested calls; the caller's thread only waits for it.
+    """
     from .parser import parse_expr_text
 
     expr = parse_expr_text(source)
-    interp = Interpreter(cu, step_limit)
-    try:
-        return format_value(interp.eval(expr, Scope()))
-    except RecursionError:
-        raise EvalFailure(
-            STEP_LIMIT, "evaluation recursed too deeply"
-        ) from None
+    outcome: list = []
+
+    def run() -> None:
+        try:
+            value = Interpreter(cu, step_limit).eval(expr, Scope())
+            outcome.append(format_value(value))
+        except RecursionError:
+            outcome.append(
+                EvalFailure(DEPTH_LIMIT, "evaluation nested too deeply")
+            )
+        except BaseException as err:  # re-raised in the caller's thread
+            outcome.append(err)
+
+    with _EVAL_LOCK:
+        old_limit = sys.getrecursionlimit()
+        old_stack = threading.stack_size(_STACK_BYTES)
+        try:
+            sys.setrecursionlimit(max(old_limit, _RECURSION_LIMIT))
+            worker = threading.Thread(target=run, name="focml-eval", daemon=True)
+            worker.start()
+            worker.join()
+        finally:
+            threading.stack_size(old_stack)
+            sys.setrecursionlimit(old_limit)
+    (result,) = outcome
+    if isinstance(result, BaseException):
+        raise result
+    return result

@@ -7,6 +7,7 @@ test expectations do not inherit bugs from the implementation.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import permutations
 
 
@@ -153,3 +154,268 @@ def atom_is_logical(
             return own[m]
         case _:
             return False
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluator: a direct tree walk over plain data.
+#
+# A unit is a dict with "collections" (names in declaration order),
+# "extractions" (name -> {"species", "comp_args", "methods": [(m, logical)]}),
+# "creators" (species -> {"outer": [(tag, logical)],
+# "locals": [(name, gen or None, method is logical)]}) and "generators"
+# ((species, method) -> {"lifts": [(tag, abstract, logical)],
+# "params": [names], "rec", "method", "body"}); a gen is
+# (species, method, comp_args).  Expressions and patterns are tuples tagged
+# by their first item (see `Evaluator.eval` and `_match`).  Each expression
+# evaluated costs one step, checked before the node is evaluated.  A call
+# nests unless it is in tail position: the body of a function applied to
+# all of its remaining arguments, or a branch of an `if` or a `match` in
+# tail position.  More than `depth_limit` nested calls fail.
+
+EVAL_ARITY = {"+": 2, "-": 2, "<0x": 2, "=0x": 2, "&&": 2, "~~": 1, "=": 2, "fst": 1, "snd": 1}
+
+
+class Failure(Exception):
+    def __init__(self, kind: str, message: str):
+        super().__init__(message)
+        self.kind = kind
+        self.message = message
+
+
+def _error(message: str) -> Failure:
+    return Failure("EvalError", message)
+
+
+@dataclass(frozen=True)
+class Con:
+    name: str
+    args: tuple = ()
+
+
+@dataclass
+class Fn:
+    params: list
+    body: tuple
+    vars: dict
+    quals: dict
+
+
+@dataclass(frozen=True)
+class Builtin:
+    name: str
+
+
+class Evaluator:
+    """Builds the collections of a plain unit, then evaluates expressions."""
+
+    def __init__(self, unit: dict, step_limit: int, depth_limit: int):
+        self.unit = unit
+        self.step_limit = step_limit
+        self.depth_limit = depth_limit
+        self.steps = 0
+        self.depth = 0
+        self.collections: dict[str, dict] = {}
+        for name in unit["collections"]:
+            ext = unit["extractions"][name]
+            args = [self._atom(a, {}, {}, {}) for a in ext["comp_args"]]
+            record = self._create(ext["species"], args)
+            self.collections[name] = {
+                m: record[m] for m, logical in ext["methods"] if not logical
+            }
+
+    def _create(self, species: str, args: list) -> dict:
+        plan = self.unit["creators"][species]
+        kept = [tag for tag, logical in plan["outer"] if not logical]
+        if len(kept) != len(args):
+            raise _error(
+                f"{species} needs {len(kept)} effective argument(s), got {len(args)}"
+            )
+        vars_: dict = {}
+        quals: dict = {}
+        for tag, v in zip(kept, args):
+            self._bind(tag, v, vars_, quals)
+        locals_: dict = {}
+        for name, gen, logical in plan["locals"]:
+            if gen is None or logical:
+                continue
+            g_species, g_method, comp_args = gen
+            vals = [self._atom(a, vars_, quals, locals_) for a in comp_args]
+            gp = self.unit["generators"][g_species, g_method]
+            locals_[name] = self._instantiate(gp, vals)
+        return locals_
+
+    def _bind(self, tag: tuple, v, vars_: dict, quals: dict) -> None:
+        match tag:
+            case ("param_method", p, m):
+                quals[(p, m)] = v
+            case ("param_entity", x) | ("self_method", x):
+                vars_[x] = v
+            case _:
+                raise _error(f"cannot bind argument {tag!r}")
+
+    def _instantiate(self, gp: dict, vals: list):
+        vars_: dict = {}
+        quals: dict = {}
+        kept = [tag for tag, abstract, logical in gp["lifts"] if abstract and not logical]
+        assert len(kept) == len(vals)
+        for tag, v in zip(kept, vals):
+            self._bind(tag, v, vars_, quals)
+        if not gp["params"]:
+            return self.eval(gp["body"], vars_, quals)
+        fn = Fn(list(gp["params"]), gp["body"], vars_, quals)
+        if gp["rec"]:
+            vars_[gp["method"]] = fn
+        return fn
+
+    def _atom(self, a: tuple, vars_: dict, quals: dict, locals_: dict):
+        match a:
+            case ("param_method", p, m):
+                return quals[(p, m)]
+            case ("entity_expr", e):
+                return self.eval(e, vars_, quals)
+            case ("self_method", m):
+                return locals_[m]
+            case ("coll_method", c, m):
+                return self.collections[c][m]
+            case _:
+                raise _error(f"cannot evaluate argument {a!r}")
+
+    def eval(self, e: tuple, vars_: dict, quals: dict, tail: bool = False):
+        self.steps += 1
+        if self.steps > self.step_limit:
+            raise Failure("StepLimit", f"step limit of {self.step_limit} exceeded")
+        ev = lambda x: self.eval(x, vars_, quals)
+        branch = lambda x: self.eval(x, vars_, quals, tail)
+        match e:
+            case ("lit", v):
+                return v
+            case ("var", name):
+                if name in vars_:
+                    return vars_[name]
+                if name in EVAL_ARITY:
+                    return Builtin(name)
+                raise _error(f"unbound name {name}")
+            case ("qual", coll, name):
+                if (coll, name) in quals:
+                    return quals[(coll, name)]
+                if coll not in self.collections:
+                    raise _error(f"unknown collection {coll}")
+                if name not in self.collections[coll]:
+                    raise _error(f"{coll} has no method {name}")
+                return self.collections[coll][name]
+            case ("con", name, args):
+                return Con(name, tuple(ev(a) for a in args))
+            case ("call", callee, args):
+                f = ev(callee)
+                args = [ev(a) for a in args]
+                if tail:
+                    return self.apply(f, args)
+                self.depth += 1
+                try:
+                    if self.depth > self.depth_limit:
+                        raise Failure(
+                            "DepthLimit",
+                            f"depth limit of {self.depth_limit} nested calls exceeded",
+                        )
+                    return self.apply(f, args)
+                finally:
+                    self.depth -= 1
+            case ("tuple", items):
+                return tuple(ev(i) for i in items)
+            case ("unop", op, x):
+                return builtin(op, [ev(x)])
+            case ("binop", op, left, right):
+                return builtin(op, [ev(left), ev(right)])
+            case ("if", cond, then, orelse):
+                c = ev(cond)
+                if not isinstance(c, bool):
+                    raise _error("condition is not a boolean")
+                return branch(then if c else orelse)
+            case ("match", scrutinee, arms):
+                v = ev(scrutinee)
+                for pat, body in arms:
+                    bound: dict = {}
+                    if _match(pat, v, bound):
+                        return self.eval(body, {**vars_, **bound}, quals, tail)
+                raise _error("no pattern matched the value")
+            case ("other", kind):
+                raise _error(f"cannot evaluate {kind}")
+        raise AssertionError(e)
+
+    def apply(self, f, args: list):
+        while args:
+            if isinstance(f, Fn):
+                n = len(f.params)
+                if len(args) < n:
+                    bound = {**f.vars, **dict(zip(f.params, args))}
+                    return Fn(f.params[len(args):], f.body, bound, f.quals)
+                bound = {**f.vars, **dict(zip(f.params, args[:n]))}
+                tail = len(args) == n
+                f, args = self.eval(f.body, bound, f.quals, tail), args[n:]
+            elif isinstance(f, Builtin):
+                arity = EVAL_ARITY[f.name]
+                if len(args) < arity:
+                    raise _error(f"partial application of builtin {f.name}")
+                f, args = builtin(f.name, args[:arity]), args[arity:]
+            else:
+                raise _error("value is not a function")
+        return f
+
+
+def builtin(name: str, args: list):
+    if name in ("+", "-", "<0x", "=0x"):
+        a, b = args
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in args):
+            raise _error(f"{name} expects integers")
+        return {"+": a + b, "-": a - b, "<0x": a < b, "=0x": a == b}[name]
+    if name == "&&":
+        if not all(isinstance(x, bool) for x in args):
+            raise _error("&& expects booleans")
+        return args[0] and args[1]
+    if name == "~~":
+        if not isinstance(args[0], bool):
+            raise _error("~~ expects a boolean")
+        return not args[0]
+    if name == "=":
+        return args[0] == args[1]
+    if name in ("fst", "snd"):
+        t = args[0]
+        if not isinstance(t, tuple) or len(t) != 2:
+            raise _error(f"{name} expects a pair")
+        return t[0] if name == "fst" else t[1]
+    raise _error(f"unknown builtin {name}")
+
+
+def _match(p: tuple, v, bound: dict) -> bool:
+    match p:
+        case ("wild",):
+            return True
+        case ("pvar", name):
+            bound[name] = v
+            return True
+        case ("pcon", name, args):
+            if not isinstance(v, Con) or v.name != name or len(args) != len(v.args):
+                return False
+            return all(_match(a, w, bound) for a, w in zip(args, v.args))
+        case ("ptuple", items):
+            if not isinstance(v, tuple) or len(v) != len(items):
+                return False
+            return all(_match(i, w, bound) for i, w in zip(items, v))
+    return False
+
+
+def show(v) -> str:
+    """A value as `focml eval` prints it."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, str):
+        return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(v, tuple):
+        return "(" + ", ".join(show(i) for i in v) + ")"
+    if isinstance(v, Con):
+        if not v.args:
+            return v.name
+        return f"{v.name} (" + ", ".join(show(a) for a in v.args) + ")"
+    return "<fun>"

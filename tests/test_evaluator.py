@@ -1,10 +1,15 @@
 """Concrete evaluation of collection methods."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from focml import compile_source
 from focml.errors import EvalFailure
-from focml.evaluator import eval_call
+from focml.evaluator import MAX_DEPTH, BuiltinFn, Interpreter, eval_call
 
 import oracles
 
@@ -89,6 +94,84 @@ def test_deep_recursion_fails_cleanly_with_a_large_budget():
 def test_step_limit_not_charged_to_innocent_calls():
     cu = compile_source(COUNTER)
     assert eval_call(cu, "Cnt!down (3)", step_limit=5000) == "0"
+
+
+DEEP = """
+species Deep =
+  representation = int ;
+  let rec sum (n : int) : int =
+    if n = 0 then 0 else n + sum (n - 1) ;
+  let rec grow (n : int) : int = 1 + grow (n + 1) ;
+end ;;
+
+collection D = implement Deep ;;
+"""
+
+
+def test_tail_recursion_takes_no_stack():
+    cu = compile_source(COUNTER)
+    assert eval_call(cu, "Cnt!down (100000)") == "0"
+
+
+def test_non_tail_recursion_ten_thousand_deep():
+    cu = compile_source(DEEP)
+    assert eval_call(cu, "D!sum (10000)") == "50005000"
+
+
+def test_runaway_non_tail_recursion_hits_the_depth_limit():
+    cu = compile_source(DEEP)
+    with pytest.raises(EvalFailure) as ei:
+        eval_call(cu, "D!grow (0)")
+    assert ei.value.kind == "DepthLimit"
+    assert ei.value.message == f"depth limit of {MAX_DEPTH} nested calls exceeded"
+
+
+def test_depth_limit_through_the_cli_is_a_diagnostic(tmp_path):
+    src = tmp_path / "deep.fcl"
+    src.write_text(DEEP)
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "focml.cli", "eval", str(src), "--call", "D!grow (0)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "error: DepthLimit:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+CURRY = """
+species Curry =
+  representation = int ;
+  let add (x : int, y : int) : int = x + y ;
+  let inc (x : int) : int -> int = add (x) ;
+  let twice (x : int) : int = inc (x, x) ;
+  let same (x : int) : bool = inc (x) = add (x) ;
+end ;;
+
+collection Cu = implement Curry ;;
+"""
+
+
+def test_partial_and_over_application():
+    cu = compile_source(CURRY)
+    assert eval_call(cu, "Cu!add (2)") == "<fun>"
+    assert eval_call(cu, "Cu!inc (2)") == "<fun>"
+    assert eval_call(cu, "Cu!twice (21)") == "42"
+    # partial applications of one function to equal arguments are equal
+    assert eval_call(cu, "Cu!same (3)") == "true"
+
+
+def test_partially_applied_builtin_is_an_eval_error():
+    interp = Interpreter(compile_source(CURRY))
+    with pytest.raises(EvalFailure) as ei:
+        interp.apply(BuiltinFn("+"), [1])
+    assert (ei.value.kind, ei.value.message) == (
+        "EvalError", "partial application of builtin +"
+    )
+    assert interp.apply(BuiltinFn("+"), [1, 2]) == 3
+    assert interp.depth == 0
 
 
 # ---------------------------------------------------------------------------

@@ -11,18 +11,26 @@ from __future__ import annotations
 import copy
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import pytest
 
-from focml import compile_source, driver
+from focml import compile_source, driver, evaluator
+from focml.ast import (
+    BinOp, BoolLit, Call, ConRef, Eq, If, IntLit, Match, PCon, PTuple, PVar,
+    PWild, Qual, StrLit, TCon, TTuple, TupleExpr, UnOp, Var,
+)
 from focml.deps import scan_species, type_level_refs
 from focml.emit import emit_comp, emit_logical
-from focml.errors import CompileError
+from focml.errors import CompileError, EvalFailure
+from focml.evaluator import Interpreter, Scope, format_value
+from focml.parser import parse_expr_text
 from focml.pretty import expr_to_source, type_to_source
 
 import oracles
+from test_evaluator import COUNTER
 
 SEED = 271828
 N_GENERAL = 240
@@ -582,6 +590,231 @@ def run_carry_suite(units) -> int:
     return cases
 
 
+def plain_expr(e) -> tuple:
+    """An expression as the tagged tuples `oracles.Evaluator` walks."""
+    match e:
+        case IntLit(v) | BoolLit(v) | StrLit(v):
+            return ("lit", v)
+        case Var(name):
+            return ("var", name)
+        case Qual(coll, name):
+            return ("qual", coll, name)
+        case ConRef(name, args):
+            return ("con", name, [plain_expr(a) for a in args])
+        case Call(callee, args):
+            return ("call", plain_expr(callee), [plain_expr(a) for a in args])
+        case TupleExpr(items):
+            return ("tuple", [plain_expr(i) for i in items])
+        case UnOp(op, x):
+            return ("unop", op, plain_expr(x))
+        case BinOp(op, left, right):
+            return ("binop", op, plain_expr(left), plain_expr(right))
+        case Eq(left, right):
+            return ("binop", "=", plain_expr(left), plain_expr(right))
+        case If(c, t, o):
+            return ("if", plain_expr(c), plain_expr(t), plain_expr(o))
+        case Match(scrutinee, arms):
+            return (
+                "match",
+                plain_expr(scrutinee),
+                [(plain_pattern(p), plain_expr(b)) for p, b in arms],
+            )
+    return ("other", type(e).__name__)
+
+
+def plain_pattern(p) -> tuple:
+    match p:
+        case PWild():
+            return ("wild",)
+        case PVar(name):
+            return ("pvar", name)
+        case PCon(name, args):
+            return ("pcon", name, [plain_pattern(a) for a in args])
+        case PTuple(items):
+            return ("ptuple", [plain_pattern(i) for i in items])
+    return ("other",)
+
+
+def plain_atoms(atoms) -> list[tuple]:
+    return [
+        ("entity_expr", plain_expr(a[1])) if a[0] == "entity_expr" else a
+        for a in atoms
+    ]
+
+
+def plain_unit(cu) -> dict:
+    """What the evaluator reads of a compiled unit, as plain data."""
+    creators, generators = {}, {}
+    for sname, plan in cu.plans.items():
+        for m, gp in plan.generators.items():
+            if gp.kind != "let":
+                continue
+            generators[sname, m] = {
+                "lifts": [(l.tag, l.abstract, l.logical) for l in gp.lifts],
+                "params": [n for n, _ in gp.value_params],
+                "rec": gp.rec,
+                "method": gp.method,
+                "body": plain_expr(gp.body),
+            }
+        if plan.create is None:
+            continue
+        nf = cu.species[sname]
+        creators[sname] = {
+            "outer": [(l.tag, l.logical) for l in plan.create.outer],
+            "locals": [
+                (
+                    d.name,
+                    None if d.gen is None else (
+                        d.gen.species, d.gen.method, plain_atoms(d.gen.comp_args)
+                    ),
+                    d.gen is not None and nf.methods[d.name].is_logical,
+                )
+                for d in plan.create.locals
+            ],
+        }
+    return {
+        "collections": [n for k, n in cu.decl_order if k == "collection"],
+        "extractions": {
+            n: {
+                "species": ext.species,
+                "comp_args": plain_atoms(ext.comp_args),
+                "methods": list(ext.methods),
+            }
+            for n, ext in cu.extractions.items()
+        },
+        "creators": creators,
+        "generators": generators,
+    }
+
+
+EVAL_STEPS = 150  # small enough that a share of the calls runs out
+
+
+def arg_text(rng, ty, cu, depth: int = 0) -> str:
+    """A literal of type ty where it is a base type, a tuple or a union;
+    any literal otherwise."""
+    match ty:
+        case TCon("int"):
+            return int_text(rng)
+        case TCon("bool"):
+            return rng.choice(["true", "false"])
+        case TCon("string"):
+            return '"s"'
+        case TTuple(items):
+            return "(" + ", ".join(arg_text(rng, t, cu, depth) for t in items) + ")"
+        case TCon(name):
+            cons = [(c, args) for c, (u, args) in cu.constructors.items() if u == name]
+            if cons:
+                inner = [c for c in cons if c[1]]
+                if depth < 6 and inner and rng.random() < 0.75:
+                    con, args = rng.choice(inner)
+                    items = [arg_text(rng, t, cu, depth + 1) for t in args]
+                    return f"{con} ({', '.join(items)})"
+                return rng.choice([c for c, args in cons if not args] or [int_text(rng)])
+    return rng.choice([int_text(rng), "true", "(3, 4)"])
+
+
+def int_text(rng) -> str:
+    n = rng.randint(-2, 12)
+    return str(n) if n >= 0 else f"0 - {-n}"  # no negative literals
+
+
+def calls_of(rng, cu, per_method: int) -> list[str]:
+    """Seeded calls of every computational method of every collection."""
+    out = []
+    for cname in cu.collections:
+        gens = {
+            d.name: d.gen
+            for d in cu.plans[cu.extractions[cname].species].create.locals
+            if d.gen is not None
+        }
+        for m, logical in cu.extractions[cname].methods:
+            if logical:
+                continue
+            gen = gens[m]
+            gp = cu.plans[gen.species].generators[gen.method]
+            for _ in range(per_method if gp.value_params else 1):
+                args = [arg_text(rng, t, cu) for _, t in gp.value_params]
+                out.append(f"{cname}!{m}" + (f" ({', '.join(args)})" if args else ""))
+    return out
+
+
+def outcome(run, steps):
+    """("value", text, steps) or (kind, message, steps) for one run."""
+    try:
+        text = run()
+    except (EvalFailure, oracles.Failure) as err:
+        return (err.kind, err.message, steps())
+    return ("value", text, steps())
+
+
+PEANO = """
+type nat_t = | Zero | Succ (nat_t) ;;
+type tree_t = | Leaf | Node (tree_t, int, tree_t) ;;
+
+species Peano =
+  representation = int ;
+  let rec build (n : int, acc : nat_t) : nat_t =
+    if n <0x 1 then acc else build (n - 1, Succ (acc)) ;
+  let rec count (v : nat_t, acc : int) : int =
+    match v with | Zero -> acc | Succ (p) -> count (p, acc + 1) ;
+  let rec height (v : nat_t) : int =
+    match v with | Zero -> 0 | Succ (p) -> 1 + height (p) ;
+  let size (n : int) : int = count (build (n, Zero), 0) ;
+  let rec total (t : tree_t) : int =
+    match t with
+    | Leaf -> 0
+    | Node (Leaf, x, r) -> x + total (r)
+    | Node (l, x, _) -> total (l) - x ;
+  let swap (p : int * bool) : bool * int = match p with | (x, y) -> (y, x) ;
+  let one (v : nat_t) : bool = match v with | Succ (Zero) -> true | _ -> false ;
+  let add (x : int, y : int) : int = x + y ;
+  let inc (x : int) : int -> int = add (x) ;
+  let twice (x : int) : int = inc (x, x) ;
+  let thrice (x : int) : int = x + inc (x, x) ;
+  let same (x : int) : bool = inc (x) = add (x) ;
+  let two : int = match Succ (Succ (Zero)) with | Succ (p) -> 1 + height (p) | _ -> 0 ;
+end ;;
+
+collection Pe = implement Peano ;;
+collection Pe2 = implement Peano ;;
+"""
+
+
+def run_eval_suite(cus, per_method: int, depth_limit: int) -> Counter:
+    """Each call's value or failure, and its step count, against the
+    reference evaluator; counts the outcomes by kind."""
+    rng = random.Random(SEED + 2)
+    kinds: Counter = Counter()
+    for cu in cus:
+        plain = plain_unit(cu)
+        interp = Interpreter.__new__(Interpreter)  # steps stay readable if
+        oracle = oracles.Evaluator.__new__(oracles.Evaluator)  # a build fails
+        got = outcome(lambda: Interpreter.__init__(interp, cu, EVAL_STEPS), lambda: interp.steps)
+        want = outcome(
+            lambda: oracles.Evaluator.__init__(oracle, plain, EVAL_STEPS, depth_limit),
+            lambda: oracle.steps,
+        )
+        assert got == want, plain["collections"]
+        if got[0] != "value":
+            continue
+        built = interp.steps
+        for call in calls_of(rng, cu, per_method):
+            expr = parse_expr_text(call)
+            interp.steps = oracle.steps = built
+            got = outcome(
+                lambda: format_value(interp.eval(expr, Scope())), lambda: interp.steps
+            )
+            want = outcome(
+                lambda: oracles.show(oracle.eval(plain_expr(expr), {}, {})),
+                lambda: oracle.steps,
+            )
+            assert got == want, call
+            assert interp.depth == 0
+            kinds[got[0]] += 1
+    return kinds
+
+
 # ---------------------------------------------------------------------------
 # The tests themselves
 
@@ -623,3 +856,16 @@ def test_plans_record_erasure_by_content(general_units, complete_units):
 
 def test_carried_analysis_equals_a_full_retype(general_units, complete_units):
     assert run_carry_suite(general_units + complete_units) >= 1000
+
+
+def test_evaluator_agrees_with_the_reference(complete_units, monkeypatch):
+    cus = [u.cu for u in complete_units] + data_units()
+    cus += [compile_source(COUNTER), compile_source(PEANO)]
+    kinds = run_eval_suite(cus, 3, evaluator.MAX_DEPTH)
+    assert kinds.total() >= 1000
+    assert kinds["value"] and kinds["StepLimit"] and kinds["EvalError"]
+    # a depth limit this low fails every nested call past the second, so
+    # any disagreement about which calls are in tail position shows
+    monkeypatch.setattr(evaluator, "MAX_DEPTH", 2)
+    kinds = run_eval_suite(cus, 3, 2)
+    assert kinds["value"] and kinds["DepthLimit"]
