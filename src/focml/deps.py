@@ -5,14 +5,16 @@ method references, validates proof facts, and fixes the global method order
 (a topological sort of the decl-dependency graph, tie-broken by where each
 method first received a definition and then by name).  The semantic pass runs
 after typing and derives the visible universe, the minimal typing
-environment, and per-parameter dependencies for every method.
+environment, and per-parameter dependencies for every method.  Methods an
+heir inherits unchanged keep the sets scanned and finished in the species
+that computed them.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .ast import (
     Expr,
@@ -400,9 +402,6 @@ def scan_species(nf: NFSpecies, deps_env: dict[str, SpeciesDeps]) -> SpeciesDeps
                 nf.methods[name].pos,
                 witness=hit,
             )
-    defs = {n: sd.methods[n].defs for n in sd.methods}
-    for name, md in sd.methods.items():
-        md.closure = def_closure(defs, name)
     return sd
 
 
@@ -416,28 +415,34 @@ def finish_deps(
     species_env: dict[str, NFSpecies],
     deps_env: dict[str, SpeciesDeps],
 ) -> None:
-    type_refs = {
-        n: type_level_refs(mi, nf) for n, mi in nf.methods.items()
-    }
+    """Semantic pass.  A carried method takes its finished entry from the
+    species that last computed it when nothing the finish reads differs
+    here (`_carried_finish`); `min_env` always follows this species' order."""
+    index = {m: i for i, m in enumerate(sd.order)}
+    defs = {n: md.defs for n, md in sd.methods.items()}
+    type_refs: dict[str, set[str]] = {}
     for name, md in sd.methods.items():
         mi = nf.methods[name]
+        done = _carried_finish(nf, name, mi, species_env, deps_env)
+        if done is not None:
+            sd.methods[name] = replace(done, min_env=_min_env(done, index))
+            continue
+        md.closure = def_closure(defs, name)
         u = set(md.decl) | md.closure
         while True:
             grown = set(u)
             for z in md.closure:
                 grown |= sd.methods[z].decl
             for y in u:
+                if y not in type_refs:
+                    type_refs[y] = type_level_refs(nf.methods[y], nf)
                 grown |= type_refs[y]
             if grown == u:
                 break
             u = grown
         u.discard(name)
         md.universe = u
-        md.min_env = [
-            (y, "TypeAndBody" if y in md.closure else "TypeOnly")
-            for y in sd.order
-            if y in u
-        ]
+        md.min_env = _min_env(md, index)
         carrier_def = mi.carrier_def or any(
             nf.methods[z].carrier_def for z in md.closure
         )
@@ -448,17 +453,60 @@ def finish_deps(
             md.carrier_keep = "TypeAndBody"
         elif carrier_decl:
             md.carrier_keep = "TypeOnly"
-        _param_deps(nf, sd, md, mi, species_env, deps_env)
+        _param_deps(nf, md, mi, species_env, deps_env)
+        mi.finished_in = nf.name
+
+
+def _min_env(md: MethodDeps, index: dict[str, int]) -> list[tuple[str, str]]:
+    return [
+        (y, "TypeAndBody" if y in md.closure else "TypeOnly")
+        for y in sorted(md.universe, key=index.__getitem__)
+    ]
+
+
+def _carried_finish(
+    nf: NFSpecies,
+    name: str,
+    mi: MethodInfo,
+    species_env: dict[str, NFSpecies],
+    deps_env: dict[str, SpeciesDeps],
+) -> MethodDeps | None:
+    """The finished entry of a carried method in the species that computed
+    it, if it holds here too.  The parameters must be the same (names,
+    kinds, interfaces, carriers).  The method and every name in its universe
+    (which holds its closure) must come from the same analysis, and by the
+    same renaming: a renamed copy gets a new scheme (lets, signatures) or a
+    new statement (properties, theorems)."""
+    if not mi.carried:
+        return None
+    assert mi.finished_in is not None
+    src = species_env[mi.finished_in]
+    if src.params != nf.params:
+        return None
+    done = deps_env[src.name].methods[name]
+    for y in (name, *done.universe):
+        a, b = nf.methods[y], src.methods[y]
+        if not (
+            a.scanned_in == b.scanned_in
+            and a.scheme is b.scheme
+            and a.statement is b.statement
+        ):
+            return None
+    # The representation comes down the same renaming, and an heir cannot
+    # replace one it inherits, so a body that unfolds it still sees it.
+    assert done.carrier_keep != "TypeAndBody" or src.rep_resolved == nf.rep_resolved
+    return done
 
 
 def _param_deps(
     nf: NFSpecies,
-    sd: SpeciesDeps,
     md: MethodDeps,
     mi: MethodInfo,
     species_env: dict[str, NFSpecies],
     deps_env: dict[str, SpeciesDeps],
 ) -> None:
+    if not nf.params:
+        return
     is_params = {p.name: p for p in nf.is_params}
     entity_params = {p.name: p for p in nf.entity_params}
 

@@ -612,20 +612,40 @@ def _never(v, frame) -> bool:
 
 
 def format_value(v: Value) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, str):
-        escaped = v.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(v, tuple):
-        return "(" + ", ".join([format_value(i) for i in v]) + ")"
-    if isinstance(v, VCon):
-        if not v.args:
-            return v.name
-        return f"{v.name} (" + ", ".join([format_value(a) for a in v.args]) + ")"
-    return "<fun>"
+    """Source text of a value.  An explicit stack writes every piece once,
+    so the time is linear in the size of the value, whatever its depth."""
+    out: list[str] = []
+    todo: list[tuple[bool, object]] = [(True, v)]  # (is a value, value or text)
+
+    def group(items: tuple) -> None:
+        out.append("(")
+        todo.append((False, ")"))
+        for k in range(len(items) - 1, -1, -1):
+            todo.append((True, items[k]))
+            if k:
+                todo.append((False, ", "))
+
+    while todo:
+        is_value, x = todo.pop()
+        if not is_value:
+            out.append(x)
+        elif isinstance(x, bool):
+            out.append("true" if x else "false")
+        elif isinstance(x, int):
+            out.append(str(x))
+        elif isinstance(x, str):
+            escaped = x.replace("\\", "\\\\").replace('"', '\\"')
+            out.append(f'"{escaped}"')
+        elif isinstance(x, tuple):
+            group(x)
+        elif isinstance(x, VCon):
+            out.append(x.name)
+            if x.args:
+                out.append(" ")
+                group(x.args)
+        else:
+            out.append("<fun>")
+    return "".join(out)
 
 
 def eval_call(cu, source: str, step_limit: int = STEP_LIMIT_DEFAULT) -> str:

@@ -83,6 +83,7 @@ class MethodInfo:
     carrier_decl: bool = False
     carrier_def: bool = False
     scanned_in: str | None = None  # species whose deps hold decl/def sets
+    finished_in: str | None = None  # species whose deps hold the finish
     # `carried` is set on inheritance and cleared where the species changes
     # what the analysis reads: the results above came from an ancestor and
     # still hold here, so the species skips typing and scanning the method.
@@ -405,6 +406,7 @@ def _adopt_definition(cur: MethodInfo, inc: MethodInfo) -> None:
     cur.carrier_decl = inc.carrier_decl
     cur.carrier_def = inc.carrier_def
     cur.scanned_in = inc.scanned_in
+    cur.finished_in = inc.finished_in
     cur.valid_proof = inc.valid_proof
     cur.carried = (
         inc.carried

@@ -22,11 +22,17 @@ from .lexer import Token, tokenize
 
 _FACT_KEYWORDS = ("definition", "property", "hypothesis", "step", "type")
 
+# Expressions, types, patterns and proof steps nest at most this deep.  Each
+# level takes up to 13 Python frames, so the limit keeps a parse well inside
+# Python's default recursion limit of 1,000.
+MAX_NESTING = 64
+
 
 class Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0  # nesting levels open; see `enter`
 
     # -- token plumbing -----------------------------------------------------
 
@@ -53,6 +59,17 @@ class Parser:
             want = what or f"'{kind}'"
             raise CompileError(SYNTAX, f"expected {want}, found {tok.value or tok.kind!r}", tok.pos)
         return self.next()
+
+    def enter(self, opener: Token | None = None) -> None:
+        """Open one nesting level; the caller closes it with `depth -= 1`.
+        Past `MAX_NESTING` levels it is a syntax error at the opening token,
+        by default the token just consumed.  An error ends the parse, so no
+        level needs closing."""
+        if self.depth == MAX_NESTING:
+            tok = opener or self.tokens[max(self.i - 1, 0)]
+            raise CompileError(
+                SYNTAX, f"nested more than {MAX_NESTING} levels deep", tok.pos)
+        self.depth += 1
 
     def ident(self, what: str = "a name") -> Token:
         return self.expect("ident", what)
@@ -266,9 +283,11 @@ class Parser:
     # -- types --------------------------------------------------------------
 
     def parse_type(self) -> Type:
+        self.enter()
         t = self.parse_type_product()
         if self.accept("->"):
-            return TArrow(t, self.parse_type())
+            t = TArrow(t, self.parse_type())
+        self.depth -= 1
         return t
 
     def parse_type_product(self) -> Type:
@@ -300,6 +319,12 @@ class Parser:
     # -- expressions ----------------------------------------------------------
 
     def parse_expr(self) -> Expr:
+        self.enter()
+        e = self.parse_expr_level()
+        self.depth -= 1
+        return e
+
+    def parse_expr_level(self) -> Expr:
         tok = self.peek()
         match tok.kind:
             case "all" | "ex":
@@ -337,6 +362,12 @@ class Parser:
         return Match(scrutinee, arms, pos=pos)
 
     def parse_pattern(self) -> Pattern:
+        self.enter()
+        p = self.parse_pattern_level()
+        self.depth -= 1
+        return p
+
+    def parse_pattern_level(self) -> Pattern:
         tok = self.peek()
         match tok.kind:
             case "ident":
@@ -385,7 +416,10 @@ class Parser:
     def parse_negation(self) -> Expr:
         if self.at("~"):
             pos = self.next().pos
-            return Not(self.parse_negation(), pos=pos)
+            self.enter()
+            e = Not(self.parse_negation(), pos=pos)
+            self.depth -= 1
+            return e
         return self.parse_equality()
 
     def parse_equality(self) -> Expr:
@@ -419,7 +453,10 @@ class Parser:
     def parse_unary(self) -> Expr:
         if self.at("~~"):
             pos = self.next().pos
-            return UnOp("~~", self.parse_unary(), pos=pos)
+            self.enter()
+            e = UnOp("~~", self.parse_unary(), pos=pos)
+            self.depth -= 1
+            return e
         return self.parse_application()
 
     def parse_application(self) -> Expr:
@@ -585,7 +622,9 @@ class Parser:
             if nxt.kind in ("by", "admitted"):
                 step.sub = self.parse_leaf(sibling_labels=seen)
             elif nxt.kind == "bullet" and nxt.bullet[0] == depth + 1:
+                self.enter(nxt)
                 step.sub = self.parse_steps(depth + 1)
+                self.depth -= 1
             elif nxt.kind == "bullet" and nxt.bullet[0] > depth + 1:
                 raise CompileError(PROOF, f"step depth jumps from <{depth}> to <{nxt.bullet[0]}>", nxt.pos)
             else:

@@ -1,10 +1,14 @@
 """End-to-end runs of the command line driver."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import data
+from conftest import DATA, data
 
 from focml import compile_files, deps_view, load_deps_report
 from focml.cli import main
@@ -98,6 +102,11 @@ def test_deps_json_round_trips(capsys, tmp_path):
     assert code == 0
     loaded = load_deps_report(json.loads(out_path.read_text()))
     assert loaded == deps_view(compile_files(EXAMPLE))
+
+
+def test_deps_matches_the_golden_report(capsys):
+    _, out, _ = run(capsys, "deps", *EXAMPLE)
+    assert out == (DATA / "example_deps.json").read_text()
 
 
 def test_deps_to_stdout_is_deterministic(capsys):
@@ -213,3 +222,31 @@ def test_default_color_follows_tty(capsys, monkeypatch):
     monkeypatch.delenv("FOCML_COLOR", raising=False)
     _, _, err = run(capsys, "check", *data("wrong.fcl"))
     assert "\x1b[" not in err  # captured stderr is not a tty
+
+
+# ---------------------------------------------------------------------------
+# limits
+
+
+def focml(*argv: str) -> subprocess.CompletedProcess:
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "focml.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_deep_nesting_is_a_syntax_error_not_a_traceback(tmp_path):
+    deep = tmp_path / "deep.fcl"
+    body = "(" * 3000 + "x" + ")" * 3000
+    deep.write_text(f"species S =\n  let f (x : int) : int = {body} ;\nend ;;\n")
+    call = "(" * 3000 + "1" + ")" * 3000
+    for proc in (
+        focml("check", str(deep)),
+        focml("eval", *EXAMPLE, "--call", call),
+    ):
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "error: SyntaxError: nested more than 64 levels deep" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -3,13 +3,16 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from focml import compile_source
 from focml.errors import EvalFailure
-from focml.evaluator import MAX_DEPTH, BuiltinFn, Interpreter, eval_call
+from focml.evaluator import (
+    MAX_DEPTH, BuiltinFn, Interpreter, VCon, eval_call, format_value,
+)
 
 import oracles
 
@@ -226,3 +229,26 @@ collection Bx = implement Boxer ;;
 
 def test_string_values_are_quoted(example_cu):
     assert eval_call(example_cu, "IntC!id").startswith('"')
+
+
+def test_format_value_is_linear_in_the_depth_of_a_value():
+    def succ_chain(n: int) -> VCon:
+        v = VCon("Zero")
+        for _ in range(n):
+            v = VCon("Succ", (v,))
+        return v
+
+    def best_time(v) -> float:
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            text = format_value(v)
+            best = min(best, time.perf_counter() - start)
+        return best, text
+
+    small, text = best_time(succ_chain(10_000))
+    assert text == "Succ (" * 10_000 + "Zero" + ")" * 10_000
+    large, text = best_time(succ_chain(40_000))
+    assert text == "Succ (" * 40_000 + "Zero" + ")" * 40_000
+    # four times the depth: linear takes about 4x, quadratic about 16x
+    assert large < 8 * small

@@ -9,20 +9,24 @@ generated cases.
 from __future__ import annotations
 
 import copy
+import importlib.util
 import random
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import pytest
 
-from focml import compile_source, driver, evaluator
+from focml import compile_source, compile_unit, driver, evaluator
 from focml.ast import (
     BinOp, BoolLit, Call, ConRef, Eq, If, IntLit, Match, PCon, PTuple, PVar,
     PWild, Qual, StrLit, TCon, TTuple, TupleExpr, UnOp, Var,
 )
-from focml.deps import scan_species, type_level_refs
+from focml.deps import (
+    MethodDeps, SpeciesDeps, finish_deps, scan_species, type_level_refs,
+)
 from focml.emit import emit_comp, emit_logical
 from focml.errors import CompileError, EvalFailure
 from focml.evaluator import Interpreter, Scope, format_value
@@ -590,6 +594,106 @@ def run_carry_suite(units) -> int:
     return cases
 
 
+# Heirs that keep every inherited method carried but change what the finish
+# of its dependencies reads: the interface, the set or the order of the
+# parameters, the renaming a diamond brings the methods in with (`Cross`),
+# the definition of a declared method (`Merged` takes `y` from `Def`, whose
+# body unfolds the representation), or the order of the lineage (`Late`
+# ranks `z` before `y`).
+FINISH_EDGES = """
+species Ord =
+  signature lt : Self -> Self -> bool ;
+  signature eq : Self -> Self -> bool ;
+end ;;
+
+species OrdEq =
+  inherit Ord ;
+  let eq (x, y) = true ;
+end ;;
+
+species Src (P is Ord, a in P, b in P) =
+  let near (x : P) : bool = P!eq (x, a) && P!lt (x, b) ;
+  let far (x : P) : bool = ~~ (near (x)) ;
+end ;;
+
+species Iface (P is OrdEq, a in P, b in P) = inherit Src (P, a, b) ; end ;;
+species Added (P is Ord, a in P, b in P, Q is Ord) = inherit Src (P, a, b) ; end ;;
+species Swapped (P is Ord, b in P, a in P) = inherit Src (P, a, b) ; end ;;
+
+species Two (P is Ord, Q is Ord) =
+  let onP (x : P) : bool = P!lt (x, x) ;
+  let onQ (y : Q) : bool = Q!eq (y, y) ;
+  let both (x : P) : bool = onP (x) ;
+  property irrefl : all x : P, ~ (P!lt (x, x) = true) ;
+end ;;
+
+species Left (P is Ord, Q is Ord) = inherit Two (P, Q) ; end ;;
+species Right (P is Ord, Q is Ord) = inherit Two (P, Q) ; end ;;
+species Cross (P is Ord, Q is Ord) = inherit Right (Q, P), Left (P, Q) ; end ;;
+
+species Decl =
+  representation = int ;
+  signature g : Self -> int ;
+  signature y : int -> int ;
+  let x (n : int) : int = y (n) ;
+end ;;
+species Def = inherit Decl ; let y (n : int) : int = g (n) ; end ;;
+species Merged = inherit Decl, Def ; end ;;
+
+species Ys = let y (n : int) : int = n ; end ;;
+species Zs = let z (n : int) : int = n ; end ;;
+species Both = inherit Ys, Zs ; let x (n : int) : int = y (n) + z (n) ; end ;;
+species Zs2 = inherit Zs ; end ;;
+species Late = inherit Zs2, Both ; end ;;
+"""
+
+
+def workload_units() -> list:
+    """The benchmark's chain, wide and recurse units for seeds 1 to 3, built
+    by its own generators."""
+    root = Path(__file__).parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", root / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look the module up
+    spec.loader.exec_module(workloads)
+    cus = []
+    for generate in workloads.GENERATORS.values():
+        for seed in (1, 2, 3):
+            wl = generate(seed)
+            sources = [(f, (root / f).read_text()) for f in wl.fixed]
+            cus.append(compile_unit(sources + list(wl.files.items())))
+    return cus
+
+
+def run_finish_suite(cus) -> int:
+    """Every carried finished entry against `finish_deps` run again on the
+    same species with nothing carried, field by field, `min_env` order
+    included."""
+    cases = 0
+    for cu in cus:
+        for sname, nf in cu.species.items():
+            sd = cu.deps[sname]
+            full = copy.copy(nf)
+            full.methods = {
+                n: replace(mi, carried=False) for n, mi in nf.methods.items()
+            }
+            fresh = SpeciesDeps(
+                order=sd.order,
+                methods={
+                    n: MethodDeps(decl=md.decl, defs=md.defs)
+                    for n, md in sd.methods.items()
+                },
+                rec_groups=sd.rec_groups,
+            )
+            finish_deps(full, fresh, cu.species, cu.deps)
+            for name, md in sd.methods.items():
+                assert md == fresh.methods[name], (sname, name)
+                cases += nf.methods[name].carried
+    return cases
+
+
 def plain_expr(e) -> tuple:
     """An expression as the tagged tuples `oracles.Evaluator` walks."""
     match e:
@@ -856,6 +960,15 @@ def test_plans_record_erasure_by_content(general_units, complete_units):
 
 def test_carried_analysis_equals_a_full_retype(general_units, complete_units):
     assert run_carry_suite(general_units + complete_units) >= 1000
+
+
+def test_carried_finish_equals_a_full_finish(general_units, complete_units):
+    units = [u.cu for u in general_units + complete_units]
+    assert run_finish_suite(units) >= 1000
+    edges = compile_source(PRELUDE + FINISH_EDGES)
+    assert run_finish_suite([edges]) >= 20
+    assert run_finish_suite(data_units()) >= 10
+    assert run_finish_suite(workload_units()) >= 5000
 
 
 def test_evaluator_agrees_with_the_reference(complete_units, monkeypatch):
