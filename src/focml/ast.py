@@ -166,6 +166,7 @@ class StrLit(Expr):
 @dataclass
 class Var(Expr):
     name: str = ""
+    ref: str | None = field(default=None, compare=False)  # see resolve.py
 
 
 @dataclass
@@ -182,6 +183,7 @@ class Qual(Expr):
 
     coll: str = ""
     name: str = ""
+    ref: str | None = field(default=None, compare=False)  # see resolve.py
 
 
 @dataclass

@@ -18,9 +18,6 @@ from dataclasses import dataclass, field, replace
 
 from .ast import (
     Expr,
-    Match,
-    Proof,
-    ProofLeaf,
     Quant,
     Qual,
     TCap,
@@ -28,68 +25,42 @@ from .ast import (
     Type,
     Var,
     expr_children,
-    pattern_vars,
+    expr_walk,
     type_walk,
 )
 from .basics import BUILTIN_PROPERTIES
 from .errors import CYCLE, PROOF, UNKNOWN, CompileError
 from .hierarchy import MethodInfo, NFSpecies
-from .proofs import iter_leaves, iter_steps
+from .proofs import iter_leaves, iter_steps, unfolded
+from .resolve import ENTITY, METHOD, PARAM
 
 
 # ---------------------------------------------------------------------------
-# Scoped reference scans
+# Reference scans, by the tags `resolve` gave each name
 
 
-def scoped_vars(e: Expr, bound: frozenset[str] = frozenset()):
-    """Yield every Var name not captured by a binder."""
-    match e:
-        case Var(name):
-            if name not in bound:
-                yield name
-        case Quant(_, vars_, _, body):
-            yield from scoped_vars(body, bound | set(vars_))
-        case Match(scrutinee, arms):
-            yield from scoped_vars(scrutinee, bound)
-            for pat, arm in arms:
-                yield from scoped_vars(arm, bound | set(pattern_vars(pat)))
-        case _:
-            for c in expr_children(e):
-                yield from scoped_vars(c, bound)
+def tagged(e: Expr, ref: str) -> set[str]:
+    """Names of the `Var`s in `e` tagged `ref`."""
+    return {x.name for x in expr_walk(e) if isinstance(x, Var) and x.ref == ref}
 
 
-def qual_refs(e: Expr):
-    """Yield every (collection, method) qualified reference."""
-    match e:
-        case Qual(coll, name):
-            yield coll, name
-        case _:
-            for c in expr_children(e):
-                yield from qual_refs(c)
-
-
-def proof_exprs_scoped(proof: Proof, bound: frozenset[str] = frozenset()):
-    """Yield (expr, bound) for every hypothesis statement and goal."""
-    if isinstance(proof, ProofLeaf):
-        return
-    for step in proof.steps:
-        inner = bound | {v for names, _ in step.assumes for v in names}
-        for _, stmt in step.hyps:
-            yield stmt, inner
-        if step.goal is not None:
-            yield step.goal, inner
-        if step.sub is not None:
-            yield from proof_exprs_scoped(step.sub, inner)
+def param_refs(e: Expr) -> list[tuple[str, str]]:
+    """Every (parameter, method) reference to a collection parameter."""
+    quals = (x for x in expr_walk(e) if isinstance(x, Qual))
+    return [(x.coll, x.name) for x in quals if x.ref == PARAM]
 
 
 def _own_exprs(mi: MethodInfo):
-    """(expr, bound) pairs for everything x states or computes itself."""
+    """Everything x states or computes itself."""
     if mi.kind == "let" and mi.body is not None:
-        yield mi.body, frozenset(n for n, _ in mi.params)
+        yield mi.body
     if mi.statement is not None:
-        yield mi.statement, frozenset()
+        yield mi.statement
     if mi.proof is not None:
-        yield from proof_exprs_scoped(mi.proof)
+        for step in iter_steps(mi.proof):
+            yield from (stmt for _, stmt in step.hyps)
+            if step.goal is not None:
+                yield step.goal
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +94,8 @@ class SpeciesDeps:
 
 def decl_deps(mi: MethodInfo, nf: NFSpecies) -> set[str]:
     names: set[str] = set()
-    for e, bound in _own_exprs(mi):
-        names |= {n for n in scoped_vars(e, bound) if n in nf.methods}
+    for e in _own_exprs(mi):
+        names |= tagged(e, METHOD)
     if mi.proof is not None:
         for leaf in iter_leaves(mi.proof):
             for f in leaf.facts:
@@ -172,17 +143,7 @@ def _validated_property(name: str, nf: NFSpecies, pos) -> str:
 def def_deps(mi: MethodInfo, nf: NFSpecies) -> set[str]:
     if mi.kind != "theorem" or mi.proof is None:
         return set()
-    facts = collect_defs(mi.proof)
-    return set(_validated_defs(sorted(facts), nf, mi.pos))
-
-
-def collect_defs(proof: Proof) -> set[str]:
-    out: set[str] = set()
-    for leaf in iter_leaves(proof):
-        for f in leaf.facts:
-            if f.kind == "definition":
-                out.update(f.names)
-    return out
+    return set(_validated_defs(sorted(unfolded(mi.proof)), nf, mi.pos))
 
 
 def def_closure(defs: dict[str, frozenset[str]], x: str) -> set[str]:
@@ -197,11 +158,11 @@ def def_closure(defs: dict[str, frozenset[str]], x: str) -> set[str]:
     return seen
 
 
-def type_level_refs(mi: MethodInfo, nf: NFSpecies) -> set[str]:
+def type_level_refs(mi: MethodInfo) -> set[str]:
     """Method names visible in x's type: only statements carry any."""
     if mi.statement is None:
         return set()
-    return {n for n in scoped_vars(mi.statement) if n in nf.methods}
+    return tagged(mi.statement, METHOD)
 
 
 def order_methods(nf: NFSpecies, decl: dict[str, frozenset[str]]) -> tuple[list[str], list[list[str]]]:
@@ -435,7 +396,7 @@ def finish_deps(
                 grown |= sd.methods[z].decl
             for y in u:
                 if y not in type_refs:
-                    type_refs[y] = type_level_refs(nf.methods[y], nf)
+                    type_refs[y] = type_level_refs(nf.methods[y])
                 grown |= type_refs[y]
             if grown == u:
                 break
@@ -518,26 +479,15 @@ def _param_deps(
     # Qualified references from the body, statement and proof of x plus the
     # bodies of everything x unfolds, then from types across the universe.
     quals: dict[str, set[str]] = {p: set() for p in is_params}
-    for e, _ in own_and_def_exprs():
-        for coll, m in qual_refs(e):
-            if coll in quals:
-                quals[coll].add(m)
-    for y in md.universe:
-        stmt = nf.methods[y].statement
-        if stmt is not None:
-            for coll, m in qual_refs(stmt):
-                if coll in quals:
-                    quals[coll].add(m)
+    stmts = [nf.methods[y].statement for y in md.universe]
+    for e in [*own_and_def_exprs(), *(s for s in stmts if s is not None)]:
+        for coll, m in param_refs(e):
+            quals[coll].add(m)
     if mi.proof is not None:  # `by property P!m` facts count as uses
         for leaf in iter_leaves(mi.proof):
             for f in leaf.facts:
-                if f.kind != "property":
-                    continue
-                for n in f.names:
-                    if "!" not in n:
-                        continue
-                    coll, m = n.split("!", 1)
-                    if coll in quals:
+                for coll, bang, m in (n.partition("!") for n in f.names):
+                    if bang and coll in quals:
                         quals[coll].add(m)
 
     for pname, deps in quals.items():
@@ -552,15 +502,13 @@ def _param_deps(
                 )
         closed = set(deps)
         for m in deps:  # [Close]: names used by the statements of members
-            closed |= type_level_refs(iface_nf.methods[m], iface_nf)
+            closed |= type_level_refs(iface_nf.methods[m])
         md.param_deps[pname] = [m for m in iface_sd.order if m in closed]
 
     # Entity parameters contribute themselves when referenced.
     used_entities: set[str] = set()
-    for e, bound in own_and_def_exprs():
-        for n in scoped_vars(e, bound):
-            if n in entity_params:
-                used_entities.add(n)
+    for e in own_and_def_exprs():
+        used_entities |= tagged(e, ENTITY)
     md.entity_used = [
         p.name for p in nf.entity_params if p.name in used_entities
     ]
@@ -570,7 +518,7 @@ def _param_deps(
     plan_types: list[Type] = []
     if mi.scheme is not None:
         plan_types.append(mi.scheme.body)
-    for e, _ in _own_exprs(mi):
+    for e in _own_exprs(mi):
         plan_types.extend(_quant_types(e))
     if mi.proof is not None:
         for step in iter_steps(mi.proof):

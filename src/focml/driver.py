@@ -59,6 +59,7 @@ from .hierarchy import (
 from .parser import parse_source
 from .pretty import expr_to_source, type_to_source
 from .proofs import iter_leaves
+from .resolve import Names, resolve, resolve_method
 from .typecheck import (
     SpeciesTypeEnv,
     TypeContext,
@@ -166,7 +167,16 @@ def _register_species(cu: CompiledUnit, decl: SpeciesDecl) -> None:
         for se in decl.inherits
         for arg in _check_species_args(cu, se, nf.params, se.pos)
     ]
+    # The species' own text is resolved here, once (`resolve`): its inherit
+    # arguments before renaming copies them, its methods after flattening.
+    methods = {m.name for m in decl.methods if m.kind != "proof_of"}
+    methods.update(*(cu.species[se.name].methods for se in decl.inherits))
+    names = Names(env.entity_params, methods, env.param_ifaces, env.collections)
+    for expr, _, _ in inherited:
+        resolve(expr, names)
     normalize(nf, decl, cu.species, cu.collections)
+    for m in decl.methods:
+        resolve_method(m, names)
     if nf.rep is not None:
         nf.rep_resolved = env.rep = env.ctx.resolve(nf.rep, nf.pos)
     reverted = invalidate_proofs(nf)
@@ -211,6 +221,9 @@ def _species_env(cu: CompiledUnit, nf: NFSpecies) -> SpeciesTypeEnv:
         if p.kind == "is":
             assert p.interface is not None
             args = _check_species_args(cu, p.interface, seen, p.pos)
+            names = Names(env.entity_params, (), env.param_ifaces, env.collections)
+            for expr, _, _ in args:
+                resolve(expr, names)
             _type_entity_args(args, env)
             env.param_ifaces[p.name] = param_schemes(nf, p, cu.species)
         elif p.carrier not in env.param_ifaces:
@@ -289,17 +302,25 @@ def _type_entity_args(
 
 
 def _type_species(nf: NFSpecies, sd: SpeciesDeps, env: SpeciesTypeEnv) -> None:
-    """Type the methods not carried from an ancestor, in global order."""
+    """Type the methods not carried from an ancestor, in global order.  A
+    carried method is typed again when a method it declares a dependency on
+    was typed again here to another scheme."""
     group_of: dict[str, list[str]] = {}
     for g in sd.rec_groups:
         for m in g:
             group_of[m] = g
+    changed: set[str] = set()
     for name in sd.order:
         mi = nf.methods[name]
         if name in group_of and env.methods.get(name) is None:
             _seed_rec_group(nf, group_of[name], env)
+        if mi.carried and not changed.isdisjoint(sd.methods[name].decl):
+            mi.carried = False
         if not mi.carried:
+            carried_scheme = mi.scheme
             _type_method(mi, env)
+            if mi.scheme != carried_scheme:
+                changed.add(name)
         if mi.scheme is not None:
             env.methods[name] = mi.scheme
 
@@ -401,6 +422,7 @@ def _register_collection(cu: CompiledUnit, decl: CollectionDecl) -> None:
             constructors=cu.constructors,
             collections={c: m.iface_schemes for c, m in cu.collections.items()},
         )
+        resolve(expr, Names(collections=cu.collections))
         uni = Unifier()
         got = infer_expr(expr, {}, env, uni)
         assert model.carrier is not None

@@ -13,7 +13,7 @@ proof is admitted become axioms.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ast import (
     BinOp,
@@ -47,7 +47,6 @@ from .ast import (
     UnionTypeDecl,
     UnOp,
     Var,
-    pattern_vars,
     type_walk,
 )
 from .basics import BUILTIN_FUNCTIONS, LOGICAL_TYPE_NAMES
@@ -58,27 +57,19 @@ from .generators import (
     MethodGeneratorPlan,
     SpeciesPlan,
 )
-from .hierarchy import MethodInfo, NFSpecies
+from .hierarchy import NFSpecies
 from .pretty import expr_to_source, proof_to_source
+from .resolve import ENTITY, LOCAL, METHOD, PARAM
 
 
 @dataclass
 class RenderEnv:
     target: str  # 'logical' | 'comp'
     module: str = ""
-    methods: dict[str, MethodInfo] = field(default_factory=dict)
     prefix: str = ""  # a method m renders as prefix + m
-    rec_name: str | None = None  # rendered as itself: self-recursion
-    entities: frozenset[str] = frozenset()
-    locals: frozenset[str] = frozenset()
-    params: frozenset[str] = frozenset()  # is-parameter names, for P!m
+    params: frozenset[str] = frozenset()  # is-parameter names
     self_ty: str | None = None
     param_ty: str = "_p_{}_T"  # how a parameter's carrier is named
-
-    def with_locals(self, names) -> "RenderEnv":
-        out = RenderEnv(**vars(self))
-        out.locals = self.locals | set(names)
-        return out
 
 
 def _wrap(text: str, atomic: bool) -> str:
@@ -144,10 +135,10 @@ def render_expr(e: Expr, env: RenderEnv) -> tuple[str, bool]:
         case StrLit(v):
             escaped = v.replace("\\", "\\\\").replace('"', '\\"')
             return f'"{escaped}"', True
-        case Var(name):
-            return _var_head(name, env)
-        case Qual(coll, name):
-            if coll in env.params:
+        case Var():
+            return _var_head(e, env)
+        case Qual(coll, name, ref):
+            if ref == PARAM:
                 return f"_p_{coll}_{name}", True
             return f"{coll}.{name}", True
         case ConRef(name, args):
@@ -190,9 +181,8 @@ def render_expr(e: Expr, env: RenderEnv) -> tuple[str, bool]:
             sep = "=>" if env.target == "logical" else "->"
             parts = [f"match {s} with"]
             for pat, body in arms:
-                inner = env.with_locals(pattern_vars(pat))
                 parts.append(
-                    f"| {_pattern(pat, env)} {sep} {render_expr(body, inner)[0]}"
+                    f"| {_pattern(pat, env)} {sep} {render_expr(body, env)[0]}"
                 )
             text = " ".join(parts)
             if env.target == "logical":
@@ -206,18 +196,15 @@ def _arg(e: Expr, env: RenderEnv) -> str:
     return _wrap(*render_expr(e, env))
 
 
-def _var_head(name: str, env: RenderEnv) -> tuple[str, bool]:
-    if name in env.locals:
-        return name, True
-    if name in env.entities:
-        return f"_p_{name}_{name}", True
-    if name in env.methods:
-        return (name if name == env.rec_name else env.prefix + name), True
-    b = BUILTIN_FUNCTIONS.get(name)
-    if b is not None:
-        head = _builtin_head(b, env)
-        return head, " " not in head
-    raise ValueError(f"unbound name {name} during emission")
+def _var_head(e: Var, env: RenderEnv) -> tuple[str, bool]:
+    if e.ref == LOCAL:
+        return e.name, True
+    if e.ref == ENTITY:
+        return f"_p_{e.name}_{e.name}", True
+    if e.ref == METHOD:
+        return env.prefix + e.name, True
+    head = _builtin_head(BUILTIN_FUNCTIONS[e.name], env)
+    return head, " " not in head
 
 
 def _builtin_head(b, env: RenderEnv) -> str:
@@ -229,8 +216,8 @@ def _builtin_head(b, env: RenderEnv) -> str:
 
 def _call_head(callee: Expr, env: RenderEnv) -> str:
     match callee:
-        case Var(name):
-            return _var_head(name, env)[0]
+        case Var():
+            return _var_head(callee, env)[0]
         case Qual():
             return render_expr(callee, env)[0]
         case _:
@@ -271,10 +258,9 @@ def render_formula(e: Expr, env: RenderEnv) -> str:
     match e:
         case Quant(kind, vars_, ty, body):
             head = "forall" if kind == "all" else "exists"
-            inner = env.with_locals(vars_)
             return (
                 f"{head} {' '.join(vars_)} : {render_type(ty, env)}, "
-                f"{render_formula(body, inner)}"
+                f"{render_formula(body, env)}"
             )
         case Connective(op, left, right):
             sym = {"->": "->", "\\/": "\\/", "/\\": "/\\"}[op]
@@ -319,21 +305,11 @@ def _render_env(
     prefix: str,
     self_ty: str | None,
     param_ty: str = "_p_{}_T",
-    rec_name: str | None = None,
 ) -> RenderEnv:
     """Names inside one of `nf`'s definitions: its methods under `prefix`,
     its carrier as `self_ty`, a parameter's carrier spelled by `param_ty`."""
-    return RenderEnv(
-        target,
-        module=nf.name,
-        methods=nf.methods,
-        prefix=prefix,
-        rec_name=rec_name,
-        entities=frozenset(p.name for p in nf.entity_params),
-        params=frozenset(p.name for p in nf.is_params),
-        self_ty=self_ty,
-        param_ty=param_ty,
-    )
+    params = frozenset(p.name for p in nf.is_params)
+    return RenderEnv(target, nf.name, prefix, params, self_ty, param_ty)
 
 
 def _atom_text(a, env: RenderEnv) -> str:
@@ -421,17 +397,16 @@ def _species_logical(cu, name: str) -> str:
 def _generator_logical(nf: NFSpecies, plan: MethodGeneratorPlan) -> list[str]:
     lifts_carrier = any(l.tag == ("self_carrier",) for l in plan.lifts)
     self_ty = "abst_T" if lifts_carrier else None
-    env = _render_env(nf, "logical", "abst_", self_ty, rec_name=plan.method)
+    env = _render_env(nf, "logical", "abst_", self_ty)
     lifts = "".join(" " + _lift_text(l, env) for l in plan.lifts)
     if plan.kind == "let":
         assert plan.body is not None and plan.ret is not None
-        inner = env.with_locals(n for n, _ in plan.value_params)
         params = "".join(
             f" ({n} : {render_scheme_type(t, env)})" for n, t in plan.value_params
         )
         keyword = "Fixpoint" if plan.rec else "Definition"
         ret = render_type(plan.ret, env)
-        body = render_body(plan.body, inner)
+        body = render_body(plan.body, env)
         return [f"  {keyword} {plan.method}{lifts}{params} : {ret} := {body}."]
     assert plan.statement is not None
     stmt = render_formula(plan.statement, env)
@@ -568,14 +543,13 @@ def _species_comp(cu, name: str) -> str:
 
 
 def _generator_comp(nf: NFSpecies, plan: MethodGeneratorPlan) -> str:
-    env = _render_env(nf, "comp", "abst_", None, rec_name=plan.method)
+    env = _render_env(nf, "comp", "abst_", None)
     kept = [l.name for l in plan.lifts if l.abstract and not l.logical]
     params = "".join(f" ({n})" for n in kept)
     params += "".join(f" ({n})" for n, _ in plan.value_params)
-    inner = env.with_locals(n for n, _ in plan.value_params)
     keyword = "let rec" if plan.rec else "let"
     assert plan.body is not None
-    return f"  {keyword} {plan.method}{params} = {render_body(plan.body, inner)}"
+    return f"  {keyword} {plan.method}{params} = {render_body(plan.body, env)}"
 
 
 def _record_comp(nf: NFSpecies, plan: SpeciesPlan) -> list[str]:

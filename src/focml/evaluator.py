@@ -57,6 +57,7 @@ from .ast import (
 )
 from .basics import BUILTIN_FUNCTIONS
 from .errors import DEPTH_LIMIT, EVAL, STEP_LIMIT, EvalFailure
+from .resolve import BUILTIN, PARAM, Names, resolve
 
 STEP_LIMIT_DEFAULT = 1_000_000
 MAX_DEPTH = 20_000  # nested non-tail calls
@@ -352,13 +353,13 @@ class _Compiler:
         match e:
             case IntLit(v) | BoolLit(v) | StrLit(v):
                 return self._const(v)
+            case Var(name, ref) if ref == BUILTIN:
+                return self._const(BuiltinFn(name))
             case Var(name) if name in names:
                 return self._read(names[name])
-            case Var(name) if name in BUILTIN_FUNCTIONS:
-                return self._const(BuiltinFn(name))
             case Var(name):
                 return self._fail(f"unbound name {name}")
-            case Qual(coll, name) if (coll, name) in self.quals:
+            case Qual(coll, name, ref) if ref == PARAM and (coll, name) in self.quals:
                 return self._read(self.quals[coll, name])
             case Qual(coll, name):
                 collections = interp.collections
@@ -657,6 +658,7 @@ def eval_call(cu, source: str, step_limit: int = STEP_LIMIT_DEFAULT) -> str:
     from .parser import parse_expr_text
 
     expr = parse_expr_text(source)
+    resolve(expr, Names(), strict=False)
     outcome: list = []
 
     def run() -> None:

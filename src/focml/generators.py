@@ -23,7 +23,7 @@ from .ast import (
     TParam,
     Type,
 )
-from .deps import MethodDeps, SpeciesDeps, qual_refs, type_level_refs
+from .deps import MethodDeps, SpeciesDeps, param_refs, type_level_refs
 from .hierarchy import (
     CollectionModel,
     MethodInfo,
@@ -32,6 +32,7 @@ from .hierarchy import (
     subst_expr,
 )
 from .proofs import proof_is_admitted
+from .resolve import PARAM
 
 Tag = tuple
 Atom = tuple
@@ -181,9 +182,9 @@ def _param_method_lift(
     tag = ("param_method", p.name, m)
     if imi.is_logical:
         assert imi.statement is not None
-        refs = {w: Qual(p.name, w) for w in iface_nf.methods}
-        refs.update(entity_map)
-        stmt = subst_expr(imi.statement, qual_map, refs, tyfn)
+        own_is = frozenset(q.name for q in nf.is_params)
+        refs = {w: Qual(p.name, w, PARAM) for w in iface_nf.methods}
+        stmt = subst_expr(imi.statement, qual_map, entity_map, tyfn, own_is, refs)
         return Lift(tag, name, statement=stmt)
     assert imi.scheme is not None
     return Lift(tag, name, ty=tyfn(imi.scheme.body))
@@ -328,10 +329,10 @@ def _record_plan(
         for mi in nf.methods.values():
             if mi.statement is None:
                 continue
-            refs = {w for c, w in qual_refs(mi.statement) if c == p.name}
+            refs = {w for c, w in param_refs(mi.statement) if c == p.name}
             used[p.name] |= refs
             for w in refs:
-                used[p.name] |= type_level_refs(iface_nf.methods[w], iface_nf)
+                used[p.name] |= type_level_refs(iface_nf.methods[w])
     return RecordTypePlan(
         species=nf.name,
         abstractions=_param_lifts(nf, "{}_T", used, species_env, deps_env),

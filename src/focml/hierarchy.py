@@ -3,9 +3,12 @@
 A species normal form carries every method reachable through `inherit`, with
 parameter substitutions applied and redefinitions resolved by late binding:
 the last definition along the linearized inheritance chain wins, while the
-method's type stays pinned to its first declaration.  Inherited copies carry
-the typing and scan results of the species they come from.  Proof
-invalidation and collection completeness both operate on this normal form.
+method's type stays pinned to its first declaration.  Late binding applies
+to methods only: an inherited tree keeps the tags its names got where it was
+written (`resolve`), and renaming replaces only entity-tagged names and
+parameter-tagged collections.  Inherited copies carry the typing and scan
+results of the species they come from.  Proof invalidation and collection
+completeness both operate on this normal form.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass, field
 from .ast import (
     NOPOS,
     CollectionDecl,
-    ConRef,
     Expr,
     Fact,
     Match,
@@ -38,11 +40,9 @@ from .ast import (
     TSelf,
     Type,
     Var,
-    pattern_vars,
     type_map,
     type_walk,
 )
-from .basics import BUILTIN_FUNCTIONS, BUILTIN_PROPERTIES
 from .errors import (
     DUPLICATE,
     INCOMPLETE,
@@ -52,7 +52,8 @@ from .errors import (
     UNKNOWN,
     CompileError,
 )
-from .proofs import collect_leaf_facts
+from .proofs import unfolded
+from .resolve import COLLECTION, ENTITY, METHOD, PARAM
 
 
 @dataclass
@@ -85,8 +86,12 @@ class MethodInfo:
     scanned_in: str | None = None  # species whose deps hold decl/def sets
     finished_in: str | None = None  # species whose deps hold the finish
     # `carried` is set on inheritance and cleared where the species changes
-    # what the analysis reads: the results above came from an ancestor and
-    # still hold here, so the species skips typing and scanning the method.
+    # what the analysis reads: a declared type, a definition adopted from a
+    # sibling, an entity argument that is an expression, the types a
+    # parameter offers, a `proof of`, or (in typing) the scheme of a method
+    # it declares a dependency on.  The results above came from an ancestor
+    # and still hold here, so the species skips typing and scanning the
+    # method.  Names keep their tags in heirs, so no name clears it.
     carried: bool = False
     # A reverted proof stays reverted in descendants until a `proof of`.
     valid_proof: bool = True
@@ -243,91 +248,82 @@ def subst_expr(
     qual_map: dict[str, str],
     entity_map: dict[str, Expr],
     type_fn,
-    bound: frozenset[str] = frozenset(),
+    target_is: frozenset[str] = frozenset(),
+    method_map: dict[str, Expr] | None = None,
 ) -> Expr:
-    """Rebuild `e` with parameter renamings applied; binders shadow."""
+    """Rebuild `e` with parameter renamings applied: an entity-tagged name
+    in `entity_map` (a method-tagged one in `method_map`) becomes its
+    argument, and a parameter-tagged collection is renamed, still a
+    parameter if it lands in `target_is`.  Other names keep their tags."""
+    method_map = method_map or {}
 
-    def go(e: Expr, bound: frozenset[str]) -> Expr:
+    def go(e: Expr) -> Expr:
         match e:
-            case Var(name) if name in entity_map and name not in bound:
+            case Var(name, ref) if ref == ENTITY and name in entity_map:
                 return copy.deepcopy(entity_map[name])
-            case Qual(coll, name) if coll in qual_map:
-                return Qual(qual_map[coll], name, pos=e.pos)
+            case Var(name, ref) if ref == METHOD and name in method_map:
+                return copy.deepcopy(method_map[name])
+            case Qual(coll, name, ref) if ref == PARAM and coll in qual_map:
+                actual = qual_map[coll]
+                ref = PARAM if actual in target_is else COLLECTION
+                return Qual(actual, name, ref, pos=e.pos)
             case Quant(kind, vars_, ty, body):
-                return Quant(
-                    kind,
-                    list(vars_),
-                    type_fn(ty),
-                    go(body, bound | set(vars_)),
-                    pos=e.pos,
-                )
+                return Quant(kind, list(vars_), type_fn(ty), go(body), pos=e.pos)
             case Match(scrutinee, arms):
                 return Match(
-                    go(scrutinee, bound),
-                    [
-                        (pat, go(b, bound | set(pattern_vars(pat))))
-                        for pat, b in arms
-                    ],
-                    pos=e.pos,
+                    go(scrutinee), [(pat, go(b)) for pat, b in arms], pos=e.pos
                 )
-            case ConRef(name, args):
-                return ConRef(name, [go(a, bound) for a in args], pos=e.pos)
             case _:
                 out = copy.copy(e)
                 for attr, value in vars(e).items():
                     if isinstance(value, Expr):
-                        setattr(out, attr, go(value, bound))
+                        setattr(out, attr, go(value))
                     elif isinstance(value, list) and value and isinstance(value[0], Expr):
-                        setattr(out, attr, [go(v, bound) for v in value])
+                        setattr(out, attr, [go(v) for v in value])
                 return out
 
-    return go(e, bound)
+    return go(e)
 
 
 def subst_proof(
-    proof: Proof, qual_map: dict[str, str], entity_map: dict[str, Expr], type_fn
+    proof: Proof,
+    qual_map: dict[str, str],
+    entity_map: dict[str, Expr],
+    type_fn,
+    target_is: frozenset[str] = frozenset(),
 ) -> Proof:
+    def fact(n: str) -> str:  # `by property P!m` names a parameter's method
+        c, bang, m = n.partition("!")
+        return f"{qual_map.get(c, c)}!{m}" if bang else n
+
     def go_leaf(leaf: ProofLeaf) -> ProofLeaf:
-        facts = []
-        for f in leaf.facts:
-            names = f.names
-            if f.kind == "property":
-                renamed = []
-                for n in names:
-                    if "!" in n:
-                        c, m = n.split("!", 1)
-                        renamed.append(f"{qual_map.get(c, c)}!{m}")
-                    else:
-                        renamed.append(n)
-                names = renamed
-            facts.append(Fact(f.kind, list(names), list(f.labels), f.pos))
+        facts = [
+            Fact(f.kind, [fact(n) for n in f.names], list(f.labels), f.pos)
+            for f in leaf.facts
+        ]
         return ProofLeaf(facts, leaf.admitted, leaf.pos)
 
-    def go(p: Proof, bound: frozenset[str]) -> Proof:
+    def expr(e: Expr) -> Expr:
+        return subst_expr(e, qual_map, entity_map, type_fn, target_is)
+
+    def go(p: Proof) -> Proof:
         if isinstance(p, ProofLeaf):
             return go_leaf(p)
-        steps = []
-        for s in p.steps:
-            inner = bound | {v for names, _ in s.assumes for v in names}
-            steps.append(
-                ProofStep(
-                    label=s.label,
-                    assumes=[(list(ns), type_fn(t)) for ns, t in s.assumes],
-                    hyps=[
-                        (h, subst_expr(st, qual_map, entity_map, type_fn, inner))
-                        for h, st in s.hyps
-                    ],
-                    goal=None
-                    if s.goal is None
-                    else subst_expr(s.goal, qual_map, entity_map, type_fn, inner),
-                    is_qed=s.is_qed,
-                    sub=None if s.sub is None else go(s.sub, inner),
-                    pos=s.pos,
-                )
+        steps = [
+            ProofStep(
+                label=s.label,
+                assumes=[(list(ns), type_fn(t)) for ns, t in s.assumes],
+                hyps=[(h, expr(st)) for h, st in s.hyps],
+                goal=None if s.goal is None else expr(s.goal),
+                is_qed=s.is_qed,
+                sub=None if s.sub is None else go(s.sub),
+                pos=s.pos,
             )
+            for s in p.steps
+        ]
         return ProofSteps(steps, p.pos)
 
-    return go(proof, frozenset())
+    return go(proof)
 
 
 def subst_method(
@@ -355,12 +351,13 @@ def subst_method(
     if mi.ret is not None:
         out.ret = type_fn(mi.ret)
     if mi.body is not None:
-        bound = frozenset(n for n, _ in mi.params)
-        out.body = subst_expr(mi.body, qual_map, entity_map, type_fn, bound)
+        out.body = subst_expr(mi.body, qual_map, entity_map, type_fn, target_is)
     if mi.statement is not None:
-        out.statement = subst_expr(mi.statement, qual_map, entity_map, type_fn)
+        out.statement = subst_expr(
+            mi.statement, qual_map, entity_map, type_fn, target_is
+        )
     if mi.proof is not None:
-        out.proof = subst_proof(mi.proof, qual_map, entity_map, type_fn)
+        out.proof = subst_proof(mi.proof, qual_map, entity_map, type_fn, target_is)
     # The scheme also pins the method's type for any redefinition further
     # down.
     if mi.scheme is not None:
@@ -554,7 +551,11 @@ def normalize(
         renamed = {
             f: a for f, a in qual_map.items() if a != f or a not in child_is
         }
-        substituted = {f: e for f, e in entity_map.items() if e != Var(f)}
+        substituted = {
+            f: e
+            for f, e in entity_map.items()
+            if not (isinstance(e, Var) and e.ref == ENTITY and e.name == f)
+        }
         for mi in parent.methods.values():
             _merge(nf, subst_method(mi, renamed, substituted, child_is))
         # Any entity argument but an own entity parameter over the renamed
@@ -578,12 +579,12 @@ def normalize(
                     composed[formal] = qual_map.get(actual, actual)
                 else:
                     composed[formal] = subst_expr(
-                        actual, qual_map, entity_map, type_fn
+                        actual, qual_map, entity_map, type_fn, child_is
                     )
             nf.ancestor_args[anc] = composed
     nf.lineage = merge_lineages(parent_lineages, decl.name)
     nf.ancestor_args[decl.name] = {
-        p.name: (p.name if p.kind == "is" else Var(p.name, pos=p.pos))
+        p.name: (p.name if p.kind == "is" else Var(p.name, ENTITY, pos=p.pos))
         for p in decl.params
     }
     if decl.representation is not None:
@@ -619,18 +620,7 @@ def normalize(
                 cur.first_def = decl.name
             continue
         _merge(nf, _local_info(decl, m))
-    # A name the species brings in captures the same name wherever an
-    # inherited method leaves it free: a method or an entity parameter named
-    # like a builtin, an entity parameter named like a method, a collection
-    # parameter named like a collection.
-    builtins = BUILTIN_FUNCTIONS.keys() | BUILTIN_PROPERTIES
-    entities = {p.name for p in nf.entity_params}
-    if (
-        not carries
-        or not builtins.isdisjoint(nf.methods)
-        or not entities.isdisjoint(builtins | nf.methods.keys())
-        or not child_is.isdisjoint(collections)
-    ):
+    if not carries:
         for mi in nf.methods.values():
             mi.carried = False
 
@@ -644,7 +634,7 @@ def invalidate_proofs(nf: NFSpecies) -> list[RevertedProof]:
             continue
         assert mi.proof_origin is not None
         proof_rank = rank.get(mi.proof_origin, len(nf.lineage))
-        for def_name in collect_leaf_facts(mi.proof).definitions:
+        for def_name in unfolded(mi.proof):
             target = nf.methods.get(def_name)
             if target is None:
                 continue  # reported by the dependency scan

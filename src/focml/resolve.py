@@ -1,0 +1,90 @@
+"""Name resolution, once, in the species where a tree is written.
+
+A method compiles once, to a generator of the species that defines it, and
+heirs reuse that generator; so a free name means in every heir what it meant
+where it was written.  Each `Var` is tagged a local (a parameter, a pattern,
+quantified or assumed variable, a recursive let's own name), an entity
+parameter, a method or a builtin, in that order; each `Qual` by whether its
+collection is a parameter.  Renaming keeps the tags, late binding applies to
+method-tagged names only, and every later pass reads the tags.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Collection
+
+from .ast import Expr, Match, MethodDecl, Proof, ProofSteps, Qual, Quant, Var
+from .ast import expr_children, pattern_vars
+from .basics import BUILTIN_FUNCTIONS
+from .errors import UNKNOWN, CompileError
+
+LOCAL, ENTITY, METHOD, BUILTIN = "local", "entity", "method", "builtin"
+PARAM, COLLECTION = "param", "collection"
+
+
+@dataclass(frozen=True)
+class Names:
+    """What a name can refer to where a tree is written."""
+
+    entities: Collection[str] = ()
+    methods: Collection[str] = ()
+    params: Collection[str] = ()  # collection parameters
+    collections: Collection[str] = ()
+
+
+def resolve(
+    e: Expr, names: Names, bound: frozenset[str] = frozenset(), strict: bool = True
+) -> None:
+    """Tag every `Var` and `Qual` of `e` in place, in source order.  An
+    unknown name is an error when `strict` and stays untagged otherwise."""
+    kind = type(e)
+    if kind is Var:
+        name = e.name
+        if name in bound:
+            e.ref = LOCAL
+        elif name in names.entities:
+            e.ref = ENTITY
+        elif name in names.methods:
+            e.ref = METHOD
+        elif name in BUILTIN_FUNCTIONS:
+            e.ref = BUILTIN
+        elif strict:
+            raise CompileError(UNKNOWN, f"unknown name {name}", e.pos)
+    elif kind is Qual:
+        e.ref = PARAM if e.coll in names.params else COLLECTION
+        if strict and e.ref == COLLECTION and e.coll not in names.collections:
+            raise CompileError(UNKNOWN, f"unknown collection {e.coll}", e.pos)
+    elif kind is Quant:
+        resolve(e.body, names, bound | set(e.vars), strict)
+    elif kind is Match:
+        resolve(e.scrutinee, names, bound, strict)
+        for pat, body in e.arms:
+            resolve(body, names, bound | set(pattern_vars(pat)), strict)
+    else:
+        for c in expr_children(e):
+            resolve(c, names, bound, strict)
+
+
+def resolve_method(m: MethodDecl, names: Names) -> None:
+    """Resolve the trees of one method as its species writes them."""
+    if m.body is not None:
+        own = {m.name} if m.rec else set()
+        resolve(m.body, names, frozenset(own.union(n for n, _ in m.params)))
+    if m.statement is not None:
+        resolve(m.statement, names)
+    if m.proof is not None:
+        _resolve_proof(m.proof, names, frozenset())
+
+
+def _resolve_proof(proof: Proof, names: Names, bound: frozenset[str]) -> None:
+    if not isinstance(proof, ProofSteps):
+        return
+    for step in proof.steps:
+        inner = bound | {v for vs, _ in step.assumes for v in vs}
+        for _, stmt in step.hyps:
+            resolve(stmt, names, inner)
+        if step.goal is not None:
+            resolve(step.goal, names, inner)
+        if step.sub is not None:
+            _resolve_proof(step.sub, names, inner)

@@ -58,7 +58,6 @@ from .ast import (
     Var,
     MethodDecl,
     ProofLeaf,
-    ProofStep,
     ProofSteps,
     Proof,
 )
@@ -72,6 +71,7 @@ from .errors import (
     CompileError,
 )
 from .pretty import expr_to_source, type_to_source
+from .resolve import BUILTIN, ENTITY, LOCAL, PARAM
 
 
 class TypeContext:
@@ -237,20 +237,18 @@ def infer_expr(
             return T_BOOL
         case StrLit():
             return T_STRING
-        case Var(name):
-            if name in locals_:
+        case Var(name, ref):
+            if ref == LOCAL:
                 return locals_[name]
-            if name in env.entity_params:
+            if ref == ENTITY:
                 return env.entity_params[name]
-            if name in env.methods:
-                return uni.instantiate(env.methods[name])
-            if name in BUILTIN_FUNCTIONS:
+            if ref == BUILTIN:
                 return uni.instantiate(BUILTIN_FUNCTIONS[name].scheme)
-            raise CompileError(UNKNOWN, f"unknown name {name}", e.pos)
-        case Qual(coll, name):
-            iface = env.param_ifaces.get(coll) or env.collections.get(coll)
-            if iface is None:
-                raise CompileError(UNKNOWN, f"unknown collection {coll}", e.pos)
+            if name not in env.methods:  # a property, or itself
+                raise CompileError(UNKNOWN, f"unknown name {name}", e.pos)
+            return uni.instantiate(env.methods[name])
+        case Qual(coll, name, ref):
+            iface = (env.param_ifaces if ref == PARAM else env.collections)[coll]
             if name not in iface:
                 raise CompileError(
                     UNKNOWN, f"{coll} has no method {name}", e.pos
@@ -424,8 +422,8 @@ def type_let(
         ptys.append(t)
         locals_[name] = t
     ret: Type = uni.fresh() if m.ret is None else env.ctx.resolve(m.ret, m.pos)
-    if m.rec:
-        locals_[m.name] = arrow(*ptys, ret)
+    if m.rec:  # a parameter of the same name shadows the function
+        locals_ = {m.name: arrow(*ptys, ret), **locals_}
     assert m.body is not None
     tbody = infer_expr(m.body, locals_, env, uni)
     uni.unify(tbody, ret, m.body.pos)

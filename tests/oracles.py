@@ -419,3 +419,38 @@ def show(v) -> str:
             return v.name
         return f"{v.name} (" + ", ".join(show(a) for a in v.args) + ")"
     return "<fun>"
+
+
+# ---------------------------------------------------------------------------
+# Reference scoping: what each free name of a tree means where it is written.
+#
+# A tree is plain tuples: ("var", name), ("qual", collection),
+# ("bind", names, children) for a binder over its children, and
+# ("node", children) for anything else.  A species' scope is a dict with the
+# sets "entities", "methods" and "params" (its collection parameters).
+
+
+def scope_tags(tree: tuple, scope: dict, bound: frozenset = frozenset()) -> list:
+    """(name, tag) for every name of a plain tree, in walk order: a name
+    bound by an enclosing binder is a local, else an entity parameter, else
+    a method, else a builtin; a collection is a parameter or a toplevel
+    collection."""
+    match tree:
+        case ("var", name):
+            for tag, names in (
+                ("local", bound),
+                ("entity", scope["entities"]),
+                ("method", scope["methods"]),
+                ("builtin", EVAL_ARITY),
+            ):
+                if name in names:
+                    return [(name, tag)]
+            return [(name, None)]
+        case ("qual", coll):
+            return [(coll, "param" if coll in scope["params"] else "collection")]
+        case ("bind", names, children):
+            inner = bound | set(names)
+            return [t for c in children for t in scope_tags(c, scope, inner)]
+        case ("node", children):
+            return [t for c in children for t in scope_tags(c, scope, bound)]
+    raise AssertionError(tree)

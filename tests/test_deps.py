@@ -17,7 +17,7 @@ def raw_sets(cu, sname):
     sd = cu.deps[sname]
     decl = {n: set(md.decl) for n, md in sd.methods.items()}
     defs = {n: set(md.defs) for n, md in sd.methods.items()}
-    tdep = {n: type_level_refs(nf.methods[n], nf) for n in nf.methods}
+    tdep = {n: type_level_refs(nf.methods[n]) for n in nf.methods}
     return nf, sd, decl, defs, tdep
 
 
@@ -159,7 +159,7 @@ def test_param_deps_values(example_cu):
 def test_param_deps_are_closed(example_cu):
     """A second [Close] pass adds nothing."""
     iface = example_cu.species["OrdData"]
-    tdeps = {n: type_level_refs(mi, iface) for n, mi in iface.methods.items()}
+    tdeps = {n: type_level_refs(mi) for n, mi in iface.methods.items()}
     sd = example_cu.deps["IsIn"]
     for md in sd.methods.values():
         got = set(md.param_deps.get("V", []))

@@ -21,8 +21,9 @@ import pytest
 
 from focml import compile_source, compile_unit, driver, evaluator
 from focml.ast import (
-    BinOp, BoolLit, Call, ConRef, Eq, If, IntLit, Match, PCon, PTuple, PVar,
-    PWild, Qual, StrLit, TCon, TTuple, TupleExpr, UnOp, Var,
+    BinOp, BoolLit, Call, ConRef, Connective, Eq, If, IntLit, Match, Not, PCon,
+    PTuple, PVar, PWild, ProofLeaf, Qual, Quant, StrLit, TCon, TTuple,
+    TupleExpr, UnOp, Var, expr_children,
 )
 from focml.deps import (
     MethodDeps, SpeciesDeps, finish_deps, scan_species, type_level_refs,
@@ -32,9 +33,11 @@ from focml.errors import CompileError, EvalFailure
 from focml.evaluator import Interpreter, Scope, format_value
 from focml.parser import parse_expr_text
 from focml.pretty import expr_to_source, type_to_source
+from focml.proofs import iter_leaves
 
 import oracles
 from test_evaluator import COUNTER
+from test_typecheck import CAPTURE_SHAPES
 
 SEED = 271828
 N_GENERAL = 240
@@ -328,7 +331,7 @@ def oracle_inputs(cu, sname):
     sd = cu.deps[sname]
     decl = {n: set(md.decl) for n, md in sd.methods.items()}
     defs = {n: set(md.defs) for n, md in sd.methods.items()}
-    tdep = {n: type_level_refs(nf.methods[n], nf) for n in nf.methods}
+    tdep = {n: type_level_refs(nf.methods[n]) for n in nf.methods}
     return nf, sd, decl, defs, tdep
 
 
@@ -372,7 +375,7 @@ def run_close_suite(units) -> int:
     for u in units:
         iface = u.cu.species["Base"]
         tdeps = {
-            n: type_level_refs(mi, iface) for n, mi in iface.methods.items()
+            n: type_level_refs(mi) for n, mi in iface.methods.items()
         }
         for sname in u.species:
             sd = u.cu.deps[sname]
@@ -694,6 +697,177 @@ def run_finish_suite(cus) -> int:
     return cases
 
 
+# The four shapes in which an heir brings in a name an inherited body leaves
+# free, in one unit.
+CAPTURES = PRELUDE + "".join(src for src, *_ in CAPTURE_SHAPES.values())
+
+
+def bound_by(p) -> list[str]:
+    match p:
+        case PVar(name):
+            return [name]
+        case PCon(_, items) | PTuple(items):
+            return [n for i in items for n in bound_by(i)]
+    return []
+
+
+def scope_tree(e, refs: list) -> tuple:
+    """An expression as the plain tree `oracles.scope_tags` walks; appends
+    the (name, tag) of each name to `refs` in the same order."""
+    t = lambda x: scope_tree(x, refs)
+    match e:
+        case Var(name, ref):
+            refs.append((name, ref))
+            return ("var", name)
+        case Qual(coll, _, ref):
+            refs.append((coll, ref))
+            return ("qual", coll)
+        case Quant(_, names, _, body):
+            return ("bind", list(names), [t(body)])
+        case Match(scrutinee, arms):
+            s = t(scrutinee)
+            return ("node", [s] + [("bind", bound_by(p), [t(b)]) for p, b in arms])
+        case ConRef(_, items) | TupleExpr(items):
+            return ("node", [t(i) for i in items])
+        case Call(callee, args):
+            f = t(callee)
+            return ("node", [f] + [t(a) for a in args])
+        case BinOp(_, left, right) | Connective(_, left, right) | Eq(left, right):
+            lt = t(left)
+            return ("node", [lt, t(right)])
+        case UnOp(_, x) | Not(x):
+            return ("node", [t(x)])
+        case If(c, a, b):
+            ct, at = t(c), t(a)
+            return ("node", [ct, at, t(b)])
+    return ("node", [])
+
+
+def proof_tree(p, refs: list) -> tuple:
+    if isinstance(p, ProofLeaf):
+        return ("node", [])
+    steps = []
+    for s in p.steps:
+        kids = [scope_tree(h, refs) for _, h in s.hyps]
+        if s.goal is not None:
+            kids.append(scope_tree(s.goal, refs))
+        if s.sub is not None:
+            kids.append(proof_tree(s.sub, refs))
+        steps.append(("bind", [v for vs, _ in s.assumes for v in vs], kids))
+    return ("node", steps)
+
+
+def proof_exprs(p) -> list:
+    if isinstance(p, ProofLeaf):
+        return []
+    out = []
+    for s in p.steps:
+        out += [h for _, h in s.hyps] + ([] if s.goal is None else [s.goal])
+        out += [] if s.sub is None else proof_exprs(s.sub)
+    return out
+
+
+def written_trees(mi):
+    """(where written, plain tree, tags, expressions) for each tree of mi."""
+    if mi.kind == "let" and mi.body is not None:
+        refs = []
+        own = [n for n, _ in mi.params] + ([mi.name] if mi.rec else [])
+        tree = ("bind", own, [scope_tree(mi.body, refs)])
+        yield mi.origin, "body", tree, refs, [mi.body]
+    if mi.statement is not None:
+        refs = []
+        tree = scope_tree(mi.statement, refs)
+        yield mi.decl_site, "statement", tree, refs, [mi.statement]
+    if mi.proof is not None:
+        refs = []
+        tree = proof_tree(mi.proof, refs)
+        yield mi.proof_origin, "proof", tree, refs, proof_exprs(mi.proof)
+
+
+def check_kept(origin, heir, heir_params: set) -> None:
+    """Renaming kept every tag of `origin` in its copy `heir`, except where
+    an entity parameter was replaced by an argument."""
+    if isinstance(origin, Var) and origin.ref == "entity":
+        if not isinstance(heir, Var) or (heir.name, heir.ref) != (origin.name, "entity"):
+            return
+    assert type(heir) is type(origin)
+    if isinstance(origin, Var):
+        assert (heir.name, heir.ref) == (origin.name, origin.ref)
+    elif isinstance(origin, Qual):
+        assert heir.name == origin.name
+        if origin.ref == "collection":
+            assert (heir.coll, heir.ref) == (origin.coll, origin.ref)
+        else:
+            assert heir.ref == ("param" if heir.coll in heir_params else "collection")
+    kids = expr_children(origin), expr_children(heir)
+    assert len(kids[0]) == len(kids[1])
+    for a, b in zip(*kids):
+        check_kept(a, b, heir_params)
+
+
+def fact_names(mi, methods) -> set[str]:
+    out = set()
+    if mi.proof is None:
+        return out
+    for leaf in iter_leaves(mi.proof):
+        for f in leaf.facts:
+            if f.kind == "definition" or f.kind == "property":
+                out |= {n for n in f.names if n in methods}
+    return out
+
+
+def check_tags(expr, scope: dict, where) -> None:
+    refs: list = []
+    tree = scope_tree(expr, refs)
+    assert refs == oracles.scope_tags(tree, scope), where
+
+
+def run_scope_suite(cus) -> int:
+    """Every tag against the reference scoping, in the species that wrote
+    the tree; every inherited copy against the tree it copies; every decl
+    set against the method-tagged names and the cited facts."""
+    cases = 0
+    for cu in cus:
+        for sname, nf in cu.species.items():
+            scope = {
+                "entities": {p.name for p in nf.entity_params},
+                "methods": set(nf.methods),
+                "params": {p.name for p in nf.is_params},
+            }
+            seen: list = []
+            for p in nf.params:  # interface arguments see the parameters before
+                for arg in [] if p.interface is None else p.interface.args:
+                    if arg.expr is not None:
+                        head = {
+                            "entities": {q.name for q in seen if q.kind == "in"},
+                            "methods": set(),
+                            "params": {q.name for q in seen if q.kind == "is"},
+                        }
+                        check_tags(arg.expr, head, (sname, p.name))
+                seen.append(p)
+            for name, mi in nf.methods.items():
+                method_refs = set()
+                for writer, field, tree, refs, exprs in written_trees(mi):
+                    method_refs |= {n for n, ref in refs if ref == "method"}
+                    if writer == sname:
+                        assert refs == oracles.scope_tags(tree, scope), (sname, name)
+                    else:
+                        source = cu.species[writer].methods[name]
+                        written = list(written_trees(source))
+                        theirs = next(w[4] for w in written if w[1] == field)
+                        assert len(theirs) == len(exprs)
+                        for a, b in zip(theirs, exprs):
+                            check_kept(a, b, scope["params"])
+                    cases += 1
+                want = (method_refs | fact_names(mi, nf.methods)) - {name}
+                assert cu.deps[sname].methods[name].decl == want, (sname, name)
+        empty = {"entities": set(), "methods": set(), "params": set()}
+        for model in cu.collections.values():
+            for expr in model.entity_args.values():
+                check_tags(expr, empty, model.name)
+    return cases
+
+
 def plain_expr(e) -> tuple:
     """An expression as the tagged tuples `oracles.Evaluator` walks."""
     match e:
@@ -971,9 +1145,17 @@ def test_carried_finish_equals_a_full_finish(general_units, complete_units):
     assert run_finish_suite(workload_units()) >= 5000
 
 
+def test_names_are_tagged_where_they_are_written(general_units, complete_units):
+    units = [u.cu for u in general_units + complete_units]
+    assert run_scope_suite(units) >= 1000
+    units = data_units() + [compile_source(PRELUDE + FINISH_EDGES)]
+    assert run_scope_suite(units) >= 50
+    assert run_scope_suite([compile_source(CAPTURES)]) >= 15
+
+
 def test_evaluator_agrees_with_the_reference(complete_units, monkeypatch):
     cus = [u.cu for u in complete_units] + data_units()
-    cus += [compile_source(COUNTER), compile_source(PEANO)]
+    cus += [compile_source(COUNTER), compile_source(PEANO), compile_source(CAPTURES)]
     kinds = run_eval_suite(cus, 3, evaluator.MAX_DEPTH)
     assert kinds.total() >= 1000
     assert kinds["value"] and kinds["StepLimit"] and kinds["EvalError"]

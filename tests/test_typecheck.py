@@ -9,7 +9,7 @@ from focml.ast import TArrow, TCollCarrier
 from focml.pretty import type_to_source
 
 from conftest import data
-from focml import compile_files
+from focml import compile_files, deps_view, emit_comp, eval_call
 
 
 def scheme_src(cu, species: str, method: str) -> str:
@@ -254,11 +254,6 @@ species A = let f (x : int) : int = x ; end ;;
 species B = signature f : int -> bool ; end ;;
 species C = inherit A, B ; end ;;
 """,
-        # a method that captures a builtin the inherited body calls
-        """
-species A = let g (x : int) : int = fst ((x, x)) ; end ;;
-species B = inherit A ; let fst (p : int * int) : bool = true ; end ;;
-""",
         # an entity argument of the wrong type
         CARRY_PRELUDE
         + """
@@ -270,12 +265,6 @@ species F = inherit E (BColl, 3) ; end ;;
         + """
 species E (P0 is Base, v0 in P0) = let g (x : int) : P0 = v0 ; end ;;
 species F (P0 is Base, P1 is Base, v0 in P1) = inherit E (P0, v0) ; end ;;
-""",
-        # an entity parameter that captures a builtin the inherited body calls
-        CARRY_PRELUDE
-        + """
-species A = let g (x : int) : int = fst ((x, x)) ; end ;;
-species B (P is Base, fst in P) = inherit A ; end ;;
 """,
         # the heir's parameter of the same name has other interface arguments
         BOX_PRELUDE
@@ -306,27 +295,27 @@ species Narrow = inherit Poly ; signature id : int -> int ; end ;;
 species S (P is Poly) = let h (x : int) : bool = P!id (true) ; end ;;
 species T (P is Narrow) = inherit S (P) ; end ;;
 """,
-        # a collection parameter that hides the collection a body calls
-        CARRY_PRELUDE
-        + """
-species Other = signature mk : bool -> Self ; end ;;
-species R (P is Base) = let h (x : int) : BColl = BColl!mk (x) ; end ;;
-species T (P is Base, BColl is Other) = inherit R (P) ; end ;;
+        # a signature below a definition narrows the type its callers use
+        """
+species Ord = signature lt : Self -> Self -> bool ; end ;;
+species Src2 (P is Ord) =
+  let idf (z) = z ;
+  let k (n : int) : int = idf (n) ;
+end ;;
+species H2 (P is Ord) = inherit Src2 (P) ; signature idf : P -> P ; end ;;
 """,
     ],
     ids=[
         "local_signature",
         "sibling_definitions",
         "sibling_signature",
-        "captured_builtin",
         "entity_expression",
         "entity_carrier",
-        "entity_captures_builtin",
         "same_name_other_interface_args",
         "renamed_other_interface_args",
         "collection_other_interface_args",
         "narrower_interface",
-        "parameter_hides_collection",
+        "narrowed_callee",
     ],
 )
 def test_inherited_method_is_typed_again_when_the_heir_changes_its_inputs(src):
@@ -345,6 +334,126 @@ species F (P0 is Base, w in P0) = inherit E (P0, h) ; let h : P0 = w ; end ;;
     )
     assert cu.deps["E"].methods["g"].decl == set()
     assert cu.deps["F"].methods["g"].decl == {"h"}
+
+
+def test_a_narrowed_callee_fails_at_its_callers_body():
+    source = """
+species Ord = signature lt : Self -> Self -> bool ; end ;;
+species Src2 (P is Ord) =
+  let idf (z) = z ;
+  let k (n : int) : int = idf (n) ;
+end ;;
+species H2 (P is Ord) = inherit Src2 (P) ; signature idf : P -> P ; end ;;
+"""
+    with pytest.raises(CompileError) as e:
+        compile_source(source)
+    assert (e.value.kind, e.value.message) == ("TypeMismatch", "cannot unify P with int")
+    assert (e.value.pos.line, e.value.pos.col) == (5, 27)
+
+
+# ---------------------------------------------------------------------------
+# Names keep the meaning they have where they are written
+
+# Heirs that bring in a name an inherited body leaves free: a method named
+# like a builtin, an entity parameter named like a builtin or like a method,
+# and a collection parameter named like a collection.  Each entry is
+# (source, heir, method, the origin's computational line, call, value).
+CAPTURE_SHAPES = {
+    "captured_builtin": (
+        """
+species Fst = representation = int ; let g (x : int) : int = fst ((x, x)) ; end ;;
+species FstHeir = inherit Fst ; let fst (p : int * int) : bool = true ; end ;;
+collection FstC = implement FstHeir ;;
+""",
+        "FstHeir", "g", "  let g (x) = (basics.fst (x, x))", "FstC!g (3)", "3",
+    ),
+    "entity_captures_builtin": (
+        """
+species Snd = representation = int ; let g (x : int) : int = snd ((x, x + 1)) ; end ;;
+species SndHeir (P is Base, snd in P) = inherit Snd ; end ;;
+collection SndC = implement SndHeir (BColl, BColl!mk (5)) ;;
+""",
+        "SndHeir", "g", "  let g (x) = (basics.snd (x, x + 1))", "SndC!g (3)", "4",
+    ),
+    "entity_hides_method": (
+        """
+species Inc =
+  representation = int ;
+  let inc (x : int) : int = x + 1 ;
+  let twice (x : int) : int = inc (inc (x)) ;
+end ;;
+species IncHeir (P is Base, inc in P) = inherit Inc ; end ;;
+collection IncC = implement IncHeir (BColl, BColl!mk (5)) ;;
+""",
+        "IncHeir", "twice", "  let twice (abst_inc) (x) = (abst_inc (abst_inc x))",
+        "IncC!twice (3)", "5",
+    ),
+    "parameter_hides_collection": (
+        """
+species Other = signature mk : bool -> Self ; end ;;
+species OtherImpl =
+  inherit Other ; representation = bool ; let mk (b) : Self = b ;
+end ;;
+collection OC = implement OtherImpl ;;
+species Mk (P is Base) =
+  representation = int ;
+  let h (x : int) : BColl = BColl!mk (x) ;
+  let k (x : int) : P = P!mk (x) ;
+end ;;
+species MkHeir (P is Base, BColl is Other) = inherit Mk (P) ; end ;;
+species MkColl = inherit Mk (BColl) ; end ;;
+collection MkC = implement MkHeir (BColl, OC) ;;
+""",
+        "MkHeir", "h", "  let h (x) = (BColl.mk x)", "MkC!h (3)", "3",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "src, heir, method, line, call, value",
+    CAPTURE_SHAPES.values(),
+    ids=CAPTURE_SHAPES.keys(),
+)
+def test_a_name_keeps_its_meaning_in_every_heir(src, heir, method, line, call, value):
+    cu = compile_source(CARRY_PRELUDE + src)
+    mi = cu.species[heir].methods[method]
+    assert mi.carried
+    origin = mi.origin
+    # typing and deps read the name as the origin did
+    assert scheme_src(cu, heir, method) == scheme_src(cu, origin, method)
+    view = deps_view(cu)
+    assert view[heir][method].decl == view[origin][method].decl
+    assert view[heir][method].param_deps == view[origin][method].param_deps
+    # and so do the generator the heir reuses and the evaluator running it
+    assert line in emit_comp(cu).splitlines()
+    assert eval_call(cu, call) == value
+
+
+def test_a_parameter_shadows_the_name_of_its_recursive_let():
+    cu = compile_source(
+        """
+species S = representation = int ; let rec f (f : int) : int = f ; end ;;
+collection C = implement S ;;
+"""
+    )
+    assert scheme_src(cu, "S", "f") == "int -> int"
+    assert eval_call(cu, "C!f (3)") == "3"
+
+
+def test_a_method_named_like_a_builtin_leaves_inherited_calls_alone():
+    source = """
+species A =
+  representation = int ;
+  let g (x : int) : int = fst ((x, x)) ;
+end ;;
+species B = inherit A ; let fst (p : int * int) : int = 7 ; end ;;
+collection BC = implement B ;;
+"""
+    cu = compile_source(source)
+    assert cu.deps["B"].methods["g"].decl == set()
+    assert eval_call(cu, "BC!g (3)") == "3"
+    # the computational text of A.g is the one it had before B existed
+    assert "  let g (x) = (basics.fst (x, x))" in emit_comp(cu).splitlines()
 
 
 # ---------------------------------------------------------------------------
