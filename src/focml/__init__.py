@@ -14,9 +14,7 @@ from .driver import (
     compile_source,
     compile_unit,
     deps_report,
-    deps_view,
     doc_text,
-    load_deps_report,
     render_deps_report,
 )
 from .emit import emit_comp, emit_logical
@@ -36,12 +34,10 @@ __all__ = [
     "compile_source",
     "compile_unit",
     "deps_report",
-    "deps_view",
     "doc_text",
     "emit_comp",
     "emit_logical",
     "eval_call",
     "format_value",
-    "load_deps_report",
     "render_deps_report",
 ]

@@ -9,7 +9,7 @@ source, only as inference artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 
 @dataclass(frozen=True)
@@ -120,23 +120,46 @@ def type_map(t: Type, f) -> Type:
         case TArrow(a, r):
             t = TArrow(type_map(a, f), type_map(r, f))
         case TTuple(items):
-            t = TTuple(tuple(type_map(i, f) for i in items))
+            t = TTuple(tuple([type_map(i, f) for i in items]))
         case _:
             pass
     return f(t)
 
 
 def type_walk(t: Type):
-    yield t
-    match t:
-        case TArrow(a, r):
-            yield from type_walk(a)
-            yield from type_walk(r)
-        case TTuple(items):
-            for i in items:
-                yield from type_walk(i)
-        case _:
-            pass
+    """Every node of `t` in pre-order, from an explicit stack."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        yield t
+        match t:
+            case TArrow(a, r):
+                todo += (r, a)
+            case TTuple(items):
+                todo.extend(reversed(items))
+
+
+def same(a, b) -> bool:
+    """`a == b` for trees: types, schemes, expressions, values and lists of
+    them.  On a deep tree `==` recurses through C code, which Python 3.12
+    limits apart from the recursion limit; past that limit the trees are
+    compared from an explicit stack, field by field as `==` compares them."""
+    try:
+        return a == b
+    except RecursionError:
+        todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        seq = isinstance(x, (list, tuple))
+        if type(x) is not type(y) or (seq and len(x) != len(y)):
+            return False
+        if is_dataclass(x):
+            todo += [(getattr(x, f.name), getattr(y, f.name)) for f in fields(x) if f.compare]
+        elif seq:
+            todo += zip(x, y)
+        elif x != y:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +329,14 @@ def expr_children(e: Expr) -> list[Expr]:
 
 
 def expr_walk(e: Expr):
-    yield e
-    for c in expr_children(e):
-        yield from expr_walk(c)
+    """Every node of `e` in pre-order (a node, then its children left to
+    right), from an explicit stack: linear in the size of `e` whatever its
+    depth."""
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        yield e
+        todo.extend(reversed(expr_children(e)))
 
 
 def pattern_vars(p: Pattern) -> list[str]:
@@ -401,8 +429,9 @@ class SpeciesArg:
 
     @property
     def entity(self) -> Expr:
-        """The argument read as an entity expression."""
-        return self.expr if self.expr is not None else Var(self.name, pos=self.pos)
+        """The argument read as an entity expression: a bare capitalized
+        name is a nullary constructor."""
+        return self.expr if self.expr is not None else ConRef(self.name, pos=self.pos)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Command line driver.
 
 Exit codes: 0 success, 1 compile or evaluation error, 2 usage error.
+Each subcommand runs on the deep stack (`errors.on_deep_stack`).
 `FOCML_COLOR=0|1` overrides the tty detection for diagnostic coloring.
 """
 
@@ -13,7 +14,7 @@ from pathlib import Path
 
 from .driver import CompiledUnit, compile_files, doc_text, render_deps_report
 from .emit import emit_comp, emit_logical
-from .errors import CompileError, Diagnostic, EvalFailure
+from .errors import DEPTH_LIMIT, CompileError, Diagnostic, EvalFailure, on_deep_stack
 from .evaluator import eval_call
 
 
@@ -77,7 +78,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cu = _compile(args.files)
+        overflow = CompileError(DEPTH_LIMIT, "nested too deeply")
+        return on_deep_stack(lambda: _run(parser, args), overflow)
     except CompileError as err:
         _report(err.to_diagnostic(args.files[0]))
         return 1
@@ -85,6 +87,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"focml: {err}", file=sys.stderr)
         return 2
 
+
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """One subcommand, from parsing the files to writing the output."""
+    cu = _compile(args.files)
     match args.command:
         case "check":
             return 0

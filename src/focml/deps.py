@@ -24,8 +24,8 @@ from .ast import (
     TParam,
     Type,
     Var,
-    expr_children,
     expr_walk,
+    same,
     type_walk,
 )
 from .basics import BUILTIN_PROPERTIES
@@ -442,7 +442,7 @@ def _carried_finish(
         return None
     assert mi.finished_in is not None
     src = species_env[mi.finished_in]
-    if src.params != nf.params:
+    if not same(src.params, nf.params):
         return None
     done = deps_env[src.name].methods[name]
     for y in (name, *done.universe):
@@ -544,13 +544,7 @@ def _param_deps(
 
 
 def _quant_types(e: Expr):
-    match e:
-        case Quant(_, _, ty, body):
-            yield ty
-            yield from _quant_types(body)
-        case _:
-            for c in expr_children(e):
-                yield from _quant_types(c)
+    return (q.ty for q in expr_walk(e) if isinstance(q, Quant))
 
 
 def _mentions_param(t: Type, pname: str) -> bool:

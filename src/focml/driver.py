@@ -24,6 +24,7 @@ from .ast import (
     TSelf,
     Type,
     UnionTypeDecl,
+    same,
     type_walk,
 )
 from .deps import SpeciesDeps, finish_deps, scan_species
@@ -36,6 +37,7 @@ from .errors import (
     UNKNOWN,
     CompileError,
     Diagnostic,
+    depth_limit_at,
 )
 from .generators import (
     CollectionExtractionPlan,
@@ -84,6 +86,12 @@ class CompiledUnit:
     decl_order: list[tuple[str, str]] = field(default_factory=list)
     constructors: dict[str, tuple[str, list[Type]]] = field(default_factory=dict)
     warnings: list[Diagnostic] = field(default_factory=list)
+    files: dict[str, str] = field(default_factory=dict)  # declaration -> its file
+
+    def writing(self, name: str):
+        """A `RecursionError` writing declaration `name` is a `DepthLimit` there."""
+        decl = self.unions.get(name) or self.species.get(name) or self.collections[name]
+        return depth_limit_at(decl.pos, self.files.get(name))
 
 
 def compile_files(paths: list[str]) -> CompiledUnit:
@@ -107,8 +115,10 @@ def compile_unit(sources: list[tuple[str, str]]) -> CompiledUnit:
         decls.extend((file, d) for d in unit.decls)
     for file, decl in decls:
         before = len(cu.warnings)
+        cu.files[decl.name] = file
         try:
-            _register(cu, decl)
+            with depth_limit_at(decl.pos):
+                _register(cu, decl)
         except CompileError as err:
             if err.file is None:
                 err.file = file
@@ -319,7 +329,7 @@ def _type_species(nf: NFSpecies, sd: SpeciesDeps, env: SpeciesTypeEnv) -> None:
         if not mi.carried:
             carried_scheme = mi.scheme
             _type_method(mi, env)
-            if mi.scheme != carried_scheme:
+            if not same(mi.scheme, carried_scheme):
                 changed.add(name)
         if mi.scheme is not None:
             env.methods[name] = mi.scheme
@@ -363,7 +373,7 @@ def _declared_scheme(mi: MethodInfo, env: SpeciesTypeEnv) -> Scheme | None:
         return None
     scheme = Scheme(0, env.ctx.resolve(mi.ty, mi.pos))
     for extra in mi.extra_sigs:
-        if env.ctx.resolve(extra, mi.pos) != scheme.body:
+        if not same(env.ctx.resolve(extra, mi.pos), scheme.body):
             raise CompileError(
                 TYPE_MISMATCH,
                 f"conflicting signatures for {mi.name}: "
@@ -444,65 +454,61 @@ def _register_collection(cu: CompiledUnit, decl: CollectionDecl) -> None:
 def deps_report(cu: CompiledUnit) -> dict:
     """JSON-ready view of the dependency analysis; all sets serialized in
     the owning species' global method order."""
-    species: dict[str, dict] = {}
+    report: dict[str, dict] = {"species": {}, "collections": {}}
     for kind, name in cu.decl_order:
-        if kind != "species":
-            continue
-        nf = cu.species[name]
-        sd = cu.deps[name]
-        index = {m: i for i, m in enumerate(sd.order)}
-        methods: dict[str, dict] = {}
-        for m in sd.order:
-            mi = nf.methods[m]
-            md = sd.methods[m]
-            params: dict[str, list[dict]] = {}
-            for p in nf.is_params:
-                if not md.param_deps.get(p.name) and not md.param_carrier.get(
-                    p.name
-                ):
-                    continue
-                params[p.name] = [
-                    {"name": w, "type": _param_method_type(cu, nf, p, w)}
-                    for w in md.param_deps.get(p.name, [])
-                ]
-            for v in md.entity_used:
-                carrier = next(
-                    q.carrier for q in nf.entity_params if q.name == v
-                )
-                params[v] = [{"name": v, "type": carrier}]
-            methods[m] = {
-                "kind": mi.kind,
-                "origin": mi.origin,
-                "type": type_to_source(mi.scheme.body) if mi.scheme else None,
-                "statement": expr_to_source(mi.statement)
-                if mi.statement is not None
-                else None,
-                "decl": _in_order(md.decl, index),
-                "def": _in_order(md.defs, index),
-                "universe": _in_order(md.universe, index),
-                "carrier": {"decl": mi.carrier_decl, "def": mi.carrier_def},
-                "min_env": [
-                    {"name": n, "keep": keep} for n, keep in md.min_env
-                ],
-                "params": params,
-                "order_index": index[m],
-                "valid_proof": mi.valid_proof,
-            }
-        species[name] = {"order": list(sd.order), "methods": methods}
-    collections = {
-        name: {
-            "implements": cu.collections[name].nf.name,
-            "args": [
-                cu.collections[name].param_map[f]
-                if k == "is"
-                else expr_to_source(cu.collections[name].entity_args[f])
-                for k, f in cu.collections[name].arg_order
-            ],
+        with cu.writing(name):
+            if kind == "species":
+                report["species"][name] = _species_report(cu, name)
+            elif kind == "collection":
+                model = cu.collections[name]
+                report["collections"][name] = {
+                    "implements": model.nf.name,
+                    "args": _collection_args(model),
+                }
+    return report
+
+
+def _species_report(cu: CompiledUnit, name: str) -> dict:
+    nf = cu.species[name]
+    sd = cu.deps[name]
+    index = {m: i for i, m in enumerate(sd.order)}
+    methods: dict[str, dict] = {}
+    for m in sd.order:
+        mi = nf.methods[m]
+        md = sd.methods[m]
+        params: dict[str, list[dict]] = {}
+        for p in nf.is_params:
+            if not md.param_deps.get(p.name) and not md.param_carrier.get(p.name):
+                continue
+            params[p.name] = [
+                {"name": w, "type": _param_method_type(cu, nf, p, w)}
+                for w in md.param_deps.get(p.name, [])
+            ]
+        for v in md.entity_used:
+            carrier = next(q.carrier for q in nf.entity_params if q.name == v)
+            params[v] = [{"name": v, "type": carrier}]
+        methods[m] = {
+            "kind": mi.kind,
+            "origin": mi.origin,
+            "type": type_to_source(mi.scheme.body) if mi.scheme else None,
+            "statement": expr_to_source(mi.statement) if mi.statement is not None else None,
+            "decl": _in_order(md.decl, index),
+            "def": _in_order(md.defs, index),
+            "universe": _in_order(md.universe, index),
+            "carrier": {"decl": mi.carrier_decl, "def": mi.carrier_def},
+            "min_env": [{"name": n, "keep": keep} for n, keep in md.min_env],
+            "params": params,
+            "order_index": index[m],
+            "valid_proof": mi.valid_proof,
         }
-        for kind, name in cu.decl_order
-        if kind == "collection"
-    }
-    return {"species": species, "collections": collections}
+    return {"order": list(sd.order), "methods": methods}
+
+
+def _collection_args(model: CollectionModel) -> list[str]:
+    return [
+        model.param_map[f] if k == "is" else expr_to_source(model.entity_args[f])
+        for k, f in model.arg_order
+    ]
 
 
 def _param_method_type(
@@ -523,49 +529,6 @@ def render_deps_report(cu: CompiledUnit) -> str:
     return json.dumps(deps_report(cu), indent=2) + "\n"
 
 
-@dataclass
-class MethodDepsView:
-    """Per-method slice reconstructed from a serialized report."""
-
-    decl: set[str]
-    defs: set[str]
-    universe: set[str]
-    carrier_decl: bool
-    carrier_def: bool
-    min_env: list[tuple[str, str]]
-    param_deps: dict[str, list[str]]
-    order_index: int
-    valid_proof: bool
-
-
-def load_deps_report(data: dict) -> dict[str, dict[str, MethodDepsView]]:
-    out: dict[str, dict[str, MethodDepsView]] = {}
-    for sname, sdata in data["species"].items():
-        out[sname] = {
-            m: MethodDepsView(
-                decl=set(md["decl"]),
-                defs=set(md["def"]),
-                universe=set(md["universe"]),
-                carrier_decl=md["carrier"]["decl"],
-                carrier_def=md["carrier"]["def"],
-                min_env=[(e["name"], e["keep"]) for e in md["min_env"]],
-                param_deps={
-                    p: [e["name"] for e in entries]
-                    for p, entries in md["params"].items()
-                },
-                order_index=md["order_index"],
-                valid_proof=md["valid_proof"],
-            )
-            for m, md in sdata["methods"].items()
-        }
-    return out
-
-
-def deps_view(cu: CompiledUnit) -> dict[str, dict[str, MethodDepsView]]:
-    """The in-memory counterpart of load_deps_report, for round-trip checks."""
-    return load_deps_report(deps_report(cu))
-
-
 # ---------------------------------------------------------------------------
 # Documentation output
 
@@ -575,53 +538,46 @@ def doc_text(cu: CompiledUnit) -> str:
     admitted proof steps."""
     lines: list[str] = []
     for kind, name in cu.decl_order:
-        if kind == "union":
-            u = cu.unions[name]
-            cons = ", ".join(c for c, _ in u.constructors)
-            lines.append(f"type {name} = {cons}")
-            lines.append("")
-            continue
-        if kind == "collection":
-            model = cu.collections[name]
-            args = ", ".join(
-                model.param_map[f]
-                if k == "is"
-                else expr_to_source(model.entity_args[f])
-                for k, f in model.arg_order
-            )
-            head = f"collection {name} implements {model.nf.name}"
-            lines.append(f"{head}({args})" if args else head)
-            lines.append("")
-            continue
-        nf = cu.species[name]
-        lines.append(f"species {name}")
-        for m in nf.order:
-            mi = nf.methods[m]
-            ty = (
-                type_to_source(mi.scheme.body)
-                if mi.scheme is not None
-                else expr_to_source(mi.statement)
-                if mi.statement is not None
-                else "?"
-            )
-            note = f"from {mi.origin}"
-            if mi.kind == "theorem" and mi.proof_origin not in (None, mi.origin):
-                note += f", proved in {mi.proof_origin}"
-            lines.append(f"  {mi.kind} {m} : {ty} ({note})")
-        for m in nf.order:
-            mi = nf.methods[m]
-            if mi.proof is None:
+        with cu.writing(name):
+            if kind == "union":
+                cons = ", ".join(c for c, _ in cu.unions[name].constructors)
+                lines += [f"type {name} = {cons}", ""]
                 continue
-            admitted = sum(1 for leaf in iter_leaves(mi.proof) if leaf.admitted)
-            if admitted:
-                step = "step" if admitted == 1 else "steps"
-                lines.append(f"  admitted: {m} ({admitted} proof {step})")
-        for rp in nf.reverted:
-            lines.append(
-                f"  reverted: proof of {rp.method} (from {rp.proof_origin}) "
-                f"unfolds {rp.def_name}, redefined by {rp.def_origin}"
-            )
-        lines.append("")
+            if kind == "collection":
+                model = cu.collections[name]
+                args = ", ".join(_collection_args(model))
+                head = f"collection {name} implements {model.nf.name}"
+                lines += [f"{head}({args})" if args else head, ""]
+                continue
+            nf = cu.species[name]
+            lines.append(f"species {name}")
+            for m in nf.order:
+                mi = nf.methods[m]
+                ty = (
+                    type_to_source(mi.scheme.body)
+                    if mi.scheme is not None
+                    else expr_to_source(mi.statement)
+                    if mi.statement is not None
+                    else "?"
+                )
+                note = f"from {mi.origin}"
+                if mi.kind == "theorem" and mi.proof_origin not in (None, mi.origin):
+                    note += f", proved in {mi.proof_origin}"
+                lines.append(f"  {mi.kind} {m} : {ty} ({note})")
+            for m in nf.order:
+                mi = nf.methods[m]
+                if mi.proof is None:
+                    continue
+                admitted = sum(1 for leaf in iter_leaves(mi.proof) if leaf.admitted)
+                if admitted:
+                    step = "step" if admitted == 1 else "steps"
+                    lines.append(f"  admitted: {m} ({admitted} proof {step})")
+            for rp in nf.reverted:
+                lines.append(
+                    f"  reverted: proof of {rp.method} (from {rp.proof_origin}) "
+                    f"unfolds {rp.def_name}, redefined by {rp.def_origin}"
+                )
+            lines.append("")
     while lines and not lines[-1]:
         lines.pop()
     return "\n".join(lines) + "\n"

@@ -144,14 +144,14 @@ def render_expr(e: Expr, env: RenderEnv) -> tuple[str, bool]:
         case ConRef(name, args):
             if not args:
                 return name, True
-            inner = " ".join(_arg(a, env) for a in args)
+            inner = " ".join([_arg(a, env) for a in args])
             return f"{name} {inner}", False
         case Call(callee, args):
             head = _call_head(callee, env)
-            inner = " ".join(_arg(a, env) for a in args)
+            inner = " ".join([_arg(a, env) for a in args])
             return f"{head} {inner}", False
         case TupleExpr(items):
-            inner = ", ".join(render_expr(i, env)[0] for i in items)
+            inner = ", ".join([render_expr(i, env)[0] for i in items])
             return f"({inner})", True
         case UnOp(op, operand):
             b = BUILTIN_FUNCTIONS[op]
@@ -234,10 +234,10 @@ def _pattern(p: Pattern, env: RenderEnv) -> str:
             if not args:
                 return name
             if env.target == "logical":
-                return name + " " + " ".join(_pattern(a, env) for a in args)
-            return name + " (" + ", ".join(_pattern(a, env) for a in args) + ")"
+                return name + " " + " ".join([_pattern(a, env) for a in args])
+            return name + " (" + ", ".join([_pattern(a, env) for a in args]) + ")"
         case PTuple(items):
-            return "(" + ", ".join(_pattern(i, env) for i in items) + ")"
+            return "(" + ", ".join([_pattern(i, env) for i in items]) + ")"
         case _:
             raise ValueError(f"cannot render pattern {p!r}")
 
@@ -348,12 +348,13 @@ def _genapp_text(gen: GenApp, env: RenderEnv) -> str:
 def emit_logical(cu) -> str:
     blocks: list[str] = []
     for kind, name in cu.decl_order:
-        if kind == "union":
-            blocks.append(_inductive(cu.unions[name]))
-        elif kind == "species":
-            blocks.append(_species_logical(cu, name))
-        else:
-            blocks.append(_collection_logical(cu, name))
+        with cu.writing(name):
+            if kind == "union":
+                blocks.append(_inductive(cu.unions[name]))
+            elif kind == "species":
+                blocks.append(_species_logical(cu, name))
+            else:
+                blocks.append(_collection_logical(cu, name))
     return "\n\n".join(blocks) + "\n"
 
 
@@ -494,12 +495,13 @@ def _collection_logical(cu, name: str) -> str:
 def emit_comp(cu) -> str:
     blocks: list[str] = []
     for kind, name in cu.decl_order:
-        if kind == "union":
-            blocks.append(_union_comp(cu.unions[name]))
-        elif kind == "species":
-            blocks.append(_species_comp(cu, name))
-        else:
-            blocks.append(_collection_comp(cu, name))
+        with cu.writing(name):
+            if kind == "union":
+                blocks.append(_union_comp(cu.unions[name]))
+            elif kind == "species":
+                blocks.append(_species_comp(cu, name))
+            else:
+                blocks.append(_collection_comp(cu, name))
     return "\n\n".join(blocks) + "\n"
 
 
@@ -519,7 +521,7 @@ def _comp_type(t: Type) -> str:
         case TCon(name):
             return name
         case TTuple(items):
-            return "(" + " * ".join(_comp_type(i) for i in items) + ")"
+            return "(" + " * ".join([_comp_type(i) for i in items]) + ")"
         case TArrow(a, b):
             return f"{_comp_type(a)} -> {_comp_type(b)}"
         case _:

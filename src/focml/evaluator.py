@@ -21,16 +21,14 @@ Evaluation is pure and has two limits.  Each expression node evaluated
 costs one step; past `step_limit` steps (1,000,000 by default) evaluation
 stops with `StepLimit`.  Calls that are not in tail position nest; past
 `MAX_DEPTH` (20,000) nested calls evaluation stops with `DepthLimit`.
-`eval_call` runs in a worker thread whose stack and recursion limit hold
-that depth.  It reports a Python `RecursionError`, which one deeply nested
-expression can still cause, as `DepthLimit` too.
+`eval_call` runs on the deep stack (`errors.on_deep_stack`), which holds
+that depth; a Python `RecursionError`, which one deeply nested expression
+can still cause, is reported as `DepthLimit` too.
 """
 
 from __future__ import annotations
 
 import operator
-import sys
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -54,21 +52,14 @@ from .ast import (
     TupleExpr,
     UnOp,
     Var,
+    same,
 )
 from .basics import BUILTIN_FUNCTIONS
-from .errors import DEPTH_LIMIT, EVAL, STEP_LIMIT, EvalFailure
+from .errors import DEPTH_LIMIT, EVAL, STEP_LIMIT, EvalFailure, on_deep_stack
 from .resolve import BUILTIN, PARAM, Names, resolve
 
 STEP_LIMIT_DEFAULT = 1_000_000
 MAX_DEPTH = 20_000  # nested non-tail calls
-# A nested call takes three to five Python frames, plus one per operator
-# nested around it; deeper Python recursion fails as a RecursionError.
-# CPython 3.10 puts each frame on the thread's stack, up to about 0.9 KB
-# (structural `=`); 3.11 and later take far less.  The stack is virtual
-# memory: a shallow evaluation touches little of it.
-_RECURSION_LIMIT = 10 * MAX_DEPTH
-_STACK_BYTES = 512 * 1024 * 1024
-_EVAL_LOCK = threading.Lock()  # eval_call sets process-wide limits
 
 _INT_OPS = {
     "+": operator.add,
@@ -316,7 +307,7 @@ def _builtin(name: str, args: list[Value]) -> Value:
             return not a
         case "=":
             a, b = args
-            return a == b
+            return same(a, b)
         case "fst" | "snd":
             (t,) = args
             if not isinstance(t, tuple) or len(t) != 2:
@@ -650,40 +641,13 @@ def format_value(v: Value) -> str:
 
 
 def eval_call(cu, source: str, step_limit: int = STEP_LIMIT_DEFAULT) -> str:
-    """Parse and evaluate a call expression against a compiled unit.
-
-    The evaluation runs in a worker thread whose stack holds `MAX_DEPTH`
-    nested calls; the caller's thread only waits for it.
-    """
+    """Parse and evaluate a call expression against a compiled unit, on the
+    deep stack (`errors.on_deep_stack`), which holds `MAX_DEPTH` nested calls."""
     from .parser import parse_expr_text
 
-    expr = parse_expr_text(source)
-    resolve(expr, Names(), strict=False)
-    outcome: list = []
+    def run() -> str:
+        expr = parse_expr_text(source)
+        resolve(expr, Names(), strict=False)
+        return format_value(Interpreter(cu, step_limit).eval(expr, Scope()))
 
-    def run() -> None:
-        try:
-            value = Interpreter(cu, step_limit).eval(expr, Scope())
-            outcome.append(format_value(value))
-        except RecursionError:
-            outcome.append(
-                EvalFailure(DEPTH_LIMIT, "evaluation nested too deeply")
-            )
-        except BaseException as err:  # re-raised in the caller's thread
-            outcome.append(err)
-
-    with _EVAL_LOCK:
-        old_limit = sys.getrecursionlimit()
-        old_stack = threading.stack_size(_STACK_BYTES)
-        try:
-            sys.setrecursionlimit(max(old_limit, _RECURSION_LIMIT))
-            worker = threading.Thread(target=run, name="focml-eval", daemon=True)
-            worker.start()
-            worker.join()
-        finally:
-            threading.stack_size(old_stack)
-            sys.setrecursionlimit(old_limit)
-    (result,) = outcome
-    if isinstance(result, BaseException):
-        raise result
-    return result
+    return on_deep_stack(run, EvalFailure(DEPTH_LIMIT, "evaluation nested too deeply"))

@@ -40,6 +40,7 @@ from .ast import (
     TSelf,
     Type,
     Var,
+    same,
     type_map,
     type_walk,
 )
@@ -407,9 +408,9 @@ def _adopt_definition(cur: MethodInfo, inc: MethodInfo) -> None:
     cur.valid_proof = inc.valid_proof
     cur.carried = (
         inc.carried
-        and inc.scheme == cur.scheme
-        and inc.ty == cur.ty
-        and inc.extra_sigs == cur.extra_sigs
+        and same(inc.scheme, cur.scheme)
+        and same(inc.ty, cur.ty)
+        and same(inc.extra_sigs, cur.extra_sigs)
     )
 
 
@@ -430,13 +431,13 @@ def _merge(nf: NFSpecies, inc: MethodInfo) -> None:
         if cur.ty is None:
             cur.ty = inc.ty
             cur.carried = False
-        elif inc.decl_site != cur.decl_site and inc.ty != cur.ty:
+        elif inc.decl_site != cur.decl_site and not same(inc.ty, cur.ty):
             cur.extra_sigs.append(inc.ty)
             cur.carried = False
     if inc.statement is not None:
         if cur.statement is None:
             cur.statement = inc.statement
-        elif inc.decl_site != cur.decl_site and inc.statement != cur.statement:
+        elif inc.decl_site != cur.decl_site and not same(inc.statement, cur.statement):
             raise CompileError(
                 TYPE_MISMATCH,
                 f"{inc.name} is restated with a different statement "
@@ -515,7 +516,7 @@ def _offers_formal_types(
         else:
             have = collections[actual].iface_schemes
         for m, s in param_schemes(parent, formal, species_env).items():
-            if have.get(m) != Scheme(s.count, rename_caps(s.body, qual_map, child_is)):
+            if not same(have.get(m), Scheme(s.count, rename_caps(s.body, qual_map, child_is))):
                 return False
     return True
 
@@ -541,7 +542,7 @@ def normalize(
             if nf.rep is None:
                 nf.rep = rep
                 nf.rep_origin = parent.rep_origin
-            elif nf.rep_origin != parent.rep_origin or nf.rep != rep:
+            elif nf.rep_origin != parent.rep_origin or not same(nf.rep, rep):
                 raise CompileError(
                     REP_REDEFINED,
                     f"{decl.name} inherits two representations "
@@ -569,9 +570,11 @@ def normalize(
             parent, nf, qual_map, species_env, collections
         )
         parent_lineages.append(parent.lineage)
-        nf.ancestor_args[parent.name] = {**qual_map, **entity_map}
+        # The first inherit that reaches an ancestor fixes its arguments, as
+        # `_merge` keeps the first copy of each of its methods.
+        nf.ancestor_args.setdefault(parent.name, {**qual_map, **entity_map})
         for anc, amap in parent.ancestor_args.items():
-            if anc == parent.name:
+            if anc in nf.ancestor_args:
                 continue
             composed: dict[str, str | Expr] = {}
             for formal, actual in amap.items():
@@ -768,9 +771,9 @@ def _check_interface(
         other = actual.nf.methods.get(name)
         if other is None:
             problems.append(f"missing {name}")
-        elif mi.scheme is not None and other.scheme != mi.scheme:
+        elif mi.scheme is not None and not same(other.scheme, mi.scheme):
             problems.append(f"{name} has a different type")
-        elif mi.statement is not None and other.statement != mi.statement:
+        elif mi.statement is not None and not same(other.statement, mi.statement):
             problems.append(f"{name} has a different statement")
     if problems:
         raise CompileError(

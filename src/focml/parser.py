@@ -6,9 +6,14 @@ stratification pass rejects them inside `let` bodies.  Proof well-formedness
 (qed closes every step list, `by step` references an earlier sibling, bullet
 depths nest one by one) is enforced here because it is decidable at parse
 time.
+
+Nesting has no limit of its own: each level recurses in Python, and a
+nesting deeper than the stack holds is a `DepthLimit` diagnostic.
 """
 
 from __future__ import annotations
+
+from typing import Callable, TypeVar
 
 from .ast import (
     BinOp, BoolLit, Call, CollectionDecl, CompilationUnit, ConRef, Connective,
@@ -17,22 +22,18 @@ from .ast import (
     SpeciesArg, SpeciesDecl, SpeciesExpr, SpeciesParam, StrLit, TArrow, TCap,
     TCon, TSelf, TTuple, TupleExpr, Type, UnOp, UnionTypeDecl, Var, expr_walk,
 )
-from .errors import CompileError, DUPLICATE, PROOF, SYNTAX, UNKNOWN
+from .errors import CompileError, DEPTH_LIMIT, DUPLICATE, PROOF, SYNTAX, UNKNOWN
 from .lexer import Token, tokenize
 
-_FACT_KEYWORDS = ("definition", "property", "hypothesis", "step", "type")
+T = TypeVar("T")
 
-# Expressions, types, patterns and proof steps nest at most this deep.  Each
-# level takes up to 13 Python frames, so the limit keeps a parse well inside
-# Python's default recursion limit of 1,000.
-MAX_NESTING = 64
+_FACT_KEYWORDS = ("definition", "property", "hypothesis", "step", "type")
 
 
 class Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
-        self.depth = 0  # nesting levels open; see `enter`
 
     # -- token plumbing -----------------------------------------------------
 
@@ -59,17 +60,6 @@ class Parser:
             want = what or f"'{kind}'"
             raise CompileError(SYNTAX, f"expected {want}, found {tok.value or tok.kind!r}", tok.pos)
         return self.next()
-
-    def enter(self, opener: Token | None = None) -> None:
-        """Open one nesting level; the caller closes it with `depth -= 1`.
-        Past `MAX_NESTING` levels it is a syntax error at the opening token,
-        by default the token just consumed.  An error ends the parse, so no
-        level needs closing."""
-        if self.depth == MAX_NESTING:
-            tok = opener or self.tokens[max(self.i - 1, 0)]
-            raise CompileError(
-                SYNTAX, f"nested more than {MAX_NESTING} levels deep", tok.pos)
-        self.depth += 1
 
     def ident(self, what: str = "a name") -> Token:
         return self.expect("ident", what)
@@ -283,11 +273,9 @@ class Parser:
     # -- types --------------------------------------------------------------
 
     def parse_type(self) -> Type:
-        self.enter()
         t = self.parse_type_product()
         if self.accept("->"):
             t = TArrow(t, self.parse_type())
-        self.depth -= 1
         return t
 
     def parse_type_product(self) -> Type:
@@ -319,12 +307,6 @@ class Parser:
     # -- expressions ----------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        self.enter()
-        e = self.parse_expr_level()
-        self.depth -= 1
-        return e
-
-    def parse_expr_level(self) -> Expr:
         tok = self.peek()
         match tok.kind:
             case "all" | "ex":
@@ -362,12 +344,6 @@ class Parser:
         return Match(scrutinee, arms, pos=pos)
 
     def parse_pattern(self) -> Pattern:
-        self.enter()
-        p = self.parse_pattern_level()
-        self.depth -= 1
-        return p
-
-    def parse_pattern_level(self) -> Pattern:
         tok = self.peek()
         match tok.kind:
             case "ident":
@@ -416,10 +392,7 @@ class Parser:
     def parse_negation(self) -> Expr:
         if self.at("~"):
             pos = self.next().pos
-            self.enter()
-            e = Not(self.parse_negation(), pos=pos)
-            self.depth -= 1
-            return e
+            return Not(self.parse_negation(), pos=pos)
         return self.parse_equality()
 
     def parse_equality(self) -> Expr:
@@ -453,10 +426,7 @@ class Parser:
     def parse_unary(self) -> Expr:
         if self.at("~~"):
             pos = self.next().pos
-            self.enter()
-            e = UnOp("~~", self.parse_unary(), pos=pos)
-            self.depth -= 1
-            return e
+            return UnOp("~~", self.parse_unary(), pos=pos)
         return self.parse_application()
 
     def parse_application(self) -> Expr:
@@ -622,9 +592,7 @@ class Parser:
             if nxt.kind in ("by", "admitted"):
                 step.sub = self.parse_leaf(sibling_labels=seen)
             elif nxt.kind == "bullet" and nxt.bullet[0] == depth + 1:
-                self.enter(nxt)
                 step.sub = self.parse_steps(depth + 1)
-                self.depth -= 1
             elif nxt.kind == "bullet" and nxt.bullet[0] > depth + 1:
                 raise CompileError(PROOF, f"step depth jumps from <{depth}> to <{nxt.bullet[0]}>", nxt.pos)
             else:
@@ -674,22 +642,30 @@ def check_proof_of_targets(unit: CompilationUnit) -> None:
                 raise CompileError(UNKNOWN, f"proof of unknown property {m.name}", m.pos)
 
 
+def _parse(text: str, file: str, rule: Callable[[Parser], T], end: str | None = None) -> T:
+    """`rule` over the tokens of `text`, then `end` of input if named.  A
+    nesting too deep for the Python stack is a `DepthLimit` at the token
+    the parser reached."""
+    p = Parser(tokenize(text, file))
+    try:
+        out = rule(p)
+    except RecursionError:
+        raise CompileError(DEPTH_LIMIT, "nested too deeply", p.peek().pos) from None
+    if end is not None:
+        p.expect("eof", end)
+    return out
+
+
 def parse_source(text: str, file: str = "<input>") -> CompilationUnit:
-    unit = Parser(tokenize(text, file)).parse_unit()
+    unit = _parse(text, file, Parser.parse_unit)
     check_stratification(unit)
     check_proof_of_targets(unit)
     return unit
 
 
 def parse_expr_text(text: str) -> Expr:
-    p = Parser(tokenize(text))
-    e = p.parse_expr()
-    p.expect("eof", "end of expression")
-    return e
+    return _parse(text, "<input>", Parser.parse_expr, "end of expression")
 
 
 def parse_type_text(text: str) -> Type:
-    p = Parser(tokenize(text))
-    t = p.parse_type()
-    p.expect("eof", "end of type")
-    return t
+    return _parse(text, "<input>", Parser.parse_type, "end of type")

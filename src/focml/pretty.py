@@ -81,13 +81,13 @@ def expr_to_source(e: Expr, level: int = _LEVEL_QUANT) -> str:
         case ConRef(name, args):
             if not args:
                 return name
-            inner = ", ".join(expr_to_source(a) for a in args)
+            inner = ", ".join([expr_to_source(a) for a in args])
             return f"{name} ({inner})"
         case Call(callee, args):
-            inner = ", ".join(expr_to_source(a) for a in args)
+            inner = ", ".join([expr_to_source(a) for a in args])
             return wrap(f"{expr_to_source(callee, _LEVEL_APP)} ({inner})", _LEVEL_APP)
         case TupleExpr(items):
-            return "(" + ", ".join(expr_to_source(i) for i in items) + ")"
+            return "(" + ", ".join([expr_to_source(i) for i in items]) + ")"
         case UnOp(op, operand):
             return wrap(f"{op} {expr_to_source(operand, _LEVEL_UNARY)}", _LEVEL_UNARY)
         case BinOp(op, left, right):
@@ -137,9 +137,9 @@ def pattern_to_source(p: Pattern) -> str:
         case PCon(name, args):
             if not args:
                 return name
-            return f"{name} (" + ", ".join(pattern_to_source(a) for a in args) + ")"
+            return f"{name} (" + ", ".join([pattern_to_source(a) for a in args]) + ")"
         case PTuple(items):
-            return "(" + ", ".join(pattern_to_source(i) for i in items) + ")"
+            return "(" + ", ".join([pattern_to_source(i) for i in items]) + ")"
         case _:
             raise ValueError(f"cannot print pattern {p!r}")
 

@@ -8,21 +8,21 @@ from .ast import Proof, ProofLeaf, ProofStep, ProofSteps
 
 
 def iter_leaves(proof: Proof) -> Iterator[ProofLeaf]:
-    match proof:
-        case ProofLeaf():
-            yield proof
-        case ProofSteps(steps):
-            for step in steps:
-                if step.sub is not None:
-                    yield from iter_leaves(step.sub)
+    if isinstance(proof, ProofLeaf):
+        yield proof
+    for step in iter_steps(proof):
+        if isinstance(step.sub, ProofLeaf):
+            yield step.sub
 
 
 def iter_steps(proof: Proof) -> Iterator[ProofStep]:
-    if isinstance(proof, ProofSteps):
-        for step in proof.steps:
-            yield step
-            if step.sub is not None:
-                yield from iter_steps(step.sub)
+    """Every step in pre-order, from an explicit stack."""
+    todo = list(reversed(proof.steps)) if isinstance(proof, ProofSteps) else []
+    while todo:
+        step = todo.pop()
+        yield step
+        if isinstance(step.sub, ProofSteps):
+            todo.extend(reversed(step.sub.steps))
 
 
 def unfolded(proof: Proof) -> list[str]:

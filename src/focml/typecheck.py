@@ -32,6 +32,7 @@ from .ast import (
     T_INT,
     T_STRING,
     arrow,
+    same,
     type_map,
     type_walk,
     BinOp,
@@ -136,7 +137,7 @@ class Unifier:
             case TArrow(a, r):
                 return TArrow(self.deep(a), self.deep(r))
             case TTuple(items):
-                return TTuple(tuple(self.deep(i) for i in items))
+                return TTuple(tuple([self.deep(i) for i in items]))
             case _:
                 return t
 
@@ -155,7 +156,7 @@ class Unifier:
 
     def unify(self, a: Type, b: Type, pos: Pos = NOPOS) -> None:
         a, b = self.resolve(a), self.resolve(b)
-        if a == b:
+        if same(a, b):
             if isinstance(a, TSelf):
                 self.touched_self = True
             return
@@ -300,7 +301,7 @@ def infer_expr(
             return tt
         case TupleExpr(items):
             return TTuple(
-                tuple(infer_expr(i, locals_, env, uni) for i in items)
+                tuple([infer_expr(i, locals_, env, uni) for i in items])
             )
         case Match(scrutinee, arms):
             ts = infer_expr(scrutinee, locals_, env, uni)

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import DATA, data
 
-from focml import compile_files, deps_view, load_deps_report
+from focml import compile_files, deps_report
 from focml.cli import main
 
 EXAMPLE = data("example.fcl")
@@ -100,8 +100,7 @@ def test_deps_json_round_trips(capsys, tmp_path):
     out_path = tmp_path / "deps.json"
     code, _, _ = run(capsys, "deps", *EXAMPLE, "--json", str(out_path))
     assert code == 0
-    loaded = load_deps_report(json.loads(out_path.read_text()))
-    assert loaded == deps_view(compile_files(EXAMPLE))
+    assert json.loads(out_path.read_text()) == deps_report(compile_files(EXAMPLE))
 
 
 def test_deps_matches_the_golden_report(capsys):
@@ -237,16 +236,20 @@ def focml(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_deep_nesting_is_a_syntax_error_not_a_traceback(tmp_path):
+def test_deep_inputs_end_in_output_or_a_diagnostic_in_a_process(tmp_path):
+    long_sum = tmp_path / "sum.fcl"
+    body = " + ".join(["x"] * 3000)
+    long_sum.write_text(
+        "species S =\n  representation = int ;\n"
+        f"  let f (x : int) : int = {body} ;\nend ;;\ncollection C = implement S ;;\n"
+    )
+    assert focml("check", str(long_sum)).returncode == 0
+    proc = focml("eval", str(long_sum), "--call", "C!f (1)")
+    assert (proc.returncode, proc.stdout) == (0, "3000\n")
     deep = tmp_path / "deep.fcl"
-    body = "(" * 3000 + "x" + ")" * 3000
-    deep.write_text(f"species S =\n  let f (x : int) : int = {body} ;\nend ;;\n")
-    call = "(" * 3000 + "1" + ")" * 3000
-    for proc in (
-        focml("check", str(deep)),
-        focml("eval", *EXAMPLE, "--call", call),
-    ):
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert "error: SyntaxError: nested more than 64 levels deep" in proc.stderr
-        assert "Traceback" not in proc.stderr
+    n = 25_000  # 12 frames a level: past the recursion limit of 200,000
+    deep.write_text(f"species S =\n  let f (x : int) : int = {'(' * n}x{')' * n} ;\nend ;;\n")
+    proc = focml("check", str(deep))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "error: DepthLimit: nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,5 +1,6 @@
 """Emission plans: generator lifts, record types, creators, extractions."""
 
+from focml import compile_source, emit_comp, eval_call
 from focml.pretty import type_to_source
 
 
@@ -141,6 +142,34 @@ def test_creator_uses_the_generator_of_each_origin(example_cu):
     assert origin["gt"] == "OrdData"
     assert origin["lt"] == "TheInt"
     assert origin["ltNotGt"] == "TheInt"
+
+
+# `Cross` inherits `Two` twice, through heirs that pass the parameters in
+# opposite orders; its `onP` is the first inherit's copy, which reads `Q`.
+CROSS = """
+species Ord = signature get : Self -> int ; signature mk : int -> Self ; end ;;
+species Id = inherit Ord ; representation = int ;
+  let get (x : Self) : int = x ; let mk (x : int) : Self = x ; end ;;
+species Shift = inherit Ord ; representation = int ;
+  let get (x : Self) : int = x + 100 ; let mk (x : int) : Self = x ; end ;;
+species Two (P is Ord, Q is Ord) =
+  representation = int ;
+  let onP (x : int) : int = P!get (P!mk (x)) ;
+end ;;
+species Right (P is Ord, Q is Ord) = inherit Two (P, Q) ; end ;;
+species Left (P is Ord, Q is Ord) = inherit Two (P, Q) ; end ;;
+species Cross (P is Ord, Q is Ord) = inherit Right (Q, P), Left (P, Q) ; end ;;
+collection I = implement Id ;;
+collection S = implement Shift ;;
+collection X = implement Cross (I, S) ;;
+"""
+
+
+def test_a_diamond_creator_passes_the_arguments_of_the_copy_it_keeps():
+    cu = compile_source(CROSS)
+    assert cu.deps["Cross"].methods["onP"].param_deps == {"P": [], "Q": ["get", "mk"]}
+    assert "    let local_onP = Two.onP _p_Q_get _p_Q_mk in" in emit_comp(cu).splitlines()
+    assert eval_call(cu, "X!onP (3)") == "103"
 
 
 def test_creator_outer_params_cover_all_param_deps(example_cu):

@@ -9,7 +9,7 @@ from focml.ast import CollectionDecl, SpeciesDecl, UnionTypeDecl
 from focml.driver import doc_text, render_deps_report
 from focml.emit import emit_comp, emit_logical
 from focml.errors import CompileError
-from focml.parser import MAX_NESTING, parse_expr_text, parse_source, parse_type_text
+from focml.parser import parse_expr_text, parse_source, parse_type_text
 from focml.pretty import expr_to_source, type_to_source, unit_to_source
 
 from conftest import DATA
@@ -203,81 +203,3 @@ def test_capitalized_hypothesis_names():
     )
     step = lowmin.proof.steps[0]
     assert [h for h, _ in step.hyps] == ["H"]
-
-
-# ---------------------------------------------------------------------------
-# Nesting depth
-
-
-def deep_let(n: int) -> str:
-    return f"species S =\n  let f (x : int) : int = {'(' * n}x{')' * n} ;\nend ;;\n"
-
-
-def test_nesting_up_to_the_limit_parses():
-    # the body is one level, each parenthesis opens one more
-    (decl,) = parse_source(deep_let(MAX_NESTING - 1)).decls
-    assert decl.methods[0].body.name == "x"
-
-
-@pytest.mark.parametrize("n", [MAX_NESTING, 3000])
-def test_nesting_past_the_limit_is_a_syntax_error(n):
-    with pytest.raises(CompileError) as ei:
-        parse_source(deep_let(n))
-    assert ei.value.kind == "SyntaxError"
-    assert ei.value.message == f"nested more than {MAX_NESTING} levels deep"
-    # at the parenthesis that opens the level past the limit
-    col = len("  let f (x : int) : int = ") + MAX_NESTING
-    assert (ei.value.pos.line, ei.value.pos.col) == (2, col)
-
-
-@pytest.mark.parametrize(
-    "text, parse",
-    [
-        ("(" * 3000 + "1" + ")" * 3000, parse_expr_text),
-        ("~~ " * 3000 + "x", parse_expr_text),
-        ("~ " * 3000 + "p", parse_expr_text),
-        ("if b then 1 else " * 3000 + "0", parse_expr_text),
-        ("f (" * 3000 + "x" + ")" * 3000, parse_expr_text),
-        ("match x with | " + "Succ (" * 3000 + "n" + ")" * 3000 + " -> 0",
-         parse_expr_text),
-        ("(" * 3000 + "int" + ")" * 3000, parse_type_text),
-        ("int -> " * 3000 + "int", parse_type_text),
-    ],
-    ids=["parens", "unop", "not", "if", "calls", "pattern", "type", "arrows"],
-)
-def test_deep_expressions_types_and_patterns_are_syntax_errors(text, parse):
-    with pytest.raises(CompileError) as ei:
-        parse(text)
-    assert ei.value.kind == "SyntaxError"
-
-
-def test_deep_proof_steps_are_a_syntax_error():
-    steps = "".join(
-        f"<{d}>1 prove p\n" for d in range(1, 3001)
-    ) + "".join(f"<{d}>2 qed admitted\n" for d in range(3000, 0, -1))
-    src = (
-        "species S =\n  property p : all x : int, x = x ;\n"
-        f"  theorem t : all x : int, x = x\n  proof =\n{steps} ;\nend ;;\n"
-    )
-    with pytest.raises(CompileError) as ei:
-        parse_source(src)
-    assert ei.value.kind == "SyntaxError"
-
-
-def test_nesting_at_the_limit_compiles_emits_and_evaluates():
-    n = MAX_NESTING - 1
-    src = f"""species S =
-  representation = int ;
-  let inc (x : int) : int = x + 1 ;
-  let f (x : {"(" * (n - 1)}int{")" * (n - 1)}) : int = {"inc (" * n}x{")" * n} ;
-  let g (x : int) : int = {"if x =0x 0 then 0 else " * n}x ;
-  theorem t : all x : int, {"~ " * (n - 3)}(f (x) = f (x))
-  proof = by definition of f ;
-end ;;
-collection C = implement S ; end ;;
-"""
-    cu = compile_source(src)
-    for render in (emit_logical, emit_comp, render_deps_report, doc_text):
-        assert render(cu)
-    assert eval_call(cu, "C!f (1)") == str(1 + n)
-    assert eval_call(cu, "C!g (5)") == "5"

@@ -37,6 +37,7 @@ from focml.proofs import iter_leaves
 
 import oracles
 from test_evaluator import COUNTER
+from test_generators import CROSS
 from test_typecheck import CAPTURE_SHAPES
 
 SEED = 271828
@@ -1155,7 +1156,7 @@ def test_names_are_tagged_where_they_are_written(general_units, complete_units):
 
 def test_evaluator_agrees_with_the_reference(complete_units, monkeypatch):
     cus = [u.cu for u in complete_units] + data_units()
-    cus += [compile_source(COUNTER), compile_source(PEANO), compile_source(CAPTURES)]
+    cus += [compile_source(src) for src in (COUNTER, PEANO, CAPTURES, CROSS)]
     kinds = run_eval_suite(cus, 3, evaluator.MAX_DEPTH)
     assert kinds.total() >= 1000
     assert kinds["value"] and kinds["StepLimit"] and kinds["EvalError"]

@@ -9,7 +9,7 @@ from focml.ast import TArrow, TCollCarrier
 from focml.pretty import type_to_source
 
 from conftest import data
-from focml import compile_files, deps_view, emit_comp, eval_call
+from focml import compile_files, deps_report, emit_comp, eval_call
 
 
 def scheme_src(cu, species: str, method: str) -> str:
@@ -421,9 +421,11 @@ def test_a_name_keeps_its_meaning_in_every_heir(src, heir, method, line, call, v
     origin = mi.origin
     # typing and deps read the name as the origin did
     assert scheme_src(cu, heir, method) == scheme_src(cu, origin, method)
-    view = deps_view(cu)
-    assert view[heir][method].decl == view[origin][method].decl
-    assert view[heir][method].param_deps == view[origin][method].param_deps
+    report = deps_report(cu)["species"]
+    heir_md, origin_md = (report[s]["methods"][method] for s in (heir, origin))
+    assert heir_md["decl"] == origin_md["decl"]
+    # the parameters it uses: methods of `is` parameters, carriers, entities
+    assert heir_md["params"] == origin_md["params"]
     # and so do the generator the heir reuses and the evaluator running it
     assert line in emit_comp(cu).splitlines()
     assert eval_call(cu, call) == value
@@ -481,3 +483,27 @@ def test_inherit_types_its_entity_arguments_like_an_interface():
         ARGS_PRELUDE + "species B = inherit A (BColl, BColl!mk (3)) ; end ;;"
     )
     assert cu.species["B"].methods["g"].origin == "A"
+
+
+def test_a_nullary_constructor_is_an_entity_argument():
+    holder = """type color_t = | Red | Green ;;
+species Colors =
+  representation = color_t ;
+  let pick (x : int) : Self = if x =0x 0 then Red else Green ;
+end ;;
+collection CI = implement Colors ;;
+species Holder (C is Colors, c in C) =
+  representation = int ;
+  let get (x : int) : int = x ;
+  let same (x : int) : bool = c = C!pick (x) ;
+end ;;
+"""
+    cu = compile_source(holder + "collection H = implement Holder (CI, Green) ;;\n")
+    assert eval_call(cu, "H!get (4)") == "4"
+    assert eval_call(cu, "H!same (1)") == "true"
+    # a collection name is still no entity
+    bad = "collection H = implement Holder (CI, CI) ;;"
+    with pytest.raises(CompileError) as e:
+        compile_source(holder + bad)
+    assert e.value.kind == "UnknownName"
+    assert (e.value.pos.line, e.value.pos.col) == (12, bad.rindex("CI") + 1)
