@@ -363,6 +363,7 @@ class Fact:
     names: list[str] = field(default_factory=list)  # for 'property': "m" or "C!m"
     labels: list[Label] = field(default_factory=list)  # for 'step'
     pos: Pos = field(default=NOPOS, compare=False)
+    refs: list[str | None] = field(default_factory=list, compare=False)  # see resolve.py
 
 
 @dataclass

@@ -486,8 +486,9 @@ def _param_deps(
     if mi.proof is not None:  # `by property P!m` facts count as uses
         for leaf in iter_leaves(mi.proof):
             for f in leaf.facts:
-                for coll, bang, m in (n.partition("!") for n in f.names):
-                    if bang and coll in quals:
+                for n, ref in zip(f.names, f.refs):
+                    if ref == PARAM:
+                        coll, _, m = n.partition("!")
                         quals[coll].add(m)
 
     for pname, deps in quals.items():

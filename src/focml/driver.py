@@ -47,6 +47,7 @@ from .generators import (
     build_species_plan,
 )
 from .hierarchy import (
+    Args,
     CollectionModel,
     MethodInfo,
     NFSpecies,
@@ -172,19 +173,17 @@ def _register_species(cu: CompiledUnit, decl: SpeciesDecl) -> None:
     # The header first: the parameters, then the arguments of each inherit.
     nf = NFSpecies(name=decl.name, params=list(decl.params), pos=decl.pos)
     env = _species_env(cu, nf)
-    inherited = [
-        arg
-        for se in decl.inherits
-        for arg in _check_species_args(cu, se, nf.params, se.pos)
+    inherit_args = [
+        _check_species_args(cu, se, nf.params, se.pos) for se in decl.inherits
     ]
     # The species' own text is resolved here, once (`resolve`): its inherit
     # arguments before renaming copies them, its methods after flattening.
     methods = {m.name for m in decl.methods if m.kind != "proof_of"}
     methods.update(*(cu.species[se.name].methods for se in decl.inherits))
     names = Names(env.entity_params, methods, env.param_ifaces, env.collections)
-    for expr, _, _ in inherited:
-        resolve(expr, names)
-    normalize(nf, decl, cu.species, cu.collections)
+    for args in inherit_args:
+        _resolve_entity_args(args, names)
+    normalize(nf, decl, inherit_args, cu.species, cu.collections)
     for m in decl.methods:
         resolve_method(m, names)
     if nf.rep is not None:
@@ -203,7 +202,8 @@ def _register_species(cu: CompiledUnit, decl: SpeciesDecl) -> None:
     sd = scan_species(nf, cu.deps)
     _type_species(nf, sd, env)
     # Inherit arguments may name the species' own methods.
-    _type_entity_args(inherited, env)
+    for se, args in zip(decl.inherits, inherit_args):
+        _type_entity_args(cu, se, args, env)
     finish_deps(nf, sd, cu.species, cu.deps)
     cu.species[nf.name] = nf
     cu.deps[nf.name] = sd
@@ -232,9 +232,9 @@ def _species_env(cu: CompiledUnit, nf: NFSpecies) -> SpeciesTypeEnv:
             assert p.interface is not None
             args = _check_species_args(cu, p.interface, seen, p.pos)
             names = Names(env.entity_params, (), env.param_ifaces, env.collections)
-            for expr, _, _ in args:
-                resolve(expr, names)
-            _type_entity_args(args, env)
+            _resolve_entity_args(args, names)
+            _type_entity_args(cu, p.interface, args, env)
+            nf.iface_args[p.name] = args
             env.param_ifaces[p.name] = param_schemes(nf, p, cu.species)
         elif p.carrier not in env.param_ifaces:
             raise CompileError(
@@ -251,13 +251,14 @@ def _species_env(cu: CompiledUnit, nf: NFSpecies) -> SpeciesTypeEnv:
 
 def _check_species_args(
     cu: CompiledUnit, se: SpeciesExpr, own: list[SpeciesParam], pos: Pos
-) -> list[tuple[Expr, Type, Pos]]:
+) -> Args:
     """Check `S (args)`, written as a parameter's interface or inherited,
     against the parameters of S: the arity, and each is-argument is an own
     collection parameter in `own` or a collection, either of which lists
     the formal's interface in its lineage.  `pos` places an unknown S or a
-    wrong arity.  Returns each entity argument with the type it must have:
-    the formal's carrier, renamed to that is-argument."""
+    wrong arity.  This decides, once, what each argument denotes: returns
+    the actual of each formal, `TParam` for an own parameter and
+    `TCollCarrier` for a collection, an entity argument as its expression."""
     formal_nf = cu.species.get(se.name)
     if formal_nf is None:
         raise CompileError(UNKNOWN, f"unknown species {se.name}", pos)
@@ -268,13 +269,11 @@ def _check_species_args(
             f"got {len(se.args)}",
             pos,
         )
-    own_is = {q.name: q for q in own if q.kind == "is"}
-    carriers: dict[str, Type] = {}
-    entities: list[tuple[Expr, Type, Pos]] = []
+    is_params = {q.name: q for q in own if q.kind == "is"}
+    args: Args = {}
     for formal, arg in zip(formal_nf.params, se.args):
         if formal.kind == "in":
-            assert formal.carrier is not None
-            entities.append((arg.entity, carriers[formal.carrier], arg.pos))
+            args[formal.name] = arg.entity
             continue
         if arg.name is None:
             raise CompileError(
@@ -283,14 +282,14 @@ def _check_species_args(
                 "argument",
                 arg.pos,
             )
-        if arg.name in own_is:
-            actual = own_is[arg.name].interface
+        if arg.name in is_params:
+            actual = is_params[arg.name].interface
             assert actual is not None
             lineage = cu.species[actual.name].lineage
-            carriers[formal.name] = TParam(arg.name)
+            args[formal.name] = TParam(arg.name)
         elif arg.name in cu.collections:
             lineage = cu.collections[arg.name].nf.lineage
-            carriers[formal.name] = TCollCarrier(arg.name)
+            args[formal.name] = TCollCarrier(arg.name)
         else:
             raise CompileError(UNKNOWN, f"unknown collection {arg.name}", arg.pos)
         assert formal.interface is not None
@@ -300,15 +299,25 @@ def _check_species_args(
                 f"{arg.name} does not implement {formal.interface.name}",
                 arg.pos,
             )
-    return entities
+    return args
+
+
+def _resolve_entity_args(args: Args, names: Names) -> None:
+    for a in args.values():
+        if isinstance(a, Expr):
+            resolve(a, names)
 
 
 def _type_entity_args(
-    args: list[tuple[Expr, Type, Pos]], env: SpeciesTypeEnv
+    cu: CompiledUnit, se: SpeciesExpr, args: Args, env: SpeciesTypeEnv
 ) -> None:
-    for expr, want, pos in args:
-        uni = Unifier()
-        uni.unify(infer_expr(expr, {}, env, uni), want, pos)
+    """Each entity argument of `se` must have its formal's carrier, renamed
+    to that is-argument."""
+    for formal, arg in zip(cu.species[se.name].params, se.args):
+        if formal.kind == "in":
+            uni = Unifier()
+            got = infer_expr(args[formal.name], {}, env, uni)
+            uni.unify(got, args[formal.carrier], arg.pos)
 
 
 def _type_species(nf: NFSpecies, sd: SpeciesDeps, env: SpeciesTypeEnv) -> None:
@@ -363,9 +372,9 @@ def _type_method(mi: MethodInfo, env: SpeciesTypeEnv) -> None:
             # Quantifier and assume types are emitted later: pin them
             # to their resolved forms.
             tyfn = lambda t: env.ctx.resolve(t, mi.pos)
-            mi.statement = subst_expr(mi.statement, {}, {}, tyfn)
+            mi.statement = subst_expr(mi.statement, {}, tyfn)
             if mi.proof is not None:
-                mi.proof = subst_proof(mi.proof, {}, {}, tyfn)
+                mi.proof = subst_proof(mi.proof, {}, tyfn)
 
 
 def _declared_scheme(mi: MethodInfo, env: SpeciesTypeEnv) -> Scheme | None:
@@ -506,8 +515,8 @@ def _species_report(cu: CompiledUnit, name: str) -> dict:
 
 def _collection_args(model: CollectionModel) -> list[str]:
     return [
-        model.param_map[f] if k == "is" else expr_to_source(model.entity_args[f])
-        for k, f in model.arg_order
+        expr_to_source(a) if isinstance(a, Expr) else a.name
+        for a in model.args.values()
     ]
 
 

@@ -25,10 +25,12 @@ from .ast import (
 )
 from .deps import MethodDeps, SpeciesDeps, param_refs, type_level_refs
 from .hierarchy import (
+    Args,
     CollectionModel,
     MethodInfo,
     NFSpecies,
     interface_view,
+    rename_type,
     subst_expr,
 )
 from .proofs import proof_is_admitted
@@ -130,32 +132,22 @@ class CollectionExtractionPlan:
 # Tag resolution
 
 
-def resolve_tags(tags: list[Tag], origin: str, nf: NFSpecies) -> list[Atom]:
-    """Rewrite tags phrased in `origin`'s formal parameters into atoms
-    meaningful inside `nf`."""
-    amap = nf.ancestor_args[origin]
-    own_params = {p.name for p in nf.is_params}
+def resolve_tags(tags: list[Tag], args: Args) -> list[Atom]:
+    """Rewrite tags phrased in some species' formal parameters into atoms,
+    given the actuals `args` of those formals."""
     out: list[Atom] = []
     for t in tags:
-        match t[0]:
-            case "param_carrier":
-                a = amap[t[1]]
-                assert isinstance(a, str)
-                out.append(
-                    ("param_carrier", a) if a in own_params else ("coll_carrier", a)
-                )
-            case "param_method":
-                a = amap[t[1]]
-                assert isinstance(a, str)
-                out.append(
-                    ("param_method", a, t[2])
-                    if a in own_params
-                    else ("coll_method", a, t[2])
-                )
-            case "param_entity":
-                e = amap[t[1]]
-                assert not isinstance(e, str)
-                out.append(("entity_expr", e))
+        match t:
+            case ("param_carrier", p):
+                a = args[p]
+                own = isinstance(a, TParam)
+                out.append(("param_carrier" if own else "coll_carrier", a.name))
+            case ("param_method", p, m):
+                a = args[p]
+                own = isinstance(a, TParam)
+                out.append(("param_method" if own else "coll_method", a.name, m))
+            case ("param_entity", v):
+                out.append(("entity_expr", args[v]))
             case _:
                 out.append(t)
     return out
@@ -165,7 +157,7 @@ def _gen_app(callee: MethodGeneratorPlan, nf: NFSpecies) -> GenApp:
     """Apply `callee` inside `nf`: one argument per abstract lift, kept in
     the computational target unless the lift is logical."""
     lifts = [l for l in callee.lifts if l.abstract]
-    args = resolve_tags([l.tag for l in lifts], callee.species, nf)
+    args = resolve_tags([l.tag for l in lifts], nf.ancestor_args[callee.species])
     comp = [a for a, l in zip(args, lifts) if not l.logical]
     return GenApp(callee.species, callee.method, args, comp)
 
@@ -177,15 +169,14 @@ def _param_method_lift(
     species_env: dict[str, NFSpecies],
     name: str,
 ) -> Lift:
-    iface_nf, qual_map, entity_map, tyfn = interface_view(nf, p, species_env)
+    iface_nf, args = interface_view(nf, p, species_env)
+    tyfn = lambda t: rename_type(t, args, TParam(p.name))
     imi = iface_nf.methods[m]
     tag = ("param_method", p.name, m)
     if imi.is_logical:
         assert imi.statement is not None
-        own_is = frozenset(q.name for q in nf.is_params)
         refs = {w: Qual(p.name, w, PARAM) for w in iface_nf.methods}
-        stmt = subst_expr(imi.statement, qual_map, entity_map, tyfn, own_is, refs)
-        return Lift(tag, name, statement=stmt)
+        return Lift(tag, name, statement=subst_expr(imi.statement, args, tyfn, refs))
     assert imi.scheme is not None
     return Lift(tag, name, ty=tyfn(imi.scheme.body))
 
@@ -379,16 +370,8 @@ def build_extraction_plan(
         carrier=model.carrier,
         record_params=len(splan.record.abstractions),
     )
-    for lift in splan.create.outer:
-        match lift.tag:
-            case ("param_carrier", p):
-                arg = ("coll_carrier", model.param_map[p])
-            case ("param_method", p, m):
-                arg = ("coll_method", model.param_map[p], m)
-            case ("param_entity", v):
-                arg = ("entity_expr", model.entity_args[v])
-        out.create_args.append(arg)
-        if not lift.logical:
-            out.comp_args.append(arg)
+    lifts = splan.create.outer
+    out.create_args = resolve_tags([l.tag for l in lifts], model.args)
+    out.comp_args = [a for a, l in zip(out.create_args, lifts) if not l.logical]
     out.methods = [(m, nf.methods[m].is_logical) for m in nf.order]
     return out

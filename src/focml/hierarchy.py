@@ -6,9 +6,13 @@ the last definition along the linearized inheritance chain wins, while the
 method's type stays pinned to its first declaration.  Late binding applies
 to methods only: an inherited tree keeps the tags its names got where it was
 written (`resolve`), and renaming replaces only entity-tagged names and
-parameter-tagged collections.  Inherited copies carry the typing and scan
-results of the species they come from.  Proof invalidation and collection
-completeness both operate on this normal form.
+parameter-tagged collections and carriers.  What each argument of a species
+denotes is decided once, where the application is checked, and stored as the
+actual itself (`Args`): renaming, interface views, the arguments recorded
+for ancestors and collections all read that actual and never look its name
+up again.  Inherited copies carry the typing and scan results of the species
+they come from.  Proof invalidation and collection completeness both operate
+on this normal form.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .ast import (
     Qual,
     Scheme,
     SpeciesDecl,
-    SpeciesExpr,
     SpeciesParam,
     TCap,
     TCollCarrier,
@@ -55,6 +58,14 @@ from .errors import (
 )
 from .proofs import unfolded
 from .resolve import COLLECTION, ENTITY, METHOD, PARAM
+
+
+# The actual of each formal parameter of an applied species, as decided once
+# where the application is checked: an is-formal maps to the carrier it
+# denotes, `TParam` for a parameter of the applying species and
+# `TCollCarrier` for a toplevel collection; an entity formal maps to its
+# argument expression.
+Args = dict[str, "Type | Expr"]
 
 
 @dataclass
@@ -134,12 +145,11 @@ class NFSpecies:
     methods: dict[str, MethodInfo] = field(default_factory=dict)
     order: list[str] = field(default_factory=list)  # filled by deps
     reverted: list[RevertedProof] = field(default_factory=list)
-    # ancestor -> formal parameter -> actual in this species' own terms:
-    # a str (own parameter or collection name) for is-formals, an Expr for
-    # entity formals.  Includes the species itself with identity bindings.
-    ancestor_args: dict[str, dict[str, "str | Expr"]] = field(
-        default_factory=dict
-    )
+    # is-parameter -> the actuals of its interface's formals.
+    iface_args: dict[str, Args] = field(default_factory=dict)
+    # ancestor -> the actuals of its formals in this species' own terms.
+    # Includes the species itself with identity bindings.
+    ancestor_args: dict[str, Args] = field(default_factory=dict)
     pos: Pos = NOPOS
 
     @property
@@ -169,45 +179,23 @@ class NFSpecies:
 # Interface views
 
 
-def interface_view(nf: NFSpecies, p: SpeciesParam, species_env: dict[str, NFSpecies]):
-    """The interface of parameter `p` with its own arguments spliced in, as
-    seen from inside `nf`: (interface NF, qual map, entity map, type fn)."""
+def interface_view(
+    nf: NFSpecies, p: SpeciesParam, species_env: dict[str, NFSpecies]
+) -> tuple[NFSpecies, Args]:
+    """The interface of parameter `p` and the actuals of its formals, as
+    seen from inside `nf`; the interface's `Self` is `TParam(p.name)`."""
     assert p.interface is not None
-    iface_nf = species_env[p.interface.name]
-    qual_map: dict[str, str] = {}
-    entity_map: dict[str, Expr] = {}
-    ty_map: dict[str, Type] = {}
-    own_params = {q.name for q in nf.is_params}
-    for formal, arg in zip(iface_nf.params, p.interface.args):
-        if formal.kind == "is" and arg.name is not None:
-            qual_map[formal.name] = arg.name
-            ty_map[formal.name] = (
-                TParam(arg.name) if arg.name in own_params else TCollCarrier(arg.name)
-            )
-        elif formal.kind == "in":
-            entity_map[formal.name] = arg.entity
-    self_ty = TParam(p.name)
-
-    def tyfn(t: Type) -> Type:
-        def step(n: Type) -> Type:
-            if isinstance(n, TSelf):
-                return self_ty
-            if isinstance(n, (TCap, TParam)) and n.name in ty_map:
-                return ty_map[n.name]
-            return n
-
-        return type_map(t, step)
-
-    return iface_nf, qual_map, entity_map, tyfn
+    return species_env[p.interface.name], nf.iface_args[p.name]
 
 
 def param_schemes(
     nf: NFSpecies, p: SpeciesParam, species_env: dict[str, NFSpecies]
 ) -> dict[str, Scheme]:
     """Types of `p!m` inside `nf`, for each method `m` of `p`'s interface."""
-    iface_nf, _, _, tyfn = interface_view(nf, p, species_env)
+    iface_nf, args = interface_view(nf, p, species_env)
+    self_ty = TParam(p.name)
     return {
-        m: Scheme(mi.scheme.count, tyfn(mi.scheme.body))
+        m: Scheme(mi.scheme.count, rename_type(mi.scheme.body, args, self_ty))
         for m, mi in iface_nf.methods.items()
         if mi.scheme is not None
     }
@@ -217,57 +205,52 @@ def param_schemes(
 # Substitution of species parameters by effective arguments
 
 
-def rename_caps(
-    t: Type, mapping: dict[str, str], target_is: frozenset[str] = frozenset()
-) -> Type:
-    """Rename parameter types through `mapping`.
-
-    Surface types (`TCap`) keep their surface form; already-resolved
-    parameter types map to `TParam` when the actual is a parameter of the
-    inheriting species and to a collection carrier otherwise.
-    """
-    if not mapping:
+def rename_type(t: Type, args: Args, self_ty: Type | None = None) -> Type:
+    """Replace each formal's carrier in `t` by its actual, and `Self` by
+    `self_ty` if given.  A formal named in a surface type (`TCap`) becomes
+    its actual too, which no later lookup of the name can change."""
+    if not args and self_ty is None:
         return t
 
     def step(n: Type) -> Type:
         match n:
-            case TCap(name) if name in mapping:
-                return TCap(mapping[name])
-            case TParam(name) if name in mapping:
-                actual = mapping[name]
-                if actual in target_is:
-                    return TParam(actual)
-                return TCollCarrier(actual)
+            case TSelf() if self_ty is not None:
+                return self_ty
+            case TCap(name) | TParam(name) if name in args:
+                return args[name]
             case _:
                 return n
 
     return type_map(t, step)
 
 
+def _ref(actual: Type) -> str:
+    """The tag of a name whose collection is `actual`."""
+    return PARAM if isinstance(actual, TParam) else COLLECTION
+
+
 def subst_expr(
     e: Expr,
-    qual_map: dict[str, str],
-    entity_map: dict[str, Expr],
+    args: Args,
     type_fn,
-    target_is: frozenset[str] = frozenset(),
     method_map: dict[str, Expr] | None = None,
 ) -> Expr:
-    """Rebuild `e` with parameter renamings applied: an entity-tagged name
-    in `entity_map` (a method-tagged one in `method_map`) becomes its
-    argument, and a parameter-tagged collection is renamed, still a
-    parameter if it lands in `target_is`.  Other names keep their tags."""
+    """Rebuild `e` with the formals replaced by their actuals: an
+    entity-tagged name becomes its argument (a method-tagged one in
+    `method_map` its entry), and a parameter-tagged collection becomes the
+    parameter or collection its actual denotes.  Other names keep their
+    tags; `type_fn` maps quantifier types."""
     method_map = method_map or {}
 
     def go(e: Expr) -> Expr:
         match e:
-            case Var(name, ref) if ref == ENTITY and name in entity_map:
-                return copy.deepcopy(entity_map[name])
+            case Var(name, ref) if ref == ENTITY and name in args:
+                return copy.deepcopy(args[name])
             case Var(name, ref) if ref == METHOD and name in method_map:
                 return copy.deepcopy(method_map[name])
-            case Qual(coll, name, ref) if ref == PARAM and coll in qual_map:
-                actual = qual_map[coll]
-                ref = PARAM if actual in target_is else COLLECTION
-                return Qual(actual, name, ref, pos=e.pos)
+            case Qual(coll, name, ref) if ref == PARAM and coll in args:
+                actual = args[coll]
+                return Qual(actual.name, name, _ref(actual), pos=e.pos)
             case Quant(kind, vars_, ty, body):
                 return Quant(kind, list(vars_), type_fn(ty), go(body), pos=e.pos)
             case Match(scrutinee, arms):
@@ -286,30 +269,25 @@ def subst_expr(
     return go(e)
 
 
-def subst_proof(
-    proof: Proof,
-    qual_map: dict[str, str],
-    entity_map: dict[str, Expr],
-    type_fn,
-    target_is: frozenset[str] = frozenset(),
-) -> Proof:
-    def fact(n: str) -> str:  # `by property P!m` names a parameter's method
-        c, bang, m = n.partition("!")
-        return f"{qual_map.get(c, c)}!{m}" if bang else n
-
-    def go_leaf(leaf: ProofLeaf) -> ProofLeaf:
-        facts = [
-            Fact(f.kind, [fact(n) for n in f.names], list(f.labels), f.pos)
-            for f in leaf.facts
-        ]
-        return ProofLeaf(facts, leaf.admitted, leaf.pos)
+def subst_proof(proof: Proof, args: Args, type_fn) -> Proof:
+    def fact(f: Fact) -> Fact:
+        # `by property P!m` renames `P` only where it is a parameter.
+        names, refs = [], []
+        for n, ref in zip(f.names, f.refs):
+            coll, _, m = n.partition("!")
+            if ref == PARAM and coll in args:
+                actual = args[coll]
+                n, ref = f"{actual.name}!{m}", _ref(actual)
+            names.append(n)
+            refs.append(ref)
+        return Fact(f.kind, names, list(f.labels), f.pos, refs)
 
     def expr(e: Expr) -> Expr:
-        return subst_expr(e, qual_map, entity_map, type_fn, target_is)
+        return subst_expr(e, args, type_fn)
 
     def go(p: Proof) -> Proof:
         if isinstance(p, ProofLeaf):
-            return go_leaf(p)
+            return ProofLeaf([fact(f) for f in p.facts], p.admitted, p.pos)
         steps = [
             ProofStep(
                 label=s.label,
@@ -327,24 +305,19 @@ def subst_proof(
     return go(proof)
 
 
-def subst_method(
-    mi: MethodInfo,
-    qual_map: dict[str, str],
-    entity_map: dict[str, Expr],
-    target_is: frozenset[str] = frozenset(),
-) -> MethodInfo:
+def subst_method(mi: MethodInfo, args: Args) -> MethodInfo:
     """Copy `mi` into an inheriting species, analysis results included.
 
-    `qual_map` and `entity_map` hold only the parameters that are not passed
-    as themselves; when both are empty the copy shares the parent's trees.
+    `args` holds only the formals that are not passed as themselves; when
+    it is empty the copy shares the parent's trees.
     """
     out = copy.copy(mi)
     out.superseded = set(mi.superseded)
     out.carried = True
-    if not qual_map and not entity_map:
+    if not args:
         out.extra_sigs = list(mi.extra_sigs)
         return out
-    type_fn = lambda t: rename_caps(t, qual_map, target_is)
+    type_fn = lambda t: rename_type(t, args)
     out.extra_sigs = [type_fn(t) for t in mi.extra_sigs]
     if mi.ty is not None:
         out.ty = type_fn(mi.ty)
@@ -352,13 +325,11 @@ def subst_method(
     if mi.ret is not None:
         out.ret = type_fn(mi.ret)
     if mi.body is not None:
-        out.body = subst_expr(mi.body, qual_map, entity_map, type_fn, target_is)
+        out.body = subst_expr(mi.body, args, type_fn)
     if mi.statement is not None:
-        out.statement = subst_expr(
-            mi.statement, qual_map, entity_map, type_fn, target_is
-        )
+        out.statement = subst_expr(mi.statement, args, type_fn)
     if mi.proof is not None:
-        out.proof = subst_proof(mi.proof, qual_map, entity_map, type_fn, target_is)
+        out.proof = subst_proof(mi.proof, args, type_fn)
     # The scheme also pins the method's type for any redefinition further
     # down.
     if mi.scheme is not None:
@@ -482,41 +453,31 @@ def _local_info(decl: SpeciesDecl, m: MethodDecl) -> MethodInfo:
     )
 
 
-def _build_subst(
-    parent: NFSpecies, se: SpeciesExpr
-) -> tuple[dict[str, str], dict[str, Expr]]:
-    """Formal parameters of `parent` to the checked arguments of `se`."""
-    qual_map: dict[str, str] = {}
-    entity_map: dict[str, Expr] = {}
-    for formal, arg in zip(parent.params, se.args):
-        if formal.kind == "is":
-            assert arg.name is not None
-            qual_map[formal.name] = arg.name
-        else:
-            entity_map[formal.name] = arg.entity
-    return qual_map, entity_map
+def _passed_as_itself(formal: str, actual: Type | Expr) -> bool:
+    if isinstance(actual, Var):
+        return actual.ref == ENTITY and actual.name == formal
+    return actual == TParam(formal)
 
 
 def _offers_formal_types(
     parent: NFSpecies,
     nf: NFSpecies,
-    qual_map: dict[str, str],
+    args: Args,
     species_env: dict[str, NFSpecies],
     collections: dict[str, "CollectionModel"],
 ) -> bool:
     """Whether each is-argument offers the methods of its formal's interface
     at the formal's types, renamed: the parent's methods were typed against
     those.  Another interface or other interface arguments can differ."""
-    child_is = frozenset(p.name for p in nf.is_params)
     for formal in parent.is_params:
-        actual = qual_map[formal.name]
-        own = next((p for p in nf.is_params if p.name == actual), None)
-        if own is not None:
+        actual = args[formal.name]
+        if isinstance(actual, TParam):
+            own = next(p for p in nf.is_params if p.name == actual.name)
             have = param_schemes(nf, own, species_env)
         else:
-            have = collections[actual].iface_schemes
+            have = collections[actual.name].iface_schemes
         for m, s in param_schemes(parent, formal, species_env).items():
-            if not same(have.get(m), Scheme(s.count, rename_caps(s.body, qual_map, child_is))):
+            if not same(have.get(m), Scheme(s.count, rename_type(s.body, args))):
                 return False
     return True
 
@@ -524,19 +485,19 @@ def _offers_formal_types(
 def normalize(
     nf: NFSpecies,
     decl: SpeciesDecl,
+    inherit_args: list[Args],
     species_env: dict[str, NFSpecies],
     collections: dict[str, "CollectionModel"],
 ) -> None:
-    """Flatten `decl` into `nf`, which holds its parameters.  The arguments
-    of the parameters' interfaces and of the inherits are already checked."""
+    """Flatten `decl` into `nf`, which holds its parameters and their
+    interfaces' actuals.  `inherit_args` holds the checked actuals of each
+    inherit."""
     parent_lineages: list[list[str]] = []
     carries = True
-    child_is = frozenset(p.name for p in nf.is_params)
     own_carriers = {p.name: p.carrier for p in decl.params if p.kind == "in"}
-    for se in decl.inherits:
+    for se, args in zip(decl.inherits, inherit_args):
         parent = species_env[se.name]
-        qual_map, entity_map = _build_subst(parent, se)
-        type_fn = lambda t: rename_caps(t, qual_map, child_is)
+        type_fn = lambda t: rename_type(t, args)
         if parent.rep is not None:
             rep = type_fn(parent.rep)
             if nf.rep is None:
@@ -549,45 +510,35 @@ def normalize(
                     f"(from {nf.rep_origin} and {parent.rep_origin})",
                     se.pos,
                 )
-        renamed = {
-            f: a for f, a in qual_map.items() if a != f or a not in child_is
-        }
-        substituted = {
-            f: e
-            for f, e in entity_map.items()
-            if not (isinstance(e, Var) and e.ref == ENTITY and e.name == f)
-        }
+        renamed = {f: a for f, a in args.items() if not _passed_as_itself(f, a)}
         for mi in parent.methods.values():
-            _merge(nf, subst_method(mi, renamed, substituted, child_is))
+            _merge(nf, subst_method(mi, renamed))
         # Any entity argument but an own entity parameter over the renamed
         # carrier is an expression to type and scan the methods with.
         carries = carries and all(
-            isinstance(arg, Var)
-            and own_carriers.get(arg.name) == qual_map[formal.carrier]
-            for formal, arg in zip(parent.entity_params, entity_map.values())
+            isinstance(arg := args[formal.name], Var)
+            and arg.name in own_carriers
+            and args[formal.carrier] == TParam(own_carriers[arg.name])
+            for formal in parent.entity_params
         )
         carries = carries and _offers_formal_types(
-            parent, nf, qual_map, species_env, collections
+            parent, nf, args, species_env, collections
         )
         parent_lineages.append(parent.lineage)
         # The first inherit that reaches an ancestor fixes its arguments, as
         # `_merge` keeps the first copy of each of its methods.
-        nf.ancestor_args.setdefault(parent.name, {**qual_map, **entity_map})
+        nf.ancestor_args.setdefault(parent.name, args)
         for anc, amap in parent.ancestor_args.items():
-            if anc in nf.ancestor_args:
-                continue
-            composed: dict[str, str | Expr] = {}
-            for formal, actual in amap.items():
-                if isinstance(actual, str):
-                    composed[formal] = qual_map.get(actual, actual)
-                else:
-                    composed[formal] = subst_expr(
-                        actual, qual_map, entity_map, type_fn, child_is
-                    )
-            nf.ancestor_args[anc] = composed
+            if anc not in nf.ancestor_args:
+                nf.ancestor_args[anc] = {
+                    f: subst_expr(a, args, type_fn)
+                    if isinstance(a, Expr)
+                    else rename_type(a, args)
+                    for f, a in amap.items()
+                }
     nf.lineage = merge_lineages(parent_lineages, decl.name)
     nf.ancestor_args[decl.name] = {
-        p.name: (p.name if p.kind == "is" else Var(p.name, ENTITY, pos=p.pos))
+        p.name: TParam(p.name) if p.kind == "is" else Var(p.name, ENTITY, pos=p.pos)
         for p in decl.params
     }
     if decl.representation is not None:
@@ -665,9 +616,9 @@ def invalidate_proofs(nf: NFSpecies) -> list[RevertedProof]:
 class CollectionModel:
     name: str
     nf: NFSpecies  # underlying complete species (shared, not copied)
-    param_map: dict[str, str] = field(default_factory=dict)  # formal -> collection
-    entity_args: dict[str, Expr] = field(default_factory=dict)
-    arg_order: list[tuple[str, str]] = field(default_factory=list)  # (kind, formal)
+    # The base's formals in order: an is-formal to `TCollCarrier(c)`, an
+    # entity formal to its argument.
+    args: Args = field(default_factory=dict)
     iface_schemes: dict[str, Scheme] = field(default_factory=dict)
     carrier: Type | None = None  # representation with parameters substituted
     pos: Pos = NOPOS
@@ -712,45 +663,19 @@ def make_collection(
             actual = collections[arg.name]
             assert formal.interface is not None
             _check_interface(formal.interface.name, actual, species_env, arg.pos)
-            model.param_map[formal.name] = arg.name
-            model.arg_order.append(("is", formal.name))
+            model.args[formal.name] = TCollCarrier(arg.name)
         else:
             expr = arg.entity
             assert formal.carrier is not None
-            target = model.param_map.get(formal.carrier)
-            if target is None:
-                raise CompileError(
-                    UNKNOWN,
-                    f"entity parameter {formal.name} has no effective carrier",
-                    arg.pos,
-                )
-            type_entity_arg(expr, target)
-            model.entity_args[formal.name] = expr
-            model.arg_order.append(("in", formal.name))
-
-    def subst(t: Type) -> Type:
-        def step(n: Type) -> Type:
-            match n:
-                case TSelf():
-                    return TCollCarrier(decl.name)
-                case TParam(p) if p in model.param_map:
-                    return TCollCarrier(model.param_map[p])
-                case _:
-                    return n
-
-        return type_map(t, step)
-
+            type_entity_arg(expr, model.args[formal.carrier].name)
+            model.args[formal.name] = expr
     assert base.rep_resolved is not None
-    model.carrier = type_map(
-        base.rep_resolved,
-        lambda n: TCollCarrier(model.param_map[n.name])
-        if isinstance(n, TParam) and n.name in model.param_map
-        else n,
-    )
+    model.carrier = rename_type(base.rep_resolved, model.args)
+    self_ty = TCollCarrier(decl.name)
     for name, mi in base.methods.items():
         if mi.scheme is not None:
             model.iface_schemes[name] = Scheme(
-                mi.scheme.count, subst(mi.scheme.body)
+                mi.scheme.count, rename_type(mi.scheme.body, model.args, self_ty)
             )
     return model
 

@@ -22,7 +22,7 @@ from .ast import (
     SpeciesArg, SpeciesDecl, SpeciesExpr, SpeciesParam, StrLit, TArrow, TCap,
     TCon, TSelf, TTuple, TupleExpr, Type, UnOp, UnionTypeDecl, Var, expr_walk,
 )
-from .errors import CompileError, DEPTH_LIMIT, DUPLICATE, PROOF, SYNTAX, UNKNOWN
+from .errors import CompileError, DEPTH_LIMIT, DUPLICATE, PROOF, SYNTAX
 from .lexer import Token, tokenize
 
 T = TypeVar("T")
@@ -631,17 +631,6 @@ def check_stratification(unit: CompilationUnit) -> None:
                         pass
 
 
-def check_proof_of_targets(unit: CompilationUnit) -> None:
-    """Best-effort parse-time check; inherited targets are validated at flattening."""
-    for decl in unit.decls:
-        if not isinstance(decl, SpeciesDecl) or decl.inherits:
-            continue
-        provable = {m.name for m in decl.methods if m.kind in ("property", "theorem")}
-        for m in decl.methods:
-            if m.kind == "proof_of" and m.name not in provable:
-                raise CompileError(UNKNOWN, f"proof of unknown property {m.name}", m.pos)
-
-
 def _parse(text: str, file: str, rule: Callable[[Parser], T], end: str | None = None) -> T:
     """`rule` over the tokens of `text`, then `end` of input if named.  A
     nesting too deep for the Python stack is a `DepthLimit` at the token
@@ -659,7 +648,6 @@ def _parse(text: str, file: str, rule: Callable[[Parser], T], end: str | None = 
 def parse_source(text: str, file: str = "<input>") -> CompilationUnit:
     unit = _parse(text, file, Parser.parse_unit)
     check_stratification(unit)
-    check_proof_of_targets(unit)
     return unit
 
 

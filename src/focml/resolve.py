@@ -4,9 +4,10 @@ A method compiles once, to a generator of the species that defines it, and
 heirs reuse that generator; so a free name means in every heir what it meant
 where it was written.  Each `Var` is tagged a local (a parameter, a pattern,
 quantified or assumed variable, a recursive let's own name), an entity
-parameter, a method or a builtin, in that order; each `Qual` by whether its
-collection is a parameter.  Renaming keeps the tags, late binding applies to
-method-tagged names only, and every later pass reads the tags.
+parameter, a method or a builtin, in that order; each `Qual`, and each
+`P!m` a proof cites, by whether its collection is a parameter.  Renaming
+keeps the tags, late binding applies to method-tagged names only, and every
+later pass reads the tags.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection
 
-from .ast import Expr, Match, MethodDecl, Proof, ProofSteps, Qual, Quant, Var
+from .ast import Expr, Match, MethodDecl, Proof, ProofLeaf, Qual, Quant, Var
 from .ast import expr_children, pattern_vars
 from .basics import BUILTIN_FUNCTIONS
 from .errors import UNKNOWN, CompileError
@@ -78,7 +79,9 @@ def resolve_method(m: MethodDecl, names: Names) -> None:
 
 
 def _resolve_proof(proof: Proof, names: Names, bound: frozenset[str]) -> None:
-    if not isinstance(proof, ProofSteps):
+    if isinstance(proof, ProofLeaf):
+        for f in proof.facts:
+            f.refs = [_fact_ref(n, names) for n in f.names]
         return
     for step in proof.steps:
         inner = bound | {v for vs, _ in step.assumes for v in vs}
@@ -88,3 +91,11 @@ def _resolve_proof(proof: Proof, names: Names, bound: frozenset[str]) -> None:
             resolve(step.goal, names, inner)
         if step.sub is not None:
             _resolve_proof(step.sub, names, inner)
+
+
+def _fact_ref(name: str, names: Names) -> str | None:
+    """`P!m` cites a method of a parameter or of a collection, as a `Qual`."""
+    coll, bang, _ = name.partition("!")
+    if not bang:
+        return None
+    return PARAM if coll in names.params else COLLECTION

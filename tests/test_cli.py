@@ -253,3 +253,14 @@ def test_deep_inputs_end_in_output_or_a_diagnostic_in_a_process(tmp_path):
     assert (proc.returncode, proc.stdout) == (1, "")
     assert "error: DepthLimit: nested too deeply" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_an_argument_named_like_a_parameter_evaluates_in_a_process(tmp_path):
+    from test_typecheck import ARG_SHADOW
+
+    source = tmp_path / "shadow.fcl"
+    source.write_text(ARG_SHADOW)
+    for call in ("CC!f (3)", "BB!f (3)"):
+        proc = focml("eval", str(source), "--call", call)
+        assert (proc.returncode, proc.stdout) == (0, "10\n")
+        assert "Traceback" not in proc.stderr

@@ -192,7 +192,7 @@ end ;;
 def test_proof_of_unknown_property():
     src = "species X = let f = 1 ; proof of g = admitted ; end ;;"
     with pytest.raises(CompileError) as e:
-        parse_source(src)
+        compile_source(src)
     assert "unknown property" in e.value.message
 
 

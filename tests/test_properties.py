@@ -21,7 +21,7 @@ import pytest
 
 from focml import compile_source, compile_unit, driver, evaluator
 from focml.ast import (
-    BinOp, BoolLit, Call, ConRef, Connective, Eq, If, IntLit, Match, Not, PCon,
+    BinOp, BoolLit, Call, ConRef, Connective, Eq, Expr, If, IntLit, Match, Not, PCon,
     PTuple, PVar, PWild, ProofLeaf, Qual, Quant, StrLit, TCon, TTuple,
     TupleExpr, UnOp, Var, expr_children,
 )
@@ -31,7 +31,7 @@ from focml.deps import (
 from focml.emit import emit_comp, emit_logical
 from focml.errors import CompileError, EvalFailure
 from focml.evaluator import Interpreter, Scope, format_value
-from focml.parser import parse_expr_text
+from focml.parser import parse_expr_text, parse_source
 from focml.pretty import expr_to_source, type_to_source
 from focml.proofs import iter_leaves
 
@@ -507,20 +507,29 @@ def run_recorded_erasure_suite(cus) -> int:
     return cases
 
 
-def data_units() -> list:
-    """The example files that compile, alone or after the running example."""
+def data_pairs() -> list:
+    """(source, unit) for the example files that compile, alone or after
+    the running example."""
     data = Path(__file__).parent / "data"
     example = (data / "example.fcl").read_text()
-    cus = []
+    pairs = []
     for path in sorted(data.glob("*.fcl")):
         for prefix in ("", example):
             if prefix and path.name == "example.fcl":
                 continue
             try:
-                cus.append(compile_source(prefix + path.read_text()))
+                pairs.append(compiled(prefix + path.read_text()))
             except CompileError:
                 pass
-    return cus
+    return pairs
+
+
+def data_units() -> list:
+    return [cu for _, cu in data_pairs()]
+
+
+def compiled(source: str) -> tuple:
+    return source, compile_source(source)
 
 
 def method_signature(nf, name):
@@ -652,6 +661,35 @@ species Late = inherit Zs2, Both ; end ;;
 """
 
 
+# Heirs with a parameter named like the collection `BColl` that an ancestor's
+# arguments name: in a qualified call, an entity argument, a declared type
+# and a cited fact (`ShC`, then renamed again in `ShD`), and in an interface
+# argument (`ShI`).  Each heir is passed `BColl` in an inherit and in a
+# collection.
+SHADOWS = PRELUDE + """
+species ShA (Q is Base, v in Q) =
+  representation = int ;
+  let k (n : int) : Q = Q!mk (n) ;
+  let f (n : int) : int = if Q!leq (k (n), v) then 10 else n ;
+  theorem t : all x : Q, Q!leq (x, x)
+    proof = by property Q!refl, BColl!refl ;
+end ;;
+species ShB (Q is Base) = inherit ShA (BColl, BColl!mk (5)) ; end ;;
+species ShC (BColl is Base) = inherit ShB (BColl) ; end ;;
+species ShD (R is Base) = inherit ShC (R) ; end ;;
+species ShE (BColl is Base, w in BColl) = inherit ShA (BColl, w) ; end ;;
+species ShI (BColl is Base, H is ShB (BColl)) =
+  inherit ShB (BColl) ;
+  let g (n : int) : int = H!f (n) + f (n) ;
+end ;;
+collection ShBC = implement ShB (BColl) ;;
+collection ShCC = implement ShC (BColl) ;;
+collection ShDC = implement ShD (BColl) ;;
+collection ShEC = implement ShE (BColl, BColl!mk (2)) ;;
+collection ShIC = implement ShI (BColl, ShCC) ;;
+"""
+
+
 def workload_units() -> list:
     """The benchmark's chain, wide and recurse units for seeds 1 to 3, built
     by its own generators."""
@@ -746,7 +784,15 @@ def scope_tree(e, refs: list) -> tuple:
 
 def proof_tree(p, refs: list) -> tuple:
     if isinstance(p, ProofLeaf):
-        return ("node", [])
+        assert all(len(f.refs) == len(f.names) for f in p.facts)
+        cited = [
+            (n.partition("!")[0], ref)
+            for f in p.facts
+            for n, ref in zip(f.names, f.refs)
+            if "!" in n
+        ]
+        refs += cited
+        return ("node", [("qual", coll) for coll, _ in cited])
     steps = []
     for s in p.steps:
         kids = [scope_tree(h, refs) for _, h in s.hyps]
@@ -785,9 +831,27 @@ def written_trees(mi):
         yield mi.proof_origin, "proof", tree, refs, proof_exprs(mi.proof)
 
 
-def check_kept(origin, heir, heir_params: set) -> None:
+def denoted(decls, lineage, heir: str, writer: str) -> dict:
+    """The (name, tag) that each is-formal of `writer` denotes in `heir`,
+    from the source: along the first inherit that reaches `writer`, an
+    argument is a parameter of the species that passes it if that species
+    has a parameter of its name, and a collection otherwise."""
+    if heir == writer:
+        return {p.name: (p.name, "param") for p in decls[heir].params if p.kind == "is"}
+    own = {p.name for p in decls[heir].params if p.kind == "is"}
+    se = next(se for se in decls[heir].inherits if writer in lineage(se.name))
+    passed = {f.name: a.name for f, a in zip(decls[se.name].params, se.args)}
+    return {
+        f: (name, tag) if tag == "collection"
+        else (passed[name], "param" if passed[name] in own else "collection")
+        for f, (name, tag) in denoted(decls, lineage, se.name, writer).items()
+    }
+
+
+def check_kept(origin, heir, actuals: dict) -> None:
     """Renaming kept every tag of `origin` in its copy `heir`, except where
-    an entity parameter was replaced by an argument."""
+    an entity parameter was replaced by an argument, and a parameter-tagged
+    collection became what `actuals` says its argument denotes."""
     if isinstance(origin, Var) and origin.ref == "entity":
         if not isinstance(heir, Var) or (heir.name, heir.ref) != (origin.name, "entity"):
             return
@@ -799,11 +863,24 @@ def check_kept(origin, heir, heir_params: set) -> None:
         if origin.ref == "collection":
             assert (heir.coll, heir.ref) == (origin.coll, origin.ref)
         else:
-            assert heir.ref == ("param" if heir.coll in heir_params else "collection")
+            assert (heir.coll, heir.ref) == actuals[origin.coll]
     kids = expr_children(origin), expr_children(heir)
     assert len(kids[0]) == len(kids[1])
     for a, b in zip(*kids):
-        check_kept(a, b, heir_params)
+        check_kept(a, b, actuals)
+
+
+def check_kept_facts(origin, heir, actuals: dict) -> None:
+    """The same for the `P!m` facts two copies of a proof cite."""
+    facts = [[f for leaf in iter_leaves(p) for f in leaf.facts] for p in (origin, heir)]
+    assert len(facts[0]) == len(facts[1])
+    for a, b in zip(*facts):
+        assert len(a.names) == len(b.names) == len(b.refs)
+        for name, ref, got in zip(a.names, a.refs, zip(b.names, b.refs)):
+            coll, bang, m = name.partition("!")
+            if ref == "param":
+                coll, ref = actuals[coll]
+            assert got == ((f"{coll}!{m}" if bang else name), ref)
 
 
 def fact_names(mi, methods) -> set[str]:
@@ -823,12 +900,15 @@ def check_tags(expr, scope: dict, where) -> None:
     assert refs == oracles.scope_tags(tree, scope), where
 
 
-def run_scope_suite(cus) -> int:
+def run_scope_suite(units) -> int:
     """Every tag against the reference scoping, in the species that wrote
     the tree; every inherited copy against the tree it copies; every decl
-    set against the method-tagged names and the cited facts."""
+    set against the method-tagged names and the cited facts.  `units`
+    holds (source, unit) pairs."""
     cases = 0
-    for cu in cus:
+    for source_text, cu in units:
+        decls = parse_source(source_text).species
+        lineage = lambda s: cu.species[s].lineage
         for sname, nf in cu.species.items():
             scope = {
                 "entities": {p.name for p in nf.entity_params},
@@ -857,14 +937,17 @@ def run_scope_suite(cus) -> int:
                         written = list(written_trees(source))
                         theirs = next(w[4] for w in written if w[1] == field)
                         assert len(theirs) == len(exprs)
+                        actuals = denoted(decls, lineage, sname, writer)
                         for a, b in zip(theirs, exprs):
-                            check_kept(a, b, scope["params"])
+                            check_kept(a, b, actuals)
+                        if field == "proof":
+                            check_kept_facts(source.proof, mi.proof, actuals)
                     cases += 1
                 want = (method_refs | fact_names(mi, nf.methods)) - {name}
                 assert cu.deps[sname].methods[name].decl == want, (sname, name)
         empty = {"entities": set(), "methods": set(), "params": set()}
         for model in cu.collections.values():
-            for expr in model.entity_args.values():
+            for expr in (a for a in model.args.values() if isinstance(a, Expr)):
                 check_tags(expr, empty, model.name)
     return cases
 
@@ -1135,6 +1218,8 @@ def test_plans_record_erasure_by_content(general_units, complete_units):
 
 def test_carried_analysis_equals_a_full_retype(general_units, complete_units):
     assert run_carry_suite(general_units + complete_units) >= 1000
+    shadows = Unit(SHADOWS, compile_source(SHADOWS), [], [])
+    assert run_carry_suite([shadows]) >= 10
 
 
 def test_carried_finish_equals_a_full_finish(general_units, complete_units):
@@ -1142,21 +1227,23 @@ def test_carried_finish_equals_a_full_finish(general_units, complete_units):
     assert run_finish_suite(units) >= 1000
     edges = compile_source(PRELUDE + FINISH_EDGES)
     assert run_finish_suite([edges]) >= 20
+    assert run_finish_suite([compile_source(SHADOWS)]) >= 10
     assert run_finish_suite(data_units()) >= 10
     assert run_finish_suite(workload_units()) >= 5000
 
 
 def test_names_are_tagged_where_they_are_written(general_units, complete_units):
-    units = [u.cu for u in general_units + complete_units]
+    units = [(u.source, u.cu) for u in general_units + complete_units]
     assert run_scope_suite(units) >= 1000
-    units = data_units() + [compile_source(PRELUDE + FINISH_EDGES)]
+    units = data_pairs() + [compiled(PRELUDE + FINISH_EDGES)]
     assert run_scope_suite(units) >= 50
-    assert run_scope_suite([compile_source(CAPTURES)]) >= 15
+    assert run_scope_suite([compiled(CAPTURES)]) >= 15
+    assert run_scope_suite([compiled(SHADOWS)]) >= 15
 
 
 def test_evaluator_agrees_with_the_reference(complete_units, monkeypatch):
     cus = [u.cu for u in complete_units] + data_units()
-    cus += [compile_source(src) for src in (COUNTER, PEANO, CAPTURES, CROSS)]
+    cus += [compile_source(src) for src in (COUNTER, PEANO, CAPTURES, CROSS, SHADOWS)]
     kinds = run_eval_suite(cus, 3, evaluator.MAX_DEPTH)
     assert kinds.total() >= 1000
     assert kinds["value"] and kinds["StepLimit"] and kinds["EvalError"]

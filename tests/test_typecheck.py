@@ -459,6 +459,103 @@ collection BC = implement B ;;
 
 
 # ---------------------------------------------------------------------------
+# An argument keeps what it denotes where it is passed
+
+SHADOW_PRELUDE = """
+species Base =
+  signature mk : int -> Self ;
+  signature get : Self -> int ;
+  signature leq : Self -> Self -> bool ;
+  property refl : all x : Self, leq (x, x) ;
+end ;;
+species BaseImpl =
+  inherit Base ;
+  representation = int ;
+  let mk (x) : Self = x ;
+  let get (x) : int = x ;
+  let leq (x, y) = x <0x y ;
+  proof of refl = admitted ;
+end ;;
+collection P = implement BaseImpl ;;
+"""
+
+# `B` passes the collection `P` to `A`, and `C` passes its own parameter,
+# named like that collection, to `B`: `P` is still the collection in `C`.
+ARG_SHADOW = SHADOW_PRELUDE + """
+species A (Q is Base) =
+  representation = int ;
+  let f (n : int) : int = Q!get (Q!mk (n + 7)) ;
+end ;;
+species B (Q is Base) = inherit A (P) ; end ;;
+species C (P is Base) = inherit B (P) ; end ;;
+collection BB = implement B (P) ;;
+collection CC = implement C (P) ;;
+"""
+
+
+def test_an_argument_keeps_its_meaning_in_every_heir():
+    cu = compile_source(ARG_SHADOW)
+    assert eval_call(cu, "CC!f (3)") == "10"
+    assert eval_call(cu, "BB!f (3)") == "10"
+    module_c = emit_comp(cu).split("module C = struct")[1].split("end")[0]
+    assert "A.f P.get P.mk" in module_c
+
+
+def test_a_cited_fact_keeps_its_collection_in_every_heir():
+    cu = compile_source(
+        SHADOW_PRELUDE
+        + """
+species B (Q is Base) =
+  representation = int ;
+  theorem t : all n : int, n = n
+    proof = by property P!refl ;
+end ;;
+species C (P is Base) = inherit B (P) ; end ;;
+"""
+    )
+    report = deps_report(cu)["species"]
+    assert report["C"]["methods"]["t"]["params"] == report["B"]["methods"]["t"]["params"] == {}
+
+
+def test_a_renamed_surface_type_keeps_its_meaning():
+    # The entity argument makes `C` type the inherited methods again, from
+    # their declared types.
+    cu = compile_source(
+        SHADOW_PRELUDE
+        + """
+species A (Q is Base) =
+  representation = int ;
+  let k (n : int) : Q = Q!mk (n) ;
+  let f (n : int) : int = Q!get (k (n + 7)) ;
+end ;;
+species B (Q is Base, v in Q) = inherit A (P) ; end ;;
+species C (P is Base) = inherit B (P, P!mk (1)) ; end ;;
+collection CC = implement C (P) ;;
+"""
+    )
+    assert not cu.species["C"].methods["k"].carried
+    assert scheme_src(cu, "C", "k") == "int -> P"
+    assert eval_call(cu, "CC!f (3)") == "10"
+
+
+def test_an_interface_argument_sees_only_the_earlier_parameters():
+    # In `Holder (Q)`, `Q` is the collection: the parameter comes after.
+    source = SHADOW_PRELUDE + """
+collection Q = implement BaseImpl ;;
+species Holder (R is Base) = signature hold : R -> Self ; end ;;
+species S (P is Holder (Q), Q is Base) =
+  let h (n : int) : P = P!hold (Q!mk (n)) ;
+end ;;
+"""
+    with pytest.raises(CompileError) as e:
+        compile_source(source)
+    assert e.value.kind == "TypeMismatch"
+    assert e.value.pos.line == source.splitlines().index(
+        "  let h (n : int) : P = P!hold (Q!mk (n)) ;"
+    ) + 1
+
+
+# ---------------------------------------------------------------------------
 # Arguments of a species expression: one check for interfaces and inherits
 
 ARGS_PRELUDE = CARRY_PRELUDE + """
