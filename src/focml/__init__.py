@@ -6,38 +6,40 @@ interface.  The compiler flattens inheritance, types methods, runs the
 dependency calculus, lambda-lifts method generators and emits both a
 logical target (for proof checking) and a computational one, plus a small
 evaluator for direct execution.
+
+The names below are imported on first use (PEP 562), so `import focml`
+loads no module and each caller pays only for what it reaches.
 """
 
-from .driver import (
-    CompiledUnit,
-    compile_files,
-    compile_source,
-    compile_unit,
-    deps_report,
-    doc_text,
-    render_deps_report,
-)
-from .emit import emit_comp, emit_logical
-from .errors import CompileError, Diagnostic, EvalFailure
-from .evaluator import Interpreter, eval_call, format_value
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CompileError",
-    "CompiledUnit",
-    "Diagnostic",
-    "EvalFailure",
-    "Interpreter",
-    "__version__",
-    "compile_files",
-    "compile_source",
-    "compile_unit",
-    "deps_report",
-    "doc_text",
-    "emit_comp",
-    "emit_logical",
-    "eval_call",
-    "format_value",
-    "render_deps_report",
-]
+_HOMES = {
+    "CompileError": "errors",
+    "CompiledUnit": "driver",
+    "Diagnostic": "errors",
+    "EvalFailure": "errors",
+    "Interpreter": "evaluator",
+    "compile_files": "driver",
+    "compile_source": "driver",
+    "compile_unit": "driver",
+    "deps_report": "driver",
+    "doc_text": "driver",
+    "emit_comp": "emit",
+    "emit_logical": "emit",
+    "eval_call": "evaluator",
+    "format_value": "evaluator",
+    "render_deps_report": "driver",
+}
+
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value

@@ -9,13 +9,78 @@ source, only as inference artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from operator import attrgetter
 
 
-@dataclass(frozen=True)
-class Pos:
-    line: int = 0
-    col: int = 0
+def _no_fields(obj) -> tuple:
+    return ()
+
+
+def _eq(key):
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    return __eq__
+
+
+class Record:
+    """A plain record: the base of every node, type, token and analysis
+    result.  Each class writes its own straight-line `__init__` and names its
+    positional fields in `__match_args__`; `_kw` names the keyword-only fields
+    a base adds (first in `repr`), and `_loose` the fields `==` ignores.  Two
+    records are `==` when they have the same class and equal compared fields.
+    A record is unhashable unless it is `Frozen`."""
+
+    __match_args__: tuple[str, ...] = ()
+    _kw: tuple[str, ...] = ()
+    _loose: frozenset[str] = frozenset()
+    _fields: tuple[str, ...] = ()  # set for each class: `_kw + __match_args__`
+    _compared: tuple[str, ...] = ()  # and those of them `==` compares
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls._kw + cls.__match_args__
+        cls._compared = tuple(f for f in cls._fields if f not in cls._loose)
+        key = attrgetter(*cls._compared) if cls._compared else _no_fields
+        cls.__eq__ = _eq(key)  # type: ignore[method-assign]
+        # hash as a tuple of the compared fields, also for a single field
+        single = len(cls._compared) == 1
+        cls._hash_key = staticmethod((lambda r: (key(r),)) if single else key)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def replace(self, **changes):
+        """A shallow copy with `changes` to its fields."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, **changes)
+        return out
+
+
+class Frozen(Record):
+    """A record whose fields are set once, by `__init__` writing to the
+    instance dict, and that hashes by its compared fields."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._hash_key(self))
+
+
+class Pos(Frozen):
+    __match_args__ = ("line", "col")
+
+    def __init__(self, line: int = 0, col: int = 0):
+        d = self.__dict__
+        d["line"] = line
+        d["col"] = col
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
@@ -28,60 +93,76 @@ NOPOS = Pos()
 # Types
 
 
-@dataclass(frozen=True)
-class TCon:
+class TCon(Frozen):
     """Named base or union type: int, bool, string, statut_t, ..."""
 
-    name: str
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        self.__dict__["name"] = name
 
 
-@dataclass(frozen=True)
-class TSelf:
+class TSelf(Frozen):
     pass
 
 
-@dataclass(frozen=True)
-class TCap:
+class TCap(Frozen):
     """Unresolved capitalized type name straight from the parser."""
 
-    name: str
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        self.__dict__["name"] = name
 
 
-@dataclass(frozen=True)
-class TParam:
+class TParam(Frozen):
     """Carrier of a collection parameter of the enclosing species."""
 
-    name: str
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        self.__dict__["name"] = name
 
 
-@dataclass(frozen=True)
-class TCollCarrier:
+class TCollCarrier(Frozen):
     """Carrier of a toplevel collection."""
 
-    name: str
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        self.__dict__["name"] = name
 
 
-@dataclass(frozen=True)
-class TArrow:
-    arg: "Type"
-    res: "Type"
+class TArrow(Frozen):
+    __match_args__ = ("arg", "res")
+
+    def __init__(self, arg: "Type", res: "Type"):
+        d = self.__dict__
+        d["arg"] = arg
+        d["res"] = res
 
 
-@dataclass(frozen=True)
-class TTuple:
-    items: tuple["Type", ...]
+class TTuple(Frozen):
+    __match_args__ = ("items",)
+
+    def __init__(self, items: tuple["Type", ...]):
+        self.__dict__["items"] = items
 
 
-@dataclass(frozen=True)
-class TVar:
-    uid: int
+class TVar(Frozen):
+    __match_args__ = ("uid",)
+
+    def __init__(self, uid: int):
+        self.__dict__["uid"] = uid
 
 
-@dataclass(frozen=True)
-class TGen:
+class TGen(Frozen):
     """Quantified slot inside a Scheme."""
 
-    idx: int
+    __match_args__ = ("idx",)
+
+    def __init__(self, idx: int):
+        self.__dict__["idx"] = idx
 
 
 Type = TCon | TSelf | TCap | TParam | TCollCarrier | TArrow | TTuple | TVar | TGen
@@ -91,12 +172,15 @@ T_BOOL = TCon("bool")
 T_STRING = TCon("string")
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(Frozen):
     """Top-level method/builtin type, generalized over `count` TGen slots."""
 
-    count: int
-    body: Type
+    __match_args__ = ("count", "body")
+
+    def __init__(self, count: int, body: Type):
+        d = self.__dict__
+        d["count"] = count
+        d["body"] = body
 
 
 def arrow(*ts: Type) -> Type:
@@ -153,8 +237,8 @@ def same(a, b) -> bool:
         seq = isinstance(x, (list, tuple))
         if type(x) is not type(y) or (seq and len(x) != len(y)):
             return False
-        if is_dataclass(x):
-            todo += [(getattr(x, f.name), getattr(y, f.name)) for f in fields(x) if f.compare]
+        if isinstance(x, Record):
+            todo += [(getattr(x, f), getattr(y, f)) for f in x._compared]
         elif seq:
             todo += zip(x, y)
         elif x != y:
@@ -166,144 +250,250 @@ def same(a, b) -> bool:
 # Expressions (computational and logical strata share these nodes)
 
 
-@dataclass
-class Expr:
-    pos: Pos = field(default=NOPOS, compare=False, kw_only=True)
+class Node(Record):
+    """A syntax node: `==` ignores where it was written (`pos`, `rep_pos`)
+    and how its names were resolved (`ref`, `refs`)."""
+
+    _loose = frozenset({"pos", "rep_pos", "ref", "refs"})
 
 
-@dataclass
+class Expr(Node):
+    _kw = ("pos",)
+
+    def __init__(self, *, pos: Pos = NOPOS):
+        self.pos = pos
+
+
 class IntLit(Expr):
-    value: int = 0
+    __match_args__ = ("value",)
+
+    def __init__(self, value: int = 0, *, pos: Pos = NOPOS):
+        self.pos = pos
+        self.value = value
 
 
-@dataclass
 class BoolLit(Expr):
-    value: bool = False
+    __match_args__ = ("value",)
+
+    def __init__(self, value: bool = False, *, pos: Pos = NOPOS):
+        self.pos = pos
+        self.value = value
 
 
-@dataclass
 class StrLit(Expr):
-    value: str = ""
+    __match_args__ = ("value",)
+
+    def __init__(self, value: str = "", *, pos: Pos = NOPOS):
+        self.pos = pos
+        self.value = value
 
 
-@dataclass
 class Var(Expr):
-    name: str = ""
-    ref: str | None = field(default=None, compare=False)  # see resolve.py
+    __match_args__ = ("name", "ref")
+
+    def __init__(self, name: str = "", ref: str | None = None, *, pos: Pos = NOPOS):
+        self.pos = pos
+        self.name = name
+        self.ref = ref  # see resolve.py
 
 
-@dataclass
 class ConRef(Expr):
     """Union-type constructor, possibly applied: Too_low, Some (x)."""
 
-    name: str = ""
-    args: list[Expr] = field(default_factory=list)
+    __match_args__ = ("name", "args")
+
+    def __init__(self, name: str = "", args: list[Expr] | None = None, *, pos: Pos = NOPOS):
+        self.pos = pos
+        self.name = name
+        self.args = [] if args is None else args
 
 
-@dataclass
 class Qual(Expr):
     """C!m — method of a parameter or of a toplevel collection."""
 
-    coll: str = ""
-    name: str = ""
-    ref: str | None = field(default=None, compare=False)  # see resolve.py
+    __match_args__ = ("coll", "name", "ref")
+
+    def __init__(
+        self, coll: str = "", name: str = "", ref: str | None = None, *, pos: Pos = NOPOS
+    ):
+        self.pos = pos
+        self.coll = coll
+        self.name = name
+        self.ref = ref  # see resolve.py
 
 
-@dataclass
 class Call(Expr):
-    callee: Expr = None  # type: ignore[assignment]
-    args: list[Expr] = field(default_factory=list)
+    __match_args__ = ("callee", "args")
+
+    def __init__(
+        self, callee: Expr | None = None, args: list[Expr] | None = None, *, pos: Pos = NOPOS
+    ):
+        self.pos = pos
+        self.callee = callee
+        self.args = [] if args is None else args
 
 
-@dataclass
 class BinOp(Expr):
-    op: str = ""
-    left: Expr = None  # type: ignore[assignment]
-    right: Expr = None  # type: ignore[assignment]
+    __match_args__ = ("op", "left", "right")
+
+    def __init__(
+        self,
+        op: str = "",
+        left: Expr | None = None,
+        right: Expr | None = None,
+        *,
+        pos: Pos = NOPOS,
+    ):
+        self.pos = pos
+        self.op = op
+        self.left = left
+        self.right = right
 
 
-@dataclass
 class UnOp(Expr):
-    op: str = ""
-    operand: Expr = None  # type: ignore[assignment]
+    __match_args__ = ("op", "operand")
+
+    def __init__(self, op: str = "", operand: Expr | None = None, *, pos: Pos = NOPOS):
+        self.pos = pos
+        self.op = op
+        self.operand = operand
 
 
-@dataclass
 class If(Expr):
-    cond: Expr = None  # type: ignore[assignment]
-    then: Expr = None  # type: ignore[assignment]
-    orelse: Expr = None  # type: ignore[assignment]
+    __match_args__ = ("cond", "then", "orelse")
+
+    def __init__(
+        self,
+        cond: Expr | None = None,
+        then: Expr | None = None,
+        orelse: Expr | None = None,
+        *,
+        pos: Pos = NOPOS,
+    ):
+        self.pos = pos
+        self.cond = cond
+        self.then = then
+        self.orelse = orelse
 
 
-@dataclass
 class TupleExpr(Expr):
-    items: list[Expr] = field(default_factory=list)
+    __match_args__ = ("items",)
+
+    def __init__(self, items: list[Expr] | None = None, *, pos: Pos = NOPOS):
+        self.pos = pos
+        self.items = [] if items is None else items
 
 
-@dataclass
 class Match(Expr):
-    scrutinee: Expr = None  # type: ignore[assignment]
-    arms: list[tuple["Pattern", Expr]] = field(default_factory=list)
+    __match_args__ = ("scrutinee", "arms")
+
+    def __init__(
+        self,
+        scrutinee: Expr | None = None,
+        arms: list[tuple["Pattern", Expr]] | None = None,
+        *,
+        pos: Pos = NOPOS,
+    ):
+        self.pos = pos
+        self.scrutinee = scrutinee
+        self.arms = [] if arms is None else arms
 
 
 # Logical stratum.
 
 
-@dataclass
 class Quant(Expr):
-    kind: str = "all"  # 'all' | 'ex'
-    vars: list[str] = field(default_factory=list)
-    ty: Type = None  # type: ignore[assignment]
-    body: Expr = None  # type: ignore[assignment]
+    __match_args__ = ("kind", "vars", "ty", "body")
+
+    def __init__(
+        self,
+        kind: str = "all",  # 'all' | 'ex'
+        vars: list[str] | None = None,
+        ty: Type | None = None,
+        body: Expr | None = None,
+        *,
+        pos: Pos = NOPOS,
+    ):
+        self.pos = pos
+        self.kind = kind
+        self.vars = [] if vars is None else vars
+        self.ty = ty
+        self.body = body
 
 
-@dataclass
 class Connective(Expr):
-    op: str = ""  # '->' | '/\\' | '\\/'
-    left: Expr = None  # type: ignore[assignment]
-    right: Expr = None  # type: ignore[assignment]
+    __match_args__ = ("op", "left", "right")
+
+    def __init__(
+        self,
+        op: str = "",
+        left: Expr | None = None,
+        right: Expr | None = None,
+        *,
+        pos: Pos = NOPOS,
+    ):
+        self.pos = pos
+        self.op = op  # '->' | '/\\' | '\\/'
+        self.left = left
+        self.right = right
 
 
-@dataclass
 class Not(Expr):
-    operand: Expr = None  # type: ignore[assignment]
+    __match_args__ = ("operand",)
+
+    def __init__(self, operand: Expr | None = None, *, pos: Pos = NOPOS):
+        self.pos = pos
+        self.operand = operand
 
 
-@dataclass
 class Eq(Expr):
     """Polymorphic equality. A formula atom in statements, a bool builtin in bodies."""
 
-    left: Expr = None  # type: ignore[assignment]
-    right: Expr = None  # type: ignore[assignment]
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: Expr | None = None, right: Expr | None = None, *, pos: Pos = NOPOS):
+        self.pos = pos
+        self.left = left
+        self.right = right
 
 
 # Patterns.
 
 
-@dataclass
-class Pattern:
-    pos: Pos = field(default=NOPOS, compare=False, kw_only=True)
+class Pattern(Node):
+    _kw = ("pos",)
+
+    def __init__(self, *, pos: Pos = NOPOS):
+        self.pos = pos
 
 
-@dataclass
 class PWild(Pattern):
     pass
 
 
-@dataclass
 class PVar(Pattern):
-    name: str = ""
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str = "", *, pos: Pos = NOPOS):
+        self.pos = pos
+        self.name = name
 
 
-@dataclass
 class PCon(Pattern):
-    name: str = ""
-    args: list[Pattern] = field(default_factory=list)
+    __match_args__ = ("name", "args")
+
+    def __init__(self, name: str = "", args: list[Pattern] | None = None, *, pos: Pos = NOPOS):
+        self.pos = pos
+        self.name = name
+        self.args = [] if args is None else args
 
 
-@dataclass
 class PTuple(Pattern):
-    items: list[Pattern] = field(default_factory=list)
+    __match_args__ = ("items",)
+
+    def __init__(self, items: list[Pattern] | None = None, *, pos: Pos = NOPOS):
+        self.pos = pos
+        self.items = [] if items is None else items
 
 
 def expr_children(e: Expr) -> list[Expr]:
@@ -357,37 +547,61 @@ def pattern_vars(p: Pattern) -> list[str]:
 Label = tuple[int, str]  # <depth>tag
 
 
-@dataclass
-class Fact:
-    kind: str = ""  # 'definition' | 'property' | 'hypothesis' | 'step' | 'type'
-    names: list[str] = field(default_factory=list)  # for 'property': "m" or "C!m"
-    labels: list[Label] = field(default_factory=list)  # for 'step'
-    pos: Pos = field(default=NOPOS, compare=False)
-    refs: list[str | None] = field(default_factory=list, compare=False)  # see resolve.py
+class Fact(Node):
+    __match_args__ = ("kind", "names", "labels", "pos", "refs")
+
+    def __init__(
+        self,
+        kind: str = "",  # 'definition' | 'property' | 'hypothesis' | 'step' | 'type'
+        names: list[str] | None = None,  # for 'property': "m" or "C!m"
+        labels: list[Label] | None = None,  # for 'step'
+        pos: Pos = NOPOS,
+        refs: list[str | None] | None = None,  # see resolve.py
+    ):
+        self.kind = kind
+        self.names = [] if names is None else names
+        self.labels = [] if labels is None else labels
+        self.pos = pos
+        self.refs = [] if refs is None else refs
 
 
-@dataclass
-class ProofLeaf:
-    facts: list[Fact] = field(default_factory=list)
-    admitted: bool = False
-    pos: Pos = field(default=NOPOS, compare=False)
+class ProofLeaf(Node):
+    __match_args__ = ("facts", "admitted", "pos")
+
+    def __init__(self, facts: list[Fact] | None = None, admitted: bool = False, pos: Pos = NOPOS):
+        self.facts = [] if facts is None else facts
+        self.admitted = admitted
+        self.pos = pos
 
 
-@dataclass
-class ProofStep:
-    label: Label = (0, "")
-    assumes: list[tuple[list[str], Type]] = field(default_factory=list)
-    hyps: list[tuple[str, Expr]] = field(default_factory=list)
-    goal: Expr | None = None  # None for qed steps
-    is_qed: bool = False
-    sub: "Proof" = None  # type: ignore[assignment]
-    pos: Pos = field(default=NOPOS, compare=False)
+class ProofStep(Node):
+    __match_args__ = ("label", "assumes", "hyps", "goal", "is_qed", "sub", "pos")
+
+    def __init__(
+        self,
+        label: Label = (0, ""),
+        assumes: list[tuple[list[str], Type]] | None = None,
+        hyps: list[tuple[str, Expr]] | None = None,
+        goal: Expr | None = None,  # None for qed steps
+        is_qed: bool = False,
+        sub: "Proof | None" = None,
+        pos: Pos = NOPOS,
+    ):
+        self.label = label
+        self.assumes = [] if assumes is None else assumes
+        self.hyps = [] if hyps is None else hyps
+        self.goal = goal
+        self.is_qed = is_qed
+        self.sub = sub
+        self.pos = pos
 
 
-@dataclass
-class ProofSteps:
-    steps: list[ProofStep] = field(default_factory=list)
-    pos: Pos = field(default=NOPOS, compare=False)
+class ProofSteps(Node):
+    __match_args__ = ("steps", "pos")
+
+    def __init__(self, steps: list[ProofStep] | None = None, pos: Pos = NOPOS):
+        self.steps = [] if steps is None else steps
+        self.pos = pos
 
 
 Proof = ProofLeaf | ProofSteps
@@ -397,36 +611,63 @@ Proof = ProofLeaf | ProofSteps
 # Declarations
 
 
-@dataclass
-class MethodDecl:
-    kind: str  # 'signature' | 'let' | 'property' | 'theorem' | 'proof_of'
-    name: str
-    ty: Type | None = None  # signature type
-    params: list[tuple[str, Type | None]] = field(default_factory=list)
-    ret: Type | None = None  # stated return type of a let
-    body: Expr | None = None
-    statement: Expr | None = None
-    proof: Proof | None = None
-    rec: bool = False
-    pos: Pos = field(default=NOPOS, compare=False)
+class MethodDecl(Node):
+    __match_args__ = (
+        "kind", "name", "ty", "params", "ret", "body", "statement", "proof", "rec", "pos",
+    )
+
+    def __init__(
+        self,
+        kind: str,  # 'signature' | 'let' | 'property' | 'theorem' | 'proof_of'
+        name: str,
+        ty: Type | None = None,  # signature type
+        params: list[tuple[str, Type | None]] | None = None,
+        ret: Type | None = None,  # stated return type of a let
+        body: Expr | None = None,
+        statement: Expr | None = None,
+        proof: Proof | None = None,
+        rec: bool = False,
+        pos: Pos = NOPOS,
+    ):
+        self.kind = kind
+        self.name = name
+        self.ty = ty
+        self.params = [] if params is None else params
+        self.ret = ret
+        self.body = body
+        self.statement = statement
+        self.proof = proof
+        self.rec = rec
+        self.pos = pos
 
 
-@dataclass
-class SpeciesParam:
-    name: str
-    kind: str  # 'is' (collection) | 'in' (entity)
-    interface: "SpeciesExpr | None" = None  # for 'is'
-    carrier: str | None = None  # for 'in': name of an earlier 'is' parameter
-    pos: Pos = field(default=NOPOS, compare=False)
+class SpeciesParam(Node):
+    __match_args__ = ("name", "kind", "interface", "carrier", "pos")
+
+    def __init__(
+        self,
+        name: str,
+        kind: str,  # 'is' (collection) | 'in' (entity)
+        interface: "SpeciesExpr | None" = None,  # for 'is'
+        carrier: str | None = None,  # for 'in': name of an earlier 'is' parameter
+        pos: Pos = NOPOS,
+    ):
+        self.name = name
+        self.kind = kind
+        self.interface = interface
+        self.carrier = carrier
+        self.pos = pos
 
 
-@dataclass
-class SpeciesArg:
+class SpeciesArg(Node):
     """Effective argument of an applied species expression."""
 
-    name: str | None = None  # collection or parameter name
-    expr: Expr | None = None  # entity expression
-    pos: Pos = field(default=NOPOS, compare=False)
+    __match_args__ = ("name", "expr", "pos")
+
+    def __init__(self, name: str | None = None, expr: Expr | None = None, pos: Pos = NOPOS):
+        self.name = name  # collection or parameter name
+        self.expr = expr  # entity expression
+        self.pos = pos
 
     @property
     def entity(self) -> Expr:
@@ -435,44 +676,70 @@ class SpeciesArg:
         return self.expr if self.expr is not None else ConRef(self.name, pos=self.pos)
 
 
-@dataclass
-class SpeciesExpr:
-    name: str
-    args: list[SpeciesArg] = field(default_factory=list)
-    pos: Pos = field(default=NOPOS, compare=False)
+class SpeciesExpr(Node):
+    __match_args__ = ("name", "args", "pos")
+
+    def __init__(self, name: str, args: list[SpeciesArg] | None = None, pos: Pos = NOPOS):
+        self.name = name
+        self.args = [] if args is None else args
+        self.pos = pos
 
 
-@dataclass
-class SpeciesDecl:
-    name: str
-    params: list[SpeciesParam] = field(default_factory=list)
-    inherits: list[SpeciesExpr] = field(default_factory=list)
-    representation: Type | None = None
-    rep_pos: Pos = field(default=NOPOS, compare=False)
-    methods: list[MethodDecl] = field(default_factory=list)
-    pos: Pos = field(default=NOPOS, compare=False)
+class SpeciesDecl(Node):
+    __match_args__ = (
+        "name", "params", "inherits", "representation", "rep_pos", "methods", "pos",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        params: list[SpeciesParam] | None = None,
+        inherits: list[SpeciesExpr] | None = None,
+        representation: Type | None = None,
+        rep_pos: Pos = NOPOS,
+        methods: list[MethodDecl] | None = None,
+        pos: Pos = NOPOS,
+    ):
+        self.name = name
+        self.params = [] if params is None else params
+        self.inherits = [] if inherits is None else inherits
+        self.representation = representation
+        self.rep_pos = rep_pos
+        self.methods = [] if methods is None else methods
+        self.pos = pos
 
 
-@dataclass
-class UnionTypeDecl:
-    name: str
-    constructors: list[tuple[str, list[Type]]] = field(default_factory=list)
-    pos: Pos = field(default=NOPOS, compare=False)
+class UnionTypeDecl(Node):
+    __match_args__ = ("name", "constructors", "pos")
+
+    def __init__(
+        self,
+        name: str,
+        constructors: list[tuple[str, list[Type]]] | None = None,
+        pos: Pos = NOPOS,
+    ):
+        self.name = name
+        self.constructors = [] if constructors is None else constructors
+        self.pos = pos
 
 
-@dataclass
-class CollectionDecl:
-    name: str
-    implements: SpeciesExpr = None  # type: ignore[assignment]
-    pos: Pos = field(default=NOPOS, compare=False)
+class CollectionDecl(Node):
+    __match_args__ = ("name", "implements", "pos")
+
+    def __init__(self, name: str, implements: "SpeciesExpr | None" = None, pos: Pos = NOPOS):
+        self.name = name
+        self.implements = implements
+        self.pos = pos
 
 
 Decl = UnionTypeDecl | SpeciesDecl | CollectionDecl
 
 
-@dataclass
-class CompilationUnit:
-    decls: list[Decl] = field(default_factory=list)
+class CompilationUnit(Node):
+    __match_args__ = ("decls",)
+
+    def __init__(self, decls: list[Decl] | None = None):
+        self.decls = [] if decls is None else decls
 
     @property
     def species(self) -> dict[str, SpeciesDecl]:

@@ -6,22 +6,29 @@ compiler never looks anything else up implicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .ast import (
+    Frozen, Scheme, TGen, TArrow, TTuple, T_INT, T_BOOL, T_STRING, arrow, flatten_arrow,
+)
 
-from .ast import Scheme, TGen, TArrow, TTuple, T_INT, T_BOOL, T_STRING, arrow, flatten_arrow
 
+class Builtin(Frozen):
+    __match_args__ = ("name", "scheme", "logical", "type_args", "infix")
 
-@dataclass(frozen=True)
-class Builtin:
-    name: str
-    scheme: Scheme
-    logical: str  # head emitted in the logical target
-    type_args: int = 0  # number of inferred `_` type arguments in the logical target
-    infix: bool = False  # rendered as an infix operator in both targets
-    arity: int = field(init=False)  # arguments taken before it computes
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "arity", len(flatten_arrow(self.scheme.body)[0]))
+    def __init__(
+        self,
+        name: str,
+        scheme: Scheme,
+        logical: str,  # head emitted in the logical target
+        type_args: int = 0,  # number of inferred `_` type arguments in the logical target
+        infix: bool = False,  # rendered as an infix operator in both targets
+    ):
+        d = self.__dict__
+        d["name"] = name
+        d["scheme"] = scheme
+        d["logical"] = logical
+        d["type_args"] = type_args
+        d["infix"] = infix
+        d["arity"] = len(flatten_arrow(scheme.body)[0])  # arguments taken before it computes
 
 
 _A, _B = TGen(0), TGen(1)

@@ -11,11 +11,10 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .driver import CompiledUnit, compile_files, doc_text, render_deps_report
-from .emit import emit_comp, emit_logical
 from .errors import DEPTH_LIMIT, CompileError, Diagnostic, EvalFailure, on_deep_stack
-from .evaluator import eval_call
 
 
 def _use_color() -> bool:
@@ -77,9 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    action = _action(parser, args)
     try:
         overflow = CompileError(DEPTH_LIMIT, "nested too deeply")
-        return on_deep_stack(lambda: _run(parser, args), overflow)
+        return on_deep_stack(lambda: action(_compile(args.files)), overflow)
     except CompileError as err:
         _report(err.to_diagnostic(args.files[0]))
         return 1
@@ -88,34 +88,47 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    """One subcommand, from parsing the files to writing the output."""
-    cu = _compile(args.files)
+def _action(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> Callable[[CompiledUnit], int]:
+    """What the subcommand does with the compiled files.  Only `emit` loads
+    the emitters and only `eval` the evaluator, and they load them here, on
+    the calling thread: a module first imported on the deep stack's worker
+    raises the peak memory of the process."""
     match args.command:
-        case "check":
-            return 0
         case "deps":
-            _write(args.json, render_deps_report(cu))
-            return 0
+            def act(cu: CompiledUnit) -> int:
+                _write(args.json, render_deps_report(cu))
+                return 0
         case "emit":
-            if args.logical is None and args.comp is None:
-                parser.error("emit needs --logical and/or --comp")
-            if args.logical is not None:
-                _write(args.logical, emit_logical(cu))
-            if args.comp is not None:
-                _write(args.comp, emit_comp(cu))
-            return 0
+            from .emit import emit_comp, emit_logical
+
+            def act(cu: CompiledUnit) -> int:
+                if args.logical is None and args.comp is None:
+                    parser.error("emit needs --logical and/or --comp")
+                if args.logical is not None:
+                    _write(args.logical, emit_logical(cu))
+                if args.comp is not None:
+                    _write(args.comp, emit_comp(cu))
+                return 0
         case "eval":
-            try:
-                print(eval_call(cu, args.call))
-            except (CompileError, EvalFailure) as err:
-                _report(Diagnostic(err.kind, err.message, file="<call>"))
-                return 1
-            return 0
+            from .evaluator import eval_call
+
+            def act(cu: CompiledUnit) -> int:
+                try:
+                    print(eval_call(cu, args.call))
+                except (CompileError, EvalFailure) as err:
+                    _report(Diagnostic(err.kind, err.message, file="<call>"))
+                    return 1
+                return 0
         case "doc":
-            _write(args.out, doc_text(cu))
-            return 0
-    return 2
+            def act(cu: CompiledUnit) -> int:
+                _write(args.out, doc_text(cu))
+                return 0
+        case _:  # check
+            def act(cu: CompiledUnit) -> int:
+                return 0
+    return act
 
 
 if __name__ == "__main__":

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field, replace
 
 from .ast import (
     Expr,
     Quant,
     Qual,
+    Record,
     TCap,
     TParam,
     Type,
@@ -67,25 +67,48 @@ def _own_exprs(mi: MethodInfo):
 # Per-method dependency data
 
 
-@dataclass
-class MethodDeps:
-    decl: frozenset[str] = frozenset()
-    defs: frozenset[str] = frozenset()
-    closure: set[str] = field(default_factory=set)
-    universe: set[str] = field(default_factory=set)
-    carrier_keep: str | None = None  # 'TypeOnly' | 'TypeAndBody' | None
-    min_env: list[tuple[str, str]] = field(default_factory=list)
-    # is-parameter name -> method names in the parameter's own order
-    param_deps: dict[str, list[str]] = field(default_factory=dict)
-    param_carrier: dict[str, bool] = field(default_factory=dict)
-    entity_used: list[str] = field(default_factory=list)
+class MethodDeps(Record):
+    __match_args__ = (
+        "decl", "defs", "closure", "universe", "carrier_keep", "min_env", "param_deps",
+        "param_carrier", "entity_used",
+    )
+
+    def __init__(
+        self,
+        decl: frozenset[str] = frozenset(),
+        defs: frozenset[str] = frozenset(),
+        closure: set[str] | None = None,
+        universe: set[str] | None = None,
+        carrier_keep: str | None = None,  # 'TypeOnly' | 'TypeAndBody' | None
+        min_env: list[tuple[str, str]] | None = None,
+        param_deps: dict[str, list[str]] | None = None,
+        param_carrier: dict[str, bool] | None = None,
+        entity_used: list[str] | None = None,
+    ):
+        self.decl = decl
+        self.defs = defs
+        self.closure = set() if closure is None else closure
+        self.universe = set() if universe is None else universe
+        self.carrier_keep = carrier_keep
+        self.min_env = [] if min_env is None else min_env
+        # is-parameter name -> method names in the parameter's own order
+        self.param_deps = {} if param_deps is None else param_deps
+        self.param_carrier = {} if param_carrier is None else param_carrier
+        self.entity_used = [] if entity_used is None else entity_used
 
 
-@dataclass
-class SpeciesDeps:
-    order: list[str] = field(default_factory=list)
-    methods: dict[str, MethodDeps] = field(default_factory=dict)
-    rec_groups: list[list[str]] = field(default_factory=list)
+class SpeciesDeps(Record):
+    __match_args__ = ("order", "methods", "rec_groups")
+
+    def __init__(
+        self,
+        order: list[str] | None = None,
+        methods: dict[str, MethodDeps] | None = None,
+        rec_groups: list[list[str]] | None = None,
+    ):
+        self.order = [] if order is None else order
+        self.methods = {} if methods is None else methods
+        self.rec_groups = [] if rec_groups is None else rec_groups
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +409,7 @@ def finish_deps(
         mi = nf.methods[name]
         done = _carried_finish(nf, name, mi, species_env, deps_env)
         if done is not None:
-            sd.methods[name] = replace(done, min_env=_min_env(done, index))
+            sd.methods[name] = done.replace(min_env=_min_env(done, index))
             continue
         md.closure = def_closure(defs, name)
         u = set(md.decl) | md.closure

@@ -7,14 +7,16 @@ emitters, the evaluator and the reports read.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from json import dumps
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 from .ast import (
     CollectionDecl,
     Expr,
+    MethodDecl,
     Pos,
+    Record,
     Scheme,
     SpeciesDecl,
     SpeciesExpr,
@@ -62,7 +64,7 @@ from .hierarchy import (
 from .parser import parse_source
 from .pretty import expr_to_source, type_to_source
 from .proofs import iter_leaves
-from .resolve import Names, resolve, resolve_method
+from .resolve import COLLECTION, Names, resolve, resolve_method
 from .typecheck import (
     SpeciesTypeEnv,
     TypeContext,
@@ -74,20 +76,37 @@ from .typecheck import (
 )
 
 
-@dataclass
-class CompiledUnit:
+class CompiledUnit(Record):
     """Everything the back ends consume, keyed by declaration name."""
 
-    unions: dict[str, UnionTypeDecl] = field(default_factory=dict)
-    species: dict[str, NFSpecies] = field(default_factory=dict)
-    deps: dict[str, SpeciesDeps] = field(default_factory=dict)
-    plans: dict[str, SpeciesPlan] = field(default_factory=dict)
-    collections: dict[str, CollectionModel] = field(default_factory=dict)
-    extractions: dict[str, CollectionExtractionPlan] = field(default_factory=dict)
-    decl_order: list[tuple[str, str]] = field(default_factory=list)
-    constructors: dict[str, tuple[str, list[Type]]] = field(default_factory=dict)
-    warnings: list[Diagnostic] = field(default_factory=list)
-    files: dict[str, str] = field(default_factory=dict)  # declaration -> its file
+    __match_args__ = (
+        "unions", "species", "deps", "plans", "collections", "extractions", "decl_order",
+        "constructors", "warnings", "files",
+    )
+
+    def __init__(
+        self,
+        unions: dict[str, UnionTypeDecl] | None = None,
+        species: dict[str, NFSpecies] | None = None,
+        deps: dict[str, SpeciesDeps] | None = None,
+        plans: dict[str, SpeciesPlan] | None = None,
+        collections: dict[str, CollectionModel] | None = None,
+        extractions: dict[str, CollectionExtractionPlan] | None = None,
+        decl_order: list[tuple[str, str]] | None = None,
+        constructors: dict[str, tuple[str, list[Type]]] | None = None,
+        warnings: list[Diagnostic] | None = None,
+        files: dict[str, str] | None = None,
+    ):
+        self.unions = {} if unions is None else unions
+        self.species = {} if species is None else species
+        self.deps = {} if deps is None else deps
+        self.plans = {} if plans is None else plans
+        self.collections = {} if collections is None else collections
+        self.extractions = {} if extractions is None else extractions
+        self.decl_order = [] if decl_order is None else decl_order
+        self.constructors = {} if constructors is None else constructors
+        self.warnings = [] if warnings is None else warnings
+        self.files = {} if files is None else files  # declaration -> its file
 
     def writing(self, name: str):
         """A `RecursionError` writing declaration `name` is a `DepthLimit` there."""
@@ -186,6 +205,7 @@ def _register_species(cu: CompiledUnit, decl: SpeciesDecl) -> None:
     normalize(nf, decl, inherit_args, cu.species, cu.collections)
     for m in decl.methods:
         resolve_method(m, names)
+        _check_collection_facts(cu, m)
     if nf.rep is not None:
         nf.rep_resolved = env.rep = env.ctx.resolve(nf.rep, nf.pos)
     reverted = invalidate_proofs(nf)
@@ -247,6 +267,22 @@ def _species_env(cu: CompiledUnit, nf: NFSpecies) -> SpeciesTypeEnv:
             env.entity_params[p.name] = TParam(p.carrier)
         seen.append(p)
     return env
+
+
+def _check_collection_facts(cu: CompiledUnit, m: MethodDecl) -> None:
+    """A `by property C!m` fact names a collection `C` and a method of it."""
+    if m.proof is None:
+        return
+    for leaf in iter_leaves(m.proof):
+        for f in leaf.facts:
+            for name, ref in zip(f.names, f.refs):
+                if ref != COLLECTION:
+                    continue
+                coll, _, method = name.partition("!")
+                if coll not in cu.collections:
+                    raise CompileError(UNKNOWN, f"unknown collection {coll}", f.pos)
+                if method not in cu.collections[coll].nf.methods:
+                    raise CompileError(UNKNOWN, f"{coll} has no method {method}", f.pos)
 
 
 def _check_species_args(
@@ -535,7 +571,46 @@ def _in_order(names: set[str], index: dict[str, int]) -> list[str]:
 
 
 def render_deps_report(cu: CompiledUnit) -> str:
-    return json.dumps(deps_report(cu), indent=2) + "\n"
+    """`deps_report` as `json.dumps(report, indent=2)` writes it.  That
+    encoder runs in pure Python once `indent` is set, so the layout is
+    written here and only the leaves go through the C encoder."""
+    out: list[str] = []
+    _write_json(deps_report(cu), "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_JSON_WORDS = {None: "null", True: "true", False: "false"}
+
+
+def _write_json(value: dict | list, newline: str, out: list[str]) -> None:
+    """Append the non-empty container `value` to `out`; `newline` breaks a
+    line and indents it to the depth of `value`."""
+    inner = newline + "  "
+    if type(value) is dict:
+        items = [(_json_string(k) + ": ", v) for k, v in value.items()]
+        sep, close = "{" + inner, newline + "}"
+    else:
+        items = [("", v) for v in value]
+        sep, close = "[" + inner, newline + "]"
+    for head, v in items:
+        kind = type(v)
+        if kind is str:
+            out.append(sep + head + _json_string(v))
+        elif kind is dict or kind is list:
+            if v:
+                out.append(sep + head)
+                _write_json(v, inner, out)
+            else:
+                out.append(sep + head + ("{}" if kind is dict else "[]"))
+        elif kind is int:
+            out.append(sep + head + str(v))
+        elif kind is bool or v is None:
+            out.append(sep + head + _JSON_WORDS[v])
+        else:
+            out.append(sep + head + dumps(v))
+        sep = "," + inner
+    out.append(close)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ proof is admitted become axioms.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from .ast import (
     BinOp,
@@ -34,6 +33,7 @@ from .ast import (
     Pattern,
     Qual,
     Quant,
+    Record,
     StrLit,
     TArrow,
     TCollCarrier,
@@ -62,14 +62,24 @@ from .pretty import expr_to_source, proof_to_source
 from .resolve import ENTITY, LOCAL, METHOD, PARAM
 
 
-@dataclass
-class RenderEnv:
-    target: str  # 'logical' | 'comp'
-    module: str = ""
-    prefix: str = ""  # a method m renders as prefix + m
-    params: frozenset[str] = frozenset()  # is-parameter names
-    self_ty: str | None = None
-    param_ty: str = "_p_{}_T"  # how a parameter's carrier is named
+class RenderEnv(Record):
+    __match_args__ = ("target", "module", "prefix", "params", "self_ty", "param_ty")
+
+    def __init__(
+        self,
+        target: str,  # 'logical' | 'comp'
+        module: str = "",
+        prefix: str = "",  # a method m renders as prefix + m
+        params: frozenset[str] = frozenset(),  # is-parameter names
+        self_ty: str | None = None,
+        param_ty: str = "_p_{}_T",  # how a parameter's carrier is named
+    ):
+        self.target = target
+        self.module = module
+        self.prefix = prefix
+        self.params = params
+        self.self_ty = self_ty
+        self.param_ty = param_ty
 
 
 def _wrap(text: str, atomic: bool) -> str:

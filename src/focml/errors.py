@@ -9,10 +9,9 @@ from __future__ import annotations
 import sys
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, TypeVar
 
-from .ast import Pos, NOPOS
+from .ast import NOPOS, Pos, Record
 
 # Kinds surfaced by the CLI; kept as plain strings so callers can match on them.
 SYNTAX = "SyntaxError"
@@ -30,14 +29,24 @@ DEPTH_LIMIT = "DepthLimit"
 EVAL = "EvalError"
 
 
-@dataclass
-class Diagnostic:
-    kind: str
-    message: str
-    pos: Pos = NOPOS
-    file: str = "<input>"
-    severity: str = "error"  # 'error' | 'warning'
-    witness: list[str] = field(default_factory=list)
+class Diagnostic(Record):
+    __match_args__ = ("kind", "message", "pos", "file", "severity", "witness")
+
+    def __init__(
+        self,
+        kind: str,
+        message: str,
+        pos: Pos = NOPOS,
+        file: str = "<input>",
+        severity: str = "error",  # 'error' | 'warning'
+        witness: list[str] | None = None,
+    ):
+        self.kind = kind
+        self.message = message
+        self.pos = pos
+        self.file = file
+        self.severity = severity
+        self.witness = [] if witness is None else witness
 
     def format(self, color: bool = False) -> str:
         head = f"{self.file}:{self.pos.line}:{self.pos.col}"

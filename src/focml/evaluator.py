@@ -29,7 +29,6 @@ can still cause, is reported as `DepthLimit` too.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .ast import (
@@ -39,6 +38,7 @@ from .ast import (
     ConRef,
     Eq,
     Expr,
+    Frozen,
     If,
     IntLit,
     Match,
@@ -48,6 +48,7 @@ from .ast import (
     PWild,
     Pattern,
     Qual,
+    Record,
     StrLit,
     TupleExpr,
     UnOp,
@@ -69,10 +70,13 @@ _INT_OPS = {
 }
 
 
-@dataclass(frozen=True)
-class VCon:
-    name: str
-    args: tuple = ()
+class VCon(Frozen):
+    __match_args__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple = ()):
+        d = self.__dict__
+        d["name"] = name
+        d["args"] = args
 
 
 class Code:
@@ -120,18 +124,26 @@ class Closure:
         return params[len(params) - self.arity:], gp.body, names, quals
 
 
-@dataclass(frozen=True)
-class BuiltinFn:
-    name: str
+class BuiltinFn(Frozen):
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        self.__dict__["name"] = name
 
 
 Value = object
 
 
-@dataclass
-class Scope:
-    vars: dict[str, Value] = field(default_factory=dict)
-    quals: dict[tuple[str, str], Value] = field(default_factory=dict)
+class Scope(Record):
+    __match_args__ = ("vars", "quals")
+
+    def __init__(
+        self,
+        vars: dict[str, Value] | None = None,
+        quals: dict[tuple[str, str], Value] | None = None,
+    ):
+        self.vars = {} if vars is None else vars
+        self.quals = {} if quals is None else quals
 
 
 class _Tail:

@@ -13,12 +13,11 @@ the computational emitter and the evaluator read as they are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .ast import (
     Expr,
     Proof,
     Qual,
+    Record,
     SpeciesParam,
     TParam,
     Type,
@@ -40,27 +39,46 @@ Tag = tuple
 Atom = tuple
 
 
-@dataclass
-class GenApp:
+class GenApp(Record):
     """Application of a method generator to already-resolved arguments."""
 
-    species: str
-    method: str
-    args: list[Atom] = field(default_factory=list)
-    comp_args: list[Atom] = field(default_factory=list)  # logical ones erased
+    __match_args__ = ("species", "method", "args", "comp_args")
+
+    def __init__(
+        self,
+        species: str,
+        method: str,
+        args: list[Atom] | None = None,
+        comp_args: list[Atom] | None = None,  # logical ones erased
+    ):
+        self.species = species
+        self.method = method
+        self.args = [] if args is None else args
+        self.comp_args = [] if comp_args is None else comp_args
 
 
-@dataclass
-class Lift:
+class Lift(Record):
     """One parameter of a generator: abstracted or bound."""
 
-    tag: Tag
-    name: str
-    is_set: bool = False  # (name : Set)
-    ty: Type | None = None  # (name : <type>)
-    statement: Expr | None = None  # (name : <formula>)
-    bind_type: Type | None = None  # (name := <type>)
-    bind_gen: GenApp | None = None  # (name := <generator application>)
+    __match_args__ = ("tag", "name", "is_set", "ty", "statement", "bind_type", "bind_gen")
+
+    def __init__(
+        self,
+        tag: Tag,
+        name: str,
+        is_set: bool = False,  # (name : Set)
+        ty: Type | None = None,  # (name : <type>)
+        statement: Expr | None = None,  # (name : <formula>)
+        bind_type: Type | None = None,  # (name := <type>)
+        bind_gen: GenApp | None = None,  # (name := <generator application>)
+    ):
+        self.tag = tag
+        self.name = name
+        self.is_set = is_set
+        self.ty = ty
+        self.statement = statement
+        self.bind_type = bind_type
+        self.bind_gen = bind_gen
 
     @property
     def abstract(self) -> bool:
@@ -73,59 +91,119 @@ class Lift:
         return carrier or self.statement is not None
 
 
-@dataclass
-class MethodGeneratorPlan:
-    species: str
-    method: str
-    kind: str  # 'let' | 'theorem'
-    rec: bool = False
-    admitted: bool = False
-    lifts: list[Lift] = field(default_factory=list)
-    value_params: list[tuple[str, Type]] = field(default_factory=list)
-    ret: Type | None = None
-    body: Expr | None = None
-    statement: Expr | None = None
-    proof: Proof | None = None
+class MethodGeneratorPlan(Record):
+    __match_args__ = (
+        "species", "method", "kind", "rec", "admitted", "lifts", "value_params", "ret",
+        "body", "statement", "proof",
+    )
+
+    def __init__(
+        self,
+        species: str,
+        method: str,
+        kind: str,  # 'let' | 'theorem'
+        rec: bool = False,
+        admitted: bool = False,
+        lifts: list[Lift] | None = None,
+        value_params: list[tuple[str, Type]] | None = None,
+        ret: Type | None = None,
+        body: Expr | None = None,
+        statement: Expr | None = None,
+        proof: Proof | None = None,
+    ):
+        self.species = species
+        self.method = method
+        self.kind = kind
+        self.rec = rec
+        self.admitted = admitted
+        self.lifts = [] if lifts is None else lifts
+        self.value_params = [] if value_params is None else value_params
+        self.ret = ret
+        self.body = body
+        self.statement = statement
+        self.proof = proof
 
 
-@dataclass
-class RecordTypePlan:
-    species: str
-    abstractions: list[Lift] = field(default_factory=list)
-    fields: list[str] = field(default_factory=list)  # method names; carrier first
+class RecordTypePlan(Record):
+    __match_args__ = ("species", "abstractions", "fields")
+
+    def __init__(
+        self,
+        species: str,
+        abstractions: list[Lift] | None = None,
+        fields: list[str] | None = None,  # method names; carrier first
+    ):
+        self.species = species
+        self.abstractions = [] if abstractions is None else abstractions
+        self.fields = [] if fields is None else fields
 
 
-@dataclass
-class LocalDef:
-    name: str  # 'rep' or a method name
-    gen: GenApp | None = None  # None for the representation local
+class LocalDef(Record):
+    __match_args__ = ("name", "gen")
+
+    def __init__(
+        self,
+        name: str,  # 'rep' or a method name
+        gen: GenApp | None = None,  # None for the representation local
+    ):
+        self.name = name
+        self.gen = gen
 
 
-@dataclass
-class CollectionGeneratorPlan:
-    species: str
-    outer: list[Lift] = field(default_factory=list)
-    locals: list[LocalDef] = field(default_factory=list)
-    record_args: list[Tag] = field(default_factory=list)
+class CollectionGeneratorPlan(Record):
+    __match_args__ = ("species", "outer", "locals", "record_args")
+
+    def __init__(
+        self,
+        species: str,
+        outer: list[Lift] | None = None,
+        locals: list[LocalDef] | None = None,
+        record_args: list[Tag] | None = None,
+    ):
+        self.species = species
+        self.outer = [] if outer is None else outer
+        self.locals = [] if locals is None else locals
+        self.record_args = [] if record_args is None else record_args
 
 
-@dataclass
-class SpeciesPlan:
-    name: str
-    generators: dict[str, MethodGeneratorPlan] = field(default_factory=dict)
-    record: RecordTypePlan | None = None
-    create: CollectionGeneratorPlan | None = None
+class SpeciesPlan(Record):
+    __match_args__ = ("name", "generators", "record", "create")
+
+    def __init__(
+        self,
+        name: str,
+        generators: dict[str, MethodGeneratorPlan] | None = None,
+        record: RecordTypePlan | None = None,
+        create: CollectionGeneratorPlan | None = None,
+    ):
+        self.name = name
+        self.generators = {} if generators is None else generators
+        self.record = record
+        self.create = create
 
 
-@dataclass
-class CollectionExtractionPlan:
-    name: str
-    species: str  # module holding the record and creator
-    create_args: list[Atom] = field(default_factory=list)
-    comp_args: list[Atom] = field(default_factory=list)  # logical ones erased
-    carrier: Type | None = None
-    record_params: int = 0
-    methods: list[tuple[str, bool]] = field(default_factory=list)  # (name, logical)
+class CollectionExtractionPlan(Record):
+    __match_args__ = (
+        "name", "species", "create_args", "comp_args", "carrier", "record_params", "methods",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        species: str,  # module holding the record and creator
+        create_args: list[Atom] | None = None,
+        comp_args: list[Atom] | None = None,  # logical ones erased
+        carrier: Type | None = None,
+        record_params: int = 0,
+        methods: list[tuple[str, bool]] | None = None,  # (name, logical)
+    ):
+        self.name = name
+        self.species = species
+        self.create_args = [] if create_args is None else create_args
+        self.comp_args = [] if comp_args is None else comp_args
+        self.carrier = carrier
+        self.record_params = record_params
+        self.methods = [] if methods is None else methods
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ on this normal form.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
 
 from .ast import (
     NOPOS,
@@ -34,6 +33,7 @@ from .ast import (
     Proof,
     Quant,
     Qual,
+    Record,
     Scheme,
     SpeciesDecl,
     SpeciesParam,
@@ -68,45 +68,79 @@ from .resolve import COLLECTION, ENTITY, METHOD, PARAM
 Args = dict[str, "Type | Expr"]
 
 
-@dataclass
-class MethodInfo:
+class MethodInfo(Record):
     """One flattened method with its full late-binding history."""
 
-    name: str
-    kind: str  # 'signature' | 'let' | 'property' | 'theorem'
-    decl_site: str
-    first_def: str | None
-    origin: str
-    proof_origin: str | None = None
-    ty: Type | None = None  # first declared signature type
-    extra_sigs: list[Type] = field(default_factory=list)
-    params: list[tuple[str, Type | None]] = field(default_factory=list)
-    ret: Type | None = None
-    body: Expr | None = None
-    statement: Expr | None = None
-    proof: Proof | None = None
-    rec: bool = False
-    superseded: set[str] = field(default_factory=set)
-    pos: Pos = NOPOS
-    # Filled in by the typing and dependency phases of the species that
-    # analyses the method, then carried, renamed, into its descendants.
-    scheme: Scheme | None = None
-    param_types: list[Type] | None = None
-    ret_type: Type | None = None
-    carrier_decl: bool = False
-    carrier_def: bool = False
-    scanned_in: str | None = None  # species whose deps hold decl/def sets
-    finished_in: str | None = None  # species whose deps hold the finish
-    # `carried` is set on inheritance and cleared where the species changes
-    # what the analysis reads: a declared type, a definition adopted from a
-    # sibling, an entity argument that is an expression, the types a
-    # parameter offers, a `proof of`, or (in typing) the scheme of a method
-    # it declares a dependency on.  The results above came from an ancestor
-    # and still hold here, so the species skips typing and scanning the
-    # method.  Names keep their tags in heirs, so no name clears it.
-    carried: bool = False
-    # A reverted proof stays reverted in descendants until a `proof of`.
-    valid_proof: bool = True
+    __match_args__ = (
+        "name", "kind", "decl_site", "first_def", "origin", "proof_origin", "ty",
+        "extra_sigs", "params", "ret", "body", "statement", "proof", "rec", "superseded",
+        "pos", "scheme", "param_types", "ret_type", "carrier_decl", "carrier_def",
+        "scanned_in", "finished_in", "carried", "valid_proof",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        kind: str,  # 'signature' | 'let' | 'property' | 'theorem'
+        decl_site: str,
+        first_def: str | None,
+        origin: str,
+        proof_origin: str | None = None,
+        ty: Type | None = None,  # first declared signature type
+        extra_sigs: list[Type] | None = None,
+        params: list[tuple[str, Type | None]] | None = None,
+        ret: Type | None = None,
+        body: Expr | None = None,
+        statement: Expr | None = None,
+        proof: Proof | None = None,
+        rec: bool = False,
+        superseded: set[str] | None = None,
+        pos: Pos = NOPOS,
+        scheme: Scheme | None = None,
+        param_types: list[Type] | None = None,
+        ret_type: Type | None = None,
+        carrier_decl: bool = False,
+        carrier_def: bool = False,
+        scanned_in: str | None = None,
+        finished_in: str | None = None,
+        carried: bool = False,
+        valid_proof: bool = True,
+    ):
+        self.name = name
+        self.kind = kind
+        self.decl_site = decl_site
+        self.first_def = first_def
+        self.origin = origin
+        self.proof_origin = proof_origin
+        self.ty = ty
+        self.extra_sigs = [] if extra_sigs is None else extra_sigs
+        self.params = [] if params is None else params
+        self.ret = ret
+        self.body = body
+        self.statement = statement
+        self.proof = proof
+        self.rec = rec
+        self.superseded = set() if superseded is None else superseded
+        self.pos = pos
+        # Filled in by the typing and dependency phases of the species that
+        # analyses the method, then carried, renamed, into its descendants.
+        self.scheme = scheme
+        self.param_types = param_types
+        self.ret_type = ret_type
+        self.carrier_decl = carrier_decl
+        self.carrier_def = carrier_def
+        self.scanned_in = scanned_in  # species whose deps hold decl/def sets
+        self.finished_in = finished_in  # species whose deps hold the finish
+        # `carried` is set on inheritance and cleared where the species changes
+        # what the analysis reads: a declared type, a definition adopted from a
+        # sibling, an entity argument that is an expression, the types a
+        # parameter offers, a `proof of`, or (in typing) the scheme of a method
+        # it declares a dependency on.  The results above came from an ancestor
+        # and still hold here, so the species skips typing and scanning the
+        # method.  Names keep their tags in heirs, so no name clears it.
+        self.carried = carried
+        # A reverted proof stays reverted in descendants until a `proof of`.
+        self.valid_proof = valid_proof
 
     @property
     def is_logical(self) -> bool:
@@ -125,32 +159,53 @@ class MethodInfo:
         return self.first_def if self.first_def is not None else self.decl_site
 
 
-@dataclass
-class RevertedProof:
-    method: str
-    proof_origin: str
-    def_name: str
-    def_origin: str
-    pos: Pos
+class RevertedProof(Record):
+    __match_args__ = ("method", "proof_origin", "def_name", "def_origin", "pos")
+
+    def __init__(self, method: str, proof_origin: str, def_name: str, def_origin: str, pos: Pos):
+        self.method = method
+        self.proof_origin = proof_origin
+        self.def_name = def_name
+        self.def_origin = def_origin
+        self.pos = pos
 
 
-@dataclass
-class NFSpecies:
-    name: str
-    params: list[SpeciesParam] = field(default_factory=list)
-    lineage: list[str] = field(default_factory=list)
-    rep: Type | None = None  # surface type, substituted
-    rep_origin: str | None = None
-    rep_resolved: Type | None = None  # filled by typing
-    methods: dict[str, MethodInfo] = field(default_factory=dict)
-    order: list[str] = field(default_factory=list)  # filled by deps
-    reverted: list[RevertedProof] = field(default_factory=list)
-    # is-parameter -> the actuals of its interface's formals.
-    iface_args: dict[str, Args] = field(default_factory=dict)
-    # ancestor -> the actuals of its formals in this species' own terms.
-    # Includes the species itself with identity bindings.
-    ancestor_args: dict[str, Args] = field(default_factory=dict)
-    pos: Pos = NOPOS
+class NFSpecies(Record):
+    __match_args__ = (
+        "name", "params", "lineage", "rep", "rep_origin", "rep_resolved", "methods",
+        "order", "reverted", "iface_args", "ancestor_args", "pos",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        params: list[SpeciesParam] | None = None,
+        lineage: list[str] | None = None,
+        rep: Type | None = None,  # surface type, substituted
+        rep_origin: str | None = None,
+        rep_resolved: Type | None = None,  # filled by typing
+        methods: dict[str, MethodInfo] | None = None,
+        order: list[str] | None = None,  # filled by deps
+        reverted: list[RevertedProof] | None = None,
+        iface_args: dict[str, Args] | None = None,
+        ancestor_args: dict[str, Args] | None = None,
+        pos: Pos = NOPOS,
+    ):
+        self.name = name
+        self.params = [] if params is None else params
+        self.lineage = [] if lineage is None else lineage
+        self.rep = rep
+        self.rep_origin = rep_origin
+        self.rep_resolved = rep_resolved
+        self.methods = {} if methods is None else methods
+        self.order = [] if order is None else order
+        self.reverted = [] if reverted is None else reverted
+        # is-parameter -> the actuals of its interface's formals.
+        self.iface_args = {} if iface_args is None else iface_args
+        # ancestor -> the actuals of its formals in this species' own terms.
+        # Includes the species itself with identity bindings.
+        self.ancestor_args = {} if ancestor_args is None else ancestor_args
+        self.pos = pos
 
     @property
     def is_params(self) -> list[SpeciesParam]:
@@ -258,7 +313,7 @@ def subst_expr(
                     go(scrutinee), [(pat, go(b)) for pat, b in arms], pos=e.pos
                 )
             case _:
-                out = copy.copy(e)
+                out = e.replace()
                 for attr, value in vars(e).items():
                     if isinstance(value, Expr):
                         setattr(out, attr, go(value))
@@ -311,9 +366,7 @@ def subst_method(mi: MethodInfo, args: Args) -> MethodInfo:
     `args` holds only the formals that are not passed as themselves; when
     it is empty the copy shares the parent's trees.
     """
-    out = copy.copy(mi)
-    out.superseded = set(mi.superseded)
-    out.carried = True
+    out = mi.replace(superseded=set(mi.superseded), carried=True)
     if not args:
         out.extra_sigs = list(mi.extra_sigs)
         return out
@@ -612,16 +665,26 @@ def invalidate_proofs(nf: NFSpecies) -> list[RevertedProof]:
 # Collections
 
 
-@dataclass
-class CollectionModel:
-    name: str
-    nf: NFSpecies  # underlying complete species (shared, not copied)
-    # The base's formals in order: an is-formal to `TCollCarrier(c)`, an
-    # entity formal to its argument.
-    args: Args = field(default_factory=dict)
-    iface_schemes: dict[str, Scheme] = field(default_factory=dict)
-    carrier: Type | None = None  # representation with parameters substituted
-    pos: Pos = NOPOS
+class CollectionModel(Record):
+    __match_args__ = ("name", "nf", "args", "iface_schemes", "carrier", "pos")
+
+    def __init__(
+        self,
+        name: str,
+        nf: NFSpecies,  # underlying complete species (shared, not copied)
+        args: Args | None = None,
+        iface_schemes: dict[str, Scheme] | None = None,
+        carrier: Type | None = None,  # representation with parameters substituted
+        pos: Pos = NOPOS,
+    ):
+        self.name = name
+        self.nf = nf
+        # The base's formals in order: an is-formal to `TCollCarrier(c)`, an
+        # entity formal to its argument.
+        self.args = {} if args is None else args
+        self.iface_schemes = {} if iface_schemes is None else iface_schemes
+        self.carrier = carrier
+        self.pos = pos
 
 
 def make_collection(

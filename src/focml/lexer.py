@@ -3,14 +3,16 @@
 Notable tokens: proof bullets `<1>2` (lexed before the `<0x` operator, whose
 prefix they share), the double semicolon that ends toplevel declarations, and
 nested `(* ... *)` comments.
+
+One master regex reads a token at a time, its alternatives in priority
+order; positions come from the offset of the current line's first character.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .ast import Pos
+from .ast import Frozen, Pos
 from .errors import CompileError, SYNTAX
 
 KEYWORDS = {
@@ -27,113 +29,102 @@ OPERATORS = [
     "(", ")", ",", ";", ":", "=", "!", "|", "*", "+", "-", "~",
 ]
 
-_BULLET = re.compile(r"<(\d+)>([A-Za-z0-9]+)")
-_IDENT = re.compile(r"[a-z_][A-Za-z0-9_]*")
-_CAPID = re.compile(r"[A-Z][A-Za-z0-9_]*")
-_INT = re.compile(r"\d+")
-_WS = re.compile(r"[ \t\r\n]+")
+# Blanks before a token are part of its match; a line break starts a match
+# of its own, so that the line count moves; the end of the text is `end`.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:"
+    + "|".join(
+        [
+            r"(?P<newline>\n[ \t\r\n]*)",
+            r"(?P<comment>\(\*)",  # its end is found by _comment_end
+            r'(?P<string>"(?:[^"\\]|\\.)*")',
+            r'(?P<unterminated>")',
+            r"(?P<bullet><(?P<depth>\d+)>(?P<tag>[A-Za-z0-9]+))",
+            r"(?P<ident>[a-z_][A-Za-z0-9_]*)",
+            r"(?P<capid>[A-Z][A-Za-z0-9_]*)",
+            r"(?P<int>\d+)",
+            "(?P<op>" + "|".join(map(re.escape, OPERATORS)) + ")",
+            r"(?P<bad>.)",
+            r"(?P<end>\Z)",
+        ]
+    )
+    + ")",
+    re.DOTALL,
+)
+_COMMENT_MARK = re.compile(r"\(\*|\*\)")
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'ident' | 'capid' | 'int' | 'string' | 'bullet' | 'eof' | keyword | operator
-    value: str
-    pos: Pos
-    bullet: tuple[int, str] | None = None
+class Token(Frozen):
+    __match_args__ = ("kind", "value", "pos", "bullet")
+
+    def __init__(
+        self,
+        kind: str,  # 'ident' | 'capid' | 'int' | 'string' | 'bullet' | 'eof' | keyword | operator
+        value: str,
+        pos: Pos,
+        bullet: tuple[int, str] | None = None,
+    ):
+        d = self.__dict__
+        d["kind"] = kind
+        d["value"] = value
+        d["pos"] = pos
+        d["bullet"] = bullet
 
     def __repr__(self) -> str:
         return f"Token({self.kind!r}, {self.value!r}, {self.pos})"
 
 
+def _comment_end(text: str, i: int) -> int:
+    """The end of the comment whose `(*` ends at `i`, or -1."""
+    depth = 1
+    for m in _COMMENT_MARK.finditer(text, i):
+        depth += 1 if m.group() == "(*" else -1
+        if not depth:
+            return m.end()
+    return -1
+
+
 def tokenize(text: str, file: str = "<input>") -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def pos() -> Pos:
-        return Pos(line, col)
-
-    def advance(s: str) -> None:
-        nonlocal line, col
-        for ch in s:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-
-    while i < n:
-        m = _WS.match(text, i)
-        if m:
-            advance(m.group())
-            i = m.end()
-            continue
-        if text.startswith("(*", i):
-            depth, j = 1, i + 2
-            while j < n and depth:
-                if text.startswith("(*", j):
-                    depth, j = depth + 1, j + 2
-                elif text.startswith("*)", j):
-                    depth, j = depth - 1, j + 2
-                else:
-                    j += 1
-            if depth:
-                raise CompileError(SYNTAX, "unterminated comment", pos())
-            advance(text[i:j])
-            i = j
-            continue
-        p = pos()
-        if text[i] == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    out.append(text[j + 1])
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                raise CompileError(SYNTAX, "unterminated string literal", p)
-            j += 1
-            tokens.append(Token("string", "".join(out), p))
-            advance(text[i:j])
-            i = j
-            continue
-        m = _BULLET.match(text, i)
-        if m:
-            tokens.append(Token("bullet", m.group(), p, (int(m.group(1)), m.group(2))))
-            advance(m.group())
-            i = m.end()
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            word = m.group()
-            tokens.append(Token(word if word in KEYWORDS else "ident", word, p))
-            advance(word)
-            i = m.end()
-            continue
-        m = _CAPID.match(text, i)
-        if m:
-            word = m.group()
-            kind = "Self" if word == "Self" else "capid"
-            tokens.append(Token(kind, word, p))
-            advance(word)
-            i = m.end()
-            continue
-        m = _INT.match(text, i)
-        if m:
-            tokens.append(Token("int", m.group(), p))
-            advance(m.group())
-            i = m.end()
-            continue
-        for op in OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token(op, op, p))
-                advance(op)
-                i += len(op)
-                break
+    append = tokens.append
+    match = _TOKEN.match
+    line, bol = 1, 0  # the current line and the offset where it begins
+    i = 0
+    while True:
+        m = match(text, i)
+        kind = m.lastgroup
+        i, j = m.start(kind), m.end()
+        value = m[kind]
+        pos = Pos(line, i - bol + 1)
+        if kind == "ident":
+            append(Token(value if value in KEYWORDS else "ident", value, pos))
+        elif kind == "op":
+            append(Token(value, value, pos))
+        elif kind == "capid":
+            append(Token("Self" if value == "Self" else "capid", value, pos))
+        elif kind == "int":
+            append(Token("int", value, pos))
+        elif kind == "bullet":
+            append(Token("bullet", value, pos, (int(m["depth"]), m["tag"])))
+        elif kind == "end":
+            append(Token("eof", "", pos))
+            return tokens
         else:
-            raise CompileError(SYNTAX, f"unexpected character {text[i]!r}", p)
-    tokens.append(Token("eof", "", pos()))
-    return tokens
+            if kind == "string":
+                body = value[1:-1]
+                append(Token("string", _ESCAPE.sub(r"\1", body) if "\\" in body else body, pos))
+            elif kind == "comment":
+                j = _comment_end(text, j)
+                if j < 0:
+                    raise CompileError(SYNTAX, "unterminated comment", pos)
+            elif kind == "unterminated":
+                raise CompileError(SYNTAX, "unterminated string literal", pos)
+            elif kind == "bad":
+                raise CompileError(SYNTAX, f"unexpected character {value!r}", pos)
+            # a line break, a string or a comment may span lines
+            lines = text.count("\n", i, j)
+            if lines:
+                line += lines
+                bol = text.rindex("\n", i, j) + 1
+        i = j

@@ -38,7 +38,10 @@ class Parser:
     # -- token plumbing -----------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.i + offset, len(self.tokens) - 1)]
+        """The token `offset` ahead.  `next` never moves past the final
+        `eof`, so the current token always exists; a caller looks one
+        further only from a token that is not `eof`."""
+        return self.tokens[self.i + offset]
 
     def at(self, kind: str) -> bool:
         return self.peek().kind == kind

@@ -12,10 +12,9 @@ later pass reads the tags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection
 
-from .ast import Expr, Match, MethodDecl, Proof, ProofLeaf, Qual, Quant, Var
+from .ast import Expr, Frozen, Match, MethodDecl, Proof, ProofLeaf, Qual, Quant, Var
 from .ast import expr_children, pattern_vars
 from .basics import BUILTIN_FUNCTIONS
 from .errors import UNKNOWN, CompileError
@@ -24,14 +23,23 @@ LOCAL, ENTITY, METHOD, BUILTIN = "local", "entity", "method", "builtin"
 PARAM, COLLECTION = "param", "collection"
 
 
-@dataclass(frozen=True)
-class Names:
+class Names(Frozen):
     """What a name can refer to where a tree is written."""
 
-    entities: Collection[str] = ()
-    methods: Collection[str] = ()
-    params: Collection[str] = ()  # collection parameters
-    collections: Collection[str] = ()
+    __match_args__ = ("entities", "methods", "params", "collections")
+
+    def __init__(
+        self,
+        entities: Collection[str] = (),
+        methods: Collection[str] = (),
+        params: Collection[str] = (),  # collection parameters
+        collections: Collection[str] = (),
+    ):
+        d = self.__dict__
+        d["entities"] = entities
+        d["methods"] = methods
+        d["params"] = params
+        d["collections"] = collections
 
 
 def resolve(

@@ -11,12 +11,12 @@ and is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import count
 
 from .ast import (
     NOPOS,
     Pos,
+    Record,
     Scheme,
     TArrow,
     TCap,
@@ -194,12 +194,12 @@ class Unifier:
                     self.unify(x, y, pos)
                 return
             case _:
-                raise CompileError(
-                    TYPE_MISMATCH,
-                    f"cannot unify {type_to_source(self.deep(a))} "
-                    f"with {type_to_source(self.deep(b))}",
-                    pos,
-                )
+                a, b = self.deep(a), self.deep(b)
+                left, right = type_to_source(a), type_to_source(b)
+                message = f"cannot unify {left} with {right}"
+                if left == right:  # a parameter's carrier and a collection's
+                    message += f" ({_carriers(a)} against {_carriers(b)})"
+                raise CompileError(TYPE_MISMATCH, message, pos)
 
     def generalize(self, t: Type) -> Scheme:
         t = self.deep(t)
@@ -215,17 +215,43 @@ class Unifier:
         return Scheme(len(seen), body)
 
 
-@dataclass
-class SpeciesTypeEnv:
+def _carriers(t: Type) -> str:
+    """The carriers `t` mentions, which its printed form does not tell
+    apart: a parameter's `P` and a collection's `P` both print as `P`."""
+    named: list[str] = []
+    for n in type_walk(t):
+        if isinstance(n, (TParam, TCollCarrier)):
+            kind = "parameter" if isinstance(n, TParam) else "collection"
+            text = f"{kind} {n.name}'s carrier"
+            if text not in named:
+                named.append(text)
+    return ", ".join(named)
+
+
+class SpeciesTypeEnv(Record):
     """Everything visible to expressions inside one species."""
 
-    ctx: TypeContext
-    rep: Type | None = None
-    methods: dict[str, Scheme] = field(default_factory=dict)
-    entity_params: dict[str, Type] = field(default_factory=dict)
-    param_ifaces: dict[str, dict[str, Scheme]] = field(default_factory=dict)
-    collections: dict[str, dict[str, Scheme]] = field(default_factory=dict)
-    constructors: dict[str, tuple[str, list[Type]]] = field(default_factory=dict)
+    __match_args__ = (
+        "ctx", "rep", "methods", "entity_params", "param_ifaces", "collections", "constructors",
+    )
+
+    def __init__(
+        self,
+        ctx: TypeContext,
+        rep: Type | None = None,
+        methods: dict[str, Scheme] | None = None,
+        entity_params: dict[str, Type] | None = None,
+        param_ifaces: dict[str, dict[str, Scheme]] | None = None,
+        collections: dict[str, dict[str, Scheme]] | None = None,
+        constructors: dict[str, tuple[str, list[Type]]] | None = None,
+    ):
+        self.ctx = ctx
+        self.rep = rep
+        self.methods = {} if methods is None else methods
+        self.entity_params = {} if entity_params is None else entity_params
+        self.param_ifaces = {} if param_ifaces is None else param_ifaces
+        self.collections = {} if collections is None else collections
+        self.constructors = {} if constructors is None else constructors
 
 
 def infer_expr(
@@ -402,13 +428,22 @@ def _checked_atom(
         raise
 
 
-@dataclass
-class LetTyping:
-    scheme: Scheme
-    param_types: list[Type]
-    ret_type: Type
-    used_rep: bool
-    touched_self: bool
+class LetTyping(Record):
+    __match_args__ = ("scheme", "param_types", "ret_type", "used_rep", "touched_self")
+
+    def __init__(
+        self,
+        scheme: Scheme,
+        param_types: list[Type],
+        ret_type: Type,
+        used_rep: bool,
+        touched_self: bool,
+    ):
+        self.scheme = scheme
+        self.param_types = param_types
+        self.ret_type = ret_type
+        self.used_rep = used_rep
+        self.touched_self = touched_self
 
 
 def type_let(
@@ -473,9 +508,11 @@ def _split_arrows(t: Type, n: int) -> tuple[list[Type], Type]:
     return args, t
 
 
-@dataclass
-class StatementTyping:
-    touched_self: bool
+class StatementTyping(Record):
+    __match_args__ = ("touched_self",)
+
+    def __init__(self, touched_self: bool):
+        self.touched_self = touched_self
 
 
 def check_statement(stmt: Expr, env: SpeciesTypeEnv) -> StatementTyping:
@@ -485,10 +522,12 @@ def check_statement(stmt: Expr, env: SpeciesTypeEnv) -> StatementTyping:
     return StatementTyping(touched_self=uni.touched_self)
 
 
-@dataclass
-class ProofTyping:
-    used_rep: bool
-    touched_self: bool
+class ProofTyping(Record):
+    __match_args__ = ("used_rep", "touched_self")
+
+    def __init__(self, used_rep: bool, touched_self: bool):
+        self.used_rep = used_rep
+        self.touched_self = touched_self
 
 
 def check_proof(proof: Proof, env: SpeciesTypeEnv) -> ProofTyping:

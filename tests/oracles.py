@@ -7,6 +7,7 @@ test expectations do not inherit bugs from the implementation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -454,3 +455,126 @@ def scope_tags(tree: tuple, scope: dict, bound: frozenset = frozenset()) -> list
         case ("node", children):
             return [t for c in children for t in scope_tags(c, scope, bound)]
     raise AssertionError(tree)
+
+
+# ---------------------------------------------------------------------------
+# Lexer: the character-by-character tokenizer the master-regex lexer
+# replaced.  A token is (kind, value, line, col, bullet); an error is a
+# `LexFailure` with its message and position.
+
+LEX_KEYWORDS = {
+    "species", "collection", "inherit", "implement", "representation",
+    "signature", "let", "rec", "property", "theorem", "proof", "of", "end",
+    "type", "is", "in", "all", "ex", "assume", "hypothesis", "prove", "qed",
+    "by", "definition", "step", "admitted", "if", "then", "else", "match",
+    "with", "true", "false", "Self",
+}
+
+LEX_OPERATORS = [
+    ";;", "->", "/\\", "\\/", "<0x", "=0x", "~~", "&&",
+    "(", ")", ",", ";", ":", "=", "!", "|", "*", "+", "-", "~",
+]
+
+_BULLET = re.compile(r"<(\d+)>([A-Za-z0-9]+)")
+_IDENT = re.compile(r"[a-z_][A-Za-z0-9_]*")
+_CAPID = re.compile(r"[A-Z][A-Za-z0-9_]*")
+_INT = re.compile(r"\d+")
+_WS = re.compile(r"[ \t\r\n]+")
+
+
+class LexFailure(Exception):
+    def __init__(self, message: str, line: int, col: int):
+        super().__init__(message)
+        self.message = message
+        self.line = line
+        self.col = col
+
+
+def tokenize(text: str) -> list[tuple]:
+    tokens: list[tuple] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+
+    def advance(s: str) -> None:
+        nonlocal line, col
+        for ch in s:
+            if ch == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+
+    while i < n:
+        m = _WS.match(text, i)
+        if m:
+            advance(m.group())
+            i = m.end()
+            continue
+        if text.startswith("(*", i):
+            depth, j = 1, i + 2
+            while j < n and depth:
+                if text.startswith("(*", j):
+                    depth, j = depth + 1, j + 2
+                elif text.startswith("*)", j):
+                    depth, j = depth - 1, j + 2
+                else:
+                    j += 1
+            if depth:
+                raise LexFailure("unterminated comment", line, col)
+            advance(text[i:j])
+            i = j
+            continue
+        p = (line, col)
+        if text[i] == '"':
+            j = i + 1
+            out = []
+            while j < n and text[j] != '"':
+                if text[j] == "\\" and j + 1 < n:
+                    out.append(text[j + 1])
+                    j += 2
+                else:
+                    out.append(text[j])
+                    j += 1
+            if j >= n:
+                raise LexFailure("unterminated string literal", *p)
+            j += 1
+            tokens.append(("string", "".join(out), *p, None))
+            advance(text[i:j])
+            i = j
+            continue
+        m = _BULLET.match(text, i)
+        if m:
+            tokens.append(("bullet", m.group(), *p, (int(m.group(1)), m.group(2))))
+            advance(m.group())
+            i = m.end()
+            continue
+        m = _IDENT.match(text, i)
+        if m:
+            word = m.group()
+            tokens.append((word if word in LEX_KEYWORDS else "ident", word, *p, None))
+            advance(word)
+            i = m.end()
+            continue
+        m = _CAPID.match(text, i)
+        if m:
+            word = m.group()
+            tokens.append(("Self" if word == "Self" else "capid", word, *p, None))
+            advance(word)
+            i = m.end()
+            continue
+        m = _INT.match(text, i)
+        if m:
+            tokens.append(("int", m.group(), *p, None))
+            advance(m.group())
+            i = m.end()
+            continue
+        for op in LEX_OPERATORS:
+            if text.startswith(op, i):
+                tokens.append((op, op, *p, None))
+                advance(op)
+                i += len(op)
+                break
+        else:
+            raise LexFailure(f"unexpected character {text[i]!r}", *p)
+    tokens.append(("eof", "", line, col, None))
+    return tokens

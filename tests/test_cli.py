@@ -264,3 +264,25 @@ def test_an_argument_named_like_a_parameter_evaluates_in_a_process(tmp_path):
         proc = focml("eval", str(source), "--call", call)
         assert (proc.returncode, proc.stdout) == (0, "10\n")
         assert "Traceback" not in proc.stderr
+
+
+def imported_modules(*argv: str) -> set[str]:
+    """Every module a `focml` process imports, from `-X importtime`."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "focml.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
+def test_each_subcommand_imports_only_what_it_runs():
+    slow = {"dataclasses", "focml.emit", "focml.evaluator", "hashlib"}
+    for argv in (["check"], ["deps"], ["doc"]):
+        assert not imported_modules(*argv, *EXAMPLE) & slow, argv
+    loaded = imported_modules("eval", *EXAMPLE, "--call", "In_5_10!filter (12)")
+    assert "focml.evaluator" in loaded
+    assert not loaded & {"dataclasses", "focml.emit", "hashlib"}

@@ -266,3 +266,32 @@ def test_builtin_facts_are_not_method_deps(example_cu):
     sd = example_cu.deps["TheInt"]
     assert "int_ltNotGt" not in sd.methods["ltNotGt"].decl
     assert sd.methods["ltNotGt"].universe == {"eq", "lt", "gt"}
+
+
+@pytest.mark.parametrize(
+    "fact, message",
+    [
+        ("Zzz!refl", "unknown collection Zzz"),
+        ("P!nosuch", "P has no method nosuch"),
+        ("P!refl, Zzz!refl", "unknown collection Zzz"),
+    ],
+)
+def test_a_collection_fact_names_a_collection_and_its_method(fact, message):
+    src = f"""
+species Base =
+  representation = int ;
+  property refl : all n : int, n = n ;
+  proof of refl = admitted ;
+end ;;
+collection P = implement Base ;;
+species B =
+  representation = int ;
+  theorem t : all n : int, n = n
+  proof = by property {fact} ;
+end ;;
+"""
+    with pytest.raises(CompileError) as ei:
+        compile_source(src)
+    assert (ei.value.kind, ei.value.message) == (UNKNOWN, message)
+    assert (ei.value.pos.line, ei.value.pos.col) == (11, 14)
+    compile_source(src.replace(fact, "P!refl"))  # a property of the collection

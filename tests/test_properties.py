@@ -14,7 +14,7 @@ import random
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
@@ -31,6 +31,7 @@ from focml.deps import (
 from focml.emit import emit_comp, emit_logical
 from focml.errors import CompileError, EvalFailure
 from focml.evaluator import Interpreter, Scope, format_value
+from focml.lexer import tokenize
 from focml.parser import parse_expr_text, parse_source
 from focml.pretty import expr_to_source, type_to_source
 from focml.proofs import iter_leaves
@@ -593,10 +594,7 @@ def run_carry_suite(units) -> int:
     for u in units:
         for sname, nf in u.cu.species.items():
             full = copy.copy(nf)
-            full.methods = {
-                n: replace(mi, carried=False)
-                for n, mi in nf.methods.items()
-            }
+            full.methods = {n: mi.replace(carried=False) for n, mi in nf.methods.items()}
             sd = scan_species(full, u.cu.deps)
             driver._type_species(full, sd, driver._species_env(u.cu, full))
             for name, mi in nf.methods.items():
@@ -690,23 +688,106 @@ collection ShIC = implement ShI (BColl, ShCC) ;;
 """
 
 
-def workload_units() -> list:
-    """The benchmark's chain, wide and recurse units for seeds 1 to 3, built
-    by its own generators."""
-    root = Path(__file__).parent.parent
+ROOT = Path(__file__).parent.parent
+
+
+def benchmark_workloads():
+    """The benchmark's `workloads` module, which holds its generators."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", root / "perfbench" / "workloads.py"
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
     )
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # dataclasses look the module up
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def workload_units() -> list:
+    """The benchmark's chain, wide and recurse units for seeds 1 to 3, built
+    by its own generators."""
     cus = []
-    for generate in workloads.GENERATORS.values():
+    for generate in benchmark_workloads().GENERATORS.values():
         for seed in (1, 2, 3):
             wl = generate(seed)
-            sources = [(f, (root / f).read_text()) for f in wl.fixed]
+            sources = [(f, (ROOT / f).read_text()) for f in wl.fixed]
             cus.append(compile_unit(sources + list(wl.files.items())))
     return cus
+
+
+# ---------------------------------------------------------------------------
+# Lexer: the master-regex tokenizer against the character-by-character one
+
+# Pieces a mutation inserts: nested and unterminated comments, strings with
+# escapes and unterminated ones, bullets next to `<0x`, line breaks with a
+# carriage return, and characters the language does not have.
+LEX_PIECES = [
+    "(* a (* nested *) comment *)", "(*(**)*)", "(* open", "(*)", "*)", "(**)",
+    '"a \\" b"', '"\\"\\""', '"esc \\n \\\\ \\"', '"open', '"', "\\",
+    "<1>2", "<0x", "<0>x", "<12>ab3", "<1>", "<", ">", "<0x1", "=0x",
+    "\r\n", "\r", "\t", "\x0c", "@", "#", "é", "\u0663",
+    "Self", "Selfish", "_x1", "x'", ";;", ";", "/\\", "\\/", "->", "~~", "&&", "12ab",
+]
+
+
+def lex_outcome(text: str):
+    """Both tokenizers on `text`: each token's kind, value, position and
+    bullet, or the error's kind, message and position."""
+    try:
+        got = [(t.kind, t.value, t.pos.line, t.pos.col, t.bullet) for t in tokenize(text)]
+    except CompileError as err:
+        got = (err.kind, err.message, err.pos.line, err.pos.col)
+    try:
+        want = oracles.tokenize(text)
+    except oracles.LexFailure as err:
+        want = ("SyntaxError", err.message, err.line, err.col)
+    return got, want
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """A window of `text` changed one to four times, a token or a line at
+    a time."""
+    start = rng.randrange(max(1, len(text) - 1500))
+    text = text[start:start + rng.randrange(1, 3000)]
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            parts = re.findall(r"\s+|\w+|.", text, re.DOTALL) or [""]
+        else:
+            parts = text.splitlines(keepends=True) or [""]
+        i = rng.randrange(len(parts))
+        match rng.randrange(5):
+            case 0:
+                parts.insert(i, rng.choice(LEX_PIECES))
+            case 1:
+                del parts[i]
+            case 2:
+                parts.insert(i, parts[i])
+            case 3:
+                j = rng.randrange(len(parts))
+                parts[i], parts[j] = parts[j], parts[i]
+            case 4:
+                parts[i] = parts[i].replace("\n", "\r\n")
+        text = "".join(parts)
+    return text
+
+
+def run_lexer_suite(texts: list[str], mutants_each: int) -> Counter:
+    """Every text and its mutants; counts what the tokens and errors were."""
+    rng = random.Random(SEED + 3)
+    seen: Counter = Counter()
+    for text in texts:
+        for case in [text] + [mutate(rng, text) for _ in range(mutants_each)]:
+            got, want = lex_outcome(case)
+            assert got == want, case
+            if isinstance(got, tuple):
+                seen[" ".join(got[1].split()[:2])] += 1  # the error, without its character
+            else:
+                seen["tokens"] += 1
+                seen["bullet"] += any(t[0] == "bullet" for t in got)
+                seen["<0x"] += any(t[0] == "<0x" for t in got)
+                seen["escape"] += any(t[0] == "string" and '"' in t[1] for t in got)
+                seen["crlf"] += "\r\n" in case
+                seen["nested comment"] += "(* nested *)" in case or "(*(**)*)" in case
+    return seen
 
 
 def run_finish_suite(cus) -> int:
@@ -718,9 +799,7 @@ def run_finish_suite(cus) -> int:
         for sname, nf in cu.species.items():
             sd = cu.deps[sname]
             full = copy.copy(nf)
-            full.methods = {
-                n: replace(mi, carried=False) for n, mi in nf.methods.items()
-            }
+            full.methods = {n: mi.replace(carried=False) for n, mi in nf.methods.items()}
             fresh = SpeciesDeps(
                 order=sd.order,
                 methods={
@@ -1230,6 +1309,17 @@ def test_carried_finish_equals_a_full_finish(general_units, complete_units):
     assert run_finish_suite([compile_source(SHADOWS)]) >= 10
     assert run_finish_suite(data_units()) >= 10
     assert run_finish_suite(workload_units()) >= 5000
+
+
+def test_the_lexer_agrees_with_the_reference():
+    texts = [path.read_text() for path in sorted((ROOT / "tests" / "data").glob("*.fcl"))]
+    for generate in benchmark_workloads().GENERATORS.values():
+        texts += generate(1).files.values()
+    seen = run_lexer_suite(texts, 100)
+    assert seen["tokens"] + seen["unterminated comment"] >= 500
+    for what in ("bullet", "<0x", "escape", "crlf", "nested comment",
+                 "unterminated comment", "unterminated string", "unexpected character"):
+        assert seen[what] >= 5, what
 
 
 def test_names_are_tagged_where_they_are_written(general_units, complete_units):

@@ -351,6 +351,27 @@ species H2 (P is Ord) = inherit Src2 (P) ; signature idf : P -> P ; end ;;
     assert (e.value.pos.line, e.value.pos.col) == (5, 27)
 
 
+def test_carriers_that_print_alike_are_told_apart():
+    # `Q` is both a collection and a parameter of `S`; `P!hold` takes the
+    # collection's carrier, as `Holder (Q)` says, and gets the parameter's.
+    source = """
+species Base = signature mk : int -> Self ; end ;;
+species BaseImpl = inherit Base ; representation = int ; let mk (x) : Self = x ; end ;;
+collection Q = implement BaseImpl ;;
+species Holder (C is Base) = signature hold : C -> Self ; end ;;
+species S (P is Holder (Q), Q is Base) =
+  let h (n : int) : P = P!hold (Q!mk (n)) ;
+end ;;
+"""
+    with pytest.raises(CompileError) as e:
+        compile_source(source)
+    assert (e.value.kind, e.value.message) == (
+        "TypeMismatch",
+        "cannot unify Q with Q (collection Q's carrier against parameter Q's carrier)",
+    )
+    assert (e.value.pos.line, e.value.pos.col) == (7, 25)
+
+
 # ---------------------------------------------------------------------------
 # Names keep the meaning they have where they are written
 
