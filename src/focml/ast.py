@@ -56,7 +56,9 @@ class Record:
     def replace(self, **changes):
         """A shallow copy with `changes` to its fields."""
         out = object.__new__(type(self))
-        out.__dict__.update(self.__dict__, **changes)
+        fields = self.__dict__.copy()
+        fields.update(changes)
+        object.__setattr__(out, "__dict__", fields)  # also on a `Frozen` one
         return out
 
 
@@ -199,12 +201,17 @@ def flatten_arrow(t: Type) -> tuple[list[Type], Type]:
 
 
 def type_map(t: Type, f) -> Type:
-    """Rebuild `t` bottom-up, replacing each node by f(node) after recursion."""
+    """Rebuild `t` bottom-up, replacing each node by f(node) after recursion.
+    Types are frozen, so a node none of whose children changed is kept."""
     match t:
         case TArrow(a, r):
-            t = TArrow(type_map(a, f), type_map(r, f))
+            a2, r2 = type_map(a, f), type_map(r, f)
+            if a2 is not a or r2 is not r:
+                t = TArrow(a2, r2)
         case TTuple(items):
-            t = TTuple(tuple([type_map(i, f) for i in items]))
+            new = tuple([type_map(i, f) for i in items])
+            if any(x is not y for x, y in zip(new, items)):
+                t = TTuple(new)
         case _:
             pass
     return f(t)

@@ -8,6 +8,7 @@ Each subcommand runs on the deep stack (`errors.on_deep_stack`).
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -77,6 +78,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     action = _action(parser, args)
+    # What is loaded by now lives as long as the command: frozen, the
+    # cyclic collector stops walking it on every full collection.
+    gc.freeze()
     try:
         overflow = CompileError(DEPTH_LIMIT, "nested too deeply")
         return on_deep_stack(lambda: action(_compile(args.files)), overflow)
@@ -86,14 +90,17 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"focml: {err}", file=sys.stderr)
         return 2
+    finally:
+        gc.unfreeze()  # an in-process caller keeps nothing frozen
 
 
 def _action(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> Callable[[CompiledUnit], int]:
-    """What the subcommand does with the compiled files.  Only `emit` loads
-    the emitters and only `eval` the evaluator, and they load them here, on
-    the calling thread: a module first imported on the deep stack's worker
+    """What the subcommand does with the compiled files, after checking
+    its options, before anything is compiled.  Only `emit` loads the
+    emitters and only `eval` the evaluator, and they load them here, on the
+    calling thread: a module first imported on the deep stack's worker
     raises the peak memory of the process."""
     match args.command:
         case "deps":
@@ -101,11 +108,11 @@ def _action(
                 _write(args.json, render_deps_report(cu))
                 return 0
         case "emit":
+            if args.logical is None and args.comp is None:
+                parser.error("emit needs --logical and/or --comp")
             from .emit import emit_comp, emit_logical
 
             def act(cu: CompiledUnit) -> int:
-                if args.logical is None and args.comp is None:
-                    parser.error("emit needs --logical and/or --comp")
                 if args.logical is not None:
                     _write(args.logical, emit_logical(cu))
                 if args.comp is not None:

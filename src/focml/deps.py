@@ -25,7 +25,6 @@ from .ast import (
     Type,
     Var,
     expr_walk,
-    same,
     type_walk,
 )
 from .basics import BUILTIN_PROPERTIES
@@ -169,15 +168,16 @@ def def_deps(mi: MethodInfo, nf: NFSpecies) -> set[str]:
     return set(_validated_defs(sorted(unfolded(mi.proof)), nf, mi.pos))
 
 
-def def_closure(defs: dict[str, frozenset[str]], x: str) -> set[str]:
+def def_closure(entries: dict[str, MethodDeps], x: str) -> set[str]:
+    """Every method `x` unfolds, directly or through what it unfolds."""
     seen: set[str] = set()
-    frontier = deque(defs.get(x, ()))
+    frontier = deque(entries[x].defs)
     while frontier:
         y = frontier.popleft()
         if y in seen:
             continue
         seen.add(y)
-        frontier.extend(defs.get(y, ()))
+        frontier.extend(entries[y].defs)
     return seen
 
 
@@ -249,6 +249,85 @@ def order_methods(nf: NFSpecies, decl: dict[str, frozenset[str]]) -> tuple[list[
             witness=cycle,
         )
     return order, [g for g in groups if len(g) > 1]
+
+
+def _placed_order(
+    nf: NFSpecies,
+    entries: dict[str, MethodDeps],
+    parent: NFSpecies,
+    dirty: list[str],
+) -> list[str] | None:
+    """The order `order_methods` gives `nf` when its methods have no cycle,
+    placed from the order of the `parent` it extends, which has no cycle
+    either; None when a cycle leaves methods out, for `order_methods` to
+    report.  The lineage extends the parent's, so a method ranks alike in
+    both.
+
+    `dirty` lists the methods that are new here or have other edges or
+    another key than in the parent.  A parent method is affected when it
+    is dirty or depends on an affected one.  The others keep their edges
+    and keys, and they depend only on each other, so the smallest-key-first
+    topological sort picks them in the parent's relative order whatever
+    else it picks in between.  What is left is to merge the affected ones
+    into that sequence by key, as they become free."""
+    methods = nf.methods
+    rank = {s: i for i, s in enumerate(nf.lineage)}
+
+    def key(n: str) -> tuple[int, str]:
+        return rank.get(methods[n].order_site(), len(rank)), n
+
+    prev = parent.order
+    affected = set(dirty)
+    start = min((prev.index(n) for n in dirty if n in parent.methods), default=len(prev))
+    for n in prev[start:]:
+        if not affected.isdisjoint(entries[n].decl):
+            affected.add(n)
+    waiting: dict[str, int] = {}  # affected method -> its deps not yet placed
+    users: dict[str, list[str]] = {}
+    for a in affected:
+        deps = entries[a].decl
+        waiting[a] = len(deps)
+        for d in deps:
+            users.setdefault(d, []).append(a)
+    # A free method ranked from `late` on comes after every unaffected
+    # one, which all rank by a species of the parent's lineage.
+    late = len(parent.lineage)
+    free: list[tuple[tuple[int, str], str]] = []
+    later: list[tuple[tuple[int, str], str]] = []
+    order: list[str] = []
+
+    def release(a: str) -> None:
+        k = key(a)
+        heapq.heappush(free if k[0] < late else later, (k, a))
+
+    def place(n: str) -> None:
+        order.append(n)
+        for a in users.get(n, ()):
+            waiting[a] -= 1
+            if not waiting[a]:
+                release(a)
+
+    for a, left in waiting.items():
+        if not left:
+            release(a)
+    for n in prev:
+        if n in affected:
+            continue
+        if free:
+            k = key(n)
+            while free and free[0][0] < k:
+                place(heapq.heappop(free)[1])
+        if n in users:
+            place(n)
+        else:
+            order.append(n)
+    # Every unaffected method is placed: any free one may come next.
+    free += later
+    heapq.heapify(free)
+    late = len(rank) + 1
+    while free:
+        place(heapq.heappop(free)[1])
+    return order if len(order) == len(methods) else None
 
 
 def _collapse_rec_groups(
@@ -353,14 +432,35 @@ def _shortest_cycle(deps: dict[str, set[str]]) -> list[str]:
     return best[smallest:] + best[:smallest]
 
 
-def scan_species(nf: NFSpecies, deps_env: dict[str, SpeciesDeps]) -> SpeciesDeps:
+def scan_species(
+    nf: NFSpecies,
+    deps_env: dict[str, SpeciesDeps],
+    parent: NFSpecies | None = None,
+) -> SpeciesDeps:
     """Syntactic pass: decl/def sets, fact validation, global order.
 
-    Methods carried from an ancestor keep the sets scanned there.
+    Methods carried from an ancestor keep the sets scanned there.  Given
+    the `parent` the species extends (see `driver._extended_parent`), a
+    method the parent had, with the same scan and the same first
+    definition, keeps the parent's whole entry (`finish_deps` decides
+    whether its finish holds too), and the order is placed from the
+    parent's (`_placed_order`).
     """
     sd = SpeciesDeps()
-    decl: dict[str, frozenset[str]] = {}
+    parents: dict[str, MethodInfo] = {}
+    if parent is not None:
+        parents = parent.methods
+        sd.methods = dict(deps_env[parent.name].methods)
+    dirty: list[str] = []  # new here, or ordered by other edges or keys
     for name, mi in nf.methods.items():
+        old = parents.get(name)
+        if (
+            mi.carried
+            and old is not None
+            and old.scanned_in == mi.scanned_in
+            and old.first_def == mi.first_def
+        ):
+            continue
         if mi.carried:
             assert mi.scanned_in is not None
             scanned = deps_env[mi.scanned_in].methods[name]
@@ -370,12 +470,24 @@ def scan_species(nf: NFSpecies, deps_env: dict[str, SpeciesDeps]) -> SpeciesDeps
                 decl=frozenset(decl_deps(mi, nf)), defs=frozenset(def_deps(mi, nf))
             )
             mi.scanned_in = nf.name
-        decl[name] = md.decl
+        if (
+            old is None
+            or old.order_site() != mi.order_site()
+            or md.decl != sd.methods[name].decl
+        ):
+            dirty.append(name)
         sd.methods[name] = md
-    sd.order, sd.rec_groups = order_methods(nf, decl)
+    placed = None
+    if parent is not None and not deps_env[parent.name].rec_groups:
+        placed = _placed_order(nf, sd.methods, parent, dirty)
+    if placed is not None:
+        sd.order = placed
+    else:
+        decl = {name: md.decl for name, md in sd.methods.items()}
+        sd.order, sd.rec_groups = order_methods(nf, decl)
     nf.order = sd.order
     mutual = {m for g in sd.rec_groups for m in g}
-    for name, md in sd.methods.items():
+    for name, md in sd.methods.items() if mutual else ():
         hit = sorted(md.defs & mutual)
         if hit and nf.methods[name].valid_proof:
             # The member's generator takes its partners as arguments, so
@@ -398,20 +510,39 @@ def finish_deps(
     sd: SpeciesDeps,
     species_env: dict[str, NFSpecies],
     deps_env: dict[str, SpeciesDeps],
+    parent: NFSpecies | None = None,
 ) -> None:
-    """Semantic pass.  A carried method takes its finished entry from the
-    species that last computed it when nothing the finish reads differs
-    here (`_carried_finish`); `min_env` always follows this species' order."""
-    index = {m: i for i, m in enumerate(sd.order)}
-    defs = {n: md.defs for n, md in sd.methods.items()}
+    """Semantic pass.  Given the `parent` the species extends (see
+    `driver._extended_parent`), an entry the parent finished holds here
+    when neither its method nor a name in its universe changed since the
+    parent (`_same_analysis`): one pass finds the changed names, and one
+    set test per parent entry keeps the rest, with the parent's `min_env`
+    while this order keeps the parent's relative order.  The rest are
+    finished here."""
+    kept: dict[str, MethodDeps] = {}
+    index: dict[str, int] = {}
+    if parent is not None:
+        old = parent.methods
+        changed = {y for y, a in nf.methods.items() if not _same_analysis(a, old.get(y))}
+        kept = {
+            x: pe
+            for x, pe in deps_env[parent.name].methods.items()
+            if x not in changed and changed.isdisjoint(pe.universe)
+        }
+        if kept and [n for n in sd.order if n in old] != parent.order:
+            index = {m: i for i, m in enumerate(sd.order)}
+            kept = {x: pe.replace(min_env=_min_env(pe, index)) for x, pe in kept.items()}
+        sd.methods.update(kept)
+    if len(kept) == len(sd.methods):
+        return
+    index = index or {m: i for i, m in enumerate(sd.order)}
     type_refs: dict[str, set[str]] = {}
-    for name, md in sd.methods.items():
-        mi = nf.methods[name]
-        done = _carried_finish(nf, name, mi, species_env, deps_env)
-        if done is not None:
-            sd.methods[name] = done.replace(min_env=_min_env(done, index))
+    for name, scanned in sd.methods.items():
+        if name in kept:
             continue
-        md.closure = def_closure(defs, name)
+        mi = nf.methods[name]
+        sd.methods[name] = md = MethodDeps(decl=scanned.decl, defs=scanned.defs)
+        md.closure = def_closure(sd.methods, name)
         u = set(md.decl) | md.closure
         while True:
             grown = set(u)
@@ -438,7 +569,6 @@ def finish_deps(
         elif carrier_decl:
             md.carrier_keep = "TypeOnly"
         _param_deps(nf, md, mi, species_env, deps_env)
-        mi.finished_in = nf.name
 
 
 def _min_env(md: MethodDeps, index: dict[str, int]) -> list[tuple[str, str]]:
@@ -448,38 +578,20 @@ def _min_env(md: MethodDeps, index: dict[str, int]) -> list[tuple[str, str]]:
     ]
 
 
-def _carried_finish(
-    nf: NFSpecies,
-    name: str,
-    mi: MethodInfo,
-    species_env: dict[str, NFSpecies],
-    deps_env: dict[str, SpeciesDeps],
-) -> MethodDeps | None:
-    """The finished entry of a carried method in the species that computed
-    it, if it holds here too.  The parameters must be the same (names,
-    kinds, interfaces, carriers).  The method and every name in its universe
-    (which holds its closure) must come from the same analysis, and by the
-    same renaming: a renamed copy gets a new scheme (lets, signatures) or a
-    new statement (properties, theorems)."""
-    if not mi.carried:
-        return None
-    assert mi.finished_in is not None
-    src = species_env[mi.finished_in]
-    if not same(src.params, nf.params):
-        return None
-    done = deps_env[src.name].methods[name]
-    for y in (name, *done.universe):
-        a, b = nf.methods[y], src.methods[y]
-        if not (
-            a.scanned_in == b.scanned_in
-            and a.scheme is b.scheme
-            and a.statement is b.statement
-        ):
-            return None
-    # The representation comes down the same renaming, and an heir cannot
-    # replace one it inherits, so a body that unfolds it still sees it.
-    assert done.carrier_keep != "TypeAndBody" or src.rep_resolved == nf.rep_resolved
-    return done
+def _same_analysis(a: MethodInfo, b: MethodInfo | None) -> bool:
+    """Whether `a` holds the analysis of `b`, its parent's copy: carried,
+    from the same scan, with the same scheme (lets, signatures) or
+    statement (properties, theorems).  A method typed again is not
+    carried, and a definition from another parent comes from another scan.
+    The rest of what the finish reads (bodies, proofs, carrier flags) comes
+    with the scan or the typing."""
+    return (
+        b is not None
+        and a.carried
+        and a.scanned_in == b.scanned_in
+        and a.scheme is b.scheme
+        and a.statement is b.statement
+    )
 
 
 def _param_deps(
@@ -494,18 +606,23 @@ def _param_deps(
     is_params = {p.name: p for p in nf.is_params}
     entity_params = {p.name: p for p in nf.entity_params}
 
-    def own_and_def_exprs():
-        yield from _own_exprs(mi)
-        for z in md.closure:
-            yield from _own_exprs(nf.methods[z])
-
     # Qualified references from the body, statement and proof of x plus the
-    # bodies of everything x unfolds, then from types across the universe.
+    # bodies of everything x unfolds, then from types across the universe;
+    # entity parameters from the first two; quantifier types from x's own
+    # trees and the statements of the universe, for the carriers below.
+    # Each tree is walked once.
     quals: dict[str, set[str]] = {p: set() for p in is_params}
-    stmts = [nf.methods[y].statement for y in md.universe]
-    for e in [*own_and_def_exprs(), *(s for s in stmts if s is not None)]:
-        for coll, m in param_refs(e):
-            quals[coll].add(m)
+    used_entities: set[str] = set()
+    quant_types: list[Type] = []
+    for e in _own_exprs(mi):
+        _uses(e, quals, used_entities, quant_types)
+    for z in md.closure:
+        for e in _own_exprs(nf.methods[z]):
+            _uses(e, quals, used_entities, None)
+    for y in md.universe:
+        stmt = nf.methods[y].statement
+        if stmt is not None:
+            _uses(stmt, quals, None, quant_types)
     if mi.proof is not None:  # `by property P!m` facts count as uses
         for leaf in iter_leaves(mi.proof):
             for f in leaf.facts:
@@ -530,20 +647,15 @@ def _param_deps(
         md.param_deps[pname] = [m for m in iface_sd.order if m in closed]
 
     # Entity parameters contribute themselves when referenced.
-    used_entities: set[str] = set()
-    for e in own_and_def_exprs():
-        used_entities |= tagged(e, ENTITY)
     md.entity_used = [
         p.name for p in nf.entity_params if p.name in used_entities
     ]
 
     # A parameter's carrier is lifted when any dependency on the parameter
     # survives, or when the carrier type itself occurs in the method's plan.
-    plan_types: list[Type] = []
+    plan_types = quant_types
     if mi.scheme is not None:
         plan_types.append(mi.scheme.body)
-    for e in _own_exprs(mi):
-        plan_types.extend(_quant_types(e))
     if mi.proof is not None:
         for step in iter_steps(mi.proof):
             for _, ty in step.assumes:
@@ -554,8 +666,6 @@ def _param_deps(
         other = nf.methods[y]
         if other.scheme is not None:
             plan_types.append(other.scheme.body)
-        if other.statement is not None:
-            plan_types.extend(_quant_types(other.statement))
     for pname in is_params:
         used = bool(md.param_deps.get(pname)) or any(
             entity_params[v].carrier == pname for v in md.entity_used
@@ -567,8 +677,25 @@ def _param_deps(
         md.param_carrier[pname] = used
 
 
-def _quant_types(e: Expr):
-    return (q.ty for q in expr_walk(e) if isinstance(q, Quant))
+def _uses(
+    e: Expr,
+    quals: dict[str, set[str]],
+    entities: set[str] | None,
+    quant_types: list[Type] | None,
+) -> None:
+    """Add the parameter methods `e` calls to `quals`, and, where a sink is
+    given, the entity parameters it names and its quantifier types."""
+    for x in expr_walk(e):
+        kind = type(x)
+        if kind is Qual:
+            if x.ref == PARAM:
+                quals[x.coll].add(x.name)
+        elif kind is Var:
+            if entities is not None and x.ref == ENTITY:
+                entities.add(x.name)
+        elif kind is Quant:
+            if quant_types is not None:
+                quant_types.append(x.ty)
 
 
 def _mentions_param(t: Type, pname: str) -> bool:

@@ -208,7 +208,8 @@ def _register_species(cu: CompiledUnit, decl: SpeciesDecl) -> None:
         _check_collection_facts(cu, m)
     if nf.rep is not None:
         nf.rep_resolved = env.rep = env.ctx.resolve(nf.rep, nf.pos)
-    reverted = invalidate_proofs(nf)
+    parent = _extended_parent(cu, decl, nf)
+    reverted = invalidate_proofs(nf, parent, parent and cu.deps[parent.name].methods)
     for rp in reverted:
         cu.warnings.append(
             Diagnostic(
@@ -219,17 +220,36 @@ def _register_species(cu: CompiledUnit, decl: SpeciesDecl) -> None:
                 severity="warning",
             )
         )
-    sd = scan_species(nf, cu.deps)
+    sd = scan_species(nf, cu.deps, parent)
     _type_species(nf, sd, env)
     # Inherit arguments may name the species' own methods.
     for se, args in zip(decl.inherits, inherit_args):
         _type_entity_args(cu, se, args, env)
-    finish_deps(nf, sd, cu.species, cu.deps)
+    finish_deps(nf, sd, cu.species, cu.deps, parent)
     cu.species[nf.name] = nf
     cu.deps[nf.name] = sd
     cu.plans[nf.name] = build_species_plan(
-        nf, sd, cu.species, cu.deps, cu.plans
+        nf, sd, cu.species, cu.deps, cu.plans, parent
     )
+
+
+def _extended_parent(
+    cu: CompiledUnit, decl: SpeciesDecl, nf: NFSpecies
+) -> NFSpecies | None:
+    """The species `nf` inherits first, when `nf` has its parameters and
+    passes each as itself, so that `normalize` shared the parent's trees
+    and `ancestor_args` entries: then the passes after flattening extend
+    the parent's results instead of computing their own.  The lineage of
+    `nf` starts with the parent's (`merge_lineages`)."""
+    if not decl.inherits:
+        return None
+    parent = cu.species[decl.inherits[0].name]
+    assert nf.lineage[: len(parent.lineage)] == parent.lineage
+    if not same(parent.params, nf.params):
+        return None
+    if nf.ancestor_args[parent.name] is not parent.ancestor_args[parent.name]:
+        return None  # a formal is renamed
+    return parent
 
 
 def _species_env(cu: CompiledUnit, nf: NFSpecies) -> SpeciesTypeEnv:
@@ -369,7 +389,7 @@ def _type_species(nf: NFSpecies, sd: SpeciesDeps, env: SpeciesTypeEnv) -> None:
         mi = nf.methods[name]
         if name in group_of and env.methods.get(name) is None:
             _seed_rec_group(nf, group_of[name], env)
-        if mi.carried and not changed.isdisjoint(sd.methods[name].decl):
+        if changed and mi.carried and not changed.isdisjoint(sd.methods[name].decl):
             mi.carried = False
         if not mi.carried:
             carried_scheme = mi.scheme

@@ -269,8 +269,14 @@ def build_species_plan(
     species_env: dict[str, NFSpecies],
     deps_env: dict[str, SpeciesDeps],
     plans_env: dict[str, SpeciesPlan],
+    parent: NFSpecies | None = None,
 ) -> SpeciesPlan:
+    """Generators for the methods `nf` defines; a record and a creator when
+    it is complete.  Given the `parent` the species extends (see
+    `driver._extended_parent`), the parent's record and creator are
+    extended rather than rebuilt (`_record_plan`, `_create_plan`)."""
     plan = SpeciesPlan(name=nf.name)
+    prev = None if parent is None else plans_env[parent.name]
 
     def lookup(origin: str, m: str) -> MethodGeneratorPlan:
         if origin == nf.name:
@@ -285,13 +291,16 @@ def build_species_plan(
             nf, mi, sd.methods[m], species_env, lookup
         )
     if not nf.incompleteness():
-        plan.record = _record_plan(nf, sd, species_env, deps_env)
+        plan.record = _record_plan(
+            nf, sd, species_env, deps_env, parent, prev and prev.record
+        )
         if not sd.rec_groups:
             # A mutual group admits no instantiation order for the
             # creator's locals, and such a species cannot back a
             # collection anyway.
             plan.create = _create_plan(
-                nf, sd, plan.record, species_env, deps_env, lookup
+                nf, sd, plan.record, species_env, deps_env, lookup,
+                prev and prev.create,
             )
     return plan
 
@@ -384,18 +393,42 @@ def _param_lifts(
     return lifts
 
 
+def _used_methods(nf: NFSpecies, lifts: list[Lift]) -> dict[str, set[str]]:
+    """The methods of each is-parameter that `lifts` abstract over."""
+    used: dict[str, set[str]] = {p.name: set() for p in nf.is_params}
+    for l in lifts:
+        if l.tag[0] == "param_method":
+            used[l.tag[1]].add(l.tag[2])
+    return used
+
+
 def _record_plan(
     nf: NFSpecies,
     sd: SpeciesDeps,
     species_env: dict[str, NFSpecies],
     deps_env: dict[str, SpeciesDeps],
+    parent: NFSpecies | None,
+    prev: RecordTypePlan | None,
 ) -> RecordTypePlan:
-    used: dict[str, set[str]] = {}
+    """The record abstracts over the parameter methods the statements
+    mention.  An heir's statements hold its parent's, so given the
+    parent's record `prev`, only the statements new since the parent's
+    copies are read, and the same methods keep the parent's lifts."""
+    methods = list(nf.methods.values())
+    used: dict[str, set[str]] = {p.name: set() for p in nf.is_params}
+    if prev is not None:
+        assert parent is not None
+        old = parent.methods
+        methods = [
+            mi for mi in methods
+            if mi.name not in old or old[mi.name].statement is not mi.statement
+        ]
+        used = _used_methods(nf, prev.abstractions)
+    before = {p: set(ms) for p, ms in used.items()}
     for p in nf.is_params:
         assert p.interface is not None
         iface_nf = species_env[p.interface.name]
-        used[p.name] = set()
-        for mi in nf.methods.values():
+        for mi in methods:
             if mi.statement is None:
                 continue
             refs = {w for c, w in param_refs(mi.statement) if c == p.name}
@@ -404,7 +437,9 @@ def _record_plan(
                 used[p.name] |= type_level_refs(iface_nf.methods[w])
     return RecordTypePlan(
         species=nf.name,
-        abstractions=_param_lifts(nf, "{}_T", used, species_env, deps_env),
+        abstractions=prev.abstractions
+        if prev is not None and used == before
+        else _param_lifts(nf, "{}_T", used, species_env, deps_env),
         fields=list(sd.order),
     )
 
@@ -416,22 +451,36 @@ def _create_plan(
     species_env: dict[str, NFSpecies],
     deps_env: dict[str, SpeciesDeps],
     lookup,
+    prev: CollectionGeneratorPlan | None,
 ) -> CollectionGeneratorPlan:
+    """The creator abstracts over the parameter methods any generator
+    depends on, and binds a local to each generator applied in order.
+    Given the parent's creator `prev`, a local whose generator comes from
+    the same species as there is the parent's local: it applies the same
+    generator to the same actuals, the `ancestor_args` entry the heir
+    shares with the parent."""
     used: dict[str, set[str]] = {p.name: set() for p in nf.is_params}
     for md in sd.methods.values():
-        for p in used:
-            used[p].update(md.param_deps.get(p, ()))
+        for p, ms in md.param_deps.items():
+            if ms:
+                used[p].update(ms)
+    reuse = {} if prev is None else {ld.name: ld for ld in prev.locals[1:]}
     plan = CollectionGeneratorPlan(
         species=nf.name,
-        outer=_param_lifts(nf, "_p_{}_T", used, species_env, deps_env),
+        outer=prev.outer
+        if prev is not None and used == _used_methods(nf, prev.outer)
+        else _param_lifts(nf, "_p_{}_T", used, species_env, deps_env),
     )
     plan.locals.append(LocalDef("rep"))
     for m in sd.order:
-        callee = lookup(nf.methods[m].origin, m)
-        plan.locals.append(LocalDef(m, _gen_app(callee, nf)))
+        origin = nf.methods[m].origin
+        ld = reuse.get(m)
+        if ld is None or ld.gen.species != origin:
+            ld = LocalDef(m, _gen_app(lookup(origin, m), nf))
+        plan.locals.append(ld)
     plan.record_args = [l.tag for l in record.abstractions]
     plan.record_args.append(("self_carrier",))
-    plan.record_args.extend(("self_method", m) for m in sd.order)
+    plan.record_args += [("self_method", m) for m in sd.order]
     return plan
 
 

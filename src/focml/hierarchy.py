@@ -17,7 +17,7 @@ on this normal form.
 
 from __future__ import annotations
 
-import copy
+from typing import TYPE_CHECKING
 
 from .ast import (
     NOPOS,
@@ -59,6 +59,9 @@ from .errors import (
 from .proofs import unfolded
 from .resolve import COLLECTION, ENTITY, METHOD, PARAM
 
+if TYPE_CHECKING:
+    from .deps import MethodDeps
+
 
 # The actual of each formal parameter of an applied species, as decided once
 # where the application is checked: an is-formal maps to the carrier it
@@ -75,7 +78,7 @@ class MethodInfo(Record):
         "name", "kind", "decl_site", "first_def", "origin", "proof_origin", "ty",
         "extra_sigs", "params", "ret", "body", "statement", "proof", "rec", "superseded",
         "pos", "scheme", "param_types", "ret_type", "carrier_decl", "carrier_def",
-        "scanned_in", "finished_in", "carried", "valid_proof",
+        "scanned_in", "carried", "valid_proof",
     )
 
     def __init__(
@@ -102,7 +105,6 @@ class MethodInfo(Record):
         carrier_decl: bool = False,
         carrier_def: bool = False,
         scanned_in: str | None = None,
-        finished_in: str | None = None,
         carried: bool = False,
         valid_proof: bool = True,
     ):
@@ -130,7 +132,6 @@ class MethodInfo(Record):
         self.carrier_decl = carrier_decl
         self.carrier_def = carrier_def
         self.scanned_in = scanned_in  # species whose deps hold decl/def sets
-        self.finished_in = finished_in  # species whose deps hold the finish
         # `carried` is set on inheritance and cleared where the species changes
         # what the analysis reads: a declared type, a definition adopted from a
         # sibling, an entity argument that is an expression, the types a
@@ -284,6 +285,11 @@ def _ref(actual: Type) -> str:
     return PARAM if isinstance(actual, TParam) else COLLECTION
 
 
+def _unchanged(new: list, old: list) -> bool:
+    """Whether rebuilding the items of `old` gave back each item itself."""
+    return all(a is b for a, b in zip(new, old))
+
+
 def subst_expr(
     e: Expr,
     args: Args,
@@ -294,39 +300,62 @@ def subst_expr(
     entity-tagged name becomes its argument (a method-tagged one in
     `method_map` its entry), and a parameter-tagged collection becomes the
     parameter or collection its actual denotes.  Other names keep their
-    tags; `type_fn` maps quantifier types."""
+    tags; `type_fn` maps quantifier types.
+
+    Only the spine above a replaced name or a changed type is copied: a
+    subtree in which nothing changes, and an argument put in for a name,
+    is the same object in the result.  Sharing is safe because no tree is
+    changed in place once it is resolved: `resolve` tags a species' own
+    trees and its inherit arguments before `normalize` copies either, and
+    every later pass builds new nodes."""
     method_map = method_map or {}
 
     def go(e: Expr) -> Expr:
         match e:
             case Var(name, ref) if ref == ENTITY and name in args:
-                return copy.deepcopy(args[name])
+                return args[name]
             case Var(name, ref) if ref == METHOD and name in method_map:
-                return copy.deepcopy(method_map[name])
+                return method_map[name]
             case Qual(coll, name, ref) if ref == PARAM and coll in args:
                 actual = args[coll]
                 return Qual(actual.name, name, _ref(actual), pos=e.pos)
             case Quant(kind, vars_, ty, body):
-                return Quant(kind, list(vars_), type_fn(ty), go(body), pos=e.pos)
+                ty2, body2 = type_fn(ty), go(body)
+                if ty2 is ty and body2 is body:
+                    return e
+                return Quant(kind, list(vars_), ty2, body2, pos=e.pos)
             case Match(scrutinee, arms):
-                return Match(
-                    go(scrutinee), [(pat, go(b)) for pat, b in arms], pos=e.pos
-                )
+                scrutinee2 = go(scrutinee)
+                bodies = [go(b) for _, b in arms]
+                if scrutinee2 is scrutinee and _unchanged(bodies, [b for _, b in arms]):
+                    return e
+                arms2 = [(pat, b) for (pat, _), b in zip(arms, bodies)]
+                return Match(scrutinee2, arms2, pos=e.pos)
             case _:
-                out = e.replace()
+                changes = {}
                 for attr, value in vars(e).items():
                     if isinstance(value, Expr):
-                        setattr(out, attr, go(value))
+                        new = go(value)
+                        if new is not value:
+                            changes[attr] = new
                     elif isinstance(value, list) and value and isinstance(value[0], Expr):
-                        setattr(out, attr, [go(v) for v in value])
-                return out
+                        new = [go(v) for v in value]
+                        if not _unchanged(new, value):
+                            changes[attr] = new
+                return e.replace(**changes) if changes else e
 
     return go(e)
 
 
 def subst_proof(proof: Proof, args: Args, type_fn) -> Proof:
+    """`subst_expr` over a proof: facts, hypotheses, goals and assumed
+    types, sharing every step and leaf in which nothing changes."""
+
     def fact(f: Fact) -> Fact:
         # `by property P!m` renames `P` only where it is a parameter.
+        if not any(ref == PARAM and n.partition("!")[0] in args
+                   for n, ref in zip(f.names, f.refs)):
+            return f
         names, refs = [], []
         for n, ref in zip(f.names, f.refs):
             coll, _, m = n.partition("!")
@@ -337,25 +366,36 @@ def subst_proof(proof: Proof, args: Args, type_fn) -> Proof:
             refs.append(ref)
         return Fact(f.kind, names, list(f.labels), f.pos, refs)
 
-    def expr(e: Expr) -> Expr:
-        return subst_expr(e, args, type_fn)
+    def expr(e: Expr | None) -> Expr | None:
+        return None if e is None else subst_expr(e, args, type_fn)
+
+    def step(s: ProofStep) -> ProofStep:
+        assumes = [(ns, type_fn(t)) for ns, t in s.assumes]
+        hyps = [(h, expr(st)) for h, st in s.hyps]
+        goal, sub = expr(s.goal), None if s.sub is None else go(s.sub)
+        if (
+            goal is s.goal
+            and sub is s.sub
+            and _unchanged([t for _, t in assumes], [t for _, t in s.assumes])
+            and _unchanged([st for _, st in hyps], [st for _, st in s.hyps])
+        ):
+            return s
+        return ProofStep(
+            label=s.label,
+            assumes=[(list(ns), t) for ns, t in assumes],
+            hyps=hyps,
+            goal=goal,
+            is_qed=s.is_qed,
+            sub=sub,
+            pos=s.pos,
+        )
 
     def go(p: Proof) -> Proof:
         if isinstance(p, ProofLeaf):
-            return ProofLeaf([fact(f) for f in p.facts], p.admitted, p.pos)
-        steps = [
-            ProofStep(
-                label=s.label,
-                assumes=[(list(ns), type_fn(t)) for ns, t in s.assumes],
-                hyps=[(h, expr(st)) for h, st in s.hyps],
-                goal=None if s.goal is None else expr(s.goal),
-                is_qed=s.is_qed,
-                sub=None if s.sub is None else go(s.sub),
-                pos=s.pos,
-            )
-            for s in p.steps
-        ]
-        return ProofSteps(steps, p.pos)
+            facts = [fact(f) for f in p.facts]
+            return p if _unchanged(facts, p.facts) else ProofLeaf(facts, p.admitted, p.pos)
+        steps = [step(s) for s in p.steps]
+        return p if _unchanged(steps, p.steps) else ProofSteps(steps, p.pos)
 
     return go(proof)
 
@@ -364,11 +404,11 @@ def subst_method(mi: MethodInfo, args: Args) -> MethodInfo:
     """Copy `mi` into an inheriting species, analysis results included.
 
     `args` holds only the formals that are not passed as themselves; when
-    it is empty the copy shares the parent's trees.
+    it is empty the copy shares the parent's trees, and otherwise every
+    subtree that mentions no renamed formal (`subst_expr`).
     """
-    out = mi.replace(superseded=set(mi.superseded), carried=True)
+    out = mi.replace(carried=True)  # `_merge` rebinds what it grows
     if not args:
-        out.extra_sigs = list(mi.extra_sigs)
         return out
     type_fn = lambda t: rename_type(t, args)
     out.extra_sigs = [type_fn(t) for t in mi.extra_sigs]
@@ -399,14 +439,7 @@ def subst_method(mi: MethodInfo, args: Args) -> MethodInfo:
 
 
 def merge_lineages(parents: list[list[str]], self_name: str) -> list[str]:
-    out: list[str] = []
-    for lin in parents:
-        for s in lin:
-            if s not in out:
-                out.append(s)
-    if self_name not in out:
-        out.append(self_name)
-    return out
+    return list(dict.fromkeys([s for lin in parents for s in lin] + [self_name]))
 
 
 def _adopt_definition(cur: MethodInfo, inc: MethodInfo) -> None:
@@ -428,7 +461,6 @@ def _adopt_definition(cur: MethodInfo, inc: MethodInfo) -> None:
     cur.carrier_decl = inc.carrier_decl
     cur.carrier_def = inc.carrier_def
     cur.scanned_in = inc.scanned_in
-    cur.finished_in = inc.finished_in
     cur.valid_proof = inc.valid_proof
     cur.carried = (
         inc.carried
@@ -456,7 +488,7 @@ def _merge(nf: NFSpecies, inc: MethodInfo) -> None:
             cur.ty = inc.ty
             cur.carried = False
         elif inc.decl_site != cur.decl_site and not same(inc.ty, cur.ty):
-            cur.extra_sigs.append(inc.ty)
+            cur.extra_sigs = [*cur.extra_sigs, inc.ty]
             cur.carried = False
     if inc.statement is not None:
         if cur.statement is None:
@@ -468,7 +500,8 @@ def _merge(nf: NFSpecies, inc: MethodInfo) -> None:
                 f"in {inc.decl_site}",
                 inc.pos,
             )
-    cur.superseded |= inc.superseded
+    if not inc.superseded <= cur.superseded:
+        cur.superseded = cur.superseded | inc.superseded
     if not inc.defined:
         return
     if not cur.defined:
@@ -482,7 +515,7 @@ def _merge(nf: NFSpecies, inc: MethodInfo) -> None:
         _adopt_definition(cur, inc)
         return
     # Sibling parents both define the method: the later inherit wins.
-    cur.superseded.add(cur.origin)
+    cur.superseded = cur.superseded | {cur.origin}
     _adopt_definition(cur, inc)
 
 
@@ -550,7 +583,8 @@ def normalize(
     own_carriers = {p.name: p.carrier for p in decl.params if p.kind == "in"}
     for se, args in zip(decl.inherits, inherit_args):
         parent = species_env[se.name]
-        type_fn = lambda t: rename_type(t, args)
+        renamed = {f: a for f, a in args.items() if not _passed_as_itself(f, a)}
+        type_fn = lambda t: rename_type(t, renamed)
         if parent.rep is not None:
             rep = type_fn(parent.rep)
             if nf.rep is None:
@@ -563,9 +597,11 @@ def normalize(
                     f"(from {nf.rep_origin} and {parent.rep_origin})",
                     se.pos,
                 )
-        renamed = {f: a for f, a in args.items() if not _passed_as_itself(f, a)}
-        for mi in parent.methods.values():
-            _merge(nf, subst_method(mi, renamed))
+        if not nf.methods:  # the first inherit: nothing to merge with yet
+            nf.methods = {n: subst_method(mi, renamed) for n, mi in parent.methods.items()}
+        else:
+            for mi in parent.methods.values():
+                _merge(nf, subst_method(mi, renamed))
         # Any entity argument but an own entity parameter over the renamed
         # carrier is an expression to type and scan the methods with.
         carries = carries and all(
@@ -579,14 +615,16 @@ def normalize(
         )
         parent_lineages.append(parent.lineage)
         # The first inherit that reaches an ancestor fixes its arguments, as
-        # `_merge` keeps the first copy of each of its methods.
-        nf.ancestor_args.setdefault(parent.name, args)
+        # `_merge` keeps the first copy of each of its methods.  The parent
+        # lists itself with its formals as actuals, which this renaming turns
+        # into `args`.  An inherit that passes every formal as itself leaves
+        # every entry as it is, and the heir shares the parent's.
         for anc, amap in parent.ancestor_args.items():
             if anc not in nf.ancestor_args:
-                nf.ancestor_args[anc] = {
-                    f: subst_expr(a, args, type_fn)
+                nf.ancestor_args[anc] = amap if not renamed else {
+                    f: subst_expr(a, renamed, type_fn)
                     if isinstance(a, Expr)
-                    else rename_type(a, args)
+                    else type_fn(a)
                     for f, a in amap.items()
                 }
     nf.lineage = merge_lineages(parent_lineages, decl.name)
@@ -632,12 +670,38 @@ def normalize(
             mi.carried = False
 
 
-def invalidate_proofs(nf: NFSpecies) -> list[RevertedProof]:
-    """Erase proofs whose unfolded definitions were later redefined."""
+def invalidate_proofs(
+    nf: NFSpecies,
+    parent: NFSpecies | None = None,
+    scanned: dict[str, MethodDeps] | None = None,
+) -> list[RevertedProof]:
+    """Erase proofs whose unfolded definitions were later redefined.
+
+    Given the `parent` `nf` extends and its dependency entries `scanned`,
+    whose `defs` name what each of its proofs unfolds, a proof the parent
+    judged keeps the parent's verdict while it and every definition it
+    unfolds keep their origins, which rank alike in a lineage that extends
+    the parent's."""
     rank = {s: i for i, s in enumerate(nf.lineage)}
+    old: dict[str, MethodInfo] = {}
+    if parent is not None:
+        assert scanned is not None
+        old = parent.methods
+        moved = {n for n, mi in nf.methods.items() if n not in old or old[n].origin != mi.origin}
+        judged = {rp.method: rp for rp in parent.reverted}
     reverted: list[RevertedProof] = []
     for mi in nf.methods.values():
         if mi.kind != "theorem" or mi.proof is None:
+            continue
+        was = old.get(mi.name)
+        if (
+            was is not None
+            and was.proof is mi.proof
+            and was.proof_origin == mi.proof_origin
+            and moved.isdisjoint(scanned[mi.name].defs)
+        ):
+            if mi.name in judged:
+                reverted.append(judged[mi.name])
             continue
         assert mi.proof_origin is not None
         proof_rank = rank.get(mi.proof_origin, len(nf.lineage))

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line driver."""
 
+import gc
 import json
 import os
 import subprocess
@@ -90,6 +91,24 @@ def test_emit_without_targets_is_a_usage_error(capsys):
         main(["emit", *EXAMPLE])
     assert ei.value.code == 2
     assert "emit needs --logical and/or --comp" in capsys.readouterr().err
+
+
+def test_emit_without_targets_fails_before_compiling(capsys):
+    # a unit that does not compile still gets the usage error, not its
+    # diagnostic
+    with pytest.raises(SystemExit) as ei:
+        main(["emit", *data("wrong.fcl")])
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert "emit needs --logical and/or --comp" in err
+    assert "WrongCarrierLeak" not in err
+
+
+def test_main_leaves_nothing_frozen(capsys):
+    assert run(capsys, "check", *EXAMPLE)[0] == 0
+    assert gc.get_freeze_count() == 0
+    assert run(capsys, "check", *data("wrong.fcl"))[0] == 1
+    assert gc.get_freeze_count() == 0
 
 
 # ---------------------------------------------------------------------------

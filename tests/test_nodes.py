@@ -89,7 +89,7 @@ MATCH_ARGS = {
     hierarchy: {
         "MethodInfo": "name kind decl_site first_def origin proof_origin ty extra_sigs "
         "params ret body statement proof rec superseded pos scheme param_types ret_type "
-        "carrier_decl carrier_def scanned_in finished_in carried valid_proof",
+        "carrier_decl carrier_def scanned_in carried valid_proof",
         "RevertedProof": "method proof_origin def_name def_origin pos",
         "NFSpecies": "name params lineage rep rep_origin rep_resolved methods order "
         "reverted iface_args ancestor_args pos",

@@ -3,7 +3,9 @@
 A seeded generator builds small well-formed units (species of at most six
 methods over at most two parameters, chains, diamonds, redefinitions,
 recursion) and every suite below checks one law over at least a thousand
-generated cases.
+generated cases.  A third set of units adds polymorphic lets and an heir
+that signs one of its inherited lets, keeping or narrowing its type, which
+a unit may rightly fail to compile on.
 """
 
 from __future__ import annotations
@@ -19,16 +21,18 @@ from pathlib import Path
 
 import pytest
 
-from focml import compile_source, compile_unit, driver, evaluator
+from focml import compile_source, compile_unit, deps, driver, evaluator
 from focml.ast import (
     BinOp, BoolLit, Call, ConRef, Connective, Eq, Expr, If, IntLit, Match, Not, PCon,
     PTuple, PVar, PWild, ProofLeaf, Qual, Quant, StrLit, TCon, TTuple,
     TupleExpr, UnOp, Var, expr_children,
 )
 from focml.deps import (
-    MethodDeps, SpeciesDeps, finish_deps, scan_species, type_level_refs,
+    MethodDeps, SpeciesDeps, finish_deps, order_methods, scan_species, type_level_refs,
 )
 from focml.emit import emit_comp, emit_logical
+from focml.generators import build_species_plan
+from focml.hierarchy import invalidate_proofs
 from focml.errors import CompileError, EvalFailure
 from focml.evaluator import Interpreter, Scope, format_value
 from focml.lexer import tokenize
@@ -44,6 +48,7 @@ from test_typecheck import CAPTURE_SHAPES
 SEED = 271828
 N_GENERAL = 240
 N_COMPLETE = 240
+N_NARROW = 240
 
 PRELUDE = """
 species Base =
@@ -78,6 +83,7 @@ class Pools:
     logical: list[str] = field(default_factory=list)
     sigs: list[str] = field(default_factory=list)  # declared, undefined
     unfolded: set[str] = field(default_factory=set)
+    poly: list[str] = field(default_factory=list)  # `(z) = z`, also callable
 
     def clone(self) -> "Pools":
         return Pools(
@@ -87,6 +93,7 @@ class Pools:
             list(self.logical),
             list(self.sigs),
             set(self.unfolded),
+            list(self.poly),
         )
 
 
@@ -99,6 +106,7 @@ def merged(a: Pools, b: Pools) -> Pools:
         cat(a.logical, b.logical),
         cat(a.sigs, b.sigs),
         a.unfolded | b.unfolded,
+        cat(a.poly, b.poly),
     )
 
 
@@ -146,6 +154,7 @@ def gen_species(
     complete: bool,
     parents: list[str] | None = None,
     prepend: list[tuple[str, str]] | None = None,
+    narrow: bool = False,
 ) -> str:
     head = f"species {name}"
     if param:
@@ -163,16 +172,25 @@ def gen_species(
         local.add(mname)
         budget -= 1
     for _ in range(rng.randint(1, budget)):
-        lines.append(_method(rng, st, local, param, complete))
+        lines.append(_method(rng, st, local, param, complete, narrow))
     lines.append("end ;;")
     return "\n".join(lines)
 
 
-def _method(rng, st: Pools, local: set[str], param: bool, complete: bool) -> str:
+def _method(
+    rng, st: Pools, local: set[str], param: bool, complete: bool, narrow: bool
+) -> str:
     def fresh() -> str:
         st.counter += 1
         local.add(f"m{st.counter}")
         return f"m{st.counter}"
+
+    if narrow and rng.random() < 0.15:
+        # callable at int, never redefined or unfolded: an heir may sign it
+        m = fresh()
+        st.callable.append(m)
+        st.poly.append(m)
+        return f"  let {m} (z) = z ;"
 
     def body_for(m: str) -> str:
         # a body supplied after the declaration may only call older
@@ -250,6 +268,16 @@ class Unit:
 
 
 def gen_unit(rng, uid: int, complete: bool) -> Unit:
+    source, names, colls = gen_source(rng, uid, complete)
+    return Unit(source, compile_source(source), names, colls)
+
+
+def gen_source(
+    rng, uid: int, complete: bool, narrow: bool = False
+) -> tuple[str, list[str], list[str]]:
+    """A unit's source, its species and its collections.  With `narrow`,
+    lets may be polymorphic, and the unit ends in an heir that adds a
+    signature below an inherited definition (`signature_heir`)."""
     param = rng.random() < 0.5
     shape = rng.random()
     blocks, names = [], []
@@ -260,7 +288,7 @@ def gen_unit(rng, uid: int, complete: bool) -> Unit:
             gen_species(
                 rng, name, st,
                 param=param, complete=complete,
-                parents=parents, prepend=prepend,
+                parents=parents, prepend=prepend, narrow=narrow,
             )
         )
         names.append(name)
@@ -312,8 +340,33 @@ def gen_unit(rng, uid: int, complete: bool) -> Unit:
         blocks.append(f"collection {cname} = implement {target}{args} ; end ;;")
         colls.append(cname)
 
+    if narrow:
+        heir = signature_heir(rng, names[-1], last_st, param)
+        if heir is not None:
+            blocks.append(heir)
+            names.append(f"{names[-1]}N")
+
     source = PRELUDE + "\n" + "\n\n".join(blocks) + "\n"
-    return Unit(source, compile_source(source), names, colls)
+    return source, names, colls
+
+
+def signature_heir(rng, parent: str, st: Pools, param: bool) -> str | None:
+    """An heir of `parent` that declares the type of a let it inherits
+    defined: an `int -> int` let keeps its type, and a polymorphic one is
+    narrowed, to `int -> int`, which its callers at int still fit, or to
+    `bool -> bool` or the parameter's carrier, which they do not."""
+    mono = [d for d in st.defined if d in st.callable]
+    if st.poly and (not mono or rng.random() < 0.6):
+        m = rng.choice(st.poly)
+        ty = rng.choice(["int -> int", "bool -> bool"] + ["P0 -> P0"] * param)
+    elif mono:
+        m, ty = rng.choice(mono), "int -> int"
+    else:
+        return None
+    head, args = f"species {parent}N", ""
+    if param:
+        head, args = head + " (P0 is Base, v0 in P0)", " (P0, v0)"
+    return f"{head} =\n  inherit {parent}{args} ;\n  signature {m} : {ty} ;\nend ;;"
 
 
 @pytest.fixture(scope="module")
@@ -610,7 +663,13 @@ def run_carry_suite(units) -> int:
 # parameters, the renaming a diamond brings the methods in with (`Cross`),
 # the definition of a declared method (`Merged` takes `y` from `Def`, whose
 # body unfolds the representation), or the order of the lineage (`Late`
-# ranks `z` before `y`).
+# ranks `z` before `y`).  Two more change what an heir can keep from its
+# parent: `Moved` redefines `a` to call a method it adds, which moves `a`
+# and `p` after `q` and reorders `z`'s environment; `Swap` swaps the
+# parameters its parent has, so `t` keeps its statement but its fact and
+# `u`'s statement name the other parameter; `Signed` narrows `idf` to the
+# carrier, so `k`, typed again, keeps its scheme but now unfolds the
+# representation, which `c`, calling `k`, must keep the carrier for.
 FINISH_EDGES = """
 species Ord =
   signature lt : Self -> Self -> bool ;
@@ -656,6 +715,33 @@ species Zs = let z (n : int) : int = n ; end ;;
 species Both = inherit Ys, Zs ; let x (n : int) : int = y (n) + z (n) ; end ;;
 species Zs2 = inherit Zs ; end ;;
 species Late = inherit Zs2, Both ; end ;;
+
+species Moves =
+  representation = int ;
+  let a (n : int) : int = n ;
+  let p (n : int) : int = a (n) ;
+  let q (n : int) : int = n ;
+  let z (n : int) : int = p (n) + q (n) ;
+end ;;
+species Moved = inherit Moves ; let a (n : int) : int = c (n) ; let c (n : int) : int = n ; end ;;
+
+species SwapSrc (P is Base, Q is Base) =
+  representation = int ;
+  let k (x : P) : bool = P!leq (x, x) ;
+  theorem t : all n : int, n = n
+    proof = by property P!refl ;
+  theorem u : all x : P, P!leq (x, x)
+    proof = by property P!refl ;
+end ;;
+species Swap (P is Base, Q is Base) = inherit SwapSrc (Q, P) ; end ;;
+
+species Unsigned =
+  representation = int ;
+  let idf (z) = z ;
+  let k (n : int) : int = idf (n) ;
+  let c (n : int) : int = k (n) ;
+end ;;
+species Signed = inherit Unsigned ; signature idf : Self -> Self ; end ;;
 """
 
 
@@ -702,16 +788,20 @@ def benchmark_workloads():
     return workloads
 
 
-def workload_units() -> list:
+def workload_sources() -> list:
     """The benchmark's chain, wide and recurse units for seeds 1 to 3, built
-    by its own generators."""
-    cus = []
+    by its own generators, as the (file, text) lists `compile_unit` takes."""
+    units = []
     for generate in benchmark_workloads().GENERATORS.values():
         for seed in (1, 2, 3):
             wl = generate(seed)
             sources = [(f, (ROOT / f).read_text()) for f in wl.fixed]
-            cus.append(compile_unit(sources + list(wl.files.items())))
-    return cus
+            units.append(sources + list(wl.files.items()))
+    return units
+
+
+def workload_units() -> list:
+    return [compile_unit(sources) for sources in workload_sources()]
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +903,83 @@ def run_finish_suite(cus) -> int:
                 assert md == fresh.methods[name], (sname, name)
                 cases += nf.methods[name].carried
     return cases
+
+
+def run_placed_order_suite(cus) -> int:
+    """The order and mutual groups of every species, placed from its
+    parent's where it has one, against `order_methods` run from scratch;
+    and its reverted proofs, kept from the parent's verdicts where nothing
+    they unfold moved, against `invalidate_proofs` run from scratch."""
+    cases = 0
+    for cu in cus:
+        for sname, nf in cu.species.items():
+            sd = cu.deps[sname]
+            decl = {n: md.decl for n, md in sd.methods.items()}
+            assert (sd.order, sd.rec_groups) == order_methods(nf, decl), sname
+            again = copy.copy(nf)
+            again.methods = {n: mi.replace() for n, mi in nf.methods.items()}
+            assert invalidate_proofs(again) == nf.reverted, sname
+            cases += len(sd.order)
+    return cases
+
+
+def run_plan_suite(cus) -> int:
+    """Every species' plan, extended from its parent's where it has one,
+    against `build_species_plan` run from scratch."""
+    cases = 0
+    for cu in cus:
+        for sname, nf in cu.species.items():
+            fresh = build_species_plan(nf, cu.deps[sname], cu.species, cu.deps, cu.plans)
+            assert fresh == cu.plans[sname], sname
+            cases += len(nf.methods)
+    return cases
+
+
+def check_outcome(sources) -> str:
+    try:
+        compile_unit(sources)
+    except CompileError as err:
+        return err.kind
+    return "accepted"
+
+
+def run_acceptance_suite(units, carried: list[str], monkeypatch) -> Counter:
+    """`check` with the carry, whose outcomes are `carried`, against `check`
+    with every method typed, scanned and finished again in every species:
+    both accept, or both reject with the same kind of error."""
+    normalize = driver.normalize
+
+    def nothing_carried(nf, *args):
+        normalize(nf, *args)
+        for mi in nf.methods.values():
+            mi.carried = False
+
+    with monkeypatch.context() as m:
+        m.setattr(driver, "normalize", nothing_carried)
+        full = [check_outcome(sources) for sources in units]
+    for sources, got, want in zip(units, carried, full):
+        assert got == want, sources
+    return Counter(carried)
+
+
+# Sharing with a parent: `T` renames both formals, `U` passes them as
+# themselves, and `V` inherits `U` as it is.  `f` and `t` mention neither
+# formal; `g` mentions both.  `W` redefines `f`, which reverts the proof of
+# `t`, and `X` inherits `W` as it is.
+SHARING = PRELUDE + """
+species S (P is Base, v in P) =
+  representation = int ;
+  let f (x : int) : int = x + 1 ;
+  let g (y : P) : bool = P!leq (y, v) ;
+  theorem t : all x : int, f (x) = f (x)
+    proof = by definition of f ;
+end ;;
+species T (Q is Base, w in Q) = inherit S (Q, w) ; end ;;
+species U (P is Base, v in P) = inherit S (P, v) ; end ;;
+species V (P is Base, v in P) = inherit U (P, v) ; let h (x : int) : int = f (x) ; end ;;
+species W (P is Base, v in P) = inherit V (P, v) ; let f (x : int) : int = x + 2 ; end ;;
+species X (P is Base, v in P) = inherit W (P, v) ; end ;;
+"""
 
 
 # The four shapes in which an heir brings in a name an inherited body leaves
@@ -1299,6 +1466,87 @@ def test_carried_analysis_equals_a_full_retype(general_units, complete_units):
     assert run_carry_suite(general_units + complete_units) >= 1000
     shadows = Unit(SHADOWS, compile_source(SHADOWS), [], [])
     assert run_carry_suite([shadows]) >= 10
+
+
+def test_placed_order_equals_a_full_order(general_units, complete_units):
+    units = [u.cu for u in general_units + complete_units]
+    assert run_placed_order_suite(units) >= 1000
+    extra = [compile_source(PRELUDE + FINISH_EDGES), compile_source(SHADOWS)]
+    assert run_placed_order_suite(extra + data_units()) >= 50
+    assert run_placed_order_suite(workload_units()) >= 5000
+
+
+def test_extended_plans_equal_full_plans(general_units, complete_units):
+    units = [u.cu for u in general_units + complete_units]
+    assert run_plan_suite(units) >= 1000
+    extra = [compile_source(PRELUDE + FINISH_EDGES), compile_source(SHADOWS)]
+    extra += [compile_source(CROSS)]
+    assert run_plan_suite(extra + data_units()) >= 50
+    assert run_plan_suite(workload_units()) >= 5000
+
+
+def test_an_heir_orders_only_what_it_changes(monkeypatch):
+    calls = Counter()
+    full = deps.order_methods
+
+    def counted(nf, decl):
+        calls[nf.name] += 1
+        return full(nf, decl)
+
+    monkeypatch.setattr(deps, "order_methods", counted)
+    cu = compile_unit(workload_sources()[0])
+    # only the species that inherit nothing are ordered from scratch
+    assert set(calls) == {"Base", "L0"}
+    assert len(cu.species) > 40
+
+
+def test_an_heir_shares_what_it_does_not_change():
+    cu = compile_source(SHARING)
+    s, t, u, v = (cu.species[n] for n in "STUV")
+    # renamed: a tree that mentions no renamed formal is shared
+    assert t.methods["f"].body is s.methods["f"].body
+    assert t.methods["t"].statement is s.methods["t"].statement
+    assert t.methods["t"].proof is s.methods["t"].proof
+    assert t.methods["g"].body is not s.methods["g"].body
+    assert expr_to_source(t.methods["g"].body) == "Q!leq (y, w)"
+    assert t.ancestor_args["S"] is not s.ancestor_args["S"]
+    # passed as themselves: every ancestor entry is the parent's
+    assert u.ancestor_args["S"] is s.ancestor_args["S"]
+    assert v.ancestor_args["S"] is u.ancestor_args["S"]
+    assert v.ancestor_args["U"] is u.ancestor_args["U"]
+    # the parent's finished entries, and its creator's locals
+    for m in ("f", "g", "t"):
+        assert cu.deps["V"].methods[m] is cu.deps["U"].methods[m], m
+    new = {ld.name: ld for ld in cu.plans["V"].create.locals}
+    for ld in cu.plans["U"].create.locals[1:]:
+        assert new[ld.name] is ld, ld.name
+    assert cu.plans["V"].record.abstractions is cu.plans["U"].record.abstractions
+    assert cu.plans["V"].create.outer is cu.plans["U"].create.outer
+    # the parent's verdict on a proof nothing moved under
+    w, x = cu.species["W"], cu.species["X"]
+    assert [rp.method for rp in w.reverted] == ["t"]
+    assert x.reverted[0] is w.reverted[0]
+
+
+def test_checking_with_the_carry_agrees_with_a_full_retype(
+    general_units, complete_units, monkeypatch
+):
+    generated = general_units + complete_units  # each compiled as it was made
+    units = [[("<unit>", u.source)] for u in generated]
+    carried = ["accepted"] * len(units)
+    rng = random.Random(SEED + 2)
+    narrow = [gen_source(rng, i, complete=False, narrow=True)[0] for i in range(N_NARROW)]
+    others = [[("<unit>", src)] for src in narrow]
+    others += [[("<unit>", PRELUDE + FINISH_EDGES)], [("<unit>", SHADOWS)]]
+    others += workload_sources()
+    units += others
+    carried += [check_outcome(sources) for sources in others]
+    kinds = run_acceptance_suite(units, carried, monkeypatch)
+    assert kinds.total() >= 700
+    # the heirs that sign an inherited let reach both verdicts
+    assert kinds["accepted"] >= 500 and kinds["TypeMismatch"] >= 10, kinds
+    signed = [src for src in narrow if "signature" in src.rsplit("species", 1)[1]]
+    assert len(signed) >= 0.9 * N_NARROW
 
 
 def test_carried_finish_equals_a_full_finish(general_units, complete_units):

@@ -222,7 +222,10 @@ def test_identity_inheritance_shares_the_parents_trees():
     assert same is not parent and same.carried
     assert same.body is parent.body
     assert same.scheme is parent.scheme
-    assert renamed.body is not parent.body
+    # the body `x` mentions no renamed name, so a renaming shares it too;
+    # the type names `P` and is renamed
+    assert renamed.body is parent.body
+    assert renamed.scheme is not parent.scheme
     assert type_to_source(renamed.scheme.body) == "Q -> Q"
 
 
