@@ -7,7 +7,7 @@ emitters, the evaluator and the reports read.
 
 from __future__ import annotations
 
-from json import dumps
+from json import loads
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
@@ -517,56 +517,131 @@ def _register_collection(cu: CompiledUnit, decl: CollectionDecl) -> None:
 
 
 def deps_report(cu: CompiledUnit) -> dict:
-    """JSON-ready view of the dependency analysis; all sets serialized in
-    the owning species' global method order."""
-    report: dict[str, dict] = {"species": {}, "collections": {}}
+    """`render_deps_report` read back."""
+    return loads(render_deps_report(cu))
+
+
+def render_deps_report(cu: CompiledUnit) -> str:
+    """The dependency analysis as JSON, each set in its species' global
+    method order, as `json.dumps(report, indent=2)` writes the report of
+    `tests/oracles.py`.  A scheme's or statement's text is written once per
+    object (`_source_of`), a method entry once per key: it reads the
+    method's record, its finished entry (`MethodDeps`), its order index and
+    the species' parameters.  A finished entry is shared only with heirs
+    (`_extended_parent`) that have its parameters and keep its relative
+    order (`finish_deps`), so its sets read alike there."""
+    texts: dict[int, str] = {}
+    entries: dict[tuple, str] = {}  # key -> `"m": {...}`
+    parts: dict[str, list[str]] = {"species": [], "collections": []}  # "name": {...}
     for kind, name in cu.decl_order:
         with cu.writing(name):
             if kind == "species":
-                report["species"][name] = _species_report(cu, name)
+                parts["species"].append(_species_json(cu, name, texts, entries))
             elif kind == "collection":
                 model = cu.collections[name]
-                report["collections"][name] = {
-                    "implements": model.nf.name,
-                    "args": _collection_args(model),
-                }
-    return report
+                args = _json_block([_json_string(a) for a in _collection_args(model)], _NL[3], "[]")
+                fields = {"implements": _json_string(model.nf.name), "args": args}
+                parts["collections"].append(f"{_json_string(name)}: {_json_object(fields, _NL[2])}")
+    out = ["{"]  # pieces, joined once: the species' texts are not copied again
+    for part, items in parts.items():
+        out += (_NL[1], f'"{part}": ', *_block_pieces(items, _NL[1], "{}"), ",")
+    out[-1] = _NL[0] + "}\n"
+    return "".join(out)
 
 
-def _species_report(cu: CompiledUnit, name: str) -> dict:
-    nf = cu.species[name]
-    sd = cu.deps[name]
+_NL = tuple("\n" + "  " * depth for depth in range(9))  # a line break, indented
+_JSON_BOOL = ("false", "true")
+
+
+def _block_pieces(items: list[str], nl: str, brackets: str) -> list[str]:
+    """The array or object (`brackets` "[]" or "{}") of the written
+    `items`, its brackets on lines that `nl` starts, in pieces."""
+    if not items:
+        return [brackets]
+    pieces = ["," + nl + "  "] * (2 * len(items) + 1)
+    pieces[0] = brackets[0] + nl + "  "
+    pieces[1::2] = items
+    pieces[-1] = nl + brackets[1]
+    return pieces
+
+
+def _json_block(items: list[str], nl: str, brackets: str) -> str:
+    return "".join(_block_pieces(items, nl, brackets))
+
+
+def _json_object(fields: dict[str, str], nl: str) -> str:
+    """The object of the written values in `fields`."""
+    return _json_block([f"{_json_string(k)}: {v}" for k, v in fields.items()], nl, "{}")
+
+
+def _species_json(cu: CompiledUnit, name: str, texts: dict, entries: dict) -> str:
+    nf, sd = cu.species[name], cu.deps[name]
     index = {m: i for i, m in enumerate(sd.order)}
-    methods: dict[str, dict] = {}
-    for m in sd.order:
+    methods: list[str] = []
+    for i, m in enumerate(sd.order):
         mi = nf.methods[m]
-        md = sd.methods[m]
-        params: dict[str, list[dict]] = {}
-        for p in nf.is_params:
-            if not md.param_deps.get(p.name) and not md.param_carrier.get(p.name):
-                continue
-            params[p.name] = [
-                {"name": w, "type": _param_method_type(cu, nf, p, w)}
-                for w in md.param_deps.get(p.name, [])
-            ]
-        for v in md.entity_used:
-            carrier = next(q.carrier for q in nf.entity_params if q.name == v)
-            params[v] = [{"name": v, "type": carrier}]
-        methods[m] = {
-            "kind": mi.kind,
-            "origin": mi.origin,
-            "type": type_to_source(mi.scheme.body) if mi.scheme else None,
-            "statement": expr_to_source(mi.statement) if mi.statement is not None else None,
-            "decl": _in_order(md.decl, index),
-            "def": _in_order(md.defs, index),
-            "universe": _in_order(md.universe, index),
-            "carrier": {"decl": mi.carrier_decl, "def": mi.carrier_def},
-            "min_env": [{"name": n, "keep": keep} for n, keep in md.min_env],
-            "params": params,
-            "order_index": index[m],
-            "valid_proof": mi.valid_proof,
-        }
-    return {"order": list(sd.order), "methods": methods}
+        key = (id(sd.methods[m]), i, mi.kind, mi.origin, id(mi.scheme), id(mi.statement),
+               mi.carrier_decl, mi.carrier_def, mi.valid_proof)
+        text = entries.get(key)
+        if text is None:
+            text = entries[key] = _method_json(cu, nf, m, index, texts)
+        methods.append(text)
+    order = _json_block([_json_string(m) for m in sd.order], _NL[3], "[]")
+    fields = {"order": order, "methods": _json_block(methods, _NL[3], "{}")}
+    return f"{_json_string(name)}: {_json_object(fields, _NL[2])}"
+
+
+def _method_json(
+    cu: CompiledUnit, nf: NFSpecies, m: str, index: dict[str, int], texts: dict[int, str]
+) -> str:
+    """`"m": {...}`, the entry of method `m` of `nf`."""
+    mi = nf.methods[m]
+    md = cu.deps[nf.name].methods[m]
+    nl = _NL[5]
+
+    def names(s: set[str]) -> str:
+        return _json_block([_json_string(n) for n in sorted(s, key=index.__getitem__)], nl, "[]")
+
+    def source(node: Scheme | Expr | None) -> str:
+        return "null" if node is None else _json_string(_source_of(texts, node))
+
+    def pairs(key: str, items: list[tuple[str, str]], nl: str) -> str:
+        f = nl + "    "  # a field of an item
+        return _json_block([f'{{{f}"name": {_json_string(a)},{f}"{key}": {_json_string(b)}{nl}  }}'
+                            for a, b in items], nl, "[]")
+
+    lifts = {p.name: [(w, _param_method_type(cu, nf, p, w)) for w in md.param_deps.get(p.name, [])]
+             for p in nf.is_params if md.param_deps.get(p.name) or md.param_carrier.get(p.name)}
+    for v in md.entity_used:
+        lifts[v] = [(v, next(q.carrier for q in nf.entity_params if q.name == v))]
+    params = {p: pairs("type", items, _NL[6]) for p, items in lifts.items()}
+    entry = {
+        "kind": _json_string(mi.kind),
+        "origin": _json_string(mi.origin),
+        "type": source(mi.scheme),
+        "statement": source(mi.statement),
+        "decl": names(md.decl),
+        "def": names(md.defs),
+        "universe": names(md.universe),
+        "carrier": _json_object({"decl": _JSON_BOOL[mi.carrier_decl],
+                                 "def": _JSON_BOOL[mi.carrier_def]}, nl),
+        "min_env": pairs("keep", md.min_env, nl),
+        "params": _json_object(params, nl),
+        "order_index": str(index[m]),
+        "valid_proof": _JSON_BOOL[mi.valid_proof],
+    }
+    return f"{_json_string(m)}: {_json_object(entry, _NL[4])}"
+
+
+def _source_of(texts: dict[int, str], node: Scheme | Expr) -> str:
+    """Source text of a scheme's type or of a statement, written once per
+    object: an heir shares both with the species it inherits them from."""
+    text = texts.get(id(node))
+    if text is None:
+        text = texts[id(node)] = (
+            type_to_source(node.body) if type(node) is Scheme else expr_to_source(node)
+        )
+    return text
 
 
 def _collection_args(model: CollectionModel) -> list[str]:
@@ -586,60 +661,17 @@ def _param_method_type(
     return expr_to_source(lift.statement)
 
 
-def _in_order(names: set[str], index: dict[str, int]) -> list[str]:
-    return sorted(names, key=lambda n: index[n])
-
-
-def render_deps_report(cu: CompiledUnit) -> str:
-    """`deps_report` as `json.dumps(report, indent=2)` writes it.  That
-    encoder runs in pure Python once `indent` is set, so the layout is
-    written here and only the leaves go through the C encoder."""
-    out: list[str] = []
-    _write_json(deps_report(cu), "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-_JSON_WORDS = {None: "null", True: "true", False: "false"}
-
-
-def _write_json(value: dict | list, newline: str, out: list[str]) -> None:
-    """Append the non-empty container `value` to `out`; `newline` breaks a
-    line and indents it to the depth of `value`."""
-    inner = newline + "  "
-    if type(value) is dict:
-        items = [(_json_string(k) + ": ", v) for k, v in value.items()]
-        sep, close = "{" + inner, newline + "}"
-    else:
-        items = [("", v) for v in value]
-        sep, close = "[" + inner, newline + "]"
-    for head, v in items:
-        kind = type(v)
-        if kind is str:
-            out.append(sep + head + _json_string(v))
-        elif kind is dict or kind is list:
-            if v:
-                out.append(sep + head)
-                _write_json(v, inner, out)
-            else:
-                out.append(sep + head + ("{}" if kind is dict else "[]"))
-        elif kind is int:
-            out.append(sep + head + str(v))
-        elif kind is bool or v is None:
-            out.append(sep + head + _JSON_WORDS[v])
-        else:
-            out.append(sep + head + dumps(v))
-        sep = "," + inner
-    out.append(close)
-
-
 # ---------------------------------------------------------------------------
 # Documentation output
 
 
 def doc_text(cu: CompiledUnit) -> str:
     """Per-species method inventory with origins, reverted proofs and
-    admitted proof steps."""
+    admitted proof steps.  A scheme's or a statement's text is written once
+    per object (`_source_of`), and a proof's admitted steps counted once."""
+    texts: dict[int, str] = {}
+    admitted_in: dict[int, int] = {}  # id of a proof -> its admitted steps
+    written: dict[tuple, str] = {}
     lines: list[str] = []
     for kind, name in cu.decl_order:
         with cu.writing(name):
@@ -657,22 +689,23 @@ def doc_text(cu: CompiledUnit) -> str:
             lines.append(f"species {name}")
             for m in nf.order:
                 mi = nf.methods[m]
-                ty = (
-                    type_to_source(mi.scheme.body)
-                    if mi.scheme is not None
-                    else expr_to_source(mi.statement)
-                    if mi.statement is not None
-                    else "?"
-                )
-                note = f"from {mi.origin}"
-                if mi.kind == "theorem" and mi.proof_origin not in (None, mi.origin):
-                    note += f", proved in {mi.proof_origin}"
-                lines.append(f"  {mi.kind} {m} : {ty} ({note})")
+                node = mi.scheme if mi.scheme is not None else mi.statement
+                key = (m, mi.kind, mi.origin, mi.proof_origin, id(node))
+                line = written.get(key)
+                if line is None:
+                    ty = "?" if node is None else _source_of(texts, node)
+                    note = f"from {mi.origin}"
+                    if mi.kind == "theorem" and mi.proof_origin not in (None, mi.origin):
+                        note += f", proved in {mi.proof_origin}"
+                    line = written[key] = f"  {mi.kind} {m} : {ty} ({note})"
+                lines.append(line)
             for m in nf.order:
-                mi = nf.methods[m]
-                if mi.proof is None:
+                proof = nf.methods[m].proof
+                if proof is None:
                     continue
-                admitted = sum(1 for leaf in iter_leaves(mi.proof) if leaf.admitted)
+                if id(proof) not in admitted_in:
+                    admitted_in[id(proof)] = sum(1 for leaf in iter_leaves(proof) if leaf.admitted)
+                admitted = admitted_in[id(proof)]
                 if admitted:
                     step = "step" if admitted == 1 else "steps"
                     lines.append(f"  admitted: {m} ({admitted} proof {step})")

@@ -2,11 +2,14 @@
 
 Everything in this module is deliberately written from first principles on
 plain dicts/sets/lists, without importing the package under test, so that
-test expectations do not inherit bugs from the implementation.
+test expectations do not inherit bugs from the implementation.  The output
+references at the end are the exception: they print trees with the
+package's printers, and pin the layout and what each species gets.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from itertools import permutations
@@ -578,3 +581,135 @@ def tokenize(text: str) -> list[tuple]:
             raise LexFailure(f"unexpected character {text[i]!r}", *p)
     tokens.append(("eof", "", line, col, None))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# Output references: the dependency report and `doc`, every piece written
+# from scratch for every species, where the compiler writes each shared
+# piece once and reuses it.  They read a compiled unit and print its trees
+# with the package's own printers.
+
+
+def deps_report(cu) -> dict:
+    """The dependency report as a dict, every set in the owning species'
+    global method order."""
+    report: dict[str, dict] = {"species": {}, "collections": {}}
+    for kind, name in cu.decl_order:
+        if kind == "species":
+            report["species"][name] = _species_report(cu, name)
+        elif kind == "collection":
+            model = cu.collections[name]
+            report["collections"][name] = {
+                "implements": model.nf.name,
+                "args": _collection_args(model),
+            }
+    return report
+
+
+def render_deps_report(cu) -> str:
+    return json.dumps(deps_report(cu), indent=2) + "\n"
+
+
+def _species_report(cu, name: str) -> dict:
+    from focml.driver import _param_method_type
+    from focml.pretty import expr_to_source, type_to_source
+
+    nf = cu.species[name]
+    sd = cu.deps[name]
+    index = {m: i for i, m in enumerate(sd.order)}
+
+    def in_order(names: set[str]) -> list[str]:
+        return sorted(names, key=lambda n: index[n])
+
+    methods: dict[str, dict] = {}
+    for m in sd.order:
+        mi = nf.methods[m]
+        md = sd.methods[m]
+        params: dict[str, list[dict]] = {}
+        for p in nf.is_params:
+            if not md.param_deps.get(p.name) and not md.param_carrier.get(p.name):
+                continue
+            params[p.name] = [
+                {"name": w, "type": _param_method_type(cu, nf, p, w)}
+                for w in md.param_deps.get(p.name, [])
+            ]
+        for v in md.entity_used:
+            carrier = next(q.carrier for q in nf.entity_params if q.name == v)
+            params[v] = [{"name": v, "type": carrier}]
+        methods[m] = {
+            "kind": mi.kind,
+            "origin": mi.origin,
+            "type": type_to_source(mi.scheme.body) if mi.scheme else None,
+            "statement": expr_to_source(mi.statement) if mi.statement is not None else None,
+            "decl": in_order(md.decl),
+            "def": in_order(md.defs),
+            "universe": in_order(md.universe),
+            "carrier": {"decl": mi.carrier_decl, "def": mi.carrier_def},
+            "min_env": [{"name": n, "keep": keep} for n, keep in md.min_env],
+            "params": params,
+            "order_index": index[m],
+            "valid_proof": mi.valid_proof,
+        }
+    return {"order": list(sd.order), "methods": methods}
+
+
+def _collection_args(model) -> list[str]:
+    from focml.ast import Expr
+    from focml.pretty import expr_to_source
+
+    return [
+        expr_to_source(a) if isinstance(a, Expr) else a.name
+        for a in model.args.values()
+    ]
+
+
+def doc_text(cu) -> str:
+    """Per-species method inventory with origins, reverted proofs and
+    admitted proof steps."""
+    from focml.pretty import expr_to_source, type_to_source
+    from focml.proofs import iter_leaves
+
+    lines: list[str] = []
+    for kind, name in cu.decl_order:
+        if kind == "union":
+            cons = ", ".join(c for c, _ in cu.unions[name].constructors)
+            lines += [f"type {name} = {cons}", ""]
+            continue
+        if kind == "collection":
+            model = cu.collections[name]
+            args = ", ".join(_collection_args(model))
+            head = f"collection {name} implements {model.nf.name}"
+            lines += [f"{head}({args})" if args else head, ""]
+            continue
+        nf = cu.species[name]
+        lines.append(f"species {name}")
+        for m in nf.order:
+            mi = nf.methods[m]
+            ty = (
+                type_to_source(mi.scheme.body)
+                if mi.scheme is not None
+                else expr_to_source(mi.statement)
+                if mi.statement is not None
+                else "?"
+            )
+            note = f"from {mi.origin}"
+            if mi.kind == "theorem" and mi.proof_origin not in (None, mi.origin):
+                note += f", proved in {mi.proof_origin}"
+            lines.append(f"  {mi.kind} {m} : {ty} ({note})")
+        for m in nf.order:
+            mi = nf.methods[m]
+            if mi.proof is None:
+                continue
+            admitted = sum(1 for leaf in iter_leaves(mi.proof) if leaf.admitted)
+            if admitted:
+                step = "step" if admitted == 1 else "steps"
+                lines.append(f"  admitted: {m} ({admitted} proof {step})")
+        for rp in nf.reverted:
+            lines.append(
+                f"  reverted: proof of {rp.method} (from {rp.proof_origin}) "
+                f"unfolds {rp.def_name}, redefined by {rp.def_origin}"
+            )
+        lines.append("")
+    while lines and not lines[-1]:
+        lines.pop()
+    return "\n".join(lines) + "\n"

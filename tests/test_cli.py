@@ -11,8 +11,10 @@ import pytest
 
 from conftest import DATA, data
 
-from focml import compile_files, deps_report
+from focml import compile_files
 from focml.cli import main
+
+import oracles
 
 EXAMPLE = data("example.fcl")
 
@@ -119,7 +121,8 @@ def test_deps_json_round_trips(capsys, tmp_path):
     out_path = tmp_path / "deps.json"
     code, _, _ = run(capsys, "deps", *EXAMPLE, "--json", str(out_path))
     assert code == 0
-    assert json.loads(out_path.read_text()) == deps_report(compile_files(EXAMPLE))
+    report = oracles.deps_report(compile_files(EXAMPLE))  # built without the writer
+    assert json.loads(out_path.read_text()) == report
 
 
 def test_deps_matches_the_golden_report(capsys):
@@ -283,6 +286,18 @@ def test_an_argument_named_like_a_parameter_evaluates_in_a_process(tmp_path):
         proc = focml("eval", str(source), "--call", call)
         assert (proc.returncode, proc.stdout) == (0, "10\n")
         assert "Traceback" not in proc.stderr
+
+
+def test_python_m_focml_runs_the_command_line():
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    for argv, code in ((["tests/data/example.fcl"], 0), (["tests/data/wrong.fcl"], 1)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "focml", "check", *argv],
+            capture_output=True, text=True, env=env, cwd=root, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (code, ""), proc.stderr
+    assert "error: WrongCarrierLeak:" in proc.stderr
 
 
 def imported_modules(*argv: str) -> set[str]:

@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -238,17 +237,32 @@ def test_format_value_is_linear_in_the_depth_of_a_value():
             v = VCon("Succ", (v,))
         return v
 
-    def best_time(v) -> float:
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            text = format_value(v)
-            best = min(best, time.perf_counter() - start)
-        return best, text
+    def counted(v) -> tuple[int, int, str]:
+        """The calls, Python and built-in, that formatting `v` makes, and
+        how deeply they nest: counts, not times, so a busy machine cannot
+        change them."""
+        calls = depth = deepest = 0
 
-    small, text = best_time(succ_chain(10_000))
+        def profile(frame, event, arg):
+            nonlocal calls, depth, deepest
+            if event in ("call", "c_call"):
+                calls += 1
+                depth += 1
+                deepest = max(deepest, depth)
+            elif event in ("return", "c_return", "c_exception"):
+                depth -= 1
+
+        sys.setprofile(profile)
+        try:
+            text = format_value(v)
+        finally:
+            sys.setprofile(None)
+        return calls, deepest, text
+
+    small, small_depth, text = counted(succ_chain(10_000))
     assert text == "Succ (" * 10_000 + "Zero" + ")" * 10_000
-    large, text = best_time(succ_chain(40_000))
+    large, large_depth, text = counted(succ_chain(40_000))
     assert text == "Succ (" * 40_000 + "Zero" + ")" * 40_000
-    # four times the depth: linear takes about 4x, quadratic about 16x
-    assert large < 8 * small
+    # four times the depth: at most four times the calls, nested no deeper
+    assert large <= 4 * small
+    assert large_depth == small_depth <= 5

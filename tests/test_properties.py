@@ -935,6 +935,28 @@ def run_plan_suite(cus) -> int:
     return cases
 
 
+def run_output_suite(cus) -> Counter:
+    """The deps report and `doc` of every unit, which write each shared
+    piece once, against the references in `tests/oracles.py`, which write
+    every piece from scratch, byte for byte.  And where two species share
+    a finished entry, the method has the same order index and proof
+    verdict in both: the report's entry key holds them too, but no unit
+    here could tell a key without them, so this checks that directly."""
+    seen = Counter()
+    for cu in cus:
+        assert driver.render_deps_report(cu) == oracles.render_deps_report(cu)
+        assert driver.doc_text(cu) == oracles.doc_text(cu)
+        first: dict[int, tuple] = {}  # id of a finished entry -> where first seen
+        for sname, sd in cu.deps.items():
+            for i, m in enumerate(sd.order):
+                key = id(sd.methods[m])
+                here = (m, i, cu.species[sname].methods[m].valid_proof)
+                seen["entries"] += 1
+                seen["shared"] += key in first
+                assert first.setdefault(key, here) == here, (sname, m)
+    return seen
+
+
 def check_outcome(sources) -> str:
     try:
         compile_unit(sources)
@@ -1557,6 +1579,15 @@ def test_carried_finish_equals_a_full_finish(general_units, complete_units):
     assert run_finish_suite([compile_source(SHADOWS)]) >= 10
     assert run_finish_suite(data_units()) >= 10
     assert run_finish_suite(workload_units()) >= 5000
+
+
+def test_outputs_equal_a_from_scratch_rendering(general_units, complete_units):
+    seen = run_output_suite([u.cu for u in general_units + complete_units])
+    assert seen["entries"] >= 1000 and seen["shared"] >= 100, seen
+    extra = [compile_source(src) for src in (PRELUDE + FINISH_EDGES, SHADOWS, CROSS)]
+    assert run_output_suite(extra + data_units())["entries"] >= 50
+    seen = run_output_suite(workload_units())
+    assert seen["entries"] >= 5000 and seen["shared"] >= 1000, seen
 
 
 def test_the_lexer_agrees_with_the_reference():
