@@ -6,8 +6,8 @@ method references, validates proof facts, and fixes the global method order
 method first received a definition and then by name).  The semantic pass runs
 after typing and derives the visible universe, the minimal typing
 environment, and per-parameter dependencies for every method.  Methods an
-heir inherits unchanged keep the sets scanned and finished in the species
-that computed them.
+heir holds unchanged from its parent keep the entries scanned and finished
+there.
 """
 
 from __future__ import annotations
@@ -439,12 +439,12 @@ def scan_species(
 ) -> SpeciesDeps:
     """Syntactic pass: decl/def sets, fact validation, global order.
 
-    Methods carried from an ancestor keep the sets scanned there.  Given
-    the `parent` the species extends (see `driver._extended_parent`), a
-    method the parent had, with the same scan and the same first
-    definition, keeps the parent's whole entry (`finish_deps` decides
-    whether its finish holds too), and the order is placed from the
-    parent's (`_placed_order`).
+    Given the `parent` the species extends (see `driver._extended_parent`),
+    a method that holds the parent's record and that the species does not
+    analyse itself (`nf.analysed`) keeps the parent's whole entry
+    (`finish_deps` decides whether its finish holds too), and the order is
+    placed from the parent's (`_placed_order`).  Every other method is
+    scanned here.
     """
     sd = SpeciesDeps()
     parents: dict[str, MethodInfo] = {}
@@ -454,22 +454,11 @@ def scan_species(
     dirty: list[str] = []  # new here, or ordered by other edges or keys
     for name, mi in nf.methods.items():
         old = parents.get(name)
-        if (
-            mi.carried
-            and old is not None
-            and old.scanned_in == mi.scanned_in
-            and old.first_def == mi.first_def
-        ):
+        if mi is old and name not in nf.analysed:
             continue
-        if mi.carried:
-            assert mi.scanned_in is not None
-            scanned = deps_env[mi.scanned_in].methods[name]
-            md = MethodDeps(decl=scanned.decl, defs=scanned.defs)
-        else:
-            md = MethodDeps(
-                decl=frozenset(decl_deps(mi, nf)), defs=frozenset(def_deps(mi, nf))
-            )
-            mi.scanned_in = nf.name
+        md = MethodDeps(
+            decl=frozenset(decl_deps(mi, nf)), defs=frozenset(def_deps(mi, nf))
+        )
         if (
             old is None
             or old.order_site() != mi.order_site()
@@ -515,15 +504,16 @@ def finish_deps(
     """Semantic pass.  Given the `parent` the species extends (see
     `driver._extended_parent`), an entry the parent finished holds here
     when neither its method nor a name in its universe changed since the
-    parent (`_same_analysis`): one pass finds the changed names, and one
-    set test per parent entry keeps the rest, with the parent's `min_env`
-    while this order keeps the parent's relative order.  The rest are
-    finished here."""
+    parent: a changed method holds another record than the parent's, as
+    every method the species analyses gets a new record from typing.  One
+    pass finds the changed names, and one set test per parent entry keeps
+    the rest, with the parent's `min_env` while this order keeps the
+    parent's relative order.  The rest are finished here."""
     kept: dict[str, MethodDeps] = {}
     index: dict[str, int] = {}
     if parent is not None:
         old = parent.methods
-        changed = {y for y, a in nf.methods.items() if not _same_analysis(a, old.get(y))}
+        changed = {y for y, mi in nf.methods.items() if mi is not old.get(y)}
         kept = {
             x: pe
             for x, pe in deps_env[parent.name].methods.items()
@@ -576,22 +566,6 @@ def _min_env(md: MethodDeps, index: dict[str, int]) -> list[tuple[str, str]]:
         (y, "TypeAndBody" if y in md.closure else "TypeOnly")
         for y in sorted(md.universe, key=index.__getitem__)
     ]
-
-
-def _same_analysis(a: MethodInfo, b: MethodInfo | None) -> bool:
-    """Whether `a` holds the analysis of `b`, its parent's copy: carried,
-    from the same scan, with the same scheme (lets, signatures) or
-    statement (properties, theorems).  A method typed again is not
-    carried, and a definition from another parent comes from another scan.
-    The rest of what the finish reads (bodies, proofs, carrier flags) comes
-    with the scan or the typing."""
-    return (
-        b is not None
-        and a.carried
-        and a.scanned_in == b.scanned_in
-        and a.scheme is b.scheme
-        and a.statement is b.statement
-    )
 
 
 def _param_deps(

@@ -377,9 +377,10 @@ def _type_entity_args(
 
 
 def _type_species(nf: NFSpecies, sd: SpeciesDeps, env: SpeciesTypeEnv) -> None:
-    """Type the methods not carried from an ancestor, in global order.  A
-    carried method is typed again when a method it declares a dependency on
-    was typed again here to another scheme."""
+    """Type the methods the species analyses (`nf.analysed`), in global
+    order, and store each typed record.  A method holding an ancestor's
+    analysis is analysed too when a method it declares a dependency on was
+    typed again here to another scheme."""
     group_of: dict[str, list[str]] = {}
     for g in sd.rec_groups:
         for m in g:
@@ -389,48 +390,53 @@ def _type_species(nf: NFSpecies, sd: SpeciesDeps, env: SpeciesTypeEnv) -> None:
         mi = nf.methods[name]
         if name in group_of and env.methods.get(name) is None:
             _seed_rec_group(nf, group_of[name], env)
-        if changed and mi.carried and not changed.isdisjoint(sd.methods[name].decl):
-            mi.carried = False
-        if not mi.carried:
-            carried_scheme = mi.scheme
-            _type_method(mi, env)
-            if not same(mi.scheme, carried_scheme):
+        if changed and not changed.isdisjoint(sd.methods[name].decl):
+            nf.analysed.add(name)
+        if name in nf.analysed:
+            typed = _type_method(mi, env)
+            if not same(typed.scheme, mi.scheme):
                 changed.add(name)
+            nf.methods[name] = mi = typed
         if mi.scheme is not None:
             env.methods[name] = mi.scheme
 
 
-def _type_method(mi: MethodInfo, env: SpeciesTypeEnv) -> None:
-    """Type one method; record its scheme and carrier use flags."""
-    # The pin is the declared signature if any, else the scheme carried
-    # over from the species that first defined the method.
+def _type_method(mi: MethodInfo, env: SpeciesTypeEnv) -> MethodInfo:
+    """Type one method: a new record with its scheme and carrier use
+    flags."""
+    # The pin is the declared signature if any, else the scheme the method
+    # got in the species that first defined it.
     stored = _declared_scheme(mi, env) or mi.scheme
     match mi.kind:
         case "signature":
             assert stored is not None
-            mi.scheme = stored
-            mi.carrier_decl = _mentions_self(stored.body)
+            return mi.replace(scheme=stored, carrier_decl=_mentions_self(stored.body))
         case "let":
             lt = type_let(mi, stored, env)
-            mi.scheme = lt.scheme
-            mi.param_types = lt.param_types
-            mi.ret_type = lt.ret_type
-            mi.carrier_decl = lt.touched_self or _mentions_self(lt.scheme.body)
-            mi.carrier_def = lt.used_rep
+            return mi.replace(
+                scheme=lt.scheme,
+                param_types=lt.param_types,
+                ret_type=lt.ret_type,
+                carrier_decl=lt.touched_self or _mentions_self(lt.scheme.body),
+                carrier_def=lt.used_rep,
+            )
         case "property" | "theorem":
             assert mi.statement is not None
             st = check_statement(mi.statement, env)
-            mi.carrier_decl = st.touched_self
-            if mi.proof is not None:
-                pt = check_proof(mi.proof, env)
-                mi.carrier_decl = mi.carrier_decl or pt.touched_self
-                mi.carrier_def = pt.used_rep
             # Quantifier and assume types are emitted later: pin them
             # to their resolved forms.
             tyfn = lambda t: env.ctx.resolve(t, mi.pos)
-            mi.statement = subst_expr(mi.statement, {}, tyfn)
+            changes = dict(
+                statement=subst_expr(mi.statement, {}, tyfn), carrier_decl=st.touched_self
+            )
             if mi.proof is not None:
-                mi.proof = subst_proof(mi.proof, {}, tyfn)
+                pt = check_proof(mi.proof, env)
+                changes.update(
+                    proof=subst_proof(mi.proof, {}, tyfn),
+                    carrier_decl=st.touched_self or pt.touched_self,
+                    carrier_def=pt.used_rep,
+                )
+            return mi.replace(**changes)
 
 
 def _declared_scheme(mi: MethodInfo, env: SpeciesTypeEnv) -> Scheme | None:
@@ -580,8 +586,7 @@ def _species_json(cu: CompiledUnit, name: str, texts: dict, entries: dict) -> st
     methods: list[str] = []
     for i, m in enumerate(sd.order):
         mi = nf.methods[m]
-        key = (id(sd.methods[m]), i, mi.kind, mi.origin, id(mi.scheme), id(mi.statement),
-               mi.carrier_decl, mi.carrier_def, mi.valid_proof)
+        key = (id(sd.methods[m]), id(mi), i)
         text = entries.get(key)
         if text is None:
             text = entries[key] = _method_json(cu, nf, m, index, texts)
@@ -671,7 +676,7 @@ def doc_text(cu: CompiledUnit) -> str:
     per object (`_source_of`), and a proof's admitted steps counted once."""
     texts: dict[int, str] = {}
     admitted_in: dict[int, int] = {}  # id of a proof -> its admitted steps
-    written: dict[tuple, str] = {}
+    written: dict[int, str] = {}  # id of a method record -> its line
     lines: list[str] = []
     for kind, name in cu.decl_order:
         with cu.writing(name):
@@ -689,15 +694,11 @@ def doc_text(cu: CompiledUnit) -> str:
             lines.append(f"species {name}")
             for m in nf.order:
                 mi = nf.methods[m]
-                node = mi.scheme if mi.scheme is not None else mi.statement
-                key = (m, mi.kind, mi.origin, mi.proof_origin, id(node))
-                line = written.get(key)
+                line = written.get(id(mi))
                 if line is None:
+                    node = mi.scheme if mi.scheme is not None else mi.statement
                     ty = "?" if node is None else _source_of(texts, node)
-                    note = f"from {mi.origin}"
-                    if mi.kind == "theorem" and mi.proof_origin not in (None, mi.origin):
-                        note += f", proved in {mi.proof_origin}"
-                    line = written[key] = f"  {mi.kind} {m} : {ty} ({note})"
+                    line = written[id(mi)] = f"  {mi.kind} {m} : {ty} (from {mi.origin})"
                 lines.append(line)
             for m in nf.order:
                 proof = nf.methods[m].proof

@@ -412,17 +412,14 @@ def _record_plan(
 ) -> RecordTypePlan:
     """The record abstracts over the parameter methods the statements
     mention.  An heir's statements hold its parent's, so given the
-    parent's record `prev`, only the statements new since the parent's
-    copies are read, and the same methods keep the parent's lifts."""
+    parent's record `prev`, only the methods whose records are not the
+    parent's are read, and the same methods keep the parent's lifts."""
     methods = list(nf.methods.values())
     used: dict[str, set[str]] = {p.name: set() for p in nf.is_params}
     if prev is not None:
         assert parent is not None
         old = parent.methods
-        methods = [
-            mi for mi in methods
-            if mi.name not in old or old[mi.name].statement is not mi.statement
-        ]
+        methods = [mi for mi in methods if old.get(mi.name) is not mi]
         used = _used_methods(nf, prev.abstractions)
     before = {p: set(ms) for p, ms in used.items()}
     for p in nf.is_params:

@@ -10,9 +10,11 @@ parameter-tagged collections and carriers.  What each argument of a species
 denotes is decided once, where the application is checked, and stored as the
 actual itself (`Args`): renaming, interface views, the arguments recorded
 for ancestors and collections all read that actual and never look its name
-up again.  Inherited copies carry the typing and scan results of the species
-they come from.  Proof invalidation and collection completeness both operate
-on this normal form.
+up again.  A method record is a value: once a species holds it, nothing
+writes to it.  An heir that renames no formal holds its parent's records
+themselves, typing and scan results included, and a species that changes a
+method stores a new record.  Proof invalidation and collection completeness
+both operate on this normal form.
 """
 
 from __future__ import annotations
@@ -72,13 +74,14 @@ Args = dict[str, "Type | Expr"]
 
 
 class MethodInfo(Record):
-    """One flattened method with its full late-binding history."""
+    """One flattened method with its full late-binding history.  A value:
+    a species that changes a method stores a new record (`replace`), and
+    heirs share the records they do not change."""
 
     __match_args__ = (
-        "name", "kind", "decl_site", "first_def", "origin", "proof_origin", "ty",
-        "extra_sigs", "params", "ret", "body", "statement", "proof", "rec", "superseded",
-        "pos", "scheme", "param_types", "ret_type", "carrier_decl", "carrier_def",
-        "scanned_in", "carried", "valid_proof",
+        "name", "kind", "decl_site", "first_def", "origin", "ty", "extra_sigs",
+        "params", "ret", "body", "statement", "proof", "rec", "superseded", "pos",
+        "scheme", "param_types", "ret_type", "carrier_decl", "carrier_def", "valid_proof",
     )
 
     def __init__(
@@ -88,7 +91,6 @@ class MethodInfo(Record):
         decl_site: str,
         first_def: str | None,
         origin: str,
-        proof_origin: str | None = None,
         ty: Type | None = None,  # first declared signature type
         extra_sigs: list[Type] | None = None,
         params: list[tuple[str, Type | None]] | None = None,
@@ -104,8 +106,6 @@ class MethodInfo(Record):
         ret_type: Type | None = None,
         carrier_decl: bool = False,
         carrier_def: bool = False,
-        scanned_in: str | None = None,
-        carried: bool = False,
         valid_proof: bool = True,
     ):
         self.name = name
@@ -113,7 +113,6 @@ class MethodInfo(Record):
         self.decl_site = decl_site
         self.first_def = first_def
         self.origin = origin
-        self.proof_origin = proof_origin
         self.ty = ty
         self.extra_sigs = [] if extra_sigs is None else extra_sigs
         self.params = [] if params is None else params
@@ -124,22 +123,13 @@ class MethodInfo(Record):
         self.rec = rec
         self.superseded = set() if superseded is None else superseded
         self.pos = pos
-        # Filled in by the typing and dependency phases of the species that
-        # analyses the method, then carried, renamed, into its descendants.
+        # The typing results of the species that analyses the method, which
+        # its descendants share, renamed where a formal is.
         self.scheme = scheme
         self.param_types = param_types
         self.ret_type = ret_type
         self.carrier_decl = carrier_decl
         self.carrier_def = carrier_def
-        self.scanned_in = scanned_in  # species whose deps hold decl/def sets
-        # `carried` is set on inheritance and cleared where the species changes
-        # what the analysis reads: a declared type, a definition adopted from a
-        # sibling, an entity argument that is an expression, the types a
-        # parameter offers, a `proof of`, or (in typing) the scheme of a method
-        # it declares a dependency on.  The results above came from an ancestor
-        # and still hold here, so the species skips typing and scanning the
-        # method.  Names keep their tags in heirs, so no name clears it.
-        self.carried = carried
         # A reverted proof stays reverted in descendants until a `proof of`.
         self.valid_proof = valid_proof
 
@@ -174,7 +164,7 @@ class RevertedProof(Record):
 class NFSpecies(Record):
     __match_args__ = (
         "name", "params", "lineage", "rep", "rep_origin", "rep_resolved", "methods",
-        "order", "reverted", "iface_args", "ancestor_args", "pos",
+        "order", "reverted", "iface_args", "ancestor_args", "analysed", "pos",
     )
 
     def __init__(
@@ -190,6 +180,7 @@ class NFSpecies(Record):
         reverted: list[RevertedProof] | None = None,
         iface_args: dict[str, Args] | None = None,
         ancestor_args: dict[str, Args] | None = None,
+        analysed: set[str] | None = None,
         pos: Pos = NOPOS,
     ):
         self.name = name
@@ -206,6 +197,15 @@ class NFSpecies(Record):
         # ancestor -> the actuals of its formals in this species' own terms.
         # Includes the species itself with identity bindings.
         self.ancestor_args = {} if ancestor_args is None else ancestor_args
+        # The methods this species types and scans itself: each gets a new
+        # record from typing.  Any other method holds an ancestor's analysis,
+        # which still holds here.  `normalize` adds a method declared or
+        # proved (`proof of`) here, and every method when an argument
+        # changes what the parent's analysis read or when two parents bring
+        # one method at different schemes; typing adds a method that
+        # declares a dependency on one typed again to another scheme.  Names
+        # keep their tags in heirs, so no name adds one.
+        self.analysed = set() if analysed is None else analysed
         self.pos = pos
 
     @property
@@ -401,37 +401,31 @@ def subst_proof(proof: Proof, args: Args, type_fn) -> Proof:
 
 
 def subst_method(mi: MethodInfo, args: Args) -> MethodInfo:
-    """Copy `mi` into an inheriting species, analysis results included.
+    """`mi` as an inheriting species holds it, analysis results included.
 
     `args` holds only the formals that are not passed as themselves; when
-    it is empty the copy shares the parent's trees, and otherwise every
-    subtree that mentions no renamed formal (`subst_expr`).
+    it is empty the heir holds `mi` itself, and otherwise a copy that
+    shares every subtree that mentions no renamed formal (`subst_expr`).
     """
-    out = mi.replace(carried=True)  # `_merge` rebinds what it grows
     if not args:
-        return out
+        return mi
     type_fn = lambda t: rename_type(t, args)
-    out.extra_sigs = [type_fn(t) for t in mi.extra_sigs]
-    if mi.ty is not None:
-        out.ty = type_fn(mi.ty)
-    out.params = [(n, None if t is None else type_fn(t)) for n, t in mi.params]
-    if mi.ret is not None:
-        out.ret = type_fn(mi.ret)
-    if mi.body is not None:
-        out.body = subst_expr(mi.body, args, type_fn)
-    if mi.statement is not None:
-        out.statement = subst_expr(mi.statement, args, type_fn)
-    if mi.proof is not None:
-        out.proof = subst_proof(mi.proof, args, type_fn)
-    # The scheme also pins the method's type for any redefinition further
-    # down.
-    if mi.scheme is not None:
-        out.scheme = Scheme(mi.scheme.count, type_fn(mi.scheme.body))
-    if mi.param_types is not None:
-        out.param_types = [type_fn(t) for t in mi.param_types]
-    if mi.ret_type is not None:
-        out.ret_type = type_fn(mi.ret_type)
-    return out
+    tree_fn = lambda e: subst_expr(e, args, type_fn)
+    opt = lambda f, x: None if x is None else f(x)
+    return mi.replace(
+        ty=opt(type_fn, mi.ty),
+        extra_sigs=[type_fn(t) for t in mi.extra_sigs],
+        params=[(n, opt(type_fn, t)) for n, t in mi.params],
+        ret=opt(type_fn, mi.ret),
+        body=opt(tree_fn, mi.body),
+        statement=opt(tree_fn, mi.statement),
+        proof=opt(lambda p: subst_proof(p, args, type_fn), mi.proof),
+        # The scheme also pins the method's type for any redefinition
+        # further down.
+        scheme=opt(lambda s: Scheme(s.count, type_fn(s.body)), mi.scheme),
+        param_types=opt(lambda ts: [type_fn(t) for t in ts], mi.param_types),
+        ret_type=opt(type_fn, mi.ret_type),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -442,35 +436,23 @@ def merge_lineages(parents: list[list[str]], self_name: str) -> list[str]:
     return list(dict.fromkeys([s for lin in parents for s in lin] + [self_name]))
 
 
-def _adopt_definition(cur: MethodInfo, inc: MethodInfo) -> None:
-    cur.params = inc.params
-    cur.ret = inc.ret
-    cur.body = inc.body
-    cur.rec = inc.rec
-    cur.proof = inc.proof
-    cur.proof_origin = inc.proof_origin
-    cur.origin = inc.origin
-    cur.kind = inc.kind
-    cur.pos = inc.pos
-    if cur.first_def is None:
-        cur.first_def = inc.first_def
-    # The definition brings its analysis along, which still holds only if
-    # it was made against the same declared type.
-    cur.param_types = inc.param_types
-    cur.ret_type = inc.ret_type
-    cur.carrier_decl = inc.carrier_decl
-    cur.carrier_def = inc.carrier_def
-    cur.scanned_in = inc.scanned_in
-    cur.valid_proof = inc.valid_proof
-    cur.carried = (
-        inc.carried
-        and same(inc.scheme, cur.scheme)
-        and same(inc.ty, cur.ty)
-        and same(inc.extra_sigs, cur.extra_sigs)
+def _definition(cur: MethodInfo, inc: MethodInfo) -> dict:
+    """The fields `cur` takes from the definition of `inc`, which brings its
+    analysis along."""
+    changes = dict(
+        params=inc.params, ret=inc.ret, body=inc.body, rec=inc.rec, proof=inc.proof,
+        origin=inc.origin, kind=inc.kind, pos=inc.pos, param_types=inc.param_types,
+        ret_type=inc.ret_type, carrier_decl=inc.carrier_decl,
+        carrier_def=inc.carrier_def, valid_proof=inc.valid_proof,
     )
+    if cur.first_def is None:
+        changes["first_def"] = inc.first_def
+    return changes
 
 
 def _merge(nf: NFSpecies, inc: MethodInfo) -> None:
+    """Merge `inc` into the method of its name, storing a new record when
+    that changes anything."""
     cur = nf.methods.get(inc.name)
     if cur is None:
         nf.methods[inc.name] = inc
@@ -482,17 +464,15 @@ def _merge(nf: NFSpecies, inc: MethodInfo) -> None:
             f"in {inc.origin}",
             inc.pos,
         )
+    changes: dict = {}
     if inc.ty is not None:
-        # A new declared type must be checked against the definition.
         if cur.ty is None:
-            cur.ty = inc.ty
-            cur.carried = False
+            changes["ty"] = inc.ty
         elif inc.decl_site != cur.decl_site and not same(inc.ty, cur.ty):
-            cur.extra_sigs = [*cur.extra_sigs, inc.ty]
-            cur.carried = False
+            changes["extra_sigs"] = [*cur.extra_sigs, inc.ty]
     if inc.statement is not None:
         if cur.statement is None:
-            cur.statement = inc.statement
+            changes["statement"] = inc.statement
         elif inc.decl_site != cur.decl_site and not same(inc.statement, cur.statement):
             raise CompileError(
                 TYPE_MISMATCH,
@@ -500,23 +480,18 @@ def _merge(nf: NFSpecies, inc: MethodInfo) -> None:
                 f"in {inc.decl_site}",
                 inc.pos,
             )
-    if not inc.superseded <= cur.superseded:
-        cur.superseded = cur.superseded | inc.superseded
-    if not inc.defined:
-        return
-    if not cur.defined:
-        _adopt_definition(cur, inc)
-        return
-    if inc.origin == cur.origin:
-        return
-    if inc.origin in cur.superseded:
-        return
-    if cur.origin in inc.superseded:
-        _adopt_definition(cur, inc)
-        return
-    # Sibling parents both define the method: the later inherit wins.
-    cur.superseded = cur.superseded | {cur.origin}
-    _adopt_definition(cur, inc)
+    superseded = cur.superseded
+    if not inc.superseded <= superseded:
+        changes["superseded"] = superseded = superseded | inc.superseded
+    if inc.defined and (
+        not cur.defined or (inc.origin != cur.origin and inc.origin not in superseded)
+    ):
+        if cur.defined and cur.origin not in inc.superseded:
+            # Sibling parents both define the method: the later inherit wins.
+            changes["superseded"] = superseded | {cur.origin}
+        changes.update(_definition(cur, inc))
+    if changes:
+        nf.methods[inc.name] = cur.replace(**changes)
 
 
 def _local_info(decl: SpeciesDecl, m: MethodDecl) -> MethodInfo:
@@ -527,7 +502,6 @@ def _local_info(decl: SpeciesDecl, m: MethodDecl) -> MethodInfo:
         decl_site=decl.name,
         first_def=decl.name if defined else None,
         origin=decl.name,
-        proof_origin=decl.name if m.kind == "theorem" else None,
         ty=m.ty,
         params=list(m.params),
         ret=m.ret,
@@ -601,7 +575,13 @@ def normalize(
             nf.methods = {n: subst_method(mi, renamed) for n, mi in parent.methods.items()}
         else:
             for mi in parent.methods.values():
-                _merge(nf, subst_method(mi, renamed))
+                inc, cur = subst_method(mi, renamed), nf.methods.get(mi.name)
+                # Each parent typed its methods against its own scheme of
+                # this one, which typing here can hold to only one of them.
+                # Where the schemes agree, a declared type or a definition
+                # the merge brings in was typed to that scheme, and holds.
+                carries = carries and (cur is None or same(cur.scheme, inc.scheme))
+                _merge(nf, inc)
         # Any entity argument but an own entity parameter over the renamed
         # carrier is an expression to type and scan the methods with.
         carries = carries and all(
@@ -655,19 +635,18 @@ def normalize(
                 raise CompileError(
                     UNKNOWN, f"proof of unknown property {m.name}", m.pos
                 )
-            cur.proof = m.proof
-            cur.proof_origin = decl.name
-            cur.origin = decl.name
-            cur.kind = "theorem"
-            cur.valid_proof = True
-            cur.carried = False
-            if cur.first_def is None:
-                cur.first_def = decl.name
-            continue
-        _merge(nf, _local_info(decl, m))
+            nf.methods[m.name] = cur.replace(
+                proof=m.proof,
+                origin=decl.name,
+                kind="theorem",
+                valid_proof=True,
+                first_def=decl.name if cur.first_def is None else cur.first_def,
+            )
+        else:
+            _merge(nf, _local_info(decl, m))
+        nf.analysed.add(m.name)
     if not carries:
-        for mi in nf.methods.values():
-            mi.carried = False
+        nf.analysed.update(nf.methods)
 
 
 def invalidate_proofs(
@@ -678,10 +657,10 @@ def invalidate_proofs(
     """Erase proofs whose unfolded definitions were later redefined.
 
     Given the `parent` `nf` extends and its dependency entries `scanned`,
-    whose `defs` name what each of its proofs unfolds, a proof the parent
-    judged keeps the parent's verdict while it and every definition it
-    unfolds keep their origins, which rank alike in a lineage that extends
-    the parent's."""
+    whose `defs` name what each of its proofs unfolds, a theorem whose
+    record is the parent's keeps the parent's verdict while every
+    definition it unfolds keeps its origin, which ranks alike in a lineage
+    that extends the parent's.  A reverted theorem gets a new record."""
     rank = {s: i for i, s in enumerate(nf.lineage)}
     old: dict[str, MethodInfo] = {}
     if parent is not None:
@@ -690,31 +669,24 @@ def invalidate_proofs(
         moved = {n for n, mi in nf.methods.items() if n not in old or old[n].origin != mi.origin}
         judged = {rp.method: rp for rp in parent.reverted}
     reverted: list[RevertedProof] = []
-    for mi in nf.methods.values():
+    for name, mi in nf.methods.items():
         if mi.kind != "theorem" or mi.proof is None:
             continue
-        was = old.get(mi.name)
-        if (
-            was is not None
-            and was.proof is mi.proof
-            and was.proof_origin == mi.proof_origin
-            and moved.isdisjoint(scanned[mi.name].defs)
-        ):
-            if mi.name in judged:
-                reverted.append(judged[mi.name])
+        if old.get(name) is mi and moved.isdisjoint(scanned[name].defs):
+            if name in judged:
+                reverted.append(judged[name])
             continue
-        assert mi.proof_origin is not None
-        proof_rank = rank.get(mi.proof_origin, len(nf.lineage))
+        proof_rank = rank.get(mi.origin, len(nf.lineage))
         for def_name in unfolded(mi.proof):
             target = nf.methods.get(def_name)
             if target is None:
                 continue  # reported by the dependency scan
             if rank.get(target.origin, 0) > proof_rank:
-                mi.valid_proof = False
+                nf.methods[name] = mi.replace(valid_proof=False)
                 reverted.append(
                     RevertedProof(
-                        mi.name,
-                        mi.proof_origin,
+                        name,
+                        mi.origin,
                         def_name,
                         target.origin,
                         target.pos,  # point at the redefinition

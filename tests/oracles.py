@@ -692,10 +692,7 @@ def doc_text(cu) -> str:
                 if mi.statement is not None
                 else "?"
             )
-            note = f"from {mi.origin}"
-            if mi.kind == "theorem" and mi.proof_origin not in (None, mi.origin):
-                note += f", proved in {mi.proof_origin}"
-            lines.append(f"  {mi.kind} {m} : {ty} ({note})")
+            lines.append(f"  {mi.kind} {m} : {ty} (from {mi.origin})")
         for m in nf.order:
             mi = nf.methods[m]
             if mi.proof is None:

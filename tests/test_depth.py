@@ -7,7 +7,7 @@ every subcommand on the deep stack (`errors.on_deep_stack`).
 from __future__ import annotations
 
 import random
-import time
+import sys
 
 import pytest
 
@@ -102,16 +102,29 @@ def test_deep_trees_compare_past_the_recursion_limit():
 
 
 def test_checking_a_sum_is_linear_in_its_length():
-    def best_time(n: int) -> float:
+    def counted(n: int) -> int:
+        """The calls, Python and built-in, and generator resumptions that
+        compiling a sum of `n` terms makes: a count, not a time, so a busy
+        machine cannot change it."""
         source = shapes.plus(n)[0]
-        best = float("inf")
-        for _ in range(2):
-            start = time.perf_counter()
-            on_deep_stack(lambda: compile_source(source), AssertionError())
-            best = min(best, time.perf_counter() - start)
-        return best
+        calls = 0
 
-    small = best_time(1000)
-    large = best_time(4000)
-    # four times the length: linear takes about 4x, quadratic about 16x
-    assert large < 8 * small
+        def profile(frame, event, arg):
+            nonlocal calls
+            calls += event in ("call", "c_call")
+
+        def run() -> None:
+            sys.setprofile(profile)  # for this thread, the deep stack's
+            try:
+                compile_source(source)
+            finally:
+                sys.setprofile(None)
+
+        on_deep_stack(run, AssertionError())
+        return calls
+
+    small = counted(500)
+    large = counted(2000)
+    # four times the length: linear makes about 4x the calls, a walk that
+    # resumes one generator per level of the tree about 16x
+    assert large < 6 * small

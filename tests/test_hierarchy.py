@@ -55,7 +55,7 @@ def test_proof_of_upgrades_property(example_cu):
     lng = example_cu.species["TheInt"].methods["ltNotGt"]
     assert lng.kind == "theorem"
     assert lng.decl_site == "OrdData"
-    assert lng.proof_origin == "TheInt"
+    assert lng.origin == "TheInt"
     assert lng.valid_proof
     # the statement survives from the property declaration
     assert lng.statement is not None
@@ -341,7 +341,7 @@ end ;;
 species D = inherit S2, Q, P ; end ;;
 """
     cu = compile_source(src)
-    assert cu.species["D"].methods["t"].proof_origin == "S1"
+    assert cu.species["D"].methods["t"].origin == "S1"
     assert not cu.species["D"].methods["t"].valid_proof
     with pytest.raises(CompileError) as e:
         compile_source(src + "collection DC = implement D ; end ;;")

@@ -87,12 +87,12 @@ MATCH_ARGS = {
         "record_params methods",
     },
     hierarchy: {
-        "MethodInfo": "name kind decl_site first_def origin proof_origin ty extra_sigs "
+        "MethodInfo": "name kind decl_site first_def origin ty extra_sigs "
         "params ret body statement proof rec superseded pos scheme param_types ret_type "
-        "carrier_decl carrier_def scanned_in carried valid_proof",
+        "carrier_decl carrier_def valid_proof",
         "RevertedProof": "method proof_origin def_name def_origin pos",
         "NFSpecies": "name params lineage rep rep_origin rep_resolved methods order "
-        "reverted iface_args ancestor_args pos",
+        "reverted iface_args ancestor_args analysed pos",
         "CollectionModel": "name nf args iface_schemes carrier pos",
     },
     lexer: {"Token": "kind value pos bullet"},

@@ -3,9 +3,11 @@
 A seeded generator builds small well-formed units (species of at most six
 methods over at most two parameters, chains, diamonds, redefinitions,
 recursion) and every suite below checks one law over at least a thousand
-generated cases.  A third set of units adds polymorphic lets and an heir
-that signs one of its inherited lets, keeping or narrowing its type, which
-a unit may rightly fail to compile on.
+generated cases.  A third set of units adds polymorphic lets, a diamond
+whose heir adopts a sibling's definition, and a last heir that signs one of
+its inherited lets, keeping or narrowing its type, passes an expression
+for the entity parameter or proves a property again, any of which a unit
+may rightly fail to compile on.
 """
 
 from __future__ import annotations
@@ -265,19 +267,44 @@ class Unit:
     cu: object
     species: list[str]
     collections: list[str]
+    registered: dict  # see `watched_compile`
 
 
 def gen_unit(rng, uid: int, complete: bool) -> Unit:
     source, names, colls = gen_source(rng, uid, complete)
-    return Unit(source, compile_source(source), names, colls)
+    cu, registered = watched_compile([("<unit>", source)])
+    return Unit(source, cu, names, colls, registered)
+
+
+def record_fields(mi) -> dict:
+    """The fields of a method record, with a copy of each list and set."""
+    return {k: copy.copy(v) if isinstance(v, (list, set)) else v for k, v in vars(mi).items()}
+
+
+def watched_compile(sources) -> tuple:
+    """`compile_unit(sources)`, and each species' method records with their
+    fields (`record_fields`) as they were when the species was
+    registered."""
+    registered = {}
+    register = driver._register_species
+
+    def watched(cu, decl):
+        register(cu, decl)
+        methods = cu.species[decl.name].methods
+        registered[decl.name] = {n: (mi, record_fields(mi)) for n, mi in methods.items()}
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(driver, "_register_species", watched)
+        return compile_unit(sources), registered
 
 
 def gen_source(
     rng, uid: int, complete: bool, narrow: bool = False
 ) -> tuple[str, list[str], list[str]]:
     """A unit's source, its species and its collections.  With `narrow`,
-    lets may be polymorphic, and the unit ends in an heir that adds a
-    signature below an inherited definition (`signature_heir`)."""
+    lets may be polymorphic, a diamond's heir may adopt a definition from
+    one branch for a signature of the other, and the unit ends in an heir
+    that changes what its parent's analysis read (`last_heir`)."""
     param = rng.random() < 0.5
     shape = rng.random()
     blocks, names = [], []
@@ -327,8 +354,19 @@ def gen_source(
             # one branch redefining what the other unfolds would revert
             # the proof in the merged species
             right.unfolded = left.unfolded
-        add(s(1), left, parents=[s(0)])
-        add(s(2), right, parents=[s(0)])
+        sides = [None, None]
+        if narrow and rng.random() < 0.5:
+            # the left branch declares what the right defines, and the heir
+            # adopts the definition, at the signature's type; `c` was typed
+            # against the definition's own scheme
+            d, c, arg = f"d{uid}", f"c{uid}", rng.choice(["int", "bool"])
+            body = rng.choice(["(z) = z", "(x : int) : int = x + 1", "(x : bool) : bool = x"])
+            sides = [
+                [(d, f"  signature {d} : int -> int ;")],
+                [(d, f"  let {d} {body} ;"), (c, f"  let {c} (n : {arg}) : {arg} = {d} (n) ;")],
+            ]
+        add(s(1), left, parents=[s(0)], prepend=sides[0])
+        add(s(2), right, parents=[s(0)], prepend=sides[1])
         last_st = merged(left, right)
         add(s(3), last_st, parents=[s(1), s(2)])
 
@@ -341,7 +379,7 @@ def gen_source(
         colls.append(cname)
 
     if narrow:
-        heir = signature_heir(rng, names[-1], last_st, param)
+        heir = last_heir(rng, names[-1], last_st, param)
         if heir is not None:
             blocks.append(heir)
             names.append(f"{names[-1]}N")
@@ -350,23 +388,39 @@ def gen_source(
     return source, names, colls
 
 
-def signature_heir(rng, parent: str, st: Pools, param: bool) -> str | None:
-    """An heir of `parent` that declares the type of a let it inherits
-    defined: an `int -> int` let keeps its type, and a polymorphic one is
-    narrowed, to `int -> int`, which its callers at int still fit, or to
-    `bool -> bool` or the parameter's carrier, which they do not."""
+def last_heir(rng, parent: str, st: Pools, param: bool) -> str | None:
+    """An heir of `parent` that changes what the analysis of the methods
+    it inherits read, in up to three ways.  It declares the type of a let
+    it inherits defined: an `int -> int` let keeps its type, and a
+    polymorphic one is narrowed, to `int -> int`, which its callers at int
+    still fit, or to `bool -> bool` or the parameter's carrier, which they
+    do not.  It passes an expression for the entity parameter.  And it
+    proves a property or theorem again (`proof of`), now and then with a
+    step that compares an int with a bool."""
+    lines = []
     mono = [d for d in st.defined if d in st.callable]
     if st.poly and (not mono or rng.random() < 0.6):
         m = rng.choice(st.poly)
         ty = rng.choice(["int -> int", "bool -> bool"] + ["P0 -> P0"] * param)
+        lines.append(f"  signature {m} : {ty} ;")
     elif mono:
-        m, ty = rng.choice(mono), "int -> int"
-    else:
-        return None
+        lines.append(f"  signature {rng.choice(mono)} : int -> int ;")
+    if st.logical and rng.random() < 0.4:
+        p = rng.choice(st.logical)
+        if mono and rng.random() < 0.25:
+            d = rng.choice(mono)
+            proof = (f"\n    <1>1 assume x : int, prove {d} (x) = true by definition of {d}"
+                     "\n    <1>2 qed by step <1>1")
+        else:
+            proof = make_proof(rng, st, param)[0]
+        lines.append(f"  proof of {p} = {proof} ;")
     head, args = f"species {parent}N", ""
     if param:
-        head, args = head + " (P0 is Base, v0 in P0)", " (P0, v0)"
-    return f"{head} =\n  inherit {parent}{args} ;\n  signature {m} : {ty} ;\nend ;;"
+        head += " (P0 is Base, v0 in P0)"
+        args = rng.choice([" (P0, v0)", f" (P0, P0!mk ({rng.randint(0, 9)}))"])
+    if not lines and args in ("", " (P0, v0)"):
+        return None
+    return "\n".join([f"{head} =", f"  inherit {parent}{args} ;", *lines, "end ;;"])
 
 
 @pytest.fixture(scope="module")
@@ -642,19 +696,20 @@ def analysis(mi, md):
 
 def run_carry_suite(units) -> int:
     """Carried results against a full retype and rescan of every species,
-    made by the driver's own typing and scan steps with nothing carried."""
+    made by the driver's own typing and scan steps with every method
+    analysed."""
     cases = 0
     for u in units:
         for sname, nf in u.cu.species.items():
             full = copy.copy(nf)
-            full.methods = {n: mi.replace(carried=False) for n, mi in nf.methods.items()}
+            full.methods, full.analysed = dict(nf.methods), set(nf.methods)
             sd = scan_species(full, u.cu.deps)
             driver._type_species(full, sd, driver._species_env(u.cu, full))
             for name, mi in nf.methods.items():
                 got = analysis(mi, u.cu.deps[sname].methods[name])
                 want = analysis(full.methods[name], sd.methods[name])
                 assert got == want, (u.source, sname, name)
-                cases += mi.carried
+                cases += name not in nf.analysed
     return cases
 
 
@@ -800,8 +855,30 @@ def workload_sources() -> list:
     return units
 
 
+@pytest.fixture(scope="module")
 def workload_units() -> list:
-    return [compile_unit(sources) for sources in workload_sources()]
+    """The benchmark units, compiled once for every suite that only reads
+    them, with their records as registered (`watched_compile`)."""
+    return [watched_compile(sources) for sources in workload_sources()]
+
+
+def run_record_suite(watched) -> int:
+    """Every species of each (unit, registered records) pair holds the
+    records it held when it was registered, each with the fields it had
+    then: a record is a value, and heirs share it."""
+    cases = 0
+    for cu, registered in watched:
+        for sname, records in registered.items():
+            methods = cu.species[sname].methods
+            assert methods.keys() == records.keys(), sname
+            for name, (mi, fields) in records.items():
+                assert methods[name] is mi, (sname, name)
+                assert vars(mi).keys() == fields.keys(), (sname, name)
+                for k, v in fields.items():
+                    now = vars(mi)[k]
+                    assert now == v if isinstance(v, (list, set)) else now is v, (sname, name, k)
+                cases += 1
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -882,14 +959,12 @@ def run_lexer_suite(texts: list[str], mutants_each: int) -> Counter:
 
 def run_finish_suite(cus) -> int:
     """Every carried finished entry against `finish_deps` run again on the
-    same species with nothing carried, field by field, `min_env` order
-    included."""
+    same species from scratch, with no parent, field by field, `min_env`
+    order included."""
     cases = 0
     for cu in cus:
         for sname, nf in cu.species.items():
             sd = cu.deps[sname]
-            full = copy.copy(nf)
-            full.methods = {n: mi.replace(carried=False) for n, mi in nf.methods.items()}
             fresh = SpeciesDeps(
                 order=sd.order,
                 methods={
@@ -898,10 +973,10 @@ def run_finish_suite(cus) -> int:
                 },
                 rec_groups=sd.rec_groups,
             )
-            finish_deps(full, fresh, cu.species, cu.deps)
+            finish_deps(nf, fresh, cu.species, cu.deps)
             for name, md in sd.methods.items():
                 assert md == fresh.methods[name], (sname, name)
-                cases += nf.methods[name].carried
+                cases += name not in nf.analysed
     return cases
 
 
@@ -917,7 +992,7 @@ def run_placed_order_suite(cus) -> int:
             decl = {n: md.decl for n, md in sd.methods.items()}
             assert (sd.order, sd.rec_groups) == order_methods(nf, decl), sname
             again = copy.copy(nf)
-            again.methods = {n: mi.replace() for n, mi in nf.methods.items()}
+            again.methods = dict(nf.methods)
             assert invalidate_proofs(again) == nf.reverted, sname
             cases += len(sd.order)
     return cases
@@ -971,13 +1046,12 @@ def run_acceptance_suite(units, carried: list[str], monkeypatch) -> Counter:
     both accept, or both reject with the same kind of error."""
     normalize = driver.normalize
 
-    def nothing_carried(nf, *args):
+    def all_analysed(nf, *args):
         normalize(nf, *args)
-        for mi in nf.methods.values():
-            mi.carried = False
+        nf.analysed.update(nf.methods)
 
     with monkeypatch.context() as m:
-        m.setattr(driver, "normalize", nothing_carried)
+        m.setattr(driver, "normalize", all_analysed)
         full = [check_outcome(sources) for sources in units]
     for sources, got, want in zip(units, carried, full):
         assert got == want, sources
@@ -1096,7 +1170,7 @@ def written_trees(mi):
     if mi.proof is not None:
         refs = []
         tree = proof_tree(mi.proof, refs)
-        yield mi.proof_origin, "proof", tree, refs, proof_exprs(mi.proof)
+        yield mi.origin, "proof", tree, refs, proof_exprs(mi.proof)
 
 
 def denoted(decls, lineage, heir: str, writer: str) -> dict:
@@ -1486,25 +1560,25 @@ def test_plans_record_erasure_by_content(general_units, complete_units):
 
 def test_carried_analysis_equals_a_full_retype(general_units, complete_units):
     assert run_carry_suite(general_units + complete_units) >= 1000
-    shadows = Unit(SHADOWS, compile_source(SHADOWS), [], [])
+    shadows = Unit(SHADOWS, compile_source(SHADOWS), [], [], {})
     assert run_carry_suite([shadows]) >= 10
 
 
-def test_placed_order_equals_a_full_order(general_units, complete_units):
+def test_placed_order_equals_a_full_order(general_units, complete_units, workload_units):
     units = [u.cu for u in general_units + complete_units]
     assert run_placed_order_suite(units) >= 1000
     extra = [compile_source(PRELUDE + FINISH_EDGES), compile_source(SHADOWS)]
     assert run_placed_order_suite(extra + data_units()) >= 50
-    assert run_placed_order_suite(workload_units()) >= 5000
+    assert run_placed_order_suite([cu for cu, _ in workload_units]) >= 5000
 
 
-def test_extended_plans_equal_full_plans(general_units, complete_units):
+def test_extended_plans_equal_full_plans(general_units, complete_units, workload_units):
     units = [u.cu for u in general_units + complete_units]
     assert run_plan_suite(units) >= 1000
     extra = [compile_source(PRELUDE + FINISH_EDGES), compile_source(SHADOWS)]
     extra += [compile_source(CROSS)]
     assert run_plan_suite(extra + data_units()) >= 50
-    assert run_plan_suite(workload_units()) >= 5000
+    assert run_plan_suite([cu for cu, _ in workload_units]) >= 5000
 
 
 def test_an_heir_orders_only_what_it_changes(monkeypatch):
@@ -1525,6 +1599,8 @@ def test_an_heir_orders_only_what_it_changes(monkeypatch):
 def test_an_heir_shares_what_it_does_not_change():
     cu = compile_source(SHARING)
     s, t, u, v = (cu.species[n] for n in "STUV")
+    # passed as themselves: the parent's record itself
+    assert v.methods["f"] is u.methods["f"] is s.methods["f"]
     # renamed: a tree that mentions no renamed formal is shared
     assert t.methods["f"].body is s.methods["f"].body
     assert t.methods["t"].statement is s.methods["t"].statement
@@ -1551,7 +1627,7 @@ def test_an_heir_shares_what_it_does_not_change():
 
 
 def test_checking_with_the_carry_agrees_with_a_full_retype(
-    general_units, complete_units, monkeypatch
+    general_units, complete_units, workload_units, monkeypatch
 ):
     generated = general_units + complete_units  # each compiled as it was made
     units = [[("<unit>", u.source)] for u in generated]
@@ -1560,33 +1636,46 @@ def test_checking_with_the_carry_agrees_with_a_full_retype(
     narrow = [gen_source(rng, i, complete=False, narrow=True)[0] for i in range(N_NARROW)]
     others = [[("<unit>", src)] for src in narrow]
     others += [[("<unit>", PRELUDE + FINISH_EDGES)], [("<unit>", SHADOWS)]]
-    others += workload_sources()
     units += others
     carried += [check_outcome(sources) for sources in others]
+    units += workload_sources()
+    carried += ["accepted"] * len(workload_units)  # as the fixture compiled them
     kinds = run_acceptance_suite(units, carried, monkeypatch)
     assert kinds.total() >= 700
     # the heirs that sign an inherited let reach both verdicts
     assert kinds["accepted"] >= 500 and kinds["TypeMismatch"] >= 10, kinds
-    signed = [src for src in narrow if "signature" in src.rsplit("species", 1)[1]]
-    assert len(signed) >= 0.9 * N_NARROW
+    last = [src.rsplit("species", 1)[1] for src in narrow]
+    assert sum("signature" in heir for heir in last) >= 0.9 * N_NARROW
+    # and so do the other heir operations
+    assert sum("proof of" in heir for heir in last) >= 50
+    assert sum("P0!mk" in heir.split("\n")[1] for heir in last) >= 40
+    assert sum(f"signature d{i} " in src for i, src in enumerate(narrow)) >= 25
 
 
-def test_carried_finish_equals_a_full_finish(general_units, complete_units):
+def test_no_record_changes_after_its_species_is_registered(
+    general_units, complete_units, workload_units
+):
+    generated = [(u.cu, u.registered) for u in general_units + complete_units]
+    assert run_record_suite(generated) >= 1000
+    assert run_record_suite(workload_units) >= 5000
+
+
+def test_carried_finish_equals_a_full_finish(general_units, complete_units, workload_units):
     units = [u.cu for u in general_units + complete_units]
     assert run_finish_suite(units) >= 1000
     edges = compile_source(PRELUDE + FINISH_EDGES)
     assert run_finish_suite([edges]) >= 20
     assert run_finish_suite([compile_source(SHADOWS)]) >= 10
     assert run_finish_suite(data_units()) >= 10
-    assert run_finish_suite(workload_units()) >= 5000
+    assert run_finish_suite([cu for cu, _ in workload_units]) >= 5000
 
 
-def test_outputs_equal_a_from_scratch_rendering(general_units, complete_units):
+def test_outputs_equal_a_from_scratch_rendering(general_units, complete_units, workload_units):
     seen = run_output_suite([u.cu for u in general_units + complete_units])
     assert seen["entries"] >= 1000 and seen["shared"] >= 100, seen
     extra = [compile_source(src) for src in (PRELUDE + FINISH_EDGES, SHADOWS, CROSS)]
     assert run_output_suite(extra + data_units())["entries"] >= 50
-    seen = run_output_suite(workload_units())
+    seen = run_output_suite([cu for cu, _ in workload_units])
     assert seen["entries"] >= 5000 and seen["shared"] >= 1000, seen
 
 

@@ -203,7 +203,7 @@ def test_non_identity_inheritance_carries_renamed_types():
     cu = compile_source(CARRY_PRELUDE + "species T = inherit S (BColl) ; end ;;")
     parent = cu.species["S"].methods["same"]
     mi = cu.species["T"].methods["same"]
-    assert mi.carried and not parent.carried
+    assert "same" not in cu.species["T"].analysed and "same" in cu.species["S"].analysed
     assert type_to_source(parent.scheme.body) == "P -> P"
     assert [type_to_source(t) for t in parent.param_types] == ["P"]
     assert mi.scheme.body == TArrow(TCollCarrier("BColl"), TCollCarrier("BColl"))
@@ -219,9 +219,8 @@ def test_identity_inheritance_shares_the_parents_trees():
     parent = cu.species["S"].methods["same"]
     renamed = cu.species["T"].methods["same"]
     same = cu.species["U"].methods["same"]
-    assert same is not parent and same.carried
-    assert same.body is parent.body
-    assert same.scheme is parent.scheme
+    # passed as itself: the heir holds the parent's record
+    assert same is parent and "same" not in cu.species["U"].analysed
     # the body `x` mentions no renamed name, so a renaming shares it too;
     # the type names `P` and is renamed
     assert renamed.body is parent.body
@@ -307,6 +306,40 @@ species Src2 (P is Ord) =
 end ;;
 species H2 (P is Ord) = inherit Src2 (P) ; signature idf : P -> P ; end ;;
 """,
+        # a definition adopted from a sibling, whose callers there were typed
+        # against its own scheme, not the signature's
+        """
+species A = signature m : int -> int ; end ;;
+species B = let m (z) = z ; let k (n : bool) : bool = m (n) ; end ;;
+species C = inherit A, B ; end ;;
+""",
+        # two parents bring one method at different schemes, renamed apart
+        """
+species Ord = signature mk : int -> Self ; end ;;
+species Two (P is Ord, Q is Ord) = let onP (x : P) : P = x ; end ;;
+species Right (P is Ord, Q is Ord) = inherit Two (P, Q) ; end ;;
+species Left (P is Ord, Q is Ord) =
+  inherit Two (P, Q) ;
+  let useP (x : int) : P = onP (P!mk (x)) ;
+end ;;
+species Cross (P is Ord, Q is Ord) = inherit Right (Q, P), Left (P, Q) ; end ;;
+""",
+        # a `proof of` in an heir, whose step compares an int with a bool
+        """
+species A =
+  representation = int ;
+  let f (x : int) : int = x ;
+  property p : all x : int, f (x) = f (x) ;
+end ;;
+species B =
+  inherit A ;
+  proof of p =
+    <1>1 assume x : int,
+         prove f (x) = true
+         by definition of f
+    <1>2 qed by step <1>1 ;
+end ;;
+""",
     ],
     ids=[
         "local_signature",
@@ -319,6 +352,9 @@ species H2 (P is Ord) = inherit Src2 (P) ; signature idf : P -> P ; end ;;
         "collection_other_interface_args",
         "narrower_interface",
         "narrowed_callee",
+        "sibling_definition_callers",
+        "parents_disagree",
+        "proof_of",
     ],
 )
 def test_inherited_method_is_typed_again_when_the_heir_changes_its_inputs(src):
@@ -440,9 +476,8 @@ collection MkC = implement MkHeir (BColl, OC) ;;
 )
 def test_a_name_keeps_its_meaning_in_every_heir(src, heir, method, line, call, value):
     cu = compile_source(CARRY_PRELUDE + src)
-    mi = cu.species[heir].methods[method]
-    assert mi.carried
-    origin = mi.origin
+    assert method not in cu.species[heir].analysed
+    origin = cu.species[heir].methods[method].origin
     # typing and deps read the name as the origin did
     assert scheme_src(cu, heir, method) == scheme_src(cu, origin, method)
     report = deps_report(cu)["species"]
@@ -557,7 +592,7 @@ species C (P is Base) = inherit B (P, P!mk (1)) ; end ;;
 collection CC = implement C (P) ;;
 """
     )
-    assert not cu.species["C"].methods["k"].carried
+    assert "k" in cu.species["C"].analysed
     assert scheme_src(cu, "C", "k") == "int -> P"
     assert eval_call(cu, "CC!f (3)") == "10"
 
