@@ -503,26 +503,23 @@ class PTuple(Pattern):
         self.items = [] if items is None else items
 
 
+# The children of each expression class, in source order.  Every `Expr`
+# class is a key, a leaf's giving none.
+EXPR_CHILDREN = {
+    **dict.fromkeys((IntLit, BoolLit, StrLit, Var, Qual), lambda e: []),
+    **dict.fromkeys((BinOp, Connective, Eq), lambda e: [e.left, e.right]),
+    **dict.fromkeys((UnOp, Not), lambda e: [e.operand]),
+    ConRef: lambda e: list(e.args),
+    Call: lambda e: [e.callee, *e.args],
+    If: lambda e: [e.cond, e.then, e.orelse],
+    TupleExpr: lambda e: list(e.items),
+    Match: lambda e: [e.scrutinee, *(body for _, body in e.arms)],
+    Quant: lambda e: [e.body],
+}
+
+
 def expr_children(e: Expr) -> list[Expr]:
-    match e:
-        case ConRef(_, args):
-            return list(args)
-        case Call(callee, args):
-            return [callee, *args]
-        case BinOp(_, l, r) | Connective(_, l, r) | Eq(l, r):
-            return [l, r]
-        case UnOp(_, x) | Not(x):
-            return [x]
-        case If(c, t, o):
-            return [c, t, o]
-        case TupleExpr(items):
-            return list(items)
-        case Match(scrutinee, arms):
-            return [scrutinee, *(body for _, body in arms)]
-        case Quant():
-            return [e.body]
-        case _:
-            return []
+    return EXPR_CHILDREN[type(e)](e)
 
 
 def expr_walk(e: Expr):

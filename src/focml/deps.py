@@ -432,10 +432,18 @@ def _shortest_cycle(deps: dict[str, set[str]]) -> list[str]:
     return best[smallest:] + best[:smallest]
 
 
+def _scans_alike(mi: MethodInfo, other: MethodInfo | None) -> bool:
+    """A scan reads a record's kind and trees only (a reverted proof's
+    record shares its trees)."""
+    return other is not None and other.kind == mi.kind and other.body is mi.body \
+        and other.statement is mi.statement and other.proof is mi.proof
+
+
 def scan_species(
     nf: NFSpecies,
     deps_env: dict[str, SpeciesDeps],
     parent: NFSpecies | None = None,
+    inherited: tuple[NFSpecies, ...] = (),
 ) -> SpeciesDeps:
     """Syntactic pass: decl/def sets, fact validation, global order.
 
@@ -443,8 +451,9 @@ def scan_species(
     a method that holds the parent's record and that the species does not
     analyse itself (`nf.analysed`) keeps the parent's whole entry
     (`finish_deps` decides whether its finish holds too), and the order is
-    placed from the parent's (`_placed_order`).  Every other method is
-    scanned here.
+    placed from the parent's (`_placed_order`).  Another such method that
+    scans alike with a species it `inherited` takes that species' sets.
+    Every other method is scanned here.
     """
     sd = SpeciesDeps()
     parents: dict[str, MethodInfo] = {}
@@ -456,9 +465,13 @@ def scan_species(
         old = parents.get(name)
         if mi is old and name not in nf.analysed:
             continue
-        md = MethodDeps(
-            decl=frozenset(decl_deps(mi, nf)), defs=frozenset(def_deps(mi, nf))
-        )
+        alike = () if name in nf.analysed else inherited
+        alike = [p for p in alike if _scans_alike(mi, p.methods.get(name))]
+        if alike:
+            md = deps_env[alike[0].name].methods[name]
+            md = MethodDeps(decl=md.decl, defs=md.defs)
+        else:
+            md = MethodDeps(decl=frozenset(decl_deps(mi, nf)), defs=frozenset(def_deps(mi, nf)))
         if (
             old is None
             or old.order_site() != mi.order_site()

@@ -220,7 +220,7 @@ def _register_species(cu: CompiledUnit, decl: SpeciesDecl) -> None:
                 severity="warning",
             )
         )
-    sd = scan_species(nf, cu.deps, parent)
+    sd = scan_species(nf, cu.deps, parent, tuple(cu.species[se.name] for se in decl.inherits))
     _type_species(nf, sd, env)
     # Inherit arguments may name the species' own methods.
     for se, args in zip(decl.inherits, inherit_args):

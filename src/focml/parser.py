@@ -619,19 +619,17 @@ def check_stratification(unit: CompilationUnit) -> None:
             if m.kind != "let" or m.body is None:
                 continue
             for e in expr_walk(m.body):
-                match e:
-                    case Quant():
-                        raise CompileError(
-                            SYNTAX, f"quantifier in the body of {decl.name}!{m.name}", e.pos)
-                    case Connective(op, _, _):
-                        raise CompileError(
-                            SYNTAX, f"formula connective '{op}' in the body of {decl.name}!{m.name}", e.pos)
-                    case Not():
-                        raise CompileError(
-                            SYNTAX,
-                            f"formula negation '~' in the body of {decl.name}!{m.name} (use '~~')", e.pos)
-                    case _:
-                        pass
+                kind = type(e)
+                if kind is Quant:
+                    raise CompileError(
+                        SYNTAX, f"quantifier in the body of {decl.name}!{m.name}", e.pos)
+                if kind is Connective:
+                    raise CompileError(
+                        SYNTAX, f"formula connective '{e.op}' in the body of {decl.name}!{m.name}", e.pos)
+                if kind is Not:
+                    raise CompileError(
+                        SYNTAX,
+                        f"formula negation '~' in the body of {decl.name}!{m.name} (use '~~')", e.pos)
 
 
 def _parse(text: str, file: str, rule: Callable[[Parser], T], end: str | None = None) -> T:

@@ -131,6 +131,13 @@ class Unifier:
             t = self.subst[t.uid]
         return t
 
+    def shown(self, *ts: Type) -> list[str]:
+        """`ts` in full for a message, with inference variables numbered
+        '_1, '_2, ... by appearance, however many the checker made."""
+        seen: dict[int, TVar] = {}
+        number = lambda n: seen.setdefault(n.uid, TVar(len(seen) + 1)) if isinstance(n, TVar) else n
+        return [type_to_source(type_map(self.deep(t), number)) for t in ts]
+
     def deep(self, t: Type) -> Type:
         t = self.resolve(t)
         match t:
@@ -150,13 +157,21 @@ class Unifier:
         )
 
     def _occurs(self, uid: int, t: Type) -> bool:
-        return any(
-            isinstance(n, TVar) and n.uid == uid for n in type_walk(self.deep(t))
-        )
+        todo = [t]
+        while todo:
+            t = self.resolve(todo.pop())
+            if isinstance(t, TVar) and t.uid == uid:
+                return True
+            todo += (t.arg, t.res) if isinstance(t, TArrow) else t.items if isinstance(t, TTuple) else ()
+        return False
 
     def unify(self, a: Type, b: Type, pos: Pos = NOPOS) -> None:
-        a, b = self.resolve(a), self.resolve(b)
-        if same(a, b):
+        subst = self.subst
+        while type(a) is TVar and a.uid in subst:
+            a = subst[a.uid]
+        while type(b) is TVar and b.uid in subst:
+            b = subst[b.uid]
+        if a is b or same(a, b):
             if isinstance(a, TSelf):
                 self.touched_self = True
             return
@@ -173,14 +188,13 @@ class Unifier:
             if self.mode == "statement":
                 raise CompileError(
                     CARRIER_LEAK,
-                    "statement constrains Self to "
-                    f"{type_to_source(self.deep(other))}",
+                    f"statement constrains Self to {self.shown(other)[0]}",
                     pos,
                 )
             if self.rep is None:
                 raise CompileError(
                     TYPE_MISMATCH,
-                    f"cannot unify Self with {type_to_source(self.deep(other))}",
+                    f"cannot unify Self with {self.shown(other)[0]}",
                     pos,
                 )
             self.used_rep = True
@@ -194,11 +208,10 @@ class Unifier:
                     self.unify(x, y, pos)
                 return
             case _:
-                a, b = self.deep(a), self.deep(b)
-                left, right = type_to_source(a), type_to_source(b)
+                left, right = self.shown(a, b)
                 message = f"cannot unify {left} with {right}"
                 if left == right:  # a parameter's carrier and a collection's
-                    message += f" ({_carriers(a)} against {_carriers(b)})"
+                    message += f" ({_carriers(self.deep(a))} against {_carriers(self.deep(b))})"
                 raise CompileError(TYPE_MISMATCH, message, pos)
 
     def generalize(self, t: Type) -> Scheme:
@@ -298,22 +311,16 @@ def infer_expr(
         case Call(callee, args):
             tc = infer_expr(callee, locals_, env, uni)
             tas = [infer_expr(a, locals_, env, uni) for a in args]
-            ret = uni.fresh()
-            uni.unify(tc, arrow(*tas, ret), e.pos)
-            return ret
+            return _applied(tc, tas, e.pos, uni)
         case BinOp(op, left, right):
             sig = uni.instantiate(BUILTIN_FUNCTIONS[op].scheme)
             tl = infer_expr(left, locals_, env, uni)
             tr = infer_expr(right, locals_, env, uni)
-            ret = uni.fresh()
-            uni.unify(sig, arrow(tl, tr, ret), e.pos)
-            return ret
+            return _applied(sig, [tl, tr], e.pos, uni)
         case UnOp(op, operand):
             sig = uni.instantiate(BUILTIN_FUNCTIONS[op].scheme)
             t = infer_expr(operand, locals_, env, uni)
-            ret = uni.fresh()
-            uni.unify(sig, arrow(t, ret), e.pos)
-            return ret
+            return _applied(sig, [t], e.pos, uni)
         case Eq(left, right):
             tl = infer_expr(left, locals_, env, uni)
             tr = infer_expr(right, locals_, env, uni)
@@ -343,6 +350,21 @@ def infer_expr(
             )
         case _:
             raise CompileError(TYPE_MISMATCH, "unsupported expression", e.pos)
+
+
+def _applied(tc: Type, tas: list[Type], pos: Pos, uni: Unifier) -> Type:
+    """The result of applying a `tc` to arguments of types `tas`: the
+    unifications of `unify(tc, arrow(*tas, fresh))`, in its order, with no
+    arrow built while `tc` resolves to one."""
+    for i, ta in enumerate(tas):
+        tc = uni.resolve(tc)
+        if not isinstance(tc, TArrow):  # a variable, Self, or too many arguments
+            ret = uni.fresh()
+            uni.unify(tc, arrow(*tas[i:], ret), pos)
+            return ret
+        uni.unify(tc.arg, ta, pos)
+        tc = tc.res
+    return tc
 
 
 def type_pattern(
@@ -472,7 +494,7 @@ def type_let(
                 raise CompileError(
                     TYPE_MISMATCH,
                     f"redefinition of {m.name} changes its type: "
-                    f"{type_to_source(uni.deep(full))} vs "
+                    f"{uni.shown(full)[0]} vs "
                     f"{type_to_source(stored.body)}",
                     m.pos,
                 ) from None

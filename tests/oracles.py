@@ -3,8 +3,9 @@
 Everything in this module is deliberately written from first principles on
 plain dicts/sets/lists, without importing the package under test, so that
 test expectations do not inherit bugs from the implementation.  The output
-references at the end are the exception: they print trees with the
-package's printers, and pin the layout and what each species gets.
+references and the typing reference at the end are the exceptions: the
+first print trees with the package's printers, and pin the layout and what
+each species gets; the second types with the package's type classes.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import count, permutations
 
 
 def def_closure(def_deps: dict[str, set[str]], x: str) -> set[str]:
@@ -710,3 +711,223 @@ def doc_text(cu) -> str:
     while lines and not lines[-1]:
         lines.pop()
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Typing reference: the unifier and expression inference with no shortcut.
+# A call or an operator builds the arrow of its argument types and a fresh
+# result, which `unify` takes apart again.  `test_properties` runs the
+# package's own method typing with these two swapped in, so they use the
+# package's type classes and diagnostics.
+
+from focml.ast import (  # noqa: E402
+    NOPOS, BinOp, BoolLit, Call, ConRef, Connective, Eq, Expr, If, IntLit, Match,
+    Not, Pos, Quant, Qual, Scheme, StrLit, TArrow, TCon, TGen, TSelf, TTuple,
+    TVar, TupleExpr, Type, T_BOOL, T_INT, T_STRING, UnOp, Var, arrow, same,
+    type_map, type_walk,
+)
+from focml.basics import BUILTIN_FUNCTIONS  # noqa: E402
+from focml.errors import CARRIER_LEAK, TYPE_MISMATCH, UNKNOWN, CompileError  # noqa: E402
+from focml.pretty import type_to_source  # noqa: E402
+from focml.resolve import BUILTIN, ENTITY, LOCAL, PARAM  # noqa: E402
+from focml.typecheck import SpeciesTypeEnv, _carriers, type_pattern  # noqa: E402
+
+
+class Unifier:
+    """Unification state for one method (or one proof tree), with no
+    shortcut.
+
+    mode='body' lets Self expand to the representation; mode='statement'
+    keeps Self rigid and reports expansion attempts as carrier leaks.
+    """
+
+    def __init__(self, rep: Type | None = None, mode: str = "body"):
+        assert mode in ("body", "statement")
+        self.rep = rep
+        self.mode = mode
+        self.subst: dict[int, Type] = {}
+        self.used_rep = False
+        self.touched_self = False
+        self._fresh = count()
+
+    def fresh(self) -> TVar:
+        return TVar(next(self._fresh) + 1_000_000)
+
+    def resolve(self, t: Type) -> Type:
+        while isinstance(t, TVar) and t.uid in self.subst:
+            t = self.subst[t.uid]
+        return t
+
+    def deep(self, t: Type) -> Type:
+        t = self.resolve(t)
+        match t:
+            case TArrow(a, r):
+                return TArrow(self.deep(a), self.deep(r))
+            case TTuple(items):
+                return TTuple(tuple([self.deep(i) for i in items]))
+            case _:
+                return t
+
+    def instantiate(self, scheme: Scheme) -> Type:
+        if scheme.count == 0:
+            return scheme.body
+        fresh = [self.fresh() for _ in range(scheme.count)]
+        return type_map(
+            scheme.body, lambda n: fresh[n.idx] if isinstance(n, TGen) else n
+        )
+
+    def _occurs(self, uid: int, t: Type) -> bool:
+        return any(
+            isinstance(n, TVar) and n.uid == uid for n in type_walk(self.deep(t))
+        )
+
+    def unify(self, a: Type, b: Type, pos: Pos = NOPOS) -> None:
+        a, b = self.resolve(a), self.resolve(b)
+        if same(a, b):
+            if isinstance(a, TSelf):
+                self.touched_self = True
+            return
+        if isinstance(a, TVar):
+            if self._occurs(a.uid, b):
+                raise CompileError(TYPE_MISMATCH, "infinite type", pos)
+            self.subst[a.uid] = b
+            return
+        if isinstance(b, TVar):
+            return self.unify(b, a, pos)
+        if isinstance(a, TSelf) or isinstance(b, TSelf):
+            self.touched_self = True
+            other = b if isinstance(a, TSelf) else a
+            if self.mode == "statement":
+                raise CompileError(
+                    CARRIER_LEAK,
+                    "statement constrains Self to "
+                    f"{type_to_source(self.deep(other))}",
+                    pos,
+                )
+            if self.rep is None:
+                raise CompileError(
+                    TYPE_MISMATCH,
+                    f"cannot unify Self with {type_to_source(self.deep(other))}",
+                    pos,
+                )
+            self.used_rep = True
+            return self.unify(self.rep, other, pos)
+        match a, b:
+            case TArrow(a1, r1), TArrow(a2, r2):
+                self.unify(a1, a2, pos)
+                return self.unify(r1, r2, pos)
+            case TTuple(i1), TTuple(i2) if len(i1) == len(i2):
+                for x, y in zip(i1, i2):
+                    self.unify(x, y, pos)
+                return
+            case _:
+                a, b = self.deep(a), self.deep(b)
+                left, right = type_to_source(a), type_to_source(b)
+                message = f"cannot unify {left} with {right}"
+                if left == right:  # a parameter's carrier and a collection's
+                    message += f" ({_carriers(a)} against {_carriers(b)})"
+                raise CompileError(TYPE_MISMATCH, message, pos)
+
+    def generalize(self, t: Type) -> Scheme:
+        t = self.deep(t)
+        seen: dict[int, int] = {}
+        for node in type_walk(t):
+            if isinstance(node, TVar) and node.uid not in seen:
+                seen[node.uid] = len(seen)
+        if not seen:
+            return Scheme(0, t)
+        body = type_map(
+            t, lambda n: TGen(seen[n.uid]) if isinstance(n, TVar) else n
+        )
+        return Scheme(len(seen), body)
+
+
+def infer_expr(
+    e: Expr, locals_: dict[str, Type], env: SpeciesTypeEnv, uni: Unifier
+) -> Type:
+    match e:
+        case IntLit():
+            return T_INT
+        case BoolLit():
+            return T_BOOL
+        case StrLit():
+            return T_STRING
+        case Var(name, ref):
+            if ref == LOCAL:
+                return locals_[name]
+            if ref == ENTITY:
+                return env.entity_params[name]
+            if ref == BUILTIN:
+                return uni.instantiate(BUILTIN_FUNCTIONS[name].scheme)
+            if name not in env.methods:  # a property, or itself
+                raise CompileError(UNKNOWN, f"unknown name {name}", e.pos)
+            return uni.instantiate(env.methods[name])
+        case Qual(coll, name, ref):
+            iface = (env.param_ifaces if ref == PARAM else env.collections)[coll]
+            if name not in iface:
+                raise CompileError(
+                    UNKNOWN, f"{coll} has no method {name}", e.pos
+                )
+            return uni.instantiate(iface[name])
+        case ConRef(name, args):
+            if name not in env.constructors:
+                raise CompileError(UNKNOWN, f"unknown constructor {name}", e.pos)
+            union, argtys = env.constructors[name]
+            if len(args) != len(argtys):
+                raise CompileError(
+                    TYPE_MISMATCH,
+                    f"constructor {name} expects {len(argtys)} argument(s), "
+                    f"got {len(args)}",
+                    e.pos,
+                )
+            for a, ty in zip(args, argtys):
+                uni.unify(infer_expr(a, locals_, env, uni), ty, a.pos)
+            return TCon(union)
+        case Call(callee, args):
+            tc = infer_expr(callee, locals_, env, uni)
+            tas = [infer_expr(a, locals_, env, uni) for a in args]
+            ret = uni.fresh()
+            uni.unify(tc, arrow(*tas, ret), e.pos)
+            return ret
+        case BinOp(op, left, right):
+            sig = uni.instantiate(BUILTIN_FUNCTIONS[op].scheme)
+            tl = infer_expr(left, locals_, env, uni)
+            tr = infer_expr(right, locals_, env, uni)
+            ret = uni.fresh()
+            uni.unify(sig, arrow(tl, tr, ret), e.pos)
+            return ret
+        case UnOp(op, operand):
+            sig = uni.instantiate(BUILTIN_FUNCTIONS[op].scheme)
+            t = infer_expr(operand, locals_, env, uni)
+            ret = uni.fresh()
+            uni.unify(sig, arrow(t, ret), e.pos)
+            return ret
+        case Eq(left, right):
+            tl = infer_expr(left, locals_, env, uni)
+            tr = infer_expr(right, locals_, env, uni)
+            uni.unify(tl, tr, e.pos)
+            return T_BOOL
+        case If(cond, then, orelse):
+            uni.unify(infer_expr(cond, locals_, env, uni), T_BOOL, cond.pos)
+            tt = infer_expr(then, locals_, env, uni)
+            to = infer_expr(orelse, locals_, env, uni)
+            uni.unify(tt, to, e.pos)
+            return tt
+        case TupleExpr(items):
+            return TTuple(
+                tuple([infer_expr(i, locals_, env, uni) for i in items])
+            )
+        case Match(scrutinee, arms):
+            ts = infer_expr(scrutinee, locals_, env, uni)
+            result = uni.fresh()
+            for pat, body in arms:
+                binds = type_pattern(pat, ts, env, uni)
+                tb = infer_expr(body, {**locals_, **binds}, env, uni)
+                uni.unify(tb, result, body.pos)
+            return result
+        case Quant() | Connective() | Not():
+            raise CompileError(
+                TYPE_MISMATCH, "formula in function body", e.pos
+            )
+        case _:
+            raise CompileError(TYPE_MISMATCH, "unsupported expression", e.pos)

@@ -198,3 +198,14 @@ def test_same_compares_deep_nodes_field_by_field():
 
     assert same(nots(5000, "local", 1), nots(5000, None, 2))
     assert not same(nots(5000, None, 1), nots(5000, None, 1).operand)
+
+
+def test_every_expression_class_has_its_children():
+    # a class added later must say what its children are, even none
+    classes = {
+        c for c in vars(ast).values()
+        if isinstance(c, type) and issubclass(c, ast.Expr) and c is not ast.Expr
+    }
+    assert set(ast.EXPR_CHILDREN) == classes
+    e = ast.Match(Var("s"), [(ast.PWild(), Var("a")), (ast.PWild(), Not(Var("b")))])
+    assert [type(x).__name__ for x in ast.expr_walk(e)] == ["Match", "Var", "Var", "Not", "Var"]

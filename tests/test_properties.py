@@ -18,12 +18,13 @@ import random
 import re
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
 
-from focml import compile_source, compile_unit, deps, driver, evaluator
+from focml import ast, compile_source, compile_unit, deps, driver, evaluator, resolve, typecheck
 from focml.ast import (
     BinOp, BoolLit, Call, ConRef, Connective, Eq, Expr, If, IntLit, Match, Not, PCon,
     PTuple, PVar, PWild, ProofLeaf, Qual, Quant, StrLit, TCon, TTuple,
@@ -281,10 +282,14 @@ def record_fields(mi) -> dict:
     return {k: copy.copy(v) if isinstance(v, (list, set)) else v for k, v in vars(mi).items()}
 
 
+# What the typing oracle compared while the fixtures compiled their units
+TYPINGS = Counter()
+
+
 def watched_compile(sources) -> tuple:
     """`compile_unit(sources)`, and each species' method records with their
     fields (`record_fields`) as they were when the species was
-    registered."""
+    registered.  Every method is typed both ways (`typed_both_ways`)."""
     registered = {}
     register = driver._register_species
 
@@ -293,7 +298,7 @@ def watched_compile(sources) -> tuple:
         methods = cu.species[decl.name].methods
         registered[decl.name] = {n: (mi, record_fields(mi)) for n, mi in methods.items()}
 
-    with pytest.MonkeyPatch.context() as m:
+    with pytest.MonkeyPatch.context() as m, typed_both_ways(TYPINGS):
         m.setattr(driver, "_register_species", watched)
         return compile_unit(sources), registered
 
@@ -1596,6 +1601,24 @@ def test_an_heir_orders_only_what_it_changes(monkeypatch):
     assert len(cu.species) > 40
 
 
+def test_an_heir_scans_only_what_it_changes(monkeypatch):
+    # at 112 levels, 28 diamonds bring a later parent's records and 112
+    # reverted proofs get new records, none of them with new trees
+    calls = Counter()
+    full = deps.decl_deps
+
+    def counted(mi, nf):
+        calls[nf.name] += 1
+        return full(mi, nf)
+
+    workloads = benchmark_workloads()
+    monkeypatch.setattr(workloads, "CHAIN_LEVELS", 112)
+    monkeypatch.setattr(deps, "decl_deps", counted)
+    cu = compile_unit(list(workloads.chain(1).files.items()))
+    assert len(cu.species) > 160
+    assert calls.total() <= 620, calls.most_common(5)
+
+
 def test_an_heir_shares_what_it_does_not_change():
     cu = compile_source(SHARING)
     s, t, u, v = (cu.species[n] for n in "STUV")
@@ -1710,3 +1733,168 @@ def test_evaluator_agrees_with_the_reference(complete_units, monkeypatch):
     monkeypatch.setattr(evaluator, "MAX_DEPTH", 2)
     kinds = run_eval_suite(cus, 3, 2)
     assert kinds["value"] and kinds["DepthLimit"]
+
+
+# ---------------------------------------------------------------------------
+# Typing: `focml.typecheck` against the reference unifier and expression
+# inference of `tests/oracles.py`, which build every arrow they unify
+
+TYPED = ("type_let", "check_statement", "check_proof")
+
+# Units on which the shortcuts' fallbacks decide: a callee that is a
+# variable, Self, or not a function, a call with too many or too few
+# arguments, and infinite types, in bodies and statements.
+TYPING_EDGES = [
+    "species S =\n" + body + "\nend ;;"
+    for body in (
+        "  let ap (f, x) = f (x) ;\n  let twice (f, x) = f (f (x)) ;\n  let c (f, x) = f (x) + 1 ;",
+        "  let w (f) = f (f) ;",
+        "  let r (f) = f (1, f) ;",
+        "  let bad (x : int) : int = x (1) ;",
+        "  let inc (x : int) : int = x + 1 ;\n  let o (x : int) : int = inc (x, x) ;",
+        "  let add (x : int, y : int) : int = x + y ;\n  let u (x : int) : int = add (x) ;",
+        "  representation = int ;\n  let s (x : Self) : int = x (1) ;",
+        "  let s (x : Self) : int = x (1) ;",
+        "  representation = int ;\n  property p : all x : Self, x (1) = 1 ;",
+        "  property q : all x : Self, x + 1 = 2 ;",
+        "  let id (x) = x ;\n  let k (x : int) : bool = id (x) ;",
+        "  let p (x) = (fst (x), snd (x) + 1) ;\n  let q (x : int) : int = fst (p (x)) ;",
+    )
+]
+
+LITERAL = re.compile(r"(?<![\w<>])\d+(?![\w>])")
+INT_TYPE = re.compile(r"\bint\b")
+TWO_ARGS = re.compile(r"\(([^(),;]+), [^(),;]+\)")
+
+
+def ill_typed(rng: random.Random, text: str) -> str:
+    """`text` with one seeded change that is most often a type error: an
+    integer literal swapped for `true`, a string or a pair, the type `int`
+    swapped for `Self`, or the second of two arguments dropped."""
+    how = rng.randrange(5)
+    pattern = LITERAL if how < 3 else INT_TYPE if how == 3 else TWO_ARGS
+    sites = list(pattern.finditer(text))
+    if not sites:
+        return text
+    m = rng.choice(sites)
+    new = ("true", '"s"', f"({m[0]}, {m[0]})", "Self")[how] if how < 4 else f"({m[1]})"
+    return text[: m.start()] + new + text[m.end():]
+
+
+def numbered(message: str) -> str:
+    """`message` with its inference variables numbered by appearance."""
+    seen: dict[str, int] = {}
+    return re.sub(r"'_(\d+)", lambda m: f"'_{seen.setdefault(m[1], len(seen) + 1)}", message)
+
+
+def typing_outcome(run, args) -> tuple:
+    """What `run(*args)` returns, or its diagnostic's kind, position, text
+    and witness, with the error itself."""
+    try:
+        return run(*args), None
+    except CompileError as err:
+        return (err.kind, err.pos, numbered(err.message), err.witness), err
+    except RecursionError as err:  # a cyclic type, which no diagnostic names
+        return "RecursionError", err
+
+
+@contextmanager
+def typed_both_ways(seen: Counter):
+    """Every method the driver types is typed by `focml.typecheck` and
+    again by the same code with the reference `Unifier` and `infer_expr`
+    swapped in: the two must give equal typings, or equal diagnostics."""
+
+    def both(run):
+        def checked(*args):
+            got, err = typing_outcome(run, args)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(typecheck, "Unifier", oracles.Unifier)
+                m.setattr(typecheck, "infer_expr", oracles.infer_expr)
+                want, _ = typing_outcome(run, args)
+            assert got == want, args[0]
+            seen[run.__name__] += 1
+            if err is not None:
+                seen[getattr(err, "kind", "")] += 1
+                raise err
+            return got
+
+        return checked
+
+    with pytest.MonkeyPatch.context() as m:
+        for name in TYPED:
+            m.setattr(driver, name, both(getattr(typecheck, name)))
+        yield
+
+
+def typing_sources() -> list:
+    """Each `tests/data` file alone and after the running example."""
+    data = ROOT / "tests" / "data"
+    example = (data / "example.fcl").read_text()
+    texts = [path.read_text() for path in sorted(data.glob("*.fcl"))]
+    return [[("<unit>", text)] for text in texts] + [
+        [("<unit>", example + text)] for text in texts[1:]
+    ]
+
+
+def test_typing_agrees_with_the_reference(general_units, complete_units, workload_units):
+    # the fixtures typed their units both ways as they compiled them
+    assert TYPINGS["type_let"] >= 5000 and TYPINGS["check_proof"] >= 1000, TYPINGS
+    units = [[("<unit>", u.source)] for u in general_units + complete_units]
+    units += typing_sources() + workload_sources()[::3]  # each generator's seed 1
+    rng = random.Random(SEED + 5)
+    mutants = [[*sources[:-1], (name, ill_typed(rng, text))] for sources in units
+               for name, text in sources[-1:]]
+    seen = Counter()
+    with typed_both_ways(seen):
+        for sources in typing_sources() + mutants + [[("<unit>", s)] for s in TYPING_EDGES]:
+            try:
+                compile_unit(sources)
+            except CompileError:
+                pass
+    assert seen["type_let"] >= 2000 and seen["check_statement"] >= 1000, seen
+    assert seen["TypeMismatch"] >= 250 and seen["WrongCarrierLeak"] >= 20, seen
+
+
+# ---------------------------------------------------------------------------
+# Complexity, by counts and not by a clock
+
+
+def counted_compile(sources) -> Counter:
+    """The `unify` and `expr_children` calls compiling `sources` makes."""
+    calls = Counter()
+    unify, children = typecheck.Unifier.unify, ast.expr_children
+
+    def counted_unify(uni, *args):
+        calls["unify"] += 1
+        return unify(uni, *args)
+
+    def counted_children(e):
+        calls["expr_children"] += 1
+        return children(e)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(typecheck.Unifier, "unify", counted_unify)
+        m.setattr(ast, "expr_children", counted_children)
+        m.setattr(resolve, "expr_children", counted_children)
+        compile_unit(sources)
+    return calls
+
+
+def test_typing_a_wide_unit_builds_no_arrow_to_unify():
+    # 800 lets of about 20 nodes each: a call or an operator unifies its
+    # arguments with the callee's parameters, not with an arrow made for it
+    wide = workload_sources()[3]
+    assert wide[-1][0] == "wide.fcl"
+    assert counted_compile(wide)["unify"] <= 13_000
+
+
+def test_typing_and_walks_are_linear_in_the_number_of_lets(monkeypatch):
+    workloads = benchmark_workloads()
+
+    def wide(lets: int) -> Counter:
+        monkeypatch.setattr(workloads, "WIDE_LETS", lets)
+        return counted_compile(list(workloads.wide(1).files.items()))
+
+    small, large = wide(200), wide(800)
+    for what in ("unify", "expr_children"):
+        assert 0 < large[what] <= 4.5 * small[what], (what, small, large)

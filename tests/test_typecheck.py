@@ -663,3 +663,21 @@ end ;;
         compile_source(holder + bad)
     assert e.value.kind == "UnknownName"
     assert (e.value.pos.line, e.value.pos.col) == (12, bad.rindex("CI") + 1)
+
+
+def test_a_message_numbers_inference_variables_by_appearance():
+    # '_1, '_2, ... from the start of each message, however many variables
+    # the checker made before it
+    src = """
+species X =
+  let h (x, y) : int =
+    if y + 1 =0x 2 then (match x with | (a, b) -> if x = (b, a) then 1 else x + 1) else 0 ;
+end ;;
+"""
+    with pytest.raises(CompileError) as e:
+        compile_source(src)
+    assert e.value.kind == "TypeMismatch"
+    assert e.value.message == "cannot unify int with '_1 * '_1"
+    with pytest.raises(CompileError) as e:
+        compile_source(src.replace("if x = (b, a) then 1 else x + 1", "x + 1"))
+    assert e.value.message == "cannot unify int with '_1 * '_2"
