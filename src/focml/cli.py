@@ -39,7 +39,15 @@ def _write(target: str, text: str) -> None:
 
 
 def _compile(files: list[str]) -> CompiledUnit:
-    cu = compile_files(files)
+    # Compiling builds a graph that lives as long as the command: paused, the
+    # cyclic collector does not walk it again and again as it grows.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cu = compile_files(files)
+    finally:
+        if enabled:
+            gc.enable()
     for w in cu.warnings:
         _report(w)
     return cu

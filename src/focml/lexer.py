@@ -6,13 +6,16 @@ nested `(* ... *)` comments.
 
 One master regex reads a token at a time, its alternatives in priority
 order; positions come from the offset of the current line's first character.
+A token is a named tuple, built with `tuple.__new__`: the one Python-level
+call a token costs is its `Pos`, and a line break costs none.
 """
 
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
-from .ast import Frozen, Pos
+from .ast import Pos
 from .errors import CompileError, SYNTAX
 
 KEYWORDS = {
@@ -55,24 +58,11 @@ _COMMENT_MARK = re.compile(r"\(\*|\*\)")
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
-class Token(Frozen):
-    __match_args__ = ("kind", "value", "pos", "bullet")
-
-    def __init__(
-        self,
-        kind: str,  # 'ident' | 'capid' | 'int' | 'string' | 'bullet' | 'eof' | keyword | operator
-        value: str,
-        pos: Pos,
-        bullet: tuple[int, str] | None = None,
-    ):
-        d = self.__dict__
-        d["kind"] = kind
-        d["value"] = value
-        d["pos"] = pos
-        d["bullet"] = bullet
-
-    def __repr__(self) -> str:
-        return f"Token({self.kind!r}, {self.value!r}, {self.pos})"
+class Token(NamedTuple):
+    kind: str  # 'ident' | 'capid' | 'int' | 'string' | 'bullet' | 'eof' | keyword | operator
+    value: str
+    pos: Pos
+    bullet: tuple[int, str] | None = None
 
 
 def _comment_end(text: str, i: int) -> int:
@@ -89,31 +79,38 @@ def tokenize(text: str, file: str = "<input>") -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
     match = _TOKEN.match
+    new = tuple.__new__
     line, bol = 1, 0  # the current line and the offset where it begins
     i = 0
     while True:
         m = match(text, i)
         kind = m.lastgroup
         i, j = m.start(kind), m.end()
+        if kind == "newline":
+            line += text.count("\n", i, j)
+            bol = text.rindex("\n", i, j) + 1
+            i = j
+            continue
         value = m[kind]
         pos = Pos(line, i - bol + 1)
         if kind == "ident":
-            append(Token(value if value in KEYWORDS else "ident", value, pos))
+            append(new(Token, (value if value in KEYWORDS else "ident", value, pos, None)))
         elif kind == "op":
-            append(Token(value, value, pos))
+            append(new(Token, (value, value, pos, None)))
         elif kind == "capid":
-            append(Token("Self" if value == "Self" else "capid", value, pos))
+            append(new(Token, ("Self" if value == "Self" else "capid", value, pos, None)))
         elif kind == "int":
-            append(Token("int", value, pos))
+            append(new(Token, ("int", value, pos, None)))
         elif kind == "bullet":
-            append(Token("bullet", value, pos, (int(m["depth"]), m["tag"])))
+            append(new(Token, ("bullet", value, pos, (int(m["depth"]), m["tag"]))))
         elif kind == "end":
-            append(Token("eof", "", pos))
+            append(new(Token, ("eof", "", pos, None)))
             return tokens
         else:
             if kind == "string":
                 body = value[1:-1]
-                append(Token("string", _ESCAPE.sub(r"\1", body) if "\\" in body else body, pos))
+                body = _ESCAPE.sub(r"\1", body) if "\\" in body else body
+                append(new(Token, ("string", body, pos, None)))
             elif kind == "comment":
                 j = _comment_end(text, j)
                 if j < 0:
@@ -122,7 +119,7 @@ def tokenize(text: str, file: str = "<input>") -> list[Token]:
                 raise CompileError(SYNTAX, "unterminated string literal", pos)
             elif kind == "bad":
                 raise CompileError(SYNTAX, f"unexpected character {value!r}", pos)
-            # a line break, a string or a comment may span lines
+            # a string or a comment may span lines
             lines = text.count("\n", i, j)
             if lines:
                 line += lines

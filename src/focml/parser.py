@@ -1,11 +1,12 @@
-"""Recursive-descent parser.
+"""Recursive-descent parser, with one precedence-climbing loop for operators.
 
 Statements and function bodies share one expression grammar; the logical
 connectives sit at the lowest precedence levels and a post-parse
-stratification pass rejects them inside `let` bodies.  Proof well-formedness
-(qed closes every step list, `by step` references an earlier sibling, bullet
-depths nest one by one) is enforced here because it is decidable at parse
-time.
+stratification pass rejects them inside `let` bodies.  The parser counts the
+formula nodes it builds, so that pass walks only the bodies that hold one.
+Proof well-formedness (qed closes every step list, `by step` references an
+earlier sibling, bullet depths nest one by one) is enforced here because it
+is decidable at parse time.
 
 Nesting has no limit of its own: each level recurses in Python, and a
 nesting deeper than the stack holds is a `DepthLimit` diagnostic.
@@ -29,11 +30,29 @@ T = TypeVar("T")
 
 _FACT_KEYWORDS = ("definition", "property", "hypothesis", "step", "type")
 
+# Operator levels, loosest first: the prefix `~` sits between `/\` and `=`,
+# and `~~` above `+`.
+_IMPLIES, _NOT, _UNARY = 1, 4, 9
+# A binary operator's level, and the highest level that may follow the node
+# it builds: its own when it is left-associative, one less when it is not,
+# and none after `->`, which takes a whole expression on its right.
+_BINARY = {
+    "->": (_IMPLIES, 0),
+    "\\/": (2, 2),
+    "/\\": (3, 3),
+    "=": (5, 4),
+    "&&": (6, 6),
+    "<0x": (7, 6), "=0x": (7, 6),
+    "+": (8, 8), "-": (8, 8),
+}
+
 
 class Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.formulas = 0  # the `Quant`, `Connective` and `Not` nodes built
+        self.formula_lets: list[tuple[SpeciesDecl, MethodDecl]] = []  # lets that hold one
 
     # -- token plumbing -----------------------------------------------------
 
@@ -213,10 +232,13 @@ class Parser:
                     self.expect(")")
                 ret = self.parse_type() if self.accept(":") else None
                 self.expect("=")
+                formulas = self.formulas
                 body = self.parse_expr()
                 self.expect(";")
                 decl.methods.append(MethodDecl(
                     "let", name.value, params=params, ret=ret, body=body, rec=rec, pos=name.pos))
+                if self.formulas != formulas:
+                    self.formula_lets.append((decl, decl.methods[-1]))
             case "property":
                 self.next()
                 name = self.ident("a property name")
@@ -310,19 +332,20 @@ class Parser:
     # -- expressions ----------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         match tok.kind:
             case "all" | "ex":
-                self.next()
+                self.i += 1
                 vars = [self.ident("a bound variable").value]
                 while self.at("ident"):
                     vars.append(self.next().value)
                 self.expect(":")
                 ty = self.parse_type()
                 self.expect(",")
+                self.formulas += 1
                 return Quant(tok.kind, vars, ty, self.parse_expr(), pos=tok.pos)
             case "if":
-                self.next()
+                self.i += 1
                 cond = self.parse_expr()
                 self.expect("then")
                 then = self.parse_expr()
@@ -331,7 +354,7 @@ class Parser:
             case "match":
                 return self.parse_match()
             case _:
-                return self.parse_implication()
+                return self.parse_operators(_IMPLIES)
 
     def parse_match(self) -> Match:
         pos = self.expect("match").pos
@@ -371,75 +394,51 @@ class Parser:
             case _:
                 raise CompileError(SYNTAX, f"expected a pattern, found {tok.value!r}", tok.pos)
 
-    def parse_implication(self) -> Expr:
-        left = self.parse_disjunction()
-        if self.at("->"):
-            pos = self.next().pos
-            return Connective("->", left, self.parse_expr(), pos=pos)
-        return left
-
-    def parse_disjunction(self) -> Expr:
-        left = self.parse_conjunction()
-        while self.at("\\/"):
-            pos = self.next().pos
-            left = Connective("\\/", left, self.parse_conjunction(), pos=pos)
-        return left
-
-    def parse_conjunction(self) -> Expr:
-        left = self.parse_negation()
-        while self.at("/\\"):
-            pos = self.next().pos
-            left = Connective("/\\", left, self.parse_negation(), pos=pos)
-        return left
-
-    def parse_negation(self) -> Expr:
-        if self.at("~"):
-            pos = self.next().pos
-            return Not(self.parse_negation(), pos=pos)
-        return self.parse_equality()
-
-    def parse_equality(self) -> Expr:
-        left = self.parse_bool_op()
-        if self.at("="):
-            pos = self.next().pos
-            return Eq(left, self.parse_bool_op(), pos=pos)
-        return left
-
-    def parse_bool_op(self) -> Expr:
-        left = self.parse_comparison()
-        while self.at("&&"):
-            pos = self.next().pos
-            left = BinOp("&&", left, self.parse_comparison(), pos=pos)
-        return left
-
-    def parse_comparison(self) -> Expr:
-        left = self.parse_additive()
-        if self.peek().kind in ("<0x", "=0x"):
-            tok = self.next()
-            return BinOp(tok.kind, left, self.parse_additive(), pos=tok.pos)
-        return left
-
-    def parse_additive(self) -> Expr:
-        left = self.parse_unary()
-        while self.peek().kind in ("+", "-"):
-            tok = self.next()
-            left = BinOp(tok.kind, left, self.parse_unary(), pos=tok.pos)
-        return left
-
-    def parse_unary(self) -> Expr:
-        if self.at("~~"):
-            pos = self.next().pos
-            return UnOp("~~", self.parse_unary(), pos=pos)
-        return self.parse_application()
+    def parse_operators(self, low: int) -> Expr:
+        """An operand and the operators of level `low` and above that follow
+        it, by precedence climbing over `_BINARY`.  A prefix `~` starts an
+        operand only where a negation may (`low` at most `_NOT`), and `~~`
+        anywhere; each takes an operand of its own level, after which only
+        looser operators follow it."""
+        tok = self.tokens[self.i]
+        if tok.kind == "~~":
+            self.i += 1
+            left = UnOp("~~", self.parse_operators(_UNARY), pos=tok.pos)
+            high = _UNARY - 1
+        elif tok.kind == "~" and low <= _NOT:
+            self.i += 1
+            self.formulas += 1
+            left = Not(self.parse_operators(_NOT), pos=tok.pos)
+            high = _NOT - 1
+        else:
+            left = self.parse_application()
+            high = _UNARY - 1
+        while True:
+            tok = self.tokens[self.i]
+            op = tok.kind
+            level, after = _BINARY.get(op, (0, 0))  # level 0: not an operator
+            if level < low or level > high:
+                return left
+            self.i += 1
+            right = self.parse_expr() if level == _IMPLIES else self.parse_operators(level + 1)
+            if level < _NOT:
+                self.formulas += 1
+                left = Connective(op, left, right, pos=tok.pos)
+            elif op == "=":
+                left = Eq(left, right, pos=tok.pos)
+            else:
+                left = BinOp(op, left, right, pos=tok.pos)
+            high = after
 
     def parse_application(self) -> Expr:
         e = self.parse_atom()
-        while self.at("("):
-            self.next()
+        while self.tokens[self.i].kind == "(":
+            self.i += 1
             args: list[Expr] = []
-            if not self.at(")"):
+            if self.tokens[self.i].kind != ")":
                 args.append(self.parse_expr())
-                while self.accept(","):
+                while self.tokens[self.i].kind == ",":
+                    self.i += 1
                     args.append(self.parse_expr())
             self.expect(")")
             match e:
@@ -452,28 +451,28 @@ class Parser:
         return e
 
     def parse_atom(self) -> Expr:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         match tok.kind:
+            case "ident":
+                self.i += 1
+                return Var(tok.value, pos=tok.pos)
             case "int":
-                self.next()
+                self.i += 1
                 return IntLit(int(tok.value), pos=tok.pos)
             case "string":
-                self.next()
+                self.i += 1
                 return StrLit(tok.value, pos=tok.pos)
             case "true" | "false":
-                self.next()
+                self.i += 1
                 return BoolLit(tok.kind == "true", pos=tok.pos)
-            case "ident":
-                self.next()
-                return Var(tok.value, pos=tok.pos)
             case "capid":
-                self.next()
+                self.i += 1
                 if self.accept("!"):
                     name = self.ident("a method name")
                     return Qual(tok.value, name.value, pos=tok.pos)
                 return ConRef(tok.value, [], pos=tok.pos)
             case "(":
-                self.next()
+                self.i += 1
                 items = [self.parse_expr()]
                 while self.accept(","):
                     items.append(self.parse_expr())
@@ -610,33 +609,28 @@ class Parser:
         return ProofSteps(steps, pos=first.pos)
 
 
-def check_stratification(unit: CompilationUnit) -> None:
-    """Function bodies must stay in the computational stratum."""
-    for decl in unit.decls:
-        if not isinstance(decl, SpeciesDecl):
-            continue
-        for m in decl.methods:
-            if m.kind != "let" or m.body is None:
-                continue
-            for e in expr_walk(m.body):
-                kind = type(e)
-                if kind is Quant:
-                    raise CompileError(
-                        SYNTAX, f"quantifier in the body of {decl.name}!{m.name}", e.pos)
-                if kind is Connective:
-                    raise CompileError(
-                        SYNTAX, f"formula connective '{e.op}' in the body of {decl.name}!{m.name}", e.pos)
-                if kind is Not:
-                    raise CompileError(
-                        SYNTAX,
-                        f"formula negation '~' in the body of {decl.name}!{m.name} (use '~~')", e.pos)
+def check_stratification(lets: list[tuple[SpeciesDecl, MethodDecl]]) -> None:
+    """Function bodies must stay in the computational stratum: the first
+    formula node of the first of `lets`, in source order, that holds one."""
+    for decl, m in lets:
+        for e in expr_walk(m.body):
+            kind = type(e)
+            if kind is Quant:
+                raise CompileError(
+                    SYNTAX, f"quantifier in the body of {decl.name}!{m.name}", e.pos)
+            if kind is Connective:
+                raise CompileError(
+                    SYNTAX, f"formula connective '{e.op}' in the body of {decl.name}!{m.name}", e.pos)
+            if kind is Not:
+                raise CompileError(
+                    SYNTAX,
+                    f"formula negation '~' in the body of {decl.name}!{m.name} (use '~~')", e.pos)
 
 
-def _parse(text: str, file: str, rule: Callable[[Parser], T], end: str | None = None) -> T:
-    """`rule` over the tokens of `text`, then `end` of input if named.  A
+def _parse(p: Parser, rule: Callable[[Parser], T], end: str | None = None) -> T:
+    """`rule` over the tokens of `p`, then `end` of input if named.  A
     nesting too deep for the Python stack is a `DepthLimit` at the token
     the parser reached."""
-    p = Parser(tokenize(text, file))
     try:
         out = rule(p)
     except RecursionError:
@@ -647,14 +641,15 @@ def _parse(text: str, file: str, rule: Callable[[Parser], T], end: str | None = 
 
 
 def parse_source(text: str, file: str = "<input>") -> CompilationUnit:
-    unit = _parse(text, file, Parser.parse_unit)
-    check_stratification(unit)
+    p = Parser(tokenize(text, file))
+    unit = _parse(p, Parser.parse_unit)
+    check_stratification(p.formula_lets)
     return unit
 
 
 def parse_expr_text(text: str) -> Expr:
-    return _parse(text, "<input>", Parser.parse_expr, "end of expression")
+    return _parse(Parser(tokenize(text)), Parser.parse_expr, "end of expression")
 
 
 def parse_type_text(text: str) -> Type:
-    return _parse(text, "<input>", Parser.parse_type, "end of type")
+    return _parse(Parser(tokenize(text)), Parser.parse_type, "end of type")

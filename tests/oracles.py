@@ -931,3 +931,198 @@ def infer_expr(
             )
         case _:
             raise CompileError(TYPE_MISMATCH, "unsupported expression", e.pos)
+
+
+# ---------------------------------------------------------------------------
+# Parser reference: the expression grammar as one recursive-descent method
+# per precedence level, each reading the cursor through `peek` and `at`,
+# and the stratification pass that walks every `let` body.  The package's
+# parser climbs one loop over an operator table and walks only the bodies
+# in which it built a formula node; `test_properties` checks that both give
+# the same trees, positions included, or the same diagnostic.
+
+from focml.ast import CompilationUnit, SpeciesDecl, expr_walk  # noqa: E402
+from focml.errors import DEPTH_LIMIT, SYNTAX  # noqa: E402
+from focml.lexer import tokenize as lex  # noqa: E402
+from focml.parser import Parser  # noqa: E402
+
+
+class ReferenceParser(Parser):
+    def parse_expr(self) -> Expr:
+        tok = self.peek()
+        match tok.kind:
+            case "all" | "ex":
+                self.next()
+                vars = [self.ident("a bound variable").value]
+                while self.at("ident"):
+                    vars.append(self.next().value)
+                self.expect(":")
+                ty = self.parse_type()
+                self.expect(",")
+                return Quant(tok.kind, vars, ty, self.parse_expr(), pos=tok.pos)
+            case "if":
+                self.next()
+                cond = self.parse_expr()
+                self.expect("then")
+                then = self.parse_expr()
+                self.expect("else")
+                return If(cond, then, self.parse_expr(), pos=tok.pos)
+            case "match":
+                return self.parse_match()
+            case _:
+                return self.parse_implication()
+
+    def parse_implication(self) -> Expr:
+        left = self.parse_disjunction()
+        if self.at("->"):
+            pos = self.next().pos
+            return Connective("->", left, self.parse_expr(), pos=pos)
+        return left
+
+    def parse_disjunction(self) -> Expr:
+        left = self.parse_conjunction()
+        while self.at("\\/"):
+            pos = self.next().pos
+            left = Connective("\\/", left, self.parse_conjunction(), pos=pos)
+        return left
+
+    def parse_conjunction(self) -> Expr:
+        left = self.parse_negation()
+        while self.at("/\\"):
+            pos = self.next().pos
+            left = Connective("/\\", left, self.parse_negation(), pos=pos)
+        return left
+
+    def parse_negation(self) -> Expr:
+        if self.at("~"):
+            pos = self.next().pos
+            return Not(self.parse_negation(), pos=pos)
+        return self.parse_equality()
+
+    def parse_equality(self) -> Expr:
+        left = self.parse_bool_op()
+        if self.at("="):
+            pos = self.next().pos
+            return Eq(left, self.parse_bool_op(), pos=pos)
+        return left
+
+    def parse_bool_op(self) -> Expr:
+        left = self.parse_comparison()
+        while self.at("&&"):
+            pos = self.next().pos
+            left = BinOp("&&", left, self.parse_comparison(), pos=pos)
+        return left
+
+    def parse_comparison(self) -> Expr:
+        left = self.parse_additive()
+        if self.peek().kind in ("<0x", "=0x"):
+            tok = self.next()
+            return BinOp(tok.kind, left, self.parse_additive(), pos=tok.pos)
+        return left
+
+    def parse_additive(self) -> Expr:
+        left = self.parse_unary()
+        while self.peek().kind in ("+", "-"):
+            tok = self.next()
+            left = BinOp(tok.kind, left, self.parse_unary(), pos=tok.pos)
+        return left
+
+    def parse_unary(self) -> Expr:
+        if self.at("~~"):
+            pos = self.next().pos
+            return UnOp("~~", self.parse_unary(), pos=pos)
+        return self.parse_application()
+
+    def parse_application(self) -> Expr:
+        e = self.parse_atom()
+        while self.at("("):
+            self.next()
+            args: list[Expr] = []
+            if not self.at(")"):
+                args.append(self.parse_expr())
+                while self.accept(","):
+                    args.append(self.parse_expr())
+            self.expect(")")
+            match e:
+                case ConRef(name, []) if not isinstance(e, Call):
+                    e = ConRef(name, args, pos=e.pos)
+                case Var() | Qual():
+                    e = Call(e, args, pos=e.pos)
+                case _:
+                    raise CompileError(SYNTAX, "expression is not callable", e.pos)
+        return e
+
+    def parse_atom(self) -> Expr:
+        tok = self.peek()
+        match tok.kind:
+            case "int":
+                self.next()
+                return IntLit(int(tok.value), pos=tok.pos)
+            case "string":
+                self.next()
+                return StrLit(tok.value, pos=tok.pos)
+            case "true" | "false":
+                self.next()
+                return BoolLit(tok.kind == "true", pos=tok.pos)
+            case "ident":
+                self.next()
+                return Var(tok.value, pos=tok.pos)
+            case "capid":
+                self.next()
+                if self.accept("!"):
+                    name = self.ident("a method name")
+                    return Qual(tok.value, name.value, pos=tok.pos)
+                return ConRef(tok.value, [], pos=tok.pos)
+            case "(":
+                self.next()
+                items = [self.parse_expr()]
+                while self.accept(","):
+                    items.append(self.parse_expr())
+                self.expect(")")
+                return items[0] if len(items) == 1 else TupleExpr(items, pos=tok.pos)
+            case "if" | "match" | "all" | "ex":
+                return self.parse_expr()
+            case _:
+                raise CompileError(
+                    SYNTAX, f"expected an expression, found {tok.value or tok.kind!r}", tok.pos)
+
+
+def check_every_let(unit: CompilationUnit) -> None:
+    """Function bodies must stay in the computational stratum."""
+    for decl in unit.decls:
+        if not isinstance(decl, SpeciesDecl):
+            continue
+        for m in decl.methods:
+            if m.kind != "let" or m.body is None:
+                continue
+            for e in expr_walk(m.body):
+                kind = type(e)
+                if kind is Quant:
+                    raise CompileError(
+                        SYNTAX, f"quantifier in the body of {decl.name}!{m.name}", e.pos)
+                if kind is Connective:
+                    raise CompileError(
+                        SYNTAX, f"formula connective '{e.op}' in the body of {decl.name}!{m.name}", e.pos)
+                if kind is Not:
+                    raise CompileError(
+                        SYNTAX,
+                        f"formula negation '~' in the body of {decl.name}!{m.name} (use '~~')", e.pos)
+
+
+def reference_parse(text: str, rule=None, end: str | None = None):
+    """`rule` (a whole unit, stratified, by default) over the tokens of
+    `text`, then `end` of input if named."""
+    p = ReferenceParser(lex(text))
+    try:
+        out = (rule or ReferenceParser.parse_unit)(p)
+    except RecursionError:
+        raise CompileError(DEPTH_LIMIT, "nested too deeply", p.peek().pos) from None
+    if end is not None:
+        p.expect("eof", end)
+    if rule is None:
+        check_every_let(out)
+    return out
+
+
+def reference_parse_expr(text: str):
+    return reference_parse(text, ReferenceParser.parse_expr, "end of expression")

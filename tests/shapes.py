@@ -89,6 +89,15 @@ def restated(n):
     return unit, "C!one (1)", "1"
 
 
+def implications(n):
+    statement = "all x : int, " + "x = x -> " * n + "x = x"
+    unit = _unit(
+        "let one (x : int) : int = x",
+        f"theorem t : {statement}\n  proof = by definition of one",
+    )
+    return unit, "C!one (1)", "1"
+
+
 def bool_nots(n):
     body = "~~ " * n + "b"
     value = "false" if n % 2 else "true"
@@ -146,8 +155,8 @@ def equal_values(n):
 SHAPES: dict[str, Callable[[int], tuple[str, str, str]]] = {
     f.__name__: f
     for f in (
-        parens, plus, ifs, calls, matches, patterns, nots, restated, bool_nots,
-        arrows, redeclared, proof, tuples, value, equal_values,
+        parens, plus, ifs, calls, matches, patterns, nots, restated, implications,
+        bool_nots, arrows, redeclared, proof, tuples, value, equal_values,
     )
 }
 COMMANDS = ("check", "deps", "emit", "doc", "eval")

@@ -113,6 +113,28 @@ def test_main_leaves_nothing_frozen(capsys):
     assert gc.get_freeze_count() == 0
 
 
+def test_main_leaves_the_collector_on_and_evaluates_with_it(capsys, monkeypatch):
+    # compiling pauses the cyclic collector; evaluating runs with it
+    from focml import evaluator
+
+    eval_call, during = evaluator.eval_call, []
+
+    def watched(cu, call):
+        during.append(gc.isenabled())
+        return eval_call(cu, call)
+
+    monkeypatch.setattr(evaluator, "eval_call", watched)
+    for argv, code in (
+        (("eval", *EXAMPLE, "--call", "In_5_10!filter (12)"), 0),
+        (("check", *data("wrong.fcl")), 1),  # a CompileError
+        (("eval", *EXAMPLE, "--call", "In_5_10!nope (1)"), 1),  # an EvalFailure
+        (("check", "no/such/file.fcl"), 2),
+    ):
+        assert run(capsys, *argv)[0] == code, argv
+        assert gc.isenabled(), argv
+    assert during == [True, True]
+
+
 # ---------------------------------------------------------------------------
 # deps
 
@@ -269,7 +291,7 @@ def test_deep_inputs_end_in_output_or_a_diagnostic_in_a_process(tmp_path):
     proc = focml("eval", str(long_sum), "--call", "C!f (1)")
     assert (proc.returncode, proc.stdout) == (0, "3000\n")
     deep = tmp_path / "deep.fcl"
-    n = 25_000  # 12 frames a level: past the recursion limit of 200,000
+    n = 60_000  # 4 frames a level: past the recursion limit of 200,000
     deep.write_text(f"species S =\n  let f (x : int) : int = {'(' * n}x{')' * n} ;\nend ;;\n")
     proc = focml("check", str(deep))
     assert (proc.returncode, proc.stdout) == (1, "")

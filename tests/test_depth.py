@@ -31,7 +31,7 @@ def test_deep_and_long_inputs_end_in_output_or_a_diagnostic(shape, tmp_path):
 
 
 def test_past_the_limit_is_a_depth_limit_at_the_token_reached(tmp_path):
-    n = 25_000  # 12 frames a level: past the recursion limit of 200,000
+    n = 60_000  # 4 frames a level: past the recursion limit of 200,000
     source, call, _ = shapes.parens(n)
     path = tmp_path / "deep.fcl"
     path.write_text(source)
@@ -46,7 +46,8 @@ def test_past_the_limit_is_a_depth_limit_at_the_token_reached(tmp_path):
 def test_a_deep_call_expression_is_a_depth_limit(tmp_path):
     path = tmp_path / "shallow.fcl"
     path.write_text(shapes.parens(1)[0])
-    call = "C!f (" + "(" * 25_000 + "1" + ")" * 25_000 + ")"
+    n = 60_000  # 4 frames a level: past the recursion limit of 200,000
+    call = "C!f (" + "(" * n + "1" + ")" * n + ")"
     code, out, err = shapes.run("eval", path, call)
     assert (code, out) == (1, "")
     assert err == "<call>:0:0: error: DepthLimit: nested too deeply\n"

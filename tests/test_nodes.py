@@ -1,8 +1,8 @@
 """The record classes: positional fields, equality, hashing and immutability.
 
-Nodes, types, tokens and analysis results are plain classes (`ast.Record`).
-These tests pin what pattern matching, the caches and the comparisons in the
-passes rely on."""
+Nodes, types and analysis results are plain classes (`ast.Record`); tokens
+are named tuples.  These tests pin what pattern matching, the caches and the
+comparisons in the passes rely on."""
 
 import pytest
 
@@ -95,7 +95,7 @@ MATCH_ARGS = {
         "reverted iface_args ancestor_args analysed pos",
         "CollectionModel": "name nf args iface_schemes carrier pos",
     },
-    lexer: {"Token": "kind value pos bullet"},
+    lexer: {},  # a token is a named tuple (`test_tokens_are_named_tuples`)
     resolve: {"Names": "entities methods params collections"},
     typecheck: {
         "SpeciesTypeEnv": "ctx rep methods entity_params param_ifaces collections "
@@ -107,7 +107,7 @@ MATCH_ARGS = {
 }
 
 FROZEN = {"Pos", "TCon", "TSelf", "TCap", "TParam", "TCollCarrier", "TArrow", "TTuple",
-          "TVar", "TGen", "Scheme", "Builtin", "VCon", "BuiltinFn", "Token", "Names"}
+          "TVar", "TGen", "Scheme", "Builtin", "VCon", "BuiltinFn", "Names"}
 
 
 def test_every_record_keeps_its_positional_fields():
@@ -157,9 +157,6 @@ def test_types_hash_by_value_and_reject_assignment():
             setattr(value, field, None)
         with pytest.raises(AttributeError):
             delattr(value, field)
-    token = lexer.Token("int", "1", Pos(1, 1))
-    with pytest.raises(AttributeError):
-        token.value = "2"
 
 
 def test_nodes_and_analysis_records_are_unhashable():
@@ -168,12 +165,24 @@ def test_nodes_and_analysis_records_are_unhashable():
             hash(value)
 
 
-def test_replace_copies_shallowly():
-    t = lexer.Token("int", "1", Pos(1, 1))
-    moved = t.replace(pos=Pos(2, 1))
-    assert (moved.kind, moved.value, moved.pos, t.pos) == ("int", "1", Pos(2, 1), Pos(1, 1))
+def test_tokens_are_named_tuples():
+    token = lexer.Token("int", "1", Pos(1, 1))
+    assert lexer.Token.__match_args__ == lexer.Token._fields == ("kind", "value", "pos", "bullet")
+    assert token == ("int", "1", Pos(1, 1), None)
+    assert hash(token) == hash(("int", "1", Pos(1, 1), None))
     with pytest.raises(AttributeError):
-        moved.value = "2"  # still frozen
+        token.value = "2"
+    moved = token._replace(pos=Pos(2, 1))
+    assert (moved.kind, moved.value, moved.pos, token.pos) == ("int", "1", Pos(2, 1), Pos(1, 1))
+
+
+def test_replace_copies_shallowly():
+    t = TArrow(TParam("P"), TSelf())
+    moved = t.replace(res=T_INT)
+    assert (moved.arg, moved.res, t.res) == (TParam("P"), T_INT, TSelf())
+    assert moved.arg is t.arg
+    with pytest.raises(AttributeError):
+        moved.res = TSelf()  # still frozen
     sd = deps.SpeciesDeps(order=["a"])
     copied = sd.replace()
     assert copied == sd and copied is not sd and copied.order is sd.order

@@ -39,6 +39,7 @@ from focml.hierarchy import invalidate_proofs
 from focml.errors import CompileError, EvalFailure
 from focml.evaluator import Interpreter, Scope, format_value
 from focml.lexer import tokenize
+from focml import parser
 from focml.parser import parse_expr_text, parse_source
 from focml.pretty import expr_to_source, type_to_source
 from focml.proofs import iter_leaves
@@ -962,6 +963,109 @@ def run_lexer_suite(texts: list[str], mutants_each: int) -> Counter:
     return seen
 
 
+# ---------------------------------------------------------------------------
+# Parser: the precedence-climbing loop against the recursive-descent cascade
+
+
+def parse_outcome(parse, text: str):
+    """The tree `parse` makes of `text`, positions included (`==` ignores
+    them, `repr` does not), or its diagnostic's kind, message and position."""
+    try:
+        return repr(parse(text))
+    except CompileError as err:
+        return (err.kind, err.message, err.pos.line, err.pos.col)
+
+
+def drop_dup_or_swap(rng: random.Random, items: list) -> None:
+    """Drop one of `items`, duplicate it or swap it with the next, in place."""
+    i = rng.randrange(len(items))
+    match rng.randrange(3):
+        case 0:
+            del items[i]
+        case 1:
+            items.insert(i, items[i])
+        case 2:
+            j = min(i + 1, len(items) - 1)
+            items[i], items[j] = items[j], items[i]
+
+
+def token_mutant(rng: random.Random, text: str) -> str:
+    """`text` written back from its tokens, one token dropped, duplicated or
+    swapped with the next; each token stays on its line."""
+    tokens = tokenize(text)[:-1]
+    drop_dup_or_swap(rng, tokens)
+    out, line = [], 1
+    for t in tokens:
+        out.append("\n" if t.pos.line != line else " ")
+        line = t.pos.line
+        if t.kind == "string":
+            out.append('"' + t.value.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        else:
+            out.append(t.value)
+    return "".join(out)
+
+
+EXPR_ATOMS = ["x", "1", "true", '"s"', "f (x)", "f (x, 2)", "K", "K (x)", "P!m", "P!m (x)"]
+EXPR_BINARY = ["->", "\\/", "/\\", "=", "&&", "<0x", "=0x", "+", "-"]
+
+
+def operator_string(rng: random.Random, depth: int = 0) -> str:
+    """Operands joined by binary operators, each operand under zero to two
+    prefixes; an operand may be a parenthesised, quantified, conditional or
+    match expression.  One string in five has a word dropped, duplicated or
+    swapped."""
+    def inner() -> str:
+        return operator_string(rng, depth + 1)
+
+    words = []
+    for k in range(rng.randint(1, 5)):
+        if k:
+            words.append(rng.choice(EXPR_BINARY))
+        words += rng.choices(["~", "~~"], k=rng.choice((0, 0, 0, 0, 1, 2)))
+        r = rng.random() if depth < 2 else 1
+        if r < 0.1:
+            words.append(f"({inner()})")
+        elif r < 0.14:
+            words.append(f"all x : int, {inner()}")
+        elif r < 0.17:
+            words.append(f"if {inner()} then {inner()} else {inner()}")
+        elif r < 0.19:
+            words.append(f"match {inner()} with | y -> {inner()}")
+        else:
+            words.append(rng.choice(EXPR_ATOMS))
+    if depth == 0 and rng.random() < 0.2:
+        words = " ".join(words).split()
+        drop_dup_or_swap(rng, words)
+    return " ".join(words)
+
+
+def run_parser_suite(texts: list[str], mutants_each: int, strings: int) -> Counter:
+    """Every text and its token-level mutants as units, and random operator
+    strings, as expressions or as the body of a let, through both parsers;
+    counts what they gave."""
+    rng = random.Random(SEED + 5)
+    seen: Counter = Counter()
+
+    def agree(mine, reference, text: str) -> None:
+        got = parse_outcome(mine, text)
+        assert got == parse_outcome(reference, text), text
+        seen["trees" if isinstance(got, str) else got[1].split(",")[0]] += 1
+
+    for text in texts:
+        for case in [text] + [token_mutant(rng, text) for _ in range(mutants_each)]:
+            agree(parse_source, oracles.reference_parse, case)
+    for _ in range(strings):
+        case = operator_string(rng)
+        if rng.random() < 0.25:
+            body = f"species S =\n  let f (x : int) : int = {case} ;\nend ;;"
+            agree(parse_source, oracles.reference_parse, body)
+        else:
+            agree(parse_expr_text, oracles.reference_parse_expr, case)
+        for op in EXPR_BINARY + ["~", "~~"]:
+            seen[op] += f" {op} " in f" {case} "
+    return seen
+
+
 def run_finish_suite(cus) -> int:
     """Every carried finished entry against `finish_deps` run again on the
     same species from scratch, with no parent, field by field, `min_env`
@@ -1713,6 +1817,21 @@ def test_the_lexer_agrees_with_the_reference():
         assert seen[what] >= 5, what
 
 
+def test_the_parser_agrees_with_the_reference(general_units, complete_units):
+    texts = [path.read_text() for path in sorted((ROOT / "tests" / "data").glob("*.fcl"))]
+    texts += [u.source for u in general_units + complete_units]
+    texts += [text for sources in workload_sources() for _, text in sources]
+    seen = run_parser_suite(texts, 1, 6000)
+    assert seen["trees"] >= 2500, seen
+    # what stratification finds, and a chain of a non-associative operator
+    for what in ("formula connective '->' in the body of S!f",
+                 "formula negation '~' in the body of S!f (use '~~')",
+                 "quantifier in the body of S!f", "expected end of expression"):
+        assert seen[what] >= 5, (what, seen)
+    for op in EXPR_BINARY + ["~", "~~"]:
+        assert seen[op] >= 1000, (op, seen)
+
+
 def test_names_are_tagged_where_they_are_written(general_units, complete_units):
     units = [(u.source, u.cu) for u in general_units + complete_units]
     assert run_scope_suite(units) >= 1000
@@ -1898,3 +2017,38 @@ def test_typing_and_walks_are_linear_in_the_number_of_lets(monkeypatch):
     small, large = wide(200), wide(800)
     for what in ("unify", "expr_children"):
         assert 0 < large[what] <= 4.5 * small[what], (what, small, large)
+
+
+
+def counted_front_end(text: str) -> tuple[int, int, int]:
+    """The tokens of `text`, the Python-level calls `tokenize` makes, and
+    those `parse_source` makes, lexing included: counts, not times."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    tokens = parser.tokenize(text)
+    sys.setprofile(None)
+    lexing, calls = calls - 1, 0  # the call to `tokenize` itself is not its own
+    sys.setprofile(profile)
+    parse_source(text)
+    sys.setprofile(None)
+    return len(tokens), lexing, calls
+
+
+def test_the_front_end_makes_a_few_calls_per_token(monkeypatch):
+    workloads = benchmark_workloads()
+
+    def wide(lets: int) -> tuple[int, int, int]:
+        monkeypatch.setattr(workloads, "WIDE_LETS", lets)
+        return counted_front_end(workloads.wide(1).files["wide.fcl"])
+
+    tokens, lexing, parsing = wide(800)
+    assert tokens == 26_810
+    assert lexing <= tokens  # a `Pos` per token, and no other call
+    assert parsing <= 210_000
+    _, _, small = wide(200)
+    assert parsing <= 4.5 * small, (small, parsing)
