@@ -8,6 +8,13 @@ The plans decide what is erased: the executable target keeps the lifts that
 are not logical and the computational arguments each application records.
 Unproved obligations surface as content-addressed proof holes; theorems whose
 proof is admitted become axioms.
+
+An heir's plan shares pieces with its parent's by identity. Each emit call
+writes such a piece's text once, in one memo `texts` keyed by identity (the
+unit holds every keyed object for the whole call): a record field by the
+method's record, a creator local by its `LocalDef` and whether its generator
+is the species' own (`m` or `Species.m`), outer abstractions by their list,
+and a lift's or parameter's type or statement by the object and env (`_piece`).
 """
 
 from __future__ import annotations
@@ -301,12 +308,22 @@ def _atom(e: Expr, env: RenderEnv) -> str:
 
 
 def proof_hole_name(species: str, method: str, statement: Expr, proof) -> str:
-    stmt = expr_to_source(statement)
-    body = "\n".join(proof_to_source(proof, ""))
-    digest = hashlib.sha256(
-        f"{species}.{method}\n{stmt}\n{body}".encode()
-    ).hexdigest()[:12]
-    return f"PROOF_HOLE_{species}_{method}_{digest}"
+    """The digest of the proof's lines, joined by newlines, is fed a line at a time."""
+    digest = hashlib.sha256(f"{species}.{method}\n{expr_to_source(statement)}\n".encode())
+    sep = ""
+    for line in proof_to_source(proof, ""):
+        digest.update(f"{sep}{line}".encode())
+        sep = "\n"
+    return f"PROOF_HOLE_{species}_{method}_{digest.hexdigest()[:12]}"
+
+
+def _piece(render, obj, env: RenderEnv, texts: dict) -> str:
+    """`render(obj, env)` of a type or a statement, once per object and env fields."""
+    key = (id(obj), env.self_ty, env.param_ty, env.prefix, env.target)
+    text = texts.get(key)
+    if text is None:
+        text = texts[key] = render(obj, env)
+    return text
 
 
 def _render_env(
@@ -356,16 +373,19 @@ def _genapp_text(gen: GenApp, env: RenderEnv) -> str:
 
 
 def emit_logical(cu) -> str:
-    blocks: list[str] = []
+    lines: list[str] = []  # each block's lines, then a blank line
+    texts: dict = {}  # shared piece -> its text, for this call only
     for kind, name in cu.decl_order:
         with cu.writing(name):
             if kind == "union":
-                blocks.append(_inductive(cu.unions[name]))
+                lines.append(_inductive(cu.unions[name]))
             elif kind == "species":
-                blocks.append(_species_logical(cu, name))
+                lines += _species_logical(cu, name, texts)
             else:
-                blocks.append(_collection_logical(cu, name))
-    return "\n\n".join(blocks) + "\n"
+                lines.append(_collection_logical(cu, name))
+        lines.append("")
+    texts.clear()  # what no line holds goes before the text is joined
+    return "\n".join(lines) if lines else "\n"
 
 
 def _inductive(u: UnionTypeDecl) -> str:
@@ -378,42 +398,42 @@ def _inductive(u: UnionTypeDecl) -> str:
     return "\n".join(lines) + "."
 
 
-def _lift_text(l: Lift, env: RenderEnv) -> str:
+def _lift_text(l: Lift, env: RenderEnv, texts: dict) -> str:
     if l.is_set:
         return f"({l.name} : Set)"
     if l.ty is not None:
-        return f"({l.name} : {render_scheme_type(l.ty, env)})"
+        return f"({l.name} : {_piece(render_scheme_type, l.ty, env, texts)})"
     if l.statement is not None:
-        return f"({l.name} : {render_formula(l.statement, env)})"
+        return f"({l.name} : {_piece(render_formula, l.statement, env, texts)})"
     if l.bind_type is not None:
         return f"({l.name} := {render_type(l.bind_type, env)})"
     assert l.bind_gen is not None
     return f"({l.name} := {_genapp_text(l.bind_gen, env)})"
 
 
-def _species_logical(cu, name: str) -> str:
+def _species_logical(cu, name: str, texts: dict) -> list[str]:
     nf: NFSpecies = cu.species[name]
     plan: SpeciesPlan = cu.plans[name]
     lines = [f"Module {name}."]
     for gp in plan.generators.values():
-        lines.extend(_generator_logical(nf, gp))
+        lines.extend(_generator_logical(nf, gp, texts))
     if plan.record is not None:
-        lines.extend(_record_logical(nf, plan))
+        lines.extend(_record_logical(nf, plan, texts))
     if plan.create is not None:
-        lines.extend(_create_logical(nf, plan))
+        lines.extend(_create_logical(nf, plan, texts))
     lines.append(f"End {name}.")
-    return "\n".join(lines)
+    return lines
 
 
-def _generator_logical(nf: NFSpecies, plan: MethodGeneratorPlan) -> list[str]:
+def _generator_logical(nf: NFSpecies, plan: MethodGeneratorPlan, texts: dict) -> list[str]:
     lifts_carrier = any(l.tag == ("self_carrier",) for l in plan.lifts)
     self_ty = "abst_T" if lifts_carrier else None
     env = _render_env(nf, "logical", "abst_", self_ty)
-    lifts = "".join(" " + _lift_text(l, env) for l in plan.lifts)
+    lifts = "".join([" " + _lift_text(l, env, texts) for l in plan.lifts])
     if plan.kind == "let":
         assert plan.body is not None and plan.ret is not None
         params = "".join(
-            f" ({n} : {render_scheme_type(t, env)})" for n, t in plan.value_params
+            [f" ({n} : {_piece(render_scheme_type, t, env, texts)})" for n, t in plan.value_params]
         )
         keyword = "Fixpoint" if plan.rec else "Definition"
         ret = render_type(plan.ret, env)
@@ -430,48 +450,54 @@ def _generator_logical(nf: NFSpecies, plan: MethodGeneratorPlan) -> list[str]:
     ]
 
 
-def _record_logical(nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
+def _record_logical(nf: NFSpecies, plan: SpeciesPlan, texts: dict) -> list[str]:
     record = plan.record
     assert record is not None
     env = _render_env(nf, "logical", "rf_", "rf_T", param_ty="{}_T")
-    params = "".join(" " + _lift_text(l, env) for l in record.abstractions)
-    head = f"  Record me_as_species{params}"
-    head += " : Type :=" if record.abstractions else " :="
-    lines = [head, "    mk_record {"]
-    fields = ["    rf_T : Set"]
+    key = ("record", id(record.abstractions))
+    head = texts.get(key)
+    if head is None:
+        params = "".join([" " + _lift_text(l, env, texts) for l in record.abstractions])
+        head = texts[key] = f"  Record me_as_species{params}" + (" : Type :=" if params else " :=")
+    lines = [head, "    mk_record {", "    rf_T : Set ;"]
     for m in record.fields:
         mi = nf.methods[m]
-        if mi.is_logical:
-            assert mi.statement is not None
-            fields.append(f"    rf_{m} : {render_formula(mi.statement, env)}")
-        else:
-            assert mi.scheme is not None
-            fields.append(f"    rf_{m} : {render_scheme_type(mi.scheme.body, env)}")
-    lines.extend(f"{f} ;" for f in fields[:-1])
-    lines.append(fields[-1])
+        line = texts.get(id(mi))
+        if line is None:
+            if mi.is_logical:
+                assert mi.statement is not None
+                text = render_formula(mi.statement, env)
+            else:
+                assert mi.scheme is not None
+                text = render_scheme_type(mi.scheme.body, env)
+            line = texts[id(mi)] = f"    rf_{m} : {text} ;"
+        lines.append(line)
+    lines[-1] = lines[-1][:-2]  # the last field ends without " ;"
     lines.append("    }.")
     return lines
 
 
-def _create_logical(nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
+def _create_logical(nf: NFSpecies, plan: SpeciesPlan, texts: dict) -> list[str]:
     create = plan.create
     assert create is not None
     env = _render_env(nf, "logical", "local_", "local_rep")
-    outer_parts = []
-    for l in create.outer:
-        if l.is_set:
-            outer_parts.append(f" ({l.name} : Set)")
-        else:
-            outer_parts.append(f" {l.name}")
-    lines = [f"  Definition collection_create{''.join(outer_parts)} :="]
+    head = texts.get(("create", id(create.outer)))
+    if head is None:
+        outer = "".join([f" ({l.name} : Set)" if l.is_set else f" {l.name}" for l in create.outer])
+        head = texts[("create", id(create.outer))] = f"  Definition collection_create{outer} :="
+    lines = [head]
     for ld in create.locals:
         if ld.gen is None:
             assert nf.rep_resolved is not None
             rhs = render_type(nf.rep_resolved, env)
             lines.append(f"    let local_rep := {rhs} in")
-        else:
-            lines.append(f"    let local_{ld.name} := {_genapp_text(ld.gen, env)} in")
-    args = " ".join(_atom_text(t, env) for t in create.record_args)
+            continue
+        key = (id(ld), ld.gen.species == env.module)
+        line = texts.get(key)
+        if line is None:
+            line = texts[key] = f"    let local_{ld.name} := {_genapp_text(ld.gen, env)} in"
+        lines.append(line)
+    args = " ".join([_atom_text(t, env) for t in create.record_args])
     lines.append(f"    mk_record {args}.")
     return lines
 
@@ -503,16 +529,19 @@ def _collection_logical(cu, name: str) -> str:
 
 
 def emit_comp(cu) -> str:
-    blocks: list[str] = []
+    lines: list[str] = []  # as in `emit_logical`
+    texts: dict = {}
     for kind, name in cu.decl_order:
         with cu.writing(name):
             if kind == "union":
-                blocks.append(_union_comp(cu.unions[name]))
+                lines.append(_union_comp(cu.unions[name]))
             elif kind == "species":
-                blocks.append(_species_comp(cu, name))
+                lines += _species_comp(cu, name, texts)
             else:
-                blocks.append(_collection_comp(cu, name))
-    return "\n\n".join(blocks) + "\n"
+                lines.append(_collection_comp(cu, name))
+        lines.append("")
+    texts.clear()
+    return "\n".join(lines) if lines else "\n"
 
 
 def _union_comp(u: UnionTypeDecl) -> str:
@@ -538,7 +567,7 @@ def _comp_type(t: Type) -> str:
             return "_"
 
 
-def _species_comp(cu, name: str) -> str:
+def _species_comp(cu, name: str, texts: dict) -> list[str]:
     nf: NFSpecies = cu.species[name]
     plan: SpeciesPlan = cu.plans[name]
     lines = [f"module {name} = struct"]
@@ -549,9 +578,9 @@ def _species_comp(cu, name: str) -> str:
     if plan.record is not None:
         lines.extend(_record_comp(nf, plan))
     if plan.create is not None:
-        lines.extend(_create_comp(nf, plan))
+        lines.extend(_create_comp(nf, plan, texts))
     lines.append("end")
-    return "\n".join(lines)
+    return lines
 
 
 def _generator_comp(nf: NFSpecies, plan: MethodGeneratorPlan) -> str:
@@ -572,7 +601,7 @@ def _record_comp(nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
     return [f"  type me_as_species = {inner}"]
 
 
-def _create_comp(nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
+def _create_comp(nf: NFSpecies, plan: SpeciesPlan, texts: dict) -> list[str]:
     create = plan.create
     assert create is not None
     env = _render_env(nf, "comp", "local_", "local_rep")
@@ -582,7 +611,11 @@ def _create_comp(nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
     for ld in create.locals:
         if ld.gen is None or nf.methods[ld.name].is_logical:
             continue
-        lines.append(f"    let local_{ld.name} = {_genapp_text(ld.gen, env)} in")
+        key = (id(ld), ld.gen.species == env.module)
+        line = texts.get(key)
+        if line is None:
+            line = texts[key] = f"    let local_{ld.name} = {_genapp_text(ld.gen, env)} in"
+        lines.append(line)
         assigns.append(f"rf_{ld.name} = local_{ld.name}")
     record = f"{{ {' ; '.join(assigns)} }}" if assigns else "{ }"
     lines.append(f"    {record}")

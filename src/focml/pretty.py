@@ -7,6 +7,8 @@ dependency report.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .ast import (
     BinOp, BoolLit, Call, CollectionDecl, CompilationUnit, ConRef, Connective,
     Eq, Expr, Fact, If, IntLit, Match, MethodDecl, Not, PCon, PTuple, PVar,
@@ -144,22 +146,32 @@ def pattern_to_source(p: Pattern) -> str:
             raise ValueError(f"cannot print pattern {p!r}")
 
 
-def proof_to_source(proof: Proof, indent: str) -> list[str]:
-    match proof:
-        case ProofLeaf(facts=facts, admitted=True) if not facts:
-            return [f"{indent}admitted"]
-        case ProofLeaf(facts=facts):
-            parts = []
-            for f in facts:
-                parts.append(_fact_to_source(f))
-            return [f"{indent}by " + " ".join(parts)]
-        case ProofSteps(steps):
-            lines: list[str] = []
-            for step in steps:
-                lines.extend(_step_to_source(step, indent))
-            return lines
-        case _:
-            raise ValueError(f"cannot print proof {proof!r}")
+def proof_to_source(proof: Proof, indent: str) -> Iterator[str]:
+    """The lines of `proof` one at a time, a sub-proof two spaces deeper
+    than its step.  An explicit stack of (node, depth), not recursion: a
+    proof n steps deep holds one line's indentation at a time and resumes
+    no chain of n generators."""
+    stack: list[tuple[Proof | ProofStep, int]] = [(proof, 0)]
+    while stack:
+        node, depth = stack.pop()
+        match node:
+            case ProofSteps(steps):
+                stack.extend((step, depth) for step in reversed(steps))
+            case ProofLeaf():
+                yield indent + "  " * depth + _leaf_to_source(node)
+            case ProofStep(sub=ProofLeaf() as leaf):
+                yield f"{indent}{'  ' * depth}{_step_head(node)} {_leaf_to_source(leaf)}"
+            case ProofStep(sub=sub):  # a missing sub-proof fails as the next node
+                yield indent + "  " * depth + _step_head(node)
+                stack.append((sub, depth + 1))
+            case _:
+                raise ValueError(f"cannot print proof {node!r}")
+
+
+def _leaf_to_source(leaf: ProofLeaf) -> str:
+    if leaf.admitted and not leaf.facts:
+        return "admitted"
+    return "by " + " ".join([_fact_to_source(f) for f in leaf.facts])
 
 
 def _fact_to_source(f: Fact) -> str:
@@ -169,21 +181,15 @@ def _fact_to_source(f: Fact) -> str:
     return f"{head} " + ", ".join(f.names)
 
 
-def _step_to_source(step: ProofStep, indent: str) -> list[str]:
+def _step_head(step: ProofStep) -> str:
     depth, key = step.label
-    head = [f"{indent}<{depth}>{key}"]
+    head = [f"<{depth}>{key}"]
     for vars, ty in step.assumes:
         head.append(f"assume {' '.join(vars)} : {type_to_source(ty)},")
     for name, stmt in step.hyps:
         head.append(f"hypothesis {name} : {expr_to_source(stmt)},")
     head.append("qed" if step.is_qed else f"prove {expr_to_source(step.goal)}")
-    lines = [" ".join(head)]
-    assert step.sub is not None
-    if isinstance(step.sub, ProofLeaf):
-        lines[0] += " " + proof_to_source(step.sub, "")[0]
-    else:
-        lines.extend(proof_to_source(step.sub, indent + "  "))
-    return lines
+    return " ".join(head)
 
 
 def method_to_source(m: MethodDecl, indent: str = "  ") -> list[str]:

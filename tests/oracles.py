@@ -10,6 +10,7 @@ each species gets; the second types with the package's type classes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from dataclasses import dataclass
@@ -1126,3 +1127,309 @@ def reference_parse(text: str, rule=None, end: str | None = None):
 
 def reference_parse_expr(text: str):
     return reference_parse(text, ReferenceParser.parse_expr, "end of expression")
+
+
+# ---------------------------------------------------------------------------
+# Target references: the logical and the computational target with every
+# piece written from scratch for every species (record fields, creator
+# locals, outer abstractions, types and statements), where the emitters
+# write each shared piece once per call and reuse it.  The proof hole name
+# joins the whole proof's text, printed recursively, before it hashes it.
+# They print trees and plan atoms with the package's own renderers.
+
+from focml.ast import Proof, ProofLeaf, ProofStep, ProofSteps, UnionTypeDecl  # noqa: E402
+from focml.emit import (  # noqa: E402
+    RenderEnv, _atom_text, _create_app, _genapp_text, _render_env, render_body,
+    render_formula, render_scheme_type, render_type,
+)
+from focml.generators import (  # noqa: E402
+    CollectionExtractionPlan, Lift, MethodGeneratorPlan, SpeciesPlan,
+)
+from focml.hierarchy import NFSpecies  # noqa: E402
+from focml.pretty import _fact_to_source, expr_to_source  # noqa: E402
+
+
+def proof_to_source(proof: Proof, indent: str) -> list[str]:
+    match proof:
+        case ProofLeaf(facts=facts, admitted=True) if not facts:
+            return [f"{indent}admitted"]
+        case ProofLeaf(facts=facts):
+            parts = []
+            for f in facts:
+                parts.append(_fact_to_source(f))
+            return [f"{indent}by " + " ".join(parts)]
+        case ProofSteps(steps):
+            lines: list[str] = []
+            for step in steps:
+                lines.extend(_step_to_source(step, indent))
+            return lines
+        case _:
+            raise ValueError(f"cannot print proof {proof!r}")
+
+
+def _step_to_source(step: ProofStep, indent: str) -> list[str]:
+    depth, key = step.label
+    head = [f"{indent}<{depth}>{key}"]
+    for vars, ty in step.assumes:
+        head.append(f"assume {' '.join(vars)} : {type_to_source(ty)},")
+    for name, stmt in step.hyps:
+        head.append(f"hypothesis {name} : {expr_to_source(stmt)},")
+    head.append("qed" if step.is_qed else f"prove {expr_to_source(step.goal)}")
+    lines = [" ".join(head)]
+    assert step.sub is not None
+    if isinstance(step.sub, ProofLeaf):
+        lines[0] += " " + proof_to_source(step.sub, "")[0]
+    else:
+        lines.extend(proof_to_source(step.sub, indent + "  "))
+    return lines
+
+
+def proof_hole_name(species: str, method: str, statement: Expr, proof) -> str:
+    stmt = expr_to_source(statement)
+    body = "\n".join(proof_to_source(proof, ""))
+    digest = hashlib.sha256(
+        f"{species}.{method}\n{stmt}\n{body}".encode()
+    ).hexdigest()[:12]
+    return f"PROOF_HOLE_{species}_{method}_{digest}"
+
+
+def emit_logical(cu) -> str:
+    blocks: list[str] = []
+    for kind, name in cu.decl_order:
+        with cu.writing(name):
+            if kind == "union":
+                blocks.append(_inductive(cu.unions[name]))
+            elif kind == "species":
+                blocks.append(_species_logical(cu, name))
+            else:
+                blocks.append(_collection_logical(cu, name))
+    return "\n\n".join(blocks) + "\n"
+
+
+def _inductive(u: UnionTypeDecl) -> str:
+    env = RenderEnv("logical")
+    tname = f"{u.name}__t"
+    lines = [f"Inductive {tname} : Set :="]
+    for con, args in u.constructors:
+        ty = " -> ".join([render_type(t, env) for t in args] + [tname])
+        lines.append(f"  | {con} : {ty}")
+    return "\n".join(lines) + "."
+
+
+def _lift_text(l: Lift, env: RenderEnv) -> str:
+    if l.is_set:
+        return f"({l.name} : Set)"
+    if l.ty is not None:
+        return f"({l.name} : {render_scheme_type(l.ty, env)})"
+    if l.statement is not None:
+        return f"({l.name} : {render_formula(l.statement, env)})"
+    if l.bind_type is not None:
+        return f"({l.name} := {render_type(l.bind_type, env)})"
+    assert l.bind_gen is not None
+    return f"({l.name} := {_genapp_text(l.bind_gen, env)})"
+
+
+def _species_logical(cu, name: str) -> str:
+    nf: NFSpecies = cu.species[name]
+    plan: SpeciesPlan = cu.plans[name]
+    lines = [f"Module {name}."]
+    for gp in plan.generators.values():
+        lines.extend(_generator_logical(nf, gp))
+    if plan.record is not None:
+        lines.extend(_record_logical(nf, plan))
+    if plan.create is not None:
+        lines.extend(_create_logical(nf, plan))
+    lines.append(f"End {name}.")
+    return "\n".join(lines)
+
+
+def _generator_logical(nf: NFSpecies, plan: MethodGeneratorPlan) -> list[str]:
+    lifts_carrier = any(l.tag == ("self_carrier",) for l in plan.lifts)
+    self_ty = "abst_T" if lifts_carrier else None
+    env = _render_env(nf, "logical", "abst_", self_ty)
+    lifts = "".join(" " + _lift_text(l, env) for l in plan.lifts)
+    if plan.kind == "let":
+        assert plan.body is not None and plan.ret is not None
+        params = "".join(
+            f" ({n} : {render_scheme_type(t, env)})" for n, t in plan.value_params
+        )
+        keyword = "Fixpoint" if plan.rec else "Definition"
+        ret = render_type(plan.ret, env)
+        body = render_body(plan.body, env)
+        return [f"  {keyword} {plan.method}{lifts}{params} : {ret} := {body}."]
+    assert plan.statement is not None
+    stmt = render_formula(plan.statement, env)
+    if plan.admitted:
+        return [f"  Axiom {plan.method}{lifts} : {stmt}."]
+    hole = proof_hole_name(nf.name, plan.method, plan.statement, plan.proof)
+    return [
+        f"  Theorem {plan.method}{lifts} : {stmt}.",
+        f"  apply {hole}.",
+    ]
+
+
+def _record_logical(nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
+    record = plan.record
+    assert record is not None
+    env = _render_env(nf, "logical", "rf_", "rf_T", param_ty="{}_T")
+    params = "".join(" " + _lift_text(l, env) for l in record.abstractions)
+    head = f"  Record me_as_species{params}"
+    head += " : Type :=" if record.abstractions else " :="
+    lines = [head, "    mk_record {"]
+    fields = ["    rf_T : Set"]
+    for m in record.fields:
+        mi = nf.methods[m]
+        if mi.is_logical:
+            assert mi.statement is not None
+            fields.append(f"    rf_{m} : {render_formula(mi.statement, env)}")
+        else:
+            assert mi.scheme is not None
+            fields.append(f"    rf_{m} : {render_scheme_type(mi.scheme.body, env)}")
+    lines.extend(f"{f} ;" for f in fields[:-1])
+    lines.append(fields[-1])
+    lines.append("    }.")
+    return lines
+
+
+def _create_logical(nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
+    create = plan.create
+    assert create is not None
+    env = _render_env(nf, "logical", "local_", "local_rep")
+    outer_parts = []
+    for l in create.outer:
+        if l.is_set:
+            outer_parts.append(f" ({l.name} : Set)")
+        else:
+            outer_parts.append(f" {l.name}")
+    lines = [f"  Definition collection_create{''.join(outer_parts)} :="]
+    for ld in create.locals:
+        if ld.gen is None:
+            assert nf.rep_resolved is not None
+            rhs = render_type(nf.rep_resolved, env)
+            lines.append(f"    let local_rep := {rhs} in")
+        else:
+            lines.append(f"    let local_{ld.name} := {_genapp_text(ld.gen, env)} in")
+    args = " ".join(_atom_text(t, env) for t in create.record_args)
+    lines.append(f"    mk_record {args}.")
+    return lines
+
+
+def _collection_logical(cu, name: str) -> str:
+    ext: CollectionExtractionPlan = cu.extractions[name]
+    env = RenderEnv("logical", module=name)
+    lines = [f"Module {name}."]
+    app = _genapp_text(_create_app(ext), env)
+    lines.append(f"  Let effective_collection := {app}.")
+    assert ext.carrier is not None
+    lines.append(f"  Definition me_as_carrier := {render_type(ext.carrier, env)}.")
+    holes = " _" * ext.record_params
+    for m, _logical in ext.methods:
+        lines.append(
+            f"  Definition {m} := "
+            f"effective_collection.({ext.species}.rf_{m}{holes})."
+        )
+    lines.append(f"End {name}.")
+    return "\n".join(lines)
+
+
+def emit_comp(cu) -> str:
+    blocks: list[str] = []
+    for kind, name in cu.decl_order:
+        with cu.writing(name):
+            if kind == "union":
+                blocks.append(_union_comp(cu.unions[name]))
+            elif kind == "species":
+                blocks.append(_species_comp(cu, name))
+            else:
+                blocks.append(_collection_comp(cu, name))
+    return "\n\n".join(blocks) + "\n"
+
+
+def _union_comp(u: UnionTypeDecl) -> str:
+    arms = []
+    for con, args in u.constructors:
+        if args:
+            payload = " * ".join(_comp_type(t) for t in args)
+            arms.append(f"| {con} of {payload}")
+        else:
+            arms.append(f"| {con}")
+    return f"type {u.name} = " + " ".join(arms)
+
+
+def _comp_type(t: Type) -> str:
+    match t:
+        case TCon(name):
+            return name
+        case TTuple(items):
+            return "(" + " * ".join([_comp_type(i) for i in items]) + ")"
+        case TArrow(a, b):
+            return f"{_comp_type(a)} -> {_comp_type(b)}"
+        case _:
+            return "_"
+
+
+def _species_comp(cu, name: str) -> str:
+    nf: NFSpecies = cu.species[name]
+    plan: SpeciesPlan = cu.plans[name]
+    lines = [f"module {name} = struct"]
+    for gp in plan.generators.values():
+        if gp.kind != "let":
+            continue
+        lines.append(_generator_comp(nf, gp))
+    if plan.record is not None:
+        lines.extend(_record_comp(nf, plan))
+    if plan.create is not None:
+        lines.extend(_create_comp(nf, plan))
+    lines.append("end")
+    return "\n".join(lines)
+
+
+def _generator_comp(nf: NFSpecies, plan: MethodGeneratorPlan) -> str:
+    env = _render_env(nf, "comp", "abst_", None)
+    kept = [l.name for l in plan.lifts if l.abstract and not l.logical]
+    params = "".join(f" ({n})" for n in kept)
+    params += "".join(f" ({n})" for n, _ in plan.value_params)
+    keyword = "let rec" if plan.rec else "let"
+    assert plan.body is not None
+    return f"  {keyword} {plan.method}{params} = {render_body(plan.body, env)}"
+
+
+def _record_comp(nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
+    record = plan.record
+    assert record is not None
+    fields = [f"rf_{m}" for m in record.fields if not nf.methods[m].is_logical]
+    inner = f"{{ {' ; '.join(fields)} }}" if fields else "{ }"
+    return [f"  type me_as_species = {inner}"]
+
+
+def _create_comp(nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
+    create = plan.create
+    assert create is not None
+    env = _render_env(nf, "comp", "local_", "local_rep")
+    params = "".join(f" ({l.name})" for l in create.outer if not l.logical)
+    lines = [f"  let collection_create{params} ="]
+    assigns = []
+    for ld in create.locals:
+        if ld.gen is None or nf.methods[ld.name].is_logical:
+            continue
+        lines.append(f"    let local_{ld.name} = {_genapp_text(ld.gen, env)} in")
+        assigns.append(f"rf_{ld.name} = local_{ld.name}")
+    record = f"{{ {' ; '.join(assigns)} }}" if assigns else "{ }"
+    lines.append(f"    {record}")
+    return lines
+
+
+def _collection_comp(cu, name: str) -> str:
+    ext: CollectionExtractionPlan = cu.extractions[name]
+    env = RenderEnv("comp", module=name)
+    lines = [f"module {name} = struct"]
+    app = _genapp_text(_create_app(ext), env)
+    lines.append(f"  let effective_collection = {app}")
+    for m, logical in ext.methods:
+        if logical:
+            continue
+        lines.append(
+            f"  let {m} = effective_collection.{ext.species}.rf_{m}"
+        )
+    lines.append("end")
+    return "\n".join(lines)

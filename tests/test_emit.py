@@ -1,11 +1,16 @@
 """Emitted text for both targets, pinned by the golden outputs."""
 
 import re
+import tracemalloc
 
+import oracles
+import shapes
 from conftest import DATA, data
 
 from focml import compile_files
 from focml.emit import emit_comp, emit_logical, proof_hole_name
+from focml.errors import on_deep_stack
+from focml.parser import parse_source
 
 HOLE = re.compile(r"PROOF_HOLE\w*")
 
@@ -57,6 +62,42 @@ def test_hole_name_tracks_statement_content(example_cu):
     assert a == b
     c = proof_hole_name("Other", "ltNotGt", mi.statement, mi.proof)
     assert a != c
+
+
+def deep_theorem(n: int):
+    """The statement and proof of the theorem of `shapes.proof(n)`."""
+    unit = on_deep_stack(lambda: parse_source(shapes.proof(n)[0]), AssertionError())
+    (s,) = [d for d in unit.decls if getattr(d, "name", None) == "S"]
+    (t,) = [m for m in s.methods if m.name == "t"]
+    return t.statement, t.proof
+
+
+def test_a_deep_proof_hole_is_named_by_the_digest_of_its_joined_text():
+    for n in (1, 50, 1000):
+        statement, proof = deep_theorem(n)
+        want = on_deep_stack(
+            lambda: oracles.proof_hole_name("S", "t", statement, proof), AssertionError()
+        )
+        assert proof_hole_name("S", "t", statement, proof) == want, n
+
+
+def test_naming_a_deep_proof_hole_takes_memory_linear_in_its_depth():
+    def peak(n: int) -> int:
+        """Bytes allocated at once, a count the machine's load cannot move."""
+        statement, proof = deep_theorem(n)
+        tracemalloc.start()
+        try:  # on the deep stack, as the CLI emits, so a recursive naming runs too
+            on_deep_stack(lambda: proof_hole_name("S", "t", statement, proof), AssertionError())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # twice the depth: about twice the memory, where the joined text, whose
+    # indentation grows with the depth, takes about four times; the first
+    # run fills the interpreter's free lists, which the others reuse
+    peak(2000)
+    small, large = peak(1000), peak(2000)
+    assert large <= 2.5 * small, (small, large)
 
 
 def test_admitted_proof_becomes_axiom(extended_cu):

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from focml import ast, compile_source, compile_unit, deps, driver, evaluator, resolve, typecheck
+from focml import ast, compile_source, compile_unit, deps, driver, emit, evaluator, resolve, typecheck
 from focml.ast import (
     BinOp, BoolLit, Call, ConRef, Connective, Eq, Expr, If, IntLit, Match, Not, PCon,
     PTuple, PVar, PWild, ProofLeaf, Qual, Quant, StrLit, TCon, TTuple,
@@ -1120,16 +1120,31 @@ def run_plan_suite(cus) -> int:
 
 
 def run_output_suite(cus) -> Counter:
-    """The deps report and `doc` of every unit, which write each shared
-    piece once, against the references in `tests/oracles.py`, which write
-    every piece from scratch, byte for byte.  And where two species share
-    a finished entry, the method has the same order index and proof
-    verdict in both: the report's entry key holds them too, but no unit
-    here could tell a key without them, so this checks that directly."""
+    """The deps report, `doc` and both targets of every unit, which write
+    each shared piece once, against the references in `tests/oracles.py`,
+    which write every piece from scratch, byte for byte.  And where two
+    species share a finished entry, the method has the same order index and
+    proof verdict in both: the report's entry key holds them too, but no
+    unit here could tell a key without them, so this checks that directly.
+    Likewise a statement's text under envs that differ only in the method
+    prefix or the target: every env the emitters build names methods by a
+    prefix its carrier names fix, so no target could tell a key without them."""
     seen = Counter()
     for cu in cus:
         assert driver.render_deps_report(cu) == oracles.render_deps_report(cu)
         assert driver.doc_text(cu) == oracles.doc_text(cu)
+        assert emit_logical(cu) == oracles.emit_logical(cu)
+        assert emit_comp(cu) == oracles.emit_comp(cu)
+        for sname, plan in cu.plans.items():
+            texts: dict = {}  # one memo across the envs, as in one emit call
+            for gp in plan.generators.values():
+                if gp.statement is None:
+                    continue
+                for target, prefix in (("logical", "abst_"), ("logical", "rf_"), ("comp", "rf_")):
+                    env = emit._render_env(cu.species[sname], target, prefix, "abst_T")
+                    text = emit._piece(emit.render_formula, gp.statement, env, texts)
+                    assert text == emit.render_formula(gp.statement, env), (sname, gp.method)
+                    seen["formulas"] += 1
         first: dict[int, tuple] = {}  # id of a finished entry -> where first seen
         for sname, sd in cu.deps.items():
             for i, m in enumerate(sd.order):
@@ -1723,6 +1738,26 @@ def test_an_heir_scans_only_what_it_changes(monkeypatch):
     assert calls.total() <= 620, calls.most_common(5)
 
 
+def test_emitting_an_heir_writes_only_what_it_changes(monkeypatch):
+    # Python-level calls, not time: writing every inherited record field
+    # and creator local again in each of the 170 modules makes 654,526
+    workloads = benchmark_workloads()
+    monkeypatch.setattr(workloads, "CHAIN_LEVELS", 112)
+    cu = compile_unit(list(workloads.chain(1).files.items()))
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        emit_logical(cu)
+    finally:
+        sys.setprofile(None)
+    assert calls <= 90_000, calls
+
+
 def test_an_heir_shares_what_it_does_not_change():
     cu = compile_source(SHARING)
     s, t, u, v = (cu.species[n] for n in "STUV")
@@ -1799,7 +1834,7 @@ def test_carried_finish_equals_a_full_finish(general_units, complete_units, work
 
 def test_outputs_equal_a_from_scratch_rendering(general_units, complete_units, workload_units):
     seen = run_output_suite([u.cu for u in general_units + complete_units])
-    assert seen["entries"] >= 1000 and seen["shared"] >= 100, seen
+    assert seen["entries"] >= 1000 and seen["shared"] >= 100 and seen["formulas"] >= 100, seen
     extra = [compile_source(src) for src in (PRELUDE + FINISH_EDGES, SHADOWS, CROSS)]
     assert run_output_suite(extra + data_units())["entries"] >= 50
     seen = run_output_suite([cu for cu, _ in workload_units])
