@@ -26,12 +26,13 @@ def _eq(key):
 
 
 class Record:
-    """A plain record: the base of every node, type, token and analysis
-    result.  Each class writes its own straight-line `__init__` and names its
-    positional fields in `__match_args__`; `_kw` names the keyword-only fields
-    a base adds (first in `repr`), and `_loose` the fields `==` ignores.  Two
-    records are `==` when they have the same class and equal compared fields.
-    A record is unhashable unless it is `Frozen`."""
+    """A plain record: the base of every node, type and analysis result.
+    Each class declares its fields once, as the parameters of its own
+    straight-line `__init__`: the positional ones become `__match_args__`, the
+    keyword-only ones `_kw` (first in `repr`).  A class without an `__init__`
+    keeps its base's.  `_loose` names the fields `==` ignores.  Two records
+    are `==` when they have the same class and equal compared fields.  A
+    record is unhashable unless it is `Frozen`."""
 
     __match_args__: tuple[str, ...] = ()
     _kw: tuple[str, ...] = ()
@@ -41,6 +42,12 @@ class Record:
     __hash__ = None  # type: ignore[assignment]
 
     def __init_subclass__(cls) -> None:
+        init = cls.__dict__.get("__init__")
+        if init is not None:  # its parameters after `self` are the fields
+            code = init.__code__
+            n = code.co_argcount
+            cls.__match_args__ = code.co_varnames[1:n]
+            cls._kw = code.co_varnames[n : n + code.co_kwonlyargcount]
         cls._fields = cls._kw + cls.__match_args__
         cls._compared = tuple(f for f in cls._fields if f not in cls._loose)
         key = attrgetter(*cls._compared) if cls._compared else _no_fields
@@ -77,8 +84,6 @@ class Frozen(Record):
 
 
 class Pos(Frozen):
-    __match_args__ = ("line", "col")
-
     def __init__(self, line: int = 0, col: int = 0):
         d = self.__dict__
         d["line"] = line
@@ -98,8 +103,6 @@ NOPOS = Pos()
 class TCon(Frozen):
     """Named base or union type: int, bool, string, statut_t, ..."""
 
-    __match_args__ = ("name",)
-
     def __init__(self, name: str):
         self.__dict__["name"] = name
 
@@ -111,16 +114,12 @@ class TSelf(Frozen):
 class TCap(Frozen):
     """Unresolved capitalized type name straight from the parser."""
 
-    __match_args__ = ("name",)
-
     def __init__(self, name: str):
         self.__dict__["name"] = name
 
 
 class TParam(Frozen):
     """Carrier of a collection parameter of the enclosing species."""
-
-    __match_args__ = ("name",)
 
     def __init__(self, name: str):
         self.__dict__["name"] = name
@@ -129,15 +128,11 @@ class TParam(Frozen):
 class TCollCarrier(Frozen):
     """Carrier of a toplevel collection."""
 
-    __match_args__ = ("name",)
-
     def __init__(self, name: str):
         self.__dict__["name"] = name
 
 
 class TArrow(Frozen):
-    __match_args__ = ("arg", "res")
-
     def __init__(self, arg: "Type", res: "Type"):
         d = self.__dict__
         d["arg"] = arg
@@ -145,23 +140,17 @@ class TArrow(Frozen):
 
 
 class TTuple(Frozen):
-    __match_args__ = ("items",)
-
     def __init__(self, items: tuple["Type", ...]):
         self.__dict__["items"] = items
 
 
 class TVar(Frozen):
-    __match_args__ = ("uid",)
-
     def __init__(self, uid: int):
         self.__dict__["uid"] = uid
 
 
 class TGen(Frozen):
     """Quantified slot inside a Scheme."""
-
-    __match_args__ = ("idx",)
 
     def __init__(self, idx: int):
         self.__dict__["idx"] = idx
@@ -176,8 +165,6 @@ T_STRING = TCon("string")
 
 class Scheme(Frozen):
     """Top-level method/builtin type, generalized over `count` TGen slots."""
-
-    __match_args__ = ("count", "body")
 
     def __init__(self, count: int, body: Type):
         d = self.__dict__
@@ -265,39 +252,29 @@ class Node(Record):
 
 
 class Expr(Node):
-    _kw = ("pos",)
-
     def __init__(self, *, pos: Pos = NOPOS):
         self.pos = pos
 
 
 class IntLit(Expr):
-    __match_args__ = ("value",)
-
     def __init__(self, value: int = 0, *, pos: Pos = NOPOS):
         self.pos = pos
         self.value = value
 
 
 class BoolLit(Expr):
-    __match_args__ = ("value",)
-
     def __init__(self, value: bool = False, *, pos: Pos = NOPOS):
         self.pos = pos
         self.value = value
 
 
 class StrLit(Expr):
-    __match_args__ = ("value",)
-
     def __init__(self, value: str = "", *, pos: Pos = NOPOS):
         self.pos = pos
         self.value = value
 
 
 class Var(Expr):
-    __match_args__ = ("name", "ref")
-
     def __init__(self, name: str = "", ref: str | None = None, *, pos: Pos = NOPOS):
         self.pos = pos
         self.name = name
@@ -307,8 +284,6 @@ class Var(Expr):
 class ConRef(Expr):
     """Union-type constructor, possibly applied: Too_low, Some (x)."""
 
-    __match_args__ = ("name", "args")
-
     def __init__(self, name: str = "", args: list[Expr] | None = None, *, pos: Pos = NOPOS):
         self.pos = pos
         self.name = name
@@ -317,8 +292,6 @@ class ConRef(Expr):
 
 class Qual(Expr):
     """C!m — method of a parameter or of a toplevel collection."""
-
-    __match_args__ = ("coll", "name", "ref")
 
     def __init__(
         self, coll: str = "", name: str = "", ref: str | None = None, *, pos: Pos = NOPOS
@@ -330,8 +303,6 @@ class Qual(Expr):
 
 
 class Call(Expr):
-    __match_args__ = ("callee", "args")
-
     def __init__(
         self, callee: Expr | None = None, args: list[Expr] | None = None, *, pos: Pos = NOPOS
     ):
@@ -341,8 +312,6 @@ class Call(Expr):
 
 
 class BinOp(Expr):
-    __match_args__ = ("op", "left", "right")
-
     def __init__(
         self,
         op: str = "",
@@ -358,8 +327,6 @@ class BinOp(Expr):
 
 
 class UnOp(Expr):
-    __match_args__ = ("op", "operand")
-
     def __init__(self, op: str = "", operand: Expr | None = None, *, pos: Pos = NOPOS):
         self.pos = pos
         self.op = op
@@ -367,8 +334,6 @@ class UnOp(Expr):
 
 
 class If(Expr):
-    __match_args__ = ("cond", "then", "orelse")
-
     def __init__(
         self,
         cond: Expr | None = None,
@@ -384,16 +349,12 @@ class If(Expr):
 
 
 class TupleExpr(Expr):
-    __match_args__ = ("items",)
-
     def __init__(self, items: list[Expr] | None = None, *, pos: Pos = NOPOS):
         self.pos = pos
         self.items = [] if items is None else items
 
 
 class Match(Expr):
-    __match_args__ = ("scrutinee", "arms")
-
     def __init__(
         self,
         scrutinee: Expr | None = None,
@@ -410,8 +371,6 @@ class Match(Expr):
 
 
 class Quant(Expr):
-    __match_args__ = ("kind", "vars", "ty", "body")
-
     def __init__(
         self,
         kind: str = "all",  # 'all' | 'ex'
@@ -429,8 +388,6 @@ class Quant(Expr):
 
 
 class Connective(Expr):
-    __match_args__ = ("op", "left", "right")
-
     def __init__(
         self,
         op: str = "",
@@ -446,8 +403,6 @@ class Connective(Expr):
 
 
 class Not(Expr):
-    __match_args__ = ("operand",)
-
     def __init__(self, operand: Expr | None = None, *, pos: Pos = NOPOS):
         self.pos = pos
         self.operand = operand
@@ -455,8 +410,6 @@ class Not(Expr):
 
 class Eq(Expr):
     """Polymorphic equality. A formula atom in statements, a bool builtin in bodies."""
-
-    __match_args__ = ("left", "right")
 
     def __init__(self, left: Expr | None = None, right: Expr | None = None, *, pos: Pos = NOPOS):
         self.pos = pos
@@ -468,8 +421,6 @@ class Eq(Expr):
 
 
 class Pattern(Node):
-    _kw = ("pos",)
-
     def __init__(self, *, pos: Pos = NOPOS):
         self.pos = pos
 
@@ -479,16 +430,12 @@ class PWild(Pattern):
 
 
 class PVar(Pattern):
-    __match_args__ = ("name",)
-
     def __init__(self, name: str = "", *, pos: Pos = NOPOS):
         self.pos = pos
         self.name = name
 
 
 class PCon(Pattern):
-    __match_args__ = ("name", "args")
-
     def __init__(self, name: str = "", args: list[Pattern] | None = None, *, pos: Pos = NOPOS):
         self.pos = pos
         self.name = name
@@ -496,8 +443,6 @@ class PCon(Pattern):
 
 
 class PTuple(Pattern):
-    __match_args__ = ("items",)
-
     def __init__(self, items: list[Pattern] | None = None, *, pos: Pos = NOPOS):
         self.pos = pos
         self.items = [] if items is None else items
@@ -552,8 +497,6 @@ Label = tuple[int, str]  # <depth>tag
 
 
 class Fact(Node):
-    __match_args__ = ("kind", "names", "labels", "pos", "refs")
-
     def __init__(
         self,
         kind: str = "",  # 'definition' | 'property' | 'hypothesis' | 'step' | 'type'
@@ -570,8 +513,6 @@ class Fact(Node):
 
 
 class ProofLeaf(Node):
-    __match_args__ = ("facts", "admitted", "pos")
-
     def __init__(self, facts: list[Fact] | None = None, admitted: bool = False, pos: Pos = NOPOS):
         self.facts = [] if facts is None else facts
         self.admitted = admitted
@@ -579,8 +520,6 @@ class ProofLeaf(Node):
 
 
 class ProofStep(Node):
-    __match_args__ = ("label", "assumes", "hyps", "goal", "is_qed", "sub", "pos")
-
     def __init__(
         self,
         label: Label = (0, ""),
@@ -601,8 +540,6 @@ class ProofStep(Node):
 
 
 class ProofSteps(Node):
-    __match_args__ = ("steps", "pos")
-
     def __init__(self, steps: list[ProofStep] | None = None, pos: Pos = NOPOS):
         self.steps = [] if steps is None else steps
         self.pos = pos
@@ -616,10 +553,6 @@ Proof = ProofLeaf | ProofSteps
 
 
 class MethodDecl(Node):
-    __match_args__ = (
-        "kind", "name", "ty", "params", "ret", "body", "statement", "proof", "rec", "pos",
-    )
-
     def __init__(
         self,
         kind: str,  # 'signature' | 'let' | 'property' | 'theorem' | 'proof_of'
@@ -646,8 +579,6 @@ class MethodDecl(Node):
 
 
 class SpeciesParam(Node):
-    __match_args__ = ("name", "kind", "interface", "carrier", "pos")
-
     def __init__(
         self,
         name: str,
@@ -666,8 +597,6 @@ class SpeciesParam(Node):
 class SpeciesArg(Node):
     """Effective argument of an applied species expression."""
 
-    __match_args__ = ("name", "expr", "pos")
-
     def __init__(self, name: str | None = None, expr: Expr | None = None, pos: Pos = NOPOS):
         self.name = name  # collection or parameter name
         self.expr = expr  # entity expression
@@ -681,8 +610,6 @@ class SpeciesArg(Node):
 
 
 class SpeciesExpr(Node):
-    __match_args__ = ("name", "args", "pos")
-
     def __init__(self, name: str, args: list[SpeciesArg] | None = None, pos: Pos = NOPOS):
         self.name = name
         self.args = [] if args is None else args
@@ -690,10 +617,6 @@ class SpeciesExpr(Node):
 
 
 class SpeciesDecl(Node):
-    __match_args__ = (
-        "name", "params", "inherits", "representation", "rep_pos", "methods", "pos",
-    )
-
     def __init__(
         self,
         name: str,
@@ -714,8 +637,6 @@ class SpeciesDecl(Node):
 
 
 class UnionTypeDecl(Node):
-    __match_args__ = ("name", "constructors", "pos")
-
     def __init__(
         self,
         name: str,
@@ -728,8 +649,6 @@ class UnionTypeDecl(Node):
 
 
 class CollectionDecl(Node):
-    __match_args__ = ("name", "implements", "pos")
-
     def __init__(self, name: str, implements: "SpeciesExpr | None" = None, pos: Pos = NOPOS):
         self.name = name
         self.implements = implements
@@ -740,8 +659,6 @@ Decl = UnionTypeDecl | SpeciesDecl | CollectionDecl
 
 
 class CompilationUnit(Node):
-    __match_args__ = ("decls",)
-
     def __init__(self, decls: list[Decl] | None = None):
         self.decls = [] if decls is None else decls
 

@@ -12,8 +12,6 @@ from .ast import (
 
 
 class Builtin(Frozen):
-    __match_args__ = ("name", "scheme", "logical", "type_args", "infix")
-
     def __init__(
         self,
         name: str,

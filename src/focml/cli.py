@@ -132,7 +132,10 @@ def _action(
             def act(cu: CompiledUnit) -> int:
                 try:
                     print(eval_call(cu, args.call))
-                except (CompileError, EvalFailure) as err:
+                except CompileError as err:
+                    _report(err.to_diagnostic("<call>"))
+                    return 1
+                except EvalFailure as err:
                     _report(Diagnostic(err.kind, err.message, file="<call>"))
                     return 1
                 return 0

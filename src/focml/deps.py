@@ -67,11 +67,6 @@ def _own_exprs(mi: MethodInfo):
 
 
 class MethodDeps(Record):
-    __match_args__ = (
-        "decl", "defs", "closure", "universe", "carrier_keep", "min_env", "param_deps",
-        "param_carrier", "entity_used",
-    )
-
     def __init__(
         self,
         decl: frozenset[str] = frozenset(),
@@ -97,8 +92,6 @@ class MethodDeps(Record):
 
 
 class SpeciesDeps(Record):
-    __match_args__ = ("order", "methods", "rec_groups")
-
     def __init__(
         self,
         order: list[str] | None = None,

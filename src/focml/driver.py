@@ -79,11 +79,6 @@ from .typecheck import (
 class CompiledUnit(Record):
     """Everything the back ends consume, keyed by declaration name."""
 
-    __match_args__ = (
-        "unions", "species", "deps", "plans", "collections", "extractions", "decl_order",
-        "constructors", "warnings", "files",
-    )
-
     def __init__(
         self,
         unions: dict[str, UnionTypeDecl] | None = None,

@@ -70,8 +70,6 @@ from .resolve import ENTITY, LOCAL, METHOD, PARAM
 
 
 class RenderEnv(Record):
-    __match_args__ = ("target", "module", "prefix", "params", "self_ty", "param_ty")
-
     def __init__(
         self,
         target: str,  # 'logical' | 'comp'

@@ -30,8 +30,6 @@ EVAL = "EvalError"
 
 
 class Diagnostic(Record):
-    __match_args__ = ("kind", "message", "pos", "file", "severity", "witness")
-
     def __init__(
         self,
         kind: str,

@@ -71,8 +71,6 @@ _INT_OPS = {
 
 
 class VCon(Frozen):
-    __match_args__ = ("name", "args")
-
     def __init__(self, name: str, args: tuple = ()):
         d = self.__dict__
         d["name"] = name
@@ -125,8 +123,6 @@ class Closure:
 
 
 class BuiltinFn(Frozen):
-    __match_args__ = ("name",)
-
     def __init__(self, name: str):
         self.__dict__["name"] = name
 
@@ -135,8 +131,6 @@ Value = object
 
 
 class Scope(Record):
-    __match_args__ = ("vars", "quals")
-
     def __init__(
         self,
         vars: dict[str, Value] | None = None,

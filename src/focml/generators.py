@@ -42,8 +42,6 @@ Atom = tuple
 class GenApp(Record):
     """Application of a method generator to already-resolved arguments."""
 
-    __match_args__ = ("species", "method", "args", "comp_args")
-
     def __init__(
         self,
         species: str,
@@ -59,8 +57,6 @@ class GenApp(Record):
 
 class Lift(Record):
     """One parameter of a generator: abstracted or bound."""
-
-    __match_args__ = ("tag", "name", "is_set", "ty", "statement", "bind_type", "bind_gen")
 
     def __init__(
         self,
@@ -92,11 +88,6 @@ class Lift(Record):
 
 
 class MethodGeneratorPlan(Record):
-    __match_args__ = (
-        "species", "method", "kind", "rec", "admitted", "lifts", "value_params", "ret",
-        "body", "statement", "proof",
-    )
-
     def __init__(
         self,
         species: str,
@@ -125,8 +116,6 @@ class MethodGeneratorPlan(Record):
 
 
 class RecordTypePlan(Record):
-    __match_args__ = ("species", "abstractions", "fields")
-
     def __init__(
         self,
         species: str,
@@ -139,8 +128,6 @@ class RecordTypePlan(Record):
 
 
 class LocalDef(Record):
-    __match_args__ = ("name", "gen")
-
     def __init__(
         self,
         name: str,  # 'rep' or a method name
@@ -151,8 +138,6 @@ class LocalDef(Record):
 
 
 class CollectionGeneratorPlan(Record):
-    __match_args__ = ("species", "outer", "locals", "record_args")
-
     def __init__(
         self,
         species: str,
@@ -167,8 +152,6 @@ class CollectionGeneratorPlan(Record):
 
 
 class SpeciesPlan(Record):
-    __match_args__ = ("name", "generators", "record", "create")
-
     def __init__(
         self,
         name: str,
@@ -183,10 +166,6 @@ class SpeciesPlan(Record):
 
 
 class CollectionExtractionPlan(Record):
-    __match_args__ = (
-        "name", "species", "create_args", "comp_args", "carrier", "record_params", "methods",
-    )
-
     def __init__(
         self,
         name: str,

@@ -78,12 +78,6 @@ class MethodInfo(Record):
     a species that changes a method stores a new record (`replace`), and
     heirs share the records they do not change."""
 
-    __match_args__ = (
-        "name", "kind", "decl_site", "first_def", "origin", "ty", "extra_sigs",
-        "params", "ret", "body", "statement", "proof", "rec", "superseded", "pos",
-        "scheme", "param_types", "ret_type", "carrier_decl", "carrier_def", "valid_proof",
-    )
-
     def __init__(
         self,
         name: str,
@@ -151,8 +145,6 @@ class MethodInfo(Record):
 
 
 class RevertedProof(Record):
-    __match_args__ = ("method", "proof_origin", "def_name", "def_origin", "pos")
-
     def __init__(self, method: str, proof_origin: str, def_name: str, def_origin: str, pos: Pos):
         self.method = method
         self.proof_origin = proof_origin
@@ -162,11 +154,6 @@ class RevertedProof(Record):
 
 
 class NFSpecies(Record):
-    __match_args__ = (
-        "name", "params", "lineage", "rep", "rep_origin", "rep_resolved", "methods",
-        "order", "reverted", "iface_args", "ancestor_args", "analysed", "pos",
-    )
-
     def __init__(
         self,
         name: str,
@@ -702,8 +689,6 @@ def invalidate_proofs(
 
 
 class CollectionModel(Record):
-    __match_args__ = ("name", "nf", "args", "iface_schemes", "carrier", "pos")
-
     def __init__(
         self,
         name: str,

@@ -26,8 +26,6 @@ PARAM, COLLECTION = "param", "collection"
 class Names(Frozen):
     """What a name can refer to where a tree is written."""
 
-    __match_args__ = ("entities", "methods", "params", "collections")
-
     def __init__(
         self,
         entities: Collection[str] = (),

@@ -244,10 +244,6 @@ def _carriers(t: Type) -> str:
 class SpeciesTypeEnv(Record):
     """Everything visible to expressions inside one species."""
 
-    __match_args__ = (
-        "ctx", "rep", "methods", "entity_params", "param_ifaces", "collections", "constructors",
-    )
-
     def __init__(
         self,
         ctx: TypeContext,
@@ -451,8 +447,6 @@ def _checked_atom(
 
 
 class LetTyping(Record):
-    __match_args__ = ("scheme", "param_types", "ret_type", "used_rep", "touched_self")
-
     def __init__(
         self,
         scheme: Scheme,
@@ -531,8 +525,6 @@ def _split_arrows(t: Type, n: int) -> tuple[list[Type], Type]:
 
 
 class StatementTyping(Record):
-    __match_args__ = ("touched_self",)
-
     def __init__(self, touched_self: bool):
         self.touched_self = touched_self
 
@@ -545,8 +537,6 @@ def check_statement(stmt: Expr, env: SpeciesTypeEnv) -> StatementTyping:
 
 
 class ProofTyping(Record):
-    __match_args__ = ("used_rep", "touched_self")
-
     def __init__(self, used_rep: bool, touched_self: bool):
         self.used_rep = used_rep
         self.touched_self = touched_self

@@ -5,13 +5,17 @@ species with an `is` parameter, inherited by an heir that renames it, so
 flattening copies and renames every tree.  `python tests/shapes.py` prints,
 for each shape, the deepest depth up to a cap at which `check`, `deps`,
 `emit`, `doc` and `eval` all succeed on the running Python: the floor over
-the shapes is the compile limit the README documents.
+the shapes is the compile limit the README documents.  Each step of its
+bisection runs in a fresh process, so one step's memory is given back
+before the next.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 from typing import Callable
@@ -192,13 +196,33 @@ def passes(shape: str, n: int, path: Path) -> bool:
     return True
 
 
+# `passes` on the shape, depth and path in `sys.argv`, as a child process:
+# exit code 0 if it passes and 3 if not (a failed assertion exits with 1)
+STEP = """import shapes, sys
+shape, n, path = sys.argv[1], int(sys.argv[2]), shapes.Path(sys.argv[3])
+sys.exit(0 if shapes.passes(shape, n, path) else 3)
+"""
+
+
+def passes_apart(shape: str, n: int, path: Path) -> bool:
+    """`passes` in a child process of its own, waited for before returning."""
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here), str(here.parent / "src")])}
+    argv = [sys.executable, "-c", STEP, shape, str(n), str(path)]
+    code = subprocess.run(argv, env=env).returncode
+    if code not in (0, 3):
+        raise RuntimeError(f"{shape} at depth {n}: the step exited with code {code}")
+    return code == 0
+
+
 def deepest(shape: str, path: Path, low: int = 1000, cap: int = 40_000) -> int:
-    """The deepest passing depth in [low, cap], by bisection."""
-    if not passes(shape, low, path):
+    """The deepest passing depth in [low, cap], by bisection, one process a
+    step: the steps hold no compiled unit in this process."""
+    if not passes_apart(shape, low, path):
         return low - 1
     while low < cap:
         mid = (low + cap + 1) // 2
-        if passes(shape, mid, path):
+        if passes_apart(shape, mid, path):
             low = mid
         else:
             cap = mid - 1

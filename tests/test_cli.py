@@ -213,6 +213,12 @@ def test_eval_failure_is_a_diagnostic(capsys):
     assert "EvalError" in err
 
 
+def test_a_syntax_error_in_the_call_gives_its_line_and_column(capsys):
+    code, out, err = run(capsys, "eval", *EXAMPLE, "--call", "In_5_10!filter (12")
+    assert (code, out) == (1, "")
+    assert err == "<call>:1:19: error: SyntaxError: expected ')', found 'eof'\n"
+
+
 def test_eval_requires_a_call(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["eval", *EXAMPLE])
@@ -336,9 +342,12 @@ def imported_modules(*argv: str) -> set[str]:
 
 
 def test_each_subcommand_imports_only_what_it_runs():
-    slow = {"dataclasses", "focml.emit", "focml.evaluator", "hashlib"}
+    slow = {"dataclasses", "focml.emit", "focml.evaluator", "hashlib", "inspect"}
     for argv in (["check"], ["deps"], ["doc"]):
         assert not imported_modules(*argv, *EXAMPLE) & slow, argv
     loaded = imported_modules("eval", *EXAMPLE, "--call", "In_5_10!filter (12)")
     assert "focml.evaluator" in loaded
-    assert not loaded & {"dataclasses", "focml.emit", "hashlib"}
+    assert not loaded & {"dataclasses", "focml.emit", "hashlib", "inspect"}
+    loaded = imported_modules("emit", *EXAMPLE, "--logical", os.devnull, "--comp", os.devnull)
+    assert "focml.emit" in loaded
+    assert not loaded & {"dataclasses", "inspect"}

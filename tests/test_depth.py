@@ -50,7 +50,10 @@ def test_a_deep_call_expression_is_a_depth_limit(tmp_path):
     call = "C!f (" + "(" * n + "1" + ")" * n + ")"
     code, out, err = shapes.run("eval", path, call)
     assert (code, out) == (1, "")
-    assert err == "<call>:0:0: error: DepthLimit: nested too deeply\n"
+    line, col = err.split(":")[1:3]
+    assert line == "1"  # the call's, somewhere inside its parentheses
+    assert len("C!f (") < int(col) <= len("C!f (") + n
+    assert err.startswith("<call>:") and err.endswith(": error: DepthLimit: nested too deeply\n")
 
 
 def test_past_the_stack_after_parsing_is_a_depth_limit_at_the_declaration():

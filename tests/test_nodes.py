@@ -4,6 +4,9 @@ Nodes, types and analysis results are plain classes (`ast.Record`); tokens
 are named tuples.  These tests pin what pattern matching, the caches and the
 comparisons in the passes rely on."""
 
+import ast as pyast
+from pathlib import Path
+
 import pytest
 
 from focml import basics, deps, driver, emit, errors, evaluator, generators
@@ -124,6 +127,60 @@ def test_every_record_keeps_its_positional_fields():
             cls = getattr(module, name)
             assert cls.__match_args__ == tuple(fields.split()), name
             assert (cls.__hash__ is not None) == (name in FROZEN), name
+
+
+def test_fields_are_read_from_each_class_init():
+    class Point(ast.Record):
+        _loose = frozenset({"note"})
+
+        def __init__(self, x: int, y: int = 0, *, note: str = "", tag: str = ""):
+            d = self.__dict__  # a local, not a field
+            d["note"] = note
+            d["tag"] = tag
+            d["x"] = x
+            d["y"] = y
+
+    class Moved(Point):
+        pass
+
+    assert (Point.__match_args__, Point._kw) == (("x", "y"), ("note", "tag"))
+    assert Point._fields == ("note", "tag", "x", "y")
+    assert Point._compared == ("tag", "x", "y")
+    assert (Moved.__match_args__, Moved._kw, Moved._fields, Moved._compared) == (
+        Point.__match_args__, Point._kw, Point._fields, Point._compared,
+    )
+    # `tag` and `y` are named only by the signature, and `==` compares them
+    assert Point(1, tag="a") != Point(1, tag="b")
+    assert Moved(1, 2) != Moved(1, 3)
+    assert Point(1, 2, note="a") == Point(1, 2, note="b")
+    assert Moved(1) != Point(1)
+    match Moved(4, 5, tag="t"):
+        case Moved(x, y, tag=tag):
+            assert (x, y, tag) == (4, 5, "t")
+    assert repr(Point(1)).endswith(".Point(note='', tag='', x=1, y=0)")
+
+
+def test_no_class_declares_its_fields_a_second_time():
+    # `Record.__init_subclass__` overrides these from `__init__`, so a
+    # class-level copy would only be a stale second list
+    stale = []
+    for path in sorted(Path(ast.__file__).parent.glob("*.py")):
+        for node in pyast.walk(pyast.parse(path.read_text())):
+            if not isinstance(node, pyast.ClassDef) or (path.name, node.name) == ("ast.py", "Record"):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, pyast.Assign):
+                    targets = stmt.targets
+                elif isinstance(stmt, pyast.AnnAssign):
+                    targets = [stmt.target]
+                else:
+                    continue
+                stale += [
+                    f"{path.name}:{stmt.lineno} {node.name}.{t.id}"
+                    for t in targets
+                    if isinstance(t, pyast.Name) and t.id in ("__match_args__", "_kw")
+                ]
+    assert stale == []
 
 
 def test_equality_ignores_positions_and_resolution():
