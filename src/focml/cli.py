@@ -40,11 +40,13 @@ def _write(target: str, text: str) -> None:
 
 def _compile(files: list[str]) -> CompiledUnit:
     # Compiling builds a graph that lives as long as the command: paused, the
-    # cyclic collector does not walk it again and again as it grows.
+    # cyclic collector does not walk it as it grows, and frozen once built,
+    # the action's collections skip it (`main` unfreezes it).
     enabled = gc.isenabled()
     gc.disable()
     try:
         cu = compile_files(files)
+        gc.freeze()
     finally:
         if enabled:
             gc.enable()
@@ -86,9 +88,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     action = _action(parser, args)
-    # What is loaded by now lives as long as the command: frozen, the
-    # cyclic collector stops walking it on every full collection.
-    gc.freeze()
     try:
         overflow = CompileError(DEPTH_LIMIT, "nested too deeply")
         return on_deep_stack(lambda: action(_compile(args.files)), overflow)

@@ -1,8 +1,8 @@
-"""Pipeline driver: parse -> flatten -> type -> analyze -> plan.
+"""Pipeline driver: parse -> flatten -> type -> analyze; plan on demand.
 
 Declarations are processed in unit order, so a species can only lean on
 species and collections that precede it.  The result bundles everything the
-emitters, the evaluator and the reports read.
+reports read; the emitters and the evaluator plan it first (`plan_unit`).
 """
 
 from __future__ import annotations
@@ -41,13 +41,7 @@ from .errors import (
     Diagnostic,
     depth_limit_at,
 )
-from .generators import (
-    CollectionExtractionPlan,
-    SpeciesPlan,
-    _param_method_lift,
-    build_extraction_plan,
-    build_species_plan,
-)
+from .generators import _param_method_lift, build_extraction_plan, build_species_plan
 from .hierarchy import (
     Args,
     CollectionModel,
@@ -77,16 +71,16 @@ from .typecheck import (
 
 
 class CompiledUnit(Record):
-    """Everything the back ends consume, keyed by declaration name."""
+    """Everything the back ends consume, keyed by declaration name; the
+    plans only once `plan_unit` has built them."""
 
     def __init__(
         self,
         unions: dict[str, UnionTypeDecl] | None = None,
         species: dict[str, NFSpecies] | None = None,
         deps: dict[str, SpeciesDeps] | None = None,
-        plans: dict[str, SpeciesPlan] | None = None,
+        parents: dict[str, NFSpecies | None] | None = None,
         collections: dict[str, CollectionModel] | None = None,
-        extractions: dict[str, CollectionExtractionPlan] | None = None,
         decl_order: list[tuple[str, str]] | None = None,
         constructors: dict[str, tuple[str, list[Type]]] | None = None,
         warnings: list[Diagnostic] | None = None,
@@ -95,9 +89,8 @@ class CompiledUnit(Record):
         self.unions = {} if unions is None else unions
         self.species = {} if species is None else species
         self.deps = {} if deps is None else deps
-        self.plans = {} if plans is None else plans
+        self.parents = {} if parents is None else parents  # see `_extended_parent`
         self.collections = {} if collections is None else collections
-        self.extractions = {} if extractions is None else extractions
         self.decl_order = [] if decl_order is None else decl_order
         self.constructors = {} if constructors is None else constructors
         self.warnings = [] if warnings is None else warnings
@@ -140,6 +133,22 @@ def compile_unit(sources: list[tuple[str, str]]) -> CompiledUnit:
             raise
         for w in cu.warnings[before:]:
             w.file = file
+    return cu
+
+
+def plan_unit(cu: CompiledUnit) -> CompiledUnit:
+    """Set `cu.plans` and `cu.extractions`, once, in declaration order: an
+    heir extends its parent's plans (`_extended_parent`)."""
+    if "plans" not in vars(cu):
+        plans, extractions = {}, {}
+        for kind, name in cu.decl_order:
+            with cu.writing(name):
+                if kind == "species":
+                    nf, sd, parent = cu.species[name], cu.deps[name], cu.parents[name]
+                    plans[name] = build_species_plan(nf, sd, cu.species, cu.deps, plans, parent)
+                elif kind == "collection":
+                    extractions[name] = build_extraction_plan(cu.collections[name], plans)
+        cu.plans, cu.extractions = plans, extractions
     return cu
 
 
@@ -223,9 +232,7 @@ def _register_species(cu: CompiledUnit, decl: SpeciesDecl) -> None:
     finish_deps(nf, sd, cu.species, cu.deps, parent)
     cu.species[nf.name] = nf
     cu.deps[nf.name] = sd
-    cu.plans[nf.name] = build_species_plan(
-        nf, sd, cu.species, cu.deps, cu.plans, parent
-    )
+    cu.parents[nf.name] = parent
 
 
 def _extended_parent(
@@ -510,7 +517,6 @@ def _register_collection(cu: CompiledUnit, decl: CollectionDecl) -> None:
 
     model = make_collection(decl, cu.species, cu.collections, type_entity_arg)
     cu.collections[decl.name] = model
-    cu.extractions[decl.name] = build_extraction_plan(model, cu.plans)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,7 @@ from .ast import (
     type_walk,
 )
 from .basics import BUILTIN_FUNCTIONS, LOGICAL_TYPE_NAMES
+from .driver import plan_unit
 from .generators import (
     CollectionExtractionPlan,
     GenApp,
@@ -373,7 +374,7 @@ def _genapp_text(gen: GenApp, env: RenderEnv) -> str:
 def emit_logical(cu) -> str:
     lines: list[str] = []  # each block's lines, then a blank line
     texts: dict = {}  # shared piece -> its text, for this call only
-    for kind, name in cu.decl_order:
+    for kind, name in plan_unit(cu).decl_order:
         with cu.writing(name):
             if kind == "union":
                 lines.append(_inductive(cu.unions[name]))
@@ -529,7 +530,7 @@ def _collection_logical(cu, name: str) -> str:
 def emit_comp(cu) -> str:
     lines: list[str] = []  # as in `emit_logical`
     texts: dict = {}
-    for kind, name in cu.decl_order:
+    for kind, name in plan_unit(cu).decl_order:
         with cu.writing(name):
             if kind == "union":
                 lines.append(_union_comp(cu.unions[name]))

@@ -56,6 +56,7 @@ from .ast import (
     same,
 )
 from .basics import BUILTIN_FUNCTIONS
+from .driver import plan_unit
 from .errors import DEPTH_LIMIT, EVAL, STEP_LIMIT, EvalFailure, on_deep_stack
 from .resolve import BUILTIN, PARAM, Names, resolve
 
@@ -175,7 +176,7 @@ class Interpreter:
     """Evaluates expressions against the collections of one compiled unit."""
 
     def __init__(self, cu, step_limit: int = STEP_LIMIT_DEFAULT):
-        self.cu = cu
+        self.cu = plan_unit(cu)
         self.step_limit = step_limit
         self.steps = 0
         self.depth = 0  # nested non-tail calls under way

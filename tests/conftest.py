@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from focml import compile_files
+from focml.driver import plan_unit
 
 DATA = Path(__file__).parent / "data"
 
@@ -15,11 +16,11 @@ def data(*names: str) -> list[str]:
 
 @pytest.fixture(scope="session")
 def example_cu():
-    """The running example, compiled once per session."""
-    return compile_files(data("example.fcl"))
+    """The running example, compiled and planned once per session."""
+    return plan_unit(compile_files(data("example.fcl")))
 
 
 @pytest.fixture(scope="session")
 def extended_cu():
-    """Running example plus the extension with an admitted proof."""
-    return compile_files(data("example.fcl", "isine_admitted.fcl"))
+    """Running example plus the extension with an admitted proof, planned."""
+    return plan_unit(compile_files(data("example.fcl", "isine_admitted.fcl")))

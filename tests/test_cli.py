@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from conftest import DATA, data
 
 from focml import compile_files
 from focml.cli import main
+from focml.errors import CompileError
 
 import oracles
 
@@ -106,15 +108,49 @@ def test_emit_without_targets_fails_before_compiling(capsys):
     assert "WrongCarrierLeak" not in err
 
 
-def test_main_leaves_nothing_frozen(capsys):
-    assert run(capsys, "check", *EXAMPLE)[0] == 0
-    assert gc.get_freeze_count() == 0
-    assert run(capsys, "check", *data("wrong.fcl"))[0] == 1
+def test_main_leaves_nothing_frozen(capsys, tmp_path):
+    from test_evaluator import DEEP
+
+    deep = tmp_path / "deep.fcl"
+    deep.write_text(DEEP)
+    for argv, code in (
+        (("check", *EXAMPLE), 0),
+        (("eval", *EXAMPLE, "--call", "In_5_10!filter (12)"), 0),
+        (("check", *data("wrong.fcl")), 1),  # a CompileError
+        (("eval", *EXAMPLE, "--call", "In_5_10!nope (1)"), 1),  # an EvalFailure
+        (("eval", str(deep), "--call", "D!grow (0)"), 1),  # a DepthLimit
+        (("check", "no/such/file.fcl"), 2),
+    ):
+        assert run(capsys, *argv)[0] == code, argv
+        assert gc.get_freeze_count() == 0, argv
+
+
+def test_the_action_runs_with_the_compiled_unit_frozen(capsys, monkeypatch):
+    # what the compile built lives as long as the command: the action's
+    # collections skip it
+    from focml import cli
+
+    compile_files, render, counts = cli.compile_files, cli.render_deps_report, []
+
+    def compiling(files):
+        counts.append(gc.get_freeze_count())
+        return compile_files(files)
+
+    def rendering(cu):
+        counts.append(gc.get_freeze_count())
+        return render(cu)
+
+    monkeypatch.setattr(cli, "compile_files", compiling)
+    monkeypatch.setattr(cli, "render_deps_report", rendering)
+    assert run(capsys, "deps", *EXAMPLE)[0] == 0
+    before, during = counts
+    assert during > before
     assert gc.get_freeze_count() == 0
 
 
 def test_main_leaves_the_collector_on_and_evaluates_with_it(capsys, monkeypatch):
-    # compiling pauses the cyclic collector; evaluating runs with it
+    # compiling pauses the cyclic collector and freezes the unit it built;
+    # evaluating runs with the collector on
     from focml import evaluator
 
     eval_call, during = evaluator.eval_call, []
@@ -133,6 +169,58 @@ def test_main_leaves_the_collector_on_and_evaluates_with_it(capsys, monkeypatch)
         assert run(capsys, *argv)[0] == code, argv
         assert gc.isenabled(), argv
     assert during == [True, True]
+
+
+# ---------------------------------------------------------------------------
+# plans on demand
+
+
+def test_only_emit_and_eval_build_plans(capsys, monkeypatch, tmp_path):
+    # counted calls, not time: `check`, `deps` and `doc` build no plan, and
+    # `emit` and `eval` plan each species and each collection once
+    from focml import driver
+    from test_properties import benchmark_workloads
+
+    calls = Counter()
+
+    def counting(name):
+        build = getattr(driver, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return build(*args)
+
+        return counted
+
+    for name in ("build_species_plan", "build_extraction_plan"):
+        monkeypatch.setattr(driver, name, counting(name))
+    units, call = [], "In_5_10!filter (12)"
+    for workload in (benchmark_workloads().chain(1), benchmark_workloads().wide(1)):
+        (name, text), = workload.files.items()
+        (tmp_path / name).write_text(text)
+        units.append(([str(tmp_path / name)], workload.calls[0]))
+    for path in sorted(DATA.glob("*.fcl")):
+        units.append(([str(path)], (call, None)))
+        if path.name != "example.fcl":
+            units.append(([*EXAMPLE, str(path)], (call, None)))
+    for files, (expr, value) in units:
+        try:
+            cu = compile_files(files)
+        except CompileError:
+            cu = driver.CompiledUnit()
+        for argv in (["check"], ["deps"], ["doc"]):
+            run(capsys, *argv, *files)
+            assert not calls, (argv, files)
+        planned = {"build_species_plan": len(cu.species), "build_extraction_plan": len(cu.collections)}
+        run(capsys, "emit", *files, "--logical", os.devnull, "--comp", os.devnull)
+        assert calls == +Counter(planned), files
+        calls.clear()
+        code, out, _ = run(capsys, "eval", *files, "--call", expr)
+        assert calls == +Counter(planned), files
+        calls.clear()
+        if value is not None:
+            assert (code, out) == (0, value + "\n")
+    assert len(units) >= 10
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
 """Emission plans: generator lifts, record types, creators, extractions."""
 
-from focml import compile_source, emit_comp, eval_call
+import pytest
+
+from conftest import data
+
+from focml import compile_files, compile_source, emit_comp, emit_logical, eval_call
+from focml.driver import plan_unit
 from focml.pretty import type_to_source
 
 
@@ -14,6 +19,24 @@ def lift_shape(l):
     if l.statement is not None:
         return (l.name, "statement")
     return (l.name, type_to_source(l.ty))
+
+
+# ---------------------------------------------------------------------------
+# Plans on demand
+
+
+def test_an_unplanned_unit_has_no_plans_to_read(example_cu):
+    # `check` never plans: reading plans it has not built fails, and can
+    # never be an empty dict an emitter would write as a unit of no species
+    cu = compile_files(data("example.fcl"))
+    for name in ("plans", "extractions"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(cu, name)
+    assert emit_logical(cu) == emit_logical(example_cu)  # the emitter plans it
+    plans, extractions = cu.plans, cu.extractions
+    assert set(plans) == set(cu.species) and set(extractions) == set(cu.collections)
+    assert plan_unit(cu) is cu and (cu.plans, cu.extractions) == (plans, extractions)
+    assert cu.plans is plans  # planned once
 
 
 # ---------------------------------------------------------------------------

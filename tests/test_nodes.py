@@ -71,7 +71,7 @@ MATCH_ARGS = {
         "SpeciesDeps": "order methods rec_groups",
     },
     driver: {
-        "CompiledUnit": "unions species deps plans collections extractions decl_order "
+        "CompiledUnit": "unions species deps parents collections decl_order "
         "constructors warnings files",
     },
     emit: {"RenderEnv": "target module prefix params self_ty param_ty"},

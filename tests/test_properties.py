@@ -33,8 +33,9 @@ from focml.ast import (
 from focml.deps import (
     MethodDeps, SpeciesDeps, finish_deps, order_methods, scan_species, type_level_refs,
 )
+from focml.driver import plan_unit
 from focml.emit import emit_comp, emit_logical
-from focml.generators import build_species_plan
+from focml.generators import build_extraction_plan, build_species_plan
 from focml.hierarchy import invalidate_proofs
 from focml.errors import CompileError, EvalFailure
 from focml.evaluator import Interpreter, Scope, format_value
@@ -533,6 +534,7 @@ def _required(atom):
 def run_scoping_suite(units) -> int:
     cases = 0
     for u in units:
+        plan_unit(u.cu)
         for sname in u.species:
             plan = u.cu.plans[sname]
             for gen in plan.generators.values():
@@ -587,6 +589,7 @@ def run_recorded_erasure_suite(cus) -> int:
     computational arguments as its callee has computational parameters."""
     cases = 0
     for cu in cus:
+        plan_unit(cu)
         colls = {c: logical_kinds(m.nf) for c, m in cu.collections.items()}
         for sname, plan in cu.plans.items():
             nf = cu.species[sname]
@@ -1108,14 +1111,21 @@ def run_placed_order_suite(cus) -> int:
 
 
 def run_plan_suite(cus) -> int:
-    """Every species' plan, extended from its parent's where it has one,
-    against `build_species_plan` run from scratch."""
+    """Every species' plan, which `plan_unit` extends from its parent's
+    where it has one, against `build_species_plan` run from scratch; every
+    collection's extraction plan against `build_extraction_plan` run again;
+    and planning a unit again keeps its plans."""
     cases = 0
     for cu in cus:
+        plans = plan_unit(cu).plans
         for sname, nf in cu.species.items():
-            fresh = build_species_plan(nf, cu.deps[sname], cu.species, cu.deps, cu.plans)
-            assert fresh == cu.plans[sname], sname
+            fresh = build_species_plan(nf, cu.deps[sname], cu.species, cu.deps, plans)
+            assert fresh == plans[sname], sname
             cases += len(nf.methods)
+        for cname, model in cu.collections.items():
+            assert build_extraction_plan(model, plans) == cu.extractions[cname], cname
+            cases += 1
+        assert plan_unit(cu).plans is plans
     return cases
 
 
@@ -1131,6 +1141,7 @@ def run_output_suite(cus) -> Counter:
     prefix its carrier names fix, so no target could tell a key without them."""
     seen = Counter()
     for cu in cus:
+        plan_unit(cu)  # the oracles read the plans the emitters read
         assert driver.render_deps_report(cu) == oracles.render_deps_report(cu)
         assert driver.doc_text(cu) == oracles.doc_text(cu)
         assert emit_logical(cu) == oracles.emit_logical(cu)
@@ -1157,8 +1168,10 @@ def run_output_suite(cus) -> Counter:
 
 
 def check_outcome(sources) -> str:
+    """`check`'s verdict; no plan raises a diagnostic, so a unit it accepts
+    must also plan."""
     try:
-        compile_unit(sources)
+        plan_unit(compile_unit(sources))
     except CompileError as err:
         return err.kind
     return "accepted"
@@ -1615,7 +1628,7 @@ def run_eval_suite(cus, per_method: int, depth_limit: int) -> Counter:
     rng = random.Random(SEED + 2)
     kinds: Counter = Counter()
     for cu in cus:
-        plain = plain_unit(cu)
+        plain = plain_unit(plan_unit(cu))  # as `Interpreter` plans it
         interp = Interpreter.__new__(Interpreter)  # steps stay readable if
         oracle = oracles.Evaluator.__new__(oracles.Evaluator)  # a build fails
         got = outcome(lambda: Interpreter.__init__(interp, cu, EVAL_STEPS), lambda: interp.steps)
@@ -1700,7 +1713,7 @@ def test_extended_plans_equal_full_plans(general_units, complete_units, workload
     units = [u.cu for u in general_units + complete_units]
     assert run_plan_suite(units) >= 1000
     extra = [compile_source(PRELUDE + FINISH_EDGES), compile_source(SHADOWS)]
-    extra += [compile_source(CROSS)]
+    extra += [compile_source(src) for src in (CROSS, PEANO, COUNTER, CAPTURES)]
     assert run_plan_suite(extra + data_units()) >= 50
     assert run_plan_suite([cu for cu, _ in workload_units]) >= 5000
 
@@ -1743,7 +1756,7 @@ def test_emitting_an_heir_writes_only_what_it_changes(monkeypatch):
     # and creator local again in each of the 170 modules makes 654,526
     workloads = benchmark_workloads()
     monkeypatch.setattr(workloads, "CHAIN_LEVELS", 112)
-    cu = compile_unit(list(workloads.chain(1).files.items()))
+    cu = plan_unit(compile_unit(list(workloads.chain(1).files.items())))
     calls = 0
 
     def profile(frame, event, arg):
@@ -1759,7 +1772,7 @@ def test_emitting_an_heir_writes_only_what_it_changes(monkeypatch):
 
 
 def test_an_heir_shares_what_it_does_not_change():
-    cu = compile_source(SHARING)
+    cu = plan_unit(compile_source(SHARING))
     s, t, u, v = (cu.species[n] for n in "STUV")
     # passed as themselves: the parent's record itself
     assert v.methods["f"] is u.methods["f"] is s.methods["f"]
