@@ -40,8 +40,7 @@ def _write(target: str, text: str) -> None:
 
 def _compile(files: list[str]) -> CompiledUnit:
     # Compiling builds a graph that lives as long as the command: paused, the
-    # cyclic collector does not walk it as it grows, and frozen once built,
-    # the action's collections skip it (`main` unfreezes it).
+    # cyclic collector does not walk it as it grows, nor once it is frozen.
     enabled = gc.isenabled()
     gc.disable()
     try:

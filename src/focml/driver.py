@@ -71,8 +71,7 @@ from .typecheck import (
 
 
 class CompiledUnit(Record):
-    """Everything the back ends consume, keyed by declaration name; the
-    plans only once `plan_unit` has built them."""
+    """Everything the back ends consume, keyed by declaration name."""
 
     def __init__(
         self,

@@ -331,7 +331,9 @@ def subst_expr(
                             changes[attr] = new
                 return e.replace(**changes) if changes else e
 
-    return go(e)
+    out = go(e)
+    del go  # a recursive closure is a reference cycle: only a collection frees it
+    return out
 
 
 def subst_proof(proof: Proof, args: Args, type_fn) -> Proof:
@@ -384,7 +386,9 @@ def subst_proof(proof: Proof, args: Args, type_fn) -> Proof:
         steps = [step(s) for s in p.steps]
         return p if _unchanged(steps, p.steps) else ProofSteps(steps, p.pos)
 
-    return go(proof)
+    out = go(proof)
+    del go  # as in `subst_expr`
+    return out
 
 
 def subst_method(mi: MethodInfo, args: Args) -> MethodInfo:

@@ -586,4 +586,5 @@ def check_proof(proof: Proof, env: SpeciesTypeEnv) -> ProofTyping:
                         walk(step.sub, inner, inner_hyps)
 
     walk(proof, {}, set())
+    del walk  # as in `hierarchy.subst_expr`
     return ProofTyping(used_rep=uni.used_rep, touched_self=uni.touched_self)

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import DATA, data
 
-from focml import compile_files
+from focml import compile_files, compile_unit
 from focml.cli import main
 from focml.errors import CompileError
 
@@ -146,6 +146,27 @@ def test_the_action_runs_with_the_compiled_unit_frozen(capsys, monkeypatch):
     before, during = counts
     assert during > before
     assert gc.get_freeze_count() == 0
+
+
+def test_compiling_leaves_no_cyclic_garbage():
+    # frozen for the action, a cycle the compile dropped would live until
+    # exit: every compile-time closure frees itself
+    from test_properties import benchmark_workloads
+
+    units = [list(benchmark_workloads().chain(1).files.items())]
+    units += [[(str(path), path.read_text())] for path in sorted(DATA.glob("*.fcl"))]
+    gc.collect()
+    gc.disable()
+    try:
+        for sources in units:
+            try:
+                cu = compile_unit(sources)
+            except CompileError:
+                cu = None
+            assert gc.collect() == 0, sources[0][0]
+            del cu
+    finally:
+        gc.enable()
 
 
 def test_main_leaves_the_collector_on_and_evaluates_with_it(capsys, monkeypatch):
