@@ -88,7 +88,7 @@ class CompiledUnit(Record):
         self.unions = {} if unions is None else unions
         self.species = {} if species is None else species
         self.deps = {} if deps is None else deps
-        self.parents = {} if parents is None else parents  # see `_extended_parent`
+        self.parents = {} if parents is None else parents  # species -> `_extended_parent`
         self.collections = {} if collections is None else collections
         self.decl_order = [] if decl_order is None else decl_order
         self.constructors = {} if constructors is None else constructors

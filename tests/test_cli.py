@@ -155,6 +155,7 @@ def test_compiling_leaves_no_cyclic_garbage():
 
     units = [list(benchmark_workloads().chain(1).files.items())]
     units += [[(str(path), path.read_text())] for path in sorted(DATA.glob("*.fcl"))]
+    enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
@@ -166,7 +167,8 @@ def test_compiling_leaves_no_cyclic_garbage():
             assert gc.collect() == 0, sources[0][0]
             del cu
     finally:
-        gc.enable()
+        if enabled:
+            gc.enable()
 
 
 def test_main_leaves_the_collector_on_and_evaluates_with_it(capsys, monkeypatch):
