@@ -5,9 +5,10 @@ method references, validates proof facts, and fixes the global method order
 (a topological sort of the decl-dependency graph, tie-broken by where each
 method first received a definition and then by name).  The semantic pass runs
 after typing and derives the visible universe, the minimal typing
-environment, and per-parameter dependencies for every method.  Methods an
-heir holds unchanged from its parent keep the entries scanned and finished
-there.
+environment, and per-parameter dependencies for every method.  Both write
+to the species record: its entries (`NFSpecies.deps`), its order and its
+mutual groups.  Methods an heir holds unchanged from its parent keep the
+entries scanned and finished there.
 """
 
 from __future__ import annotations
@@ -89,18 +90,6 @@ class MethodDeps(Record):
         self.param_deps = {} if param_deps is None else param_deps
         self.param_carrier = {} if param_carrier is None else param_carrier
         self.entity_used = [] if entity_used is None else entity_used
-
-
-class SpeciesDeps(Record):
-    def __init__(
-        self,
-        order: list[str] | None = None,
-        methods: dict[str, MethodDeps] | None = None,
-        rec_groups: list[list[str]] | None = None,
-    ):
-        self.order = [] if order is None else order
-        self.methods = {} if methods is None else methods
-        self.rec_groups = [] if rec_groups is None else rec_groups
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +423,11 @@ def _scans_alike(mi: MethodInfo, other: MethodInfo | None) -> bool:
 
 def scan_species(
     nf: NFSpecies,
-    deps_env: dict[str, SpeciesDeps],
     parent: NFSpecies | None = None,
     inherited: tuple[NFSpecies, ...] = (),
-) -> SpeciesDeps:
-    """Syntactic pass: decl/def sets, fact validation, global order.
+) -> None:
+    """Syntactic pass: decl/def sets, fact validation, global order.  Sets
+    `nf.deps` to the scanned entries, and `nf.order` and `nf.rec_groups`.
 
     Given the `parent` the species extends (see `driver._extended_parent`),
     a method that holds the parent's record and that the species does not
@@ -448,11 +437,11 @@ def scan_species(
     scans alike with a species it `inherited` takes that species' sets.
     Every other method is scanned here.
     """
-    sd = SpeciesDeps()
     parents: dict[str, MethodInfo] = {}
+    entries: dict[str, MethodDeps] = {}
     if parent is not None:
         parents = parent.methods
-        sd.methods = dict(deps_env[parent.name].methods)
+        entries = dict(parent.deps)
     dirty: list[str] = []  # new here, or ordered by other edges or keys
     for name, mi in nf.methods.items():
         old = parents.get(name)
@@ -461,28 +450,28 @@ def scan_species(
         alike = () if name in nf.analysed else inherited
         alike = [p for p in alike if _scans_alike(mi, p.methods.get(name))]
         if alike:
-            md = deps_env[alike[0].name].methods[name]
+            md = alike[0].deps[name]
             md = MethodDeps(decl=md.decl, defs=md.defs)
         else:
             md = MethodDeps(decl=frozenset(decl_deps(mi, nf)), defs=frozenset(def_deps(mi, nf)))
         if (
             old is None
             or old.order_site() != mi.order_site()
-            or md.decl != sd.methods[name].decl
+            or md.decl != entries[name].decl
         ):
             dirty.append(name)
-        sd.methods[name] = md
+        entries[name] = md
+    nf.deps = entries
     placed = None
-    if parent is not None and not deps_env[parent.name].rec_groups:
-        placed = _placed_order(nf, sd.methods, parent, dirty)
+    if parent is not None and not parent.rec_groups:
+        placed = _placed_order(nf, entries, parent, dirty)
     if placed is not None:
-        sd.order = placed
+        nf.order, nf.rec_groups = placed, []
     else:
-        decl = {name: md.decl for name, md in sd.methods.items()}
-        sd.order, sd.rec_groups = order_methods(nf, decl)
-    nf.order = sd.order
-    mutual = {m for g in sd.rec_groups for m in g}
-    for name, md in sd.methods.items() if mutual else ():
+        decl = {name: md.decl for name, md in entries.items()}
+        nf.order, nf.rec_groups = order_methods(nf, decl)
+    mutual = {m for g in nf.rec_groups for m in g}
+    for name, md in entries.items() if mutual else ():
         hit = sorted(md.defs & mutual)
         if hit and nf.methods[name].valid_proof:
             # The member's generator takes its partners as arguments, so
@@ -493,7 +482,6 @@ def scan_species(
                 nf.methods[name].pos,
                 witness=hit,
             )
-    return sd
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +490,11 @@ def scan_species(
 
 def finish_deps(
     nf: NFSpecies,
-    sd: SpeciesDeps,
     species_env: dict[str, NFSpecies],
-    deps_env: dict[str, SpeciesDeps],
     parent: NFSpecies | None = None,
 ) -> None:
-    """Semantic pass.  Given the `parent` the species extends (see
+    """Semantic pass over the entries `scan_species` left in `nf.deps`.
+    Given the `parent` the species extends (see
     `driver._extended_parent`), an entry the parent finished holds here
     when neither its method nor a name in its universe changed since the
     parent: a changed method holds another record than the parent's, as
@@ -515,6 +502,7 @@ def finish_deps(
     pass finds the changed names, and one set test per parent entry keeps
     the rest, with the parent's `min_env` while this order keeps the
     parent's relative order.  The rest are finished here."""
+    entries = nf.deps
     kept: dict[str, MethodDeps] = {}
     index: dict[str, int] = {}
     if parent is not None:
@@ -522,28 +510,28 @@ def finish_deps(
         changed = {y for y, mi in nf.methods.items() if mi is not old.get(y)}
         kept = {
             x: pe
-            for x, pe in deps_env[parent.name].methods.items()
+            for x, pe in parent.deps.items()
             if x not in changed and changed.isdisjoint(pe.universe)
         }
-        if kept and [n for n in sd.order if n in old] != parent.order:
-            index = {m: i for i, m in enumerate(sd.order)}
+        if kept and [n for n in nf.order if n in old] != parent.order:
+            index = {m: i for i, m in enumerate(nf.order)}
             kept = {x: pe.replace(min_env=_min_env(pe, index)) for x, pe in kept.items()}
-        sd.methods.update(kept)
-    if len(kept) == len(sd.methods):
+        entries.update(kept)
+    if len(kept) == len(entries):
         return
-    index = index or {m: i for i, m in enumerate(sd.order)}
+    index = index or {m: i for i, m in enumerate(nf.order)}
     type_refs: dict[str, set[str]] = {}
-    for name, scanned in sd.methods.items():
+    for name, scanned in entries.items():
         if name in kept:
             continue
         mi = nf.methods[name]
-        sd.methods[name] = md = MethodDeps(decl=scanned.decl, defs=scanned.defs)
-        md.closure = def_closure(sd.methods, name)
+        entries[name] = md = MethodDeps(decl=scanned.decl, defs=scanned.defs)
+        md.closure = def_closure(entries, name)
         u = set(md.decl) | md.closure
         while True:
             grown = set(u)
             for z in md.closure:
-                grown |= sd.methods[z].decl
+                grown |= entries[z].decl
             for y in u:
                 if y not in type_refs:
                     type_refs[y] = type_level_refs(nf.methods[y])
@@ -564,7 +552,7 @@ def finish_deps(
             md.carrier_keep = "TypeAndBody"
         elif carrier_decl:
             md.carrier_keep = "TypeOnly"
-        _param_deps(nf, md, mi, species_env, deps_env)
+        _param_deps(nf, md, mi, species_env)
 
 
 def _min_env(md: MethodDeps, index: dict[str, int]) -> list[tuple[str, str]]:
@@ -579,7 +567,6 @@ def _param_deps(
     md: MethodDeps,
     mi: MethodInfo,
     species_env: dict[str, NFSpecies],
-    deps_env: dict[str, SpeciesDeps],
 ) -> None:
     if not nf.params:
         return
@@ -615,7 +602,6 @@ def _param_deps(
         iface = is_params[pname].interface
         assert iface is not None
         iface_nf = species_env[iface.name]
-        iface_sd = deps_env[iface.name]
         for m in sorted(deps):
             if m not in iface_nf.methods:
                 raise CompileError(
@@ -624,7 +610,7 @@ def _param_deps(
         closed = set(deps)
         for m in deps:  # [Close]: names used by the statements of members
             closed |= type_level_refs(iface_nf.methods[m])
-        md.param_deps[pname] = [m for m in iface_sd.order if m in closed]
+        md.param_deps[pname] = [m for m in iface_nf.order if m in closed]
 
     # Entity parameters contribute themselves when referenced.
     md.entity_used = [

@@ -29,7 +29,7 @@ from .ast import (
     same,
     type_walk,
 )
-from .deps import SpeciesDeps, finish_deps, scan_species
+from .deps import finish_deps, scan_species
 from .errors import (
     DUPLICATE,
     INCOMPLETE,
@@ -77,7 +77,6 @@ class CompiledUnit(Record):
         self,
         unions: dict[str, UnionTypeDecl] | None = None,
         species: dict[str, NFSpecies] | None = None,
-        deps: dict[str, SpeciesDeps] | None = None,
         parents: dict[str, NFSpecies | None] | None = None,
         collections: dict[str, CollectionModel] | None = None,
         decl_order: list[tuple[str, str]] | None = None,
@@ -87,7 +86,6 @@ class CompiledUnit(Record):
     ):
         self.unions = {} if unions is None else unions
         self.species = {} if species is None else species
-        self.deps = {} if deps is None else deps
         self.parents = {} if parents is None else parents  # species -> `_extended_parent`
         self.collections = {} if collections is None else collections
         self.decl_order = [] if decl_order is None else decl_order
@@ -143,8 +141,8 @@ def plan_unit(cu: CompiledUnit) -> CompiledUnit:
         for kind, name in cu.decl_order:
             with cu.writing(name):
                 if kind == "species":
-                    nf, sd, parent = cu.species[name], cu.deps[name], cu.parents[name]
-                    plans[name] = build_species_plan(nf, sd, cu.species, cu.deps, plans, parent)
+                    nf, parent = cu.species[name], cu.parents[name]
+                    plans[name] = build_species_plan(nf, cu.species, plans, parent)
                 elif kind == "collection":
                     extractions[name] = build_extraction_plan(cu.collections[name], plans)
         cu.plans, cu.extractions = plans, extractions
@@ -212,7 +210,7 @@ def _register_species(cu: CompiledUnit, decl: SpeciesDecl) -> None:
     if nf.rep is not None:
         nf.rep_resolved = env.rep = env.ctx.resolve(nf.rep, nf.pos)
     parent = _extended_parent(cu, decl, nf)
-    reverted = invalidate_proofs(nf, parent, parent and cu.deps[parent.name].methods)
+    reverted = invalidate_proofs(nf, parent)
     for rp in reverted:
         cu.warnings.append(
             Diagnostic(
@@ -223,14 +221,13 @@ def _register_species(cu: CompiledUnit, decl: SpeciesDecl) -> None:
                 severity="warning",
             )
         )
-    sd = scan_species(nf, cu.deps, parent, tuple(cu.species[se.name] for se in decl.inherits))
-    _type_species(nf, sd, env)
+    scan_species(nf, parent, tuple(cu.species[se.name] for se in decl.inherits))
+    _type_species(nf, env)
     # Inherit arguments may name the species' own methods.
     for se, args in zip(decl.inherits, inherit_args):
         _type_entity_args(cu, se, args, env)
-    finish_deps(nf, sd, cu.species, cu.deps, parent)
+    finish_deps(nf, cu.species, parent)
     cu.species[nf.name] = nf
-    cu.deps[nf.name] = sd
     cu.parents[nf.name] = parent
 
 
@@ -377,21 +374,21 @@ def _type_entity_args(
             uni.unify(got, args[formal.carrier], arg.pos)
 
 
-def _type_species(nf: NFSpecies, sd: SpeciesDeps, env: SpeciesTypeEnv) -> None:
+def _type_species(nf: NFSpecies, env: SpeciesTypeEnv) -> None:
     """Type the methods the species analyses (`nf.analysed`), in global
     order, and store each typed record.  A method holding an ancestor's
     analysis is analysed too when a method it declares a dependency on was
     typed again here to another scheme."""
     group_of: dict[str, list[str]] = {}
-    for g in sd.rec_groups:
+    for g in nf.rec_groups:
         for m in g:
             group_of[m] = g
     changed: set[str] = set()
-    for name in sd.order:
+    for name in nf.order:
         mi = nf.methods[name]
         if name in group_of and env.methods.get(name) is None:
             _seed_rec_group(nf, group_of[name], env)
-        if changed and not changed.isdisjoint(sd.methods[name].decl):
+        if changed and not changed.isdisjoint(nf.deps[name].decl):
             nf.analysed.add(name)
         if name in nf.analysed:
             typed = _type_method(mi, env)
@@ -485,7 +482,7 @@ def _mentions_self(t: Type) -> bool:
 def _register_collection(cu: CompiledUnit, decl: CollectionDecl) -> None:
     base = cu.species.get(decl.implements.name)
     if base is not None:
-        mutual = cu.deps[base.name].rec_groups
+        mutual = base.rec_groups
         if mutual and not base.incompleteness():
             raise CompileError(
                 INCOMPLETE,
@@ -581,17 +578,17 @@ def _json_object(fields: dict[str, str], nl: str) -> str:
 
 
 def _species_json(cu: CompiledUnit, name: str, texts: dict, entries: dict) -> str:
-    nf, sd = cu.species[name], cu.deps[name]
-    index = {m: i for i, m in enumerate(sd.order)}
+    nf = cu.species[name]
+    index = {m: i for i, m in enumerate(nf.order)}
     methods: list[str] = []
-    for i, m in enumerate(sd.order):
+    for i, m in enumerate(nf.order):
         mi = nf.methods[m]
-        key = (id(sd.methods[m]), id(mi), i)
+        key = (id(nf.deps[m]), id(mi), i)
         text = entries.get(key)
         if text is None:
             text = entries[key] = _method_json(cu, nf, m, index, texts)
         methods.append(text)
-    order = _json_block([_json_string(m) for m in sd.order], _NL[3], "[]")
+    order = _json_block([_json_string(m) for m in nf.order], _NL[3], "[]")
     fields = {"order": order, "methods": _json_block(methods, _NL[3], "{}")}
     return f"{_json_string(name)}: {_json_object(fields, _NL[2])}"
 
@@ -601,7 +598,7 @@ def _method_json(
 ) -> str:
     """`"m": {...}`, the entry of method `m` of `nf`."""
     mi = nf.methods[m]
-    md = cu.deps[nf.name].methods[m]
+    md = nf.deps[m]
     nl = _NL[5]
 
     def names(s: set[str]) -> str:

@@ -4,8 +4,9 @@ Two backends walk the same plans: a proof-oriented target where method
 generators become Definitions/Theorems abstracted over their dependencies,
 and an executable target that erases everything logical (statements, proofs,
 carriers, type annotations) while keeping the identical module structure.
-The plans decide what is erased: the executable target keeps the lifts that
-are not logical and the computational arguments each application records.
+The plans decide what is erased: the executable target keeps the lifts,
+record fields and creator locals that are not logical and the computational
+arguments each application records.
 Unproved obligations surface as content-addressed proof holes; theorems whose
 proof is admitted become axioms.
 
@@ -13,8 +14,9 @@ An heir's plan shares pieces with its parent's by identity. Each emit call
 writes such a piece's text once, in one memo `texts` keyed by identity (the
 unit holds every keyed object for the whole call): a record field by the
 method's record, a creator local by its `LocalDef` and whether its generator
-is the species' own (`m` or `Species.m`), outer abstractions by their list,
-and a lift's or parameter's type or statement by the object and env (`_piece`).
+is the species' own (`m` or `Species.m`), outer abstractions by their list
+(the record's also for the `mk_record` line), and a lift's or parameter's
+type or statement by the object and env (`_piece`).
 """
 
 from __future__ import annotations
@@ -463,8 +465,7 @@ def _record_logical(nf: NFSpecies, plan: SpeciesPlan, texts: dict) -> list[str]:
         mi = nf.methods[m]
         line = texts.get(id(mi))
         if line is None:
-            if mi.is_logical:
-                assert mi.statement is not None
+            if mi.statement is not None:  # a logical method
                 text = render_formula(mi.statement, env)
             else:
                 assert mi.scheme is not None
@@ -496,8 +497,14 @@ def _create_logical(nf: NFSpecies, plan: SpeciesPlan, texts: dict) -> list[str]:
         if line is None:
             line = texts[key] = f"    let local_{ld.name} := {_genapp_text(ld.gen, env)} in"
         lines.append(line)
-    args = " ".join([_atom_text(t, env) for t in create.record_args])
-    lines.append(f"    mk_record {args}.")
+    record = plan.record
+    assert record is not None
+    key = ("mk_record", id(record.abstractions))
+    params = texts.get(key)
+    if params is None:
+        params = texts[key] = "".join([" " + _atom_text(l.tag, env) for l in record.abstractions])
+    fields = "".join([" local_" + m for m in record.fields])
+    lines.append(f"    mk_record{params} local_rep{fields}.")
     return lines
 
 
@@ -507,14 +514,15 @@ def _create_app(ext: CollectionExtractionPlan) -> GenApp:
 
 def _collection_logical(cu, name: str) -> str:
     ext: CollectionExtractionPlan = cu.extractions[name]
+    record = cu.plans[ext.species].record
     env = RenderEnv("logical", module=name)
     lines = [f"Module {name}."]
     app = _genapp_text(_create_app(ext), env)
     lines.append(f"  Let effective_collection := {app}.")
     assert ext.carrier is not None
     lines.append(f"  Definition me_as_carrier := {render_type(ext.carrier, env)}.")
-    holes = " _" * ext.record_params
-    for m, _logical in ext.methods:
+    holes = " _" * len(record.abstractions)
+    for m in record.fields:
         lines.append(
             f"  Definition {m} := "
             f"effective_collection.({ext.species}.rf_{m}{holes})."
@@ -575,7 +583,7 @@ def _species_comp(cu, name: str, texts: dict) -> list[str]:
             continue
         lines.append(_generator_comp(nf, gp))
     if plan.record is not None:
-        lines.extend(_record_comp(nf, plan))
+        lines.extend(_record_comp(plan))
     if plan.create is not None:
         lines.extend(_create_comp(nf, plan, texts))
     lines.append("end")
@@ -592,10 +600,10 @@ def _generator_comp(nf: NFSpecies, plan: MethodGeneratorPlan) -> str:
     return f"  {keyword} {plan.method}{params} = {render_body(plan.body, env)}"
 
 
-def _record_comp(nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
+def _record_comp(plan: SpeciesPlan) -> list[str]:
     record = plan.record
     assert record is not None
-    fields = [f"rf_{m}" for m in record.fields if not nf.methods[m].is_logical]
+    fields = [f"rf_{m}" for m in record.comp_fields]
     inner = f"{{ {' ; '.join(fields)} }}" if fields else "{ }"
     return [f"  type me_as_species = {inner}"]
 
@@ -608,7 +616,7 @@ def _create_comp(nf: NFSpecies, plan: SpeciesPlan, texts: dict) -> list[str]:
     lines = [f"  let collection_create{params} ="]
     assigns = []
     for ld in create.locals:
-        if ld.gen is None or nf.methods[ld.name].is_logical:
+        if ld.gen is None or ld.logical:
             continue
         key = (id(ld), ld.gen.species == env.module)
         line = texts.get(key)
@@ -623,13 +631,12 @@ def _create_comp(nf: NFSpecies, plan: SpeciesPlan, texts: dict) -> list[str]:
 
 def _collection_comp(cu, name: str) -> str:
     ext: CollectionExtractionPlan = cu.extractions[name]
+    record = cu.plans[ext.species].record
     env = RenderEnv("comp", module=name)
     lines = [f"module {name} = struct"]
     app = _genapp_text(_create_app(ext), env)
     lines.append(f"  let effective_collection = {app}")
-    for m, logical in ext.methods:
-        if logical:
-            continue
+    for m in record.comp_fields:
         lines.append(
             f"  let {m} = effective_collection.{ext.species}.rf_{m}"
         )

@@ -191,13 +191,11 @@ class Interpreter:
     def _build_collection(self, name: str) -> None:
         ext = self.cu.extractions[name]
         args = [self._atom(a, Scope(), {}) for a in ext.comp_args]
-        record = self._create(ext.species, args)
-        self.collections[name] = {
-            m: record[m] for m, logical in ext.methods if not logical
-        }
+        self.collections[name] = self._create(ext.species, args)
 
     def _create(self, species: str, args: list[Value]) -> dict[str, Value]:
-        nf = self.cu.species[species]
+        """The values of the creator's computational locals: the fields
+        the computational record keeps, in its order."""
         plan = self.cu.plans[species].create
         assert plan is not None
         scope = Scope()
@@ -213,7 +211,7 @@ class Interpreter:
             (scope.quals if qual else scope.vars)[key] = v
         locals_: dict[str, Value] = {}
         for ld in plan.locals:
-            if ld.gen is None or nf.methods[ld.name].is_logical:
+            if ld.gen is None or ld.logical:
                 continue
             gp = self.cu.plans[ld.gen.species].generators[ld.gen.method]
             vals = [self._atom(a, scope, locals_) for a in ld.gen.comp_args]

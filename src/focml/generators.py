@@ -6,9 +6,11 @@ pass established.  Complete species additionally get a record type packing
 their interface and a creator that instantiates every generator in order.
 Collections become an application of the creator plus one projection per
 method.  The plans built here are target independent; both emitters walk
-them.  They also decide erasure once: a lift knows whether it is logical,
-and each generator application records its computational arguments, which
-the computational emitter and the evaluator read as they are.
+them.  They also decide erasure once: a lift and a creator local know
+whether they are logical, a record lists the fields the computational
+target keeps, and each generator application records its computational
+arguments, which the computational emitter and the evaluator read as they
+are.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .ast import (
     TParam,
     Type,
 )
-from .deps import MethodDeps, SpeciesDeps, param_refs, type_level_refs
+from .deps import MethodDeps, param_refs, type_level_refs
 from .hierarchy import (
     Args,
     CollectionModel,
@@ -120,11 +122,13 @@ class RecordTypePlan(Record):
         self,
         species: str,
         abstractions: list[Lift] | None = None,
-        fields: list[str] | None = None,  # method names; carrier first
+        fields: list[str] | None = None,  # method names, after the carrier
+        comp_fields: list[str] | None = None,  # those not logical
     ):
         self.species = species
         self.abstractions = [] if abstractions is None else abstractions
         self.fields = [] if fields is None else fields
+        self.comp_fields = [] if comp_fields is None else comp_fields
 
 
 class LocalDef(Record):
@@ -132,9 +136,11 @@ class LocalDef(Record):
         self,
         name: str,  # 'rep' or a method name
         gen: GenApp | None = None,  # None for the representation local
+        logical: bool = False,  # the method is a theorem
     ):
         self.name = name
         self.gen = gen
+        self.logical = logical
 
 
 class CollectionGeneratorPlan(Record):
@@ -143,12 +149,10 @@ class CollectionGeneratorPlan(Record):
         species: str,
         outer: list[Lift] | None = None,
         locals: list[LocalDef] | None = None,
-        record_args: list[Tag] | None = None,
     ):
         self.species = species
         self.outer = [] if outer is None else outer
         self.locals = [] if locals is None else locals
-        self.record_args = [] if record_args is None else record_args
 
 
 class SpeciesPlan(Record):
@@ -173,16 +177,12 @@ class CollectionExtractionPlan(Record):
         create_args: list[Atom] | None = None,
         comp_args: list[Atom] | None = None,  # logical ones erased
         carrier: Type | None = None,
-        record_params: int = 0,
-        methods: list[tuple[str, bool]] | None = None,  # (name, logical)
     ):
         self.name = name
         self.species = species
         self.create_args = [] if create_args is None else create_args
         self.comp_args = [] if comp_args is None else comp_args
         self.carrier = carrier
-        self.record_params = record_params
-        self.methods = [] if methods is None else methods
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +244,7 @@ def _param_method_lift(
 
 def build_species_plan(
     nf: NFSpecies,
-    sd: SpeciesDeps,
     species_env: dict[str, NFSpecies],
-    deps_env: dict[str, SpeciesDeps],
     plans_env: dict[str, SpeciesPlan],
     parent: NFSpecies | None = None,
 ) -> SpeciesPlan:
@@ -262,25 +260,20 @@ def build_species_plan(
             return plan.generators[m]
         return plans_env[origin].generators[m]
 
-    for m in sd.order:
+    for m in nf.order:
         mi = nf.methods[m]
         if mi.origin != nf.name or not mi.defined or not mi.valid_proof:
             continue
         plan.generators[m] = _method_plan(
-            nf, mi, sd.methods[m], species_env, lookup
+            nf, mi, nf.deps[m], species_env, lookup
         )
     if not nf.incompleteness():
-        plan.record = _record_plan(
-            nf, sd, species_env, deps_env, parent, prev and prev.record
-        )
-        if not sd.rec_groups:
+        plan.record = _record_plan(nf, species_env, parent, prev and prev.record)
+        if not nf.rec_groups:
             # A mutual group admits no instantiation order for the
             # creator's locals, and such a species cannot back a
             # collection anyway.
-            plan.create = _create_plan(
-                nf, sd, plan.record, species_env, deps_env, lookup,
-                prev and prev.create,
-            )
+            plan.create = _create_plan(nf, species_env, lookup, prev and prev.create)
     return plan
 
 
@@ -352,7 +345,6 @@ def _param_lifts(
     carrier: str,
     used: dict[str, set[str]],
     species_env: dict[str, NFSpecies],
-    deps_env: dict[str, SpeciesDeps],
 ) -> list[Lift]:
     """Outer lifts of a record or a creator: the carrier of each
     is-parameter, named by the `carrier` format, the entity parameters, then
@@ -364,7 +356,7 @@ def _param_lifts(
     lifts.extend(_entity_lift(p) for p in nf.entity_params)
     for p in nf.is_params:
         assert p.interface is not None
-        for m in deps_env[p.interface.name].order:
+        for m in species_env[p.interface.name].order:
             if m in used[p.name]:
                 lifts.append(
                     _param_method_lift(nf, p, m, species_env, f"_p_{p.name}_{m}")
@@ -383,9 +375,7 @@ def _used_methods(nf: NFSpecies, lifts: list[Lift]) -> dict[str, set[str]]:
 
 def _record_plan(
     nf: NFSpecies,
-    sd: SpeciesDeps,
     species_env: dict[str, NFSpecies],
-    deps_env: dict[str, SpeciesDeps],
     parent: NFSpecies | None,
     prev: RecordTypePlan | None,
 ) -> RecordTypePlan:
@@ -415,17 +405,15 @@ def _record_plan(
         species=nf.name,
         abstractions=prev.abstractions
         if prev is not None and used == before
-        else _param_lifts(nf, "{}_T", used, species_env, deps_env),
-        fields=list(sd.order),
+        else _param_lifts(nf, "{}_T", used, species_env),
+        fields=list(nf.order),
+        comp_fields=[m for m in nf.order if not nf.methods[m].is_logical],
     )
 
 
 def _create_plan(
     nf: NFSpecies,
-    sd: SpeciesDeps,
-    record: RecordTypePlan,
     species_env: dict[str, NFSpecies],
-    deps_env: dict[str, SpeciesDeps],
     lookup,
     prev: CollectionGeneratorPlan | None,
 ) -> CollectionGeneratorPlan:
@@ -436,7 +424,7 @@ def _create_plan(
     generator to the same actuals, the `ancestor_args` entry the heir
     shares with the parent."""
     used: dict[str, set[str]] = {p.name: set() for p in nf.is_params}
-    for md in sd.methods.values():
+    for md in nf.deps.values():
         for p, ms in md.param_deps.items():
             if ms:
                 used[p].update(ms)
@@ -445,18 +433,15 @@ def _create_plan(
         species=nf.name,
         outer=prev.outer
         if prev is not None and used == _used_methods(nf, prev.outer)
-        else _param_lifts(nf, "_p_{}_T", used, species_env, deps_env),
+        else _param_lifts(nf, "_p_{}_T", used, species_env),
     )
     plan.locals.append(LocalDef("rep"))
-    for m in sd.order:
-        origin = nf.methods[m].origin
+    for m in nf.order:
+        mi = nf.methods[m]
         ld = reuse.get(m)
-        if ld is None or ld.gen.species != origin:
-            ld = LocalDef(m, _gen_app(lookup(origin, m), nf))
+        if ld is None or ld.gen.species != mi.origin:
+            ld = LocalDef(m, _gen_app(lookup(mi.origin, m), nf), mi.is_logical)
         plan.locals.append(ld)
-    plan.record_args = [l.tag for l in record.abstractions]
-    plan.record_args.append(("self_carrier",))
-    plan.record_args += [("self_method", m) for m in sd.order]
     return plan
 
 
@@ -467,14 +452,8 @@ def build_extraction_plan(
     nf = model.nf
     splan = plans_env[nf.name]
     assert splan.create is not None and splan.record is not None
-    out = CollectionExtractionPlan(
-        name=model.name,
-        species=nf.name,
-        carrier=model.carrier,
-        record_params=len(splan.record.abstractions),
-    )
+    out = CollectionExtractionPlan(name=model.name, species=nf.name, carrier=model.carrier)
     lifts = splan.create.outer
     out.create_args = resolve_tags([l.tag for l in lifts], model.args)
     out.comp_args = [a for a, l in zip(out.create_args, lifts) if not l.logical]
-    out.methods = [(m, nf.methods[m].is_logical) for m in nf.order]
     return out

@@ -163,7 +163,9 @@ class NFSpecies(Record):
         rep_origin: str | None = None,
         rep_resolved: Type | None = None,  # filled by typing
         methods: dict[str, MethodInfo] | None = None,
-        order: list[str] | None = None,  # filled by deps
+        order: list[str] | None = None,  # filled by deps, as are the two below
+        deps: dict[str, MethodDeps] | None = None,
+        rec_groups: list[list[str]] | None = None,
         reverted: list[RevertedProof] | None = None,
         iface_args: dict[str, Args] | None = None,
         ancestor_args: dict[str, Args] | None = None,
@@ -178,6 +180,8 @@ class NFSpecies(Record):
         self.rep_resolved = rep_resolved
         self.methods = {} if methods is None else methods
         self.order = [] if order is None else order
+        self.deps = {} if deps is None else deps
+        self.rec_groups = [] if rec_groups is None else rec_groups
         self.reverted = [] if reverted is None else reverted
         # is-parameter -> the actuals of its interface's formals.
         self.iface_args = {} if iface_args is None else iface_args
@@ -640,22 +644,17 @@ def normalize(
         nf.analysed.update(nf.methods)
 
 
-def invalidate_proofs(
-    nf: NFSpecies,
-    parent: NFSpecies | None = None,
-    scanned: dict[str, MethodDeps] | None = None,
-) -> list[RevertedProof]:
+def invalidate_proofs(nf: NFSpecies, parent: NFSpecies | None = None) -> list[RevertedProof]:
     """Erase proofs whose unfolded definitions were later redefined.
 
-    Given the `parent` `nf` extends and its dependency entries `scanned`,
-    whose `defs` name what each of its proofs unfolds, a theorem whose
+    Given the `parent` `nf` extends, whose dependency entries (`deps`) have
+    `defs` naming what each of its proofs unfolds, a theorem whose
     record is the parent's keeps the parent's verdict while every
     definition it unfolds keeps its origin, which ranks alike in a lineage
     that extends the parent's.  A reverted theorem gets a new record."""
     rank = {s: i for i, s in enumerate(nf.lineage)}
     old: dict[str, MethodInfo] = {}
     if parent is not None:
-        assert scanned is not None
         old = parent.methods
         moved = {n for n, mi in nf.methods.items() if n not in old or old[n].origin != mi.origin}
         judged = {rp.method: rp for rp in parent.reverted}
@@ -663,7 +662,7 @@ def invalidate_proofs(
     for name, mi in nf.methods.items():
         if mi.kind != "theorem" or mi.proof is None:
             continue
-        if old.get(name) is mi and moved.isdisjoint(scanned[name].defs):
+        if old.get(name) is mi and moved.isdisjoint(parent.deps[name].defs):
             if name in judged:
                 reverted.append(judged[name])
             continue

@@ -383,29 +383,20 @@ def type_pattern(
                     p.pos,
                 )
             uni.unify(scrutinee, TCon(union), p.pos)
-            binds: dict[str, Type] = {}
-            for a, ty in zip(args, argtys):
-                for k, v in type_pattern(a, ty, env, uni).items():
-                    if k in binds:
-                        raise CompileError(
-                            DUPLICATE, f"duplicate pattern variable {k}", a.pos
-                        )
-                    binds[k] = v
-            return binds
+            parts = zip(args, argtys)
         case PTuple(items):
             holes = [uni.fresh() for _ in items]
             uni.unify(scrutinee, TTuple(tuple(holes)), p.pos)
-            binds = {}
-            for item, hole in zip(items, holes):
-                for k, v in type_pattern(item, hole, env, uni).items():
-                    if k in binds:
-                        raise CompileError(
-                            DUPLICATE, f"duplicate pattern variable {k}", item.pos
-                        )
-                    binds[k] = v
-            return binds
+            parts = zip(items, holes)
         case _:
             raise CompileError(TYPE_MISMATCH, "unsupported pattern", p.pos)
+    binds: dict[str, Type] = {}
+    for sub, ty in parts:
+        for k, v in type_pattern(sub, ty, env, uni).items():
+            if k in binds:
+                raise CompileError(DUPLICATE, f"duplicate pattern variable {k}", sub.pos)
+            binds[k] = v
+    return binds
 
 
 def infer_formula(
@@ -423,27 +414,13 @@ def infer_formula(
             infer_formula(right, locals_, env, uni)
         case Not(operand):
             infer_formula(operand, locals_, env, uni)
-        case Eq(left, right):
-            _checked_atom(e, locals_, env, uni, is_eq=True)
-        case _:
-            _checked_atom(e, locals_, env, uni, is_eq=False)
-
-
-def _checked_atom(
-    e: Expr, locals_: dict[str, Type], env: SpeciesTypeEnv, uni: Unifier, is_eq: bool
-) -> None:
-    try:
-        if is_eq:
-            assert isinstance(e, Eq)
-            tl = infer_expr(e.left, locals_, env, uni)
-            tr = infer_expr(e.right, locals_, env, uni)
-            uni.unify(tl, tr, e.pos)
-        else:
-            uni.unify(infer_expr(e, locals_, env, uni), T_BOOL, e.pos)
-    except CompileError as err:
-        if err.kind == CARRIER_LEAK and not err.witness:
-            err.witness = [expr_to_source(e)]
-        raise
+        case _:  # an atom; `infer_expr` unifies the sides of an `=`
+            try:
+                uni.unify(infer_expr(e, locals_, env, uni), T_BOOL, e.pos)
+            except CompileError as err:
+                if err.kind == CARRIER_LEAK and not err.witness:
+                    err.witness = [expr_to_source(e)]
+                raise
 
 
 class LetTyping(Record):

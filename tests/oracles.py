@@ -617,16 +617,15 @@ def _species_report(cu, name: str) -> dict:
     from focml.pretty import expr_to_source, type_to_source
 
     nf = cu.species[name]
-    sd = cu.deps[name]
-    index = {m: i for i, m in enumerate(sd.order)}
+    index = {m: i for i, m in enumerate(nf.order)}
 
     def in_order(names: set[str]) -> list[str]:
         return sorted(names, key=lambda n: index[n])
 
     methods: dict[str, dict] = {}
-    for m in sd.order:
+    for m in nf.order:
         mi = nf.methods[m]
-        md = sd.methods[m]
+        md = nf.deps[m]
         params: dict[str, list[dict]] = {}
         for p in nf.is_params:
             if not md.param_deps.get(p.name) and not md.param_carrier.get(p.name):
@@ -652,7 +651,7 @@ def _species_report(cu, name: str) -> dict:
             "order_index": index[m],
             "valid_proof": mi.valid_proof,
         }
-    return {"order": list(sd.order), "methods": methods}
+    return {"order": list(nf.order), "methods": methods}
 
 
 def _collection_args(model) -> list[str]:
@@ -1309,7 +1308,10 @@ def _create_logical(nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
             lines.append(f"    let local_rep := {rhs} in")
         else:
             lines.append(f"    let local_{ld.name} := {_genapp_text(ld.gen, env)} in")
-    args = " ".join(_atom_text(t, env) for t in create.record_args)
+    assert plan.record is not None
+    tags = [l.tag for l in plan.record.abstractions] + [("self_carrier",)]
+    tags += [("self_method", m) for m in nf.order]
+    args = " ".join(_atom_text(t, env) for t in tags)
     lines.append(f"    mk_record {args}.")
     return lines
 
@@ -1322,8 +1324,8 @@ def _collection_logical(cu, name: str) -> str:
     lines.append(f"  Let effective_collection := {app}.")
     assert ext.carrier is not None
     lines.append(f"  Definition me_as_carrier := {render_type(ext.carrier, env)}.")
-    holes = " _" * ext.record_params
-    for m, _logical in ext.methods:
+    holes = " _" * len(cu.plans[ext.species].record.abstractions)
+    for m in cu.collections[name].nf.order:
         lines.append(
             f"  Definition {m} := "
             f"effective_collection.({ext.species}.rf_{m}{holes})."
@@ -1425,8 +1427,9 @@ def _collection_comp(cu, name: str) -> str:
     lines = [f"module {name} = struct"]
     app = _genapp_text(_create_app(ext), env)
     lines.append(f"  let effective_collection = {app}")
-    for m, logical in ext.methods:
-        if logical:
+    nf = cu.collections[name].nf
+    for m in nf.order:
+        if nf.methods[m].is_logical:
             continue
         lines.append(
             f"  let {m} = effective_collection.{ext.species}.rf_{m}"

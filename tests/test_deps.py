@@ -14,11 +14,10 @@ import oracles
 def raw_sets(cu, sname):
     """Syntactic inputs in oracle form: decl, def and type-level deps."""
     nf = cu.species[sname]
-    sd = cu.deps[sname]
-    decl = {n: set(md.decl) for n, md in sd.methods.items()}
-    defs = {n: set(md.defs) for n, md in sd.methods.items()}
+    decl = {n: set(md.decl) for n, md in nf.deps.items()}
+    defs = {n: set(md.defs) for n, md in nf.deps.items()}
     tdep = {n: type_level_refs(nf.methods[n]) for n in nf.methods}
-    return nf, sd, decl, defs, tdep
+    return nf, decl, defs, tdep
 
 
 # ---------------------------------------------------------------------------
@@ -36,10 +35,10 @@ def test_global_orders(example_cu):
 
 @pytest.mark.parametrize("sname", ["Data", "OrdData", "TheInt", "IsIn"])
 def test_order_is_topological_on_decl_deps(example_cu, sname):
-    nf, sd, decl, _, _ = raw_sets(example_cu, sname)
+    nf, decl, _, _ = raw_sets(example_cu, sname)
     edges = {(y, x) for x, ys in decl.items() for y in ys}
-    assert oracles.is_topological(sd.order, edges)
-    assert sorted(sd.order) == sorted(nf.methods)
+    assert oracles.is_topological(nf.order, edges)
+    assert sorted(nf.order) == sorted(nf.methods)
 
 
 def test_redefinition_keeps_slot_first_definition_moves(example_cu):
@@ -56,24 +55,24 @@ def test_redefinition_keeps_slot_first_definition_moves(example_cu):
 
 
 def test_decl_sets(example_cu):
-    _, sd, decl, _, _ = raw_sets(example_cu, "TheInt")
+    _, decl, _, _ = raw_sets(example_cu, "TheInt")
     assert decl["gt"] == {"lt", "eq"}
     assert decl["ltNotGt"] == {"lt", "gt"}
     assert decl["id"] == set()
 
 
 def test_def_sets(example_cu):
-    _, _, _, defs, _ = raw_sets(example_cu, "TheInt")
+    _, _, defs, _ = raw_sets(example_cu, "TheInt")
     assert defs["ltNotGt"] == {"gt"}
     assert defs["gt"] == set()  # only proofs carry definition deps
-    _, _, _, defs, _ = raw_sets(example_cu, "IsIn")
+    _, _, defs, _ = raw_sets(example_cu, "IsIn")
     assert defs["lowMin"] == {"filter", "getStatus"}
 
 
 def test_def_closure_matches_oracle(example_cu):
     for sname in example_cu.species:
-        _, sd, _, defs, _ = raw_sets(example_cu, sname)
-        for x, md in sd.methods.items():
+        nf, _, defs, _ = raw_sets(example_cu, sname)
+        for x, md in nf.deps.items():
             assert md.closure == oracles.def_closure(defs, x), (sname, x)
 
 
@@ -82,43 +81,43 @@ def test_def_closure_matches_oracle(example_cu):
 
 
 def test_universe_values(example_cu):
-    sd = example_cu.deps["TheInt"]
-    assert sd.methods["ltNotGt"].universe == {"eq", "lt", "gt"}
-    assert sd.methods["gt"].universe == {"lt", "eq"}
-    assert sd.methods["id"].universe == set()
+    nf = example_cu.species["TheInt"]
+    assert nf.deps["ltNotGt"].universe == {"eq", "lt", "gt"}
+    assert nf.deps["gt"].universe == {"lt", "eq"}
+    assert nf.deps["id"].universe == set()
 
 
 def test_universe_matches_oracle(example_cu):
     for sname in example_cu.species:
-        _, sd, decl, defs, tdep = raw_sets(example_cu, sname)
-        for x, md in sd.methods.items():
+        nf, decl, defs, tdep = raw_sets(example_cu, sname)
+        for x, md in nf.deps.items():
             want = oracles.universe(decl, defs, tdep, x)
             assert md.universe == want, (sname, x)
 
 
 def test_min_env_values(example_cu):
-    sd = example_cu.deps["TheInt"]
-    assert sd.methods["ltNotGt"].min_env == [
+    nf = example_cu.species["TheInt"]
+    assert nf.deps["ltNotGt"].min_env == [
         ("eq", "TypeOnly"), ("lt", "TypeOnly"), ("gt", "TypeAndBody"),
     ]
-    sd = example_cu.deps["IsIn"]
-    assert sd.methods["lowMin"].min_env == [
+    nf = example_cu.species["IsIn"]
+    assert nf.deps["lowMin"].min_env == [
         ("filter", "TypeAndBody"), ("getStatus", "TypeAndBody"),
     ]
 
 
 def test_min_env_matches_oracle(example_cu):
     for sname in example_cu.species:
-        _, sd, decl, defs, tdep = raw_sets(example_cu, sname)
-        for x, md in sd.methods.items():
-            want = oracles.min_env(sd.order, decl, defs, tdep, x)
+        nf, decl, defs, tdep = raw_sets(example_cu, sname)
+        for x, md in nf.deps.items():
+            want = oracles.min_env(nf.order, decl, defs, tdep, x)
             got = [(y, keep == "TypeAndBody") for y, keep in md.min_env]
             assert got == want, (sname, x)
 
 
 def test_min_env_partitions_universe(example_cu):
-    for sname, sd in example_cu.deps.items():
-        for x, md in sd.methods.items():
+    for sname, nf in example_cu.species.items():
+        for x, md in nf.deps.items():
             names = [y for y, _ in md.min_env]
             assert set(names) == md.universe
             for y, keep in md.min_env:
@@ -130,19 +129,19 @@ def test_min_env_partitions_universe(example_cu):
 
 
 def test_carrier_keep(example_cu):
-    ti = example_cu.deps["TheInt"]
-    assert ti.methods["lt"].carrier_keep == "TypeAndBody"  # unifies Self=int
-    assert ti.methods["gt"].carrier_keep == "TypeOnly"
-    assert ti.methods["ltNotGt"].carrier_keep == "TypeOnly"
-    ii = example_cu.deps["IsIn"]
-    assert ii.methods["filter"].carrier_keep == "TypeAndBody"
-    assert ii.methods["lowMin"].carrier_keep == "TypeAndBody"
+    ti = example_cu.species["TheInt"]
+    assert ti.deps["lt"].carrier_keep == "TypeAndBody"  # unifies Self=int
+    assert ti.deps["gt"].carrier_keep == "TypeOnly"
+    assert ti.deps["ltNotGt"].carrier_keep == "TypeOnly"
+    ii = example_cu.species["IsIn"]
+    assert ii.deps["filter"].carrier_keep == "TypeAndBody"
+    assert ii.deps["lowMin"].carrier_keep == "TypeAndBody"
 
 
 def test_abstract_species_methods_stay_abstract(example_cu):
-    od = example_cu.deps["OrdData"]
-    assert od.methods["gt"].carrier_keep == "TypeOnly"
-    assert od.methods["id"].carrier_keep is None
+    od = example_cu.species["OrdData"]
+    assert od.deps["gt"].carrier_keep == "TypeOnly"
+    assert od.deps["id"].carrier_keep is None
 
 
 # ---------------------------------------------------------------------------
@@ -150,30 +149,30 @@ def test_abstract_species_methods_stay_abstract(example_cu):
 
 
 def test_param_deps_values(example_cu):
-    sd = example_cu.deps["IsIn"]
-    assert sd.methods["filter"].param_deps["V"] == ["lt", "gt"]
-    assert sd.methods["lowMin"].param_deps["V"] == ["lt", "gt", "ltNotGt"]
-    assert sd.methods["getValue"].param_deps["V"] == []
+    nf = example_cu.species["IsIn"]
+    assert nf.deps["filter"].param_deps["V"] == ["lt", "gt"]
+    assert nf.deps["lowMin"].param_deps["V"] == ["lt", "gt", "ltNotGt"]
+    assert nf.deps["getValue"].param_deps["V"] == []
 
 
 def test_param_deps_are_closed(example_cu):
     """A second [Close] pass adds nothing."""
     iface = example_cu.species["OrdData"]
     tdeps = {n: type_level_refs(mi) for n, mi in iface.methods.items()}
-    sd = example_cu.deps["IsIn"]
-    for md in sd.methods.values():
+    nf = example_cu.species["IsIn"]
+    for md in nf.deps.values():
         got = set(md.param_deps.get("V", []))
         assert oracles.close_param_deps(got, tdeps) == got
 
 
 def test_param_carrier(example_cu):
-    sd = example_cu.deps["IsIn"]
-    assert sd.methods["filter"].param_carrier["V"]
-    assert sd.methods["getValue"].param_carrier["V"]  # Self -> V
-    assert sd.methods["lowMin"].param_carrier["V"]
+    nf = example_cu.species["IsIn"]
+    assert nf.deps["filter"].param_carrier["V"]
+    assert nf.deps["getValue"].param_carrier["V"]  # Self -> V
+    assert nf.deps["lowMin"].param_carrier["V"]
     # getStatus never names V, but its body opens the representation,
     # whose type V * statut_t does
-    assert sd.methods["getStatus"].param_carrier["V"]
+    assert nf.deps["getStatus"].param_carrier["V"]
 
 
 def test_param_carrier_not_lifted_when_unused():
@@ -186,17 +185,17 @@ species P (V is A) =
 end ;;
 """
     cu = compile_source(src)
-    sd = cu.deps["P"]
-    assert not sd.methods["f"].param_carrier["V"]
-    assert sd.methods["g"].param_carrier["V"]
+    nf = cu.species["P"]
+    assert not nf.deps["f"].param_carrier["V"]
+    assert nf.deps["g"].param_carrier["V"]
 
 
 def test_entity_params_used(example_cu):
-    sd = example_cu.deps["IsIn"]
-    assert sd.methods["filter"].entity_used == ["minv", "maxv"]
+    nf = example_cu.species["IsIn"]
+    assert nf.deps["filter"].entity_used == ["minv", "maxv"]
     # lowMin reaches maxv through the unfolding of filter
-    assert sd.methods["lowMin"].entity_used == ["minv", "maxv"]
-    assert sd.methods["getValue"].entity_used == []
+    assert nf.deps["lowMin"].entity_used == ["minv", "maxv"]
+    assert nf.deps["getValue"].entity_used == []
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +262,9 @@ end ;;
 def test_builtin_facts_are_not_method_deps(example_cu):
     # TheInt's proof cites the ambient int_ltNotGt fact; it must not leak
     # into the dependency sets
-    sd = example_cu.deps["TheInt"]
-    assert "int_ltNotGt" not in sd.methods["ltNotGt"].decl
-    assert sd.methods["ltNotGt"].universe == {"eq", "lt", "gt"}
+    nf = example_cu.species["TheInt"]
+    assert "int_ltNotGt" not in nf.deps["ltNotGt"].decl
+    assert nf.deps["ltNotGt"].universe == {"eq", "lt", "gt"}
 
 
 @pytest.mark.parametrize(

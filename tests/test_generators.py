@@ -1,11 +1,15 @@
 """Emission plans: generator lifts, record types, creators, extractions."""
 
+import sys
+
 import pytest
 
 from conftest import data
 
 from focml import compile_files, compile_source, emit_comp, emit_logical, eval_call
 from focml.driver import plan_unit
+from focml.errors import on_deep_stack
+from focml.hierarchy import MethodInfo
 from focml.pretty import type_to_source
 
 
@@ -190,7 +194,7 @@ collection X = implement Cross (I, S) ;;
 
 def test_a_diamond_creator_passes_the_arguments_of_the_copy_it_keeps():
     cu = compile_source(CROSS)
-    assert cu.deps["Cross"].methods["onP"].param_deps == {"P": [], "Q": ["get", "mk"]}
+    assert cu.species["Cross"].deps["onP"].param_deps == {"P": [], "Q": ["get", "mk"]}
     assert "    let local_onP = Two.onP _p_Q_get _p_Q_mk in" in emit_comp(cu).splitlines()
     assert eval_call(cu, "X!onP (3)") == "103"
 
@@ -203,33 +207,25 @@ def test_creator_outer_params_cover_all_param_deps(example_cu):
     ]
 
 
-def test_creator_record_args_follow_the_record(example_cu):
-    plan = example_cu.plans["IsIn"]
-    want = [l.tag for l in plan.record.abstractions]
-    want += [("self_carrier",)]
-    want += [("self_method", m) for m in plan.record.fields]
-    assert plan.create.record_args == want
-
-
 # ---------------------------------------------------------------------------
 # Collection extractions
 
 
 def test_extraction_without_params(example_cu):
     ep = example_cu.extractions["IntC"]
-    assert (ep.species, ep.create_args, ep.record_params) == ("TheInt", [], 0)
+    assert (ep.species, ep.create_args) == ("TheInt", [])
     assert type_to_source(ep.carrier) == "int"
-    assert ep.methods == [
-        ("id", False), ("eq", False), ("fromInt", False),
-        ("lt", False), ("gt", False), ("ltNotGt", True),
-    ]
+    record = example_cu.plans[ep.species].record  # what the collection projects
+    assert record.abstractions == []
+    assert record.fields == ["id", "eq", "fromInt", "lt", "gt", "ltNotGt"]
+    assert record.comp_fields == ["id", "eq", "fromInt", "lt", "gt"]
 
 
 def test_extraction_resolves_params_to_collections(example_cu):
     ep = example_cu.extractions["In_5_10"]
     assert ep.species == "IsIn"
     assert type_to_source(ep.carrier) == "IntC * statut_t"
-    assert ep.record_params == 4
+    assert len(example_cu.plans[ep.species].record.abstractions) == 4
     kinds = [a[0] for a in ep.create_args]
     assert kinds == [
         "coll_carrier", "entity_expr", "entity_expr",
@@ -243,7 +239,6 @@ def test_two_collections_of_one_species_share_the_plan(example_cu):
     a = example_cu.extractions["In_5_10"]
     b = example_cu.extractions["In_1_8"]
     assert a.species == b.species == "IsIn"
-    assert a.methods == b.methods
     assert a.create_args[0] == b.create_args[0]
     # only the entity arguments differ
     assert a.create_args[1] != b.create_args[1]
@@ -266,6 +261,45 @@ def test_atoms_classify_by_content(example_cu):
     assert ("coll_method", "IntC", "ltNotGt") in ep.create_args
     assert ("coll_method", "IntC", "ltNotGt") not in ep.comp_args
     assert ("coll_method", "IntC", "lt") in ep.comp_args
+
+
+def test_record_fields_and_creator_locals_classify_by_kind(example_cu):
+    plan = example_cu.plans["IsIn"]
+    assert plan.record.comp_fields == ["filter", "getStatus", "getValue"]
+    logical = [(d.name, d.logical) for d in plan.create.locals]
+    assert logical == [
+        ("rep", False), ("filter", False), ("getStatus", False),
+        ("getValue", False), ("lowMin", True),
+    ]
+
+
+def test_the_back_ends_read_erasure_from_the_plans():
+    # counted calls, not time: once a unit is planned, the computational
+    # target and the evaluator ask no method record whether it is logical
+    from test_properties import benchmark_workloads
+
+    chain = benchmark_workloads().chain(1)
+    units = [(compile_source(chain.files["chain.fcl"]), *chain.calls[0])]
+    units.append((compile_files(data("example.fcl")), "In_5_10!filter (12)", "(10, Too_high)"))
+    is_logical = MethodInfo.is_logical.fget.__code__
+    for cu, call, value in units:
+        plan_unit(cu)
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            calls += event == "call" and frame.f_code is is_logical
+
+        def run() -> str:
+            sys.setprofile(profile)  # for this thread, the deep stack's
+            try:
+                emit_comp(cu)
+                return eval_call(cu, call)
+            finally:
+                sys.setprofile(None)
+
+        assert on_deep_stack(run, AssertionError()) == value
+        assert calls == 0, call
 
 
 def test_lifts_classify_by_content(example_cu):

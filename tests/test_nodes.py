@@ -68,10 +68,9 @@ MATCH_ARGS = {
     deps: {
         "MethodDeps": "decl defs closure universe carrier_keep min_env param_deps "
         "param_carrier entity_used",
-        "SpeciesDeps": "order methods rec_groups",
     },
     driver: {
-        "CompiledUnit": "unions species deps parents collections decl_order "
+        "CompiledUnit": "unions species parents collections decl_order "
         "constructors warnings files",
     },
     emit: {"RenderEnv": "target module prefix params self_ty param_ty"},
@@ -82,12 +81,11 @@ MATCH_ARGS = {
         "Lift": "tag name is_set ty statement bind_type bind_gen",
         "MethodGeneratorPlan": "species method kind rec admitted lifts value_params ret "
         "body statement proof",
-        "RecordTypePlan": "species abstractions fields",
-        "LocalDef": "name gen",
-        "CollectionGeneratorPlan": "species outer locals record_args",
+        "RecordTypePlan": "species abstractions fields comp_fields",
+        "LocalDef": "name gen logical",
+        "CollectionGeneratorPlan": "species outer locals",
         "SpeciesPlan": "name generators record create",
-        "CollectionExtractionPlan": "name species create_args comp_args carrier "
-        "record_params methods",
+        "CollectionExtractionPlan": "name species create_args comp_args carrier",
     },
     hierarchy: {
         "MethodInfo": "name kind decl_site first_def origin ty extra_sigs "
@@ -95,7 +93,7 @@ MATCH_ARGS = {
         "carrier_decl carrier_def valid_proof",
         "RevertedProof": "method proof_origin def_name def_origin pos",
         "NFSpecies": "name params lineage rep rep_origin rep_resolved methods order "
-        "reverted iface_args ancestor_args analysed pos",
+        "deps rec_groups reverted iface_args ancestor_args analysed pos",
         "CollectionModel": "name nf args iface_schemes carrier pos",
     },
     lexer: {},  # a token is a named tuple (`test_tokens_are_named_tuples`)
@@ -217,7 +215,7 @@ def test_types_hash_by_value_and_reject_assignment():
 
 
 def test_nodes_and_analysis_records_are_unhashable():
-    for value in (Var("x"), Not(Var("x")), Fact(), SpeciesDecl("S"), deps.SpeciesDeps()):
+    for value in (Var("x"), Not(Var("x")), Fact(), SpeciesDecl("S"), deps.MethodDeps()):
         with pytest.raises(TypeError):
             hash(value)
 
@@ -240,9 +238,9 @@ def test_replace_copies_shallowly():
     assert moved.arg is t.arg
     with pytest.raises(AttributeError):
         moved.res = TSelf()  # still frozen
-    sd = deps.SpeciesDeps(order=["a"])
-    copied = sd.replace()
-    assert copied == sd and copied is not sd and copied.order is sd.order
+    md = deps.MethodDeps(min_env=[("a", "TypeOnly")])
+    copied = md.replace()
+    assert copied == md and copied is not md and copied.min_env is md.min_env
 
 
 def test_match_and_repr_read_the_fields():

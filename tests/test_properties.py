@@ -31,7 +31,7 @@ from focml.ast import (
     TupleExpr, UnOp, Var, expr_children,
 )
 from focml.deps import (
-    MethodDeps, SpeciesDeps, finish_deps, order_methods, scan_species, type_level_refs,
+    MethodDeps, finish_deps, order_methods, scan_species, type_level_refs,
 )
 from focml.driver import plan_unit
 from focml.emit import emit_comp, emit_logical
@@ -444,11 +444,10 @@ def complete_units():
 
 def oracle_inputs(cu, sname):
     nf = cu.species[sname]
-    sd = cu.deps[sname]
-    decl = {n: set(md.decl) for n, md in sd.methods.items()}
-    defs = {n: set(md.defs) for n, md in sd.methods.items()}
+    decl = {n: set(md.decl) for n, md in nf.deps.items()}
+    defs = {n: set(md.defs) for n, md in nf.deps.items()}
     tdep = {n: type_level_refs(nf.methods[n]) for n in nf.methods}
-    return nf, sd, decl, defs, tdep
+    return nf, decl, defs, tdep
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +458,8 @@ def run_universe_suite(units) -> int:
     cases = 0
     for u in units:
         for sname in u.species:
-            _, sd, decl, defs, tdep = oracle_inputs(u.cu, sname)
-            for x, md in sd.methods.items():
+            nf, decl, defs, tdep = oracle_inputs(u.cu, sname)
+            for x, md in nf.deps.items():
                 assert md.universe == oracles.universe(decl, defs, tdep, x), (
                     u.source, sname, x,
                 )
@@ -472,9 +471,9 @@ def run_min_env_suite(units) -> int:
     cases = 0
     for u in units:
         for sname in u.species:
-            _, sd, decl, defs, tdep = oracle_inputs(u.cu, sname)
-            for x, md in sd.methods.items():
-                want = oracles.min_env(sd.order, decl, defs, tdep, x)
+            nf, decl, defs, tdep = oracle_inputs(u.cu, sname)
+            for x, md in nf.deps.items():
+                want = oracles.min_env(nf.order, decl, defs, tdep, x)
                 got = [(y, k == "TypeAndBody") for y, k in md.min_env]
                 assert got == want, (u.source, sname, x)
                 # partition law: the environment covers the universe and
@@ -494,10 +493,10 @@ def run_close_suite(units) -> int:
             n: type_level_refs(mi) for n, mi in iface.methods.items()
         }
         for sname in u.species:
-            sd = u.cu.deps[sname]
-            if not u.cu.species[sname].is_params:
+            nf = u.cu.species[sname]
+            if not nf.is_params:
                 continue
-            for md in sd.methods.values():
+            for md in nf.deps.values():
                 for p, deps in md.param_deps.items():
                     assert oracles.close_param_deps(set(deps), tdeps) == set(
                         deps
@@ -510,9 +509,9 @@ def run_topo_suite(units) -> int:
     cases = 0
     for u in units:
         for sname in u.species:
-            nf, sd, decl, _, _ = oracle_inputs(u.cu, sname)
+            nf, decl, _, _ = oracle_inputs(u.cu, sname)
             group_of = {}
-            for g in sd.rec_groups:
+            for g in nf.rec_groups:
                 for m in g:
                     group_of[m] = id(g)
             edges = {
@@ -521,9 +520,9 @@ def run_topo_suite(units) -> int:
                 for d in ds
                 if d != x and group_of.get(d) != group_of.get(x, object())
             }
-            assert oracles.is_topological(sd.order, edges), (u.source, sname)
-            assert sorted(sd.order) == sorted(nf.methods)
-            cases += len(sd.order)
+            assert oracles.is_topological(nf.order, edges), (u.source, sname)
+            assert sorted(nf.order) == sorted(nf.methods)
+            cases += len(nf.order)
     return cases
 
 
@@ -569,8 +568,7 @@ def run_erasure_suite(units) -> int:
     for u in units:
         logical, comp = emit_logical(u.cu), emit_comp(u.cu)
         for cname in u.collections:
-            ep = u.cu.extractions[cname]
-            for m, is_logical in ep.methods:
+            for m, is_logical in logical_kinds(u.cu.collections[cname].nf).items():
                 assert f"rf_{m}" in logical, (u.source, cname, m)
                 present = re.search(rf"\brf_{m}\b", comp) is not None
                 assert present == (not is_logical), (u.source, cname, m)
@@ -585,8 +583,10 @@ def logical_kinds(nf) -> dict[str, bool]:
 def run_recorded_erasure_suite(cus) -> int:
     """Each lift's logical flag and each application's computational
     arguments, as the plans record them, against the per-use content rule
-    of `oracles.atom_is_logical`; and each application passes as many
-    computational arguments as its callee has computational parameters."""
+    of `oracles.atom_is_logical`; each application passes as many
+    computational arguments as its callee has computational parameters;
+    and a record's computational fields and a creator local's flag, as the
+    plans record them, against the kinds of the species' methods."""
     cases = 0
     for cu in cus:
         plan_unit(cu)
@@ -603,9 +603,15 @@ def run_recorded_erasure_suite(cus) -> int:
             apps = [l.bind_gen for l in lifts if l.bind_gen is not None]
             if plan.record is not None:
                 lifts += plan.record.abstractions
+                fields = plan.record.fields
+                assert plan.record.comp_fields == [m for m in fields if not own[m]], sname
+                cases += len(fields)
             if plan.create is not None:
                 lifts += plan.create.outer
                 apps += [d.gen for d in plan.create.locals if d.gen is not None]
+                for d in plan.create.locals:
+                    assert d.logical == (d.gen is not None and own[d.name]), (sname, d.name)
+                cases += len(plan.create.locals)
             for l in lifts:
                 assert l.logical == (l.statement is not None or judge(l.tag))
             for app in apps:
@@ -712,11 +718,11 @@ def run_carry_suite(units) -> int:
         for sname, nf in u.cu.species.items():
             full = copy.copy(nf)
             full.methods, full.analysed = dict(nf.methods), set(nf.methods)
-            sd = scan_species(full, u.cu.deps)
-            driver._type_species(full, sd, driver._species_env(u.cu, full))
+            scan_species(full)  # into new `deps`, `order` and `rec_groups`
+            driver._type_species(full, driver._species_env(u.cu, full))
             for name, mi in nf.methods.items():
-                got = analysis(mi, u.cu.deps[sname].methods[name])
-                want = analysis(full.methods[name], sd.methods[name])
+                got = analysis(mi, nf.deps[name])
+                want = analysis(full.methods[name], full.deps[name])
                 assert got == want, (u.source, sname, name)
                 cases += name not in nf.analysed
     return cases
@@ -1076,18 +1082,11 @@ def run_finish_suite(cus) -> int:
     cases = 0
     for cu in cus:
         for sname, nf in cu.species.items():
-            sd = cu.deps[sname]
-            fresh = SpeciesDeps(
-                order=sd.order,
-                methods={
-                    n: MethodDeps(decl=md.decl, defs=md.defs)
-                    for n, md in sd.methods.items()
-                },
-                rec_groups=sd.rec_groups,
-            )
-            finish_deps(nf, fresh, cu.species, cu.deps)
-            for name, md in sd.methods.items():
-                assert md == fresh.methods[name], (sname, name)
+            fresh = copy.copy(nf)  # finished into its own `deps`
+            fresh.deps = {n: MethodDeps(decl=md.decl, defs=md.defs) for n, md in nf.deps.items()}
+            finish_deps(fresh, cu.species)
+            for name, md in nf.deps.items():
+                assert md == fresh.deps[name], (sname, name)
                 cases += name not in nf.analysed
     return cases
 
@@ -1100,13 +1099,12 @@ def run_placed_order_suite(cus) -> int:
     cases = 0
     for cu in cus:
         for sname, nf in cu.species.items():
-            sd = cu.deps[sname]
-            decl = {n: md.decl for n, md in sd.methods.items()}
-            assert (sd.order, sd.rec_groups) == order_methods(nf, decl), sname
+            decl = {n: md.decl for n, md in nf.deps.items()}
+            assert (nf.order, nf.rec_groups) == order_methods(nf, decl), sname
             again = copy.copy(nf)
             again.methods = dict(nf.methods)
             assert invalidate_proofs(again) == nf.reverted, sname
-            cases += len(sd.order)
+            cases += len(nf.order)
     return cases
 
 
@@ -1119,7 +1117,7 @@ def run_plan_suite(cus) -> int:
     for cu in cus:
         plans = plan_unit(cu).plans
         for sname, nf in cu.species.items():
-            fresh = build_species_plan(nf, cu.deps[sname], cu.species, cu.deps, plans)
+            fresh = build_species_plan(nf, cu.species, plans)
             assert fresh == plans[sname], sname
             cases += len(nf.methods)
         for cname, model in cu.collections.items():
@@ -1157,10 +1155,10 @@ def run_output_suite(cus) -> Counter:
                     assert text == emit.render_formula(gp.statement, env), (sname, gp.method)
                     seen["formulas"] += 1
         first: dict[int, tuple] = {}  # id of a finished entry -> where first seen
-        for sname, sd in cu.deps.items():
-            for i, m in enumerate(sd.order):
-                key = id(sd.methods[m])
-                here = (m, i, cu.species[sname].methods[m].valid_proof)
+        for sname, nf in cu.species.items():
+            for i, m in enumerate(nf.order):
+                key = id(nf.deps[m])
+                here = (m, i, nf.methods[m].valid_proof)
                 seen["entries"] += 1
                 seen["shared"] += key in first
                 assert first.setdefault(key, here) == here, (sname, m)
@@ -1423,7 +1421,7 @@ def run_scope_suite(units) -> int:
                             check_kept_facts(source.proof, mi.proof, actuals)
                     cases += 1
                 want = (method_refs | fact_names(mi, nf.methods)) - {name}
-                assert cu.deps[sname].methods[name].decl == want, (sname, name)
+                assert cu.species[sname].deps[name].decl == want, (sname, name)
         empty = {"entities": set(), "methods": set(), "params": set()}
         for model in cu.collections.values():
             for expr in (a for a in model.args.values() if isinstance(a, Expr)):
@@ -1484,7 +1482,8 @@ def plain_atoms(atoms) -> list[tuple]:
 
 
 def plain_unit(cu) -> dict:
-    """What the evaluator reads of a compiled unit, as plain data."""
+    """What the evaluator reads of a compiled unit, as plain data; what is
+    logical is read from the species, not from the plans."""
     creators, generators = {}, {}
     for sname, plan in cu.plans.items():
         for m, gp in plan.generators.items():
@@ -1519,9 +1518,10 @@ def plain_unit(cu) -> dict:
             n: {
                 "species": ext.species,
                 "comp_args": plain_atoms(ext.comp_args),
-                "methods": list(ext.methods),
+                "methods": [(m, nf.methods[m].is_logical) for m in nf.order],
             }
             for n, ext in cu.extractions.items()
+            for nf in [cu.collections[n].nf]
         },
         "creators": creators,
         "generators": generators,
@@ -1569,8 +1569,9 @@ def calls_of(rng, cu, per_method: int) -> list[str]:
             for d in cu.plans[cu.extractions[cname].species].create.locals
             if d.gen is not None
         }
-        for m, logical in cu.extractions[cname].methods:
-            if logical:
+        nf = cu.collections[cname].nf
+        for m in nf.order:
+            if nf.methods[m].is_logical:
                 continue
             gen = gens[m]
             gp = cu.plans[gen.species].generators[gen.method]
@@ -1789,7 +1790,7 @@ def test_an_heir_shares_what_it_does_not_change():
     assert v.ancestor_args["U"] is u.ancestor_args["U"]
     # the parent's finished entries, and its creator's locals
     for m in ("f", "g", "t"):
-        assert cu.deps["V"].methods[m] is cu.deps["U"].methods[m], m
+        assert cu.species["V"].deps[m] is cu.species["U"].deps[m], m
     new = {ld.name: ld for ld in cu.plans["V"].create.locals}
     for ld in cu.plans["U"].create.locals[1:]:
         assert new[ld.name] is ld, ld.name

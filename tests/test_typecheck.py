@@ -371,8 +371,8 @@ species E (P0 is Base, v0 in P0) = let g (x : int) : P0 = v0 ; end ;;
 species F (P0 is Base, w in P0) = inherit E (P0, h) ; let h : P0 = w ; end ;;
 """
     )
-    assert cu.deps["E"].methods["g"].decl == set()
-    assert cu.deps["F"].methods["g"].decl == {"h"}
+    assert cu.species["E"].deps["g"].decl == set()
+    assert cu.species["F"].deps["g"].decl == {"h"}
 
 
 def test_a_narrowed_callee_fails_at_its_callers_body():
@@ -511,7 +511,7 @@ species B = inherit A ; let fst (p : int * int) : int = 7 ; end ;;
 collection BC = implement B ;;
 """
     cu = compile_source(source)
-    assert cu.deps["B"].methods["g"].decl == set()
+    assert cu.species["B"].deps["g"].decl == set()
     assert eval_call(cu, "BC!g (3)") == "3"
     # the computational text of A.g is the one it had before B existed
     assert "  let g (x) = (basics.fst (x, x))" in emit_comp(cu).splitlines()
