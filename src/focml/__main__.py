@@ -1,6 +1,6 @@
 """`python -m focml` runs the command line driver (`focml.cli`)."""
 
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

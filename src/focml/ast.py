@@ -10,6 +10,7 @@ source, only as inference artifacts.
 from __future__ import annotations
 
 from operator import attrgetter
+from typing import NamedTuple
 
 
 def _no_fields(obj) -> tuple:
@@ -83,11 +84,12 @@ class Frozen(Record):
         return hash(self._hash_key(self))
 
 
-class Pos(Frozen):
-    def __init__(self, line: int = 0, col: int = 0):
-        d = self.__dict__
-        d["line"] = line
-        d["col"] = col
+class Pos(NamedTuple):
+    """Where a token starts.  A named tuple, so that the lexer builds one
+    with `tuple.__new__` and no Python-level call."""
+
+    line: int = 0
+    col: int = 0
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"

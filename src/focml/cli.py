@@ -1,7 +1,8 @@
 """Command line driver.
 
 Exit codes: 0 success, 1 compile or evaluation error, 2 usage error.
-Each subcommand runs on the deep stack (`errors.on_deep_stack`).
+Each subcommand runs on the deep stack (`errors.on_deep_stack`).  As a
+process (`run`), the CLI exits without finalizing the interpreter.
 `FOCML_COLOR=0|1` overrides the tty detection for diagnostic coloring.
 """
 
@@ -12,7 +13,7 @@ import gc
 import os
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NoReturn
 
 from .driver import CompiledUnit, compile_files, doc_text, render_deps_report
 from .errors import DEPTH_LIMIT, CompileError, Diagnostic, EvalFailure, on_deep_stack
@@ -147,5 +148,19 @@ def _action(
     return act
 
 
+def run() -> NoReturn:
+    """`main()` as a process: flush the standard streams and exit with its
+    status, skipping the interpreter's teardown, which would only free what
+    the process holds.  A flush that fails falls back to `sys.exit`, so that
+    Python reports the error as it does at a normal exit."""
+    status = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a closed pipe or a closed stream
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

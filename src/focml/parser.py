@@ -55,15 +55,17 @@ class Parser:
         self.formula_lets: list[tuple[SpeciesDecl, MethodDecl]] = []  # lets that hold one
 
     # -- token plumbing -----------------------------------------------------
+    # The parser reads `self.tokens[self.i]` and moves `self.i` itself, past
+    # a token whose kind it has matched or just before it raises; it matches
+    # the final `eof` last, so the current token always exists.  `peek`,
+    # `at`, `next` and `ident` are the cursor of the reference parser in
+    # `tests/oracles.py`.
 
-    def peek(self, offset: int = 0) -> Token:
-        """The token `offset` ahead.  `next` never moves past the final
-        `eof`, so the current token always exists; a caller looks one
-        further only from a token that is not `eof`."""
-        return self.tokens[self.i + offset]
+    def peek(self) -> Token:
+        return self.tokens[self.i]
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.i].kind == kind
 
     def next(self) -> Token:
         tok = self.tokens[self.i]
@@ -71,37 +73,29 @@ class Parser:
             self.i += 1
         return tok
 
-    def accept(self, kind: str) -> Token | None:
-        if self.at(kind):
-            return self.next()
-        return None
+    def accept(self, kind: str) -> bool:
+        if self.tokens[self.i].kind == kind:
+            self.i += 1
+            return True
+        return False
 
     def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind != kind:
             want = what or f"'{kind}'"
             raise CompileError(SYNTAX, f"expected {want}, found {tok.value or tok.kind!r}", tok.pos)
-        return self.next()
+        self.i += 1
+        return tok
 
     def ident(self, what: str = "a name") -> Token:
         return self.expect("ident", what)
-
-    def capid(self, what: str = "a capitalized name") -> Token:
-        return self.expect("capid", what)
-
-    def name(self, what: str = "a name") -> Token:
-        tok = self.peek()
-        if tok.kind not in ("ident", "capid"):
-            raise CompileError(
-                SYNTAX, f"expected {what}, found {tok.value or tok.kind!r}", tok.pos)
-        return self.next()
 
     # -- toplevel -----------------------------------------------------------
 
     def parse_unit(self) -> CompilationUnit:
         unit = CompilationUnit()
         seen: set[str] = set()
-        while not self.at("eof"):
+        while self.tokens[self.i].kind != "eof":
             decl = self.parse_toplevel()
             if decl.name in seen:
                 raise CompileError(DUPLICATE, f"duplicate toplevel name {decl.name}", decl.pos)
@@ -110,7 +104,7 @@ class Parser:
         return unit
 
     def parse_toplevel(self):
-        tok = self.peek()
+        tok = self.tokens[self.i]
         match tok.kind:
             case "species":
                 return self.parse_species()
@@ -123,12 +117,12 @@ class Parser:
 
     def parse_union_type(self) -> UnionTypeDecl:
         pos = self.expect("type").pos
-        name = self.ident("a type name").value
+        name = self.expect("ident", "a type name").value
         self.expect("=")
         self.accept("|")
         constructors: list[tuple[str, list[Type]]] = []
         while True:
-            con = self.capid("a constructor name").value
+            con = self.expect("capid", "a constructor name").value
             args: list[Type] = []
             if self.accept("("):
                 args.append(self.parse_type())
@@ -143,7 +137,7 @@ class Parser:
 
     def parse_species(self) -> SpeciesDecl:
         pos = self.expect("species").pos
-        name = self.capid("a species name").value
+        name = self.expect("capid", "a species name").value
         decl = SpeciesDecl(name, pos=pos)
         if self.accept("("):
             decl.params.append(self.parse_species_param())
@@ -152,27 +146,26 @@ class Parser:
             self.expect(")")
         self.expect("=")
         names: set[str] = set()
-        while not self.at("end"):
+        while self.tokens[self.i].kind != "end":
             self.parse_species_member(decl, names)
-        self.expect("end")
+        self.i += 1
         self.expect(";;")
         return decl
 
     def parse_species_param(self) -> SpeciesParam:
-        tok = self.peek()
+        tok = self.tokens[self.i]
+        self.i += 1
         if tok.kind == "capid":
-            name = self.next().value
             self.expect("is")
-            return SpeciesParam(name, "is", interface=self.parse_species_expr(), pos=tok.pos)
+            return SpeciesParam(tok.value, "is", interface=self.parse_species_expr(), pos=tok.pos)
         if tok.kind == "ident":
-            name = self.next().value
             self.expect("in")
-            carrier = self.capid("a collection parameter name").value
-            return SpeciesParam(name, "in", carrier=carrier, pos=tok.pos)
+            carrier = self.expect("capid", "a collection parameter name").value
+            return SpeciesParam(tok.value, "in", carrier=carrier, pos=tok.pos)
         raise CompileError(SYNTAX, "expected a species parameter", tok.pos)
 
     def parse_species_expr(self) -> SpeciesExpr:
-        tok = self.capid("a species name")
+        tok = self.expect("capid", "a species name")
         expr = SpeciesExpr(tok.value, pos=tok.pos)
         if self.accept("("):
             expr.args.append(self.parse_species_arg())
@@ -182,29 +175,33 @@ class Parser:
         return expr
 
     def parse_species_arg(self) -> SpeciesArg:
-        tok = self.peek()
-        if tok.kind == "capid" and self.peek(1).kind not in ("!", "("):
-            self.next()
+        tok = self.tokens[self.i]
+        if tok.kind == "capid" and self.tokens[self.i + 1].kind not in ("!", "("):
+            self.i += 1
             return SpeciesArg(name=tok.value, pos=tok.pos)
         return SpeciesArg(expr=self.parse_expr(), pos=tok.pos)
 
     def parse_species_member(self, decl: SpeciesDecl, names: set[str]) -> None:
-        tok = self.peek()
-
-        def register(name: str, pos) -> None:
-            if name in names:
-                raise CompileError(DUPLICATE, f"duplicate method {name} in species {decl.name}", pos)
-            names.add(name)
-
-        match tok.kind:
+        tok = self.tokens[self.i]
+        kind = tok.kind
+        if kind in ("signature", "let", "property", "theorem"):
+            self.i += 1
+            rec = kind == "let" and self.accept("rec")
+            what = f"a {kind} name" if kind in ("property", "theorem") else "a method name"
+            name = self.expect("ident", what)
+            if name.value in names:
+                raise CompileError(
+                    DUPLICATE, f"duplicate method {name.value} in species {decl.name}", name.pos)
+            names.add(name.value)
+        match kind:
             case "inherit":
-                self.next()
+                self.i += 1
                 decl.inherits.append(self.parse_species_expr())
                 while self.accept(","):
                     decl.inherits.append(self.parse_species_expr())
                 self.expect(";")
             case "representation":
-                self.next()
+                self.i += 1
                 if decl.representation is not None:
                     raise CompileError(DUPLICATE, "representation already given", tok.pos)
                 self.expect("=")
@@ -212,18 +209,11 @@ class Parser:
                 decl.rep_pos = tok.pos
                 self.expect(";")
             case "signature":
-                self.next()
-                name = self.ident("a method name")
-                register(name.value, name.pos)
                 self.expect(":")
                 ty = self.parse_type()
                 self.expect(";")
                 decl.methods.append(MethodDecl("signature", name.value, ty=ty, pos=name.pos))
             case "let":
-                self.next()
-                rec = self.accept("rec") is not None
-                name = self.ident("a method name")
-                register(name.value, name.pos)
                 params: list[tuple[str, Type | None]] = []
                 if self.accept("("):
                     params.append(self.parse_let_param())
@@ -240,21 +230,14 @@ class Parser:
                 if self.formulas != formulas:
                     self.formula_lets.append((decl, decl.methods[-1]))
             case "property":
-                self.next()
-                name = self.ident("a property name")
-                register(name.value, name.pos)
                 self.expect(":")
                 stmt = self.parse_expr()
                 self.expect(";")
                 decl.methods.append(MethodDecl("property", name.value, statement=stmt, pos=name.pos))
             case "theorem":
-                self.next()
-                name = self.ident("a theorem name")
-                register(name.value, name.pos)
                 self.expect(":")
                 stmt = self.parse_expr()
-                if self.at("proof"):
-                    self.next()
+                if self.accept("proof"):
                     self.expect("=")
                     proof = self.parse_proof()
                 else:
@@ -264,9 +247,9 @@ class Parser:
                 decl.methods.append(MethodDecl(
                     "theorem", name.value, statement=stmt, proof=proof, pos=name.pos))
             case "proof":
-                self.next()
+                self.i += 1
                 self.expect("of")
-                name = self.ident("a property name")
+                name = self.expect("ident", "a property name")
                 # A proof may sit beside the property it proves, so it does
                 # not claim the name; two proofs of one property do collide.
                 if any(m.kind == "proof_of" and m.name == name.value for m in decl.methods):
@@ -280,13 +263,13 @@ class Parser:
                 raise CompileError(SYNTAX, f"expected a species member, found {tok.value!r}", tok.pos)
 
     def parse_let_param(self) -> tuple[str, Type | None]:
-        name = self.ident("a parameter name").value
+        name = self.expect("ident", "a parameter name").value
         ty = self.parse_type() if self.accept(":") else None
         return name, ty
 
     def parse_collection(self) -> CollectionDecl:
         pos = self.expect("collection").pos
-        name = self.capid("a collection name").value
+        name = self.expect("capid", "a collection name").value
         self.expect("=")
         self.expect("implement")
         impl = self.parse_species_expr()
@@ -310,19 +293,16 @@ class Parser:
         return items[0] if len(items) == 1 else TTuple(tuple(items))
 
     def parse_type_atom(self) -> Type:
-        tok = self.peek()
+        tok = self.tokens[self.i]
+        self.i += 1
         match tok.kind:
             case "Self":
-                self.next()
                 return TSelf()
             case "ident":
-                self.next()
                 return TCon(tok.value)
             case "capid":
-                self.next()
                 return TCap(tok.value)
             case "(":
-                self.next()
                 t = self.parse_type()
                 self.expect(")")
                 return t
@@ -336,12 +316,7 @@ class Parser:
         match tok.kind:
             case "all" | "ex":
                 self.i += 1
-                vars = [self.ident("a bound variable").value]
-                while self.at("ident"):
-                    vars.append(self.next().value)
-                self.expect(":")
-                ty = self.parse_type()
-                self.expect(",")
+                vars, ty = self.parse_binder("a bound variable")
                 self.formulas += 1
                 return Quant(tok.kind, vars, ty, self.parse_expr(), pos=tok.pos)
             case "if":
@@ -370,13 +345,12 @@ class Parser:
         return Match(scrutinee, arms, pos=pos)
 
     def parse_pattern(self) -> Pattern:
-        tok = self.peek()
+        tok = self.tokens[self.i]
+        self.i += 1
         match tok.kind:
             case "ident":
-                self.next()
                 return PWild(pos=tok.pos) if tok.value == "_" else PVar(tok.value, pos=tok.pos)
             case "capid":
-                self.next()
                 args: list[Pattern] = []
                 if self.accept("("):
                     args.append(self.parse_pattern())
@@ -385,7 +359,6 @@ class Parser:
                     self.expect(")")
                 return PCon(tok.value, args, pos=tok.pos)
             case "(":
-                self.next()
                 items = [self.parse_pattern()]
                 while self.accept(","):
                     items.append(self.parse_pattern())
@@ -468,7 +441,7 @@ class Parser:
             case "capid":
                 self.i += 1
                 if self.accept("!"):
-                    name = self.ident("a method name")
+                    name = self.expect("ident", "a method name")
                     return Qual(tok.value, name.value, pos=tok.pos)
                 return ConRef(tok.value, [], pos=tok.pos)
             case "(":
@@ -487,11 +460,8 @@ class Parser:
     # -- proofs ---------------------------------------------------------------
 
     def parse_proof(self) -> Proof:
-        tok = self.peek()
-        if tok.kind == "admitted":
-            self.next()
-            return ProofLeaf(admitted=True, pos=tok.pos)
-        if tok.kind == "by":
+        tok = self.tokens[self.i]
+        if tok.kind in ("admitted", "by"):
             return self.parse_leaf(sibling_labels=set())
         if tok.kind == "bullet":
             depth = tok.bullet[0]
@@ -501,20 +471,21 @@ class Parser:
         raise CompileError(SYNTAX, f"expected a proof, found {tok.value or tok.kind!r}", tok.pos)
 
     def parse_leaf(self, sibling_labels: set[tuple[int, str]]) -> ProofLeaf:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind == "admitted":
-            self.next()
+            self.i += 1
             return ProofLeaf(admitted=True, pos=tok.pos)
         pos = self.expect("by").pos
         facts: list[Fact] = []
-        while self.peek().kind in _FACT_KEYWORDS:
+        while self.tokens[self.i].kind in _FACT_KEYWORDS:
             facts.append(self.parse_fact(sibling_labels))
         if not facts:
             raise CompileError(SYNTAX, "expected facts after 'by'", pos)
         return ProofLeaf(facts, pos=pos)
 
     def parse_fact(self, sibling_labels: set[tuple[int, str]]) -> Fact:
-        tok = self.next()
+        tok = self.tokens[self.i]
+        self.i += 1
         kind = tok.kind
         if kind == "definition":
             self.expect("of")
@@ -526,63 +497,68 @@ class Parser:
                     raise CompileError(
                         PROOF, f"step {b.value} is not a previously closed sibling step", b.pos)
                 labels.append(b.bullet)
-                if not (self.accept(",") or self.at("bullet")):
+                if not (self.accept(",") or self.tokens[self.i].kind == "bullet"):
                     break
             return Fact("step", labels=labels, pos=tok.pos)
         names: list[str] = []
         while True:
-            t = self.peek()
-            if t.kind == "capid" and self.peek(1).kind == "!":
+            t = self.tokens[self.i]
+            if t.kind == "capid" and self.tokens[self.i + 1].kind == "!":
                 if kind != "property":
                     raise CompileError(
                         PROOF, f"'{kind}' facts cannot name a parameter method", t.pos)
-                self.next()
-                self.next()
-                m = self.ident("a method name")
+                self.i += 2
+                m = self.expect("ident", "a method name")
                 names.append(f"{t.value}!{m.value}")
             elif t.kind == "ident" or (t.kind == "capid" and kind == "hypothesis"):
-                self.next()
+                self.i += 1
                 names.append(t.value)
             else:
                 break
             if not self.accept(","):
                 # allow space separation; stop on anything that is not a name
-                more = self.at("ident") or (self.at("capid") and self.peek(1).kind == "!")
-                if kind == "hypothesis":
-                    more = more or self.at("capid")
-                if not more:
+                t = self.tokens[self.i]
+                if not (t.kind == "ident" or (t.kind == "capid" and (
+                        kind == "hypothesis" or self.tokens[self.i + 1].kind == "!"))):
                     break
         if not names:
             raise CompileError(SYNTAX, f"expected names after '{kind}'", tok.pos)
         return Fact(kind, names=names, pos=tok.pos)
 
+    def parse_binder(self, what: str) -> tuple[list[str], Type]:
+        """`x y ... : t ,` after `all`, `ex` or `assume`."""
+        vars = [self.expect("ident", what).value]
+        while self.tokens[self.i].kind == "ident":
+            vars.append(self.tokens[self.i].value)
+            self.i += 1
+        self.expect(":")
+        ty = self.parse_type()
+        self.expect(",")
+        return vars, ty
+
     def parse_steps(self, depth: int) -> ProofSteps:
         steps: list[ProofStep] = []
         seen: set[tuple[int, str]] = set()
-        first = self.peek()
-        while self.at("bullet") and self.peek().bullet[0] == depth:
-            tok = self.next()
+        tok = first = self.tokens[self.i]
+        while tok.kind == "bullet" and tok.bullet[0] == depth:
+            self.i += 1
             label = tok.bullet
             if label in seen:
                 raise CompileError(PROOF, f"duplicate step label {tok.value}", tok.pos)
             step = ProofStep(label=label, pos=tok.pos)
             while True:
-                if self.at("assume"):
-                    self.next()
-                    vars = [self.ident("a variable").value]
-                    while self.at("ident"):
-                        vars.append(self.next().value)
-                    self.expect(":")
-                    ty = self.parse_type()
-                    self.expect(",")
-                    step.assumes.append((vars, ty))
-                elif self.at("hypothesis"):
-                    self.next()
-                    hname = self.name("a hypothesis name").value
+                if self.accept("assume"):
+                    step.assumes.append(self.parse_binder("a variable"))
+                elif self.accept("hypothesis"):
+                    hname = self.tokens[self.i]
+                    if hname.kind not in ("ident", "capid"):
+                        raise CompileError(SYNTAX, "expected a hypothesis name, found "
+                                           f"{hname.value or hname.kind!r}", hname.pos)
+                    self.i += 1
                     self.expect(":")
                     stmt = self.parse_expr()
                     self.expect(",")
-                    step.hyps.append((hname, stmt))
+                    step.hyps.append((hname.value, stmt))
                 else:
                     break
             if self.accept("qed"):
@@ -590,7 +566,7 @@ class Parser:
             else:
                 self.expect("prove")
                 step.goal = self.parse_expr()
-            nxt = self.peek()
+            nxt = self.tokens[self.i]
             if nxt.kind in ("by", "admitted"):
                 step.sub = self.parse_leaf(sibling_labels=seen)
             elif nxt.kind == "bullet" and nxt.bullet[0] == depth + 1:
@@ -601,6 +577,7 @@ class Parser:
                 raise CompileError(PROOF, f"step {tok.value} has no proof", tok.pos)
             seen.add(label)
             steps.append(step)
+            tok = self.tokens[self.i]
         for s in steps[:-1]:
             if s.is_qed:
                 raise CompileError(PROOF, "qed step before the end of a step list", s.pos)
@@ -634,7 +611,7 @@ def _parse(p: Parser, rule: Callable[[Parser], T], end: str | None = None) -> T:
     try:
         out = rule(p)
     except RecursionError:
-        raise CompileError(DEPTH_LIMIT, "nested too deeply", p.peek().pos) from None
+        raise CompileError(DEPTH_LIMIT, "nested too deeply", p.tokens[p.i].pos) from None
     if end is not None:
         p.expect("eof", end)
     return out

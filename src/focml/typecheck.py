@@ -171,7 +171,7 @@ class Unifier:
             a = subst[a.uid]
         while type(b) is TVar and b.uid in subst:
             b = subst[b.uid]
-        if a is b or same(a, b):
+        if a is b or (type(a) is type(b) and same(a, b)):
             if isinstance(a, TSelf):
                 self.touched_self = True
             return
@@ -266,95 +266,95 @@ class SpeciesTypeEnv(Record):
 def infer_expr(
     e: Expr, locals_: dict[str, Type], env: SpeciesTypeEnv, uni: Unifier
 ) -> Type:
-    match e:
-        case IntLit():
-            return T_INT
-        case BoolLit():
-            return T_BOOL
-        case StrLit():
-            return T_STRING
-        case Var(name, ref):
-            if ref == LOCAL:
-                return locals_[name]
-            if ref == ENTITY:
-                return env.entity_params[name]
-            if ref == BUILTIN:
-                return uni.instantiate(BUILTIN_FUNCTIONS[name].scheme)
-            if name not in env.methods:  # a property, or itself
-                raise CompileError(UNKNOWN, f"unknown name {name}", e.pos)
-            return uni.instantiate(env.methods[name])
-        case Qual(coll, name, ref):
-            iface = (env.param_ifaces if ref == PARAM else env.collections)[coll]
-            if name not in iface:
-                raise CompileError(
-                    UNKNOWN, f"{coll} has no method {name}", e.pos
-                )
-            return uni.instantiate(iface[name])
-        case ConRef(name, args):
-            if name not in env.constructors:
-                raise CompileError(UNKNOWN, f"unknown constructor {name}", e.pos)
-            union, argtys = env.constructors[name]
-            if len(args) != len(argtys):
-                raise CompileError(
-                    TYPE_MISMATCH,
-                    f"constructor {name} expects {len(argtys)} argument(s), "
-                    f"got {len(args)}",
-                    e.pos,
-                )
-            for a, ty in zip(args, argtys):
-                uni.unify(infer_expr(a, locals_, env, uni), ty, a.pos)
-            return TCon(union)
-        case Call(callee, args):
-            tc = infer_expr(callee, locals_, env, uni)
-            tas = [infer_expr(a, locals_, env, uni) for a in args]
-            return _applied(tc, tas, e.pos, uni)
-        case BinOp(op, left, right):
-            sig = uni.instantiate(BUILTIN_FUNCTIONS[op].scheme)
-            tl = infer_expr(left, locals_, env, uni)
-            tr = infer_expr(right, locals_, env, uni)
-            return _applied(sig, [tl, tr], e.pos, uni)
-        case UnOp(op, operand):
-            sig = uni.instantiate(BUILTIN_FUNCTIONS[op].scheme)
-            t = infer_expr(operand, locals_, env, uni)
-            return _applied(sig, [t], e.pos, uni)
-        case Eq(left, right):
-            tl = infer_expr(left, locals_, env, uni)
-            tr = infer_expr(right, locals_, env, uni)
-            uni.unify(tl, tr, e.pos)
-            return T_BOOL
-        case If(cond, then, orelse):
-            uni.unify(infer_expr(cond, locals_, env, uni), T_BOOL, cond.pos)
-            tt = infer_expr(then, locals_, env, uni)
-            to = infer_expr(orelse, locals_, env, uni)
-            uni.unify(tt, to, e.pos)
-            return tt
-        case TupleExpr(items):
-            return TTuple(
-                tuple([infer_expr(i, locals_, env, uni) for i in items])
-            )
-        case Match(scrutinee, arms):
-            ts = infer_expr(scrutinee, locals_, env, uni)
-            result = uni.fresh()
-            for pat, body in arms:
-                binds = type_pattern(pat, ts, env, uni)
-                tb = infer_expr(body, {**locals_, **binds}, env, uni)
-                uni.unify(tb, result, body.pos)
-            return result
-        case Quant() | Connective() | Not():
+    # dispatch on the exact class, the frequent kinds first
+    kind = type(e)
+    if kind is Var:
+        name, ref = e.name, e.ref
+        if ref == LOCAL:
+            return locals_[name]
+        if ref == ENTITY:
+            return env.entity_params[name]
+        if ref == BUILTIN:
+            return uni.instantiate(BUILTIN_FUNCTIONS[name].scheme)
+        if name not in env.methods:  # a property, or itself
+            raise CompileError(UNKNOWN, f"unknown name {name}", e.pos)
+        return uni.instantiate(env.methods[name])
+    if kind is BinOp:
+        sig = uni.instantiate(BUILTIN_FUNCTIONS[e.op].scheme)
+        tl = infer_expr(e.left, locals_, env, uni)
+        tr = infer_expr(e.right, locals_, env, uni)
+        return _applied(sig, [tl, tr], e.pos, uni)
+    if kind is IntLit:
+        return T_INT
+    if kind is Call:
+        tc = infer_expr(e.callee, locals_, env, uni)
+        tas = [infer_expr(a, locals_, env, uni) for a in e.args]
+        return _applied(tc, tas, e.pos, uni)
+    if kind is Qual:
+        coll, name = e.coll, e.name
+        iface = (env.param_ifaces if e.ref == PARAM else env.collections)[coll]
+        if name not in iface:
+            raise CompileError(UNKNOWN, f"{coll} has no method {name}", e.pos)
+        return uni.instantiate(iface[name])
+    if kind is If:
+        cond = e.cond
+        uni.unify(infer_expr(cond, locals_, env, uni), T_BOOL, cond.pos)
+        tt = infer_expr(e.then, locals_, env, uni)
+        to = infer_expr(e.orelse, locals_, env, uni)
+        uni.unify(tt, to, e.pos)
+        return tt
+    if kind is Eq:
+        tl = infer_expr(e.left, locals_, env, uni)
+        tr = infer_expr(e.right, locals_, env, uni)
+        uni.unify(tl, tr, e.pos)
+        return T_BOOL
+    if kind is BoolLit:
+        return T_BOOL
+    if kind is StrLit:
+        return T_STRING
+    if kind is ConRef:
+        name, args = e.name, e.args
+        if name not in env.constructors:
+            raise CompileError(UNKNOWN, f"unknown constructor {name}", e.pos)
+        union, argtys = env.constructors[name]
+        if len(args) != len(argtys):
             raise CompileError(
-                TYPE_MISMATCH, "formula in function body", e.pos
+                TYPE_MISMATCH,
+                f"constructor {name} expects {len(argtys)} argument(s), "
+                f"got {len(args)}",
+                e.pos,
             )
-        case _:
-            raise CompileError(TYPE_MISMATCH, "unsupported expression", e.pos)
+        for a, ty in zip(args, argtys):
+            uni.unify(infer_expr(a, locals_, env, uni), ty, a.pos)
+        return TCon(union)
+    if kind is UnOp:
+        sig = uni.instantiate(BUILTIN_FUNCTIONS[e.op].scheme)
+        t = infer_expr(e.operand, locals_, env, uni)
+        return _applied(sig, [t], e.pos, uni)
+    if kind is TupleExpr:
+        return TTuple(tuple([infer_expr(i, locals_, env, uni) for i in e.items]))
+    if kind is Match:
+        ts = infer_expr(e.scrutinee, locals_, env, uni)
+        result = uni.fresh()
+        for pat, body in e.arms:
+            binds = type_pattern(pat, ts, env, uni)
+            tb = infer_expr(body, {**locals_, **binds}, env, uni)
+            uni.unify(tb, result, body.pos)
+        return result
+    if kind is Quant or kind is Connective or kind is Not:
+        raise CompileError(TYPE_MISMATCH, "formula in function body", e.pos)
+    raise CompileError(TYPE_MISMATCH, "unsupported expression", e.pos)
 
 
 def _applied(tc: Type, tas: list[Type], pos: Pos, uni: Unifier) -> Type:
     """The result of applying a `tc` to arguments of types `tas`: the
     unifications of `unify(tc, arrow(*tas, fresh))`, in its order, with no
     arrow built while `tc` resolves to one."""
+    subst = uni.subst
     for i, ta in enumerate(tas):
-        tc = uni.resolve(tc)
-        if not isinstance(tc, TArrow):  # a variable, Self, or too many arguments
+        while type(tc) is TVar and tc.uid in subst:
+            tc = subst[tc.uid]
+        if type(tc) is not TArrow:  # a variable, Self, or too many arguments
             ret = uni.fresh()
             uni.unify(tc, arrow(*tas[i:], ret), pos)
             return ret

@@ -439,6 +439,47 @@ def test_python_m_focml_runs_the_command_line():
     assert "error: WrongCarrierLeak:" in proc.stderr
 
 
+def test_a_process_writes_all_its_output_and_keeps_its_exit_codes(tmp_path):
+    # `cli.run` flushes the streams and exits without finalizing the
+    # interpreter.  Output through a pipe arrives whole: a small one, which
+    # waits in the stream's buffer, and a large one.
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(root / "src")
+    unit = tmp_path / "lets.fcl"
+    lets = "".join(f"  let f{i} (x : int) : int = x + {i} ;\n" for i in range(2000))
+    unit.write_text(f"species S =\n  representation = int ;\n{lets}end ;;\ncollection C = implement S ;;\n")
+    report = tmp_path / "report.json"
+    cases = [  # arguments, exit code, what stderr holds
+        (["deps", str(unit), "--json", "-"], 0, ""),
+        (["deps", *EXAMPLE], 0, ""),
+        (["eval", *EXAMPLE, "--call", "In_5_10!filter (12)"], 0, ""),
+        (["check", *EXAMPLE], 0, ""),
+        (["check", *data("wrong.fcl")], 1, "error: WrongCarrierLeak:"),
+        (["emit", *EXAMPLE], 2, "emit needs --logical and/or --comp"),
+        (["check", "no/such/file.fcl"], 2, "focml:"),
+    ]
+    for module in ("focml", "focml.cli"):
+        def focml_run(*args: str) -> subprocess.CompletedProcess:
+            return subprocess.run(
+                [sys.executable, "-m", module, *args], capture_output=True, env=env, timeout=120
+            )
+
+        for args, code, diagnostic in cases:
+            proc = focml_run(*args)
+            assert proc.returncode == code, (module, args, proc.stderr)
+            assert diagnostic.encode() in proc.stderr and b"Traceback" not in proc.stderr
+            assert (proc.stderr == b"") == (code == 0), (module, args)
+            if args[0] == "deps":
+                report.unlink(missing_ok=True)
+                assert focml_run(*args[:2], "--json", str(report)).returncode == 0
+                assert proc.stdout == report.read_bytes(), (module, args)
+            elif args[0] == "eval":
+                assert proc.stdout == b"(10, Too_high)\n", module
+            else:
+                assert proc.stdout == b"", (module, args)
+
+
 def imported_modules(*argv: str) -> set[str]:
     """Every module a `focml` process imports, from `-X importtime`."""
     root = Path(__file__).resolve().parent.parent

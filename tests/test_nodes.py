@@ -18,7 +18,6 @@ from focml.ast import (
 
 MATCH_ARGS = {
     ast: {
-        "Pos": "line col",
         "TCon": "name",
         "TSelf": "",
         "TCap": "name",
@@ -107,7 +106,7 @@ MATCH_ARGS = {
     },
 }
 
-FROZEN = {"Pos", "TCon", "TSelf", "TCap", "TParam", "TCollCarrier", "TArrow", "TTuple",
+FROZEN = {"TCon", "TSelf", "TCap", "TParam", "TCollCarrier", "TArrow", "TTuple",
           "TVar", "TGen", "Scheme", "Builtin", "VCon", "BuiltinFn", "Names"}
 
 
@@ -212,6 +211,15 @@ def test_types_hash_by_value_and_reject_assignment():
             setattr(value, field, None)
         with pytest.raises(AttributeError):
             delattr(value, field)
+
+
+def test_positions_are_named_tuples():
+    # the lexer builds them with `tuple.__new__`; `==` on nodes ignores them
+    pos = Pos(3, 4)
+    assert Pos._fields == ("line", "col") and (pos.line, pos.col) == (3, 4)
+    assert str(pos) == "3:4" and Pos() == (0, 0)
+    with pytest.raises(AttributeError):
+        pos.line = 5
 
 
 def test_nodes_and_analysis_records_are_unhashable():

@@ -2069,9 +2069,9 @@ def test_typing_and_walks_are_linear_in_the_number_of_lets(monkeypatch):
 
 
 
-def counted_front_end(text: str) -> tuple[int, int, int]:
-    """The tokens of `text`, the Python-level calls `tokenize` makes, and
-    those `parse_source` makes, lexing included: counts, not times."""
+def python_calls(fn, *args) -> tuple[object, int]:
+    """What `fn(*args)` returns, and the Python-level calls it makes, the
+    call to `fn` itself not counted: a count, not a time."""
     calls = 0
 
     def profile(frame, event, arg):
@@ -2079,13 +2079,19 @@ def counted_front_end(text: str) -> tuple[int, int, int]:
         calls += event == "call"
 
     sys.setprofile(profile)
-    tokens = parser.tokenize(text)
-    sys.setprofile(None)
-    lexing, calls = calls - 1, 0  # the call to `tokenize` itself is not its own
-    sys.setprofile(profile)
-    parse_source(text)
-    sys.setprofile(None)
-    return len(tokens), lexing, calls
+    try:
+        out = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return out, calls - 1
+
+
+def counted_front_end(text: str) -> tuple[int, int, int]:
+    """The tokens of `text`, the Python-level calls `tokenize` makes, and
+    those `parse_source` makes, lexing included."""
+    tokens, lexing = python_calls(parser.tokenize, text)
+    _, parsing = python_calls(parse_source, text)
+    return len(tokens), lexing, parsing + 1
 
 
 def test_the_front_end_makes_a_few_calls_per_token(monkeypatch):
@@ -2097,7 +2103,21 @@ def test_the_front_end_makes_a_few_calls_per_token(monkeypatch):
 
     tokens, lexing, parsing = wide(800)
     assert tokens == 26_810
-    assert lexing <= tokens  # a `Pos` per token, and no other call
-    assert parsing <= 210_000
+    assert lexing == 0  # a token and its `Pos` are tuples built in C
+    assert parsing <= 90_000  # 65,281 when this bound was set
     _, _, small = wide(200)
     assert parsing <= 4.5 * small, (small, parsing)
+
+
+def test_typing_a_wide_unit_makes_a_few_calls_per_node(monkeypatch):
+    # 800 lets of about 20 nodes each: the Python-level calls of typing the
+    # species, `infer_expr` and `unify` included
+    wide = workload_sources()[3]
+    assert wide[-1][0] == "wide.fcl"
+    typed = []
+    type_species = driver._type_species
+    monkeypatch.setattr(
+        driver, "_type_species", lambda *args: typed.append(python_calls(type_species, *args)[1]))
+    compile_unit(wide)
+    assert len(typed) == 1
+    assert typed[0] <= 95_000  # 92,952 when this bound was set
