@@ -114,7 +114,8 @@ class TSelf(Frozen):
 
 
 class TCap(Frozen):
-    """Unresolved capitalized type name straight from the parser."""
+    """A capitalised type name straight from the parser, which `resolve`
+    makes a `TParam` or a `TCollCarrier` where it is written."""
 
     def __init__(self, name: str):
         self.__dict__["name"] = name

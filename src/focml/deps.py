@@ -21,7 +21,6 @@ from .ast import (
     Quant,
     Qual,
     Record,
-    TCap,
     TParam,
     Type,
     Var,
@@ -626,8 +625,8 @@ def _param_deps(
         for step in iter_steps(mi.proof):
             for _, ty in step.assumes:
                 plan_types.append(ty)
-    if md.carrier_keep == "TypeAndBody" and nf.rep_resolved is not None:
-        plan_types.append(nf.rep_resolved)
+    if md.carrier_keep == "TypeAndBody" and nf.rep is not None:
+        plan_types.append(nf.rep)
     for y, keep in md.min_env:
         other = nf.methods[y]
         if other.scheme is not None:
@@ -665,8 +664,4 @@ def _uses(
 
 
 def _mentions_param(t: Type, pname: str) -> bool:
-    return any(
-        (isinstance(n, TParam) and n.name == pname)
-        or (isinstance(n, TCap) and n.name == pname)
-        for n in type_walk(t)
-    )
+    return any(isinstance(n, TParam) and n.name == pname for n in type_walk(t))

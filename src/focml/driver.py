@@ -52,16 +52,13 @@ from .hierarchy import (
     make_collection,
     normalize,
     param_schemes,
-    subst_expr,
-    subst_proof,
 )
 from .parser import parse_source
 from .pretty import expr_to_source, type_to_source
 from .proofs import iter_leaves
-from .resolve import COLLECTION, Names, resolve, resolve_method
+from .resolve import COLLECTION, Names, resolve, resolve_method, resolve_type
 from .typecheck import (
     SpeciesTypeEnv,
-    TypeContext,
     Unifier,
     check_proof,
     check_statement,
@@ -171,18 +168,17 @@ def _register(cu: CompiledUnit, decl) -> None:
 
 def _register_union(cu: CompiledUnit, decl: UnionTypeDecl) -> None:
     cu.unions[decl.name] = decl
-    ctx = TypeContext(unions=cu.unions, collection_names=set(cu.collections))
+    names = Names(collections=cu.collections, unions=cu.unions)
     seen: set[str] = set()
-    for cname, args in decl.constructors:
+    for i, (cname, args) in enumerate(decl.constructors):
         if cname in seen or cname in cu.constructors:
             raise CompileError(
                 DUPLICATE, f"duplicate constructor {cname}", decl.pos
             )
         seen.add(cname)
-        cu.constructors[cname] = (
-            decl.name,
-            [ctx.resolve(t, decl.pos) for t in args],
-        )
+        args = [resolve_type(t, names, decl.pos) for t in args]
+        decl.constructors[i] = (cname, args)
+        cu.constructors[cname] = (decl.name, args)
 
 
 # ---------------------------------------------------------------------------
@@ -196,19 +192,21 @@ def _register_species(cu: CompiledUnit, decl: SpeciesDecl) -> None:
     inherit_args = [
         _check_species_args(cu, se, nf.params, se.pos) for se in decl.inherits
     ]
-    # The species' own text is resolved here, once (`resolve`): its inherit
-    # arguments before renaming copies them, its methods after flattening.
+    # The species' own text is resolved here, once (`resolve`), before
+    # flattening copies or compares any of it: its inherit arguments, its
+    # representation and its methods, types included.
     methods = {m.name for m in decl.methods if m.kind != "proof_of"}
     methods.update(*(cu.species[se.name].methods for se in decl.inherits))
-    names = Names(env.entity_params, methods, env.param_ifaces, env.collections)
+    names = Names(env.entity_params, methods, env.param_ifaces, env.collections, cu.unions)
     for args in inherit_args:
         _resolve_entity_args(args, names)
-    normalize(nf, decl, inherit_args, cu.species, cu.collections)
+    if decl.representation is not None:
+        decl.representation = resolve_type(decl.representation, names, decl.pos)
     for m in decl.methods:
         resolve_method(m, names)
         _check_collection_facts(cu, m)
-    if nf.rep is not None:
-        nf.rep_resolved = env.rep = env.ctx.resolve(nf.rep, nf.pos)
+    normalize(nf, decl, inherit_args, cu.species, cu.collections)
+    env.rep = nf.rep
     parent = _extended_parent(cu, decl, nf)
     reverted = invalidate_proofs(nf, parent)
     for rp in reverted:
@@ -253,14 +251,7 @@ def _extended_parent(
 def _species_env(cu: CompiledUnit, nf: NFSpecies) -> SpeciesTypeEnv:
     """Typing environment for one species, built parameter by parameter:
     each parameter is checked against the ones before it."""
-    ctx = TypeContext(
-        unions=cu.unions,
-        param_names={p.name for p in nf.is_params},
-        collection_names=set(cu.collections),
-    )
-    env = SpeciesTypeEnv(
-        ctx=ctx, rep=nf.rep_resolved, constructors=cu.constructors
-    )
+    env = SpeciesTypeEnv(rep=nf.rep, constructors=cu.constructors)
     env.collections = {
         c: m.iface_schemes for c, m in cu.collections.items()
     }
@@ -404,7 +395,7 @@ def _type_method(mi: MethodInfo, env: SpeciesTypeEnv) -> MethodInfo:
     flags."""
     # The pin is the declared signature if any, else the scheme the method
     # got in the species that first defined it.
-    stored = _declared_scheme(mi, env) or mi.scheme
+    stored = _declared_scheme(mi) or mi.scheme
     match mi.kind:
         case "signature":
             assert stored is not None
@@ -421,35 +412,26 @@ def _type_method(mi: MethodInfo, env: SpeciesTypeEnv) -> MethodInfo:
         case "property" | "theorem":
             assert mi.statement is not None
             st = check_statement(mi.statement, env)
-            # Quantifier and assume types are emitted later: pin them
-            # to their resolved forms.
-            tyfn = lambda t: env.ctx.resolve(t, mi.pos)
-            changes = dict(
-                statement=subst_expr(mi.statement, {}, tyfn), carrier_decl=st.touched_self
+            if mi.proof is None:
+                return mi.replace(carrier_decl=st.touched_self)
+            pt = check_proof(mi.proof, env)
+            return mi.replace(
+                carrier_decl=st.touched_self or pt.touched_self, carrier_def=pt.used_rep
             )
-            if mi.proof is not None:
-                pt = check_proof(mi.proof, env)
-                changes.update(
-                    proof=subst_proof(mi.proof, {}, tyfn),
-                    carrier_decl=st.touched_self or pt.touched_self,
-                    carrier_def=pt.used_rep,
-                )
-            return mi.replace(**changes)
 
 
-def _declared_scheme(mi: MethodInfo, env: SpeciesTypeEnv) -> Scheme | None:
+def _declared_scheme(mi: MethodInfo) -> Scheme | None:
+    """The declared signature; `_merge` kept each other one that differs."""
     if mi.ty is None:
         return None
-    scheme = Scheme(0, env.ctx.resolve(mi.ty, mi.pos))
-    for extra in mi.extra_sigs:
-        if not same(env.ctx.resolve(extra, mi.pos), scheme.body):
-            raise CompileError(
-                TYPE_MISMATCH,
-                f"conflicting signatures for {mi.name}: "
-                f"{type_to_source(scheme.body)} vs {type_to_source(extra)}",
-                mi.pos,
-            )
-    return scheme
+    if mi.extra_sigs:
+        raise CompileError(
+            TYPE_MISMATCH,
+            f"conflicting signatures for {mi.name}: "
+            f"{type_to_source(mi.ty)} vs {type_to_source(mi.extra_sigs[0])}",
+            mi.pos,
+        )
+    return Scheme(0, mi.ty)
 
 
 def _seed_rec_group(
@@ -459,7 +441,7 @@ def _seed_rec_group(
     for m in group:
         mi = nf.methods[m]
         if mi.ty is not None:
-            env.methods[m] = Scheme(0, env.ctx.resolve(mi.ty, mi.pos))
+            env.methods[m] = Scheme(0, mi.ty)
         elif mi.scheme is not None:
             env.methods[m] = mi.scheme
         else:
@@ -495,9 +477,6 @@ def _register_collection(cu: CompiledUnit, decl: CollectionDecl) -> None:
     def type_entity_arg(expr: Expr, coll: str) -> None:
         model = cu.collections[coll]
         env = SpeciesTypeEnv(
-            ctx=TypeContext(
-                unions=cu.unions, collection_names=set(cu.collections)
-            ),
             constructors=cu.constructors,
             collections={c: m.iface_schemes for c, m in cu.collections.items()},
         )

@@ -488,8 +488,8 @@ def _create_logical(nf: NFSpecies, plan: SpeciesPlan, texts: dict) -> list[str]:
     lines = [head]
     for ld in create.locals:
         if ld.gen is None:
-            assert nf.rep_resolved is not None
-            rhs = render_type(nf.rep_resolved, env)
+            assert nf.rep is not None
+            rhs = render_type(nf.rep, env)
             lines.append(f"    let local_rep := {rhs} in")
             continue
         key = (id(ld), ld.gen.species == env.module)

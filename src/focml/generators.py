@@ -298,8 +298,8 @@ def _method_plan(
         elif p.name in md.entity_used:
             lifts.append(_entity_lift(p))
     if md.carrier_keep == "TypeAndBody":
-        assert nf.rep_resolved is not None
-        lifts.append(Lift(("self_carrier",), "abst_T", bind_type=nf.rep_resolved))
+        assert nf.rep is not None
+        lifts.append(Lift(("self_carrier",), "abst_T", bind_type=nf.rep))
     elif md.carrier_keep == "TypeOnly":
         lifts.append(Lift(("self_carrier",), "abst_T", is_set=True))
     for z, keep in md.min_env:

@@ -39,7 +39,6 @@ from .ast import (
     Scheme,
     SpeciesDecl,
     SpeciesParam,
-    TCap,
     TCollCarrier,
     TParam,
     TSelf,
@@ -159,9 +158,8 @@ class NFSpecies(Record):
         name: str,
         params: list[SpeciesParam] | None = None,
         lineage: list[str] | None = None,
-        rep: Type | None = None,  # surface type, substituted
+        rep: Type | None = None,  # resolved where written, renamed
         rep_origin: str | None = None,
-        rep_resolved: Type | None = None,  # filled by typing
         methods: dict[str, MethodInfo] | None = None,
         order: list[str] | None = None,  # filled by deps, as are the two below
         deps: dict[str, MethodDeps] | None = None,
@@ -177,7 +175,6 @@ class NFSpecies(Record):
         self.lineage = [] if lineage is None else lineage
         self.rep = rep
         self.rep_origin = rep_origin
-        self.rep_resolved = rep_resolved
         self.methods = {} if methods is None else methods
         self.order = [] if order is None else order
         self.deps = {} if deps is None else deps
@@ -254,8 +251,8 @@ def param_schemes(
 
 def rename_type(t: Type, args: Args, self_ty: Type | None = None) -> Type:
     """Replace each formal's carrier in `t` by its actual, and `Self` by
-    `self_ty` if given.  A formal named in a surface type (`TCap`) becomes
-    its actual too, which no later lookup of the name can change."""
+    `self_ty` if given.  `t` is resolved where it was written, so a name
+    that denotes a collection there stays that collection's carrier."""
     if not args and self_ty is None:
         return t
 
@@ -263,7 +260,7 @@ def rename_type(t: Type, args: Args, self_ty: Type | None = None) -> Type:
         match n:
             case TSelf() if self_ty is not None:
                 return self_ty
-            case TCap(name) | TParam(name) if name in args:
+            case TParam(name) if name in args:
                 return args[name]
             case _:
                 return n
@@ -756,8 +753,8 @@ def make_collection(
             assert formal.carrier is not None
             type_entity_arg(expr, model.args[formal.carrier].name)
             model.args[formal.name] = expr
-    assert base.rep_resolved is not None
-    model.carrier = rename_type(base.rep_resolved, model.args)
+    assert base.rep is not None
+    model.carrier = rename_type(base.rep, model.args)
     self_ty = TCollCarrier(decl.name)
     for name, mi in base.methods.items():
         if mi.scheme is not None:

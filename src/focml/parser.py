@@ -57,21 +57,7 @@ class Parser:
     # -- token plumbing -----------------------------------------------------
     # The parser reads `self.tokens[self.i]` and moves `self.i` itself, past
     # a token whose kind it has matched or just before it raises; it matches
-    # the final `eof` last, so the current token always exists.  `peek`,
-    # `at`, `next` and `ident` are the cursor of the reference parser in
-    # `tests/oracles.py`.
-
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def at(self, kind: str) -> bool:
-        return self.tokens[self.i].kind == kind
-
-    def next(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
+    # the final `eof` last, so the current token always exists.
 
     def accept(self, kind: str) -> bool:
         if self.tokens[self.i].kind == kind:
@@ -86,9 +72,6 @@ class Parser:
             raise CompileError(SYNTAX, f"expected {want}, found {tok.value or tok.kind!r}", tok.pos)
         self.i += 1
         return tok
-
-    def ident(self, what: str = "a name") -> Token:
-        return self.expect("ident", what)
 
     # -- toplevel -----------------------------------------------------------
 

@@ -19,7 +19,6 @@ from .ast import (
     Record,
     Scheme,
     TArrow,
-    TCap,
     TCollCarrier,
     TCon,
     TGen,
@@ -62,7 +61,7 @@ from .ast import (
     ProofSteps,
     Proof,
 )
-from .basics import BUILTIN_FUNCTIONS, BUILTIN_TYPES
+from .basics import BUILTIN_FUNCTIONS
 from .errors import (
     CARRIER_LEAK,
     DUPLICATE,
@@ -73,38 +72,6 @@ from .errors import (
 )
 from .pretty import expr_to_source, type_to_source
 from .resolve import BUILTIN, ENTITY, LOCAL, PARAM
-
-
-class TypeContext:
-    """Resolves surface type names against the declarations in scope."""
-
-    def __init__(
-        self,
-        unions: dict[str, object] | None = None,
-        param_names: set[str] | None = None,
-        collection_names: set[str] | None = None,
-    ):
-        self.unions = unions or {}
-        self.param_names = param_names or set()
-        self.collection_names = collection_names or set()
-
-    def resolve(self, t: Type, pos: Pos = NOPOS) -> Type:
-        def step(node: Type) -> Type:
-            match node:
-                case TCap(name):
-                    if name in self.param_names:
-                        return TParam(name)
-                    if name in self.collection_names:
-                        return TCollCarrier(name)
-                    raise CompileError(UNKNOWN, f"unknown type {name}", pos)
-                case TCon(name):
-                    if name in BUILTIN_TYPES or name in self.unions:
-                        return node
-                    raise CompileError(UNKNOWN, f"unknown type {name}", pos)
-                case _:
-                    return node
-
-        return type_map(t, step)
 
 
 class Unifier:
@@ -210,9 +177,7 @@ class Unifier:
             case _:
                 left, right = self.shown(a, b)
                 message = f"cannot unify {left} with {right}"
-                if left == right:  # a parameter's carrier and a collection's
-                    message += f" ({_carriers(self.deep(a))} against {_carriers(self.deep(b))})"
-                raise CompileError(TYPE_MISMATCH, message, pos)
+                raise CompileError(TYPE_MISMATCH, message + _told_apart(left, right, a, b, self), pos)
 
     def generalize(self, t: Type) -> Scheme:
         t = self.deep(t)
@@ -226,6 +191,14 @@ class Unifier:
             t, lambda n: TGen(seen[n.uid]) if isinstance(n, TVar) else n
         )
         return Scheme(len(seen), body)
+
+
+def _told_apart(left: str, right: str, a: Type, b: Type, uni: Unifier) -> str:
+    """Where `a` and `b` print alike, as `left` and `right`, the carriers
+    that tell them apart: a parameter's carrier and a collection's."""
+    if left != right:
+        return ""
+    return f" ({_carriers(uni.deep(a))} against {_carriers(uni.deep(b))})"
 
 
 def _carriers(t: Type) -> str:
@@ -246,7 +219,6 @@ class SpeciesTypeEnv(Record):
 
     def __init__(
         self,
-        ctx: TypeContext,
         rep: Type | None = None,
         methods: dict[str, Scheme] | None = None,
         entity_params: dict[str, Type] | None = None,
@@ -254,7 +226,6 @@ class SpeciesTypeEnv(Record):
         collections: dict[str, dict[str, Scheme]] | None = None,
         constructors: dict[str, tuple[str, list[Type]]] | None = None,
     ):
-        self.ctx = ctx
         self.rep = rep
         self.methods = {} if methods is None else methods
         self.entity_params = {} if entity_params is None else entity_params
@@ -405,10 +376,7 @@ def infer_formula(
     """Check a first-order statement. Atoms are bool expressions or `=`."""
     match e:
         case Quant(_, vars_, ty, body):
-            resolved = env.ctx.resolve(ty, e.pos)
-            infer_formula(
-                body, {**locals_, **{v: resolved for v in vars_}}, env, uni
-            )
+            infer_formula(body, {**locals_, **{v: ty for v in vars_}}, env, uni)
         case Connective(_, left, right):
             infer_formula(left, locals_, env, uni)
             infer_formula(right, locals_, env, uni)
@@ -447,10 +415,10 @@ def type_let(
     ptys: list[Type] = []
     locals_: dict[str, Type] = {}
     for name, annot in m.params:
-        t: Type = uni.fresh() if annot is None else env.ctx.resolve(annot, m.pos)
+        t: Type = uni.fresh() if annot is None else annot
         ptys.append(t)
         locals_[name] = t
-    ret: Type = uni.fresh() if m.ret is None else env.ctx.resolve(m.ret, m.pos)
+    ret: Type = uni.fresh() if m.ret is None else m.ret
     if m.rec:  # a parameter of the same name shadows the function
         locals_ = {m.name: arrow(*ptys, ret), **locals_}
     assert m.body is not None
@@ -462,11 +430,11 @@ def type_let(
             uni.unify(full, uni.instantiate(stored), m.pos)
         except CompileError as err:
             if err.kind == TYPE_MISMATCH:
+                left, right = uni.shown(full)[0], type_to_source(stored.body)
                 raise CompileError(
                     TYPE_MISMATCH,
-                    f"redefinition of {m.name} changes its type: "
-                    f"{uni.shown(full)[0]} vs "
-                    f"{type_to_source(stored.body)}",
+                    f"redefinition of {m.name} changes its type: {left} vs {right}"
+                    + _told_apart(left, right, full, stored.body, uni),
                     m.pos,
                 ) from None
             raise
@@ -523,7 +491,7 @@ def check_proof(proof: Proof, env: SpeciesTypeEnv) -> ProofTyping:
     """Type every hypothesis and goal in body mode; track representation use.
 
     Also validates positional fact references: `by hypothesis h` must name a
-    hypothesis introduced by an enclosing step, `by type t` a known type.
+    hypothesis introduced by an enclosing step.
     """
     uni = Unifier(rep=env.rep, mode="body")
 
@@ -537,23 +505,13 @@ def check_proof(proof: Proof, env: SpeciesTypeEnv) -> ProofTyping:
                                 raise CompileError(
                                     PROOF, f"unknown hypothesis {name}", f.pos
                                 )
-                    elif f.kind == "type":
-                        for name in f.names:
-                            if (
-                                name not in BUILTIN_TYPES
-                                and name not in env.ctx.unions
-                            ):
-                                raise CompileError(
-                                    PROOF, f"unknown type {name}", f.pos
-                                )
             case ProofSteps(steps):
                 for step in steps:
                     inner = dict(locals_)
                     inner_hyps = set(hyps)
                     for names, ty in step.assumes:
-                        resolved = env.ctx.resolve(ty, step.pos)
                         for v in names:
-                            inner[v] = resolved
+                            inner[v] = ty
                     for hname, stmt in step.hyps:
                         infer_formula(stmt, inner, env, uni)
                         inner_hyps.add(hname)

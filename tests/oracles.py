@@ -943,11 +943,27 @@ def infer_expr(
 
 from focml.ast import CompilationUnit, SpeciesDecl, expr_walk  # noqa: E402
 from focml.errors import DEPTH_LIMIT, SYNTAX  # noqa: E402
-from focml.lexer import tokenize as lex  # noqa: E402
+from focml.lexer import Token, tokenize as lex  # noqa: E402
 from focml.parser import Parser  # noqa: E402
 
 
 class ReferenceParser(Parser):
+    # the cursor: the current token, and a step past it
+    def peek(self) -> Token:
+        return self.tokens[self.i]
+
+    def at(self, kind: str) -> bool:
+        return self.tokens[self.i].kind == kind
+
+    def next(self) -> Token:
+        tok = self.tokens[self.i]
+        if tok.kind != "eof":
+            self.i += 1
+        return tok
+
+    def ident(self, what: str = "a name") -> Token:
+        return self.expect("ident", what)
+
     def parse_expr(self) -> Expr:
         tok = self.peek()
         match tok.kind:
@@ -1303,8 +1319,8 @@ def _create_logical(nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
     lines = [f"  Definition collection_create{''.join(outer_parts)} :="]
     for ld in create.locals:
         if ld.gen is None:
-            assert nf.rep_resolved is not None
-            rhs = render_type(nf.rep_resolved, env)
+            assert nf.rep is not None
+            rhs = render_type(nf.rep, env)
             lines.append(f"    let local_rep := {rhs} in")
         else:
             lines.append(f"    let local_{ld.name} := {_genapp_text(ld.gen, env)} in")

@@ -7,7 +7,7 @@ import oracles
 import shapes
 from conftest import DATA, data
 
-from focml import compile_files
+from focml import compile_files, compile_source
 from focml.emit import emit_comp, emit_logical, proof_hole_name
 from focml.errors import on_deep_stack
 from focml.parser import parse_source
@@ -137,6 +137,17 @@ def test_union_appears_in_both_targets(example_cu):
     assert "statut_t" in emit_comp(example_cu)
     for c in ("In_range", "Too_low", "Too_high"):
         assert c in emit_comp(example_cu)
+
+
+def test_a_union_over_a_collections_carrier_is_emitted():
+    # the constructor's argument is resolved where the union is written
+    source = """
+species S = representation = int ; let mk (x : int) : Self = x ; end ;;
+collection C = implement S ;;
+type box = Box (C) | Empty ;;
+"""
+    cu = compile_source(source)
+    assert "  | Box : C.me_as_carrier -> box__t" in emit_logical(cu).splitlines()
 
 
 # ---------------------------------------------------------------------------

@@ -64,10 +64,10 @@ def test_proof_of_upgrades_property(example_cu):
 def test_representation_is_inherited(example_cu):
     ti = example_cu.species["TheInt"]
     assert ti.rep_origin == "TheInt"
-    assert type_to_source(ti.rep_resolved) == "int"
+    assert type_to_source(ti.rep) == "int"
     ii = example_cu.species["IsIn"]
     assert ii.rep_origin == "IsIn"
-    assert type_to_source(ii.rep_resolved) == "V * statut_t"
+    assert type_to_source(ii.rep) == "V * statut_t"
 
 
 def test_parameter_rename_through_inheritance(extended_cu):

@@ -91,14 +91,14 @@ MATCH_ARGS = {
         "params ret body statement proof rec superseded pos scheme param_types ret_type "
         "carrier_decl carrier_def valid_proof",
         "RevertedProof": "method proof_origin def_name def_origin pos",
-        "NFSpecies": "name params lineage rep rep_origin rep_resolved methods order "
+        "NFSpecies": "name params lineage rep rep_origin methods order "
         "deps rec_groups reverted iface_args ancestor_args analysed pos",
         "CollectionModel": "name nf args iface_schemes carrier pos",
     },
     lexer: {},  # a token is a named tuple (`test_tokens_are_named_tuples`)
-    resolve: {"Names": "entities methods params collections"},
+    resolve: {"Names": "entities methods params collections unions"},
     typecheck: {
-        "SpeciesTypeEnv": "ctx rep methods entity_params param_ifaces collections "
+        "SpeciesTypeEnv": "rep methods entity_params param_ifaces collections "
         "constructors",
         "LetTyping": "scheme param_types ret_type used_rep touched_self",
         "StatementTyping": "touched_self",

@@ -2120,4 +2120,4 @@ def test_typing_a_wide_unit_makes_a_few_calls_per_node(monkeypatch):
         driver, "_type_species", lambda *args: typed.append(python_calls(type_species, *args)[1]))
     compile_unit(wide)
     assert len(typed) == 1
-    assert typed[0] <= 95_000  # 92,952 when this bound was set
+    assert typed[0] <= 72_000  # 70,194 when this bound was set

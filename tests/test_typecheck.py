@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from focml import CompileError, compile_source
-from focml.ast import TArrow, TCollCarrier
+from focml.ast import T_BOOL, TArrow, TCollCarrier
 from focml.pretty import type_to_source
 
 from conftest import data
@@ -409,6 +409,20 @@ end ;;
         "cannot unify Q with Q (collection Q's carrier against parameter Q's carrier)",
     )
     assert (e.value.pos.line, e.value.pos.col) == (7, 25)
+    # `A` declares `g` over the collection's carrier; the heir's body gives
+    # it the carrier of its own parameter `Q`.
+    source = source[: source.index("species Holder")] + """
+species A = signature g : Q -> bool ; end ;;
+species B (Q is Base) = inherit A ; let g (x) = (x = Q!mk (1)) ; end ;;
+"""
+    with pytest.raises(CompileError) as e:
+        compile_source(source)
+    assert (e.value.kind, e.value.message) == (
+        "TypeMismatch",
+        "redefinition of g changes its type: Q -> bool vs Q -> bool "
+        "(parameter Q's carrier against collection Q's carrier)",
+    )
+    assert (e.value.pos.line, e.value.pos.col) == (7, 41)
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +609,73 @@ collection CC = implement C (P) ;;
     assert "k" in cu.species["C"].analysed
     assert scheme_src(cu, "C", "k") == "int -> P"
     assert eval_call(cu, "CC!f (3)") == "10"
+
+
+def test_a_property_restated_over_a_parameters_carrier_compiles():
+    # the inherited statement and the local one both hold `P`'s carrier
+    # when flattening compares them
+    cu = compile_source(
+        """
+species Base = signature leq : Self -> Self -> bool ; end ;;
+species A (P is Base) = signature f : P -> bool ; property p : all x : P, f (x) ; end ;;
+species B (P is Base) = inherit A (P) ; property p : all x : P, f (x) ; end ;;
+"""
+    )
+    assert cu.species["B"].methods["p"].statement == cu.species["A"].methods["p"].statement
+
+
+def test_a_parameter_does_not_capture_a_collection_an_inherited_signature_names():
+    prelude = """
+species Base = signature leq : Self -> Self -> bool ; end ;;
+species Impl = inherit Base ; representation = int ; let leq (x, y) = true ; end ;;
+collection C = implement Impl ;;
+species A = signature g : C -> bool ; end ;;
+"""
+    cu = compile_source(prelude)
+    assert cu.species["A"].methods["g"].scheme.body == TArrow(TCollCarrier("C"), T_BOOL)
+    heir = "species B (C is Base) = inherit A ; let g (x) = C!leq (x, x) ; end ;;"
+    with pytest.raises(CompileError) as e:
+        compile_source(prelude + heir)
+    assert e.value.kind == "TypeMismatch"
+    assert (e.value.pos.line, e.value.pos.col) == (6, heir.index("g (x)") + 1)
+
+
+# An unknown type name where each kind of type is written: (source, the
+# text it starts with, that text's line and column).
+UNKNOWN_TYPE_SITES = {
+    "signature": ("species S = signature f : {} -> bool ; end ;;", "f :", 1),
+    "let_parameter": ("species S = let f (x : {}) : int = 1 ; end ;;", "f (", 1),
+    "let_result": ("species S = let f (x : int) : {} = x ; end ;;", "f (", 1),
+    "quantifier": ("species S = property p : all x : {}, x = x ; end ;;", "all", 1),
+    "assume": (
+        "species S = theorem t : all x : int, x = x\n"
+        "proof =\n <1>1 assume y : {}, prove y = y by type int\n <1>2 qed by step <1>1 ;\nend ;;",
+        "<1>1", 3,
+    ),
+    "by_type": (
+        "species S = theorem t : all x : int, x = x\nproof = by type int, {} ;\nend ;;",
+        "type", 2,
+    ),
+    "union_constructor": ("type t = A ({}) | B ;;", "type", 1),
+    "representation": ("species S = representation = int * {} ; end ;;", "species", 1),
+}
+
+
+# a `by type` fact names a lower-case type only
+@pytest.mark.parametrize(
+    "site, name",
+    [(site, name) for site in UNKNOWN_TYPE_SITES for name in ("foo", "Foo")
+     if (site, name) != ("by_type", "Foo")],
+)
+def test_an_unknown_type_is_reported_where_it_is_written(site, name):
+    template, anchor, line = UNKNOWN_TYPE_SITES[site]
+    source = template.format(name)
+    with pytest.raises(CompileError) as e:
+        compile_source(source)
+    kind = "ProofError" if site == "by_type" else "UnknownName"
+    assert (e.value.kind, e.value.message) == (kind, f"unknown type {name}")
+    col = source.splitlines()[line - 1].index(anchor) + 1
+    assert (e.value.pos.line, e.value.pos.col) == (line, col)
 
 
 def test_an_interface_argument_sees_only_the_earlier_parameters():
