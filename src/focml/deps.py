@@ -1,9 +1,11 @@
 """Dependency calculus over flattened species.
 
 Two passes.  The syntactic pass scans bodies, statements and proofs for
-method references, validates proof facts, and fixes the global method order
-(a topological sort of the decl-dependency graph, tie-broken by where each
-method first received a definition and then by name).  The semantic pass runs
+method references, validates proof facts, and fixes the global method order:
+one smallest-key-first topological sort of the decl-dependency graph, keyed
+by where each method first received a definition and then by name, which an
+heir places from its parent's order, and which looks for mutual `rec` groups
+only when a cycle stalls it.  The semantic pass runs
 after typing and derives the visible universe, the minimal typing
 environment, and per-parameter dependencies for every method.  Both write
 to the species record: its entries (`NFSpecies.deps`), its order and its
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from typing import Callable, Collection
 
 from .ast import (
     Expr,
@@ -169,110 +172,92 @@ def type_level_refs(mi: MethodInfo) -> set[str]:
     return tagged(mi.statement, METHOD)
 
 
-def order_methods(nf: NFSpecies, decl: dict[str, frozenset[str]]) -> tuple[list[str], list[list[str]]]:
-    """Topological order with deterministic tie-breaking.
-
-    Priority: (rank of the species where the method first got a definition,
-    name); declared-only methods rank by their declaration site.  Mutually
-    recursive groups marked `rec` collapse to one node; any other cycle is an
-    error carrying a shortest witness.
-    """
-    rank = {s: i for i, s in enumerate(nf.lineage)}
-    names = list(nf.methods)
-
-    def key(n: str) -> tuple[int, str]:
-        return rank.get(nf.methods[n].order_site(), len(rank)), n
-
-    edges: dict[str, set[str]] = {n: set() for n in names}  # y -> users
-    for n in names:
-        for d in decl[n]:
-            if d == n:
-                if not nf.methods[n].rec:
-                    raise CompileError(
-                        CYCLE,
-                        f"{n} depends on itself",
-                        nf.methods[n].pos,
-                        witness=[n],
-                    )
-                continue
-            edges[d].add(n)
-
-    groups = _collapse_rec_groups(nf, edges, names)
-    group_of = {n: g for g in groups for n in g}
-    g_key = {id(g): min(key(n) for n in g) for g in groups}
-    g_edges: dict[int, set[int]] = {id(g): set() for g in groups}
-    indeg: dict[int, int] = {id(g): 0 for g in groups}
-    for y, users in edges.items():
-        for x in users:
-            gy, gx = group_of[y], group_of[x]
-            if gy is not gx and id(gx) not in g_edges[id(gy)]:
-                g_edges[id(gy)].add(id(gx))
-                indeg[id(gx)] += 1
-    by_id = {id(g): g for g in groups}
-    heap = [(g_key[i], i) for i, d in indeg.items() if d == 0]
-    heapq.heapify(heap)
-    order: list[str] = []
-    while heap:
-        _, i = heapq.heappop(heap)
-        order.extend(sorted(by_id[i], key=key))
-        for j in g_edges[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(heap, (g_key[j], j))
-    if len(order) != len(names):
-        cycle = _shortest_cycle(
-            {n: decl[n] & set(names) for n in names if n not in order}
-        )
-        raise CompileError(
-            CYCLE,
-            f"methods of {nf.name} depend on each other",
-            nf.pos,
-            witness=cycle,
-        )
-    return order, [g for g in groups if len(g) > 1]
-
-
-def _placed_order(
+def order_methods(
     nf: NFSpecies,
-    entries: dict[str, MethodDeps],
-    parent: NFSpecies,
-    dirty: list[str],
-) -> list[str] | None:
-    """The order `order_methods` gives `nf` when its methods have no cycle,
-    placed from the order of the `parent` it extends, which has no cycle
-    either; None when a cycle leaves methods out, for `order_methods` to
-    report.  The lineage extends the parent's, so a method ranks alike in
-    both.
+    decl: dict[str, frozenset[str]],
+    parent: NFSpecies | None = None,
+    dirty: Collection[str] = (),
+) -> tuple[list[str], list[list[str]]]:
+    """The global method order and the mutual `rec` groups.  The order is
+    the smallest-key-first topological sort of the `decl` graph.  A key is
+    (rank of the species where the method first got a definition, name);
+    a declared-only method ranks by its declaration site.
 
-    `dirty` lists the methods that are new here or have other edges or
-    another key than in the parent.  A parent method is affected when it
-    is dirty or depends on an affected one.  The others keep their edges
-    and keys, and they depend only on each other, so the smallest-key-first
-    topological sort picks them in the parent's relative order whatever
-    else it picks in between.  What is left is to merge the affected ones
-    into that sequence by key, as they become free."""
+    Given the `parent` the species extends, when the parent has no mutual
+    group, the order is placed from the parent's.  `dirty` lists the
+    methods that are new here or have other edges or another key than in
+    the parent; a parent method is affected when it is dirty or depends on
+    an affected one.  The lineage extends the parent's, so a method ranks
+    alike in both, and the others keep their edges and keys.  Without a
+    parent every method is affected.
+
+    A cycle stalls the sort.  Only then are the strongly connected
+    components found: a group of `rec` methods collapses to one node,
+    keyed by its smallest member, and the sort runs again; any other cycle
+    is an error carrying a shortest witness.
+    """
     methods = nf.methods
     rank = {s: i for i, s in enumerate(nf.lineage)}
 
     def key(n: str) -> tuple[int, str]:
         return rank.get(methods[n].order_site(), len(rank)), n
 
-    prev = parent.order
-    affected = set(dirty)
-    start = min((prev.index(n) for n in dirty if n in parent.methods), default=len(prev))
-    for n in prev[start:]:
-        if not affected.isdisjoint(entries[n].decl):
-            affected.add(n)
-    waiting: dict[str, int] = {}  # affected method -> its deps not yet placed
+    prev: list[str] = []
+    affected: Collection[str] = methods
+    if parent is not None and not parent.rec_groups:
+        prev = parent.order
+        affected = set(dirty)
+        start = min((prev.index(n) for n in dirty if n in parent.methods), default=len(prev))
+        for n in prev[start:]:
+            if not affected.isdisjoint(decl[n]):
+                affected.add(n)
+    order = _sort(prev, affected, decl, key, len(parent.lineage) if prev else 0)
+    if len(order) == len(methods):
+        return order, []
+    names = list(methods)
+    users: dict[str, set[str]] = {n: set() for n in names}
+    for n in names:
+        for d in decl[n]:
+            users[d].add(n)
+    groups = [sorted(scc) for scc in _tarjan(names, users)]
+    for g in groups:
+        if len(g) > 1 and not all(methods[n].rec for n in g):
+            raise CompileError(
+                CYCLE,
+                f"methods of {nf.name} depend on each other",
+                methods[g[0]].pos,
+                witness=_shortest_cycle({n: decl[n] for n in g}),
+            )
+    members = {ms[0]: ms for ms in (sorted(g, key=key) for g in groups)}
+    head = {n: h for h, ms in members.items() for n in ms}
+    group_decl = {h: {head[d] for n in ms for d in decl[n]} - {h} for h, ms in members.items()}
+    order = [n for h in _sort([], members, group_decl, key, 0) for n in members[h]]
+    return order, [g for g in groups if len(g) > 1]
+
+
+def _sort(
+    prev: list[str],
+    affected: Collection[str],
+    decl: dict[str, Collection[str]],
+    key: Callable[[str], tuple[int, str]],
+    late: int,
+) -> list[str]:
+    """The smallest-key-first topological order of the nodes in `prev` and
+    `affected`, a node depending on its `decl` names; nodes on a cycle, and
+    those that depend on one, are left out.
+
+    `prev` orders the nodes it holds that are not affected, and they depend
+    only on each other, so the sort picks them in that relative order
+    whatever else it picks in between.  The loop walks `prev` and merges
+    the affected nodes into it by key, as they become free.  A free node
+    ranked from `late` on comes after every node of `prev`."""
+    waiting: dict[str, int] = {}  # affected node -> its deps not yet placed
     users: dict[str, list[str]] = {}
     for a in affected:
-        deps = entries[a].decl
+        deps = decl[a]
         waiting[a] = len(deps)
         for d in deps:
             users.setdefault(d, []).append(a)
-    # A free method ranked from `late` on comes after every unaffected
-    # one, which all rank by a species of the parent's lineage.
-    late = len(parent.lineage)
     free: list[tuple[tuple[int, str], str]] = []
     later: list[tuple[tuple[int, str], str]] = []
     order: list[str] = []
@@ -302,34 +287,13 @@ def _placed_order(
             place(n)
         else:
             order.append(n)
-    # Every unaffected method is placed: any free one may come next.
+    # Every node of `prev` is placed: any free one may come next.
     free += later
     heapq.heapify(free)
-    late = len(rank) + 1
+    later = free  # every release from here on goes to `free`
     while free:
         place(heapq.heappop(free)[1])
-    return order if len(order) == len(methods) else None
-
-
-def _collapse_rec_groups(
-    nf: NFSpecies, edges: dict[str, set[str]], names: list[str]
-) -> list[list[str]]:
-    sccs = _tarjan(names, edges)
-    groups: list[list[str]] = []
-    for scc in sccs:
-        if len(scc) > 1:
-            if not all(nf.methods[n].rec for n in scc):
-                cycle = _shortest_cycle(
-                    {n: {d for d in edges if n in edges[d]} for n in scc}
-                )
-                raise CompileError(
-                    CYCLE,
-                    f"methods of {nf.name} depend on each other",
-                    nf.methods[sorted(scc)[0]].pos,
-                    witness=cycle,
-                )
-        groups.append(sorted(scc))
-    return groups
+    return order
 
 
 def _tarjan(names: list[str], edges: dict[str, set[str]]) -> list[list[str]]:
@@ -379,9 +343,10 @@ def _tarjan(names: list[str], edges: dict[str, set[str]]) -> list[list[str]]:
     return out
 
 
-def _shortest_cycle(deps: dict[str, set[str]]) -> list[str]:
+def _shortest_cycle(deps: dict[str, frozenset[str]]) -> list[str]:
     """Shortest dependency cycle in `x depends on deps[x]` form, rotated so
-    the smallest name comes first."""
+    the smallest name comes first.  `deps` holds a strongly connected
+    component of two or more methods, so every start lies on a cycle."""
     best: list[str] | None = None
     for start in sorted(deps):
         # BFS over dependency edges back to start.
@@ -391,7 +356,7 @@ def _shortest_cycle(deps: dict[str, set[str]]) -> list[str]:
         found = None
         while q and found is None:
             cur = q.popleft()
-            for nxt in sorted(deps.get(cur, ())):
+            for nxt in sorted(deps[cur]):
                 if nxt == start:
                     found = cur
                     break
@@ -399,16 +364,12 @@ def _shortest_cycle(deps: dict[str, set[str]]) -> list[str]:
                     seen.add(nxt)
                     prev[nxt] = cur
                     q.append(nxt)
-        if found is None:
-            continue
         path = [found]
         while path[-1] != start:
             path.append(prev[path[-1]])
         path.reverse()
         if best is None or len(path) < len(best):
             best = path
-    if best is None:
-        return sorted(deps)[:1]
     smallest = min(range(len(best)), key=lambda i: best[i])
     return best[smallest:] + best[:smallest]
 
@@ -431,8 +392,9 @@ def scan_species(
     Given the `parent` the species extends (see `driver._extended_parent`),
     a method that holds the parent's record and that the species does not
     analyse itself (`nf.analysed`) keeps the parent's whole entry
-    (`finish_deps` decides whether its finish holds too), and the order is
-    placed from the parent's (`_placed_order`).  Another such method that
+    (`finish_deps` decides whether its finish holds too), and
+    `order_methods` places the order from the parent's, given the methods
+    that are new or ordered by other edges or keys.  Another such method that
     scans alike with a species it `inherited` takes that species' sets.
     Every other method is scanned here.
     """
@@ -461,14 +423,8 @@ def scan_species(
             dirty.append(name)
         entries[name] = md
     nf.deps = entries
-    placed = None
-    if parent is not None and not parent.rec_groups:
-        placed = _placed_order(nf, entries, parent, dirty)
-    if placed is not None:
-        nf.order, nf.rec_groups = placed, []
-    else:
-        decl = {name: md.decl for name, md in entries.items()}
-        nf.order, nf.rec_groups = order_methods(nf, decl)
+    decl = {name: md.decl for name, md in entries.items()}
+    nf.order, nf.rec_groups = order_methods(nf, decl, parent, dirty)
     mutual = {m for g in nf.rec_groups for m in g}
     for name, md in entries.items() if mutual else ():
         hit = sorted(md.defs & mutual)

@@ -35,6 +35,7 @@ from .errors import (
     INCOMPLETE,
     INTERFACE,
     PROOF,
+    SYNTAX,
     TYPE_MISMATCH,
     UNKNOWN,
     CompileError,
@@ -97,8 +98,23 @@ class CompiledUnit(Record):
 
 
 def compile_files(paths: list[str]) -> CompiledUnit:
-    sources = [(p, Path(p).read_text()) for p in paths]
-    return compile_unit(sources)
+    return compile_unit([(p, _read_source(p)) for p in paths])
+
+
+def _read_source(path: str) -> str:
+    """A source file's text, decoded as UTF-8 whatever the locale, its line
+    ends read as `\\n` as text mode reads them.  A byte that does not decode
+    is a syntax error at its line and column."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        before = data[: err.start].decode("utf-8")
+        pos = Pos(before.count("\n") + 1, len(before) - before.rfind("\n"))
+        error = CompileError(SYNTAX, f"invalid UTF-8 byte 0x{data[err.start]:02x}", pos)
+        error.file = path
+        raise error from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def compile_source(text: str, file: str = "<input>") -> CompiledUnit:
@@ -177,6 +193,12 @@ def _register_union(cu: CompiledUnit, decl: UnionTypeDecl) -> None:
             )
         seen.add(cname)
         args = [resolve_type(t, names, decl.pos) for t in args]
+        if any(map(_mentions_self, args)):
+            raise CompileError(
+                TYPE_MISMATCH,
+                f"constructor {cname} of {decl.name} cannot mention Self",
+                decl.pos,
+            )
         decl.constructors[i] = (cname, args)
         cu.constructors[cname] = (decl.name, args)
 

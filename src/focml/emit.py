@@ -394,9 +394,15 @@ def _inductive(u: UnionTypeDecl) -> str:
     tname = f"{u.name}__t"
     lines = [f"Inductive {tname} : Set :="]
     for con, args in u.constructors:
-        ty = " -> ".join([render_type(t, env) for t in args] + [tname])
+        ty = " -> ".join([_arg_text(render_type(t, env), t) for t in args] + [tname])
         lines.append(f"  | {con} : {ty}")
     return "\n".join(lines) + "."
+
+
+def _arg_text(text: str, t: Type) -> str:
+    """The `text` of `t` as a constructor argument, a tuple item or an
+    arrow's argument: an arrow in parentheses."""
+    return f"({text})" if isinstance(t, TArrow) else text
 
 
 def _lift_text(l: Lift, env: RenderEnv, texts: dict) -> str:
@@ -541,7 +547,7 @@ def emit_comp(cu) -> str:
     for kind, name in plan_unit(cu).decl_order:
         with cu.writing(name):
             if kind == "union":
-                lines.append(_union_comp(cu.unions[name]))
+                lines.append(_union_comp(cu.unions[name], cu.collections))
             elif kind == "species":
                 lines += _species_comp(cu, name, texts)
             else:
@@ -551,27 +557,32 @@ def emit_comp(cu) -> str:
     return "\n".join(lines) if lines else "\n"
 
 
-def _union_comp(u: UnionTypeDecl) -> str:
+def _union_comp(u: UnionTypeDecl, collections: dict) -> str:
     arms = []
     for con, args in u.constructors:
         if args:
-            payload = " * ".join(_comp_type(t) for t in args)
+            payload = " * ".join(_arg_text(_comp_type(t, collections), t) for t in args)
             arms.append(f"| {con} of {payload}")
         else:
             arms.append(f"| {con}")
     return f"type {u.name} = " + " ".join(arms)
 
 
-def _comp_type(t: Type) -> str:
+def _comp_type(t: Type, collections: dict) -> str:
+    """A type in a union's constructor.  The computational target declares
+    no carrier type, so a collection's carrier is written as the type it
+    equals, the collection's representation."""
     match t:
         case TCon(name):
             return name
+        case TCollCarrier(name):
+            return _comp_type(collections[name].carrier, collections)
         case TTuple(items):
-            return "(" + " * ".join([_comp_type(i) for i in items]) + ")"
+            return "(" + " * ".join([_arg_text(_comp_type(i, collections), i) for i in items]) + ")"
         case TArrow(a, b):
-            return f"{_comp_type(a)} -> {_comp_type(b)}"
+            return f"{_arg_text(_comp_type(a, collections), a)} -> {_comp_type(b, collections)}"
         case _:
-            return "_"
+            raise ValueError(f"cannot render type {t!r}")
 
 
 def _species_comp(cu, name: str, texts: dict) -> list[str]:

@@ -1,8 +1,9 @@
 """Surface-syntax printer.
 
-Prints parsed units back to concrete syntax that reparses to a structurally
-identical tree.  Also supplies the type-to-source rendering used by the JSON
-dependency report.
+Prints types, expressions and proofs back to concrete syntax that reparses
+to a structurally identical tree: the JSON dependency report, `doc`, the
+diagnostics and the proof hole names read them.  Whole units are printed
+only by the parser's round-trip test (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -10,12 +11,10 @@ from __future__ import annotations
 from typing import Iterator
 
 from .ast import (
-    BinOp, BoolLit, Call, CollectionDecl, CompilationUnit, ConRef, Connective,
-    Eq, Expr, Fact, If, IntLit, Match, MethodDecl, Not, PCon, PTuple, PVar,
-    PWild, Pattern, ProofLeaf, ProofStep, ProofSteps, Proof, Qual, Quant,
-    SpeciesDecl, SpeciesExpr, StrLit, TArrow, TCap, TCollCarrier, TCon,
-    TGen, TParam, TSelf, TTuple, TupleExpr, Type, TVar, UnOp, UnionTypeDecl,
-    Var,
+    BinOp, BoolLit, Call, ConRef, Connective, Eq, Expr, Fact, If, IntLit,
+    Match, Not, PCon, PTuple, PVar, PWild, Pattern, ProofLeaf, ProofStep,
+    ProofSteps, Proof, Qual, Quant, StrLit, TArrow, TCap, TCollCarrier, TCon,
+    TGen, TParam, TSelf, TTuple, TupleExpr, Type, TVar, UnOp, Var,
 )
 
 # Binding strength, loosest first.  Parenthesize a child printed in a
@@ -190,81 +189,3 @@ def _step_head(step: ProofStep) -> str:
         head.append(f"hypothesis {name} : {expr_to_source(stmt)},")
     head.append("qed" if step.is_qed else f"prove {expr_to_source(step.goal)}")
     return " ".join(head)
-
-
-def method_to_source(m: MethodDecl, indent: str = "  ") -> list[str]:
-    match m.kind:
-        case "signature":
-            return [f"{indent}signature {m.name} : {type_to_source(m.ty)};"]
-        case "let":
-            rec = "rec " if m.rec else ""
-            params = ""
-            if m.params:
-                parts = [n if t is None else f"{n} : {type_to_source(t)}" for n, t in m.params]
-                params = " (" + ", ".join(parts) + ")"
-            ret = f" : {type_to_source(m.ret)}" if m.ret is not None else ""
-            return [f"{indent}let {rec}{m.name}{params}{ret} = {expr_to_source(m.body)};"]
-        case "property":
-            return [f"{indent}property {m.name} : {expr_to_source(m.statement)};"]
-        case "theorem":
-            lines = [f"{indent}theorem {m.name} : {expr_to_source(m.statement)}"]
-            lines.append(f"{indent}proof =")
-            lines.extend(proof_to_source(m.proof, indent + "  "))
-            lines.append(f"{indent};")
-            return lines
-        case "proof_of":
-            lines = [f"{indent}proof of {m.name} ="]
-            lines.extend(proof_to_source(m.proof, indent + "  "))
-            lines.append(f"{indent};")
-            return lines
-        case _:
-            raise ValueError(f"cannot print method kind {m.kind}")
-
-
-def species_expr_to_source(se: SpeciesExpr) -> str:
-    if not se.args:
-        return se.name
-    parts = []
-    for a in se.args:
-        parts.append(a.name if a.name is not None else expr_to_source(a.expr))
-    return f"{se.name} (" + ", ".join(parts) + ")"
-
-
-def unit_to_source(unit: CompilationUnit) -> str:
-    chunks: list[str] = []
-    for decl in unit.decls:
-        match decl:
-            case UnionTypeDecl(name, constructors):
-                arms = []
-                for con, args in constructors:
-                    if args:
-                        arms.append(f"{con} (" + ", ".join(type_to_source(t) for t in args) + ")")
-                    else:
-                        arms.append(con)
-                chunks.append(f"type {name} = " + " | ".join(arms) + " ;;")
-            case SpeciesDecl():
-                lines = []
-                header = f"species {decl.name}"
-                if decl.params:
-                    parts = []
-                    for p in decl.params:
-                        if p.kind == "is":
-                            parts.append(f"{p.name} is {species_expr_to_source(p.interface)}")
-                        else:
-                            parts.append(f"{p.name} in {p.carrier}")
-                    header += " (" + ", ".join(parts) + ")"
-                lines.append(header + " =")
-                for se in decl.inherits:
-                    lines.append(f"  inherit {species_expr_to_source(se)};")
-                if decl.representation is not None:
-                    lines.append(f"  representation = {type_to_source(decl.representation)};")
-                for m in decl.methods:
-                    lines.extend(method_to_source(m))
-                lines.append("end ;;")
-                chunks.append("\n".join(lines))
-            case CollectionDecl(name, implements):
-                chunks.append(
-                    f"collection {name} = implement {species_expr_to_source(implements)}; end ;;")
-            case _:
-                raise ValueError(f"cannot print declaration {decl!r}")
-    return "\n\n".join(chunks) + "\n"

@@ -86,6 +86,47 @@ def is_topological(order: list[str], edges: set[tuple[str, str]]) -> bool:
     )
 
 
+def reference_order(nf, decl: dict[str, set[str]]) -> tuple[list[str], list[list[str]]]:
+    """The global method order of species `nf` and its mutual groups, from
+    their definition.  The `rec` methods that reach each other through
+    `decl` form one group, each other method a group of its own.  Then the
+    free group with the smallest key comes next, again and again, its
+    members by key.  A group is free when all its members depend on is
+    placed or in it.  A key is (lineage rank of the species where the
+    method first got a definition, else of its declaration site; name).
+    Naive and quadratic, for small species."""
+
+    def reach(x: str) -> set[str]:
+        seen: set[str] = set()
+        todo = list(decl[x])
+        while todo:
+            y = todo.pop()
+            if y not in seen:
+                seen.add(y)
+                todo.extend(decl[y])
+        return seen
+
+    def key(n: str) -> tuple[int, str]:
+        mi = nf.methods[n]
+        site = mi.first_def if mi.first_def is not None else mi.decl_site
+        return (nf.lineage.index(site) if site in nf.lineage else len(nf.lineage), n)
+
+    rec = [n for n, mi in nf.methods.items() if mi.rec]
+    reached = {n: reach(n) for n in rec}
+    groups = {n: (n,) for n in nf.methods}
+    for n in rec:
+        groups[n] = tuple(sorted({n} | {m for m in rec if m in reached[n] and n in reached[m]}))
+    left = sorted(set(groups.values()), key=lambda g: min(map(key, g)))
+    order: list[str] = []
+    placed: set[str] = set()
+    while left:
+        g = next(g for g in left if all(d in g or d in placed for n in g for d in decl[n]))
+        left.remove(g)
+        order += sorted(g, key=key)
+        placed.update(g)
+    return order, sorted(list(g) for g in set(groups.values()) if len(g) > 1)
+
+
 def find_cycle(edges: dict[str, set[str]]) -> list[str] | None:
     """Some shortest dependency cycle, or None. Brute force over lengths."""
     names = sorted(edges)
@@ -1152,7 +1193,7 @@ def reference_parse_expr(text: str):
 # joins the whole proof's text, printed recursively, before it hashes it.
 # They print trees and plan atoms with the package's own renderers.
 
-from focml.ast import Proof, ProofLeaf, ProofStep, ProofSteps, UnionTypeDecl  # noqa: E402
+from focml.ast import Proof, ProofLeaf, ProofStep, ProofSteps, TCollCarrier, UnionTypeDecl  # noqa: E402
 from focml.emit import (  # noqa: E402
     RenderEnv, _atom_text, _create_app, _genapp_text, _render_env, render_body,
     render_formula, render_scheme_type, render_type,
@@ -1226,8 +1267,9 @@ def _inductive(u: UnionTypeDecl) -> str:
     tname = f"{u.name}__t"
     lines = [f"Inductive {tname} : Set :="]
     for con, args in u.constructors:
-        ty = " -> ".join([render_type(t, env) for t in args] + [tname])
-        lines.append(f"  | {con} : {ty}")
+        texts = [render_type(t, env) for t in args]
+        texts = [f"({x})" if isinstance(t, TArrow) else x for t, x in zip(args, texts)]
+        lines.append(f"  | {con} : " + " -> ".join(texts + [tname]))
     return "\n".join(lines) + "."
 
 
@@ -1355,7 +1397,7 @@ def emit_comp(cu) -> str:
     for kind, name in cu.decl_order:
         with cu.writing(name):
             if kind == "union":
-                blocks.append(_union_comp(cu.unions[name]))
+                blocks.append(_union_comp(cu.unions[name], cu.collections))
             elif kind == "species":
                 blocks.append(_species_comp(cu, name))
             else:
@@ -1363,27 +1405,36 @@ def emit_comp(cu) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def _union_comp(u: UnionTypeDecl) -> str:
+def _union_comp(u: UnionTypeDecl, collections: dict) -> str:
     arms = []
     for con, args in u.constructors:
         if args:
-            payload = " * ".join(_comp_type(t) for t in args)
+            payload = " * ".join(_comp_arg(t, collections) for t in args)
             arms.append(f"| {con} of {payload}")
         else:
             arms.append(f"| {con}")
     return f"type {u.name} = " + " ".join(arms)
 
 
-def _comp_type(t: Type) -> str:
+def _comp_arg(t: Type, collections: dict) -> str:
+    """An arrow in parentheses, as a constructor argument, a tuple item or
+    an arrow's argument."""
+    text = _comp_type(t, collections)
+    return f"({text})" if isinstance(t, TArrow) else text
+
+
+def _comp_type(t: Type, collections: dict) -> str:
+    """A collection's carrier is its representation."""
     match t:
         case TCon(name):
             return name
+        case TCollCarrier(name):
+            return _comp_type(collections[name].carrier, collections)
         case TTuple(items):
-            return "(" + " * ".join([_comp_type(i) for i in items]) + ")"
+            return "(" + " * ".join([_comp_arg(i, collections) for i in items]) + ")"
         case TArrow(a, b):
-            return f"{_comp_type(a)} -> {_comp_type(b)}"
-        case _:
-            return "_"
+            return f"{_comp_arg(a, collections)} -> {_comp_type(b, collections)}"
+    raise ValueError(f"cannot render type {t!r}")
 
 
 def _species_comp(cu, name: str) -> str:
@@ -1452,3 +1503,91 @@ def _collection_comp(cu, name: str) -> str:
         )
     lines.append("end")
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# Surface printer: a parsed unit back to source, which `test_parser` parses
+# again.  It prints expressions and types with the package's printers, and
+# proofs with `proof_to_source` above.
+
+from focml.ast import CollectionDecl, MethodDecl, SpeciesExpr  # noqa: E402
+
+
+def method_to_source(m: MethodDecl, indent: str = "  ") -> list[str]:
+    match m.kind:
+        case "signature":
+            return [f"{indent}signature {m.name} : {type_to_source(m.ty)};"]
+        case "let":
+            rec = "rec " if m.rec else ""
+            params = ""
+            if m.params:
+                parts = [n if t is None else f"{n} : {type_to_source(t)}" for n, t in m.params]
+                params = " (" + ", ".join(parts) + ")"
+            ret = f" : {type_to_source(m.ret)}" if m.ret is not None else ""
+            return [f"{indent}let {rec}{m.name}{params}{ret} = {expr_to_source(m.body)};"]
+        case "property":
+            return [f"{indent}property {m.name} : {expr_to_source(m.statement)};"]
+        case "theorem":
+            lines = [f"{indent}theorem {m.name} : {expr_to_source(m.statement)}"]
+            lines.append(f"{indent}proof =")
+            lines.extend(proof_to_source(m.proof, indent + "  "))
+            lines.append(f"{indent};")
+            return lines
+        case "proof_of":
+            lines = [f"{indent}proof of {m.name} ="]
+            lines.extend(proof_to_source(m.proof, indent + "  "))
+            lines.append(f"{indent};")
+            return lines
+        case _:
+            raise ValueError(f"cannot print method kind {m.kind}")
+
+
+def species_expr_to_source(se: SpeciesExpr) -> str:
+    if not se.args:
+        return se.name
+    parts = []
+    for a in se.args:
+        parts.append(a.name if a.name is not None else expr_to_source(a.expr))
+    return f"{se.name} (" + ", ".join(parts) + ")"
+
+
+def unit_to_source(unit: CompilationUnit) -> str:
+    """`unit` printed back to concrete syntax that reparses to an equal
+    tree, for the parser's round trip."""
+    chunks: list[str] = []
+    for decl in unit.decls:
+        match decl:
+            case UnionTypeDecl(name, constructors):
+                arms = []
+                for con, args in constructors:
+                    if args:
+                        arms.append(f"{con} (" + ", ".join(type_to_source(t) for t in args) + ")")
+                    else:
+                        arms.append(con)
+                chunks.append(f"type {name} = " + " | ".join(arms) + " ;;")
+            case SpeciesDecl():
+                lines = []
+                header = f"species {decl.name}"
+                if decl.params:
+                    parts = []
+                    for p in decl.params:
+                        if p.kind == "is":
+                            parts.append(f"{p.name} is {species_expr_to_source(p.interface)}")
+                        else:
+                            parts.append(f"{p.name} in {p.carrier}")
+                    header += " (" + ", ".join(parts) + ")"
+                lines.append(header + " =")
+                for se in decl.inherits:
+                    lines.append(f"  inherit {species_expr_to_source(se)};")
+                if decl.representation is not None:
+                    lines.append(f"  representation = {type_to_source(decl.representation)};")
+                for m in decl.methods:
+                    lines.extend(method_to_source(m))
+                lines.append("end ;;")
+                chunks.append("\n".join(lines))
+            case CollectionDecl(name, implements):
+                chunks.append(
+                    f"collection {name} = implement {species_expr_to_source(implements)}; end ;;")
+            case _:
+                raise ValueError(f"cannot print declaration {decl!r}")
+    return "\n\n".join(chunks) + "\n"

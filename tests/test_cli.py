@@ -74,6 +74,37 @@ def test_missing_file_is_a_usage_error(capsys):
     assert "focml:" in err
 
 
+UNDECODABLE = {
+    "bad.fcl": (b"\xff\xfe species", "bad.fcl:1:1", "0xff"),
+    "latin1.fcl": (b"species S =\n  (* caf\xe9 *)\n  let f : int = 1 ;\nend ;;\n", "latin1.fcl:2:9", "0xe9"),
+}
+SUBCOMMANDS = {
+    "check": [], "deps": [], "doc": [], "emit": ["--logical", "-", "--comp", "-"],
+    "eval": ["--call", "C!f (1)"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNDECODABLE))
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_a_file_that_is_not_utf8_is_a_syntax_error(capsys, tmp_path, name, command):
+    text, where, byte = UNDECODABLE[name]
+    path = tmp_path / name
+    path.write_bytes(text)
+    code, out, err = run(capsys, command, str(path), *SUBCOMMANDS[command])
+    assert (code, out) == (1, "")
+    assert err == f"{tmp_path / where}: error: SyntaxError: invalid UTF-8 byte {byte}\n"
+
+
+def test_sources_are_read_as_utf8_with_text_line_ends(tmp_path):
+    # a string may span lines: its text holds the line end as read
+    plain = "species S =\n  (* caf\u00e9 *)\n  let f (x : int) : string = \"caf\u00e9\nau lait\" ;\nend ;;\n"
+    (tmp_path / "lf.fcl").write_bytes(plain.encode("utf-8"))
+    (tmp_path / "crlf.fcl").write_bytes(plain.replace("\n", "\r\n").encode("utf-8"))
+    lf, crlf = (compile_files([str(tmp_path / f)]).species["S"].methods["f"] for f in ("lf.fcl", "crlf.fcl"))
+    assert lf.body.value == crlf.body.value == "caf\u00e9\nau lait"
+    assert lf.pos == crlf.pos
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 

@@ -3,13 +3,15 @@
 import re
 import tracemalloc
 
+import pytest
+
 import oracles
 import shapes
 from conftest import DATA, data
 
 from focml import compile_files, compile_source
 from focml.emit import emit_comp, emit_logical, proof_hole_name
-from focml.errors import on_deep_stack
+from focml.errors import TYPE_MISMATCH, CompileError, on_deep_stack
 from focml.parser import parse_source
 
 HOLE = re.compile(r"PROOF_HOLE\w*")
@@ -148,6 +150,47 @@ type box = Box (C) | Empty ;;
 """
     cu = compile_source(source)
     assert "  | Box : C.me_as_carrier -> box__t" in emit_logical(cu).splitlines()
+    assert "type box = | Box of int | Empty" in emit_comp(cu).splitlines()
+
+
+UNION_PRELUDE = """
+type v = | V0 | V1 (int) ;;
+species S = representation = int * bool ; let one : int = 1 ; end ;;
+collection C = implement S ;;
+"""
+
+
+@pytest.mark.parametrize(
+    "arg, logical, comp",
+    [
+        ("int", "basics.int__t", "int"),
+        ("bool", "basics.bool__t", "bool"),
+        ("string", "basics.string__t", "string"),
+        ("int * bool", "(basics.int__t * basics.bool__t)", "(int * bool)"),
+        ("int -> bool", "(basics.int__t -> basics.bool__t)", "(int -> bool)"),
+        ("(int -> int) -> v", "((basics.int__t -> basics.int__t) -> v__t)", "((int -> int) -> v)"),
+        ("v", "v__t", "v"),
+        ("u", "u__t", "u"),
+        ("C", "C.me_as_carrier", "(int * bool)"),
+        ("Self", None, None),
+    ],
+)
+def test_a_union_constructor_emits_both_targets_or_is_an_error(arg, logical, comp):
+    # an arrow argument is parenthesized, and the computational target
+    # writes a collection's carrier as the collection's representation
+    source = UNION_PRELUDE + f"type u = A ({arg}) | B ;;\n"
+    if logical is None:
+        with pytest.raises(CompileError) as ei:
+            compile_source(source)
+        assert ei.value.kind == TYPE_MISMATCH
+        assert ei.value.message == "constructor A of u cannot mention Self"
+        assert (ei.value.pos.line, ei.value.pos.col) == (5, 1)
+        return
+    cu = compile_source(source)
+    assert f"  | A : {logical} -> u__t" in emit_logical(cu).splitlines()
+    assert f"type u = | A of {comp} | B" in emit_comp(cu).splitlines()
+    assert emit_logical(cu) == oracles.emit_logical(cu)
+    assert emit_comp(cu) == oracles.emit_comp(cu)
 
 
 # ---------------------------------------------------------------------------

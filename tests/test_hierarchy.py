@@ -7,8 +7,10 @@ from conftest import data
 from focml import compile_files, compile_source
 from focml.errors import (
     DUPLICATE,
+    INTERFACE,
     REP_REDEFINED,
     TYPE_MISMATCH,
+    UNKNOWN,
     CompileError,
 )
 from focml.evaluator import eval_call
@@ -198,6 +200,34 @@ def test_rep_may_not_mention_self():
     with pytest.raises(CompileError) as ei:
         compile_source("species A = representation = Self * int ; end ;;")
     assert ei.value.kind == TYPE_MISMATCH
+
+
+# ---------------------------------------------------------------------------
+# Species arguments
+
+
+ARGS_PRELUDE = """species I = signature f : Self -> int ; end ;;
+species S (P is I) = representation = int ; let g (x : int) : int = x ; end ;;
+species K = representation = int ; let h (x : int) : int = x ; end ;;
+collection CK = implement K ;;
+"""
+
+
+@pytest.mark.parametrize(
+    "line, col, kind, message",
+    [
+        ("collection C = implement S (CK) ;;", 29, INTERFACE, "CK does not implement I [missing f]"),
+        ("collection C = implement S (Nope) ;;", 29, UNKNOWN, "parameter P of S needs an existing collection"),
+        ("collection C = implement S ;;", 26, INTERFACE, "S takes 1 argument(s), got 0"),
+        ("species H = inherit S (CK) ; end ;;", 24, INTERFACE, "CK does not implement I"),
+        ("species H (Q is K) = inherit S (Q) ; end ;;", 33, INTERFACE, "Q does not implement I"),
+    ],
+)
+def test_a_species_argument_is_checked_against_its_parameter(line, col, kind, message):
+    with pytest.raises(CompileError) as ei:
+        compile_source(ARGS_PRELUDE + line)
+    diag = ei.value.to_diagnostic()
+    assert diag.format() == f"<input>:5:{col}: error: {kind}: {message}"
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ from focml.driver import doc_text, render_deps_report
 from focml.emit import emit_comp, emit_logical
 from focml.errors import CompileError
 from focml.parser import parse_expr_text, parse_source, parse_type_text
-from focml.pretty import expr_to_source, type_to_source, unit_to_source
+from focml.pretty import expr_to_source, type_to_source
 
 from conftest import DATA
+from oracles import unit_to_source
 
 
 def parse_file(name: str):

@@ -1093,13 +1093,16 @@ def run_finish_suite(cus) -> int:
 
 def run_placed_order_suite(cus) -> int:
     """The order and mutual groups of every species, placed from its
-    parent's where it has one, against `order_methods` run from scratch;
-    and its reverted proofs, kept from the parent's verdicts where nothing
-    they unfold moved, against `invalidate_proofs` run from scratch."""
+    parent's where it has one, against `oracles.reference_order`, written
+    from their definition, and against `order_methods` run from scratch,
+    which lists the groups in the same order; and its reverted proofs, kept
+    from the parent's verdicts where nothing they unfold moved, against
+    `invalidate_proofs` run from scratch."""
     cases = 0
     for cu in cus:
         for sname, nf in cu.species.items():
             decl = {n: md.decl for n, md in nf.deps.items()}
+            assert (nf.order, sorted(nf.rec_groups)) == oracles.reference_order(nf, decl), sname
             assert (nf.order, nf.rec_groups) == order_methods(nf, decl), sname
             again = copy.copy(nf)
             again.methods = dict(nf.methods)
@@ -1705,7 +1708,7 @@ def test_carried_analysis_equals_a_full_retype(general_units, complete_units):
 def test_placed_order_equals_a_full_order(general_units, complete_units, workload_units):
     units = [u.cu for u in general_units + complete_units]
     assert run_placed_order_suite(units) >= 1000
-    extra = [compile_source(PRELUDE + FINISH_EDGES), compile_source(SHADOWS)]
+    extra = [compile_source(src) for src in (PRELUDE + FINISH_EDGES, SHADOWS, MUTUAL_GROUPS)]
     assert run_placed_order_suite(extra + data_units()) >= 50
     assert run_placed_order_suite([cu for cu, _ in workload_units]) >= 5000
 
@@ -1723,15 +1726,56 @@ def test_an_heir_orders_only_what_it_changes(monkeypatch):
     calls = Counter()
     full = deps.order_methods
 
-    def counted(nf, decl):
-        calls[nf.name] += 1
-        return full(nf, decl)
+    def counted(nf, decl, parent=None, dirty=()):
+        calls[nf.name] += parent is None
+        return full(nf, decl, parent, dirty)
 
     monkeypatch.setattr(deps, "order_methods", counted)
     cu = compile_unit(workload_sources()[0])
     # only the species that inherit nothing are ordered from scratch
-    assert set(calls) == {"Base", "L0"}
+    assert {name for name, n in calls.items() if n} == {"Base", "L0"}
     assert len(cu.species) > 40
+
+
+# `p` and `q` use `ev`, so Tarjan's pass lists their group first, and `U`
+# orders from scratch after a parent with groups.
+MUTUAL_GROUPS = """
+species S =
+  representation = int ;
+  signature ev : int -> bool ;
+  signature od : int -> bool ;
+  signature p : int -> int ;
+  signature q : int -> int ;
+  let z (n : int) : int = n ;
+  let top (n : int) : bool = ev (q (n)) ;
+end ;;
+species T = inherit S ;
+  let rec ev (n : int) : bool = if n = 0 then true else od (n - 1) ;
+  let rec od (n : int) : bool = if n = 0 then false else ev (n - 1) ;
+  let rec p (n : int) : int = if n = 0 then 0 else q (n - 1) ;
+  let rec q (n : int) : int = if ev (n) then p (n) else z (n) ;
+end ;;
+species U = inherit T ; let y (n : int) : bool = top (n) ; let z (n : int) : int = 2 ; end ;;
+"""
+
+
+def test_mutual_groups_are_looked_for_only_on_a_cycle(monkeypatch):
+    calls = Counter()
+    full = deps._tarjan
+
+    def counted(names, edges):
+        calls["tarjan"] += 1
+        return full(names, edges)
+
+    monkeypatch.setattr(deps, "_tarjan", counted)
+    wide = benchmark_workloads().wide(1)
+    cu = compile_unit(list(wide.files.items()))
+    assert calls["tarjan"] == 0
+    assert sum(len(nf.order) for nf in cu.species.values()) >= 800
+    cu = compile_source(MUTUAL_GROUPS)
+    assert calls["tarjan"] >= 1
+    assert cu.species["T"].rec_groups == [["p", "q"], ["ev", "od"]]
+    assert cu.species["T"].order.index("ev") < cu.species["T"].order.index("p")
 
 
 def test_an_heir_scans_only_what_it_changes(monkeypatch):
