@@ -48,11 +48,12 @@ from .hierarchy import (
     CollectionModel,
     MethodInfo,
     NFSpecies,
+    _formal_not_offered,
+    applied_schemes,
     interface_view,  # noqa: F401  perfbench/layers.py traces it by this name
     invalidate_proofs,
     make_collection,
     normalize,
-    param_schemes,
 )
 from .parser import parse_source
 from .pretty import expr_to_source, type_to_source
@@ -286,7 +287,9 @@ def _species_env(cu: CompiledUnit, nf: NFSpecies) -> SpeciesTypeEnv:
             _resolve_entity_args(args, names)
             _type_entity_args(cu, p.interface, args, env)
             nf.iface_args[p.name] = args
-            env.param_ifaces[p.name] = param_schemes(nf, p, cu.species)
+            env.param_ifaces[p.name] = applied_schemes(
+                cu.species[p.interface.name], args, TParam(p.name)
+            )
         elif p.carrier not in env.param_ifaces:
             raise CompileError(
                 UNKNOWN,
@@ -319,13 +322,14 @@ def _check_collection_facts(cu: CompiledUnit, m: MethodDecl) -> None:
 def _check_species_args(
     cu: CompiledUnit, se: SpeciesExpr, own: list[SpeciesParam], pos: Pos
 ) -> Args:
-    """Check `S (args)`, written as a parameter's interface or inherited,
-    against the parameters of S: the arity, and each is-argument is an own
-    collection parameter in `own` or a collection, either of which lists
-    the formal's interface in its lineage.  `pos` places an unknown S or a
-    wrong arity.  This decides, once, what each argument denotes: returns
-    the actual of each formal, `TParam` for an own parameter and
-    `TCollCarrier` for a collection, an entity argument as its expression."""
+    """Check `S (args)`, written as a parameter's interface, inherited or
+    implemented, against the parameters of S: the arity, and each
+    is-argument is an own collection parameter in `own` or a collection,
+    either of which lists the formal's interface in its lineage.  `pos`
+    places an unknown S or a wrong arity.  This decides, once, what each
+    argument denotes: returns the actual of each formal, `TParam` for an
+    own parameter and `TCollCarrier` for a collection, an entity argument
+    as its expression."""
     formal_nf = cu.species.get(se.name)
     if formal_nf is None:
         raise CompileError(UNKNOWN, f"unknown species {se.name}", pos)
@@ -376,15 +380,27 @@ def _resolve_entity_args(args: Args, names: Names) -> None:
 
 
 def _type_entity_args(
-    cu: CompiledUnit, se: SpeciesExpr, args: Args, env: SpeciesTypeEnv
+    cu: CompiledUnit,
+    se: SpeciesExpr,
+    args: Args,
+    env: SpeciesTypeEnv,
+    concrete: bool = False,
 ) -> None:
     """Each entity argument of `se` must have its formal's carrier, renamed
-    to that is-argument."""
+    to that is-argument.  In a collection (`concrete`), where that carrier
+    is a collection's, the argument may also have its representation."""
     for formal, arg in zip(cu.species[se.name].params, se.args):
         if formal.kind == "in":
             uni = Unifier()
             got = infer_expr(args[formal.name], {}, env, uni)
-            uni.unify(got, args[formal.carrier], arg.pos)
+            carrier = args[formal.carrier]
+            if concrete:
+                try:
+                    uni.unify(got, cu.collections[carrier.name].carrier, arg.pos)
+                    continue
+                except CompileError:
+                    pass  # A qualified call already returns the abstract carrier.
+            uni.unify(got, carrier, arg.pos)
 
 
 def _type_species(nf: NFSpecies, env: SpeciesTypeEnv) -> None:
@@ -484,36 +500,42 @@ def _mentions_self(t: Type) -> bool:
 
 
 def _register_collection(cu: CompiledUnit, decl: CollectionDecl) -> None:
-    base = cu.species.get(decl.implements.name)
-    if base is not None:
-        mutual = base.rec_groups
-        if mutual and not base.incompleteness():
-            raise CompileError(
-                INCOMPLETE,
-                f"species {base.name} defines mutually recursive methods, "
-                "which cannot back a collection",
-                decl.pos,
-                witness=list(mutual[0]),
-            )
-
-    def type_entity_arg(expr: Expr, coll: str) -> None:
-        model = cu.collections[coll]
-        env = SpeciesTypeEnv(
-            constructors=cu.constructors,
-            collections={c: m.iface_schemes for c, m in cu.collections.items()},
+    se = decl.implements
+    base = cu.species.get(se.name)
+    if base is None:
+        raise CompileError(UNKNOWN, f"unknown species {se.name}", se.pos)
+    missing = base.incompleteness()
+    if missing:
+        raise CompileError(
+            INCOMPLETE, f"species {se.name} is not complete", decl.pos, witness=missing
         )
-        resolve(expr, Names(collections=cu.collections))
-        uni = Unifier()
-        got = infer_expr(expr, {}, env, uni)
-        assert model.carrier is not None
-        try:
-            uni.unify(got, model.carrier, expr.pos)
-        except CompileError:
-            # A qualified call already returns the abstract carrier.
-            uni.unify(got, TCollCarrier(coll), expr.pos)
-
-    model = make_collection(decl, cu.species, cu.collections, type_entity_arg)
-    cu.collections[decl.name] = model
+    if base.rec_groups:
+        raise CompileError(
+            INCOMPLETE,
+            f"species {base.name} defines mutually recursive methods, "
+            "which cannot back a collection",
+            decl.pos,
+            witness=list(base.rec_groups[0]),
+        )
+    args = _check_species_args(cu, se, [], se.pos)
+    # Nothing types the base's methods again for these actuals, so each
+    # is-argument must offer its interface at the formal's types.
+    formal = _formal_not_offered(base, None, args, cu.species, cu.collections)
+    if formal is not None:
+        arg = se.args[base.params.index(formal)]
+        raise CompileError(
+            INTERFACE,
+            f"{arg.name} offers the methods of {formal.interface.name} at other "
+            f"types than parameter {formal.name} of {se.name}",
+            arg.pos,
+        )
+    env = SpeciesTypeEnv(
+        constructors=cu.constructors,
+        collections={c: m.iface_schemes for c, m in cu.collections.items()},
+    )
+    _resolve_entity_args(args, Names(collections=cu.collections))
+    _type_entity_args(cu, se, args, env, concrete=True)
+    cu.collections[decl.name] = make_collection(decl, base, args)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Species flattening: inheritance merge, late binding, and collection checks.
+"""Species flattening: inheritance merge, late binding, and collection models.
 
 A species normal form carries every method reachable through `inherit`, with
 parameter substitutions applied and redefinitions resolved by late binding:
@@ -10,11 +10,14 @@ parameter-tagged collections and carriers.  What each argument of a species
 denotes is decided once, where the application is checked, and stored as the
 actual itself (`Args`): renaming, interface views, the arguments recorded
 for ancestors and collections all read that actual and never look its name
-up again.  A method record is a value: once a species holds it, nothing
-writes to it.  An heir that renames no formal holds its parent's records
-themselves, typing and scan results included, and a species that changes a
-method stores a new record.  Proof invalidation and collection completeness
-both operate on this normal form.
+up again.  That check (`driver._check_species_args`) is the same for a
+parameter's interface, an inherit and a collection; a collection model is
+only built here, from its checked base and actuals.  A method record is a
+value: once a species holds it, nothing writes to it.  An heir that renames
+no formal holds its parent's records themselves, typing and scan results
+included, and a species that changes a method stores a new record.  Proof
+invalidation and collection completeness both operate on this normal
+form.
 """
 
 from __future__ import annotations
@@ -50,8 +53,6 @@ from .ast import (
 )
 from .errors import (
     DUPLICATE,
-    INCOMPLETE,
-    INTERFACE,
     REP_REDEFINED,
     TYPE_MISMATCH,
     UNKNOWN,
@@ -232,15 +233,15 @@ def interface_view(
     return species_env[p.interface.name], nf.iface_args[p.name]
 
 
-def param_schemes(
-    nf: NFSpecies, p: SpeciesParam, species_env: dict[str, NFSpecies]
+def applied_schemes(
+    species: NFSpecies, args: Args, self_ty: Type
 ) -> dict[str, Scheme]:
-    """Types of `p!m` inside `nf`, for each method `m` of `p`'s interface."""
-    iface_nf, args = interface_view(nf, p, species_env)
-    self_ty = TParam(p.name)
+    """The scheme of each method of `species` applied to the actuals
+    `args`, its `Self` put to `self_ty`: the types of `p!m` for a parameter
+    `p` whose interface is `species`, or of `C!m` for a collection `C`."""
     return {
         m: Scheme(mi.scheme.count, rename_type(mi.scheme.body, args, self_ty))
-        for m, mi in iface_nf.methods.items()
+        for m, mi in species.methods.items()
         if mi.scheme is not None
     }
 
@@ -511,27 +512,31 @@ def _passed_as_itself(formal: str, actual: Type | Expr) -> bool:
     return actual == TParam(formal)
 
 
-def _offers_formal_types(
+def _formal_not_offered(
     parent: NFSpecies,
-    nf: NFSpecies,
+    nf: NFSpecies | None,
     args: Args,
     species_env: dict[str, NFSpecies],
     collections: dict[str, "CollectionModel"],
-) -> bool:
-    """Whether each is-argument offers the methods of its formal's interface
-    at the formal's types, renamed: the parent's methods were typed against
-    those.  Another interface or other interface arguments can differ."""
+) -> SpeciesParam | None:
+    """The first is-formal of `parent` whose argument does not offer the
+    methods of the formal's interface at the formal's types, renamed: the
+    parent's methods were typed against those.  Another interface or other
+    interface arguments can differ.  `nf` is the applying species, `None`
+    for a collection, whose actuals are all collections."""
     for formal in parent.is_params:
         actual = args[formal.name]
         if isinstance(actual, TParam):
+            assert nf is not None
             own = next(p for p in nf.is_params if p.name == actual.name)
-            have = param_schemes(nf, own, species_env)
+            have = applied_schemes(*interface_view(nf, own, species_env), actual)
         else:
             have = collections[actual.name].iface_schemes
-        for m, s in param_schemes(parent, formal, species_env).items():
+        want = applied_schemes(*interface_view(parent, formal, species_env), TParam(formal.name))
+        for m, s in want.items():
             if not same(have.get(m), Scheme(s.count, rename_type(s.body, args))):
-                return False
-    return True
+                return formal
+    return None
 
 
 def normalize(
@@ -582,9 +587,9 @@ def normalize(
             and args[formal.carrier] == TParam(own_carriers[arg.name])
             for formal in parent.entity_params
         )
-        carries = carries and _offers_formal_types(
+        carries = carries and _formal_not_offered(
             parent, nf, args, species_env, collections
-        )
+        ) is None
         parent_lineages.append(parent.lineage)
         # The first inherit that reaches an ancestor fixes its arguments, as
         # `_merge` keeps the first copy of each of its methods.  The parent
@@ -708,86 +713,17 @@ class CollectionModel(Record):
         self.pos = pos
 
 
-def make_collection(
-    decl: CollectionDecl,
-    species_env: dict[str, NFSpecies],
-    collections: dict[str, CollectionModel],
-    type_entity_arg,
-) -> CollectionModel:
-    """Encapsulate a complete species; `type_entity_arg(expr, coll_name)`
-    checks one effective entity argument against a collection's carrier."""
-    se = decl.implements
-    base = species_env.get(se.name)
-    if base is None:
-        raise CompileError(UNKNOWN, f"unknown species {se.name}", se.pos)
-    missing = base.incompleteness()
-    if missing:
-        raise CompileError(
-            INCOMPLETE,
-            f"species {se.name} is not complete",
-            decl.pos,
-            witness=missing,
-        )
-    if len(se.args) != len(base.params):
-        raise CompileError(
-            INTERFACE,
-            f"{se.name} takes {len(base.params)} argument(s), got {len(se.args)}",
-            se.pos,
-        )
-    model = CollectionModel(name=decl.name, nf=base, pos=decl.pos)
-    for formal, arg in zip(base.params, se.args):
-        if formal.kind == "is":
-            if arg.name is None or arg.name not in collections:
-                raise CompileError(
-                    UNKNOWN,
-                    f"parameter {formal.name} of {se.name} needs an existing "
-                    "collection",
-                    arg.pos,
-                )
-            actual = collections[arg.name]
-            assert formal.interface is not None
-            _check_interface(formal.interface.name, actual, species_env, arg.pos)
-            model.args[formal.name] = TCollCarrier(arg.name)
-        else:
-            expr = arg.entity
-            assert formal.carrier is not None
-            type_entity_arg(expr, model.args[formal.carrier].name)
-            model.args[formal.name] = expr
+def make_collection(decl: CollectionDecl, base: NFSpecies, args: Args) -> CollectionModel:
+    """The model of `decl`: the complete species `base` applied to the
+    checked actuals `args` (`driver._check_species_args`), with its carrier
+    and the schemes its methods have from outside, where `Self` is the
+    collection's own carrier."""
     assert base.rep is not None
-    model.carrier = rename_type(base.rep, model.args)
-    self_ty = TCollCarrier(decl.name)
-    for name, mi in base.methods.items():
-        if mi.scheme is not None:
-            model.iface_schemes[name] = Scheme(
-                mi.scheme.count, rename_type(mi.scheme.body, model.args, self_ty)
-            )
-    return model
-
-
-def _check_interface(
-    iface: str,
-    actual: CollectionModel,
-    species_env: dict[str, NFSpecies],
-    pos: Pos,
-) -> None:
-    if iface in actual.nf.lineage:
-        return
-    iface_nf = species_env.get(iface)
-    if iface_nf is None:
-        raise CompileError(UNKNOWN, f"unknown species {iface}", pos)
-    problems: list[str] = []
-    for name, mi in iface_nf.methods.items():
-        other = actual.nf.methods.get(name)
-        if other is None:
-            problems.append(f"missing {name}")
-        elif mi.scheme is not None and not same(other.scheme, mi.scheme):
-            problems.append(f"{name} has a different type")
-        elif mi.statement is not None and not same(other.statement, mi.statement):
-            problems.append(f"{name} has a different statement")
-    if problems:
-        raise CompileError(
-            INTERFACE,
-            f"{actual.name} does not implement {iface}",
-            pos,
-            witness=problems,
-        )
+    return CollectionModel(
+        name=decl.name,
+        nf=base,
+        args=args,
+        iface_schemes=applied_schemes(base, args, TCollCarrier(decl.name)),
+        carrier=rename_type(base.rep, args),
+        pos=decl.pos,
+    )

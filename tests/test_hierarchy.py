@@ -206,28 +206,72 @@ def test_rep_may_not_mention_self():
 # Species arguments
 
 
+# `J` offers `I`'s `f` but does not inherit `I`.  `SB` calls `P!f` at
+# `B2`'s carrier: `JB`'s `f` takes `B1`'s and does not come from `IB`, and
+# `KB`'s comes from `IB`, but at `B1`'s.
 ARGS_PRELUDE = """species I = signature f : Self -> int ; end ;;
 species S (P is I) = representation = int ; let g (x : int) : int = x ; end ;;
 species K = representation = int ; let h (x : int) : int = x ; end ;;
 collection CK = implement K ;;
+species J = representation = int ; let f (x : Self) : int = 1 ; end ;;
+collection CJ = implement J ;;
+species Base = representation = int ; let mk (x : int) : Self = x ; end ;;
+collection B1 = implement Base ;;
+collection B2 = implement Base ;;
+species IB (R is Base) = signature f : R -> int ; end ;;
+species SB (P is IB (B2)) = representation = int ;
+  let g (x : int) : int = P!f (B2!mk (x)) ; end ;;
+species JB (R is Base) = representation = int ; let f (y : R) : int = 1 ; end ;;
+collection CJB = implement JB (B1) ;;
+species KB (R is Base) = inherit IB (R) ; representation = int ;
+  let f (y : R) : int = 1 ; end ;;
+collection CKB = implement KB (B1) ;;
 """
 
+# The three positions that apply a species, each with where a wrong arity
+# is placed: at the species, or at the parameter whose interface it is.
+APPLIED_IN = [
+    ("collection C = implement {} ;;", "{}"),
+    ("species H = inherit {} ; end ;;", "{}"),
+    ("species U (R is {}) = end ;;", "R"),
+]
 
-@pytest.mark.parametrize(
-    "line, col, kind, message",
-    [
-        ("collection C = implement S (CK) ;;", 29, INTERFACE, "CK does not implement I [missing f]"),
-        ("collection C = implement S (Nope) ;;", 29, UNKNOWN, "parameter P of S needs an existing collection"),
-        ("collection C = implement S ;;", 26, INTERFACE, "S takes 1 argument(s), got 0"),
-        ("species H = inherit S (CK) ; end ;;", 24, INTERFACE, "CK does not implement I"),
-        ("species H (Q is K) = inherit S (Q) ; end ;;", 33, INTERFACE, "Q does not implement I"),
-    ],
-)
+# A faulty application, the argument its diagnostic is placed at (`None`
+# for a wrong arity), and the diagnostic, the same in every position.
+FAULTY_APPLICATIONS = [
+    ("S (CK)", "CK", INTERFACE, "CK does not implement I"),
+    ("S (CJ)", "CJ", INTERFACE, "CJ does not implement I"),
+    ("SB (CJB)", "CJB", INTERFACE, "CJB does not implement IB"),
+    ("S (Nope)", "Nope", UNKNOWN, "unknown collection Nope"),
+    ("S (5)", "5", INTERFACE, "parameter P of S needs a collection argument"),
+    ("S", None, INTERFACE, "S takes 1 argument(s), got 0"),
+    ("S (CK, CK)", None, INTERFACE, "S takes 1 argument(s), got 2"),
+]
+
+
+def faulty_arguments():
+    for applied, at, kind, message in FAULTY_APPLICATIONS:
+        for position, arity_at in APPLIED_IN:
+            line = position.format(applied)
+            col = line.index(at or arity_at.format(applied)) + 1
+            yield line, col, kind, message
+    # Only a collection is never typed again, so only `implement` checks
+    # the types its arguments offer (an heir of `SB (CKB)` is a
+    # `TypeMismatch` where it calls `P!f`).
+    yield (
+        "collection C = implement SB (CKB) ;;", 30, INTERFACE,
+        "CKB offers the methods of IB at other types than parameter P of SB",
+    )
+    yield ("species H (Q is K) = inherit S (Q) ; end ;;", 33, INTERFACE, "Q does not implement I")
+
+
+@pytest.mark.parametrize("line, col, kind, message", list(faulty_arguments()))
 def test_a_species_argument_is_checked_against_its_parameter(line, col, kind, message):
     with pytest.raises(CompileError) as ei:
         compile_source(ARGS_PRELUDE + line)
     diag = ei.value.to_diagnostic()
-    assert diag.format() == f"<input>:5:{col}: error: {kind}: {message}"
+    row = ARGS_PRELUDE.count("\n") + 1
+    assert diag.format() == f"<input>:{row}:{col}: error: {kind}: {message}"
 
 
 # ---------------------------------------------------------------------------

@@ -1169,12 +1169,14 @@ def run_output_suite(cus) -> Counter:
 
 
 def check_outcome(sources) -> str:
-    """`check`'s verdict; no plan raises a diagnostic, so a unit it accepts
-    must also plan."""
+    """`check`'s verdict; no plan or target raises a diagnostic, so a unit
+    it accepts must also emit both targets."""
     try:
-        plan_unit(compile_unit(sources))
+        cu = compile_unit(sources)
     except CompileError as err:
         return err.kind
+    emit_logical(cu)
+    emit_comp(cu)
     return "accepted"
 
 
