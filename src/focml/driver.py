@@ -48,12 +48,12 @@ from .hierarchy import (
     CollectionModel,
     MethodInfo,
     NFSpecies,
-    _formal_not_offered,
     applied_schemes,
     interface_view,  # noqa: F401  perfbench/layers.py traces it by this name
     invalidate_proofs,
     make_collection,
     normalize,
+    rename_args,
 )
 from .parser import parse_source
 from .pretty import expr_to_source, type_to_source
@@ -213,7 +213,7 @@ def _register_species(cu: CompiledUnit, decl: SpeciesDecl) -> None:
     nf = NFSpecies(name=decl.name, params=list(decl.params), pos=decl.pos)
     env = _species_env(cu, nf)
     inherit_args = [
-        _check_species_args(cu, se, nf.params, se.pos) for se in decl.inherits
+        _check_species_args(cu, se, env, se.pos, nf) for se in decl.inherits
     ]
     # The species' own text is resolved here, once (`resolve`), before
     # flattening copies or compares any of it: its inherit arguments, its
@@ -228,7 +228,7 @@ def _register_species(cu: CompiledUnit, decl: SpeciesDecl) -> None:
     for m in decl.methods:
         resolve_method(m, names)
         _check_collection_facts(cu, m)
-    normalize(nf, decl, inherit_args, cu.species, cu.collections)
+    normalize(nf, decl, inherit_args, cu.species)
     env.rep = nf.rep
     parent = _extended_parent(cu, decl, nf)
     reverted = invalidate_proofs(nf, parent)
@@ -278,11 +278,10 @@ def _species_env(cu: CompiledUnit, nf: NFSpecies) -> SpeciesTypeEnv:
     env.collections = {
         c: m.iface_schemes for c, m in cu.collections.items()
     }
-    seen: list[SpeciesParam] = []
     for p in nf.params:
         if p.kind == "is":
             assert p.interface is not None
-            args = _check_species_args(cu, p.interface, seen, p.pos)
+            args = _check_species_args(cu, p.interface, env, p.pos, nf)
             names = Names(env.entity_params, (), env.param_ifaces, env.collections)
             _resolve_entity_args(args, names)
             _type_entity_args(cu, p.interface, args, env)
@@ -299,7 +298,6 @@ def _species_env(cu: CompiledUnit, nf: NFSpecies) -> SpeciesTypeEnv:
             )
         else:
             env.entity_params[p.name] = TParam(p.carrier)
-        seen.append(p)
     return env
 
 
@@ -320,16 +318,23 @@ def _check_collection_facts(cu: CompiledUnit, m: MethodDecl) -> None:
 
 
 def _check_species_args(
-    cu: CompiledUnit, se: SpeciesExpr, own: list[SpeciesParam], pos: Pos
+    cu: CompiledUnit,
+    se: SpeciesExpr,
+    env: SpeciesTypeEnv,
+    pos: Pos,
+    nf: NFSpecies | None = None,
 ) -> Args:
     """Check `S (args)`, written as a parameter's interface, inherited or
-    implemented, against the parameters of S: the arity, and each
-    is-argument is an own collection parameter in `own` or a collection,
-    either of which lists the formal's interface in its lineage.  `pos`
-    places an unknown S or a wrong arity.  This decides, once, what each
-    argument denotes: returns the actual of each formal, `TParam` for an
-    own parameter and `TCollCarrier` for a collection, an entity argument
-    as its expression."""
+    implemented, against the parameters of S.  `pos` places an unknown S or
+    a wrong arity.  Each is-argument is a collection parameter of `nf` that
+    precedes the application (one in `nf.iface_args`) or a collection.  S's
+    methods were typed once, against each formal `P is I (...)`, so its
+    argument must offer `I` as P does: its lineage lists `I`, its own
+    actuals of `I` are P's, renamed by this application's, and it offers
+    each method of `I` at P's scheme, as the typing `env` looks it up.
+    This decides, once, what each argument denotes: returns the actual of
+    each formal, `TParam` for an own parameter and `TCollCarrier` for a
+    collection, an entity argument as its expression, compared as written."""
     formal_nf = cu.species.get(se.name)
     if formal_nf is None:
         raise CompileError(UNKNOWN, f"unknown species {se.name}", pos)
@@ -340,7 +345,6 @@ def _check_species_args(
             f"got {len(se.args)}",
             pos,
         )
-    is_params = {q.name: q for q in own if q.kind == "is"}
     args: Args = {}
     for formal, arg in zip(formal_nf.params, se.args):
         if formal.kind == "in":
@@ -353,23 +357,42 @@ def _check_species_args(
                 "argument",
                 arg.pos,
             )
-        if arg.name in is_params:
-            actual = is_params[arg.name].interface
-            assert actual is not None
-            lineage = cu.species[actual.name].lineage
-            args[formal.name] = TParam(arg.name)
+        # The species the argument applies, at which actuals, and the
+        # schemes of its methods, as `infer_expr` looks up `q!m` and `C!m`.
+        if nf is not None and arg.name in nf.iface_args:
+            q = next(q for q in nf.is_params if q.name == arg.name)
+            assert q.interface is not None
+            base, base_args = cu.species[q.interface.name], nf.iface_args[q.name]
+            actual, offers = TParam(q.name), env.param_ifaces[q.name]
         elif arg.name in cu.collections:
-            lineage = cu.collections[arg.name].nf.lineage
-            args[formal.name] = TCollCarrier(arg.name)
+            model = cu.collections[arg.name]
+            base, base_args = model.nf, model.args
+            actual, offers = TCollCarrier(arg.name), env.collections[arg.name]
         else:
             raise CompileError(UNKNOWN, f"unknown collection {arg.name}", arg.pos)
+        args[formal.name] = actual
         assert formal.interface is not None
-        if formal.interface.name not in lineage:
+        iface = formal.interface.name
+        if iface not in base.lineage:
+            raise CompileError(
+                INTERFACE, f"{arg.name} does not implement {iface}", arg.pos
+            )
+        want = rename_args(formal_nf.iface_args[formal.name], args)
+        if rename_args(base.ancestor_args[iface], base_args) != want:
             raise CompileError(
                 INTERFACE,
-                f"{arg.name} does not implement {formal.interface.name}",
+                f"{arg.name} implements {iface} at other arguments than "
+                f"parameter {formal.name} of {se.name}",
                 arg.pos,
             )
+        for m, s in applied_schemes(cu.species[iface], want, actual).items():
+            if not same(offers.get(m), s):
+                raise CompileError(
+                    INTERFACE,
+                    f"{arg.name} offers the methods of {iface} at other types "
+                    f"than parameter {formal.name} of {se.name}",
+                    arg.pos,
+                )
     return args
 
 
@@ -517,22 +540,11 @@ def _register_collection(cu: CompiledUnit, decl: CollectionDecl) -> None:
             decl.pos,
             witness=list(base.rec_groups[0]),
         )
-    args = _check_species_args(cu, se, [], se.pos)
-    # Nothing types the base's methods again for these actuals, so each
-    # is-argument must offer its interface at the formal's types.
-    formal = _formal_not_offered(base, None, args, cu.species, cu.collections)
-    if formal is not None:
-        arg = se.args[base.params.index(formal)]
-        raise CompileError(
-            INTERFACE,
-            f"{arg.name} offers the methods of {formal.interface.name} at other "
-            f"types than parameter {formal.name} of {se.name}",
-            arg.pos,
-        )
     env = SpeciesTypeEnv(
         constructors=cu.constructors,
         collections={c: m.iface_schemes for c, m in cu.collections.items()},
     )
+    args = _check_species_args(cu, se, env, se.pos)
     _resolve_entity_args(args, Names(collections=cu.collections))
     _type_entity_args(cu, se, args, env, concrete=True)
     cu.collections[decl.name] = make_collection(decl, base, args)

@@ -11,13 +11,15 @@ denotes is decided once, where the application is checked, and stored as the
 actual itself (`Args`): renaming, interface views, the arguments recorded
 for ancestors and collections all read that actual and never look its name
 up again.  That check (`driver._check_species_args`) is the same for a
-parameter's interface, an inherit and a collection; a collection model is
-only built here, from its checked base and actuals.  A method record is a
-value: once a species holds it, nothing writes to it.  An heir that renames
-no formal holds its parent's records themselves, typing and scan results
-included, and a species that changes a method stores a new record.  Proof
-invalidation and collection completeness both operate on this normal
-form.
+parameter's interface, an inherit and a collection, and it requires each
+is-argument to offer its formal's interface at the formal's actuals and
+schemes: no argument's interface makes an heir type a method again.  A
+collection model is only built here, from its checked base and actuals.  A
+method record is a value: once a species holds it, nothing writes to it.
+An heir that renames no formal holds its parent's records themselves,
+typing and scan results included, and a species that changes a method
+stores a new record.  Proof invalidation and collection completeness both
+operate on this normal form.
 """
 
 from __future__ import annotations
@@ -189,11 +191,12 @@ class NFSpecies(Record):
         # The methods this species types and scans itself: each gets a new
         # record from typing.  Any other method holds an ancestor's analysis,
         # which still holds here.  `normalize` adds a method declared or
-        # proved (`proof of`) here, and every method when an argument
-        # changes what the parent's analysis read or when two parents bring
-        # one method at different schemes; typing adds a method that
-        # declares a dependency on one typed again to another scheme.  Names
-        # keep their tags in heirs, so no name adds one.
+        # proved (`proof of`) here, and every method when an entity argument
+        # is an expression or when two parents bring one method at
+        # different schemes; typing adds a method that declares a dependency
+        # on one typed again to another scheme.  An is-argument offers its
+        # formal's interface as the parent read it, and names keep their
+        # tags in heirs, so neither adds one.
         self.analysed = set() if analysed is None else analysed
         self.pos = pos
 
@@ -267,6 +270,16 @@ def rename_type(t: Type, args: Args, self_ty: Type | None = None) -> Type:
                 return n
 
     return type_map(t, step)
+
+
+def rename_args(amap: Args, args: Args) -> Args:
+    """The actuals `amap` with each formal replaced by its actual in
+    `args`."""
+    type_fn = lambda t: rename_type(t, args)
+    return {
+        f: subst_expr(a, args, type_fn) if isinstance(a, Expr) else type_fn(a)
+        for f, a in amap.items()
+    }
 
 
 def _ref(actual: Type) -> str:
@@ -512,52 +525,26 @@ def _passed_as_itself(formal: str, actual: Type | Expr) -> bool:
     return actual == TParam(formal)
 
 
-def _formal_not_offered(
-    parent: NFSpecies,
-    nf: NFSpecies | None,
-    args: Args,
-    species_env: dict[str, NFSpecies],
-    collections: dict[str, "CollectionModel"],
-) -> SpeciesParam | None:
-    """The first is-formal of `parent` whose argument does not offer the
-    methods of the formal's interface at the formal's types, renamed: the
-    parent's methods were typed against those.  Another interface or other
-    interface arguments can differ.  `nf` is the applying species, `None`
-    for a collection, whose actuals are all collections."""
-    for formal in parent.is_params:
-        actual = args[formal.name]
-        if isinstance(actual, TParam):
-            assert nf is not None
-            own = next(p for p in nf.is_params if p.name == actual.name)
-            have = applied_schemes(*interface_view(nf, own, species_env), actual)
-        else:
-            have = collections[actual.name].iface_schemes
-        want = applied_schemes(*interface_view(parent, formal, species_env), TParam(formal.name))
-        for m, s in want.items():
-            if not same(have.get(m), Scheme(s.count, rename_type(s.body, args))):
-                return formal
-    return None
-
-
 def normalize(
     nf: NFSpecies,
     decl: SpeciesDecl,
     inherit_args: list[Args],
     species_env: dict[str, NFSpecies],
-    collections: dict[str, "CollectionModel"],
 ) -> None:
     """Flatten `decl` into `nf`, which holds its parameters and their
     interfaces' actuals.  `inherit_args` holds the checked actuals of each
-    inherit."""
+    inherit, whose is-arguments offer their formals' interfaces at the
+    schemes the parent typed its methods against.  Every method is analysed
+    again only where an entity argument is an expression or two parents
+    bring one method at different schemes."""
     parent_lineages: list[list[str]] = []
     carries = True
     own_carriers = {p.name: p.carrier for p in decl.params if p.kind == "in"}
     for se, args in zip(decl.inherits, inherit_args):
         parent = species_env[se.name]
         renamed = {f: a for f, a in args.items() if not _passed_as_itself(f, a)}
-        type_fn = lambda t: rename_type(t, renamed)
         if parent.rep is not None:
-            rep = type_fn(parent.rep)
+            rep = rename_type(parent.rep, renamed)
             if nf.rep is None:
                 nf.rep = rep
                 nf.rep_origin = parent.rep_origin
@@ -587,9 +574,6 @@ def normalize(
             and args[formal.carrier] == TParam(own_carriers[arg.name])
             for formal in parent.entity_params
         )
-        carries = carries and _formal_not_offered(
-            parent, nf, args, species_env, collections
-        ) is None
         parent_lineages.append(parent.lineage)
         # The first inherit that reaches an ancestor fixes its arguments, as
         # `_merge` keeps the first copy of each of its methods.  The parent
@@ -598,12 +582,7 @@ def normalize(
         # every entry as it is, and the heir shares the parent's.
         for anc, amap in parent.ancestor_args.items():
             if anc not in nf.ancestor_args:
-                nf.ancestor_args[anc] = amap if not renamed else {
-                    f: subst_expr(a, renamed, type_fn)
-                    if isinstance(a, Expr)
-                    else type_fn(a)
-                    for f, a in amap.items()
-                }
+                nf.ancestor_args[anc] = amap if not renamed else rename_args(amap, renamed)
     nf.lineage = merge_lineages(parent_lineages, decl.name)
     nf.ancestor_args[decl.name] = {
         p.name: TParam(p.name) if p.kind == "is" else Var(p.name, ENTITY, pos=p.pos)

@@ -77,13 +77,8 @@ class Parser:
 
     def parse_unit(self) -> CompilationUnit:
         unit = CompilationUnit()
-        seen: set[str] = set()
         while self.tokens[self.i].kind != "eof":
-            decl = self.parse_toplevel()
-            if decl.name in seen:
-                raise CompileError(DUPLICATE, f"duplicate toplevel name {decl.name}", decl.pos)
-            seen.add(decl.name)
-            unit.decls.append(decl)
+            unit.decls.append(self.parse_toplevel())
         return unit
 
     def parse_toplevel(self):

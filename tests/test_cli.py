@@ -105,6 +105,18 @@ def test_sources_are_read_as_utf8_with_text_line_ends(tmp_path):
     assert lf.pos == crlf.pos
 
 
+def test_a_name_declared_twice_is_one_diagnostic_in_one_file_or_two(capsys, tmp_path):
+    first, second = "species A = end ;;\n", "species B = end ;;\ncollection A = implement B ;;\n"
+    (tmp_path / "one.fcl").write_text(first + second)
+    (tmp_path / "a.fcl").write_text(first)
+    (tmp_path / "b.fcl").write_text(second)
+    where = {"one.fcl": "one.fcl:3:1", "b.fcl": "b.fcl:2:1"}
+    for files in (["one.fcl"], ["a.fcl", "b.fcl"]):
+        code, out, err = run(capsys, "check", *(str(tmp_path / f) for f in files))
+        assert (code, out) == (1, "")
+        assert err == f"{tmp_path / where[files[-1]]}: error: DuplicateName: duplicate declaration A\n"
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 

@@ -208,7 +208,9 @@ def test_rep_may_not_mention_self():
 
 # `J` offers `I`'s `f` but does not inherit `I`.  `SB` calls `P!f` at
 # `B2`'s carrier: `JB`'s `f` takes `B1`'s and does not come from `IB`, and
-# `KB`'s comes from `IB`, but at `B1`'s.
+# `KB`'s comes from `IB`, but at `B1`'s.  `SX` wraps its `C` with `P`, which
+# must be a `Box (C)`.  `SN` calls `P!id` at `int`, and `Narrow` offers
+# `Poly`'s `id` only there.  `SW` is compiled against `Q`'s `w` being `v`.
 ARGS_PRELUDE = """species I = signature f : Self -> int ; end ;;
 species S (P is I) = representation = int ; let g (x : int) : int = x ; end ;;
 species K = representation = int ; let h (x : int) : int = x ; end ;;
@@ -226,43 +228,87 @@ collection CJB = implement JB (B1) ;;
 species KB (R is Base) = inherit IB (R) ; representation = int ;
   let f (y : R) : int = 1 ; end ;;
 collection CKB = implement KB (B1) ;;
+species Box (X is Base) = signature wrap : X -> Self ; end ;;
+species SX (C is Base, D is Base, P is Box (C)) = representation = int ;
+  let h (x : C) : P = P!wrap (x) ; end ;;
+species BoxImpl (X is Base) = inherit Box (X) ; representation = int ;
+  let wrap (x : X) : Self = 0 ; end ;;
+collection BoxC = implement BoxImpl (B2) ;;
+species Poly = let id (x) = x ; end ;;
+species Narrow = inherit Poly ; signature id : int -> int ; end ;;
+species SN (P is Poly) = representation = int ;
+  let h (x : int) : int = P!id (x) ; end ;;
+species NImpl = inherit Narrow ; representation = int ; end ;;
+collection CN = implement NImpl ;;
+species JW (R is Base, w in R) = representation = int ;
+  let f (y : R) : bool = true ; end ;;
+collection CW = implement JW (B1, B1!mk (3)) ;;
+species SW (P is Base, v in P, Q is JW (P, v)) = representation = int ;
+  let g (x : int) : bool = Q!f (v) ; end ;;
 """
 
 # The three positions that apply a species, each with where a wrong arity
 # is placed: at the species, or at the parameter whose interface it is.
+# `{params}` and `{own}` declare the parameters of the applying species.
 APPLIED_IN = [
-    ("collection C = implement {} ;;", "{}"),
-    ("species H = inherit {} ; end ;;", "{}"),
-    ("species U (R is {}) = end ;;", "R"),
+    ("collection C = implement {applied} ;;", None),
+    ("species H{params} = inherit {applied} ; end ;;", None),
+    ("species U ({own}R is {applied}) = end ;;", "R is"),
 ]
 
-# A faulty application, the argument its diagnostic is placed at (`None`
-# for a wrong arity), and the diagnostic, the same in every position.
+# A faulty application, the parameters it passes of the applying species
+# (a row with some is not a collection's), the argument its diagnostic is
+# placed at (`None` for a wrong arity), and the diagnostic, the same in
+# every position.
 FAULTY_APPLICATIONS = [
-    ("S (CK)", "CK", INTERFACE, "CK does not implement I"),
-    ("S (CJ)", "CJ", INTERFACE, "CJ does not implement I"),
-    ("SB (CJB)", "CJB", INTERFACE, "CJB does not implement IB"),
-    ("S (Nope)", "Nope", UNKNOWN, "unknown collection Nope"),
-    ("S (5)", "5", INTERFACE, "parameter P of S needs a collection argument"),
-    ("S", None, INTERFACE, "S takes 1 argument(s), got 0"),
-    ("S (CK, CK)", None, INTERFACE, "S takes 1 argument(s), got 2"),
+    ("", "S (CK)", "CK", INTERFACE, "CK does not implement I"),
+    ("", "S (CJ)", "CJ", INTERFACE, "CJ does not implement I"),
+    ("Q is K", "S (Q)", "Q", INTERFACE, "Q does not implement I"),
+    ("", "SB (CJB)", "CJB", INTERFACE, "CJB does not implement IB"),
+    ("", "SB (CKB)", "CKB", INTERFACE,
+     "CKB implements IB at other arguments than parameter P of SB"),
+    ("", "S (Nope)", "Nope", UNKNOWN, "unknown collection Nope"),
+    ("", "S (5)", "5", INTERFACE, "parameter P of S needs a collection argument"),
+    ("", "S", None, INTERFACE, "S takes 1 argument(s), got 0"),
+    ("", "S (CK, CK)", None, INTERFACE, "S takes 1 argument(s), got 2"),
+    # An own parameter of the formal's name, one renamed and a collection,
+    # each a `Box` of `D` where `SX` needs one of `C`.
+    ("C is Base, D is Base, P is Box (D)", "SX (C, D, P)", "P", INTERFACE,
+     "P implements Box at other arguments than parameter P of SX"),
+    ("C is Base, D is Base, Q is Box (D)", "SX (C, D, Q)", "Q", INTERFACE,
+     "Q implements Box at other arguments than parameter P of SX"),
+    ("", "SX (B1, B1, BoxC)", "BoxC", INTERFACE,
+     "BoxC implements Box at other arguments than parameter P of SX"),
+    # An interface below the formal's narrows `id`, as a parameter and as a
+    # collection.
+    ("Q is Narrow", "SN (Q)", "Q", INTERFACE,
+     "Q offers the methods of Poly at other types than parameter P of SN"),
+    ("", "SN (CN)", "CN", INTERFACE,
+     "CN offers the methods of Poly at other types than parameter P of SN"),
+    # `Q`'s `w` is another entity than `v`: `B1!mk (3)` is not `B1!mk (4)`,
+    # and `u2` is not `v2`.
+    ("", "SW (B1, B1!mk (4), CW)", "CW", INTERFACE,
+     "CW implements JW at other arguments than parameter Q of SW"),
+    ("P2 is Base, v2 in P2, u2 in P2, Q2 is JW (P2, u2)", "SW (P2, v2, Q2)", "Q2",
+     INTERFACE, "Q2 implements JW at other arguments than parameter Q of SW"),
 ]
 
 
 def faulty_arguments():
-    for applied, at, kind, message in FAULTY_APPLICATIONS:
+    for own, applied, at, kind, message in FAULTY_APPLICATIONS:
         for position, arity_at in APPLIED_IN:
-            line = position.format(applied)
-            col = line.index(at or arity_at.format(applied)) + 1
+            if own and position.startswith("collection"):
+                continue
+            line = position.format(
+                applied=applied,
+                params=f" ({own})" if own else "",
+                own=f"{own}, " if own else "",
+            )
+            if at is None:
+                col = line.index(arity_at or applied) + 1
+            else:
+                col = line.index(applied) + applied.index(at) + 1
             yield line, col, kind, message
-    # Only a collection is never typed again, so only `implement` checks
-    # the types its arguments offer (an heir of `SB (CKB)` is a
-    # `TypeMismatch` where it calls `P!f`).
-    yield (
-        "collection C = implement SB (CKB) ;;", 30, INTERFACE,
-        "CKB offers the methods of IB at other types than parameter P of SB",
-    )
-    yield ("species H (Q is K) = inherit S (Q) ; end ;;", 33, INTERFACE, "Q does not implement I")
 
 
 @pytest.mark.parametrize("line, col, kind, message", list(faulty_arguments()))

@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from focml import ast, compile_source, compile_unit, deps, driver, emit, evaluator, resolve, typecheck
+from focml.cli import main
 from focml.ast import (
     BinOp, BoolLit, Call, ConRef, Connective, Eq, Expr, If, IntLit, Match, Not, PCon,
     PTuple, PVar, PWild, ProofLeaf, Qual, Quant, StrLit, TCon, TTuple,
@@ -1663,7 +1664,85 @@ def run_eval_suite(cus, per_method: int, depth_limit: int) -> Counter:
 
 
 # ---------------------------------------------------------------------------
+# Union declarations: a constructor over every type form, unions before and
+# after collections, under every subcommand
+
+# A constructor argument's type: `{u}` is a union and `{c}` a collection,
+# either of which may be declared after it, and `{me}` the union itself.
+UNION_FORMS = ("int", "bool", "string", "int * {u}", "{u} -> bool", "{u}", "{me}", "{c}", "Self")
+N_UNION_UNITS = 150
+
+
+def union_unit(rng: random.Random) -> tuple[str, Counter]:
+    """A unit of unions `u0`, `u1`, ... and collections `C0`, ... over
+    species `S0`, ..., shuffled, then a collection `CT` whose `g (x)`
+    builds a `u0`; and the forms and placements it has."""
+    n_unions, n_colls = rng.randint(2, 4), rng.randint(1, 2)
+    decls = ["u"] * n_unions + ["c"] * n_colls
+    rng.shuffle(decls)
+    seen = Counter(("union after a collection" if "c" in decls[:i] else "union before")
+                   for i, kind in enumerate(decls) if kind == "u")
+    lines, u, c = [], 0, 0
+    for kind in decls:
+        if kind == "c":
+            lines.append(f"species S{c} = representation = int ; let mk (x : int) : Self = x ; end ;;")
+            lines.append(f"collection C{c} = implement S{c} ;;")
+            c += 1
+            continue
+        args, parts = [], []
+        for form in rng.sample(UNION_FORMS, rng.randint(1, 2)):
+            j, coll = rng.randrange(n_unions), f"C{rng.randrange(n_colls)}"
+            args.append(form.format(u=f"u{j}", me=f"u{u}", c=coll))
+            parts.append({"int": "x", "bool": "true", "string": '"s"', "int * {u}": f"(x, B{j})",
+                          "{u}": f"B{j}", "{me}": f"B{u}", "{c}": f"{coll}!mk (x)"}.get(form))
+            seen[form] += 1
+        if u == 0:  # `A0` if each of its arguments has a value written here
+            value = "B0" if None in parts else f"A0 ({', '.join(parts)})"
+        lines.append(f"type u{u} = A{u} ({', '.join(args)}) | B{u} ;;")
+        u += 1
+    lines.append(f"species T = representation = int ; let g (x : int) : u0 = {value} ; end ;;")
+    lines.append("collection CT = implement T ;;")
+    return "\n".join(lines) + "\n", seen
+
+
+def run_union_suite(capsys, tmp_path) -> Counter:
+    """`check`, `deps`, `doc`, `emit` and `eval` on each seeded union unit,
+    in process: each ends in 0 or 1 and raises nothing; a unit `check`
+    accepts gives output in every subcommand, and one it rejects the same
+    diagnostic in every subcommand."""
+    rng = random.Random(SEED + 7)
+    seen = Counter()
+    commands = (["check"], ["deps"], ["doc"], ["emit", "--logical", "-", "--comp", "-"],
+                ["eval", "--call", "CT!g (1)"])
+    for k in range(N_UNION_UNITS):
+        text, forms = union_unit(rng)
+        seen.update(forms)
+        path = tmp_path / f"union{k}.fcl"
+        path.write_text(text)
+        runs = []
+        for argv in commands:
+            code = main([argv[0], str(path), *argv[1:]])
+            runs.append((code, capsys.readouterr()))
+        (check, checked), *rest = runs
+        assert check in (0, 1) and checked.out == "", text
+        if check == 0:
+            assert checked.err == "", text
+            assert all(code == 0 and out.out and not out.err for code, out in rest), text
+        else:
+            assert all(code == 1 and out.err == checked.err for code, out in rest), text
+        seen["accepted" if check == 0 else checked.err.split(": ")[2]] += 1
+    return seen
+
+
+# ---------------------------------------------------------------------------
 # The tests themselves
+
+
+def test_union_declarations_end_in_output_or_a_diagnostic(capsys, tmp_path):
+    seen = run_union_suite(capsys, tmp_path)
+    assert all(seen[form] >= 20 for form in UNION_FORMS), seen
+    assert seen["union before"] >= 100 and seen["union after a collection"] >= 100, seen
+    assert seen["accepted"] >= 20 and seen["UnknownName"] >= 20 and seen["TypeMismatch"] >= 20, seen
 
 
 def test_universe_is_the_visibility_fixpoint(general_units, complete_units):

@@ -228,14 +228,6 @@ def test_identity_inheritance_shares_the_parents_trees():
     assert type_to_source(renamed.scheme.body) == "Q -> Q"
 
 
-BOX_PRELUDE = CARRY_PRELUDE + """
-species Box (X is Base) = signature wrap : X -> Self ; end ;;
-species SB (C is Base, D is Base, P is Box (C)) =
-  let h (x : C) : P = P!wrap (x) ;
-end ;;
-"""
-
-
 @pytest.mark.parametrize(
     "src",
     [
@@ -267,35 +259,6 @@ species F = inherit E (BColl, 3) ; end ;;
         + """
 species E (P0 is Base, v0 in P0) = let g (x : int) : P0 = v0 ; end ;;
 species F (P0 is Base, P1 is Base, v0 in P1) = inherit E (P0, v0) ; end ;;
-""",
-        # the heir's parameter of the same name has other interface arguments
-        BOX_PRELUDE
-        + """
-species T (C is Base, D is Base, P is Box (D)) = inherit SB (C, D, P) ; end ;;
-""",
-        # a renamed parameter with other interface arguments
-        BOX_PRELUDE
-        + """
-species T (C is Base, D is Base, Q is Box (D)) = inherit SB (C, D, Q) ; end ;;
-""",
-        # a collection argument whose interface arguments differ
-        BOX_PRELUDE
-        + """
-collection B2 = implement BaseImpl ; end ;;
-species BoxImpl (X is Base) =
-  inherit Box (X) ;
-  representation = int ;
-  let wrap (x : X) : Self = 0 ;
-end ;;
-collection BoxC = implement BoxImpl (B2) ; end ;;
-species T = inherit SB (BColl, BColl, BoxC) ; end ;;
-""",
-        # an interface below the formal's that narrows a method's type
-        """
-species Poly = let id (x) = x ; end ;;
-species Narrow = inherit Poly ; signature id : int -> int ; end ;;
-species S (P is Poly) = let h (x : int) : bool = P!id (true) ; end ;;
-species T (P is Narrow) = inherit S (P) ; end ;;
 """,
         # a signature below a definition narrows the type its callers use
         """
@@ -347,10 +310,6 @@ end ;;
         "sibling_signature",
         "entity_expression",
         "entity_carrier",
-        "same_name_other_interface_args",
-        "renamed_other_interface_args",
-        "collection_other_interface_args",
-        "narrower_interface",
         "narrowed_callee",
         "sibling_definition_callers",
         "parents_disagree",
