@@ -24,13 +24,13 @@ _HOMES = {
     "compile_files": "driver",
     "compile_source": "driver",
     "compile_unit": "driver",
-    "deps_report": "driver",
-    "doc_text": "driver",
+    "deps_report": "report",
+    "doc_text": "report",
     "emit_comp": "emit",
     "emit_logical": "emit",
     "eval_call": "evaluator",
     "format_value": "evaluator",
-    "render_deps_report": "driver",
+    "render_deps_report": "report",
 }
 
 __all__ = ["__version__", *_HOMES]

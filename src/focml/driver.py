@@ -3,13 +3,15 @@
 Declarations are processed in unit order, so a species can only lean on
 species and collections that precede it.  The result bundles everything the
 reports read; the emitters and the evaluator plan it first (`plan_unit`).
+
+The plan builders and the report writers are imported on first use
+(`__getattr__`, PEP 562), so `check` loads neither.
 """
 
 from __future__ import annotations
 
-from json import loads
-from json.encoder import encode_basestring_ascii as _json_string
-from pathlib import Path
+import sys
+from importlib import import_module
 
 from .ast import (
     CollectionDecl,
@@ -20,10 +22,13 @@ from .ast import (
     Scheme,
     SpeciesDecl,
     SpeciesExpr,
-    SpeciesParam,
+    TArrow,
     TCollCarrier,
+    TCon,
     TParam,
     TSelf,
+    TTuple,
+    TVar,
     Type,
     UnionTypeDecl,
     same,
@@ -42,7 +47,6 @@ from .errors import (
     Diagnostic,
     depth_limit_at,
 )
-from .generators import _param_method_lift, build_extraction_plan, build_species_plan
 from .hierarchy import (
     Args,
     CollectionModel,
@@ -56,7 +60,6 @@ from .hierarchy import (
     rename_args,
 )
 from .parser import parse_source
-from .pretty import expr_to_source, type_to_source
 from .proofs import iter_leaves
 from .resolve import COLLECTION, Names, resolve, resolve_method, resolve_type
 from .typecheck import (
@@ -67,6 +70,23 @@ from .typecheck import (
     infer_expr,
     type_let,
 )
+
+_LAZY = {
+    "build_extraction_plan": "generators",
+    "build_species_plan": "generators",
+    "deps_report": "report",
+    "doc_text": "report",
+    "render_deps_report": "report",
+}
+
+
+def __getattr__(name: str):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{home}", __package__), name)
+    globals()[name] = value
+    return value
 
 
 class CompiledUnit(Record):
@@ -106,7 +126,8 @@ def _read_source(path: str) -> str:
     """A source file's text, decoded as UTF-8 whatever the locale, its line
     ends read as `\\n` as text mode reads them.  A byte that does not decode
     is a syntax error at its line and column."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        data = f.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
@@ -151,14 +172,17 @@ def plan_unit(cu: CompiledUnit) -> CompiledUnit:
     """Set `cu.plans` and `cu.extractions`, once, in declaration order: an
     heir extends its parent's plans (`_extended_parent`)."""
     if "plans" not in vars(cu):
+        # Read as attributes of this module, which loads them, so that a
+        # tracer that wraps them there (`setattr`) sees every call.
+        this = sys.modules[__name__]
         plans, extractions = {}, {}
         for kind, name in cu.decl_order:
             with cu.writing(name):
                 if kind == "species":
                     nf, parent = cu.species[name], cu.parents[name]
-                    plans[name] = build_species_plan(nf, cu.species, plans, parent)
+                    plans[name] = this.build_species_plan(nf, cu.species, plans, parent)
                 elif kind == "collection":
-                    extractions[name] = build_extraction_plan(cu.collections[name], plans)
+                    extractions[name] = this.build_extraction_plan(cu.collections[name], plans)
         cu.plans, cu.extractions = plans, extractions
     return cu
 
@@ -200,8 +224,24 @@ def _register_union(cu: CompiledUnit, decl: UnionTypeDecl) -> None:
                 f"constructor {cname} of {decl.name} cannot mention Self",
                 decl.pos,
             )
+        # A proof checker accepts an inductive type only where it occurs
+        # strictly positively in its constructors.
+        if any(_left_of_arrow(decl.name, t) for t in args):
+            raise CompileError(
+                TYPE_MISMATCH,
+                f"constructor {cname} of {decl.name} cannot take {decl.name} "
+                "left of an arrow",
+                decl.pos,
+            )
         decl.constructors[i] = (cname, args)
         cu.constructors[cname] = (decl.name, args)
+
+
+def _left_of_arrow(name: str, t: Type) -> bool:
+    """Whether the union `name` occurs in an arrow's argument within `t`."""
+    return any(
+        type(n) is TArrow and TCon(name) in type_walk(n.arg) for n in type_walk(t)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +457,22 @@ def _type_entity_args(
             uni = Unifier()
             got = infer_expr(args[formal.name], {}, env, uni)
             carrier = args[formal.carrier]
-            if concrete:
-                try:
-                    uni.unify(got, cu.collections[carrier.name].carrier, arg.pos)
-                    continue
-                except CompileError:
-                    pass  # A qualified call already returns the abstract carrier.
+            if concrete and _unifies(uni.deep(got), cu.collections[carrier.name].carrier, {}):
+                continue  # a qualified call has the abstract carrier instead
             uni.unify(got, carrier, arg.pos)
+
+
+def _unifies(t: Type, closed: Type, bound: dict[int, Type]) -> bool:
+    """Whether `Unifier.unify` accepts `t`, resolved, against `closed`,
+    which has no variable, decided without binding or raising: each
+    variable of `t` stands for one subtree of `closed` (`bound`)."""
+    if type(t) is TVar:
+        return same(bound.setdefault(t.uid, closed), closed)
+    if type(t) is TArrow and type(closed) is TArrow:
+        return _unifies(t.arg, closed.arg, bound) and _unifies(t.res, closed.res, bound)
+    if type(t) is TTuple and type(closed) is TTuple and len(t.items) == len(closed.items):
+        return all(_unifies(a, b, bound) for a, b in zip(t.items, closed.items))
+    return same(t, closed)
 
 
 def _type_species(nf: NFSpecies, env: SpeciesTypeEnv) -> None:
@@ -486,6 +535,8 @@ def _declared_scheme(mi: MethodInfo) -> Scheme | None:
     if mi.ty is None:
         return None
     if mi.extra_sigs:
+        from .pretty import type_to_source
+
         raise CompileError(
             TYPE_MISMATCH,
             f"conflicting signatures for {mi.name}: "
@@ -548,206 +599,3 @@ def _register_collection(cu: CompiledUnit, decl: CollectionDecl) -> None:
     _resolve_entity_args(args, Names(collections=cu.collections))
     _type_entity_args(cu, se, args, env, concrete=True)
     cu.collections[decl.name] = make_collection(decl, base, args)
-
-
-# ---------------------------------------------------------------------------
-# Dependency report
-
-
-def deps_report(cu: CompiledUnit) -> dict:
-    """`render_deps_report` read back."""
-    return loads(render_deps_report(cu))
-
-
-def render_deps_report(cu: CompiledUnit) -> str:
-    """The dependency analysis as JSON, each set in its species' global
-    method order, as `json.dumps(report, indent=2)` writes the report of
-    `tests/oracles.py`.  A scheme's or statement's text is written once per
-    object (`_source_of`), a method entry once per key: it reads the
-    method's record, its finished entry (`MethodDeps`), its order index and
-    the species' parameters.  A finished entry is shared only with heirs
-    (`_extended_parent`) that have its parameters and keep its relative
-    order (`finish_deps`), so its sets read alike there."""
-    texts: dict[int, str] = {}
-    entries: dict[tuple, str] = {}  # key -> `"m": {...}`
-    parts: dict[str, list[str]] = {"species": [], "collections": []}  # "name": {...}
-    for kind, name in cu.decl_order:
-        with cu.writing(name):
-            if kind == "species":
-                parts["species"].append(_species_json(cu, name, texts, entries))
-            elif kind == "collection":
-                model = cu.collections[name]
-                args = _json_block([_json_string(a) for a in _collection_args(model)], _NL[3], "[]")
-                fields = {"implements": _json_string(model.nf.name), "args": args}
-                parts["collections"].append(f"{_json_string(name)}: {_json_object(fields, _NL[2])}")
-    out = ["{"]  # pieces, joined once: the species' texts are not copied again
-    for part, items in parts.items():
-        out += (_NL[1], f'"{part}": ', *_block_pieces(items, _NL[1], "{}"), ",")
-    out[-1] = _NL[0] + "}\n"
-    return "".join(out)
-
-
-_NL = tuple("\n" + "  " * depth for depth in range(9))  # a line break, indented
-_JSON_BOOL = ("false", "true")
-
-
-def _block_pieces(items: list[str], nl: str, brackets: str) -> list[str]:
-    """The array or object (`brackets` "[]" or "{}") of the written
-    `items`, its brackets on lines that `nl` starts, in pieces."""
-    if not items:
-        return [brackets]
-    pieces = ["," + nl + "  "] * (2 * len(items) + 1)
-    pieces[0] = brackets[0] + nl + "  "
-    pieces[1::2] = items
-    pieces[-1] = nl + brackets[1]
-    return pieces
-
-
-def _json_block(items: list[str], nl: str, brackets: str) -> str:
-    return "".join(_block_pieces(items, nl, brackets))
-
-
-def _json_object(fields: dict[str, str], nl: str) -> str:
-    """The object of the written values in `fields`."""
-    return _json_block([f"{_json_string(k)}: {v}" for k, v in fields.items()], nl, "{}")
-
-
-def _species_json(cu: CompiledUnit, name: str, texts: dict, entries: dict) -> str:
-    nf = cu.species[name]
-    index = {m: i for i, m in enumerate(nf.order)}
-    methods: list[str] = []
-    for i, m in enumerate(nf.order):
-        mi = nf.methods[m]
-        key = (id(nf.deps[m]), id(mi), i)
-        text = entries.get(key)
-        if text is None:
-            text = entries[key] = _method_json(cu, nf, m, index, texts)
-        methods.append(text)
-    order = _json_block([_json_string(m) for m in nf.order], _NL[3], "[]")
-    fields = {"order": order, "methods": _json_block(methods, _NL[3], "{}")}
-    return f"{_json_string(name)}: {_json_object(fields, _NL[2])}"
-
-
-def _method_json(
-    cu: CompiledUnit, nf: NFSpecies, m: str, index: dict[str, int], texts: dict[int, str]
-) -> str:
-    """`"m": {...}`, the entry of method `m` of `nf`."""
-    mi = nf.methods[m]
-    md = nf.deps[m]
-    nl = _NL[5]
-
-    def names(s: set[str]) -> str:
-        return _json_block([_json_string(n) for n in sorted(s, key=index.__getitem__)], nl, "[]")
-
-    def source(node: Scheme | Expr | None) -> str:
-        return "null" if node is None else _json_string(_source_of(texts, node))
-
-    def pairs(key: str, items: list[tuple[str, str]], nl: str) -> str:
-        f = nl + "    "  # a field of an item
-        return _json_block([f'{{{f}"name": {_json_string(a)},{f}"{key}": {_json_string(b)}{nl}  }}'
-                            for a, b in items], nl, "[]")
-
-    lifts = {p.name: [(w, _param_method_type(cu, nf, p, w)) for w in md.param_deps.get(p.name, [])]
-             for p in nf.is_params if md.param_deps.get(p.name) or md.param_carrier.get(p.name)}
-    for v in md.entity_used:
-        lifts[v] = [(v, next(q.carrier for q in nf.entity_params if q.name == v))]
-    params = {p: pairs("type", items, _NL[6]) for p, items in lifts.items()}
-    entry = {
-        "kind": _json_string(mi.kind),
-        "origin": _json_string(mi.origin),
-        "type": source(mi.scheme),
-        "statement": source(mi.statement),
-        "decl": names(md.decl),
-        "def": names(md.defs),
-        "universe": names(md.universe),
-        "carrier": _json_object({"decl": _JSON_BOOL[mi.carrier_decl],
-                                 "def": _JSON_BOOL[mi.carrier_def]}, nl),
-        "min_env": pairs("keep", md.min_env, nl),
-        "params": _json_object(params, nl),
-        "order_index": str(index[m]),
-        "valid_proof": _JSON_BOOL[mi.valid_proof],
-    }
-    return f"{_json_string(m)}: {_json_object(entry, _NL[4])}"
-
-
-def _source_of(texts: dict[int, str], node: Scheme | Expr) -> str:
-    """Source text of a scheme's type or of a statement, written once per
-    object: an heir shares both with the species it inherits them from."""
-    text = texts.get(id(node))
-    if text is None:
-        text = texts[id(node)] = (
-            type_to_source(node.body) if type(node) is Scheme else expr_to_source(node)
-        )
-    return text
-
-
-def _collection_args(model: CollectionModel) -> list[str]:
-    return [
-        expr_to_source(a) if isinstance(a, Expr) else a.name
-        for a in model.args.values()
-    ]
-
-
-def _param_method_type(
-    cu: CompiledUnit, nf: NFSpecies, p: SpeciesParam, m: str
-) -> str:
-    lift = _param_method_lift(nf, p, m, cu.species, m)
-    if lift.ty is not None:
-        return type_to_source(lift.ty)
-    assert lift.statement is not None
-    return expr_to_source(lift.statement)
-
-
-# ---------------------------------------------------------------------------
-# Documentation output
-
-
-def doc_text(cu: CompiledUnit) -> str:
-    """Per-species method inventory with origins, reverted proofs and
-    admitted proof steps.  A scheme's or a statement's text is written once
-    per object (`_source_of`), and a proof's admitted steps counted once."""
-    texts: dict[int, str] = {}
-    admitted_in: dict[int, int] = {}  # id of a proof -> its admitted steps
-    written: dict[int, str] = {}  # id of a method record -> its line
-    lines: list[str] = []
-    for kind, name in cu.decl_order:
-        with cu.writing(name):
-            if kind == "union":
-                cons = ", ".join(c for c, _ in cu.unions[name].constructors)
-                lines += [f"type {name} = {cons}", ""]
-                continue
-            if kind == "collection":
-                model = cu.collections[name]
-                args = ", ".join(_collection_args(model))
-                head = f"collection {name} implements {model.nf.name}"
-                lines += [f"{head}({args})" if args else head, ""]
-                continue
-            nf = cu.species[name]
-            lines.append(f"species {name}")
-            for m in nf.order:
-                mi = nf.methods[m]
-                line = written.get(id(mi))
-                if line is None:
-                    node = mi.scheme if mi.scheme is not None else mi.statement
-                    ty = "?" if node is None else _source_of(texts, node)
-                    line = written[id(mi)] = f"  {mi.kind} {m} : {ty} (from {mi.origin})"
-                lines.append(line)
-            for m in nf.order:
-                proof = nf.methods[m].proof
-                if proof is None:
-                    continue
-                if id(proof) not in admitted_in:
-                    admitted_in[id(proof)] = sum(1 for leaf in iter_leaves(proof) if leaf.admitted)
-                admitted = admitted_in[id(proof)]
-                if admitted:
-                    step = "step" if admitted == 1 else "steps"
-                    lines.append(f"  admitted: {m} ({admitted} proof {step})")
-            for rp in nf.reverted:
-                lines.append(
-                    f"  reverted: proof of {rp.method} (from {rp.proof_origin}) "
-                    f"unfolds {rp.def_name}, redefined by {rp.def_origin}"
-                )
-            lines.append("")
-    while lines and not lines[-1]:
-        lines.pop()
-    return "\n".join(lines) + "\n"

@@ -70,7 +70,6 @@ from .errors import (
     UNKNOWN,
     CompileError,
 )
-from .pretty import expr_to_source, type_to_source
 from .resolve import BUILTIN, ENTITY, LOCAL, PARAM
 
 
@@ -101,6 +100,8 @@ class Unifier:
     def shown(self, *ts: Type) -> list[str]:
         """`ts` in full for a message, with inference variables numbered
         '_1, '_2, ... by appearance, however many the checker made."""
+        from .pretty import type_to_source
+
         seen: dict[int, TVar] = {}
         number = lambda n: seen.setdefault(n.uid, TVar(len(seen) + 1)) if isinstance(n, TVar) else n
         return [type_to_source(type_map(self.deep(t), number)) for t in ts]
@@ -387,6 +388,8 @@ def infer_formula(
                 uni.unify(infer_expr(e, locals_, env, uni), T_BOOL, e.pos)
             except CompileError as err:
                 if err.kind == CARRIER_LEAK and not err.witness:
+                    from .pretty import expr_to_source
+
                     err.witness = [expr_to_source(e)]
                 raise
 
@@ -430,6 +433,8 @@ def type_let(
             uni.unify(full, uni.instantiate(stored), m.pos)
         except CompileError as err:
             if err.kind == TYPE_MISMATCH:
+                from .pretty import type_to_source
+
                 left, right = uni.shown(full)[0], type_to_source(stored.body)
                 raise CompileError(
                     TYPE_MISMATCH,
@@ -440,6 +445,8 @@ def type_let(
             raise
         inferred = uni.generalize(full)
         if inferred.count != stored.count:
+            from .pretty import type_to_source
+
             raise CompileError(
                 TYPE_MISMATCH,
                 f"redefinition of {m.name} changes its type: "

@@ -654,7 +654,7 @@ def render_deps_report(cu) -> str:
 
 
 def _species_report(cu, name: str) -> dict:
-    from focml.driver import _param_method_type
+    from focml.report import _param_method_type
     from focml.pretty import expr_to_source, type_to_source
 
     nf = cu.species[name]

@@ -171,6 +171,7 @@ collection C = implement S ;;
         ("(int -> int) -> v", "((basics.int__t -> basics.int__t) -> v__t)", "((int -> int) -> v)"),
         ("v", "v__t", "v"),
         ("u", "u__t", "u"),
+        ("int -> u", "(basics.int__t -> u__t)", "(int -> u)"),
         ("C", "C.me_as_carrier", "(int * bool)"),
         ("Self", None, None),
     ],
@@ -191,6 +192,18 @@ def test_a_union_constructor_emits_both_targets_or_is_an_error(arg, logical, com
     assert f"type u = | A of {comp} | B" in emit_comp(cu).splitlines()
     assert emit_logical(cu) == oracles.emit_logical(cu)
     assert emit_comp(cu) == oracles.emit_comp(cu)
+
+
+@pytest.mark.parametrize(
+    "args", ["u -> bool, string", "(u -> bool) * int", "int -> u -> bool", "(int -> u) -> int", "v -> (u -> v)"]
+)
+def test_a_union_left_of_an_arrow_in_its_own_constructor_is_an_error(args):
+    # the logical target's inductive type would not be strictly positive
+    with pytest.raises(CompileError) as ei:
+        compile_source(UNION_PRELUDE + f"type u = B | A ({args}) ;;\n")
+    assert ei.value.kind == TYPE_MISMATCH
+    assert ei.value.message == "constructor A of u cannot take u left of an arrow"
+    assert (ei.value.pos.line, ei.value.pos.col) == (5, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from focml import CompileError, compile_source
@@ -679,6 +681,36 @@ def test_inherit_types_its_entity_arguments_like_an_interface():
         ARGS_PRELUDE + "species B = inherit A (BColl, BColl!mk (3)) ; end ;;"
     )
     assert cu.species["B"].methods["g"].origin == "A"
+
+
+def test_a_collection_entity_argument_of_either_carrier_formats_no_message(monkeypatch):
+    # `5` has IntC's representation and `IntC!fromInt (10)` its abstract
+    # carrier: telling which one an argument has formats no message
+    from focml import compile_unit
+    from focml.typecheck import Unifier
+    from test_properties import workload_sources
+
+    def shown(uni, *ts):
+        raise AssertionError("an accepted unit formats a message")
+
+    example = Path(data("example.fcl")[0]).read_text()
+    bad = "collection X = implement IsIn (IntC, true, IntC!fromInt (10)) ;;"
+    monkeypatch.setattr(Unifier, "shown", shown)
+    compile_source(example + bad.replace("true", "5"))
+    # `PC!loop (1)` has any type, so the pair has the representation
+    compile_source("""
+species Pair = representation = int * int ; let rec loop (x : int) = loop (x) ; end ;;
+collection PC = implement Pair ;;
+species Holder (P is Pair, v in P) = representation = int ; let get (x : int) : int = x ; end ;;
+collection H = implement Holder (PC, (PC!loop (1), 5)) ;;
+""")
+    for sources in workload_sources():
+        compile_unit(sources)
+    monkeypatch.undo()
+    with pytest.raises(CompileError) as e:
+        compile_source(example + bad)
+    assert (e.value.kind, e.value.message) == ("TypeMismatch", "cannot unify bool with IntC")
+    assert (e.value.pos.line, e.value.pos.col) == (example.count("\n") + 1, bad.index("true") + 1)
 
 
 def test_a_nullary_constructor_is_an_entity_argument():
