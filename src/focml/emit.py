@@ -10,13 +10,22 @@ arguments each application records.
 Unproved obligations surface as content-addressed proof holes; theorems whose
 proof is admitted become axioms.
 
+A binder is its lift's tag and an argument is a tree (a type, a name or an
+entity's expression), each written by the renderer of its kind in the env
+of the definition (`_name`).  In the logical target a let binds the
+generics of its scheme before its value parameters, and each use of a
+method whose scheme has generics takes one `_` per generic (`_use`).
+
 An heir's plan shares pieces with its parent's by identity. Each emit call
 writes such a piece's text once, in one memo `texts` keyed by identity (the
 unit holds every keyed object for the whole call): a record field by the
 method's record, a creator local by its `LocalDef` and whether its generator
 is the species' own (`m` or `Species.m`), outer abstractions by their list
 (the record's also for the `mk_record` line), and a lift's or parameter's
-type or statement by the object and env (`_piece`).
+type or statement by the object and env (`_piece`).  The methods with
+generics a species can name are one table per distinct content
+(`_generics`), so a record field or a piece keyed by its table's identity
+is shared between species that agree on them.
 """
 
 from __future__ import annotations
@@ -69,7 +78,7 @@ from .generators import (
 )
 from .hierarchy import NFSpecies
 from .pretty import expr_to_source, proof_to_source
-from .resolve import ENTITY, LOCAL, METHOD, PARAM
+from .resolve import COLLECTION, ENTITY, LOCAL, METHOD, PARAM
 
 
 class RenderEnv(Record):
@@ -81,6 +90,7 @@ class RenderEnv(Record):
         params: frozenset[str] = frozenset(),  # is-parameter names
         self_ty: str | None = None,
         param_ty: str = "_p_{}_T",  # how a parameter's carrier is named
+        generics: dict | None = None,
     ):
         self.target = target
         self.module = module
@@ -88,6 +98,9 @@ class RenderEnv(Record):
         self.params = params
         self.self_ty = self_ty
         self.param_ty = param_ty
+        # The methods whose schemes have generics, keyed (METHOD, m) or
+        # (ref, C, m) as their names are tagged (`_generics`).
+        self.generics = {} if generics is None else generics
 
 
 def _wrap(text: str, atomic: bool) -> str:
@@ -153,12 +166,8 @@ def render_expr(e: Expr, env: RenderEnv) -> tuple[str, bool]:
         case StrLit(v):
             escaped = v.replace("\\", "\\\\").replace('"', '\\"')
             return f'"{escaped}"', True
-        case Var():
-            return _var_head(e, env)
-        case Qual(coll, name, ref):
-            if ref == PARAM:
-                return f"_p_{coll}_{name}", True
-            return f"{coll}.{name}", True
+        case Var() | Qual():
+            return _use(e, env) if env.generics else _var_head(e, env)
         case ConRef(name, args):
             if not args:
                 return name, True
@@ -214,7 +223,10 @@ def _arg(e: Expr, env: RenderEnv) -> str:
     return _wrap(*render_expr(e, env))
 
 
-def _var_head(e: Var, env: RenderEnv) -> tuple[str, bool]:
+def _var_head(e: Var | Qual, env: RenderEnv) -> tuple[str, bool]:
+    """The name `e` stands for, and whether it is self-delimiting."""
+    if type(e) is Qual:
+        return (f"_p_{e.coll}_{e.name}" if e.ref == PARAM else f"{e.coll}.{e.name}"), True
     if e.ref == LOCAL:
         return e.name, True
     if e.ref == ENTITY:
@@ -223,6 +235,16 @@ def _var_head(e: Var, env: RenderEnv) -> tuple[str, bool]:
         return env.prefix + e.name, True
     head = _builtin_head(BUILTIN_FUNCTIONS[e.name], env)
     return head, " " not in head
+
+
+def _use(e: Var | Qual, env: RenderEnv) -> tuple[str, bool]:
+    """A name in an expression: a method whose scheme has generics takes
+    one `_` per generic, as a builtin does (`_builtin_head`)."""
+    text, atomic = _var_head(e, env)
+    n = env.generics.get((e.ref, e.name) if type(e) is Var else (e.ref, e.coll, e.name))
+    if n:
+        return text + " _" * n, False
+    return text, atomic
 
 
 def _builtin_head(b, env: RenderEnv) -> str:
@@ -234,10 +256,8 @@ def _builtin_head(b, env: RenderEnv) -> str:
 
 def _call_head(callee: Expr, env: RenderEnv) -> str:
     match callee:
-        case Var():
-            return _var_head(callee, env)[0]
-        case Qual():
-            return render_expr(callee, env)[0]
+        case Var() | Qual():
+            return (_use(callee, env) if env.generics else _var_head(callee, env))[0]
         case _:
             return _arg(callee, env)
 
@@ -320,7 +340,7 @@ def proof_hole_name(species: str, method: str, statement: Expr, proof) -> str:
 
 def _piece(render, obj, env: RenderEnv, texts: dict) -> str:
     """`render(obj, env)` of a type or a statement, once per object and env fields."""
-    key = (id(obj), env.self_ty, env.param_ty, env.prefix, env.target)
+    key = (render, id(obj), env.self_ty, env.param_ty, env.prefix, env.target, id(env.generics))
     text = texts.get(key)
     if text is None:
         text = texts[key] = render(obj, env)
@@ -333,40 +353,51 @@ def _render_env(
     prefix: str,
     self_ty: str | None,
     param_ty: str = "_p_{}_T",
+    generics: dict | None = None,
 ) -> RenderEnv:
     """Names inside one of `nf`'s definitions: its methods under `prefix`,
     its carrier as `self_ty`, a parameter's carrier spelled by `param_ty`."""
     params = frozenset(p.name for p in nf.is_params)
-    return RenderEnv(target, nf.name, prefix, params, self_ty, param_ty)
+    return RenderEnv(target, nf.name, prefix, params, self_ty, param_ty, generics)
 
 
-def _atom_text(a, env: RenderEnv) -> str:
-    match a:
-        case ("param_carrier", p):
-            return f"_p_{p}_T"
-        case ("coll_carrier", c):
-            return f"{c}.me_as_carrier"
-        case ("param_method", p, m):
-            return f"_p_{p}_{m}"
-        case ("coll_method", c, m):
-            return f"{c}.{m}"
-        case ("param_entity", v):
-            return f"_p_{v}_{v}"
-        case ("entity_expr", e):
-            return _arg(e, env)
-        case ("self_carrier",):
-            assert env.self_ty is not None
-            return env.self_ty
-        case ("self_method", m):
-            return env.prefix + m
-        case _:
-            raise ValueError(f"unknown argument atom {a!r}")
+def _generics(cu, nf: NFSpecies | None, texts: dict) -> dict:
+    """`RenderEnv.generics` inside `nf`'s definitions, or at the toplevel
+    when `nf` is None: its own methods, its parameters' and the
+    collections'.  Equal tables are one object per emit call, so that
+    species that agree share their pieces (`_piece`)."""
+    named = [((COLLECTION, c), model.nf.methods) for c, model in cu.collections.items()]
+    if nf is not None:
+        named.append(((METHOD,), nf.methods))
+        named += [((PARAM, p.name), cu.species[p.interface.name].methods) for p in nf.is_params]
+    key = ("generics", tuple(
+        (ref + (m,), mi.scheme.count)
+        for ref, methods in named
+        for m, mi in methods.items()
+        if mi.scheme is not None and mi.scheme.count
+    ))
+    table = texts.get(key)
+    if table is None:
+        table = texts[key] = dict(key[1])
+    return table
+
+
+def _name(a: Type | Expr, env: RenderEnv) -> str:
+    """A lift's tag as the binder it names, or a generator's argument, as
+    `env` writes it: a carrier's type, a method's or an entity's name, or
+    an entity's argument expression."""
+    if type(a) is Var or type(a) is Qual:
+        text, atomic = _var_head(a, env)
+        return text if atomic else f"({text})"
+    if isinstance(a, Expr):
+        return _arg(a, env)
+    return render_type(a, env)
 
 
 def _genapp_text(gen: GenApp, env: RenderEnv) -> str:
     head = gen.method if gen.species == env.module else f"{gen.species}.{gen.method}"
     args = gen.comp_args if env.target == "comp" else gen.args
-    return " ".join([head] + [_atom_text(a, env) for a in args])
+    return " ".join([head] + [_name(a, env) for a in args])
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +414,7 @@ def emit_logical(cu) -> str:
             elif kind == "species":
                 lines += _species_logical(cu, name, texts)
             else:
-                lines.append(_collection_logical(cu, name))
+                lines.append(_collection_logical(cu, name, texts))
         lines.append("")
     texts.clear()  # what no line holds goes before the text is joined
     return "\n".join(lines) if lines else "\n"
@@ -406,41 +437,49 @@ def _arg_text(text: str, t: Type) -> str:
 
 
 def _lift_text(l: Lift, env: RenderEnv, texts: dict) -> str:
+    name = _name(l.tag, env)
     if l.is_set:
-        return f"({l.name} : Set)"
+        return f"({name} : Set)"
     if l.ty is not None:
-        return f"({l.name} : {_piece(render_scheme_type, l.ty, env, texts)})"
+        return f"({name} : {_piece(render_scheme_type, l.ty, env, texts)})"
     if l.statement is not None:
-        return f"({l.name} : {_piece(render_formula, l.statement, env, texts)})"
+        return f"({name} : {_piece(render_formula, l.statement, env, texts)})"
     if l.bind_type is not None:
-        return f"({l.name} := {render_type(l.bind_type, env)})"
+        return f"({name} := {render_type(l.bind_type, env)})"
     assert l.bind_gen is not None
-    return f"({l.name} := {_genapp_text(l.bind_gen, env)})"
+    return f"({name} := {_genapp_text(l.bind_gen, env)})"
 
 
 def _species_logical(cu, name: str, texts: dict) -> list[str]:
     nf: NFSpecies = cu.species[name]
     plan: SpeciesPlan = cu.plans[name]
+    generics = _generics(cu, nf, texts)
     lines = [f"Module {name}."]
     for gp in plan.generators.values():
-        lines.extend(_generator_logical(nf, gp, texts))
+        lines.extend(_generator_logical(nf, gp, generics, texts))
     if plan.record is not None:
-        lines.extend(_record_logical(nf, plan, texts))
+        lines.extend(_record_logical(nf, plan, generics, texts))
     if plan.create is not None:
-        lines.extend(_create_logical(nf, plan, texts))
+        lines.extend(_create_logical(nf, plan, generics, texts))
     lines.append(f"End {name}.")
     return lines
 
 
-def _generator_logical(nf: NFSpecies, plan: MethodGeneratorPlan, texts: dict) -> list[str]:
-    lifts_carrier = any(l.tag == ("self_carrier",) for l in plan.lifts)
+def _generator_logical(
+    nf: NFSpecies, plan: MethodGeneratorPlan, generics: dict, texts: dict
+) -> list[str]:
+    lifts_carrier = any(type(l.tag) is TSelf for l in plan.lifts)
     self_ty = "abst_T" if lifts_carrier else None
-    env = _render_env(nf, "logical", "abst_", self_ty)
+    env = _render_env(nf, "logical", "abst_", self_ty, generics=generics)
     lifts = "".join([" " + _lift_text(l, env, texts) for l in plan.lifts])
     if plan.kind == "let":
         assert plan.body is not None and plan.ret is not None
-        params = "".join(
-            [f" ({n} : {_piece(render_scheme_type, t, env, texts)})" for n, t in plan.value_params]
+        scheme = nf.methods[plan.method].scheme
+        assert scheme is not None
+        # each generic binds a type before the value parameters
+        params = "".join([f" (__t{i} : Set)" for i in range(scheme.count)])
+        params += "".join(
+            [f" ({n} : {_piece(render_type, t, env, texts)})" for n, t in plan.value_params]
         )
         keyword = "Fixpoint" if plan.rec else "Definition"
         ret = render_type(plan.ret, env)
@@ -457,10 +496,10 @@ def _generator_logical(nf: NFSpecies, plan: MethodGeneratorPlan, texts: dict) ->
     ]
 
 
-def _record_logical(nf: NFSpecies, plan: SpeciesPlan, texts: dict) -> list[str]:
+def _record_logical(nf: NFSpecies, plan: SpeciesPlan, generics: dict, texts: dict) -> list[str]:
     record = plan.record
     assert record is not None
-    env = _render_env(nf, "logical", "rf_", "rf_T", param_ty="{}_T")
+    env = _render_env(nf, "logical", "rf_", "rf_T", "{}_T", generics)
     key = ("record", id(record.abstractions))
     head = texts.get(key)
     if head is None:
@@ -469,27 +508,30 @@ def _record_logical(nf: NFSpecies, plan: SpeciesPlan, texts: dict) -> list[str]:
     lines = [head, "    mk_record {", "    rf_T : Set ;"]
     for m in record.fields:
         mi = nf.methods[m]
-        line = texts.get(id(mi))
+        key = (id(mi), id(generics))
+        line = texts.get(key)
         if line is None:
             if mi.statement is not None:  # a logical method
                 text = render_formula(mi.statement, env)
             else:
                 assert mi.scheme is not None
                 text = render_scheme_type(mi.scheme.body, env)
-            line = texts[id(mi)] = f"    rf_{m} : {text} ;"
+            line = texts[key] = f"    rf_{m} : {text} ;"
         lines.append(line)
     lines[-1] = lines[-1][:-2]  # the last field ends without " ;"
     lines.append("    }.")
     return lines
 
 
-def _create_logical(nf: NFSpecies, plan: SpeciesPlan, texts: dict) -> list[str]:
+def _create_logical(nf: NFSpecies, plan: SpeciesPlan, generics: dict, texts: dict) -> list[str]:
     create = plan.create
     assert create is not None
-    env = _render_env(nf, "logical", "local_", "local_rep")
+    env = _render_env(nf, "logical", "local_", "local_rep", generics=generics)
     head = texts.get(("create", id(create.outer)))
     if head is None:
-        outer = "".join([f" ({l.name} : Set)" if l.is_set else f" {l.name}" for l in create.outer])
+        outer = "".join(
+            [f" ({_name(l.tag, env)} : Set)" if l.is_set else " " + _name(l.tag, env) for l in create.outer]
+        )
         head = texts[("create", id(create.outer))] = f"  Definition collection_create{outer} :="
     lines = [head]
     for ld in create.locals:
@@ -508,22 +550,18 @@ def _create_logical(nf: NFSpecies, plan: SpeciesPlan, texts: dict) -> list[str]:
     key = ("mk_record", id(record.abstractions))
     params = texts.get(key)
     if params is None:
-        params = texts[key] = "".join([" " + _atom_text(l.tag, env) for l in record.abstractions])
+        params = texts[key] = "".join([" " + _name(l.tag, env) for l in record.abstractions])
     fields = "".join([" local_" + m for m in record.fields])
     lines.append(f"    mk_record{params} local_rep{fields}.")
     return lines
 
 
-def _create_app(ext: CollectionExtractionPlan) -> GenApp:
-    return GenApp(ext.species, "collection_create", ext.create_args, ext.comp_args)
-
-
-def _collection_logical(cu, name: str) -> str:
+def _collection_logical(cu, name: str, texts: dict) -> str:
     ext: CollectionExtractionPlan = cu.extractions[name]
     record = cu.plans[ext.species].record
-    env = RenderEnv("logical", module=name)
+    env = RenderEnv("logical", module=name, generics=_generics(cu, None, texts))
     lines = [f"Module {name}."]
-    app = _genapp_text(_create_app(ext), env)
+    app = _genapp_text(ext.create, env)
     lines.append(f"  Let effective_collection := {app}.")
     assert ext.carrier is not None
     lines.append(f"  Definition me_as_carrier := {render_type(ext.carrier, env)}.")
@@ -603,7 +641,7 @@ def _species_comp(cu, name: str, texts: dict) -> list[str]:
 
 def _generator_comp(nf: NFSpecies, plan: MethodGeneratorPlan) -> str:
     env = _render_env(nf, "comp", "abst_", None)
-    kept = [l.name for l in plan.lifts if l.abstract and not l.logical]
+    kept = [_name(l.tag, env) for l in plan.lifts if l.abstract and not l.logical]
     params = "".join(f" ({n})" for n in kept)
     params += "".join(f" ({n})" for n, _ in plan.value_params)
     keyword = "let rec" if plan.rec else "let"
@@ -623,7 +661,7 @@ def _create_comp(nf: NFSpecies, plan: SpeciesPlan, texts: dict) -> list[str]:
     create = plan.create
     assert create is not None
     env = _render_env(nf, "comp", "local_", "local_rep")
-    params = "".join(f" ({l.name})" for l in create.outer if not l.logical)
+    params = "".join(f" ({_name(l.tag, env)})" for l in create.outer if not l.logical)
     lines = [f"  let collection_create{params} ="]
     assigns = []
     for ld in create.locals:
@@ -645,7 +683,7 @@ def _collection_comp(cu, name: str) -> str:
     record = cu.plans[ext.species].record
     env = RenderEnv("comp", module=name)
     lines = [f"module {name} = struct"]
-    app = _genapp_text(_create_app(ext), env)
+    app = _genapp_text(ext.create, env)
     lines.append(f"  let effective_collection = {app}")
     for m in record.comp_fields:
         lines.append(

@@ -58,7 +58,7 @@ from .ast import (
 from .basics import BUILTIN_FUNCTIONS
 from .driver import plan_unit
 from .errors import DEPTH_LIMIT, EVAL, STEP_LIMIT, EvalFailure, on_deep_stack
-from .resolve import BUILTIN, PARAM, Names, resolve
+from .resolve import BUILTIN, ENTITY, PARAM, Names, resolve
 
 STEP_LIMIT_DEFAULT = 1_000_000
 MAX_DEPTH = 20_000  # nested non-tail calls
@@ -151,15 +151,12 @@ class _Tail:
         self.args = args
 
 
-def _slot(tag) -> tuple[bool, object]:
-    """Where a lifted argument is bound: a qualified name or a variable."""
-    match tag:
-        case ("param_method", p, m):
-            return True, (p, m)
-        case ("param_entity", v) | ("self_method", v):
-            return False, v
-        case _:
-            raise EvalFailure(EVAL, f"cannot bind argument {tag!r}")
+def _slot(tag: Qual | Var) -> tuple[bool, object]:
+    """Where a computational lift is bound: a parameter's method by its
+    qualified name, an entity parameter or a method by its name."""
+    if type(tag) is Qual:
+        return True, (tag.coll, tag.name)
+    return False, tag.name
 
 
 def _layout(gp) -> list[tuple[bool, object]]:
@@ -189,24 +186,22 @@ class Interpreter:
     # -- construction ------------------------------------------------------
 
     def _build_collection(self, name: str) -> None:
-        ext = self.cu.extractions[name]
-        args = [self._atom(a, Scope(), {}) for a in ext.comp_args]
-        self.collections[name] = self._create(ext.species, args)
+        self.collections[name] = self._create(self.cu.extractions[name].create)
 
-    def _create(self, species: str, args: list[Value]) -> dict[str, Value]:
-        """The values of the creator's computational locals: the fields
-        the computational record keeps, in its order."""
-        plan = self.cu.plans[species].create
+    def _create(self, app) -> dict[str, Value]:
+        """The values of the computational locals of the creator `app`
+        applies: the fields the computational record keeps, in its order."""
+        plan = self.cu.plans[app.species].create
         assert plan is not None
-        scope = Scope()
         kept = [l for l in plan.outer if not l.logical]
-        if len(kept) != len(args):
+        if len(kept) != len(app.comp_args):
             raise EvalFailure(
                 EVAL,
-                f"{species} needs {len(kept)} effective argument(s), "
-                f"got {len(args)}",
+                f"{app.species} needs {len(kept)} effective argument(s), "
+                f"got {len(app.comp_args)}",
             )
-        for l, v in zip(kept, args):
+        scope = Scope()
+        for l, v in zip(kept, self._values(app.comp_args, kept, Scope(), {})):
             qual, key = _slot(l.tag)
             (scope.quals if qual else scope.vars)[key] = v
         locals_: dict[str, Value] = {}
@@ -214,7 +209,8 @@ class Interpreter:
             if ld.gen is None or ld.logical:
                 continue
             gp = self.cu.plans[ld.gen.species].generators[ld.gen.method]
-            vals = [self._atom(a, scope, locals_) for a in ld.gen.comp_args]
+            lifts = [l for l in gp.lifts if l.abstract and not l.logical]
+            vals = self._values(ld.gen.comp_args, lifts, scope, locals_)
             locals_[ld.name] = self._instantiate(gp, vals)
         return locals_
 
@@ -230,18 +226,22 @@ class Interpreter:
             env.append(closure)
         return closure
 
-    def _atom(self, a, scope: Scope, locals_: dict[str, Value]) -> Value:
-        match a:
-            case ("param_method", p, m):
-                return scope.quals[(p, m)]
-            case ("entity_expr", e):
-                return self.eval(e, scope)
-            case ("self_method", m):
-                return locals_[m]
-            case ("coll_method", c, m):
-                return self.collections[c][m]
-            case _:
-                raise EvalFailure(EVAL, f"cannot evaluate argument {a!r}")
+    def _values(self, args: list, lifts: list, scope: Scope, locals_: dict) -> list[Value]:
+        """The values of the computational arguments `args` for `lifts`,
+        as the callee's lift decides: an argument for an entity parameter
+        is evaluated; a method's is looked up, among the creator's locals,
+        its parameters' methods or a collection's."""
+        out = []
+        for a, l in zip(args, lifts):
+            if type(l.tag) is Var and l.tag.ref == ENTITY:
+                out.append(self.eval(a, scope))
+            elif type(a) is Var:
+                out.append(locals_[a.name])
+            elif a.ref == PARAM:
+                out.append(scope.quals[a.coll, a.name])
+            else:
+                out.append(self.collections[a.coll][a.name])
+        return out
 
     # -- evaluation --------------------------------------------------------
 

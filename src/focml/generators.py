@@ -6,7 +6,13 @@ pass established.  Complete species additionally get a record type packing
 their interface and a creator that instantiates every generator in order.
 Collections become an application of the creator plus one projection per
 method.  The plans built here are target independent; both emitters walk
-them.  They also decide erasure once: a lift and a creator local know
+them.  A lift is tagged by the tree it abstracts over, in the formals of
+the generator's species: a carrier's type (`TParam`, `TSelf`), a method's
+name (`Qual` of a parameter, a method-tagged `Var`) or an entity
+parameter's `Var`; the emitters name its binder by rendering the tag.  An
+application renames the tags by the applying species' actuals
+(`hierarchy.rename_actual`), as inherited bodies are renamed.  The plans
+also decide erasure once: a lift and a creator local know
 whether they are logical, a record lists the fields the computational
 target keeps, and each generator application records its computational
 arguments, which the computational emitter and the evaluator read as they
@@ -22,7 +28,9 @@ from .ast import (
     Record,
     SpeciesParam,
     TParam,
+    TSelf,
     Type,
+    Var,
 )
 from .deps import MethodDeps, param_refs, type_level_refs
 from .hierarchy import (
@@ -31,25 +39,24 @@ from .hierarchy import (
     MethodInfo,
     NFSpecies,
     interface_view,
+    rename_actual,
     rename_type,
     subst_expr,
 )
 from .proofs import proof_is_admitted
-from .resolve import PARAM
-
-Tag = tuple
-Atom = tuple
+from .resolve import ENTITY, METHOD, PARAM
 
 
 class GenApp(Record):
-    """Application of a method generator to already-resolved arguments."""
+    """Application of a generator to one argument per abstract lift: the
+    lift's tag renamed by the applying species' actuals (`_apply`)."""
 
     def __init__(
         self,
         species: str,
         method: str,
-        args: list[Atom] | None = None,
-        comp_args: list[Atom] | None = None,  # logical ones erased
+        args: list[Type | Expr] | None = None,
+        comp_args: list[Type | Expr] | None = None,  # logical ones erased
     ):
         self.species = species
         self.method = method
@@ -58,21 +65,17 @@ class GenApp(Record):
 
 
 class Lift(Record):
-    """One parameter of a generator: abstracted or bound."""
+    """One parameter of a generator, abstracted or bound, named by its tag."""
 
     def __init__(
         self,
-        tag: Tag,
-        name: str,
-        is_set: bool = False,  # (name : Set)
-        ty: Type | None = None,  # (name : <type>)
-        statement: Expr | None = None,  # (name : <formula>)
-        bind_type: Type | None = None,  # (name := <type>)
-        bind_gen: GenApp | None = None,  # (name := <generator application>)
+        tag: Type | Expr,
+        ty: Type | None = None,  # (tag : <type>)
+        statement: Expr | None = None,  # (tag : <formula>)
+        bind_type: Type | None = None,  # (tag := <type>)
+        bind_gen: GenApp | None = None,  # (tag := <generator application>)
     ):
         self.tag = tag
-        self.name = name
-        self.is_set = is_set
         self.ty = ty
         self.statement = statement
         self.bind_type = bind_type
@@ -83,10 +86,14 @@ class Lift(Record):
         return self.bind_type is None and self.bind_gen is None
 
     @property
+    def is_set(self) -> bool:
+        """(tag : Set): a carrier abstracted over."""
+        return not isinstance(self.tag, Expr) and self.abstract
+
+    @property
     def logical(self) -> bool:
         """No computational content: a carrier or a formula."""
-        carrier = self.is_set or self.bind_type is not None
-        return carrier or self.statement is not None
+        return not isinstance(self.tag, Expr) or self.statement is not None
 
 
 class MethodGeneratorPlan(Record):
@@ -174,49 +181,36 @@ class CollectionExtractionPlan(Record):
         self,
         name: str,
         species: str,  # module holding the record and creator
-        create_args: list[Atom] | None = None,
-        comp_args: list[Atom] | None = None,  # logical ones erased
+        create: GenApp | None = None,  # the creator applied to the arguments
         carrier: Type | None = None,
     ):
         self.name = name
         self.species = species
-        self.create_args = [] if create_args is None else create_args
-        self.comp_args = [] if comp_args is None else comp_args
+        self.create = create
         self.carrier = carrier
 
 
 # ---------------------------------------------------------------------------
-# Tag resolution
+# Applications
 
 
-def resolve_tags(tags: list[Tag], args: Args) -> list[Atom]:
-    """Rewrite tags phrased in some species' formal parameters into atoms,
-    given the actuals `args` of those formals."""
-    out: list[Atom] = []
-    for t in tags:
-        match t:
-            case ("param_carrier", p):
-                a = args[p]
-                own = isinstance(a, TParam)
-                out.append(("param_carrier" if own else "coll_carrier", a.name))
-            case ("param_method", p, m):
-                a = args[p]
-                own = isinstance(a, TParam)
-                out.append(("param_method" if own else "coll_method", a.name, m))
-            case ("param_entity", v):
-                out.append(("entity_expr", args[v]))
-            case _:
-                out.append(t)
+def _apply(species: str, method: str, lifts: list[Lift], args: Args) -> GenApp:
+    """Apply the generator `species.method` to the actuals `args` of its
+    species' formals: one argument per abstract lift, its tag renamed, kept
+    in the computational target unless the lift is logical."""
+    out = GenApp(species, method)
+    for l in lifts:
+        if l.abstract:
+            a = rename_actual(l.tag, args)
+            out.args.append(a)
+            if not l.logical:
+                out.comp_args.append(a)
     return out
 
 
 def _gen_app(callee: MethodGeneratorPlan, nf: NFSpecies) -> GenApp:
-    """Apply `callee` inside `nf`: one argument per abstract lift, kept in
-    the computational target unless the lift is logical."""
-    lifts = [l for l in callee.lifts if l.abstract]
-    args = resolve_tags([l.tag for l in lifts], nf.ancestor_args[callee.species])
-    comp = [a for a, l in zip(args, lifts) if not l.logical]
-    return GenApp(callee.species, callee.method, args, comp)
+    """Apply `callee` inside `nf`."""
+    return _apply(callee.species, callee.method, callee.lifts, nf.ancestor_args[callee.species])
 
 
 def _param_method_lift(
@@ -224,18 +218,17 @@ def _param_method_lift(
     p: SpeciesParam,
     m: str,
     species_env: dict[str, NFSpecies],
-    name: str,
 ) -> Lift:
     iface_nf, args = interface_view(nf, p, species_env)
     tyfn = lambda t: rename_type(t, args, TParam(p.name))
     imi = iface_nf.methods[m]
-    tag = ("param_method", p.name, m)
+    tag = Qual(p.name, m, PARAM)
     if imi.is_logical:
         assert imi.statement is not None
         refs = {w: Qual(p.name, w, PARAM) for w in iface_nf.methods}
-        return Lift(tag, name, statement=subst_expr(imi.statement, args, tyfn, refs))
+        return Lift(tag, statement=subst_expr(imi.statement, args, tyfn, refs))
     assert imi.scheme is not None
-    return Lift(tag, name, ty=tyfn(imi.scheme.body))
+    return Lift(tag, ty=tyfn(imi.scheme.body))
 
 
 # ---------------------------------------------------------------------------
@@ -288,31 +281,26 @@ def _method_plan(
     for p in nf.params:
         if p.kind == "is":
             if md.param_carrier.get(p.name):
-                lifts.append(
-                    Lift(("param_carrier", p.name), f"_p_{p.name}_T", is_set=True)
-                )
+                lifts.append(Lift(TParam(p.name)))
             for m in md.param_deps.get(p.name, ()):
-                lifts.append(
-                    _param_method_lift(nf, p, m, species_env, f"_p_{p.name}_{m}")
-                )
+                lifts.append(_param_method_lift(nf, p, m, species_env))
         elif p.name in md.entity_used:
             lifts.append(_entity_lift(p))
     if md.carrier_keep == "TypeAndBody":
         assert nf.rep is not None
-        lifts.append(Lift(("self_carrier",), "abst_T", bind_type=nf.rep))
+        lifts.append(Lift(TSelf(), bind_type=nf.rep))
     elif md.carrier_keep == "TypeOnly":
-        lifts.append(Lift(("self_carrier",), "abst_T", is_set=True))
+        lifts.append(Lift(TSelf()))
     for z, keep in md.min_env:
         zi = nf.methods[z]
-        tag = ("self_method", z)
+        tag = Var(z, METHOD)
         if keep == "TypeAndBody":
-            gen = _gen_app(lookup(zi.origin, z), nf)
-            lifts.append(Lift(tag, f"abst_{z}", bind_gen=gen))
+            lifts.append(Lift(tag, bind_gen=_gen_app(lookup(zi.origin, z), nf)))
         elif zi.is_logical:
-            lifts.append(Lift(tag, f"abst_{z}", statement=zi.statement))
+            lifts.append(Lift(tag, statement=zi.statement))
         else:
             assert zi.scheme is not None
-            lifts.append(Lift(tag, f"abst_{z}", ty=zi.scheme.body))
+            lifts.append(Lift(tag, ty=zi.scheme.body))
     out = MethodGeneratorPlan(
         species=nf.name,
         method=mi.name,
@@ -336,31 +324,24 @@ def _method_plan(
 
 def _entity_lift(p: SpeciesParam) -> Lift:
     assert p.carrier is not None
-    name = f"_p_{p.name}_{p.name}"
-    return Lift(("param_entity", p.name), name, ty=TParam(p.carrier))
+    return Lift(Var(p.name, ENTITY), ty=TParam(p.carrier))
 
 
 def _param_lifts(
     nf: NFSpecies,
-    carrier: str,
     used: dict[str, set[str]],
     species_env: dict[str, NFSpecies],
 ) -> list[Lift]:
     """Outer lifts of a record or a creator: the carrier of each
-    is-parameter, named by the `carrier` format, the entity parameters, then
-    the methods `used[p]` of each is-parameter in its interface's order."""
-    lifts = [
-        Lift(("param_carrier", p.name), carrier.format(p.name), is_set=True)
-        for p in nf.is_params
-    ]
+    is-parameter, the entity parameters, then the methods `used[p]` of each
+    is-parameter in its interface's order."""
+    lifts = [Lift(TParam(p.name)) for p in nf.is_params]
     lifts.extend(_entity_lift(p) for p in nf.entity_params)
     for p in nf.is_params:
         assert p.interface is not None
         for m in species_env[p.interface.name].order:
             if m in used[p.name]:
-                lifts.append(
-                    _param_method_lift(nf, p, m, species_env, f"_p_{p.name}_{m}")
-                )
+                lifts.append(_param_method_lift(nf, p, m, species_env))
     return lifts
 
 
@@ -368,8 +349,8 @@ def _used_methods(nf: NFSpecies, lifts: list[Lift]) -> dict[str, set[str]]:
     """The methods of each is-parameter that `lifts` abstract over."""
     used: dict[str, set[str]] = {p.name: set() for p in nf.is_params}
     for l in lifts:
-        if l.tag[0] == "param_method":
-            used[l.tag[1]].add(l.tag[2])
+        if type(l.tag) is Qual:
+            used[l.tag.coll].add(l.tag.name)
     return used
 
 
@@ -405,7 +386,7 @@ def _record_plan(
         species=nf.name,
         abstractions=prev.abstractions
         if prev is not None and used == before
-        else _param_lifts(nf, "{}_T", used, species_env),
+        else _param_lifts(nf, used, species_env),
         fields=list(nf.order),
         comp_fields=[m for m in nf.order if not nf.methods[m].is_logical],
     )
@@ -433,7 +414,7 @@ def _create_plan(
         species=nf.name,
         outer=prev.outer
         if prev is not None and used == _used_methods(nf, prev.outer)
-        else _param_lifts(nf, "_p_{}_T", used, species_env),
+        else _param_lifts(nf, used, species_env),
     )
     plan.locals.append(LocalDef("rep"))
     for m in nf.order:
@@ -452,8 +433,5 @@ def build_extraction_plan(
     nf = model.nf
     splan = plans_env[nf.name]
     assert splan.create is not None and splan.record is not None
-    out = CollectionExtractionPlan(name=model.name, species=nf.name, carrier=model.carrier)
-    lifts = splan.create.outer
-    out.create_args = resolve_tags([l.tag for l in lifts], model.args)
-    out.comp_args = [a for a, l in zip(out.create_args, lifts) if not l.logical]
-    return out
+    create = _apply(nf.name, "collection_create", splan.create.outer, model.args)
+    return CollectionExtractionPlan(model.name, nf.name, create, model.carrier)

@@ -275,11 +275,19 @@ def rename_type(t: Type, args: Args, self_ty: Type | None = None) -> Type:
 def rename_args(amap: Args, args: Args) -> Args:
     """The actuals `amap` with each formal replaced by its actual in
     `args`."""
-    type_fn = lambda t: rename_type(t, args)
-    return {
-        f: subst_expr(a, args, type_fn) if isinstance(a, Expr) else type_fn(a)
-        for f, a in amap.items()
-    }
+    return {f: rename_actual(a, args) for f, a in amap.items()}
+
+
+def rename_actual(a: "Type | Expr", args: Args) -> "Type | Expr":
+    """A carrier, a method name or an entity's expression phrased in some
+    species' formals, with each formal replaced by its actual in `args`:
+    `P` becomes the carrier `args[P]`, `P!m` the method of the parameter or
+    collection it denotes, and an entity formal its argument."""
+    if not args:
+        return a
+    if isinstance(a, Expr):
+        return subst_expr(a, args, lambda t: rename_type(t, args))
+    return rename_type(a, args)
 
 
 def _ref(actual: Type) -> str:

@@ -157,7 +157,7 @@ def _collection_args(model: CollectionModel) -> list[str]:
 def _param_method_type(
     cu: CompiledUnit, nf: NFSpecies, p: SpeciesParam, m: str
 ) -> str:
-    lift = _param_method_lift(nf, p, m, cu.species, m)
+    lift = _param_method_lift(nf, p, m, cu.species)
     if lift.ty is not None:
         return type_to_source(lift.ty)
     assert lift.statement is not None

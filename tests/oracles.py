@@ -6,6 +6,8 @@ test expectations do not inherit bugs from the implementation.  The output
 references and the typing reference at the end are the exceptions: the
 first print trees with the package's printers, and pin the layout and what
 each species gets; the second types with the package's type classes.
+`plain_arg`, with the output references, maps the plans' generator
+arguments to the plain vocabulary of `atom_is_logical` and `Evaluator`.
 """
 
 from __future__ import annotations
@@ -1191,11 +1193,16 @@ def reference_parse_expr(text: str):
 # locals, outer abstractions, types and statements), where the emitters
 # write each shared piece once per call and reuse it.  The proof hole name
 # joins the whole proof's text, printed recursively, before it hashes it.
-# They print trees and plan atoms with the package's own renderers.
+# They print trees, the lifts' tags and the generators' arguments with the
+# package's own renderers.  A method whose scheme has generics takes one
+# `_` per generic where an expression uses it, and its definition binds
+# them before its value parameters.
 
-from focml.ast import Proof, ProofLeaf, ProofStep, ProofSteps, TCollCarrier, UnionTypeDecl  # noqa: E402
+from focml.ast import (  # noqa: E402
+    Proof, ProofLeaf, ProofStep, ProofSteps, TCollCarrier, TParam, UnionTypeDecl,
+)
 from focml.emit import (  # noqa: E402
-    RenderEnv, _atom_text, _create_app, _genapp_text, _render_env, render_body,
+    RenderEnv, _arg, _genapp_text, _render_env, _var_head, render_body,
     render_formula, render_scheme_type, render_type,
 )
 from focml.generators import (  # noqa: E402
@@ -1203,6 +1210,57 @@ from focml.generators import (  # noqa: E402
 )
 from focml.hierarchy import NFSpecies  # noqa: E402
 from focml.pretty import _fact_to_source, expr_to_source  # noqa: E402
+from focml.resolve import COLLECTION, METHOD  # noqa: E402
+
+
+def plain_arg(arg, lift: Lift | None = None) -> tuple:
+    """A lift's tag, or an argument applied for `lift`, as the tuple that
+    `atom_is_logical` and `Evaluator` read.  The lift tells an entity from
+    a method: what is passed for an entity parameter is ("entity_expr",
+    tree) whatever its node, a bare `C!m` included."""
+    if lift is not None and type(lift.tag) is Var and lift.tag.ref == ENTITY:
+        return ("entity_expr", arg)
+    match arg:
+        case TParam(p):
+            return ("param_carrier", p)
+        case TCollCarrier(c):
+            return ("coll_carrier", c)
+        case TSelf():
+            return ("self_carrier",)
+        case Qual(c, m, ref):
+            return ("param_method" if ref == PARAM else "coll_method", c, m)
+        case Var(v, ref) if ref == ENTITY:
+            return ("param_entity", v)
+        case Var(m, ref) if ref == METHOD:
+            return ("self_method", m)
+    raise ValueError(f"not a generator argument: {arg!r}")
+
+
+def _tree_text(a, env: RenderEnv) -> str:
+    """A lift's tag as its binder, or a generator's argument: a carrier's
+    type, a method's or an entity's bare name, an entity's expression."""
+    if isinstance(a, (Var, Qual)):
+        return _var_head(a, env)[0]
+    if isinstance(a, Expr):
+        return _arg(a, env)
+    return render_type(a, env)
+
+
+def _generics(cu, nf: NFSpecies | None) -> dict:
+    """Every method with generics that a tree in `nf` (or at the toplevel)
+    can name, keyed as `RenderEnv.generics` keys it."""
+    table = {}
+    named = [((COLLECTION, c, m), mi) for c, model in cu.collections.items()
+             for m, mi in model.nf.methods.items()]
+    if nf is not None:
+        named += [((METHOD, m), mi) for m, mi in nf.methods.items()]
+        for p in nf.is_params:
+            named += [((PARAM, p.name, m), mi)
+                      for m, mi in cu.species[p.interface.name].methods.items()]
+    for key, mi in named:
+        if mi.scheme is not None and mi.scheme.count:
+            table[key] = mi.scheme.count
+    return table
 
 
 def proof_to_source(proof: Proof, indent: str) -> list[str]:
@@ -1274,41 +1332,46 @@ def _inductive(u: UnionTypeDecl) -> str:
 
 
 def _lift_text(l: Lift, env: RenderEnv) -> str:
+    name = _tree_text(l.tag, env)
     if l.is_set:
-        return f"({l.name} : Set)"
+        return f"({name} : Set)"
     if l.ty is not None:
-        return f"({l.name} : {render_scheme_type(l.ty, env)})"
+        return f"({name} : {render_scheme_type(l.ty, env)})"
     if l.statement is not None:
-        return f"({l.name} : {render_formula(l.statement, env)})"
+        return f"({name} : {render_formula(l.statement, env)})"
     if l.bind_type is not None:
-        return f"({l.name} := {render_type(l.bind_type, env)})"
+        return f"({name} := {render_type(l.bind_type, env)})"
     assert l.bind_gen is not None
-    return f"({l.name} := {_genapp_text(l.bind_gen, env)})"
+    return f"({name} := {_genapp_text(l.bind_gen, env)})"
 
 
 def _species_logical(cu, name: str) -> str:
     nf: NFSpecies = cu.species[name]
     plan: SpeciesPlan = cu.plans[name]
+    generics = _generics(cu, nf)
     lines = [f"Module {name}."]
     for gp in plan.generators.values():
-        lines.extend(_generator_logical(nf, gp))
+        lines.extend(_generator_logical(nf, gp, generics))
     if plan.record is not None:
-        lines.extend(_record_logical(nf, plan))
+        lines.extend(_record_logical(nf, plan, generics))
     if plan.create is not None:
-        lines.extend(_create_logical(nf, plan))
+        lines.extend(_create_logical(nf, plan, generics))
     lines.append(f"End {name}.")
     return "\n".join(lines)
 
 
-def _generator_logical(nf: NFSpecies, plan: MethodGeneratorPlan) -> list[str]:
-    lifts_carrier = any(l.tag == ("self_carrier",) for l in plan.lifts)
+def _generator_logical(nf: NFSpecies, plan: MethodGeneratorPlan, generics: dict) -> list[str]:
+    lifts_carrier = any(isinstance(l.tag, TSelf) for l in plan.lifts)
     self_ty = "abst_T" if lifts_carrier else None
-    env = _render_env(nf, "logical", "abst_", self_ty)
+    env = _render_env(nf, "logical", "abst_", self_ty, generics=generics)
     lifts = "".join(" " + _lift_text(l, env) for l in plan.lifts)
     if plan.kind == "let":
         assert plan.body is not None and plan.ret is not None
-        params = "".join(
-            f" ({n} : {render_scheme_type(t, env)})" for n, t in plan.value_params
+        types = [t for _, t in plan.value_params] + [plan.ret]
+        ids = sorted({n.idx for t in types for n in type_walk(t) if isinstance(n, TGen)})
+        params = "".join(f" (__t{i} : Set)" for i in ids)
+        params += "".join(
+            f" ({n} : {render_type(t, env)})" for n, t in plan.value_params
         )
         keyword = "Fixpoint" if plan.rec else "Definition"
         ret = render_type(plan.ret, env)
@@ -1325,10 +1388,10 @@ def _generator_logical(nf: NFSpecies, plan: MethodGeneratorPlan) -> list[str]:
     ]
 
 
-def _record_logical(nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
+def _record_logical(nf: NFSpecies, plan: SpeciesPlan, generics: dict) -> list[str]:
     record = plan.record
     assert record is not None
-    env = _render_env(nf, "logical", "rf_", "rf_T", param_ty="{}_T")
+    env = _render_env(nf, "logical", "rf_", "rf_T", "{}_T", generics)
     params = "".join(" " + _lift_text(l, env) for l in record.abstractions)
     head = f"  Record me_as_species{params}"
     head += " : Type :=" if record.abstractions else " :="
@@ -1348,16 +1411,16 @@ def _record_logical(nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
     return lines
 
 
-def _create_logical(nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
+def _create_logical(nf: NFSpecies, plan: SpeciesPlan, generics: dict) -> list[str]:
     create = plan.create
     assert create is not None
-    env = _render_env(nf, "logical", "local_", "local_rep")
+    env = _render_env(nf, "logical", "local_", "local_rep", generics=generics)
     outer_parts = []
     for l in create.outer:
         if l.is_set:
-            outer_parts.append(f" ({l.name} : Set)")
+            outer_parts.append(f" ({_tree_text(l.tag, env)} : Set)")
         else:
-            outer_parts.append(f" {l.name}")
+            outer_parts.append(f" {_tree_text(l.tag, env)}")
     lines = [f"  Definition collection_create{''.join(outer_parts)} :="]
     for ld in create.locals:
         if ld.gen is None:
@@ -1367,18 +1430,18 @@ def _create_logical(nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
         else:
             lines.append(f"    let local_{ld.name} := {_genapp_text(ld.gen, env)} in")
     assert plan.record is not None
-    tags = [l.tag for l in plan.record.abstractions] + [("self_carrier",)]
-    tags += [("self_method", m) for m in nf.order]
-    args = " ".join(_atom_text(t, env) for t in tags)
+    tags = [l.tag for l in plan.record.abstractions] + [TSelf()]
+    tags += [Var(m, METHOD) for m in nf.order]
+    args = " ".join(_tree_text(t, env) for t in tags)
     lines.append(f"    mk_record {args}.")
     return lines
 
 
 def _collection_logical(cu, name: str) -> str:
     ext: CollectionExtractionPlan = cu.extractions[name]
-    env = RenderEnv("logical", module=name)
+    env = RenderEnv("logical", module=name, generics=_generics(cu, None))
     lines = [f"Module {name}."]
-    app = _genapp_text(_create_app(ext), env)
+    app = _genapp_text(ext.create, env)
     lines.append(f"  Let effective_collection := {app}.")
     assert ext.carrier is not None
     lines.append(f"  Definition me_as_carrier := {render_type(ext.carrier, env)}.")
@@ -1455,7 +1518,7 @@ def _species_comp(cu, name: str) -> str:
 
 def _generator_comp(nf: NFSpecies, plan: MethodGeneratorPlan) -> str:
     env = _render_env(nf, "comp", "abst_", None)
-    kept = [l.name for l in plan.lifts if l.abstract and not l.logical]
+    kept = [_tree_text(l.tag, env) for l in plan.lifts if l.abstract and not l.logical]
     params = "".join(f" ({n})" for n in kept)
     params += "".join(f" ({n})" for n, _ in plan.value_params)
     keyword = "let rec" if plan.rec else "let"
@@ -1475,7 +1538,7 @@ def _create_comp(nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
     create = plan.create
     assert create is not None
     env = _render_env(nf, "comp", "local_", "local_rep")
-    params = "".join(f" ({l.name})" for l in create.outer if not l.logical)
+    params = "".join(f" ({_tree_text(l.tag, env)})" for l in create.outer if not l.logical)
     lines = [f"  let collection_create{params} ="]
     assigns = []
     for ld in create.locals:
@@ -1492,7 +1555,7 @@ def _collection_comp(cu, name: str) -> str:
     ext: CollectionExtractionPlan = cu.extractions[name]
     env = RenderEnv("comp", module=name)
     lines = [f"module {name} = struct"]
-    app = _genapp_text(_create_app(ext), env)
+    app = _genapp_text(ext.create, env)
     lines.append(f"  let effective_collection = {app}")
     nf = cu.collections[name].nf
     for m in nf.order:

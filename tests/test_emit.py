@@ -9,7 +9,7 @@ import oracles
 import shapes
 from conftest import DATA, data
 
-from focml import compile_files, compile_source
+from focml import compile_files, compile_source, eval_call
 from focml.emit import emit_comp, emit_logical, proof_hole_name
 from focml.errors import TYPE_MISMATCH, CompileError, on_deep_stack
 from focml.parser import parse_source
@@ -219,3 +219,60 @@ def test_extension_emits_alongside_base():
     cu = compile_files(data("example.fcl", "isine_admitted.fcl"))
     comp = emit_comp(cu)
     assert "IsInE" in comp and "ExtIn_3_8" in comp
+
+
+# ---------------------------------------------------------------------------
+# Polymorphic lets
+
+POLY = """
+species A =
+  representation = int ;
+  let id (x) = x ;
+  let k (n : int) : int = id (n) ;
+  theorem idp : all x : int, id (x) = x proof = admitted ;
+  theorem idt : all x : int, id (x) = x proof = by property idp ;
+end ;;
+species N =
+  inherit A ;
+  signature id : int -> int ;
+  theorem idt2 : all x : int, id (x) = x proof = by property idp ;
+end ;;
+collection CA = implement A ;;
+species S (P is A) =
+  representation = int ;
+  let h (x : int) : int = P!id (x) + CA!id (x) ;
+end ;;
+collection CS = implement S (CA) ;;
+"""
+
+
+def test_a_polymorphic_let_binds_its_generics_and_each_use_fills_them():
+    cu = compile_source(POLY)
+    logical = emit_logical(cu)
+    lines = logical.splitlines()
+    assert "  Definition id (__t0 : Set) (x : __t0) : __t0 := x." in lines
+    assert (
+        "  Definition k (abst_id : forall __t0 : Set, __t0 -> __t0)"
+        " (n : basics.int__t) : basics.int__t := (abst_id _ n)."
+    ) in lines
+    assert "(x : forall" not in logical
+    # `idp`'s statement is one object in `A` and `N`, where `id` has no
+    # generics: the texts an emit call shares are keyed by the generics
+    assert "(abst_idp : forall x : basics.int__t, Is_true ((basics._equal_ _ (abst_id _ x) x)))" in logical
+    assert "(abst_idp : forall x : basics.int__t, Is_true ((basics._equal_ _ (abst_id x) x)))" in logical
+    assert logical == oracles.emit_logical(cu)
+    # a parameter's and a collection's method take their holes where they
+    # are used; a binder or an argument is the bare name
+    assert (
+        "  Definition h (_p_P_T : Set) (_p_P_id : forall __t0 : Set, __t0 -> __t0)"
+        " (x : basics.int__t) : basics.int__t := (_p_P_id _ x) + (CA.id _ x)."
+    ) in lines
+    assert "  Let effective_collection := S.collection_create CA.me_as_carrier CA.id." in lines
+    assert "    rf_id : forall __t0 : Set, __t0 -> __t0 ;" in lines
+    # the computational target has no type arguments
+    comp = emit_comp(cu).splitlines()
+    assert "  let id (x) = x" in comp
+    assert "  let k (abst_id) (n) = (abst_id n)" in comp
+    assert "  let h (_p_P_id) (x) = (_p_P_id x) + (CA.id x)" in comp
+    assert eval_call(cu, "CA!k (3)") == "3"
+    assert eval_call(cu, "CS!h (3)") == "6"

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from focml import compile_source
+from focml import compile_source, emit_comp
 from focml.errors import EvalFailure
 from focml.evaluator import (
     MAX_DEPTH, BuiltinFn, Interpreter, VCon, eval_call, format_value,
@@ -266,3 +266,33 @@ def test_format_value_is_linear_in_the_depth_of_a_value():
     # four times the depth: at most four times the calls, nested no deeper
     assert large <= 4 * small
     assert large_depth == small_depth <= 5
+
+
+# `D` passes the bare `C!zero` for `S`'s entity parameter `v`: the same
+# node as a collection's method passed for a method lift, here `P!get`.
+ENTITY_METHOD = """
+species Base =
+  representation = int ;
+  let zero : Self = 0 ;
+  let get (x : Self) : int = x ;
+end ;;
+
+species S (P is Base, v in P) =
+  representation = int ;
+  let f (x : int) : int = x + P!get (v) ;
+end ;;
+
+collection C = implement Base ;;
+collection D = implement S (C, C!zero) ;;
+"""
+
+
+def test_an_entity_argument_naming_a_collection_method_is_evaluated():
+    cu = compile_source(ENTITY_METHOD)
+    assert eval_call(cu, "D!f (3)") == "3"
+    # the callee's lift, not the argument's node, makes `C!zero` an entity:
+    # building `C` runs `zero` (1 step), `D` evaluates `C!zero` (1) and its
+    # creator `v`, for `f` (1); `C!get` is looked up
+    assert Interpreter(cu).steps == 3
+    comp = emit_comp(cu).splitlines()
+    assert "  let effective_collection = S.collection_create C.zero C.get" in comp

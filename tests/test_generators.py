@@ -5,24 +5,27 @@ import sys
 import pytest
 
 from conftest import data
+from oracles import plain_arg
 
 from focml import compile_files, compile_source, emit_comp, emit_logical, eval_call
 from focml.driver import plan_unit
+from focml.ast import Qual
 from focml.errors import on_deep_stack
 from focml.hierarchy import MethodInfo
 from focml.pretty import type_to_source
 
 
 def lift_shape(l):
+    tag = plain_arg(l.tag)
     if l.bind_gen is not None:
-        return (l.name, "bind_gen")
+        return (tag, "bind_gen")
     if l.bind_type is not None:
-        return (l.name, f":= {type_to_source(l.bind_type)}")
+        return (tag, f":= {type_to_source(l.bind_type)}")
     if l.is_set:
-        return (l.name, "Set")
+        return (tag, "Set")
     if l.statement is not None:
-        return (l.name, "statement")
-    return (l.name, type_to_source(l.ty))
+        return (tag, "statement")
+    return (tag, type_to_source(l.ty))
 
 
 # ---------------------------------------------------------------------------
@@ -55,21 +58,21 @@ def test_fully_concrete_method_needs_no_lifts(example_cu):
 
 def test_body_that_opens_rep_binds_the_carrier(example_cu):
     gen = example_cu.plans["TheInt"].generators["lt"]
-    assert [lift_shape(l) for l in gen.lifts] == [("abst_T", ":= int")]
+    assert [lift_shape(l) for l in gen.lifts] == [(("self_carrier",), ":= int")]
 
 
 def test_theorem_generator_abstracts_its_minimal_environment(example_cu):
     gen = example_cu.plans["TheInt"].generators["ltNotGt"]
     assert [lift_shape(l) for l in gen.lifts] == [
-        ("abst_T", "Set"),
-        ("abst_eq", "Self -> Self -> bool"),
-        ("abst_lt", "Self -> Self -> bool"),
-        ("abst_gt", "bind_gen"),
+        (("self_carrier",), "Set"),
+        (("self_method", "eq"), "Self -> Self -> bool"),
+        (("self_method", "lt"), "Self -> Self -> bool"),
+        (("self_method", "gt"), "bind_gen"),
     ]
     bound = gen.lifts[-1].bind_gen
     # gt was never redefined, so its generator lives in OrdData
     assert (bound.species, bound.method) == ("OrdData", "gt")
-    assert bound.args == [
+    assert [plain_arg(a) for a in bound.args] == [
         ("self_carrier",), ("self_method", "eq"), ("self_method", "lt"),
     ]
 
@@ -77,28 +80,21 @@ def test_theorem_generator_abstracts_its_minimal_environment(example_cu):
 def test_parameterised_generator_lifts_param_deps_then_entities(example_cu):
     gen = example_cu.plans["IsIn"].generators["lowMin"]
     assert [lift_shape(l) for l in gen.lifts] == [
-        ("_p_V_T", "Set"),
-        ("_p_V_lt", "V -> V -> bool"),
-        ("_p_V_gt", "V -> V -> bool"),
-        ("_p_V_ltNotGt", "statement"),
-        ("_p_minv_minv", "V"),
-        ("_p_maxv_maxv", "V"),
-        ("abst_T", ":= V * statut_t"),
-        ("abst_filter", "bind_gen"),
-        ("abst_getStatus", "bind_gen"),
+        (("param_carrier", "V"), "Set"),
+        (("param_method", "V", "lt"), "V -> V -> bool"),
+        (("param_method", "V", "gt"), "V -> V -> bool"),
+        (("param_method", "V", "ltNotGt"), "statement"),
+        (("param_entity", "minv"), "V"),
+        (("param_entity", "maxv"), "V"),
+        (("self_carrier",), ":= V * statut_t"),
+        (("self_method", "filter"), "bind_gen"),
+        (("self_method", "getStatus"), "bind_gen"),
     ]
 
 
 def test_unneeded_dependencies_are_not_lifted(example_cu):
     gen = example_cu.plans["IsIn"].generators["getStatus"]
-    assert [l.name for l in gen.lifts] == ["_p_V_T", "abst_T"]
-
-
-def required_tag(atom):
-    kind = atom[0]
-    if kind == "entity_expr":
-        return ("param_entity", atom[1].name)
-    return atom
+    assert [plain_arg(l.tag) for l in gen.lifts] == [("param_carrier", "V"), ("self_carrier",)]
 
 
 def test_generator_lifts_are_well_scoped(example_cu):
@@ -109,8 +105,8 @@ def test_generator_lifts_are_well_scoped(example_cu):
             for l in gen.lifts:
                 if l.bind_gen is not None:
                     for a in l.bind_gen.args:
-                        assert required_tag(a) in seen, (gen.method, a)
-                seen.add(l.tag)
+                        assert plain_arg(a) in seen, (gen.method, a)
+                seen.add(plain_arg(l.tag))
 
 
 def test_admitted_proof_is_flagged(extended_cu):
@@ -133,10 +129,10 @@ def test_record_packs_interface_in_order(example_cu):
 def test_record_abstracts_what_statements_mention(example_cu):
     rec = example_cu.plans["IsIn"].record
     assert [lift_shape(l) for l in rec.abstractions] == [
-        ("V_T", "Set"),
-        ("_p_minv_minv", "V"),
-        ("_p_maxv_maxv", "V"),
-        ("_p_V_gt", "V -> V -> bool"),
+        (("param_carrier", "V"), "Set"),
+        (("param_entity", "minv"), "V"),
+        (("param_entity", "maxv"), "V"),
+        (("param_method", "V", "gt"), "V -> V -> bool"),
     ]
 
 
@@ -201,9 +197,10 @@ def test_a_diamond_creator_passes_the_arguments_of_the_copy_it_keeps():
 
 def test_creator_outer_params_cover_all_param_deps(example_cu):
     create = example_cu.plans["IsIn"].create
-    assert [l.name for l in create.outer] == [
-        "_p_V_T", "_p_minv_minv", "_p_maxv_maxv",
-        "_p_V_lt", "_p_V_gt", "_p_V_ltNotGt",
+    assert [plain_arg(l.tag) for l in create.outer] == [
+        ("param_carrier", "V"), ("param_entity", "minv"), ("param_entity", "maxv"),
+        ("param_method", "V", "lt"), ("param_method", "V", "gt"),
+        ("param_method", "V", "ltNotGt"),
     ]
 
 
@@ -213,7 +210,10 @@ def test_creator_outer_params_cover_all_param_deps(example_cu):
 
 def test_extraction_without_params(example_cu):
     ep = example_cu.extractions["IntC"]
-    assert (ep.species, ep.create_args) == ("TheInt", [])
+    assert (ep.species, ep.create.species, ep.create.method) == (
+        "TheInt", "TheInt", "collection_create",
+    )
+    assert ep.create.args == []
     assert type_to_source(ep.carrier) == "int"
     record = example_cu.plans[ep.species].record  # what the collection projects
     assert record.abstractions == []
@@ -226,22 +226,23 @@ def test_extraction_resolves_params_to_collections(example_cu):
     assert ep.species == "IsIn"
     assert type_to_source(ep.carrier) == "IntC * statut_t"
     assert len(example_cu.plans[ep.species].record.abstractions) == 4
-    kinds = [a[0] for a in ep.create_args]
-    assert kinds == [
+    outer = example_cu.plans["IsIn"].create.outer
+    args = [plain_arg(a, l) for a, l in zip(ep.create.args, outer, strict=True)]
+    assert [a[0] for a in args] == [
         "coll_carrier", "entity_expr", "entity_expr",
         "coll_method", "coll_method", "coll_method",
     ]
-    assert ep.create_args[0] == ("coll_carrier", "IntC")
-    assert [a[2] for a in ep.create_args[3:]] == ["lt", "gt", "ltNotGt"]
+    assert args[0] == ("coll_carrier", "IntC")
+    assert [a[2] for a in args[3:]] == ["lt", "gt", "ltNotGt"]
 
 
 def test_two_collections_of_one_species_share_the_plan(example_cu):
     a = example_cu.extractions["In_5_10"]
     b = example_cu.extractions["In_1_8"]
     assert a.species == b.species == "IsIn"
-    assert a.create_args[0] == b.create_args[0]
+    assert a.create.args[0] == b.create.args[0]
     # only the entity arguments differ
-    assert a.create_args[1] != b.create_args[1]
+    assert a.create.args[1] != b.create.args[1]
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +254,16 @@ def test_atoms_classify_by_content(example_cu):
     gt = next(
         d.gen for d in example_cu.plans["TheInt"].create.locals if d.name == "gt"
     )
-    assert ("self_carrier",) in gt.args
-    assert ("self_carrier",) not in gt.comp_args
-    assert ("self_method", "lt") in gt.comp_args
+    assert ("self_carrier",) in [plain_arg(a) for a in gt.args]
+    assert ("self_carrier",) not in [plain_arg(a) for a in gt.comp_args]
+    assert ("self_method", "lt") in [plain_arg(a) for a in gt.comp_args]
     # In_5_10 receives the methods of IntC, a collection of TheInt
-    ep = example_cu.extractions["In_5_10"]
-    assert ("coll_method", "IntC", "ltNotGt") in ep.create_args
-    assert ("coll_method", "IntC", "ltNotGt") not in ep.comp_args
-    assert ("coll_method", "IntC", "lt") in ep.comp_args
+    app = example_cu.extractions["In_5_10"].create
+    args = [plain_arg(a) for a in app.args if isinstance(a, Qual)]
+    comp_args = [plain_arg(a) for a in app.comp_args if isinstance(a, Qual)]
+    assert ("coll_method", "IntC", "ltNotGt") in args
+    assert ("coll_method", "IntC", "ltNotGt") not in comp_args
+    assert ("coll_method", "IntC", "lt") in comp_args
 
 
 def test_record_fields_and_creator_locals_classify_by_kind(example_cu):
@@ -304,5 +307,7 @@ def test_the_back_ends_read_erasure_from_the_plans():
 
 def test_lifts_classify_by_content(example_cu):
     gen = example_cu.plans["IsIn"].generators["lowMin"]
-    logical = [l.name for l in gen.lifts if l.logical]
-    assert logical == ["_p_V_T", "_p_V_ltNotGt", "abst_T"]
+    logical = [plain_arg(l.tag) for l in gen.lifts if l.logical]
+    assert logical == [
+        ("param_carrier", "V"), ("param_method", "V", "ltNotGt"), ("self_carrier",),
+    ]

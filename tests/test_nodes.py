@@ -72,19 +72,19 @@ MATCH_ARGS = {
         "CompiledUnit": "unions species parents collections decl_order "
         "constructors warnings files",
     },
-    emit: {"RenderEnv": "target module prefix params self_ty param_ty"},
+    emit: {"RenderEnv": "target module prefix params self_ty param_ty generics"},
     errors: {"Diagnostic": "kind message pos file severity witness"},
     evaluator: {"VCon": "name args", "BuiltinFn": "name", "Scope": "vars quals"},
     generators: {
         "GenApp": "species method args comp_args",
-        "Lift": "tag name is_set ty statement bind_type bind_gen",
+        "Lift": "tag ty statement bind_type bind_gen",
         "MethodGeneratorPlan": "species method kind rec admitted lifts value_params ret "
         "body statement proof",
         "RecordTypePlan": "species abstractions fields comp_fields",
         "LocalDef": "name gen logical",
         "CollectionGeneratorPlan": "species outer locals",
         "SpeciesPlan": "name generators record create",
-        "CollectionExtractionPlan": "name species create_args comp_args carrier",
+        "CollectionExtractionPlan": "name species create carrier",
     },
     hierarchy: {
         "MethodInfo": "name kind decl_site first_def origin ty extra_sigs "

@@ -527,10 +527,6 @@ def run_topo_suite(units) -> int:
     return cases
 
 
-def _required(atom):
-    return ("param_entity", atom[1].name) if atom[0] == "entity_expr" else atom
-
-
 def run_scoping_suite(units) -> int:
     cases = 0
     for u in units:
@@ -542,17 +538,17 @@ def run_scoping_suite(units) -> int:
                 for l in gen.lifts:
                     if l.bind_gen is not None:
                         for a in l.bind_gen.args:
-                            assert _required(a) in seen, (u.source, gen.method)
-                    seen.add(l.tag)
+                            assert oracles.plain_arg(a) in seen, (u.source, gen.method)
+                    seen.add(oracles.plain_arg(l.tag))
                 cases += 1
             if plan.create is None:
                 continue
-            outer = {l.tag for l in plan.create.outer}
+            outer = {oracles.plain_arg(l.tag) for l in plan.create.outer}
             seen = set()
             for d in plan.create.locals:
                 if d.gen is not None:
                     for a in d.gen.args:
-                        need = _required(a)
+                        need = oracles.plain_arg(a)
                         if need[0].startswith("param_"):
                             assert need in outer, (u.source, sname, a)
                         elif need == ("self_carrier",):
@@ -584,8 +580,10 @@ def logical_kinds(nf) -> dict[str, bool]:
 def run_recorded_erasure_suite(cus) -> int:
     """Each lift's logical flag and each application's computational
     arguments, as the plans record them, against the per-use content rule
-    of `oracles.atom_is_logical`; each application passes as many
-    computational arguments as its callee has computational parameters;
+    of `oracles.atom_is_logical`, an argument judged with the callee's
+    lift (`oracles.plain_arg`); each application passes one argument per
+    abstract lift of its callee, as many computational arguments as its
+    callee has computational parameters;
     and a record's computational fields and a creator local's flag, as the
     plans record them, against the kinds of the species' methods."""
     cases = 0
@@ -599,7 +597,9 @@ def run_recorded_erasure_suite(cus) -> int:
                 p.name: logical_kinds(cu.species[p.interface.name])
                 for p in nf.is_params
             }
-            judge = lambda a: oracles.atom_is_logical(a, own, params, colls)
+            judge = lambda a, l=None: oracles.atom_is_logical(
+                oracles.plain_arg(a, l), own, params, colls
+            )
             lifts = [l for g in plan.generators.values() for l in g.lifts]
             apps = [l.bind_gen for l in lifts if l.bind_gen is not None]
             if plan.record is not None:
@@ -616,17 +616,21 @@ def run_recorded_erasure_suite(cus) -> int:
             for l in lifts:
                 assert l.logical == (l.statement is not None or judge(l.tag))
             for app in apps:
-                assert app.comp_args == [a for a in app.args if not judge(a)]
                 callee = cu.plans[app.species].generators[app.method]
+                abstract = [l for l in callee.lifts if l.abstract]
+                assert len(app.args) == len(abstract), (sname, app)
+                kept = [a for a, l in zip(app.args, abstract) if not judge(a, l)]
+                assert app.comp_args == kept
                 want = [l for l in callee.lifts if l.abstract and not l.logical]
                 assert len(app.comp_args) == len(want), (sname, app)
             cases += len(lifts) + len(apps)
         for ext in cu.extractions.values():
-            judge = lambda a: oracles.atom_is_logical(a, {}, {}, colls)
-            assert ext.comp_args == [a for a in ext.create_args if not judge(a)]
-            create = cu.plans[ext.species].create
-            want = [l for l in create.outer if not l.logical]
-            assert len(ext.comp_args) == len(want), ext.name
+            judge = lambda a, l: oracles.atom_is_logical(oracles.plain_arg(a, l), {}, {}, colls)
+            app, outer = ext.create, cu.plans[ext.species].create.outer
+            assert len(app.args) == len(outer), ext.name
+            assert app.comp_args == [a for a, l in zip(app.args, outer) if not judge(a, l)]
+            want = [l for l in outer if not l.logical]
+            assert len(app.comp_args) == len(want), ext.name
             cases += 1
     return cases
 
@@ -1480,23 +1484,23 @@ def plain_pattern(p) -> tuple:
     return ("other",)
 
 
-def plain_atoms(atoms) -> list[tuple]:
-    return [
-        ("entity_expr", plain_expr(a[1])) if a[0] == "entity_expr" else a
-        for a in atoms
-    ]
-
-
 def plain_unit(cu) -> dict:
     """What the evaluator reads of a compiled unit, as plain data; what is
     logical is read from the species, not from the plans."""
     creators, generators = {}, {}
+
+    def args(app, lifts) -> list[tuple]:
+        """The computational arguments of `app`, for its callee's `lifts`."""
+        kept = [l for l in lifts if l.abstract and not l.logical]
+        plain = [oracles.plain_arg(a, l) for a, l in zip(app.comp_args, kept)]
+        return [("entity_expr", plain_expr(a[1])) if a[0] == "entity_expr" else a for a in plain]
+
     for sname, plan in cu.plans.items():
         for m, gp in plan.generators.items():
             if gp.kind != "let":
                 continue
             generators[sname, m] = {
-                "lifts": [(l.tag, l.abstract, l.logical) for l in gp.lifts],
+                "lifts": [(oracles.plain_arg(l.tag), l.abstract, l.logical) for l in gp.lifts],
                 "params": [n for n, _ in gp.value_params],
                 "rec": gp.rec,
                 "method": gp.method,
@@ -1506,12 +1510,14 @@ def plain_unit(cu) -> dict:
             continue
         nf = cu.species[sname]
         creators[sname] = {
-            "outer": [(l.tag, l.logical) for l in plan.create.outer],
+            "outer": [(oracles.plain_arg(l.tag), l.logical) for l in plan.create.outer],
             "locals": [
                 (
                     d.name,
                     None if d.gen is None else (
-                        d.gen.species, d.gen.method, plain_atoms(d.gen.comp_args)
+                        d.gen.species,
+                        d.gen.method,
+                        args(d.gen, cu.plans[d.gen.species].generators[d.gen.method].lifts),
                     ),
                     d.gen is not None and nf.methods[d.name].is_logical,
                 )
@@ -1523,7 +1529,7 @@ def plain_unit(cu) -> dict:
         "extractions": {
             n: {
                 "species": ext.species,
-                "comp_args": plain_atoms(ext.comp_args),
+                "comp_args": args(ext.create, cu.plans[ext.species].create.outer),
                 "methods": [(m, nf.methods[m].is_logical) for m in nf.order],
             }
             for n, ext in cu.extractions.items()
