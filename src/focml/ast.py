@@ -167,7 +167,8 @@ T_STRING = TCon("string")
 
 
 class Scheme(Frozen):
-    """Top-level method/builtin type, generalized over `count` TGen slots."""
+    """A method's or a builtin's type over `count` TGen slots; only a
+    builtin's has any (`=`, `fst`, `snd`), since a method has one type."""
 
     def __init__(self, count: int, body: Type):
         d = self.__dict__

@@ -12,9 +12,9 @@ proof is admitted become axioms.
 
 A binder is its lift's tag and an argument is a tree (a type, a name or an
 entity's expression), each written by the renderer of its kind in the env
-of the definition (`_name`).  In the logical target a let binds the
-generics of its scheme before its value parameters, and each use of a
-method whose scheme has generics takes one `_` per generic (`_use`).
+of the definition (`_name`).  A method has one type, so only a builtin
+whose scheme has type holes (`=`, `fst`, `snd`) takes one `_` per hole in
+the logical target (`_builtin_head`).
 
 An heir's plan shares pieces with its parent's by identity. Each emit call
 writes such a piece's text once, in one memo `texts` keyed by identity (the
@@ -22,10 +22,7 @@ unit holds every keyed object for the whole call): a record field by the
 method's record, a creator local by its `LocalDef` and whether its generator
 is the species' own (`m` or `Species.m`), outer abstractions by their list
 (the record's also for the `mk_record` line), and a lift's or parameter's
-type or statement by the object and env (`_piece`).  The methods with
-generics a species can name are one table per distinct content
-(`_generics`), so a record field or a piece keyed by its table's identity
-is shared between species that agree on them.
+type or statement by the object and env (`_piece`).
 """
 
 from __future__ import annotations
@@ -56,7 +53,6 @@ from .ast import (
     TArrow,
     TCollCarrier,
     TCon,
-    TGen,
     TParam,
     TSelf,
     TTuple,
@@ -65,7 +61,6 @@ from .ast import (
     UnionTypeDecl,
     UnOp,
     Var,
-    type_walk,
 )
 from .basics import BUILTIN_FUNCTIONS, LOGICAL_TYPE_NAMES
 from .driver import plan_unit
@@ -78,7 +73,7 @@ from .generators import (
 )
 from .hierarchy import NFSpecies
 from .pretty import expr_to_source, proof_to_source
-from .resolve import COLLECTION, ENTITY, LOCAL, METHOD, PARAM
+from .resolve import ENTITY, LOCAL, METHOD, PARAM
 
 
 class RenderEnv(Record):
@@ -90,7 +85,6 @@ class RenderEnv(Record):
         params: frozenset[str] = frozenset(),  # is-parameter names
         self_ty: str | None = None,
         param_ty: str = "_p_{}_T",  # how a parameter's carrier is named
-        generics: dict | None = None,
     ):
         self.target = target
         self.module = module
@@ -98,9 +92,6 @@ class RenderEnv(Record):
         self.params = params
         self.self_ty = self_ty
         self.param_ty = param_ty
-        # The methods whose schemes have generics, keyed (METHOD, m) or
-        # (ref, C, m) as their names are tagged (`_generics`).
-        self.generics = {} if generics is None else generics
 
 
 def _wrap(text: str, atomic: bool) -> str:
@@ -123,8 +114,6 @@ def render_type(t: Type, env: RenderEnv) -> str:
             return env.param_ty.format(name)
         case TCollCarrier(name):
             return f"{name}.me_as_carrier"
-        case TGen(idx):
-            return f"__t{idx}"
         case TArrow(arg, res):
             a = render_type(arg, env)
             if isinstance(arg, TArrow):
@@ -142,16 +131,6 @@ def render_type(t: Type, env: RenderEnv) -> str:
             raise ValueError(f"cannot render type {t!r}")
 
 
-def render_scheme_type(t: Type, env: RenderEnv) -> str:
-    """A possibly polymorphic annotation: quantify generics up front."""
-    ids = sorted({n.idx for n in type_walk(t) if isinstance(n, TGen)})
-    body = render_type(t, env)
-    if not ids:
-        return body
-    names = " ".join(f"__t{i}" for i in ids)
-    return f"forall {names} : Set, {body}"
-
-
 # ---------------------------------------------------------------------------
 # Expressions
 
@@ -167,7 +146,7 @@ def render_expr(e: Expr, env: RenderEnv) -> tuple[str, bool]:
             escaped = v.replace("\\", "\\\\").replace('"', '\\"')
             return f'"{escaped}"', True
         case Var() | Qual():
-            return _use(e, env) if env.generics else _var_head(e, env)
+            return _var_head(e, env)
         case ConRef(name, args):
             if not args:
                 return name, True
@@ -237,16 +216,6 @@ def _var_head(e: Var | Qual, env: RenderEnv) -> tuple[str, bool]:
     return head, " " not in head
 
 
-def _use(e: Var | Qual, env: RenderEnv) -> tuple[str, bool]:
-    """A name in an expression: a method whose scheme has generics takes
-    one `_` per generic, as a builtin does (`_builtin_head`)."""
-    text, atomic = _var_head(e, env)
-    n = env.generics.get((e.ref, e.name) if type(e) is Var else (e.ref, e.coll, e.name))
-    if n:
-        return text + " _" * n, False
-    return text, atomic
-
-
 def _builtin_head(b, env: RenderEnv) -> str:
     head = b.logical
     if env.target == "logical" and b.type_args:
@@ -257,7 +226,7 @@ def _builtin_head(b, env: RenderEnv) -> str:
 def _call_head(callee: Expr, env: RenderEnv) -> str:
     match callee:
         case Var() | Qual():
-            return (_use(callee, env) if env.generics else _var_head(callee, env))[0]
+            return _var_head(callee, env)[0]
         case _:
             return _arg(callee, env)
 
@@ -340,7 +309,7 @@ def proof_hole_name(species: str, method: str, statement: Expr, proof) -> str:
 
 def _piece(render, obj, env: RenderEnv, texts: dict) -> str:
     """`render(obj, env)` of a type or a statement, once per object and env fields."""
-    key = (render, id(obj), env.self_ty, env.param_ty, env.prefix, env.target, id(env.generics))
+    key = (render, id(obj), env.self_ty, env.param_ty, env.prefix, env.target)
     text = texts.get(key)
     if text is None:
         text = texts[key] = render(obj, env)
@@ -353,33 +322,11 @@ def _render_env(
     prefix: str,
     self_ty: str | None,
     param_ty: str = "_p_{}_T",
-    generics: dict | None = None,
 ) -> RenderEnv:
     """Names inside one of `nf`'s definitions: its methods under `prefix`,
     its carrier as `self_ty`, a parameter's carrier spelled by `param_ty`."""
     params = frozenset(p.name for p in nf.is_params)
-    return RenderEnv(target, nf.name, prefix, params, self_ty, param_ty, generics)
-
-
-def _generics(cu, nf: NFSpecies | None, texts: dict) -> dict:
-    """`RenderEnv.generics` inside `nf`'s definitions, or at the toplevel
-    when `nf` is None: its own methods, its parameters' and the
-    collections'.  Equal tables are one object per emit call, so that
-    species that agree share their pieces (`_piece`)."""
-    named = [((COLLECTION, c), model.nf.methods) for c, model in cu.collections.items()]
-    if nf is not None:
-        named.append(((METHOD,), nf.methods))
-        named += [((PARAM, p.name), cu.species[p.interface.name].methods) for p in nf.is_params]
-    key = ("generics", tuple(
-        (ref + (m,), mi.scheme.count)
-        for ref, methods in named
-        for m, mi in methods.items()
-        if mi.scheme is not None and mi.scheme.count
-    ))
-    table = texts.get(key)
-    if table is None:
-        table = texts[key] = dict(key[1])
-    return table
+    return RenderEnv(target, nf.name, prefix, params, self_ty, param_ty)
 
 
 def _name(a: Type | Expr, env: RenderEnv) -> str:
@@ -414,7 +361,7 @@ def emit_logical(cu) -> str:
             elif kind == "species":
                 lines += _species_logical(cu, name, texts)
             else:
-                lines.append(_collection_logical(cu, name, texts))
+                lines.append(_collection_logical(cu, name))
         lines.append("")
     texts.clear()  # what no line holds goes before the text is joined
     return "\n".join(lines) if lines else "\n"
@@ -441,7 +388,7 @@ def _lift_text(l: Lift, env: RenderEnv, texts: dict) -> str:
     if l.is_set:
         return f"({name} : Set)"
     if l.ty is not None:
-        return f"({name} : {_piece(render_scheme_type, l.ty, env, texts)})"
+        return f"({name} : {_piece(render_type, l.ty, env, texts)})"
     if l.statement is not None:
         return f"({name} : {_piece(render_formula, l.statement, env, texts)})"
     if l.bind_type is not None:
@@ -453,32 +400,27 @@ def _lift_text(l: Lift, env: RenderEnv, texts: dict) -> str:
 def _species_logical(cu, name: str, texts: dict) -> list[str]:
     nf: NFSpecies = cu.species[name]
     plan: SpeciesPlan = cu.plans[name]
-    generics = _generics(cu, nf, texts)
     lines = [f"Module {name}."]
     for gp in plan.generators.values():
-        lines.extend(_generator_logical(nf, gp, generics, texts))
+        lines.extend(_generator_logical(nf, gp, texts))
     if plan.record is not None:
-        lines.extend(_record_logical(nf, plan, generics, texts))
+        lines.extend(_record_logical(nf, plan, texts))
     if plan.create is not None:
-        lines.extend(_create_logical(nf, plan, generics, texts))
+        lines.extend(_create_logical(nf, plan, texts))
     lines.append(f"End {name}.")
     return lines
 
 
 def _generator_logical(
-    nf: NFSpecies, plan: MethodGeneratorPlan, generics: dict, texts: dict
+    nf: NFSpecies, plan: MethodGeneratorPlan, texts: dict
 ) -> list[str]:
     lifts_carrier = any(type(l.tag) is TSelf for l in plan.lifts)
     self_ty = "abst_T" if lifts_carrier else None
-    env = _render_env(nf, "logical", "abst_", self_ty, generics=generics)
+    env = _render_env(nf, "logical", "abst_", self_ty)
     lifts = "".join([" " + _lift_text(l, env, texts) for l in plan.lifts])
     if plan.kind == "let":
         assert plan.body is not None and plan.ret is not None
-        scheme = nf.methods[plan.method].scheme
-        assert scheme is not None
-        # each generic binds a type before the value parameters
-        params = "".join([f" (__t{i} : Set)" for i in range(scheme.count)])
-        params += "".join(
+        params = "".join(
             [f" ({n} : {_piece(render_type, t, env, texts)})" for n, t in plan.value_params]
         )
         keyword = "Fixpoint" if plan.rec else "Definition"
@@ -496,10 +438,10 @@ def _generator_logical(
     ]
 
 
-def _record_logical(nf: NFSpecies, plan: SpeciesPlan, generics: dict, texts: dict) -> list[str]:
+def _record_logical(nf: NFSpecies, plan: SpeciesPlan, texts: dict) -> list[str]:
     record = plan.record
     assert record is not None
-    env = _render_env(nf, "logical", "rf_", "rf_T", "{}_T", generics)
+    env = _render_env(nf, "logical", "rf_", "rf_T", "{}_T")
     key = ("record", id(record.abstractions))
     head = texts.get(key)
     if head is None:
@@ -508,25 +450,24 @@ def _record_logical(nf: NFSpecies, plan: SpeciesPlan, generics: dict, texts: dic
     lines = [head, "    mk_record {", "    rf_T : Set ;"]
     for m in record.fields:
         mi = nf.methods[m]
-        key = (id(mi), id(generics))
-        line = texts.get(key)
+        line = texts.get(id(mi))
         if line is None:
             if mi.statement is not None:  # a logical method
                 text = render_formula(mi.statement, env)
             else:
                 assert mi.scheme is not None
-                text = render_scheme_type(mi.scheme.body, env)
-            line = texts[key] = f"    rf_{m} : {text} ;"
+                text = render_type(mi.scheme.body, env)
+            line = texts[id(mi)] = f"    rf_{m} : {text} ;"
         lines.append(line)
     lines[-1] = lines[-1][:-2]  # the last field ends without " ;"
     lines.append("    }.")
     return lines
 
 
-def _create_logical(nf: NFSpecies, plan: SpeciesPlan, generics: dict, texts: dict) -> list[str]:
+def _create_logical(nf: NFSpecies, plan: SpeciesPlan, texts: dict) -> list[str]:
     create = plan.create
     assert create is not None
-    env = _render_env(nf, "logical", "local_", "local_rep", generics=generics)
+    env = _render_env(nf, "logical", "local_", "local_rep")
     head = texts.get(("create", id(create.outer)))
     if head is None:
         outer = "".join(
@@ -556,10 +497,10 @@ def _create_logical(nf: NFSpecies, plan: SpeciesPlan, generics: dict, texts: dic
     return lines
 
 
-def _collection_logical(cu, name: str, texts: dict) -> str:
+def _collection_logical(cu, name: str) -> str:
     ext: CollectionExtractionPlan = cu.extractions[name]
     record = cu.plans[ext.species].record
-    env = RenderEnv("logical", module=name, generics=_generics(cu, None, texts))
+    env = RenderEnv("logical", module=name)
     lines = [f"Module {name}."]
     app = _genapp_text(ext.create, env)
     lines.append(f"  Let effective_collection := {app}.")

@@ -14,7 +14,7 @@ from .ast import (
     BinOp, BoolLit, Call, ConRef, Connective, Eq, Expr, Fact, If, IntLit,
     Match, Not, PCon, PTuple, PVar, PWild, Pattern, ProofLeaf, ProofStep,
     ProofSteps, Proof, Qual, Quant, StrLit, TArrow, TCap, TCollCarrier, TCon,
-    TGen, TParam, TSelf, TTuple, TupleExpr, Type, TVar, UnOp, Var,
+    TParam, TSelf, TTuple, TupleExpr, Type, TVar, UnOp, Var,
 )
 
 # Binding strength, loosest first.  Parenthesize a child printed in a
@@ -53,10 +53,6 @@ def type_to_source(t: Type) -> str:
                     s = f"({s})"
                 parts.append(s)
             return " * ".join(parts)
-        case TGen(idx):
-            # quantified variables of a scheme: 'a, 'b, ..., 'a1, ...
-            suffix = idx // 26 if idx >= 26 else ""
-            return f"'{chr(ord('a') + idx % 26)}{suffix}"
         case TVar(uid):
             return f"'_{uid}"
         case _:

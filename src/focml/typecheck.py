@@ -7,6 +7,10 @@ recorded, because it is exactly what makes a method def-depend on the
 carrier.  In *statement* mode `Self` stays rigid: a property or theorem
 statement that forces `Self` against a concrete type is an abstraction leak
 and is rejected.
+
+A method has one type, as in FoCaLiZe: a let whose inferred type keeps a
+variable is rejected (`Unifier.monotype`).  Only a builtin's scheme has
+type holes, filled afresh at each use.
 """
 
 from __future__ import annotations
@@ -180,18 +184,15 @@ class Unifier:
                 message = f"cannot unify {left} with {right}"
                 raise CompileError(TYPE_MISMATCH, message + _told_apart(left, right, a, b, self), pos)
 
-    def generalize(self, t: Type) -> Scheme:
+    def monotype(self, t: Type, name: str, pos: Pos) -> Type:
+        """`t` in full, the type of the method `name`, which may keep no
+        variable."""
         t = self.deep(t)
-        seen: dict[int, int] = {}
         for node in type_walk(t):
-            if isinstance(node, TVar) and node.uid not in seen:
-                seen[node.uid] = len(seen)
-        if not seen:
-            return Scheme(0, t)
-        body = type_map(
-            t, lambda n: TGen(seen[n.uid]) if isinstance(n, TVar) else n
-        )
-        return Scheme(len(seen), body)
+            if type(node) is TVar:
+                message = f"the type of {name} is not determined: {self.shown(t)[0]}; annotate it"
+                raise CompileError(TYPE_MISMATCH, message, pos)
+        return t
 
 
 def _told_apart(left: str, right: str, a: Type, b: Type, uni: Unifier) -> str:
@@ -430,7 +431,7 @@ def type_let(
     full = arrow(*ptys, ret)
     if stored is not None:
         try:
-            uni.unify(full, uni.instantiate(stored), m.pos)
+            uni.unify(full, stored.body, m.pos)
         except CompileError as err:
             if err.kind == TYPE_MISMATCH:
                 from .pretty import type_to_source
@@ -443,19 +444,9 @@ def type_let(
                     m.pos,
                 ) from None
             raise
-        inferred = uni.generalize(full)
-        if inferred.count != stored.count:
-            from .pretty import type_to_source
-
-            raise CompileError(
-                TYPE_MISMATCH,
-                f"redefinition of {m.name} changes its type: "
-                f"{type_to_source(inferred.body)} vs {type_to_source(stored.body)}",
-                m.pos,
-            )
         scheme = stored
     else:
-        scheme = uni.generalize(full)
+        scheme = Scheme(0, uni.monotype(full, m.name, m.pos))
     n = len(m.params)
     shown_args, shown_ret = _split_arrows(scheme.body, n)
     return LetTyping(

@@ -871,18 +871,16 @@ class Unifier:
                     message += f" ({_carriers(a)} against {_carriers(b)})"
                 raise CompileError(TYPE_MISMATCH, message, pos)
 
-    def generalize(self, t: Type) -> Scheme:
+    def monotype(self, t: Type, name: str, pos: Pos) -> Type:
+        """`t` in full; a method's type has no variable left."""
         t = self.deep(t)
-        seen: dict[int, int] = {}
-        for node in type_walk(t):
-            if isinstance(node, TVar) and node.uid not in seen:
-                seen[node.uid] = len(seen)
-        if not seen:
-            return Scheme(0, t)
-        body = type_map(
-            t, lambda n: TGen(seen[n.uid]) if isinstance(n, TVar) else n
-        )
-        return Scheme(len(seen), body)
+        if any(isinstance(n, TVar) for n in type_walk(t)):
+            raise CompileError(
+                TYPE_MISMATCH,
+                f"the type of {name} is not determined: {type_to_source(t)}; annotate it",
+                pos,
+            )
+        return t
 
 
 def infer_expr(
@@ -1194,23 +1192,21 @@ def reference_parse_expr(text: str):
 # write each shared piece once per call and reuse it.  The proof hole name
 # joins the whole proof's text, printed recursively, before it hashes it.
 # They print trees, the lifts' tags and the generators' arguments with the
-# package's own renderers.  A method whose scheme has generics takes one
-# `_` per generic where an expression uses it, and its definition binds
-# them before its value parameters.
+# package's own renderers.
 
 from focml.ast import (  # noqa: E402
     Proof, ProofLeaf, ProofStep, ProofSteps, TCollCarrier, TParam, UnionTypeDecl,
 )
 from focml.emit import (  # noqa: E402
     RenderEnv, _arg, _genapp_text, _render_env, _var_head, render_body,
-    render_formula, render_scheme_type, render_type,
+    render_formula, render_type,
 )
 from focml.generators import (  # noqa: E402
     CollectionExtractionPlan, Lift, MethodGeneratorPlan, SpeciesPlan,
 )
 from focml.hierarchy import NFSpecies  # noqa: E402
 from focml.pretty import _fact_to_source, expr_to_source  # noqa: E402
-from focml.resolve import COLLECTION, METHOD  # noqa: E402
+from focml.resolve import METHOD  # noqa: E402
 
 
 def plain_arg(arg, lift: Lift | None = None) -> tuple:
@@ -1244,23 +1240,6 @@ def _tree_text(a, env: RenderEnv) -> str:
     if isinstance(a, Expr):
         return _arg(a, env)
     return render_type(a, env)
-
-
-def _generics(cu, nf: NFSpecies | None) -> dict:
-    """Every method with generics that a tree in `nf` (or at the toplevel)
-    can name, keyed as `RenderEnv.generics` keys it."""
-    table = {}
-    named = [((COLLECTION, c, m), mi) for c, model in cu.collections.items()
-             for m, mi in model.nf.methods.items()]
-    if nf is not None:
-        named += [((METHOD, m), mi) for m, mi in nf.methods.items()]
-        for p in nf.is_params:
-            named += [((PARAM, p.name, m), mi)
-                      for m, mi in cu.species[p.interface.name].methods.items()]
-    for key, mi in named:
-        if mi.scheme is not None and mi.scheme.count:
-            table[key] = mi.scheme.count
-    return table
 
 
 def proof_to_source(proof: Proof, indent: str) -> list[str]:
@@ -1336,7 +1315,7 @@ def _lift_text(l: Lift, env: RenderEnv) -> str:
     if l.is_set:
         return f"({name} : Set)"
     if l.ty is not None:
-        return f"({name} : {render_scheme_type(l.ty, env)})"
+        return f"({name} : {render_type(l.ty, env)})"
     if l.statement is not None:
         return f"({name} : {render_formula(l.statement, env)})"
     if l.bind_type is not None:
@@ -1348,29 +1327,25 @@ def _lift_text(l: Lift, env: RenderEnv) -> str:
 def _species_logical(cu, name: str) -> str:
     nf: NFSpecies = cu.species[name]
     plan: SpeciesPlan = cu.plans[name]
-    generics = _generics(cu, nf)
     lines = [f"Module {name}."]
     for gp in plan.generators.values():
-        lines.extend(_generator_logical(nf, gp, generics))
+        lines.extend(_generator_logical(nf, gp))
     if plan.record is not None:
-        lines.extend(_record_logical(nf, plan, generics))
+        lines.extend(_record_logical(nf, plan))
     if plan.create is not None:
-        lines.extend(_create_logical(nf, plan, generics))
+        lines.extend(_create_logical(nf, plan))
     lines.append(f"End {name}.")
     return "\n".join(lines)
 
 
-def _generator_logical(nf: NFSpecies, plan: MethodGeneratorPlan, generics: dict) -> list[str]:
+def _generator_logical(nf: NFSpecies, plan: MethodGeneratorPlan) -> list[str]:
     lifts_carrier = any(isinstance(l.tag, TSelf) for l in plan.lifts)
     self_ty = "abst_T" if lifts_carrier else None
-    env = _render_env(nf, "logical", "abst_", self_ty, generics=generics)
+    env = _render_env(nf, "logical", "abst_", self_ty)
     lifts = "".join(" " + _lift_text(l, env) for l in plan.lifts)
     if plan.kind == "let":
         assert plan.body is not None and plan.ret is not None
-        types = [t for _, t in plan.value_params] + [plan.ret]
-        ids = sorted({n.idx for t in types for n in type_walk(t) if isinstance(n, TGen)})
-        params = "".join(f" (__t{i} : Set)" for i in ids)
-        params += "".join(
+        params = "".join(
             f" ({n} : {render_type(t, env)})" for n, t in plan.value_params
         )
         keyword = "Fixpoint" if plan.rec else "Definition"
@@ -1388,10 +1363,10 @@ def _generator_logical(nf: NFSpecies, plan: MethodGeneratorPlan, generics: dict)
     ]
 
 
-def _record_logical(nf: NFSpecies, plan: SpeciesPlan, generics: dict) -> list[str]:
+def _record_logical(nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
     record = plan.record
     assert record is not None
-    env = _render_env(nf, "logical", "rf_", "rf_T", "{}_T", generics)
+    env = _render_env(nf, "logical", "rf_", "rf_T", "{}_T")
     params = "".join(" " + _lift_text(l, env) for l in record.abstractions)
     head = f"  Record me_as_species{params}"
     head += " : Type :=" if record.abstractions else " :="
@@ -1404,17 +1379,17 @@ def _record_logical(nf: NFSpecies, plan: SpeciesPlan, generics: dict) -> list[st
             fields.append(f"    rf_{m} : {render_formula(mi.statement, env)}")
         else:
             assert mi.scheme is not None
-            fields.append(f"    rf_{m} : {render_scheme_type(mi.scheme.body, env)}")
+            fields.append(f"    rf_{m} : {render_type(mi.scheme.body, env)}")
     lines.extend(f"{f} ;" for f in fields[:-1])
     lines.append(fields[-1])
     lines.append("    }.")
     return lines
 
 
-def _create_logical(nf: NFSpecies, plan: SpeciesPlan, generics: dict) -> list[str]:
+def _create_logical(nf: NFSpecies, plan: SpeciesPlan) -> list[str]:
     create = plan.create
     assert create is not None
-    env = _render_env(nf, "logical", "local_", "local_rep", generics=generics)
+    env = _render_env(nf, "logical", "local_", "local_rep")
     outer_parts = []
     for l in create.outer:
         if l.is_set:
@@ -1439,7 +1414,7 @@ def _create_logical(nf: NFSpecies, plan: SpeciesPlan, generics: dict) -> list[st
 
 def _collection_logical(cu, name: str) -> str:
     ext: CollectionExtractionPlan = cu.extractions[name]
-    env = RenderEnv("logical", module=name, generics=_generics(cu, None))
+    env = RenderEnv("logical", module=name)
     lines = [f"Module {name}."]
     app = _genapp_text(ext.create, env)
     lines.append(f"  Let effective_collection := {app}.")

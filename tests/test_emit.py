@@ -8,11 +8,14 @@ import pytest
 import oracles
 import shapes
 from conftest import DATA, data
+from test_cli import SUBCOMMANDS
 
 from focml import compile_files, compile_source, eval_call
+from focml.cli import main
 from focml.emit import emit_comp, emit_logical, proof_hole_name
 from focml.errors import TYPE_MISMATCH, CompileError, on_deep_stack
 from focml.parser import parse_source
+from focml.pretty import expr_to_source
 
 HOLE = re.compile(r"PROOF_HOLE\w*")
 
@@ -222,57 +225,92 @@ def test_extension_emits_alongside_base():
 
 
 # ---------------------------------------------------------------------------
-# Polymorphic lets
+# Tuple patterns
 
-POLY = """
+# `Heir` renames `Pairs`' formal `P` to `Q`, which `le` uses inside the arm
+# of a `match` on a pair.
+PAIRS = """species Base =
+  signature mk : int -> Self ;
+  signature leq : Self -> Self -> bool ;
+end ;;
+species BaseImpl =
+  inherit Base ;
+  representation = int ;
+  let mk (x : int) : Self = x ;
+  let leq (x : Self, y : Self) : bool = x <0x y ;
+end ;;
+collection B = implement BaseImpl ;;
+species Pairs (P is Base) =
+  representation = int ;
+  let diff (p : int * int) : int = match p with | (a, b) -> b - a ;
+  let le (x : int, y : int) : bool = match (P!mk (x), P!mk (y)) with | (u, v) -> P!leq (u, v) ;
+end ;;
+species Heir (Q is Base) = inherit Pairs (Q) ; end ;;
+collection H = implement Heir (B) ;;
+"""
+
+
+def test_a_tuple_pattern_is_emitted_and_evaluated_and_renamed_in_an_arm():
+    cu = compile_source(PAIRS)
+    heir = cu.species["Heir"].methods["le"].body
+    assert expr_to_source(heir) == "match (Q!mk (x), Q!mk (y)) with | (u, v) -> Q!leq (u, v)"
+    logical, comp = emit_logical(cu), emit_comp(cu)
+    assert (logical, comp) == (oracles.emit_logical(cu), oracles.emit_comp(cu))
+    assert (
+        "  Definition diff (p : (basics.int__t * basics.int__t)) : basics.int__t"
+        " := (match p with | (a, b) => b - a end)."
+    ) in logical.splitlines()
+    assert "  let diff (p) = (match p with | (a, b) -> b - a)" in comp.splitlines()
+    assert eval_call(cu, "H!diff ((3, 10))") == "7"
+    assert (eval_call(cu, "H!le (2, 5)"), eval_call(cu, "H!le (5, 2)")) == ("true", "false")
+
+
+# ---------------------------------------------------------------------------
+# Lets whose type is not determined
+
+# A method has one type.  A let whose type keeps a hole is rejected: each
+# unit below once emitted an ill-typed logical target.  A recursive let
+# called itself without its type argument, and an heir that narrows a let
+# kept the parent's generator, which takes one.
+UNDETERMINED = {
+    "recursive": (
+        """species A = representation = int ;
+  let rec len (x, n : int) : int = if n = 0 then 0 else len (x, n - 1) ;
+end ;;
+""",
+        "len", "'_1 -> int -> int", (2, 11),
+    ),
+    "narrowed": (
+        """
 species A =
   representation = int ;
   let id (x) = x ;
   let k (n : int) : int = id (n) ;
   theorem idp : all x : int, id (x) = x proof = admitted ;
-  theorem idt : all x : int, id (x) = x proof = by property idp ;
 end ;;
 species N =
   inherit A ;
   signature id : int -> int ;
   theorem idt2 : all x : int, id (x) = x proof = by property idp ;
 end ;;
-collection CA = implement A ;;
-species S (P is A) =
-  representation = int ;
-  let h (x : int) : int = P!id (x) + CA!id (x) ;
-end ;;
-collection CS = implement S (CA) ;;
-"""
+""",
+        "id", "'_1 -> '_1", (4, 7),
+    ),
+}
 
 
-def test_a_polymorphic_let_binds_its_generics_and_each_use_fills_them():
-    cu = compile_source(POLY)
-    logical = emit_logical(cu)
-    lines = logical.splitlines()
-    assert "  Definition id (__t0 : Set) (x : __t0) : __t0 := x." in lines
-    assert (
-        "  Definition k (abst_id : forall __t0 : Set, __t0 -> __t0)"
-        " (n : basics.int__t) : basics.int__t := (abst_id _ n)."
-    ) in lines
-    assert "(x : forall" not in logical
-    # `idp`'s statement is one object in `A` and `N`, where `id` has no
-    # generics: the texts an emit call shares are keyed by the generics
-    assert "(abst_idp : forall x : basics.int__t, Is_true ((basics._equal_ _ (abst_id _ x) x)))" in logical
-    assert "(abst_idp : forall x : basics.int__t, Is_true ((basics._equal_ _ (abst_id x) x)))" in logical
-    assert logical == oracles.emit_logical(cu)
-    # a parameter's and a collection's method take their holes where they
-    # are used; a binder or an argument is the bare name
-    assert (
-        "  Definition h (_p_P_T : Set) (_p_P_id : forall __t0 : Set, __t0 -> __t0)"
-        " (x : basics.int__t) : basics.int__t := (_p_P_id _ x) + (CA.id _ x)."
-    ) in lines
-    assert "  Let effective_collection := S.collection_create CA.me_as_carrier CA.id." in lines
-    assert "    rf_id : forall __t0 : Set, __t0 -> __t0 ;" in lines
-    # the computational target has no type arguments
-    comp = emit_comp(cu).splitlines()
-    assert "  let id (x) = x" in comp
-    assert "  let k (abst_id) (n) = (abst_id n)" in comp
-    assert "  let h (_p_P_id) (x) = (_p_P_id x) + (CA.id x)" in comp
-    assert eval_call(cu, "CA!k (3)") == "3"
-    assert eval_call(cu, "CS!h (3)") == "6"
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@pytest.mark.parametrize("name", sorted(UNDETERMINED))
+def test_a_let_whose_type_is_not_determined_is_a_type_mismatch_at_the_let(capsys, tmp_path, name, command):
+    source, let, shown, (line, col) = UNDETERMINED[name]
+    message = f"the type of {let} is not determined: {shown}; annotate it"
+    with pytest.raises(CompileError) as e:
+        compile_source(source)
+    assert (e.value.kind, e.value.message) == (TYPE_MISMATCH, message)
+    assert (e.value.pos.line, e.value.pos.col) == (line, col)
+    path = tmp_path / "unit.fcl"
+    path.write_text(source)
+    code = main([command, str(path), *SUBCOMMANDS[command]])
+    out = capsys.readouterr()
+    assert (code, out.out) == (1, "")
+    assert out.err == f"{path}:{line}:{col}: error: TypeMismatch: {message}\n"

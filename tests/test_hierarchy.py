@@ -209,8 +209,9 @@ def test_rep_may_not_mention_self():
 # `J` offers `I`'s `f` but does not inherit `I`.  `SB` calls `P!f` at
 # `B2`'s carrier: `JB`'s `f` takes `B1`'s and does not come from `IB`, and
 # `KB`'s comes from `IB`, but at `B1`'s.  `SX` wraps its `C` with `P`, which
-# must be a `Box (C)`.  `SN` calls `P!id` at `int`, and `Narrow` offers
-# `Poly`'s `id` only there.  `SW` is compiled against `Q`'s `w` being `v`.
+# must be a `Box (C)`.  `SN` calls `P!id` at `P`'s carrier, and `Narrow`
+# narrows `Poly`'s `id` to `int`, its representation.  `SW` is compiled
+# against `Q`'s `w` being `v`.
 ARGS_PRELUDE = """species I = signature f : Self -> int ; end ;;
 species S (P is I) = representation = int ; let g (x : int) : int = x ; end ;;
 species K = representation = int ; let h (x : int) : int = x ; end ;;
@@ -234,12 +235,11 @@ species SX (C is Base, D is Base, P is Box (C)) = representation = int ;
 species BoxImpl (X is Base) = inherit Box (X) ; representation = int ;
   let wrap (x : X) : Self = 0 ; end ;;
 collection BoxC = implement BoxImpl (B2) ;;
-species Poly = let id (x) = x ; end ;;
+species Poly = representation = int ; let id (x : Self) : Self = x ; end ;;
 species Narrow = inherit Poly ; signature id : int -> int ; end ;;
 species SN (P is Poly) = representation = int ;
-  let h (x : int) : int = P!id (x) ; end ;;
-species NImpl = inherit Narrow ; representation = int ; end ;;
-collection CN = implement NImpl ;;
+  let h (x : P) : P = P!id (x) ; end ;;
+collection CN = implement Narrow ;;
 species JW (R is Base, w in R) = representation = int ;
   let f (y : R) : bool = true ; end ;;
 collection CW = implement JW (B1, B1!mk (3)) ;;

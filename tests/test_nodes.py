@@ -72,7 +72,7 @@ MATCH_ARGS = {
         "CompiledUnit": "unions species parents collections decl_order "
         "constructors warnings files",
     },
-    emit: {"RenderEnv": "target module prefix params self_ty param_ty generics"},
+    emit: {"RenderEnv": "target module prefix params self_ty param_ty"},
     errors: {"Diagnostic": "kind message pos file severity witness"},
     evaluator: {"VCon": "name args", "BuiltinFn": "name", "Scope": "vars quals"},
     generators: {

@@ -3,11 +3,12 @@
 A seeded generator builds small well-formed units (species of at most six
 methods over at most two parameters, chains, diamonds, redefinitions,
 recursion) and every suite below checks one law over at least a thousand
-generated cases.  A third set of units adds polymorphic lets, a diamond
-whose heir adopts a sibling's definition, and a last heir that signs one of
-its inherited lets, keeping or narrowing its type, passes an expression
-for the entity parameter or proves a property again, any of which a unit
-may rightly fail to compile on.
+generated cases.  A third set of units adds lets over the carrier, a
+diamond whose heir adopts a sibling's definition, and a last heir that
+signs one of its inherited lets, keeping or narrowing its type, passes an
+expression for the entity parameter or proves a property again, any of
+which a unit may rightly fail to compile on; a seeded share of them opens
+with a let whose type is not determined, which it must fail on.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class Pools:
     logical: list[str] = field(default_factory=list)
     sigs: list[str] = field(default_factory=list)  # declared, undefined
     unfolded: set[str] = field(default_factory=set)
-    poly: list[str] = field(default_factory=list)  # `(z) = z`, also callable
+    self_lets: list[str] = field(default_factory=list)  # `Self -> Self`, also callable
 
     def clone(self) -> "Pools":
         return Pools(
@@ -99,7 +100,7 @@ class Pools:
             list(self.logical),
             list(self.sigs),
             set(self.unfolded),
-            list(self.poly),
+            list(self.self_lets),
         )
 
 
@@ -112,7 +113,7 @@ def merged(a: Pools, b: Pools) -> Pools:
         cat(a.logical, b.logical),
         cat(a.sigs, b.sigs),
         a.unfolded | b.unfolded,
-        cat(a.poly, b.poly),
+        cat(a.self_lets, b.self_lets),
     )
 
 
@@ -133,8 +134,10 @@ def _mint_index(name: str) -> int:
 def make_stmt(rng, st: Pools, param: bool) -> str:
     if param and rng.random() < 0.4:
         return f"all y : P0, P0!leq (y, {rng.choice(['y', 'v0'])})"
-    if st.callable and rng.random() < 0.8:
-        f, g = rng.choice(st.callable), rng.choice(st.callable)
+    # a statement keeps `Self` abstract, so it calls no `Self -> Self` let
+    calls = [c for c in st.callable if c not in st.self_lets]
+    if calls and rng.random() < 0.8:
+        f, g = rng.choice(calls), rng.choice(calls)
         return f"all x : int, {f} (x) = {g} (x)"
     return "all x : int, x = x"
 
@@ -192,11 +195,12 @@ def _method(
         return f"m{st.counter}"
 
     if narrow and rng.random() < 0.15:
-        # callable at int, never redefined or unfolded: an heir may sign it
+        # callable at int, the representation, in a body; never redefined
+        # or unfolded: an heir may sign it
         m = fresh()
         st.callable.append(m)
-        st.poly.append(m)
-        return f"  let {m} (z) = z ;"
+        st.self_lets.append(m)
+        return f"  let {m} (z : Self) : Self = z ;"
 
     def body_for(m: str) -> str:
         # a body supplied after the declaration may only call older
@@ -310,13 +314,19 @@ def gen_source(
     rng, uid: int, complete: bool, narrow: bool = False
 ) -> tuple[str, list[str], list[str]]:
     """A unit's source, its species and its collections.  With `narrow`,
-    lets may be polymorphic, a diamond's heir may adopt a definition from
-    one branch for a signature of the other, and the unit ends in an heir
-    that changes what its parent's analysis read (`last_heir`)."""
+    lets may take and return the carrier, a diamond's heir may adopt a
+    definition from one branch for a signature of the other, and the unit
+    ends in an heir that changes what its parent's analysis read
+    (`last_heir`); a seeded share of units opens with a let whose type is
+    not determined (`UNDETERMINED`)."""
     param = rng.random() < 0.5
     shape = rng.random()
     blocks, names = [], []
     s = lambda i: f"S{uid}_{i}"
+    first = []  # what the root species opens with
+    if narrow and rng.random() < 0.1:
+        u = f"u{uid}"
+        first = [(u, f"  {rng.choice(UNDETERMINED).format(u=u)} ;")]
 
     def add(name, st, parents=None, prepend=None):
         blocks.append(
@@ -330,7 +340,7 @@ def gen_source(
 
     root = Pools()
     if shape < 0.35:  # single species
-        add(s(0), root)
+        add(s(0), root, prepend=first)
         last_st = root
     elif shape < 0.75:  # chain, sometimes with a recursive pair split over it
         mutual = not complete and rng.random() < 0.3
@@ -339,7 +349,7 @@ def gen_source(
             a, b = f"m{root.counter + 1}x", f"m{root.counter + 2}x"
             root.counter += 2
             root.callable += [a, b]
-            add(s(0), root, prepend=[
+            add(s(0), root, prepend=first + [
                 (a, f"  signature {a} : int -> int ;"),
                 (b, f"  signature {b} : int -> int ;"),
             ])
@@ -351,11 +361,11 @@ def gen_source(
                 (b, f"  let rec {b} (n : int) : int = {a} (n) ;"),
             ]
         else:
-            add(s(0), root)
+            add(s(0), root, prepend=first)
         add(s(1), root, parents=[s(0)], prepend=prepend)
         last_st = root
     else:  # diamond
-        add(s(0), root)
+        add(s(0), root, prepend=first)
         left, right = root.clone(), root.clone()
         right.counter += 100  # keep sibling branches from reusing names
         if complete:
@@ -368,7 +378,7 @@ def gen_source(
             # adopts the definition, at the signature's type; `c` was typed
             # against the definition's own scheme
             d, c, arg = f"d{uid}", f"c{uid}", rng.choice(["int", "bool"])
-            body = rng.choice(["(z) = z", "(x : int) : int = x + 1", "(x : bool) : bool = x"])
+            body = rng.choice(["(z : Self) : Self = z", "(x : int) : int = x + 1", "(x : bool) : bool = x"])
             sides = [
                 [(d, f"  signature {d} : int -> int ;")],
                 [(d, f"  let {d} {body} ;"), (c, f"  let {c} (n : {arg}) : {arg} = {d} (n) ;")],
@@ -396,19 +406,36 @@ def gen_source(
     return source, names, colls
 
 
+# Lets whose type keeps a hole: `check` must reject each at the let.
+UNDETERMINED = [
+    "let {u} (z) = z",
+    "let rec {u} (x, n : int) : int = if n =0x 0 then 0 else {u} (x, n - 1)",
+]
+
+
+def undetermined_let(source: str) -> tuple[str, int, int] | None:
+    """The name, line and column of the let `gen_source` opened the unit
+    with, whose type is not determined, if it did."""
+    m = re.search(r"let (?:rec )?(u\d+) ", source)
+    if m is None:
+        return None
+    line = source.count("\n", 0, m.start(1)) + 1
+    return m[1], line, m.start(1) - source.rfind("\n", 0, m.start(1))
+
+
 def last_heir(rng, parent: str, st: Pools, param: bool) -> str | None:
     """An heir of `parent` that changes what the analysis of the methods
     it inherits read, in up to three ways.  It declares the type of a let
     it inherits defined: an `int -> int` let keeps its type, and a
-    polymorphic one is narrowed, to `int -> int`, which its callers at int
-    still fit, or to `bool -> bool` or the parameter's carrier, which they
-    do not.  It passes an expression for the entity parameter.  And it
+    `Self -> Self` one is narrowed, to `int -> int` through the carrier,
+    or is given `bool -> bool` or the parameter's carrier, which its body
+    does not fit.  It passes an expression for the entity parameter.  And it
     proves a property or theorem again (`proof of`), now and then with a
     step that compares an int with a bool."""
     lines = []
     mono = [d for d in st.defined if d in st.callable]
-    if st.poly and (not mono or rng.random() < 0.6):
-        m = rng.choice(st.poly)
+    if st.self_lets and (not mono or rng.random() < 0.6):
+        m = rng.choice(st.self_lets)
         ty = rng.choice(["int -> int", "bool -> bool"] + ["P0 -> P0"] * param)
         lines.append(f"  signature {m} : {ty} ;")
     elif mono:
@@ -812,7 +839,7 @@ species Swap (P is Base, Q is Base) = inherit SwapSrc (Q, P) ; end ;;
 
 species Unsigned =
   representation = int ;
-  let idf (z) = z ;
+  let idf (z : int) : int = z ;
   let k (n : int) : int = idf (n) ;
   let c (n : int) : int = k (n) ;
 end ;;
@@ -1945,6 +1972,14 @@ def test_checking_with_the_carry_agrees_with_a_full_retype(
     others += [[("<unit>", PRELUDE + FINISH_EDGES)], [("<unit>", SHADOWS)]]
     units += others
     carried += [check_outcome(sources) for sources in others]
+    # a let whose type is not determined is where the unit fails
+    opened = [(src, at) for src in narrow if (at := undetermined_let(src)) is not None]
+    assert len(opened) >= 15
+    for src, (name, line, col) in opened:
+        with pytest.raises(CompileError) as e:
+            compile_source(src)
+        assert (e.value.kind, e.value.pos.line, e.value.pos.col) == ("TypeMismatch", line, col), src
+        assert e.value.message.startswith(f"the type of {name} is not determined: "), src
     units += workload_sources()
     carried += ["accepted"] * len(workload_units)  # as the fixture compiled them
     kinds = run_acceptance_suite(units, carried, monkeypatch)
@@ -2042,11 +2077,13 @@ TYPED = ("type_let", "check_statement", "check_proof")
 
 # Units on which the shortcuts' fallbacks decide: a callee that is a
 # variable, Self, or not a function, a call with too many or too few
-# arguments, and infinite types, in bodies and statements.
+# arguments, and infinite types, in bodies and statements; and lets whose
+# type is not determined.
 TYPING_EDGES = [
     "species S =\n" + body + "\nend ;;"
     for body in (
-        "  let ap (f, x) = f (x) ;\n  let twice (f, x) = f (f (x)) ;\n  let c (f, x) = f (x) + 1 ;",
+        "  let ap (f, x : int) : int = f (x) ;\n  let twice (f, x : int) : int = f (f (x)) ;"
+        "\n  let c (f, x : int) : int = f (x) + 1 ;",
         "  let w (f) = f (f) ;",
         "  let r (f) = f (1, f) ;",
         "  let bad (x : int) : int = x (1) ;",
@@ -2056,8 +2093,9 @@ TYPING_EDGES = [
         "  let s (x : Self) : int = x (1) ;",
         "  representation = int ;\n  property p : all x : Self, x (1) = 1 ;",
         "  property q : all x : Self, x + 1 = 2 ;",
-        "  let id (x) = x ;\n  let k (x : int) : bool = id (x) ;",
-        "  let p (x) = (fst (x), snd (x) + 1) ;\n  let q (x : int) : int = fst (p (x)) ;",
+        "  let id (x : int) : int = x ;\n  let k (x : int) : bool = id (x) ;",
+        "  let p (x : int * int) = (fst (x), snd (x) + 1) ;\n  let q (x : int) : int = fst (p (x)) ;",
+        *[f"  {shape.format(u='u')} ;" for shape in UNDETERMINED],
     )
 ]
 

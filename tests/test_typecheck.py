@@ -103,11 +103,17 @@ def test_body_must_match_declared_signature():
     assert e.value.kind == "TypeMismatch"
 
 
-def test_polymorphic_let_generalizes():
-    cu = compile_source("species X = let pick (x, y) = x ; end ;;")
-    mi = cu.species["X"].methods["pick"]
-    assert mi.scheme.count == 2
-    assert type_to_source(mi.scheme.body) == "'a -> 'b -> 'a"
+def test_a_let_whose_type_is_not_determined_is_rejected():
+    # a method has one type: `pick` would need one per use
+    with pytest.raises(CompileError) as e:
+        compile_source("species X = let pick (x, y) = x ; end ;;")
+    assert (e.value.kind, e.value.message) == (
+        "TypeMismatch",
+        "the type of pick is not determined: '_1 -> '_2 -> '_1; annotate it",
+    )
+    assert (e.value.pos.line, e.value.pos.col) == (1, 17)
+    cu = compile_source("species X = let pick (x : int, y : bool) = x ; end ;;")
+    assert type_to_source(cu.species["X"].methods["pick"].scheme.body) == "int -> bool -> int"
 
 
 def test_unknown_name_in_body():
@@ -262,22 +268,6 @@ species F = inherit E (BColl, 3) ; end ;;
 species E (P0 is Base, v0 in P0) = let g (x : int) : P0 = v0 ; end ;;
 species F (P0 is Base, P1 is Base, v0 in P1) = inherit E (P0, v0) ; end ;;
 """,
-        # a signature below a definition narrows the type its callers use
-        """
-species Ord = signature lt : Self -> Self -> bool ; end ;;
-species Src2 (P is Ord) =
-  let idf (z) = z ;
-  let k (n : int) : int = idf (n) ;
-end ;;
-species H2 (P is Ord) = inherit Src2 (P) ; signature idf : P -> P ; end ;;
-""",
-        # a definition adopted from a sibling, whose callers there were typed
-        # against its own scheme, not the signature's
-        """
-species A = signature m : int -> int ; end ;;
-species B = let m (z) = z ; let k (n : bool) : bool = m (n) ; end ;;
-species C = inherit A, B ; end ;;
-""",
         # two parents bring one method at different schemes, renamed apart
         """
 species Ord = signature mk : int -> Self ; end ;;
@@ -312,8 +302,6 @@ end ;;
         "sibling_signature",
         "entity_expression",
         "entity_carrier",
-        "narrowed_callee",
-        "sibling_definition_callers",
         "parents_disagree",
         "proof_of",
     ],
@@ -336,19 +324,36 @@ species F (P0 is Base, w in P0) = inherit E (P0, h) ; let h : P0 = w ; end ;;
     assert cu.species["F"].deps["g"].decl == {"h"}
 
 
-def test_a_narrowed_callee_fails_at_its_callers_body():
-    source = """
-species Ord = signature lt : Self -> Self -> bool ; end ;;
-species Src2 (P is Ord) =
-  let idf (z) = z ;
-  let k (n : int) : int = idf (n) ;
+@pytest.mark.parametrize(
+    "source, at",
+    [
+        # a signature below the definition narrows `Self` to the
+        # representation, which the inherited statement keeps abstract
+        ("""
+species Src2 =
+  representation = int ;
+  let idf (z : Self) : Self = z ;
+  property k : all n : Self, idf (n) = n ;
 end ;;
-species H2 (P is Ord) = inherit Src2 (P) ; signature idf : P -> P ; end ;;
-"""
+species H2 = inherit Src2 ; signature idf : int -> int ; end ;;
+""", (5, 30)),
+        # a definition adopted from a sibling, whose callers there were typed
+        # against its own scheme, not the signature's
+        ("""
+species A = signature m : int -> int ; end ;;
+species B = let m (z : Self) : Self = z ; property k : all n : Self, m (n) = n ; end ;;
+species C = inherit A, B ; representation = int ; end ;;
+""", (3, 70)),
+    ],
+    ids=["narrowed_callee", "sibling_definition_callers"],
+)
+def test_a_narrowed_callee_fails_at_its_callers_statement(source, at):
+    # the callee is typed again to another scheme, so its inherited caller
+    # is checked again; a body would accept `int` for `Self`
     with pytest.raises(CompileError) as e:
         compile_source(source)
-    assert (e.value.kind, e.value.message) == ("TypeMismatch", "cannot unify P with int")
-    assert (e.value.pos.line, e.value.pos.col) == (5, 27)
+    assert (e.value.kind, e.value.message) == ("WrongCarrierLeak", "statement constrains Self to int")
+    assert (e.value.pos.line, e.value.pos.col) == at
 
 
 def test_carriers_that_print_alike_are_told_apart():
@@ -697,12 +702,19 @@ def test_a_collection_entity_argument_of_either_carrier_formats_no_message(monke
     bad = "collection X = implement IsIn (IntC, true, IntC!fromInt (10)) ;;"
     monkeypatch.setattr(Unifier, "shown", shown)
     compile_source(example + bad.replace("true", "5"))
-    # `PC!loop (1)` has any type, so the pair has the representation
+    # the pair has the representation; so has `fst`, whose type has holes
+    # (`driver._unifies`)
     compile_source("""
-species Pair = representation = int * int ; let rec loop (x : int) = loop (x) ; end ;;
+species Pair = representation = int * int ; let rec loop (x : int) : int = loop (x) ; end ;;
 collection PC = implement Pair ;;
 species Holder (P is Pair, v in P) = representation = int ; let get (x : int) : int = x ; end ;;
 collection H = implement Holder (PC, (PC!loop (1), 5)) ;;
+""")
+    compile_source("""
+species F = representation = int * int -> int ; let z (x : int) : int = x ; end ;;
+collection FC = implement F ;;
+species Holder (P is F, v in P) = representation = int ; let get (x : int) : int = x ; end ;;
+collection H = implement Holder (FC, fst) ;;
 """)
     for sources in workload_sources():
         compile_unit(sources)
@@ -753,3 +765,34 @@ end ;;
     with pytest.raises(CompileError) as e:
         compile_source(src.replace("if x = (b, a) then 1 else x + 1", "x + 1"))
     assert e.value.message == "cannot unify int with '_1 * '_2"
+
+
+@pytest.mark.parametrize(
+    "source, kind, message, at",
+    [
+        ("type u = A | A ;;", "DuplicateName", "duplicate constructor A", (1, 1)),
+        (
+            "species X = let f (p : int * int) : int = match p with | (a, a) -> a ;\nend ;;",
+            "DuplicateName", "duplicate pattern variable a", (1, 62),
+        ),
+        (
+            "species X =\n  representation = int ;\n  representation = bool ;\nend ;;",
+            "DuplicateName", "representation already given", (3, 3),
+        ),
+        (
+            "species X =\n  property p : all x : int, x = x ;\n"
+            "  proof of p = admitted ;\n  proof of p = admitted ;\nend ;;",
+            "DuplicateName", "duplicate proof of p in species X", (4, 12),
+        ),
+        (
+            "type t = A (int) ;;\nspecies X = let f (x : t) : int = match x with | A (a, b) -> a ;\nend ;;",
+            "TypeMismatch", "constructor A expects 1 argument(s), got 2", (2, 50),
+        ),
+    ],
+    ids=["constructor", "pattern_variable", "representation", "proof_of", "pattern_arity"],
+)
+def test_a_declaration_error_has_its_kind_text_and_position(source, kind, message, at):
+    with pytest.raises(CompileError) as e:
+        compile_source(source)
+    assert (e.value.kind, e.value.message) == (kind, message)
+    assert (e.value.pos.line, e.value.pos.col) == at
