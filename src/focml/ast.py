@@ -454,8 +454,9 @@ class PTuple(Pattern):
 
 # The children of each expression class, in source order.  Every `Expr`
 # class is a key, a leaf's giving none.
+EXPR_LEAVES = (IntLit, BoolLit, StrLit, Var, Qual)
 EXPR_CHILDREN = {
-    **dict.fromkeys((IntLit, BoolLit, StrLit, Var, Qual), lambda e: []),
+    **dict.fromkeys(EXPR_LEAVES, lambda e: []),
     **dict.fromkeys((BinOp, Connective, Eq), lambda e: [e.left, e.right]),
     **dict.fromkeys((UnOp, Not), lambda e: [e.operand]),
     ConRef: lambda e: list(e.args),
@@ -471,15 +472,24 @@ def expr_children(e: Expr) -> list[Expr]:
     return EXPR_CHILDREN[type(e)](e)
 
 
-def expr_walk(e: Expr):
+def expr_nodes(e: Expr) -> list[Expr]:
     """Every node of `e` in pre-order (a node, then its children left to
     right), from an explicit stack: linear in the size of `e` whatever its
-    depth."""
+    depth, with no Python-level call for a leaf, an operator or a call."""
+    nodes = []
     todo = [e]
     while todo:
         e = todo.pop()
-        yield e
-        todo.extend(reversed(expr_children(e)))
+        nodes.append(e)
+        kind = type(e)
+        if kind is BinOp:
+            todo += (e.right, e.left)
+        elif kind is Call:
+            todo += e.args[::-1]
+            todo.append(e.callee)
+        elif kind not in EXPR_LEAVES:
+            todo += reversed(EXPR_CHILDREN[kind](e))
+    return nodes
 
 
 def pattern_vars(p: Pattern) -> list[str]:

@@ -27,7 +27,7 @@ from .ast import (
     TParam,
     Type,
     Var,
-    expr_walk,
+    expr_nodes,
     type_walk,
 )
 from .basics import BUILTIN_PROPERTIES
@@ -43,13 +43,12 @@ from .resolve import ENTITY, METHOD, PARAM
 
 def tagged(e: Expr, ref: str) -> set[str]:
     """Names of the `Var`s in `e` tagged `ref`."""
-    return {x.name for x in expr_walk(e) if isinstance(x, Var) and x.ref == ref}
+    return {x.name for x in expr_nodes(e) if type(x) is Var and x.ref == ref}
 
 
 def param_refs(e: Expr) -> list[tuple[str, str]]:
     """Every (parameter, method) reference to a collection parameter."""
-    quals = (x for x in expr_walk(e) if isinstance(x, Qual))
-    return [(x.coll, x.name) for x in quals if x.ref == PARAM]
+    return [(x.coll, x.name) for x in expr_nodes(e) if type(x) is Qual and x.ref == PARAM]
 
 
 def _own_exprs(mi: MethodInfo):
@@ -606,7 +605,7 @@ def _uses(
 ) -> None:
     """Add the parameter methods `e` calls to `quals`, and, where a sink is
     given, the entity parameters it names and its quantifier types."""
-    for x in expr_walk(e):
+    for x in expr_nodes(e):
         kind = type(x)
         if kind is Qual:
             if x.ref == PARAM:

@@ -12,7 +12,10 @@ proof is admitted become axioms.
 
 A binder is its lift's tag and an argument is a tree (a type, a name or an
 entity's expression), each written by the renderer of its kind in the env
-of the definition (`_name`).  A method has one type, so only a builtin
+of the definition (`_name`).  Each renderer writes a node in one call, and
+dispatches on its exact class, the frequent kinds first: `render_expr` is
+told whether the node is an argument (`wrap`) and then parenthesizes a text
+that is not self-delimiting.  A method has one type, so only a builtin
 whose scheme has type holes (`=`, `fst`, `snd`) takes one `_` per hole in
 the logical target (`_builtin_head`).
 
@@ -21,8 +24,10 @@ writes such a piece's text once, in one memo `texts` keyed by identity (the
 unit holds every keyed object for the whole call): a record field by the
 method's record, a creator local by its `LocalDef` and whether its generator
 is the species' own (`m` or `Species.m`), outer abstractions by their list
-(the record's also for the `mk_record` line), and a lift's or parameter's
-type or statement by the object and env (`_piece`).
+(the record's also for the `mk_record` line), and the type of a lift, a
+value parameter or a let's result, or a lift's statement, by the object and
+the env fields its text reads (`_piece`).  A species builds each env once
+per target, method prefix and carrier name, not once per generator.
 """
 
 from __future__ import annotations
@@ -94,126 +99,98 @@ class RenderEnv(Record):
         self.param_ty = param_ty
 
 
-def _wrap(text: str, atomic: bool) -> str:
-    return text if atomic else f"({text})"
-
-
 # ---------------------------------------------------------------------------
 # Types
 
 
 def render_type(t: Type, env: RenderEnv) -> str:
-    match t:
-        case TSelf():
-            assert env.self_ty is not None
-            return env.self_ty
-        case TCon(name):
-            return LOGICAL_TYPE_NAMES.get(name, f"{name}__t")
-        case TParam(name):
-            assert name in env.params
-            return env.param_ty.format(name)
-        case TCollCarrier(name):
-            return f"{name}.me_as_carrier"
-        case TArrow(arg, res):
-            a = render_type(arg, env)
-            if isinstance(arg, TArrow):
-                a = f"({a})"
-            return f"{a} -> {render_type(res, env)}"
-        case TTuple(items):
-            parts = []
-            for it in items:
-                s = render_type(it, env)
-                if isinstance(it, TArrow):
-                    s = f"({s})"
-                parts.append(s)
-            return "(" + " * ".join(parts) + ")"
-        case _:
-            raise ValueError(f"cannot render type {t!r}")
+    # dispatch on the exact class, the frequent kinds first
+    kind = type(t)
+    if kind is TCon:
+        return LOGICAL_TYPE_NAMES.get(t.name, f"{t.name}__t")
+    if kind is TArrow:
+        arg = t.arg
+        if type(arg) is TArrow:
+            return f"({render_type(arg, env)}) -> {render_type(t.res, env)}"
+        return f"{render_type(arg, env)} -> {render_type(t.res, env)}"
+    if kind is TSelf:
+        assert env.self_ty is not None
+        return env.self_ty
+    if kind is TParam:
+        assert t.name in env.params
+        return env.param_ty.format(t.name)
+    if kind is TCollCarrier:
+        return f"{t.name}.me_as_carrier"
+    if kind is TTuple:
+        return "(" + " * ".join([_arg_text(render_type(i, env), i) for i in t.items]) + ")"
+    raise ValueError(f"cannot render type {t!r}")
 
 
 # ---------------------------------------------------------------------------
 # Expressions
 
 
-def render_expr(e: Expr, env: RenderEnv) -> tuple[str, bool]:
-    """Rendered text plus whether it is self-delimiting."""
-    match e:
-        case IntLit(v):
-            return str(v), True
-        case BoolLit(v):
-            return ("true" if v else "false"), True
-        case StrLit(v):
-            escaped = v.replace("\\", "\\\\").replace('"', '\\"')
-            return f'"{escaped}"', True
-        case Var() | Qual():
-            return _var_head(e, env)
-        case ConRef(name, args):
-            if not args:
-                return name, True
-            inner = " ".join([_arg(a, env) for a in args])
-            return f"{name} {inner}", False
-        case Call(callee, args):
-            head = _call_head(callee, env)
-            inner = " ".join([_arg(a, env) for a in args])
-            return f"{head} {inner}", False
-        case TupleExpr(items):
-            inner = ", ".join([render_expr(i, env)[0] for i in items])
-            return f"({inner})", True
-        case UnOp(op, operand):
-            b = BUILTIN_FUNCTIONS[op]
-            return f"{_builtin_head(b, env)} {_arg(operand, env)}", False
-        case BinOp(op, left, right):
-            b = BUILTIN_FUNCTIONS[op]
-            if b.infix:
-                return f"{_arg(left, env)} {op} {_arg(right, env)}", False
-            return (
-                f"{_builtin_head(b, env)} {_arg(left, env)} {_arg(right, env)}",
-                False,
-            )
-        case Eq(left, right):
-            b = BUILTIN_FUNCTIONS["="]
-            return (
-                f"{_builtin_head(b, env)} {_arg(left, env)} {_arg(right, env)}",
-                False,
-            )
-        case If(cond, then, orelse):
-            c = render_expr(cond, env)[0]
-            return (
-                f"if ({c}) then {_arg(then, env)} else {_arg(orelse, env)}",
-                False,
-            )
-        case Match(scrutinee, arms):
-            s = render_expr(scrutinee, env)[0]
-            sep = "=>" if env.target == "logical" else "->"
-            parts = [f"match {s} with"]
-            for pat, body in arms:
-                parts.append(
-                    f"| {_pattern(pat, env)} {sep} {render_expr(body, env)[0]}"
-                )
-            text = " ".join(parts)
-            if env.target == "logical":
-                text += " end"
-            return text, False
-        case _:
-            raise ValueError(f"cannot render expression {e!r}")
-
-
-def _arg(e: Expr, env: RenderEnv) -> str:
-    return _wrap(*render_expr(e, env))
-
-
-def _var_head(e: Var | Qual, env: RenderEnv) -> tuple[str, bool]:
-    """The name `e` stands for, and whether it is self-delimiting."""
-    if type(e) is Qual:
-        return (f"_p_{e.coll}_{e.name}" if e.ref == PARAM else f"{e.coll}.{e.name}"), True
-    if e.ref == LOCAL:
-        return e.name, True
-    if e.ref == ENTITY:
-        return f"_p_{e.name}_{e.name}", True
-    if e.ref == METHOD:
-        return env.prefix + e.name, True
-    head = _builtin_head(BUILTIN_FUNCTIONS[e.name], env)
-    return head, " " not in head
+def render_expr(e: Expr, env: RenderEnv, wrap: bool = False) -> str:
+    """The text of `e`; as an argument (`wrap`), in parentheses unless it
+    is self-delimiting."""
+    # dispatch on the exact class, the frequent kinds first
+    kind = type(e)
+    if kind is Var:
+        ref = e.ref
+        if ref == LOCAL:
+            return e.name
+        if ref == METHOD:
+            return env.prefix + e.name
+        if ref == ENTITY:
+            return f"_p_{e.name}_{e.name}"
+        text = _builtin_head(BUILTIN_FUNCTIONS[e.name], env)
+        if " " not in text:
+            return text
+    elif kind is BinOp:
+        op = e.op
+        b = BUILTIN_FUNCTIONS[op]
+        left, right = render_expr(e.left, env, True), render_expr(e.right, env, True)
+        text = f"{left} {op} {right}" if b.infix else f"{_builtin_head(b, env)} {left} {right}"
+    elif kind is IntLit:
+        return str(e.value)
+    elif kind is Call:
+        callee, args = e.callee, e.args
+        head = render_expr(callee, env, type(callee) is not Var and type(callee) is not Qual)
+        if len(args) == 1:
+            text = f"{head} {render_expr(args[0], env, True)}"
+        else:
+            text = f"{head} " + " ".join([render_expr(a, env, True) for a in args])
+    elif kind is Qual:
+        return f"_p_{e.coll}_{e.name}" if e.ref == PARAM else f"{e.coll}.{e.name}"
+    elif kind is If:
+        cond, then = render_expr(e.cond, env), render_expr(e.then, env, True)
+        text = f"if ({cond}) then {then} else {render_expr(e.orelse, env, True)}"
+    elif kind is Eq:
+        left, right = render_expr(e.left, env, True), render_expr(e.right, env, True)
+        text = f"{_builtin_head(BUILTIN_FUNCTIONS['='], env)} {left} {right}"
+    elif kind is BoolLit:
+        return "true" if e.value else "false"
+    elif kind is StrLit:
+        escaped = e.value.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{escaped}"'
+    elif kind is UnOp:
+        text = f"{_builtin_head(BUILTIN_FUNCTIONS[e.op], env)} {render_expr(e.operand, env, True)}"
+    elif kind is ConRef:
+        if not e.args:
+            return e.name
+        text = f"{e.name} " + " ".join([render_expr(a, env, True) for a in e.args])
+    elif kind is TupleExpr:
+        return "(" + ", ".join([render_expr(i, env) for i in e.items]) + ")"
+    elif kind is Match:
+        logical = env.target == "logical"
+        sep = "=>" if logical else "->"
+        parts = [f"match {render_expr(e.scrutinee, env)} with"]
+        for pat, body in e.arms:
+            parts.append(f"| {_pattern(pat, env)} {sep} {render_expr(body, env)}")
+        text = " ".join(parts) + (" end" if logical else "")
+    else:
+        raise ValueError(f"cannot render expression {e!r}")
+    return f"({text})" if wrap else text
 
 
 def _builtin_head(b, env: RenderEnv) -> str:
@@ -223,38 +200,26 @@ def _builtin_head(b, env: RenderEnv) -> str:
     return head
 
 
-def _call_head(callee: Expr, env: RenderEnv) -> str:
-    match callee:
-        case Var() | Qual():
-            return _var_head(callee, env)[0]
-        case _:
-            return _arg(callee, env)
-
-
 def _pattern(p: Pattern, env: RenderEnv) -> str:
-    match p:
-        case PWild():
-            return "_"
-        case PVar(name):
-            return name
-        case PCon(name, args):
-            if not args:
-                return name
-            if env.target == "logical":
-                return name + " " + " ".join([_pattern(a, env) for a in args])
-            return name + " (" + ", ".join([_pattern(a, env) for a in args]) + ")"
-        case PTuple(items):
-            return "(" + ", ".join([_pattern(i, env) for i in items]) + ")"
-        case _:
-            raise ValueError(f"cannot render pattern {p!r}")
+    kind = type(p)
+    if kind is PVar:
+        return p.name
+    if kind is PWild:
+        return "_"
+    if kind is PCon:
+        if not p.args:
+            return p.name
+        if env.target == "logical":
+            return p.name + " " + " ".join([_pattern(a, env) for a in p.args])
+        return p.name + " (" + ", ".join([_pattern(a, env) for a in p.args]) + ")"
+    if kind is PTuple:
+        return "(" + ", ".join([_pattern(i, env) for i in p.items]) + ")"
+    raise ValueError(f"cannot render pattern {p!r}")
 
 
 def render_body(e: Expr, env: RenderEnv) -> str:
     """Right-hand side of a definition: infix applications stay bare."""
-    text, atomic = render_expr(e, env)
-    if atomic or (isinstance(e, BinOp) and BUILTIN_FUNCTIONS[e.op].infix):
-        return text
-    return f"({text})"
+    return render_expr(e, env, type(e) is not BinOp or not BUILTIN_FUNCTIONS[e.op].infix)
 
 
 # ---------------------------------------------------------------------------
@@ -262,35 +227,27 @@ def render_body(e: Expr, env: RenderEnv) -> str:
 
 
 def render_formula(e: Expr, env: RenderEnv) -> str:
-    match e:
-        case Quant(kind, vars_, ty, body):
-            head = "forall" if kind == "all" else "exists"
-            return (
-                f"{head} {' '.join(vars_)} : {render_type(ty, env)}, "
-                f"{render_formula(body, env)}"
-            )
-        case Connective(op, left, right):
-            sym = {"->": "->", "\\/": "\\/", "/\\": "/\\"}[op]
-            l = _sub_formula(left, env)
-            if op == "->":
-                return f"{l} {sym} {render_formula(right, env)}"
-            return f"{l} {sym} {_sub_formula(right, env)}"
-        case Not(operand):
-            if isinstance(operand, (Quant, Connective, Not)):
-                return f"~({render_formula(operand, env)})"
-            return f"~{_atom(operand, env)}"
-        case _:
-            return _atom(e, env)
+    kind = type(e)
+    if kind is Quant:
+        head = "forall" if e.kind == "all" else "exists"
+        return f"{head} {' '.join(e.vars)} : {render_type(e.ty, env)}, {render_formula(e.body, env)}"
+    if kind is Connective:
+        op = e.op
+        if op == "->":
+            return f"{_sub_formula(e.left, env)} -> {render_formula(e.right, env)}"
+        return f"{_sub_formula(e.left, env)} {op} {_sub_formula(e.right, env)}"
+    if kind is Not:
+        operand = e.operand
+        if type(operand) in (Quant, Connective, Not):
+            return f"~({render_formula(operand, env)})"
+        return f"~Is_true ({render_expr(operand, env, True)})"
+    return f"Is_true ({render_expr(e, env, True)})"
 
 
 def _sub_formula(e: Expr, env: RenderEnv) -> str:
-    if isinstance(e, (Quant, Connective)):
+    if type(e) is Quant or type(e) is Connective:
         return f"({render_formula(e, env)})"
     return render_formula(e, env)
-
-
-def _atom(e: Expr, env: RenderEnv) -> str:
-    return f"Is_true ({_arg(e, env)})"
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +290,7 @@ def _name(a: Type | Expr, env: RenderEnv) -> str:
     """A lift's tag as the binder it names, or a generator's argument, as
     `env` writes it: a carrier's type, a method's or an entity's name, or
     an entity's argument expression."""
-    if type(a) is Var or type(a) is Qual:
-        text, atomic = _var_head(a, env)
-        return text if atomic else f"({text})"
-    if isinstance(a, Expr):
-        return _arg(a, env)
-    return render_type(a, env)
+    return render_expr(a, env, True) if isinstance(a, Expr) else render_type(a, env)
 
 
 def _genapp_text(gen: GenApp, env: RenderEnv) -> str:
@@ -401,8 +353,9 @@ def _species_logical(cu, name: str, texts: dict) -> list[str]:
     nf: NFSpecies = cu.species[name]
     plan: SpeciesPlan = cu.plans[name]
     lines = [f"Module {name}."]
+    envs = {s: _render_env(nf, "logical", "abst_", s) for s in ("abst_T", None)}
     for gp in plan.generators.values():
-        lines.extend(_generator_logical(nf, gp, texts))
+        lines.extend(_generator_logical(nf, gp, envs, texts))
     if plan.record is not None:
         lines.extend(_record_logical(nf, plan, texts))
     if plan.create is not None:
@@ -412,11 +365,11 @@ def _species_logical(cu, name: str, texts: dict) -> list[str]:
 
 
 def _generator_logical(
-    nf: NFSpecies, plan: MethodGeneratorPlan, texts: dict
+    nf: NFSpecies, plan: MethodGeneratorPlan, envs: dict, texts: dict
 ) -> list[str]:
-    lifts_carrier = any(type(l.tag) is TSelf for l in plan.lifts)
-    self_ty = "abst_T" if lifts_carrier else None
-    env = _render_env(nf, "logical", "abst_", self_ty)
+    """`envs` holds the generator's env by carrier name: `abst_T` where a
+    lift abstracts the carrier, none otherwise."""
+    env = envs["abst_T" if TSelf in [type(l.tag) for l in plan.lifts] else None]
     lifts = "".join([" " + _lift_text(l, env, texts) for l in plan.lifts])
     if plan.kind == "let":
         assert plan.body is not None and plan.ret is not None
@@ -424,7 +377,7 @@ def _generator_logical(
             [f" ({n} : {_piece(render_type, t, env, texts)})" for n, t in plan.value_params]
         )
         keyword = "Fixpoint" if plan.rec else "Definition"
-        ret = render_type(plan.ret, env)
+        ret = _piece(render_type, plan.ret, env, texts)
         body = render_body(plan.body, env)
         return [f"  {keyword} {plan.method}{lifts}{params} : {ret} := {body}."]
     assert plan.statement is not None
@@ -551,27 +504,27 @@ def _comp_type(t: Type, collections: dict) -> str:
     """A type in a union's constructor.  The computational target declares
     no carrier type, so a collection's carrier is written as the type it
     equals, the collection's representation."""
-    match t:
-        case TCon(name):
-            return name
-        case TCollCarrier(name):
-            return _comp_type(collections[name].carrier, collections)
-        case TTuple(items):
-            return "(" + " * ".join([_arg_text(_comp_type(i, collections), i) for i in items]) + ")"
-        case TArrow(a, b):
-            return f"{_arg_text(_comp_type(a, collections), a)} -> {_comp_type(b, collections)}"
-        case _:
-            raise ValueError(f"cannot render type {t!r}")
+    kind = type(t)
+    if kind is TCon:
+        return t.name
+    if kind is TArrow:
+        return f"{_arg_text(_comp_type(t.arg, collections), t.arg)} -> {_comp_type(t.res, collections)}"
+    if kind is TCollCarrier:
+        return _comp_type(collections[t.name].carrier, collections)
+    if kind is TTuple:
+        return "(" + " * ".join([_arg_text(_comp_type(i, collections), i) for i in t.items]) + ")"
+    raise ValueError(f"cannot render type {t!r}")
 
 
 def _species_comp(cu, name: str, texts: dict) -> list[str]:
     nf: NFSpecies = cu.species[name]
     plan: SpeciesPlan = cu.plans[name]
     lines = [f"module {name} = struct"]
+    env = _render_env(nf, "comp", "abst_", None)
     for gp in plan.generators.values():
         if gp.kind != "let":
             continue
-        lines.append(_generator_comp(nf, gp))
+        lines.append(_generator_comp(gp, env))
     if plan.record is not None:
         lines.extend(_record_comp(plan))
     if plan.create is not None:
@@ -580,11 +533,9 @@ def _species_comp(cu, name: str, texts: dict) -> list[str]:
     return lines
 
 
-def _generator_comp(nf: NFSpecies, plan: MethodGeneratorPlan) -> str:
-    env = _render_env(nf, "comp", "abst_", None)
-    kept = [_name(l.tag, env) for l in plan.lifts if l.abstract and not l.logical]
-    params = "".join(f" ({n})" for n in kept)
-    params += "".join(f" ({n})" for n, _ in plan.value_params)
+def _generator_comp(plan: MethodGeneratorPlan, env: RenderEnv) -> str:
+    params = "".join([f" ({_name(l.tag, env)})" for l in plan.lifts if l.abstract and not l.logical])
+    params += "".join([f" ({n})" for n, _ in plan.value_params])
     keyword = "let rec" if plan.rec else "let"
     assert plan.body is not None
     return f"  {keyword} {plan.method}{params} = {render_body(plan.body, env)}"

@@ -21,7 +21,7 @@ from .ast import (
     Eq, Expr, Fact, If, IntLit, Match, MethodDecl, Not, PCon, PTuple, PVar,
     PWild, Pattern, ProofLeaf, ProofStep, ProofSteps, Proof, Qual, Quant,
     SpeciesArg, SpeciesDecl, SpeciesExpr, SpeciesParam, StrLit, TArrow, TCap,
-    TCon, TSelf, TTuple, TupleExpr, Type, UnOp, UnionTypeDecl, Var, expr_walk,
+    TCon, TSelf, TTuple, TupleExpr, Type, UnOp, UnionTypeDecl, Var, expr_nodes,
 )
 from .errors import CompileError, DEPTH_LIMIT, DUPLICATE, PROOF, SYNTAX
 from .lexer import Token, tokenize
@@ -568,7 +568,7 @@ def check_stratification(lets: list[tuple[SpeciesDecl, MethodDecl]]) -> None:
     """Function bodies must stay in the computational stratum: the first
     formula node of the first of `lets`, in source order, that holds one."""
     for decl, m in lets:
-        for e in expr_walk(m.body):
+        for e in expr_nodes(m.body):
             kind = type(e)
             if kind is Quant:
                 raise CompileError(

@@ -4,7 +4,8 @@ Everything in this module is deliberately written from first principles on
 plain dicts/sets/lists, without importing the package under test, so that
 test expectations do not inherit bugs from the implementation.  The output
 references and the typing reference at the end are the exceptions: the
-first print trees with the package's printers, and pin the layout and what
+first read the package's plans and print source with its printers, but
+render the targets with renderers of their own, and pin the layout and what
 each species gets; the second types with the package's type classes.
 `plain_arg`, with the output references, maps the plans' generator
 arguments to the plain vocabulary of `atom_is_logical` and `Evaluator`.
@@ -982,10 +983,21 @@ def infer_expr(
 # in which it built a formula node; `test_properties` checks that both give
 # the same trees, positions included, or the same diagnostic.
 
-from focml.ast import CompilationUnit, SpeciesDecl, expr_walk  # noqa: E402
+from focml.ast import CompilationUnit, SpeciesDecl, expr_children  # noqa: E402
 from focml.errors import DEPTH_LIMIT, SYNTAX  # noqa: E402
 from focml.lexer import Token, tokenize as lex  # noqa: E402
 from focml.parser import Parser  # noqa: E402
+
+
+def expr_walk(e: Expr):
+    """Every node of `e` in pre-order (a node, then its children left to
+    right), from an explicit stack: linear in the size of `e` whatever its
+    depth."""
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        yield e
+        todo.extend(reversed(expr_children(e)))
 
 
 class ReferenceParser(Parser):
@@ -1191,18 +1203,18 @@ def reference_parse_expr(text: str):
 # locals, outer abstractions, types and statements), where the emitters
 # write each shared piece once per call and reuse it.  The proof hole name
 # joins the whole proof's text, printed recursively, before it hashes it.
-# They print trees, the lifts' tags and the generators' arguments with the
-# package's own renderers.
+# They print trees, the lifts' tags and the generators' arguments with
+# renderers of their own below: one `match` cascade per kind of tree, so
+# that a defect in the emitters' renderers shows against them.
 
 from focml.ast import (  # noqa: E402
-    Proof, ProofLeaf, ProofStep, ProofSteps, TCollCarrier, TParam, UnionTypeDecl,
+    PCon, Proof, ProofLeaf, ProofStep, ProofSteps, PTuple, PVar, PWild, Pattern,
+    TCollCarrier, TParam, UnionTypeDecl,
 )
-from focml.emit import (  # noqa: E402
-    RenderEnv, _arg, _genapp_text, _render_env, _var_head, render_body,
-    render_formula, render_type,
-)
+from focml.basics import LOGICAL_TYPE_NAMES  # noqa: E402
+from focml.emit import RenderEnv  # noqa: E402
 from focml.generators import (  # noqa: E402
-    CollectionExtractionPlan, Lift, MethodGeneratorPlan, SpeciesPlan,
+    CollectionExtractionPlan, GenApp, Lift, MethodGeneratorPlan, SpeciesPlan,
 )
 from focml.hierarchy import NFSpecies  # noqa: E402
 from focml.pretty import _fact_to_source, expr_to_source  # noqa: E402
@@ -1232,14 +1244,222 @@ def plain_arg(arg, lift: Lift | None = None) -> tuple:
     raise ValueError(f"not a generator argument: {arg!r}")
 
 
-def _tree_text(a, env: RenderEnv) -> str:
-    """A lift's tag as its binder, or a generator's argument: a carrier's
-    type, a method's or an entity's bare name, an entity's expression."""
-    if isinstance(a, (Var, Qual)):
-        return _var_head(a, env)[0]
+def _wrap(text: str, atomic: bool) -> str:
+    return text if atomic else f"({text})"
+
+
+def render_type(t: Type, env: RenderEnv) -> str:
+    match t:
+        case TSelf():
+            assert env.self_ty is not None
+            return env.self_ty
+        case TCon(name):
+            return LOGICAL_TYPE_NAMES.get(name, f"{name}__t")
+        case TParam(name):
+            assert name in env.params
+            return env.param_ty.format(name)
+        case TCollCarrier(name):
+            return f"{name}.me_as_carrier"
+        case TArrow(arg, res):
+            a = render_type(arg, env)
+            if isinstance(arg, TArrow):
+                a = f"({a})"
+            return f"{a} -> {render_type(res, env)}"
+        case TTuple(items):
+            parts = []
+            for it in items:
+                s = render_type(it, env)
+                if isinstance(it, TArrow):
+                    s = f"({s})"
+                parts.append(s)
+            return "(" + " * ".join(parts) + ")"
+        case _:
+            raise ValueError(f"cannot render type {t!r}")
+
+
+def render_expr(e: Expr, env: RenderEnv) -> tuple[str, bool]:
+    """Rendered text plus whether it is self-delimiting."""
+    match e:
+        case IntLit(v):
+            return str(v), True
+        case BoolLit(v):
+            return ("true" if v else "false"), True
+        case StrLit(v):
+            escaped = v.replace("\\", "\\\\").replace('"', '\\"')
+            return f'"{escaped}"', True
+        case Var() | Qual():
+            return _var_head(e, env)
+        case ConRef(name, args):
+            if not args:
+                return name, True
+            inner = " ".join([_arg(a, env) for a in args])
+            return f"{name} {inner}", False
+        case Call(callee, args):
+            head = _call_head(callee, env)
+            inner = " ".join([_arg(a, env) for a in args])
+            return f"{head} {inner}", False
+        case TupleExpr(items):
+            inner = ", ".join([render_expr(i, env)[0] for i in items])
+            return f"({inner})", True
+        case UnOp(op, operand):
+            b = BUILTIN_FUNCTIONS[op]
+            return f"{_builtin_head(b, env)} {_arg(operand, env)}", False
+        case BinOp(op, left, right):
+            b = BUILTIN_FUNCTIONS[op]
+            if b.infix:
+                return f"{_arg(left, env)} {op} {_arg(right, env)}", False
+            return (
+                f"{_builtin_head(b, env)} {_arg(left, env)} {_arg(right, env)}",
+                False,
+            )
+        case Eq(left, right):
+            b = BUILTIN_FUNCTIONS["="]
+            return (
+                f"{_builtin_head(b, env)} {_arg(left, env)} {_arg(right, env)}",
+                False,
+            )
+        case If(cond, then, orelse):
+            c = render_expr(cond, env)[0]
+            return (
+                f"if ({c}) then {_arg(then, env)} else {_arg(orelse, env)}",
+                False,
+            )
+        case Match(scrutinee, arms):
+            s = render_expr(scrutinee, env)[0]
+            sep = "=>" if env.target == "logical" else "->"
+            parts = [f"match {s} with"]
+            for pat, body in arms:
+                parts.append(
+                    f"| {_pattern(pat, env)} {sep} {render_expr(body, env)[0]}"
+                )
+            text = " ".join(parts)
+            if env.target == "logical":
+                text += " end"
+            return text, False
+        case _:
+            raise ValueError(f"cannot render expression {e!r}")
+
+
+def _arg(e: Expr, env: RenderEnv) -> str:
+    return _wrap(*render_expr(e, env))
+
+
+def _var_head(e: Var | Qual, env: RenderEnv) -> tuple[str, bool]:
+    """The name `e` stands for, and whether it is self-delimiting."""
+    if type(e) is Qual:
+        return (f"_p_{e.coll}_{e.name}" if e.ref == PARAM else f"{e.coll}.{e.name}"), True
+    if e.ref == LOCAL:
+        return e.name, True
+    if e.ref == ENTITY:
+        return f"_p_{e.name}_{e.name}", True
+    if e.ref == METHOD:
+        return env.prefix + e.name, True
+    head = _builtin_head(BUILTIN_FUNCTIONS[e.name], env)
+    return head, " " not in head
+
+
+def _builtin_head(b, env: RenderEnv) -> str:
+    head = b.logical
+    if env.target == "logical" and b.type_args:
+        head += " _" * b.type_args
+    return head
+
+
+def _call_head(callee: Expr, env: RenderEnv) -> str:
+    match callee:
+        case Var() | Qual():
+            return _var_head(callee, env)[0]
+        case _:
+            return _arg(callee, env)
+
+
+def _pattern(p: Pattern, env: RenderEnv) -> str:
+    match p:
+        case PWild():
+            return "_"
+        case PVar(name):
+            return name
+        case PCon(name, args):
+            if not args:
+                return name
+            if env.target == "logical":
+                return name + " " + " ".join([_pattern(a, env) for a in args])
+            return name + " (" + ", ".join([_pattern(a, env) for a in args]) + ")"
+        case PTuple(items):
+            return "(" + ", ".join([_pattern(i, env) for i in items]) + ")"
+        case _:
+            raise ValueError(f"cannot render pattern {p!r}")
+
+
+def render_body(e: Expr, env: RenderEnv) -> str:
+    """Right-hand side of a definition: infix applications stay bare."""
+    text, atomic = render_expr(e, env)
+    if atomic or (isinstance(e, BinOp) and BUILTIN_FUNCTIONS[e.op].infix):
+        return text
+    return f"({text})"
+
+
+def render_formula(e: Expr, env: RenderEnv) -> str:
+    match e:
+        case Quant(kind, vars_, ty, body):
+            head = "forall" if kind == "all" else "exists"
+            return (
+                f"{head} {' '.join(vars_)} : {render_type(ty, env)}, "
+                f"{render_formula(body, env)}"
+            )
+        case Connective(op, left, right):
+            sym = {"->": "->", "\\/": "\\/", "/\\": "/\\"}[op]
+            l = _sub_formula(left, env)
+            if op == "->":
+                return f"{l} {sym} {render_formula(right, env)}"
+            return f"{l} {sym} {_sub_formula(right, env)}"
+        case Not(operand):
+            if isinstance(operand, (Quant, Connective, Not)):
+                return f"~({render_formula(operand, env)})"
+            return f"~{_atom(operand, env)}"
+        case _:
+            return _atom(e, env)
+
+
+def _sub_formula(e: Expr, env: RenderEnv) -> str:
+    if isinstance(e, (Quant, Connective)):
+        return f"({render_formula(e, env)})"
+    return render_formula(e, env)
+
+
+def _atom(e: Expr, env: RenderEnv) -> str:
+    return f"Is_true ({_arg(e, env)})"
+
+
+def _render_env(
+    nf: NFSpecies,
+    target: str,
+    prefix: str,
+    self_ty: str | None,
+    param_ty: str = "_p_{}_T",
+) -> RenderEnv:
+    """Names inside one of `nf`'s definitions: its methods under `prefix`,
+    its carrier as `self_ty`, a parameter's carrier spelled by `param_ty`."""
+    params = frozenset(p.name for p in nf.is_params)
+    return RenderEnv(target, nf.name, prefix, params, self_ty, param_ty)
+
+
+def _tree_text(a: Type | Expr, env: RenderEnv) -> str:
+    """A lift's tag as the binder it names, or a generator's argument, as
+    `env` writes it: a carrier's type, a method's or an entity's name, or
+    an entity's argument expression."""
+    if type(a) is Var or type(a) is Qual:
+        text, atomic = _var_head(a, env)
+        return text if atomic else f"({text})"
     if isinstance(a, Expr):
         return _arg(a, env)
     return render_type(a, env)
+
+
+def _genapp_text(gen: GenApp, env: RenderEnv) -> str:
+    head = gen.method if gen.species == env.module else f"{gen.species}.{gen.method}"
+    args = gen.comp_args if env.target == "comp" else gen.args
+    return " ".join([head] + [_tree_text(a, env) for a in args])
 
 
 def proof_to_source(proof: Proof, indent: str) -> list[str]:

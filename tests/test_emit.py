@@ -11,11 +11,15 @@ from conftest import DATA, data
 from test_cli import SUBCOMMANDS
 
 from focml import compile_files, compile_source, eval_call
+from focml.ast import Pattern, ProofStep, PWild, Quant, TGen, TSelf, TVar
 from focml.cli import main
-from focml.emit import emit_comp, emit_logical, proof_hole_name
+from focml.emit import (
+    RenderEnv, _comp_type, _pattern, emit_comp, emit_logical, proof_hole_name, render_expr,
+    render_type,
+)
 from focml.errors import TYPE_MISMATCH, CompileError, on_deep_stack
 from focml.parser import parse_source
-from focml.pretty import expr_to_source
+from focml.pretty import expr_to_source, pattern_to_source, proof_to_source, type_to_source
 
 HOLE = re.compile(r"PROOF_HOLE\w*")
 
@@ -314,3 +318,39 @@ def test_a_let_whose_type_is_not_determined_is_a_type_mismatch_at_the_let(capsys
     out = capsys.readouterr()
     assert (code, out.out) == (1, "")
     assert out.err == f"{path}:{line}:{col}: error: TypeMismatch: {message}\n"
+
+
+def test_a_string_literal_is_escaped_in_both_targets():
+    cu = compile_source('species S =\n  let s (x : int) : string = "a \\" b \\\\ c" ;\nend ;;\n')
+    logical = '  Definition s (x : basics.int__t) : basics.string__t := "a \\" b \\\\ c".'
+    assert logical in emit_logical(cu).splitlines()
+    assert '  let s (x) = "a \\" b \\\\ c"' in emit_comp(cu).splitlines()
+
+
+REFUSALS = {
+    "render_type": (lambda: render_type(TVar(3), RenderEnv("logical")), "cannot render type TVar(uid=3)"),
+    "_comp_type": (lambda: _comp_type(TSelf(), {}), "cannot render type TSelf()"),
+    "render_expr": (
+        lambda: render_expr(Quant(), RenderEnv("logical")),
+        "cannot render expression Quant(pos=Pos(line=0, col=0), kind='all', vars=[], ty=None, body=None)",
+    ),
+    "_pattern": (
+        lambda: _pattern(Pattern(), RenderEnv("comp")), "cannot render pattern Pattern(pos=Pos(line=0, col=0))"),
+    "type_to_source": (lambda: type_to_source(TGen(0)), "cannot print type TGen(idx=0)"),
+    "expr_to_source": (
+        lambda: expr_to_source(PWild()), "cannot print expression PWild(pos=Pos(line=0, col=0))"),
+    "pattern_to_source": (
+        lambda: pattern_to_source(Pattern()), "cannot print pattern Pattern(pos=Pos(line=0, col=0))"),
+    "proof_to_source": (  # a step with no sub-proof, which the parser rejects
+        lambda: list(proof_to_source(ProofStep((1, "a"), is_qed=True), "")), "cannot print proof None"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_a_renderer_refuses_a_node_it_has_no_case_for(name):
+    # no input reaches these: a body holds no formula, and a unit's types
+    # and patterns are the kinds each renderer writes
+    render, message = REFUSALS[name]
+    with pytest.raises(ValueError) as e:
+        render()
+    assert str(e.value) == message

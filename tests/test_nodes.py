@@ -280,4 +280,4 @@ def test_every_expression_class_has_its_children():
     }
     assert set(ast.EXPR_CHILDREN) == classes
     e = ast.Match(Var("s"), [(ast.PWild(), Var("a")), (ast.PWild(), Not(Var("b")))])
-    assert [type(x).__name__ for x in ast.expr_walk(e)] == ["Match", "Var", "Var", "Not", "Var"]
+    assert [type(x).__name__ for x in ast.expr_nodes(e)] == ["Match", "Var", "Var", "Not", "Var"]

@@ -1162,6 +1162,23 @@ def run_plan_suite(cus) -> int:
     return cases
 
 
+MEMO_ENVS = [("logical", "abst_", "abst_T"), ("logical", "abst_", "rf_T"),
+             ("logical", "rf_", "abst_T"), ("comp", "rf_", "abst_T")]
+
+# Higher-order lets: an arrow left of an arrow in a lift's type, a value
+# parameter's and a record field's, and a let applied to a method.
+HIGHER_ORDER = """
+species H =
+  representation = int ;
+  let twice (f : int -> int, x : int) : int = f (f (x)) ;
+  let inc (x : int) : int = x + 1 ;
+  let two (x : int) : int = twice (inc, x) ;
+  let pick (g : (int -> int) -> int) : int = g (inc) ;
+end ;;
+collection HC = implement H ; end ;;
+"""
+
+
 def run_output_suite(cus) -> Counter:
     """The deps report, `doc` and both targets of every unit, which write
     each shared piece once, against the references in `tests/oracles.py`,
@@ -1169,8 +1186,9 @@ def run_output_suite(cus) -> Counter:
     species share a finished entry, the method has the same order index and
     proof verdict in both: the report's entry key holds them too, but no
     unit here could tell a key without them, so this checks that directly.
-    Likewise a statement's text under envs that differ only in the method
-    prefix or the target: every env the emitters build names methods by a
+    Likewise a statement's or a lift type's text under envs that differ only
+    in the method prefix, the carrier's name or the target, against the
+    reference renderers: every env the emitters build names methods by a
     prefix its carrier names fix, so no target could tell a key without them."""
     seen = Counter()
     for cu in cus:
@@ -1182,13 +1200,16 @@ def run_output_suite(cus) -> Counter:
         for sname, plan in cu.plans.items():
             texts: dict = {}  # one memo across the envs, as in one emit call
             for gp in plan.generators.values():
-                if gp.statement is None:
-                    continue
-                for target, prefix in (("logical", "abst_"), ("logical", "rf_"), ("comp", "rf_")):
-                    env = emit._render_env(cu.species[sname], target, prefix, "abst_T")
-                    text = emit._piece(emit.render_formula, gp.statement, env, texts)
-                    assert text == emit.render_formula(gp.statement, env), (sname, gp.method)
-                    seen["formulas"] += 1
+                pieces = [] if gp.statement is None else [
+                    ("formulas", emit.render_formula, oracles.render_formula, gp.statement)]
+                pieces += [("types", emit.render_type, oracles.render_type, l.ty)
+                           for l in gp.lifts if l.ty is not None]
+                for what, render, reference, obj in pieces:
+                    for target, prefix, self_ty in MEMO_ENVS:
+                        env = emit._render_env(cu.species[sname], target, prefix, self_ty)
+                        text = emit._piece(render, obj, env, texts)
+                        assert text == reference(obj, env), (sname, gp.method, target, prefix, self_ty)
+                        seen[what] += 1
         first: dict[int, tuple] = {}  # id of a finished entry -> where first seen
         for sname, nf in cu.species.items():
             for i, m in enumerate(nf.order):
@@ -1443,6 +1464,8 @@ def run_scope_suite(units) -> int:
             for name, mi in nf.methods.items():
                 method_refs = set()
                 for writer, field, tree, refs, exprs in written_trees(mi):
+                    for e in exprs:  # the scans' walk visits the reference's nodes in its order
+                        assert list(map(id, ast.expr_nodes(e))) == list(map(id, oracles.expr_walk(e)))
                     method_refs |= {n for n, ref in refs if ref == "method"}
                     if writer == sname:
                         assert refs == oracles.scope_tags(tree, scope), (sname, name)
@@ -2014,8 +2037,9 @@ def test_carried_finish_equals_a_full_finish(general_units, complete_units, work
 
 def test_outputs_equal_a_from_scratch_rendering(general_units, complete_units, workload_units):
     seen = run_output_suite([u.cu for u in general_units + complete_units])
-    assert seen["entries"] >= 1000 and seen["shared"] >= 100 and seen["formulas"] >= 100, seen
-    extra = [compile_source(src) for src in (PRELUDE + FINISH_EDGES, SHADOWS, CROSS)]
+    assert seen["entries"] >= 1000 and seen["shared"] >= 100, seen
+    assert seen["formulas"] >= 100 and seen["types"] >= 100, seen
+    extra = [compile_source(src) for src in (PRELUDE + FINISH_EDGES, SHADOWS, CROSS, HIGHER_ORDER)]
     assert run_output_suite(extra + data_units())["entries"] >= 50
     seen = run_output_suite([cu for cu, _ in workload_units])
     assert seen["entries"] >= 5000 and seen["shared"] >= 1000, seen
@@ -2290,3 +2314,26 @@ def test_typing_a_wide_unit_makes_a_few_calls_per_node(monkeypatch):
     compile_unit(wide)
     assert len(typed) == 1
     assert typed[0] <= 72_000  # 70,194 when this bound was set
+
+
+def counted_emit(sources) -> int:
+    """The Python-level calls writing both targets of `sources` makes, the
+    unit planned beforehand."""
+    cu = plan_unit(compile_unit(sources))
+    return python_calls(emit_logical, cu)[1] + python_calls(emit_comp, cu)[1]
+
+
+def test_emitting_a_wide_unit_makes_a_few_calls_per_node(monkeypatch):
+    # 800 lets of about 20 nodes each: one call per node of a body or a
+    # generator's argument, a lift's type written once per object
+    wide = workload_sources()[3]
+    assert wide[-1][0] == "wide.fcl"
+    assert counted_emit(wide) <= 78_858  # 76,561 when this bound was set (152,237 before)
+    workloads = benchmark_workloads()
+
+    def width(lets: int) -> int:
+        monkeypatch.setattr(workloads, "WIDE_LETS", lets)
+        return counted_emit(list(workloads.wide(1).files.items()))
+
+    small, large = width(200), width(800)
+    assert 0 < large <= 4.5 * small, (small, large)
