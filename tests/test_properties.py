@@ -2328,7 +2328,7 @@ def test_emitting_a_wide_unit_makes_a_few_calls_per_node(monkeypatch):
     # generator's argument, a lift's type written once per object
     wide = workload_sources()[3]
     assert wide[-1][0] == "wide.fcl"
-    assert counted_emit(wide) <= 78_858  # 76,561 when this bound was set (152,237 before)
+    assert counted_emit(wide) <= 78_858  # 76,561 when this bound was set
     workloads = benchmark_workloads()
 
     def width(lets: int) -> int:
