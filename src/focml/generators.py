@@ -38,10 +38,8 @@ from .hierarchy import (
     CollectionModel,
     MethodInfo,
     NFSpecies,
-    interface_view,
+    param_method_view,
     rename_actual,
-    rename_type,
-    subst_expr,
 )
 from .proofs import proof_is_admitted
 from .resolve import ENTITY, METHOD, PARAM
@@ -219,16 +217,8 @@ def _param_method_lift(
     m: str,
     species_env: dict[str, NFSpecies],
 ) -> Lift:
-    iface_nf, args = interface_view(nf, p, species_env)
-    tyfn = lambda t: rename_type(t, args, TParam(p.name))
-    imi = iface_nf.methods[m]
-    tag = Qual(p.name, m, PARAM)
-    if imi.is_logical:
-        assert imi.statement is not None
-        refs = {w: Qual(p.name, w, PARAM) for w in iface_nf.methods}
-        return Lift(tag, statement=subst_expr(imi.statement, args, tyfn, refs))
-    assert imi.scheme is not None
-    return Lift(tag, ty=tyfn(imi.scheme.body))
+    ty, statement = param_method_view(nf, p, m, species_env)
+    return Lift(Qual(p.name, m, PARAM), ty=ty, statement=statement)
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,23 @@ def interface_view(
     return species_env[p.interface.name], nf.iface_args[p.name]
 
 
+def param_method_view(
+    nf: NFSpecies, p: SpeciesParam, m: str, species_env: dict[str, NFSpecies]
+) -> tuple[Type | None, Expr | None]:
+    """Method `m` of parameter `p` as seen from inside `nf`: its type, or
+    its statement if it is logical, renamed by `p`'s actuals, with `Self`
+    put to `TParam(p.name)` and the interface's methods named `p!w`."""
+    iface_nf, args = interface_view(nf, p, species_env)
+    tyfn = lambda t: rename_type(t, args, TParam(p.name))
+    imi = iface_nf.methods[m]
+    if imi.is_logical:
+        assert imi.statement is not None
+        refs = {w: Qual(p.name, w, PARAM) for w in iface_nf.methods}
+        return None, subst_expr(imi.statement, args, tyfn, refs)
+    assert imi.scheme is not None
+    return tyfn(imi.scheme.body), None
+
+
 def applied_schemes(
     species: NFSpecies, args: Args, self_ty: Type
 ) -> dict[str, Scheme]:

@@ -1,7 +1,8 @@
 """The dependency report and the documentation summary of a compiled unit.
 
 Loaded on first use (`driver.__getattr__`): `check` writes neither, so it
-loads neither this module nor `json`.
+loads neither this module nor `json`.  Neither loads a plan builder: the
+report reads a parameter method's type from `hierarchy.param_method_view`.
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ from json.encoder import encode_basestring_ascii as _json_string
 from typing import TYPE_CHECKING
 
 from .ast import Expr, Scheme, SpeciesParam
-from .generators import _param_method_lift
-from .hierarchy import CollectionModel, NFSpecies
+from .hierarchy import CollectionModel, NFSpecies, param_method_view
 from .pretty import expr_to_source, type_to_source
 from .proofs import iter_leaves
 
 if TYPE_CHECKING:
+    from .deps import MethodDeps
     from .driver import CompiledUnit
 
 
@@ -28,19 +29,29 @@ def deps_report(cu: CompiledUnit) -> dict:
 def render_deps_report(cu: CompiledUnit) -> str:
     """The dependency analysis as JSON, each set in its species' global
     method order, as `json.dumps(report, indent=2)` writes the report of
-    `tests/oracles.py`.  A scheme's or statement's text is written once per
-    object (`_source_of`), a method entry once per key: it reads the
-    method's record, its finished entry (`MethodDeps`), its order index and
-    the species' parameters.  A finished entry is shared only with heirs
-    (`_extended_parent`) that have its parameters and keep its relative
-    order (`finish_deps`), so its sets read alike there."""
-    texts: dict[int, str] = {}
-    entries: dict[tuple, str] = {}  # key -> `"m": {...}`
+    `tests/oracles.py`.  Each piece is written once and joined after:
+
+    - per unit, a name's JSON text, its text as an item of an entry's
+      `decl`, `def` or `universe`, and a `min_env` item's text per
+      `(name, keep)` pair; so a set is one join of item texts, in order
+      index order;
+    - per object, a scheme's or statement's JSON text
+      (`_ReportWriter.source`): an heir shares both with the species it
+      inherits them from;
+    - per key, a method entry, one template of its 12 fields: it reads the
+      method's record, its finished entry (`MethodDeps`), its order index
+      and the species' parameters.  A finished entry is shared only with
+      heirs (`_extended_parent`) that have its parameters and keep its
+      relative order (`finish_deps`), so its sets read alike there.
+
+    `params`, collections and the species level, rare or one per
+    declaration, go through the general `_json_object`."""
+    writer = _ReportWriter(cu)
     parts: dict[str, list[str]] = {"species": [], "collections": []}  # "name": {...}
     for kind, name in cu.decl_order:
         with cu.writing(name):
             if kind == "species":
-                parts["species"].append(_species_json(cu, name, texts, entries))
+                parts["species"].append(writer.species(name))
             elif kind == "collection":
                 model = cu.collections[name]
                 args = _json_block([_json_string(a) for a in _collection_args(model)], _NL[3], "[]")
@@ -55,6 +66,11 @@ def render_deps_report(cu: CompiledUnit) -> str:
 
 _NL = tuple("\n" + "  " * depth for depth in range(9))  # a line break, indented
 _JSON_BOOL = ("false", "true")
+# An entry's `carrier` object, by its `decl` and `def` flags
+_CARRIER = tuple(
+    tuple(f'{{{_NL[6]}"decl": {d},{_NL[6]}"def": {e}{_NL[5]}}}' for e in _JSON_BOOL)
+    for d in _JSON_BOOL
+)
 
 
 def _block_pieces(items: list[str], nl: str, brackets: str) -> list[str]:
@@ -78,62 +94,98 @@ def _json_object(fields: dict[str, str], nl: str) -> str:
     return _json_block([f"{_json_string(k)}: {v}" for k, v in fields.items()], nl, "{}")
 
 
-def _species_json(cu: CompiledUnit, name: str, texts: dict, entries: dict) -> str:
-    nf = cu.species[name]
-    index = {m: i for i, m in enumerate(nf.order)}
-    methods: list[str] = []
-    for i, m in enumerate(nf.order):
-        mi = nf.methods[m]
-        key = (id(nf.deps[m]), id(mi), i)
-        text = entries.get(key)
-        if text is None:
-            text = entries[key] = _method_json(cu, nf, m, index, texts)
-        methods.append(text)
-    order = _json_block([_json_string(m) for m in nf.order], _NL[3], "[]")
-    fields = {"order": order, "methods": _json_block(methods, _NL[3], "{}")}
-    return f"{_json_string(name)}: {_json_object(fields, _NL[2])}"
+class _Memo(dict):
+    """A table that writes a missing value once, by `make`; a hit is a
+    plain lookup, which `map` can do without a Python-level call."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
-def _method_json(
-    cu: CompiledUnit, nf: NFSpecies, m: str, index: dict[str, int], texts: dict[int, str]
-) -> str:
-    """`"m": {...}`, the entry of method `m` of `nf`."""
-    mi = nf.methods[m]
-    md = nf.deps[m]
-    nl = _NL[5]
+class _ReportWriter:
+    """The texts one report writes once and reuses (see `render_deps_report`)."""
 
-    def names(s: set[str]) -> str:
-        return _json_block([_json_string(n) for n in sorted(s, key=index.__getitem__)], nl, "[]")
+    def __init__(self, cu: CompiledUnit):
+        self.cu = cu
+        self.strings = _Memo(_json_string)  # a name -> its JSON text
+        self.items: dict[str, str] = {}  # a method name -> its text as a set's item
+        self.env_items = _Memo(self._env_item)  # (name, keep) -> its `min_env` item
+        self.sources = {id(None): "null"}  # id of a scheme or statement -> its JSON text
+        self.entries: dict[tuple, str] = {}  # key -> `"m": {...}`
 
-    def source(node: Scheme | Expr | None) -> str:
-        return "null" if node is None else _json_string(_source_of(texts, node))
+    def _env_item(self, pair: tuple[str, str]) -> str:
+        name, keep = self.strings[pair[0]], self.strings[pair[1]]
+        return f'{_NL[6]}{{{_NL[7]}"name": {name},{_NL[7]}"keep": {keep}{_NL[6]}}}'
 
-    def pairs(key: str, items: list[tuple[str, str]], nl: str) -> str:
-        f = nl + "    "  # a field of an item
-        return _json_block([f'{{{f}"name": {_json_string(a)},{f}"{key}": {_json_string(b)}{nl}  }}'
-                            for a, b in items], nl, "[]")
+    def source(self, node: Scheme | Expr) -> str:
+        """The JSON text of a scheme's type or of a statement, once per object."""
+        text = self.sources[id(node)] = _json_string(
+            type_to_source(node.body) if type(node) is Scheme else expr_to_source(node)
+        )
+        return text
 
-    lifts = {p.name: [(w, _param_method_type(cu, nf, p, w)) for w in md.param_deps.get(p.name, [])]
-             for p in nf.is_params if md.param_deps.get(p.name) or md.param_carrier.get(p.name)}
-    for v in md.entity_used:
-        lifts[v] = [(v, next(q.carrier for q in nf.entity_params if q.name == v))]
-    params = {p: pairs("type", items, _NL[6]) for p, items in lifts.items()}
-    entry = {
-        "kind": _json_string(mi.kind),
-        "origin": _json_string(mi.origin),
-        "type": source(mi.scheme),
-        "statement": source(mi.statement),
-        "decl": names(md.decl),
-        "def": names(md.defs),
-        "universe": names(md.universe),
-        "carrier": _json_object({"decl": _JSON_BOOL[mi.carrier_decl],
-                                 "def": _JSON_BOOL[mi.carrier_def]}, nl),
-        "min_env": pairs("keep", md.min_env, nl),
-        "params": _json_object(params, nl),
-        "order_index": str(index[m]),
-        "valid_proof": _JSON_BOOL[mi.valid_proof],
-    }
-    return f"{_json_string(m)}: {_json_object(entry, _NL[4])}"
+    def species(self, name: str) -> str:
+        """`"name": {...}`, the report of species `name`."""
+        nf = self.cu.species[name]
+        strings, items, env_items = self.strings, self.items, self.env_items
+        sources, entries = self.sources, self.entries
+        for m in nf.order:
+            if m not in items:
+                items[m] = _NL[6] + strings[m]
+        index = {m: i for i, m in enumerate(nf.order)}
+        at = index.__getitem__
+        nl, end = _NL[5], _NL[5] + "]"
+        methods: list[str] = []
+        for i, m in enumerate(nf.order):
+            mi, md = nf.methods[m], nf.deps[m]
+            key = (id(md), id(mi), i)
+            text = entries.get(key)
+            if text is None:
+                decl, defs, universe = [
+                    f"[{','.join(map(items.__getitem__, sorted(s, key=at)))}{end}" if s else "[]"
+                    for s in (md.decl, md.defs, md.universe)
+                ]
+                env = (f"[{','.join(map(env_items.__getitem__, md.min_env))}{end}"
+                       if md.min_env else "[]")
+                ty = sources.get(id(mi.scheme)) or self.source(mi.scheme)
+                statement = sources.get(id(mi.statement)) or self.source(mi.statement)
+                params = (self.params(nf, md)
+                          if md.param_deps or md.param_carrier or md.entity_used else "{}")
+                text = entries[key] = (
+                    f'{strings[m]}: {{{nl}"kind": {strings[mi.kind]},'
+                    f'{nl}"origin": {strings[mi.origin]},'
+                    f'{nl}"type": {ty},{nl}"statement": {statement},'
+                    f'{nl}"decl": {decl},{nl}"def": {defs},{nl}"universe": {universe},'
+                    f'{nl}"carrier": {_CARRIER[mi.carrier_decl][mi.carrier_def]},'
+                    f'{nl}"min_env": {env},{nl}"params": {params},{nl}"order_index": {i},'
+                    f'{nl}"valid_proof": {_JSON_BOOL[mi.valid_proof]}{_NL[4]}}}'
+                )
+            methods.append(text)
+        order = _json_block(list(map(strings.__getitem__, nf.order)), _NL[3], "[]")
+        fields = {"order": order, "methods": _json_block(methods, _NL[3], "{}")}
+        return f"{strings[name]}: {_json_object(fields, _NL[2])}"
+
+    def params(self, nf: NFSpecies, md: MethodDeps) -> str:
+        """An entry's `params`: per parameter it uses, the methods it
+        uses and their types, or an entity parameter and its carrier."""
+        nl = _NL[6]
+
+        def pairs(items: list[tuple[str, str]]) -> str:
+            f = nl + "    "  # a field of an item
+            return _json_block([f'{{{f}"name": {_json_string(a)},{f}"type": {_json_string(b)}{nl}  }}'
+                                for a, b in items], nl, "[]")
+
+        lifts = {p.name: [(w, _param_method_type(self.cu, nf, p, w))
+                          for w in md.param_deps.get(p.name, [])]
+                 for p in nf.is_params if md.param_deps.get(p.name) or md.param_carrier.get(p.name)}
+        for v in md.entity_used:
+            lifts[v] = [(v, next(q.carrier for q in nf.entity_params if q.name == v))]
+        return _json_object({p: pairs(items) for p, items in lifts.items()}, _NL[5])
 
 
 def _source_of(texts: dict[int, str], node: Scheme | Expr) -> str:
@@ -157,11 +209,8 @@ def _collection_args(model: CollectionModel) -> list[str]:
 def _param_method_type(
     cu: CompiledUnit, nf: NFSpecies, p: SpeciesParam, m: str
 ) -> str:
-    lift = _param_method_lift(nf, p, m, cu.species)
-    if lift.ty is not None:
-        return type_to_source(lift.ty)
-    assert lift.statement is not None
-    return expr_to_source(lift.statement)
+    ty, statement = param_method_view(nf, p, m, cu.species)
+    return type_to_source(ty) if ty is not None else expr_to_source(statement)
 
 
 # ---------------------------------------------------------------------------

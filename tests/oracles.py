@@ -657,8 +657,12 @@ def render_deps_report(cu) -> str:
 
 
 def _species_report(cu, name: str) -> dict:
-    from focml.report import _param_method_type
+    from focml.generators import _param_method_lift
     from focml.pretty import expr_to_source, type_to_source
+
+    def lift_text(p, w: str) -> str:  # the type or statement a generator abstracts over
+        lift = _param_method_lift(nf, p, w, cu.species)
+        return type_to_source(lift.ty) if lift.ty is not None else expr_to_source(lift.statement)
 
     nf = cu.species[name]
     index = {m: i for i, m in enumerate(nf.order)}
@@ -675,7 +679,7 @@ def _species_report(cu, name: str) -> dict:
             if not md.param_deps.get(p.name) and not md.param_carrier.get(p.name):
                 continue
             params[p.name] = [
-                {"name": w, "type": _param_method_type(cu, nf, p, w)}
+                {"name": w, "type": lift_text(p, w)}
                 for w in md.param_deps.get(p.name, [])
             ]
         for v in md.entity_used:

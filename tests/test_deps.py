@@ -294,3 +294,35 @@ end ;;
     assert (ei.value.kind, ei.value.message) == (UNKNOWN, message)
     assert (ei.value.pos.line, ei.value.pos.col) == (11, 14)
     compile_source(src.replace(fact, "P!refl"))  # a property of the collection
+
+
+@pytest.mark.parametrize(
+    "src, message, line, col",
+    [
+        pytest.param(  # a fact's property (`deps._validated_property`)
+            "species A = representation = int ; "
+            "theorem t : all n : int, n = n proof = by property nosuch ; end ;;",
+            "unknown property nosuch", 1, 78, id="property"),
+        pytest.param(  # a fact's parameter method (`deps._param_deps`)
+            "species B = representation = int ; property refl : all n : int, n = n ; end ;;\n"
+            "species A (P is B) = representation = int ; "
+            "theorem t : all n : int, n = n proof = by property P!nosuch ; end ;;",
+            "P has no method nosuch", 2, 53, id="parameter method"),
+        pytest.param(  # a body's collection (`resolve.resolve`)
+            "species A = representation = int ; let f (x : int) : int = Zz!g (x) ; end ;;",
+            "unknown collection Zz", 1, 60, id="collection"),
+        pytest.param(  # a pattern's constructor (`typecheck.type_pattern`)
+            "type u = | A ;;\n"
+            "species S = representation = int ; let f (x : u) : int = match x with | B -> 1 ; end ;;",
+            "unknown constructor B", 2, 73, id="constructor"),
+        pytest.param(  # an entity parameter's carrier (`driver._species_env`)
+            "species S (v in Q) = representation = int ; end ;;",
+            "entity parameter v needs a preceding collection parameter, got Q", 1, 12,
+            id="entity carrier"),
+    ],
+)
+def test_an_unknown_name_is_a_diagnostic_where_it_is_used(src, message, line, col):
+    with pytest.raises(CompileError) as ei:
+        compile_source(src)
+    assert (ei.value.kind, ei.value.message) == (UNKNOWN, message)
+    assert (ei.value.pos.line, ei.value.pos.col) == (line, col)

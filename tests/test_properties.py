@@ -1179,6 +1179,22 @@ collection HC = implement H ; end ;;
 """
 
 
+# The printer's applied constructor, `_` pattern and constructor pattern
+# with arguments, in statements the report and the doc write.
+OPTIONS = """
+type opt = | None_ | Some_ (int) ;;
+species Opt =
+  representation = int ;
+  let get (o : opt) : int = match o with | Some_ (n) -> n | None_ -> 0 ;
+  theorem t : all n : int, get (Some_ (n)) = n
+    proof = by definition of get ;
+  theorem u : all o : opt, (match o with | Some_ (n) -> n | _ -> 0) = get (o)
+    proof = by definition of get ;
+end ;;
+collection OptC = implement Opt ;;
+"""
+
+
 def run_output_suite(cus) -> Counter:
     """The deps report, `doc` and both targets of every unit, which write
     each shared piece once, against the references in `tests/oracles.py`,
@@ -2039,8 +2055,14 @@ def test_outputs_equal_a_from_scratch_rendering(general_units, complete_units, w
     seen = run_output_suite([u.cu for u in general_units + complete_units])
     assert seen["entries"] >= 1000 and seen["shared"] >= 100, seen
     assert seen["formulas"] >= 100 and seen["types"] >= 100, seen
-    extra = [compile_source(src) for src in (PRELUDE + FINISH_EDGES, SHADOWS, CROSS, HIGHER_ORDER)]
+    extra = [compile_source(src)
+             for src in (PRELUDE + FINISH_EDGES, SHADOWS, CROSS, HIGHER_ORDER, OPTIONS)]
     assert run_output_suite(extra + data_units())["entries"] >= 50
+    methods = driver.deps_report(extra[-1])["species"]["Opt"]["methods"]
+    assert [methods[m]["statement"] for m in ("t", "u")] == [
+        "all n : int, get (Some_ (n)) = n",
+        "all o : opt, (match o with | Some_ (n) -> n | _ -> 0) = get (o)",
+    ]
     seen = run_output_suite([cu for cu, _ in workload_units])
     assert seen["entries"] >= 5000 and seen["shared"] >= 1000, seen
 
@@ -2334,6 +2356,27 @@ def test_emitting_a_wide_unit_makes_a_few_calls_per_node(monkeypatch):
     def width(lets: int) -> int:
         monkeypatch.setattr(workloads, "WIDE_LETS", lets)
         return counted_emit(list(workloads.wide(1).files.items()))
+
+    small, large = width(200), width(800)
+    assert 0 < large <= 4.5 * small, (small, large)
+
+
+def counted_report(sources) -> int:
+    """The Python-level calls writing the deps report of `sources` makes."""
+    return python_calls(driver.render_deps_report, compile_unit(sources))[1]
+
+
+def test_reporting_a_wide_unit_makes_a_few_calls_per_entry(monkeypatch):
+    # 800 lets: a name's texts written once per unit, an entry in one
+    # template, a let's type written once per object
+    wide = workload_sources()[3]
+    assert wide[-1][0] == "wide.fcl"
+    assert counted_report(wide) <= 14_000  # 7,347 when this bound was set, 35,316 before
+    workloads = benchmark_workloads()
+
+    def width(lets: int) -> int:
+        monkeypatch.setattr(workloads, "WIDE_LETS", lets)
+        return counted_report(list(workloads.wide(1).files.items()))
 
     small, large = width(200), width(800)
     assert 0 < large <= 4.5 * small, (small, large)
