@@ -2371,7 +2371,7 @@ def test_reporting_a_wide_unit_makes_a_few_calls_per_entry(monkeypatch):
     # template, a let's type written once per object
     wide = workload_sources()[3]
     assert wide[-1][0] == "wide.fcl"
-    assert counted_report(wide) <= 14_000  # 7,347 when this bound was set, 35,316 before
+    assert counted_report(wide) <= 14_000  # 7,347 when this bound was set
     workloads = benchmark_workloads()
 
     def width(lets: int) -> int:
