@@ -32,7 +32,14 @@ per target, method prefix and carrier name, not once per generator.
 
 from __future__ import annotations
 
-import hashlib
+# CPython's own SHA-256 module: `hashlib` loads OpenSSL, about 3.6 MB of peak RSS
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # a CPython built without its builtin hashes
+        from hashlib import sha256
 
 from .ast import (
     BinOp,
@@ -256,7 +263,7 @@ def _sub_formula(e: Expr, env: RenderEnv) -> str:
 
 def proof_hole_name(species: str, method: str, statement: Expr, proof) -> str:
     """The digest of the proof's lines, joined by newlines, is fed a line at a time."""
-    digest = hashlib.sha256(f"{species}.{method}\n{expr_to_source(statement)}\n".encode())
+    digest = sha256(f"{species}.{method}\n{expr_to_source(statement)}\n".encode())
     sep = ""
     for line in proof_to_source(proof, ""):
         digest.update(f"{sep}{line}".encode())

@@ -1,14 +1,16 @@
 """The dependency report and the documentation summary of a compiled unit.
 
 Loaded on first use (`driver.__getattr__`): `check` writes neither, so it
-loads neither this module nor `json`.  Neither loads a plan builder: the
+loads neither this module nor `_json`.  Neither loads a plan builder: the
 report reads a parameter method's type from `hierarchy.param_method_view`.
+No subcommand loads `json`: a string is written by `_json`'s C encoder, the
+one `json.encoder` imports, and only `deps_report`, which tests call,
+parses a report.
 """
 
 from __future__ import annotations
 
-from json import loads
-from json.encoder import encode_basestring_ascii as _json_string
+from _json import encode_basestring_ascii as _json_string
 from typing import TYPE_CHECKING
 
 from .ast import Expr, Scheme, SpeciesParam
@@ -23,6 +25,8 @@ if TYPE_CHECKING:
 
 def deps_report(cu: CompiledUnit) -> dict:
     """`render_deps_report` read back."""
+    from json import loads
+
     return loads(render_deps_report(cu))
 
 

@@ -1,5 +1,6 @@
 """Emitted text for both targets, pinned by the golden outputs."""
 
+import hashlib
 import re
 import tracemalloc
 
@@ -15,7 +16,7 @@ from focml.ast import Pattern, ProofStep, PWild, Quant, TGen, TSelf, TVar
 from focml.cli import main
 from focml.emit import (
     RenderEnv, _comp_type, _pattern, emit_comp, emit_logical, proof_hole_name, render_expr,
-    render_type,
+    render_type, sha256,
 )
 from focml.errors import TYPE_MISMATCH, CompileError, on_deep_stack
 from focml.parser import parse_source
@@ -88,6 +89,16 @@ def test_a_deep_proof_hole_is_named_by_the_digest_of_its_joined_text():
             lambda: oracles.proof_hole_name("S", "t", statement, proof), AssertionError()
         )
         assert proof_hole_name("S", "t", statement, proof) == want, n
+
+
+@pytest.mark.parametrize("message", [b"", b"abc", bytes(range(256)) * 3 + b"tail"])
+def test_the_proof_hole_digest_is_openssls_sha256(message):
+    want = hashlib.sha256(message).hexdigest()
+    assert sha256(message).hexdigest() == want
+    digest = sha256(message[:1])  # fed in pieces across block ends, as proof_hole_name feeds it
+    for i in range(1, len(message), 37):
+        digest.update(message[i:i + 37])
+    assert digest.hexdigest() == want
 
 
 def test_naming_a_deep_proof_hole_takes_memory_linear_in_its_depth():
