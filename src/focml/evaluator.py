@@ -9,9 +9,10 @@ lifts and arguments are logical; nothing here decides it again.
 Expressions are compiled into Python closures (Feeley and Lapalme, "Using
 closures for code generation", 1987).  A compiled expression takes the
 frame of the call it runs in: a list holding the generator's lifted
-arguments, the generator itself when it is recursive, its parameters and
-then the variables its patterns bind, each at a slot fixed when it is
-compiled.  An interpreter compiles each generator body once, the first
+arguments, the generator itself when it is recursive, its parameters, the
+variables its patterns bind, each at a slot fixed when it is compiled, and
+last its constants.  An operand in a slot is read in place, not by a
+closure.  An interpreter compiles each generator body once, the first
 time it runs.  A call in tail position (the body itself, or a branch of
 an `if` or a `match` in it) returns a `_Tail` record instead of calling,
 and `Interpreter.apply` makes these calls in a loop, so tail recursion
@@ -19,11 +20,14 @@ takes no Python stack.
 
 Evaluation is pure and has two limits.  Each expression node evaluated
 costs one step; past `step_limit` steps (1,000,000 by default) evaluation
-stops with `StepLimit`.  Calls that are not in tail position nest; past
-`MAX_DEPTH` (20,000) nested calls evaluation stops with `DepthLimit`.
-`eval_call` runs on the deep stack (`errors.on_deep_stack`), which holds
-that depth; a Python `RecursionError`, which one deeply nested expression
-can still cause, is reported as `DepthLimit` too.
+stops with `StepLimit`.  The steps of nodes that nothing can fail between
+are charged at once (`_Compiler`), so the count at a value and at every
+failure is the one charging each node as it starts gives.  Calls that are
+not in tail position nest; past `MAX_DEPTH` (20,000) nested calls
+evaluation stops with `DepthLimit`.  `eval_call` runs on the deep stack
+(`errors.on_deep_stack`), which holds that depth; a Python
+`RecursionError`, which one deeply nested expression can still cause, is
+reported as `DepthLimit` too.
 """
 
 from __future__ import annotations
@@ -32,28 +36,8 @@ import operator
 from typing import Callable
 
 from .ast import (
-    BinOp,
-    BoolLit,
-    Call,
-    ConRef,
-    Eq,
-    Expr,
-    Frozen,
-    If,
-    IntLit,
-    Match,
-    PCon,
-    PTuple,
-    PVar,
-    PWild,
-    Pattern,
-    Qual,
-    Record,
-    StrLit,
-    TupleExpr,
-    UnOp,
-    Var,
-    same,
+    BinOp, BoolLit, Call, ConRef, Eq, Expr, Frozen, If, IntLit, Match, PCon, PTuple, PVar,
+    PWild, Pattern, Qual, Record, StrLit, TupleExpr, UnOp, Var, same,
 )
 from .basics import BUILTIN_FUNCTIONS
 from .driver import plan_unit
@@ -63,12 +47,7 @@ from .resolve import BUILTIN, ENTITY, PARAM, Names, resolve
 STEP_LIMIT_DEFAULT = 1_000_000
 MAX_DEPTH = 20_000  # nested non-tail calls
 
-_INT_OPS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "<0x": operator.lt,
-    "=0x": operator.eq,
-}
+_INT_OPS = {"+": operator.add, "-": operator.sub, "<0x": operator.lt, "=0x": operator.eq}
 
 
 class VCon(Frozen):
@@ -80,23 +59,27 @@ class VCon(Frozen):
 
 class Code:
     """A generator body, compiled on its first run, so that a call compiles
-    only the bodies it reaches."""
+    only the bodies it reaches.  Its caller charges its `lead` before
+    `run`: none before it is compiled, so the first run charges it."""
 
-    __slots__ = ("run", "gp", "interp", "pad")
+    __slots__ = ("run", "lead", "gp", "interp", "pad")
 
     def __init__(self, interp: "Interpreter", gp):
         self.run: Callable[[list], object] = self._first_run
+        self.lead = 0
         self.gp = gp
         self.interp = interp
-        self.pad: list = []  # one None per slot its patterns bind
+        self.pad: list = []  # its pattern variables' slots, then its constants
 
     def _first_run(self, frame: list) -> object:
         gp = self.gp
         slots = _layout(gp)
         comp = _Compiler(self.interp, slots)
         tail = bool(gp.value_params)
-        self.run = comp.expr(gp.body, dict(comp.vars), len(slots), tail)
-        self.pad = [None] * (comp.width - len(slots))
+        run, self.lead, _ = comp.expr(gp.body, dict(comp.vars), len(slots), tail)
+        self.run = comp.closure(run)
+        self.pad = comp.pad()
+        self.interp.charge(self.lead)
         return self.run(frame + self.pad)
 
 
@@ -219,6 +202,7 @@ class Interpreter:
         if code is None:
             code = self._codes[gp.species, gp.method] = Code(self, gp)
         if not gp.value_params:
+            self.charge(code.lead)
             return code.run(vals + code.pad)
         env = list(vals)
         closure = Closure(code, env, len(gp.value_params))
@@ -246,41 +230,40 @@ class Interpreter:
     # -- evaluation --------------------------------------------------------
 
     def eval(self, e: Expr, scope: Scope) -> Value:
-        slots = [(False, n) for n in scope.vars]
-        slots += [(True, k) for k in scope.quals]
+        slots = [(False, n) for n in scope.vars] + [(True, k) for k in scope.quals]
         comp = _Compiler(self, slots)
-        run = comp.expr(e, dict(comp.vars), len(slots), tail=False)
-        frame = [*scope.vars.values(), *scope.quals.values()]
-        return run(frame + [None] * (comp.width - len(slots)))
+        run, lead, _ = comp.expr(e, dict(comp.vars), len(slots), tail=False)
+        self.charge(lead)
+        return comp.closure(run)([*scope.vars.values(), *scope.quals.values(), *comp.pad()])
 
     def apply(self, f: Value, args: list[Value]) -> Value:
         """Apply f to args, making the tail calls of each body in a loop."""
         self.depth += 1
         try:
             if self.depth > MAX_DEPTH:
-                raise EvalFailure(
-                    DEPTH_LIMIT, f"depth limit of {MAX_DEPTH} nested calls exceeded"
-                )
+                raise EvalFailure(DEPTH_LIMIT, f"depth limit of {MAX_DEPTH} nested calls exceeded")
             while args:
                 if type(f) is Closure:
-                    n = f.arity
+                    code, n = f.code, f.arity
                     if len(args) < n:
-                        return Closure(f.code, f.env + args, n - len(args))
-                    code = f.code
-                    r = code.run([*f.env, *args[:n], *code.pad])
-                    args = args[n:]
-                    if type(r) is not _Tail:
-                        f = r
-                    elif args:
-                        f = self.apply(r.f, r.args)
+                        return Closure(code, f.env + args, n - len(args))
+                    steps = self.steps + code.lead
+                    if steps > self.step_limit:
+                        raise self.out_of_steps()
+                    self.steps = steps
+                    if len(args) == n:
+                        f, args = code.run(f.env + args + code.pad), ()
                     else:
-                        f, args = r.f, r.args
+                        f, args = code.run(f.env + args[:n] + code.pad), args[n:]
+                    if type(f) is _Tail:
+                        if args:
+                            f = self.apply(f.f, f.args)
+                        else:
+                            f, args = f.f, f.args
                 elif type(f) is BuiltinFn:
                     arity = BUILTIN_FUNCTIONS[f.name].arity
                     if len(args) < arity:
-                        raise EvalFailure(
-                            EVAL, f"partial application of builtin {f.name}"
-                        )
+                        raise EvalFailure(EVAL, f"partial application of builtin {f.name}")
                     f, args = _builtin(f.name, args[:arity]), args[arity:]
                 else:
                     raise EvalFailure(EVAL, "value is not a function")
@@ -288,7 +271,16 @@ class Interpreter:
         finally:
             self.depth -= 1
 
+    def charge(self, k: int) -> None:
+        """Count k steps that no failure separates."""
+        steps = self.steps + k
+        if steps > self.step_limit:
+            raise self.out_of_steps()
+        self.steps = steps
+
     def out_of_steps(self) -> EvalFailure:
+        # the count stops at the step past the limit, as when charged singly
+        self.steps = self.step_limit + 1
         return EvalFailure(STEP_LIMIT, f"step limit of {self.step_limit} exceeded")
 
 
@@ -311,8 +303,7 @@ def _builtin(name: str, args: list[Value]) -> Value:
                 raise EvalFailure(EVAL, "~~ expects a boolean")
             return not a
         case "=":
-            a, b = args
-            return same(a, b)
+            return same(*args)
         case "fst" | "snd":
             (t,) = args
             if not isinstance(t, tuple) or len(t) != 2:
@@ -325,10 +316,14 @@ def _builtin(name: str, args: list[Value]) -> Value:
 class _Compiler:
     """Compiles the expressions of one frame layout into closures.
 
-    Every closure first charges its step, then evaluates its children in
-    the order the language fixes: callee, then arguments left to right,
-    then left before right.  `names` maps each variable in scope to its
-    slot, and `top` is the first slot free for pattern variables.
+    `expr` gives a node's code: the slot of a node that only reads one (a
+    variable; a constant or builtin, at slot -1, -2, ... of every frame),
+    else a closure of the frame.  With it come its lead, the steps from its
+    own to its first operation that can fail (a call, a check, a lookup),
+    which its parent charges, and whether it can fail at all; the closure
+    charges the steps after that where they fall.  Children run in the
+    language's order: callee, arguments left to right, left before right.
+    `names` maps variables to slots; `top` is the first free for patterns.
     """
 
     def __init__(self, interp: Interpreter, slots: list[tuple[bool, object]]):
@@ -340,7 +335,12 @@ class _Compiler:
                 self.quals[key] = i
             else:
                 self.vars[key] = i
-        self.width = len(slots)  # slots any frame of this layout needs
+        self.bound = self.width = len(slots)  # slots any frame of this layout needs
+        self.consts: list = []
+
+    def pad(self) -> list:
+        """What a frame holds after its bound slots."""
+        return [None] * (self.width - self.bound) + self.consts[::-1]
 
     def expr(self, e: Expr, names: dict[str, int], top: int, tail: bool):
         interp = self.interp
@@ -348,22 +348,19 @@ class _Compiler:
         sub = lambda x: self.expr(x, names, top, False)
         match e:
             case IntLit(v) | BoolLit(v) | StrLit(v):
-                return self._const(v)
+                return self._const(v), 1, False
             case Var(name, ref) if ref == BUILTIN:
-                return self._const(BuiltinFn(name))
+                return self._const(BuiltinFn(name)), 1, False
             case Var(name) if name in names:
-                return self._read(names[name])
+                return names[name], 1, False
             case Var(name):
-                return self._fail(f"unbound name {name}")
+                return self._fail(f"unbound name {name}"), 1, True
             case Qual(coll, name, ref) if ref == PARAM and (coll, name) in self.quals:
-                return self._read(self.quals[coll, name])
+                return self.quals[coll, name], 1, False
             case Qual(coll, name):
                 collections = interp.collections
 
                 def qual(frame):
-                    interp.steps += 1
-                    if interp.steps > limit:
-                        raise interp.out_of_steps()
                     methods = collections.get(coll)
                     if methods is None:
                         raise EvalFailure(EVAL, f"unknown collection {coll}")
@@ -371,181 +368,191 @@ class _Compiler:
                         raise EvalFailure(EVAL, f"{coll} has no method {name}")
                     return methods[name]
 
-                return qual
-            case ConRef(name, [arg]):
-                arg = sub(arg)
-
-                def con1(frame):
-                    interp.steps += 1
-                    if interp.steps > limit:
-                        raise interp.out_of_steps()
-                    return VCon(name, (arg(frame),))
-
-                return con1
-            case ConRef(name, args):
-                items = [sub(a) for a in args]
+                return qual, 1, True
+            case ConRef(name, []):
+                return self._const(VCon(name)), 1, False
+            case ConRef(_, items) | TupleExpr(items):
+                items, lead, fails = self._operands([sub(a) for a in items])
+                name = e.name if type(e) is ConRef else None
 
                 def con(frame):
-                    interp.steps += 1
-                    if interp.steps > limit:
-                        raise interp.out_of_steps()
-                    return VCon(name, tuple([a(frame) for a in items]))
+                    args = tuple([a(frame) for a in items])
+                    return args if name is None else VCon(name, args)
 
-                return con
+                return con, 1 + lead, fails
             case Call(callee, args):
-                fn = sub(callee)
-                items = [sub(a) for a in args]
+                ops = [sub(callee)] + [sub(a) for a in args]
+                (fn, *items), lead, _ = self._operands(ops)
+                f = ops[0][0]
                 apply = interp.apply
                 if tail:
 
-                    def tail_call(frame):
-                        interp.steps += 1
-                        if interp.steps > limit:
-                            raise interp.out_of_steps()
+                    def call(frame):
                         return _Tail(fn(frame), [a(frame) for a in items])
 
-                    return tail_call
-                if len(items) == 1:
+                elif type(f) is int and len(items) == 1:  # `fib (n - 1)`
                     (arg,) = items
 
-                    def call1(frame):
-                        interp.steps += 1
-                        if interp.steps > limit:
-                            raise interp.out_of_steps()
-                        return apply(fn(frame), [arg(frame)])
+                    def call(frame):
+                        return apply(frame[f], [arg(frame)])
 
-                    return call1
+                else:
 
-                def call(frame):
-                    interp.steps += 1
-                    if interp.steps > limit:
-                        raise interp.out_of_steps()
-                    return apply(fn(frame), [a(frame) for a in items])
+                    def call(frame):
+                        return apply(fn(frame), [a(frame) for a in items])
 
-                return call
-            case TupleExpr(items):
-                items = [sub(i) for i in items]
-
-                def tup(frame):
-                    interp.steps += 1
-                    if interp.steps > limit:
-                        raise interp.out_of_steps()
-                    return tuple([i(frame) for i in items])
-
-                return tup
+                return call, 1 + lead, True
             case UnOp(op, operand):
-                x = sub(operand)
-
-                def unop(frame):
-                    interp.steps += 1
-                    if interp.steps > limit:
-                        raise interp.out_of_steps()
-                    return _builtin(op, [x(frame)])
-
-                return unop
+                return self._operation(op, [sub(operand)])
             case BinOp(op, left, right):
                 return self._binary(op, sub(left), sub(right))
             case Eq(left, right):
                 return self._binary("=", sub(left), sub(right))
             case If(cond, then, orelse):
-                test = sub(cond)
-                yes = self.expr(then, names, top, tail)
-                no = self.expr(orelse, names, top, tail)
+                yes = self.expr(then, names, top, tail)[:2]
+                no = self.expr(orelse, names, top, tail)[:2]
+                ops = (sub(cond.left), sub(cond.right)) if type(cond) is BinOp else ()
+                if ops and cond.op in ("<0x", "=0x") and type(ops[0][0]) is type(ops[1][0]) is int:
+                    return self._compare(cond.op, ops[0][0], ops[1][0], yes, no), 4, True
+                test, lead, _ = self._binary(cond.op, *ops) if ops else sub(cond)
+                test = self.closure(test)
 
                 def if_(frame):
-                    interp.steps += 1
-                    if interp.steps > limit:
-                        raise interp.out_of_steps()
                     c = test(frame)
-                    if c is True:
-                        return yes(frame)
-                    if c is False:
-                        return no(frame)
-                    raise EvalFailure(EVAL, "condition is not a boolean")
+                    if c is not True and c is not False:
+                        raise EvalFailure(EVAL, "condition is not a boolean")
+                    run, k = yes if c else no
+                    steps = interp.steps + k
+                    if steps > limit:
+                        raise interp.out_of_steps()
+                    interp.steps = steps
+                    return frame[run] if type(run) is int else run(frame)
 
-                return if_
+                return if_, 1 + lead, True
             case Match(scrutinee, arms):
-                scrut = sub(scrutinee)
+                (scrut,), lead, _ = self._operands([sub(scrutinee)])
                 compiled = []
                 for pat, body in arms:
                     scope = dict(names)
                     test, end = self._pattern(pat, scope, top)
                     self.width = max(self.width, end)
-                    compiled.append((test, self.expr(body, scope, end, tail)))
+                    compiled.append((test, *self.expr(body, scope, end, tail)[:2]))
 
                 def match_(frame):
-                    interp.steps += 1
-                    if interp.steps > limit:
-                        raise interp.out_of_steps()
                     v = scrut(frame)
-                    for test, body in compiled:
+                    for test, run, k in compiled:
                         if test(v, frame):
-                            return body(frame)
+                            steps = interp.steps + k
+                            if steps > limit:
+                                raise interp.out_of_steps()
+                            interp.steps = steps
+                            return frame[run] if type(run) is int else run(frame)
                     raise EvalFailure(EVAL, "no pattern matched the value")
 
-                return match_
+                return match_, 1 + lead, True
             case _:
-                return self._fail(f"cannot evaluate {type(e).__name__}")
+                return self._fail(f"cannot evaluate {type(e).__name__}"), 1, True
 
-    def _const(self, v: Value):
-        interp = self.interp
-        limit = interp.step_limit
+    def _const(self, v: Value) -> int:
+        self.consts.append(v)
+        return -len(self.consts)
 
-        def const(frame):
-            interp.steps += 1
-            if interp.steps > limit:
-                raise interp.out_of_steps()
-            return v
-
-        return const
-
-    def _read(self, i: int):
-        interp = self.interp
-        limit = interp.step_limit
+    def closure(self, code):
+        """A closure of the frame for `expr`'s code."""
+        if type(code) is not int:
+            return code
 
         def read(frame):
-            interp.steps += 1
-            if interp.steps > limit:
-                raise interp.out_of_steps()
-            return frame[i]
+            return frame[code]
 
         return read
 
+    def _operands(self, ops: list):
+        """The closures of operands run in turn, their lead (up to the first
+        that can fail) and whether one can fail.  An operand after one that
+        can fail charges its own lead when it runs."""
+        runs, lead, fails = [], 0, False
+        charge = self.interp.charge
+        for code, k, f in ops:
+            run = self.closure(code)
+            if fails:
+
+                def run(frame, run=run, k=k):
+                    charge(k)
+                    return run(frame)
+
+            else:
+                lead += k
+            runs.append(run)
+            fails = fails or f
+        return runs, lead, fails
+
     def _binary(self, op: str, lhs, rhs):
-        interp = self.interp
-        limit = interp.step_limit
+        """An infix operation; one over integers reads an operand held in a
+        slot in place."""
         fn = _INT_OPS.get(op)
-        if fn is None:
-
-            def binary(frame):
-                interp.steps += 1
-                if interp.steps > limit:
-                    raise interp.out_of_steps()
-                return _builtin(op, [lhs(frame), rhs(frame)])
-
-            return binary
+        if fn is None:  # `=` and `&&`
+            return self._operation(op, [lhs, rhs])
+        (l, lead, lf), (r, k, _) = lhs, rhs
         message = f"{op} expects integers"
+        if type(l) is int and type(r) is int:  # `n - 1`
 
-        def arith(frame):
-            interp.steps += 1
-            if interp.steps > limit:
-                raise interp.out_of_steps()
-            a = lhs(frame)
-            b = rhs(frame)
+            def arith(frame):
+                a = frame[l]
+                b = frame[r]
+                if type(a) is not int or type(b) is not int:
+                    raise EvalFailure(EVAL, message)
+                return fn(a, b)
+
+        else:  # `f (n - 1) + f (n - 2)`: the right operand's lead is charged
+            # after the left one runs if that can fail
+            interp, limit = self.interp, self.interp.step_limit
+            l, r, mid = self.closure(l), self.closure(r), k if lf else 0
+
+            def arith(frame):
+                a = l(frame)
+                steps = interp.steps + mid
+                if steps > limit:
+                    raise interp.out_of_steps()
+                interp.steps = steps
+                b = r(frame)
+                if type(a) is not int or type(b) is not int:
+                    raise EvalFailure(EVAL, message)
+                return fn(a, b)
+
+        return arith, 1 + lead + (0 if lf else k), True
+
+    def _operation(self, op: str, ops: list):
+        """`~~ b`, `x = y` or `b && c`; only `=` cannot fail."""
+        items, lead, fails = self._operands(ops)
+
+        def builtin(frame):
+            return _builtin(op, [a(frame) for a in items])
+
+        return builtin, 1 + lead, fails or op != "="
+
+    def _compare(self, op: str, l: int, r: int, yes: tuple, no: tuple):
+        """`if n <0x 2 then ...`: the test's operands are read in place, and
+        it has no closure of its own."""
+        interp, limit = self.interp, self.interp.step_limit
+        fn, message = _INT_OPS[op], f"{op} expects integers"
+
+        def if_(frame):
+            a = frame[l]
+            b = frame[r]
             if type(a) is not int or type(b) is not int:
                 raise EvalFailure(EVAL, message)
-            return fn(a, b)
+            run, k = yes if fn(a, b) else no
+            steps = interp.steps + k
+            if steps > limit:
+                raise interp.out_of_steps()
+            interp.steps = steps
+            return frame[run] if type(run) is int else run(frame)
 
-        return arith
+        return if_
 
     def _fail(self, message: str):
-        interp = self.interp
-        limit = interp.step_limit
-
         def fail(frame):
-            interp.steps += 1
-            if interp.steps > limit:
-                raise interp.out_of_steps()
             raise EvalFailure(EVAL, message)
 
         return fail
@@ -564,38 +571,28 @@ class _Compiler:
                     return True
 
                 return bind, top + 1
-            case PCon(name, args):
-                tests = []
-                for a in args:
-                    test, top = self._pattern(a, names, top)
-                    tests.append(test)
-                n = len(tests)
-
-                def con(v, frame):
-                    if type(v) is not VCon or v.name != name or len(v.args) != n:
-                        return False
-                    for test, w in zip(tests, v.args):
-                        if not test(w, frame):
-                            return False
-                    return True
-
-                return con, top
-            case PTuple(items):
+            case PCon(_, items) | PTuple(items):
                 tests = []
                 for a in items:
                     test, top = self._pattern(a, names, top)
                     tests.append(test)
-                n = len(tests)
+                n, name = len(tests), p.name if type(p) is PCon else None
 
-                def tup(v, frame):
-                    if type(v) is not tuple or len(v) != n:
+                def compound(v, frame):
+                    if name is not None:  # a constructor's arguments
+                        if type(v) is not VCon or v.name != name:
+                            return False
+                        v = v.args
+                    elif type(v) is not tuple:
+                        return False
+                    if len(v) != n:
                         return False
                     for test, w in zip(tests, v):
                         if not test(w, frame):
                             return False
                     return True
 
-                return tup, top
+                return compound, top
             case _:
                 return _never, top
 

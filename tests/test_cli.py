@@ -423,6 +423,28 @@ def test_eval_failure_is_a_diagnostic(capsys):
     assert "EvalError" in err
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        ("if 1 then 2 else 3", "condition is not a boolean"),
+        ("1 + true", "+ expects integers"),
+        ("1 && true", "&& expects booleans"),
+        ("~~ 1", "~~ expects a boolean"),
+        ("x", "unbound name x"),
+        ("all x : int, x = x", "cannot evaluate Quant"),
+        ("~ true", "cannot evaluate Not"),
+        ("In_5_10!filter (1, 2)", "value is not a function"),
+        ("fst (1)", "fst expects a pair"),
+        ("Nope!filter (1)", "unknown collection Nope"),
+        ("In_5_10!nosuch (1)", "In_5_10 has no method nosuch"),
+    ],
+)
+def test_each_evaluator_check_a_call_reaches_is_a_diagnostic(capsys, call, message):
+    code, out, err = run(capsys, "eval", *EXAMPLE, "--call", call)
+    assert (code, out) == (1, "")
+    assert err == f"<call>:0:0: error: EvalError: {message}\n"
+
+
 def test_a_syntax_error_in_the_call_gives_its_line_and_column(capsys):
     code, out, err = run(capsys, "eval", *EXAMPLE, "--call", "In_5_10!filter (12")
     assert (code, out) == (1, "")

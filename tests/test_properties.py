@@ -1701,37 +1701,58 @@ collection Pe2 = implement Peano ;;
 """
 
 
-def run_eval_suite(cus, per_method: int, depth_limit: int) -> Counter:
+def built_pair(cu, plain: dict, step_limit: int, depth_limit: int):
+    """`Interpreter` and the reference evaluator, each building the
+    collections of `cu` under `step_limit`, and how the builds ended, on
+    which the two agree."""
+    interp = Interpreter.__new__(Interpreter)  # steps stay readable if
+    oracle = oracles.Evaluator.__new__(oracles.Evaluator)  # a build fails
+    got = outcome(lambda: Interpreter.__init__(interp, cu, step_limit), lambda: interp.steps)
+    want = outcome(
+        lambda: oracles.Evaluator.__init__(oracle, plain, step_limit, depth_limit),
+        lambda: oracle.steps,
+    )
+    assert got == want, plain["collections"]
+    return interp, oracle, got
+
+
+def agreed_outcome(interp, oracle, call: str) -> tuple:
+    """How `call` ends, and at which step count, on which both agree."""
+    expr = parse_expr_text(call)
+    got = outcome(lambda: format_value(interp.eval(expr, Scope())), lambda: interp.steps)
+    want = outcome(
+        lambda: oracles.show(oracle.eval(plain_expr(expr), {}, {})),
+        lambda: oracle.steps,
+    )
+    assert got == want, call
+    assert interp.depth == 0
+    return got
+
+
+def run_eval_suite(cus, per_method: int, depth_limit: int, sweeps=()) -> Counter:
     """Each call's value or failure, and its step count, against the
-    reference evaluator; counts the outcomes by kind."""
+    reference evaluator; counts the outcomes by kind.  `sweeps` pairs a
+    unit with calls, each run under every step limit from 0 to one past
+    the steps its build and the call take."""
     rng = random.Random(SEED + 2)
     kinds: Counter = Counter()
     for cu in cus:
         plain = plain_unit(plan_unit(cu))  # as `Interpreter` plans it
-        interp = Interpreter.__new__(Interpreter)  # steps stay readable if
-        oracle = oracles.Evaluator.__new__(oracles.Evaluator)  # a build fails
-        got = outcome(lambda: Interpreter.__init__(interp, cu, EVAL_STEPS), lambda: interp.steps)
-        want = outcome(
-            lambda: oracles.Evaluator.__init__(oracle, plain, EVAL_STEPS, depth_limit),
-            lambda: oracle.steps,
-        )
-        assert got == want, plain["collections"]
-        if got[0] != "value":
+        interp, oracle, built = built_pair(cu, plain, EVAL_STEPS, depth_limit)
+        if built[0] != "value":
             continue
-        built = interp.steps
         for call in calls_of(rng, cu, per_method):
-            expr = parse_expr_text(call)
-            interp.steps = oracle.steps = built
-            got = outcome(
-                lambda: format_value(interp.eval(expr, Scope())), lambda: interp.steps
-            )
-            want = outcome(
-                lambda: oracles.show(oracle.eval(plain_expr(expr), {}, {})),
-                lambda: oracle.steps,
-            )
-            assert got == want, call
-            assert interp.depth == 0
-            kinds[got[0]] += 1
+            interp.steps = oracle.steps = built[2]
+            kinds[agreed_outcome(interp, oracle, call)[0]] += 1
+    for cu, calls in sweeps:
+        plain = plain_unit(plan_unit(cu))
+        for call in calls:
+            total = agreed_outcome(*built_pair(cu, plain, 10**6, depth_limit)[:2], call)[2]
+            for limit in range(total + 2):
+                interp, oracle, built = built_pair(cu, plain, limit, depth_limit)
+                if built[0] == "value":
+                    built = agreed_outcome(interp, oracle, call)
+                kinds[built[0]] += 1
     return kinds
 
 
@@ -2105,7 +2126,17 @@ def test_names_are_tagged_where_they_are_written(general_units, complete_units):
 def test_evaluator_agrees_with_the_reference(complete_units, monkeypatch):
     cus = [u.cu for u in complete_units] + data_units()
     cus += [compile_source(src) for src in (COUNTER, PEANO, CAPTURES, CROSS, SHADOWS)]
-    kinds = run_eval_suite(cus, 3, evaluator.MAX_DEPTH)
+    # every step limit up to a call's end: where a run of steps charged at
+    # once stops, and where a failed check and the limit meet
+    recurse = workload_sources()[6]
+    assert recurse[-1][0] == "recurse.fcl"
+    ill_typed = ["RecC!fib (true)", "1 + true"]
+    sweeps = [
+        (compile_unit(recurse), ["RecC!fib (6)", "RecC!roundtrip (5)", *ill_typed]),
+        (compile_source(PEANO), ["Pe!total (Node (Node (Leaf, 1, Leaf), 2, Node (Leaf, 3, Leaf)))"]),
+        (compile_source(COUNTER), ["Cnt!down (4)"]),
+    ]
+    kinds = run_eval_suite(cus, 3, evaluator.MAX_DEPTH, sweeps)
     assert kinds.total() >= 1000
     assert kinds["value"] and kinds["StepLimit"] and kinds["EvalError"]
     # a depth limit this low fails every nested call past the second, so
@@ -2380,3 +2411,17 @@ def test_reporting_a_wide_unit_makes_a_few_calls_per_entry(monkeypatch):
 
     small, large = width(200), width(800)
     assert 0 < large <= 4.5 * small, (small, large)
+
+
+def test_evaluating_a_recursive_call_makes_few_calls_per_step():
+    # `fib (15)`, 19,728 steps, its bodies compiled by a first run: a
+    # closure per node that can fail, an operand in a slot read in place
+    recurse = workload_sources()[6]
+    assert recurse[-1][0] == "recurse.fcl"
+    interp = Interpreter(compile_unit(recurse))
+    call = parse_expr_text("RecC!fib (15)")
+    assert interp.eval(call, Scope()) == 610
+    before = interp.steps
+    value, calls = python_calls(interp.eval, call, Scope())
+    assert (value, interp.steps - before) == (610, 19_728)
+    assert calls <= 10_000  # 8,898 when this bound was set; 21,711 before
