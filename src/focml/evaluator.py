@@ -36,8 +36,28 @@ import operator
 from typing import Callable
 
 from .ast import (
-    BinOp, BoolLit, Call, ConRef, Eq, Expr, Frozen, If, IntLit, Match, PCon, PTuple, PVar,
-    PWild, Pattern, Qual, Record, StrLit, TupleExpr, UnOp, Var, same,
+    BinOp,
+    BoolLit,
+    Call,
+    ConRef,
+    Eq,
+    Expr,
+    Frozen,
+    If,
+    IntLit,
+    Match,
+    PCon,
+    PTuple,
+    PVar,
+    PWild,
+    Pattern,
+    Qual,
+    Record,
+    StrLit,
+    TupleExpr,
+    UnOp,
+    Var,
+    same,
 )
 from .basics import BUILTIN_FUNCTIONS
 from .driver import plan_unit
@@ -47,7 +67,12 @@ from .resolve import BUILTIN, ENTITY, PARAM, Names, resolve
 STEP_LIMIT_DEFAULT = 1_000_000
 MAX_DEPTH = 20_000  # nested non-tail calls
 
-_INT_OPS = {"+": operator.add, "-": operator.sub, "<0x": operator.lt, "=0x": operator.eq}
+_INT_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "<0x": operator.lt,
+    "=0x": operator.eq,
+}
 
 
 class VCon(Frozen):
@@ -72,13 +97,8 @@ class Code:
         self.pad: list = []  # its pattern variables' slots, then its constants
 
     def _first_run(self, frame: list) -> object:
-        gp = self.gp
-        slots = _layout(gp)
-        comp = _Compiler(self.interp, slots)
-        tail = bool(gp.value_params)
-        run, self.lead, _ = comp.expr(gp.body, dict(comp.vars), len(slots), tail)
-        self.run = comp.closure(run)
-        self.pad = comp.pad()
+        comp = _Compiler(self.interp, _layout(self.gp))
+        self.run, self.lead, self.pad = comp.body(self.gp.body, bool(self.gp.value_params))
         self.interp.charge(self.lead)
         return self.run(frame + self.pad)
 
@@ -230,27 +250,29 @@ class Interpreter:
     # -- evaluation --------------------------------------------------------
 
     def eval(self, e: Expr, scope: Scope) -> Value:
-        slots = [(False, n) for n in scope.vars] + [(True, k) for k in scope.quals]
-        comp = _Compiler(self, slots)
-        run, lead, _ = comp.expr(e, dict(comp.vars), len(slots), tail=False)
+        slots = [(False, n) for n in scope.vars]
+        slots += [(True, k) for k in scope.quals]
+        run, lead, pad = _Compiler(self, slots).body(e, tail=False)
         self.charge(lead)
-        return comp.closure(run)([*scope.vars.values(), *scope.quals.values(), *comp.pad()])
+        frame = [*scope.vars.values(), *scope.quals.values()]
+        return run(frame + pad)
 
     def apply(self, f: Value, args: list[Value]) -> Value:
         """Apply f to args, making the tail calls of each body in a loop."""
         self.depth += 1
         try:
             if self.depth > MAX_DEPTH:
-                raise EvalFailure(DEPTH_LIMIT, f"depth limit of {MAX_DEPTH} nested calls exceeded")
+                raise EvalFailure(
+                    DEPTH_LIMIT, f"depth limit of {MAX_DEPTH} nested calls exceeded"
+                )
             while args:
                 if type(f) is Closure:
                     code, n = f.code, f.arity
                     if len(args) < n:
                         return Closure(code, f.env + args, n - len(args))
-                    steps = self.steps + code.lead
-                    if steps > self.step_limit:
+                    self.steps += code.lead
+                    if self.steps > self.step_limit:
                         raise self.out_of_steps()
-                    self.steps = steps
                     if len(args) == n:
                         f, args = code.run(f.env + args + code.pad), ()
                     else:
@@ -263,7 +285,9 @@ class Interpreter:
                 elif type(f) is BuiltinFn:
                     arity = BUILTIN_FUNCTIONS[f.name].arity
                     if len(args) < arity:
-                        raise EvalFailure(EVAL, f"partial application of builtin {f.name}")
+                        raise EvalFailure(
+                            EVAL, f"partial application of builtin {f.name}"
+                        )
                     f, args = _builtin(f.name, args[:arity]), args[arity:]
                 else:
                     raise EvalFailure(EVAL, "value is not a function")
@@ -273,10 +297,9 @@ class Interpreter:
 
     def charge(self, k: int) -> None:
         """Count k steps that no failure separates."""
-        steps = self.steps + k
-        if steps > self.step_limit:
+        self.steps += k
+        if self.steps > self.step_limit:
             raise self.out_of_steps()
-        self.steps = steps
 
     def out_of_steps(self) -> EvalFailure:
         # the count stops at the step past the limit, as when charged singly
@@ -303,7 +326,8 @@ def _builtin(name: str, args: list[Value]) -> Value:
                 raise EvalFailure(EVAL, "~~ expects a boolean")
             return not a
         case "=":
-            return same(*args)
+            a, b = args
+            return same(a, b)
         case "fst" | "snd":
             (t,) = args
             if not isinstance(t, tuple) or len(t) != 2:
@@ -338,9 +362,11 @@ class _Compiler:
         self.bound = self.width = len(slots)  # slots any frame of this layout needs
         self.consts: list = []
 
-    def pad(self) -> list:
-        """What a frame holds after its bound slots."""
-        return [None] * (self.width - self.bound) + self.consts[::-1]
+    def body(self, e: Expr, tail: bool):
+        """The closure of a whole body, its lead, and what a frame of it
+        holds after the bound slots: its pattern variables, its constants."""
+        run, lead, _ = self.expr(e, dict(self.vars), self.bound, tail)
+        return self.closure(run), lead, [None] * (self.width - self.bound) + self.consts[::-1]
 
     def expr(self, e: Expr, names: dict[str, int], top: int, tail: bool):
         interp = self.interp
@@ -369,8 +395,6 @@ class _Compiler:
                     return methods[name]
 
                 return qual, 1, True
-            case ConRef(name, []):
-                return self._const(VCon(name)), 1, False
             case ConRef(_, items) | TupleExpr(items):
                 items, lead, fails = self._operands([sub(a) for a in items])
                 name = e.name if type(e) is ConRef else None
@@ -409,44 +433,42 @@ class _Compiler:
             case Eq(left, right):
                 return self._binary("=", sub(left), sub(right))
             case If(cond, then, orelse):
-                yes = self.expr(then, names, top, tail)[:2]
-                no = self.expr(orelse, names, top, tail)[:2]
-                ops = (sub(cond.left), sub(cond.right)) if type(cond) is BinOp else ()
-                if ops and cond.op in ("<0x", "=0x") and type(ops[0][0]) is type(ops[1][0]) is int:
-                    return self._compare(cond.op, ops[0][0], ops[1][0], yes, no), 4, True
-                test, lead, _ = self._binary(cond.op, *ops) if ops else sub(cond)
+                test, lead, _ = sub(cond)
                 test = self.closure(test)
+                yes, k = self.expr(then, names, top, tail)[:2]
+                no, m = self.expr(orelse, names, top, tail)[:2]
+                yes, no = (self.closure(yes), k), (self.closure(no), m)
 
                 def if_(frame):
                     c = test(frame)
                     if c is not True and c is not False:
                         raise EvalFailure(EVAL, "condition is not a boolean")
                     run, k = yes if c else no
-                    steps = interp.steps + k
-                    if steps > limit:
+                    interp.steps += k
+                    if interp.steps > limit:
                         raise interp.out_of_steps()
-                    interp.steps = steps
-                    return frame[run] if type(run) is int else run(frame)
+                    return run(frame)
 
                 return if_, 1 + lead, True
             case Match(scrutinee, arms):
-                (scrut,), lead, _ = self._operands([sub(scrutinee)])
+                scrut, lead, _ = sub(scrutinee)
+                scrut = self.closure(scrut)
                 compiled = []
                 for pat, body in arms:
                     scope = dict(names)
                     test, end = self._pattern(pat, scope, top)
                     self.width = max(self.width, end)
-                    compiled.append((test, *self.expr(body, scope, end, tail)[:2]))
+                    run, k, _ = self.expr(body, scope, end, tail)
+                    compiled.append((test, self.closure(run), k))
 
                 def match_(frame):
                     v = scrut(frame)
                     for test, run, k in compiled:
                         if test(v, frame):
-                            steps = interp.steps + k
-                            if steps > limit:
+                            interp.steps += k
+                            if interp.steps > limit:
                                 raise interp.out_of_steps()
-                            interp.steps = steps
-                            return frame[run] if type(run) is int else run(frame)
+                            return run(frame)
                     raise EvalFailure(EVAL, "no pattern matched the value")
 
                 return match_, 1 + lead, True
@@ -511,10 +533,9 @@ class _Compiler:
 
             def arith(frame):
                 a = l(frame)
-                steps = interp.steps + mid
-                if steps > limit:
+                interp.steps += mid
+                if interp.steps > limit:
                     raise interp.out_of_steps()
-                interp.steps = steps
                 b = r(frame)
                 if type(a) is not int or type(b) is not int:
                     raise EvalFailure(EVAL, message)
@@ -530,26 +551,6 @@ class _Compiler:
             return _builtin(op, [a(frame) for a in items])
 
         return builtin, 1 + lead, fails or op != "="
-
-    def _compare(self, op: str, l: int, r: int, yes: tuple, no: tuple):
-        """`if n <0x 2 then ...`: the test's operands are read in place, and
-        it has no closure of its own."""
-        interp, limit = self.interp, self.interp.step_limit
-        fn, message = _INT_OPS[op], f"{op} expects integers"
-
-        def if_(frame):
-            a = frame[l]
-            b = frame[r]
-            if type(a) is not int or type(b) is not int:
-                raise EvalFailure(EVAL, message)
-            run, k = yes if fn(a, b) else no
-            steps = interp.steps + k
-            if steps > limit:
-                raise interp.out_of_steps()
-            interp.steps = steps
-            return frame[run] if type(run) is int else run(frame)
-
-        return if_
 
     def _fail(self, message: str):
         def fail(frame):

@@ -2136,9 +2136,13 @@ def test_evaluator_agrees_with_the_reference(complete_units, monkeypatch):
         (compile_source(PEANO), ["Pe!total (Node (Node (Leaf, 1, Leaf), 2, Node (Leaf, 3, Leaf)))"]),
         (compile_source(COUNTER), ["Cnt!down (4)"]),
     ]
-    kinds = run_eval_suite(cus, 3, evaluator.MAX_DEPTH, sweeps)
+    kinds = run_eval_suite(cus, 3, evaluator.MAX_DEPTH)
     assert kinds.total() >= 1000
     assert kinds["value"] and kinds["StepLimit"] and kinds["EvalError"]
+    # the four well-typed calls give their value at their own count and one
+    # past it, the two ill-typed ones fail there, every lower limit stops
+    swept = run_eval_suite([], 0, evaluator.MAX_DEPTH, sweeps)
+    assert (swept["value"], swept["EvalError"], swept["StepLimit"]) == (8, 4, 554)
     # a depth limit this low fails every nested call past the second, so
     # any disagreement about which calls are in tail position shows
     monkeypatch.setattr(evaluator, "MAX_DEPTH", 2)
@@ -2415,7 +2419,8 @@ def test_reporting_a_wide_unit_makes_a_few_calls_per_entry(monkeypatch):
 
 def test_evaluating_a_recursive_call_makes_few_calls_per_step():
     # `fib (15)`, 19,728 steps, its bodies compiled by a first run: a
-    # closure per node that can fail, an operand in a slot read in place
+    # closure per node that can fail and per branch; operands in slots are
+    # read in place
     recurse = workload_sources()[6]
     assert recurse[-1][0] == "recurse.fcl"
     interp = Interpreter(compile_unit(recurse))
@@ -2424,4 +2429,4 @@ def test_evaluating_a_recursive_call_makes_few_calls_per_step():
     before = interp.steps
     value, calls = python_calls(interp.eval, call, Scope())
     assert (value, interp.steps - before) == (610, 19_728)
-    assert calls <= 10_000  # 8,898 when this bound was set; 21,711 before
+    assert calls <= 12_500  # 11,858 when this bound was set; 21,711 before
